@@ -1,21 +1,18 @@
 // Scale bench: grounding + solving wall time and peak memory of the
-// interning pipeline at 64k-1M ground rules, per memory layout
-// (GroundOptions::layout, flat vs node). This is the bench behind the
-// `layout` axis of BENCH_ablation_axis.json: tools/run_benches.sh stores
-// the report as BENCH_scale.json and distills per-workload flat/node rows,
-// and tools/check_ablation_axis.py gates CI on the flagship speedup.
+// interning pipeline at 64k-1M ground rules. tools/run_benches.sh stores
+// the report as BENCH_scale.json.
 //
 // Like bench_serving this binary is self-timed and prints a native JSON
-// report on stdout (no Google Benchmark). Each (workload, layout) config
-// runs in a forked child that reports one JSON row through a pipe: peak
-// RSS is process-monotone, so measuring the node layout after the flat one
-// in the same process would only ever report the max of the two.
+// report on stdout (no Google Benchmark). Each workload runs in a forked
+// child that reports one JSON row through a pipe: peak RSS is
+// process-monotone, so measuring one workload after another in the same
+// process would only ever report the max of the two.
 //
 // Workloads: win-move over Erdos-Renyi digraphs (the unstratified
 // flagship; grounding is interning-dominated) and transitive-closure
 // complement (stratified; the n^2 ntc stratum pushes the rule count to the
-// million rung). The true/undefined atom counts are recorded per row so
-// the distiller can assert the two layouts solved identical models.
+// million rung). The true/undefined atom counts are recorded per row as
+// the receipt of what was solved.
 
 #include <unistd.h>
 
@@ -50,9 +47,8 @@ afp::Program WinMove64k() {
 }
 
 afp::Program WinMoveFlagship() {
-  // The layout-axis flagship: ~16k nodes, 6 edges/node. Grounding interns
-  // ~100k wins/move atoms and emits ~200k ground rules — comfortably over
-  // the >= 64k-rule floor the CI gate requires of the flagship row.
+  // The flagship: ~16k nodes, 6 edges/node. Grounding interns ~100k
+  // wins/move atoms and emits ~200k ground rules.
   return afp::workload::WinMove(afp::graphs::ErdosRenyi(16384, 98304, 17));
 }
 
@@ -60,8 +56,8 @@ afp::Program TcComplement262k() {
   // ntc stratum alone is n^2 = 262k instances. The edge set is kept
   // subcritical (avg degree 1/4) so the recursive tc closure stays tiny:
   // the grounder's join is an unindexed per-predicate candidate scan, and
-  // at supercritical densities that layout-independent scan cost (rounds x
-  // |e| x |tc|) drowns the interning signal this axis measures.
+  // at supercritical densities that scan cost (rounds x |e| x |tc|) drowns
+  // the interning cost this bench measures.
   return afp::workload::TransitiveClosureComplement(
       afp::graphs::ErdosRenyi(512, 128, 29));
 }
@@ -85,19 +81,16 @@ double Ms(Clock::time_point a, Clock::time_point b) {
       .count();
 }
 
-/// Runs one (workload, layout) config and returns its JSON row. Called in
-/// a forked child; must not touch the parent's report state.
-std::string RunConfig(const Config& cfg, afp::IndexLayout layout) {
+/// Runs one workload and returns its JSON row. Called in a forked child;
+/// must not touch the parent's report state.
+std::string RunConfig(const Config& cfg) {
   afp::Program program = cfg.make();
-  afp::SolverOptions sopts;
-  sopts.ground.layout = layout;
 
   const auto t0 = Clock::now();
-  auto solver = afp::Solver::FromProgram(std::move(program), sopts);
+  auto solver = afp::Solver::FromProgram(std::move(program));
   const auto t1 = Clock::now();
   if (!solver.ok()) {
-    std::fprintf(stderr, "bench_scale: %s/%s: %s\n", cfg.workload,
-                 afp::IndexLayoutName(layout),
+    std::fprintf(stderr, "bench_scale: %s: %s\n", cfg.workload,
                  std::string(solver.status().message()).c_str());
     return {};
   }
@@ -108,15 +101,14 @@ std::string RunConfig(const Config& cfg, afp::IndexLayout layout) {
   char buf[640];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"workload\": \"%s\", \"layout\": \"%s\", \"atoms\": %llu, "
+      "{\"workload\": \"%s\", \"atoms\": %llu, "
       "\"ground_rules\": %llu, \"ground_ms\": %.2f, \"solve_ms\": %.2f, "
       "\"total_ms\": %.2f, \"intern_probes\": %llu, "
       "\"intern_collisions\": %llu, \"intern_allocs\": %llu, "
       "\"arena_bytes\": %llu, \"index_bytes\": %llu, "
       "\"peak_rss_bytes\": %llu, \"true_atoms\": %llu, "
       "\"undef_atoms\": %llu}",
-      cfg.workload, afp::IndexLayoutName(layout),
-      static_cast<unsigned long long>(g.atoms),
+      cfg.workload, static_cast<unsigned long long>(g.atoms),
       static_cast<unsigned long long>(g.rules), Ms(t0, t1), Ms(t1, t2),
       Ms(t0, t2), static_cast<unsigned long long>(g.intern_probes),
       static_cast<unsigned long long>(g.intern_collisions),
@@ -133,7 +125,7 @@ std::string RunConfig(const Config& cfg, afp::IndexLayout layout) {
 /// Forks a child to run one config; the child writes its row to a pipe and
 /// exits without running atexit handlers. Returns the row, or "" on any
 /// child failure (reported on stderr by the child).
-std::string RunConfigForked(const Config& cfg, afp::IndexLayout layout) {
+std::string RunConfigForked(const Config& cfg) {
   int fds[2];
   if (pipe(fds) != 0) {
     std::perror("bench_scale: pipe");
@@ -148,7 +140,7 @@ std::string RunConfigForked(const Config& cfg, afp::IndexLayout layout) {
   }
   if (pid == 0) {
     close(fds[0]);
-    const std::string row = RunConfig(cfg, layout);
+    const std::string row = RunConfig(cfg);
     std::size_t off = 0;
     while (off < row.size()) {
       const ssize_t n = write(fds[1], row.data() + off, row.size() - off);
@@ -178,16 +170,12 @@ std::string RunConfigForked(const Config& cfg, afp::IndexLayout layout) {
 int main() {
   std::vector<std::string> rows;
   for (const Config& cfg : kConfigs) {
-    for (afp::IndexLayout layout :
-         {afp::IndexLayout::kFlat, afp::IndexLayout::kNode}) {
-      std::string row = RunConfigForked(cfg, layout);
-      if (row.empty()) {
-        std::fprintf(stderr, "bench_scale: config %s/%s failed\n",
-                     cfg.workload, afp::IndexLayoutName(layout));
-        return 1;
-      }
-      rows.push_back(std::move(row));
+    std::string row = RunConfigForked(cfg);
+    if (row.empty()) {
+      std::fprintf(stderr, "bench_scale: workload %s failed\n", cfg.workload);
+      return 1;
     }
+    rows.push_back(std::move(row));
   }
 
   std::printf("{\n");

@@ -33,18 +33,21 @@ StatusOr<Solver> Solver::FromText(std::string_view program_text,
 
 StatusOr<Solver> Solver::FromProgram(Program program, SolverOptions options) {
   auto owned = std::make_unique<Program>(std::move(program));
+  std::unique_ptr<Grounder> grounder;
   AFP_ASSIGN_OR_RETURN(GroundProgram ground,
-                       Grounder::Ground(*owned, options.ground));
-  return Solver(std::move(owned), std::move(ground), std::move(options));
+                       Grounder::Ground(*owned, options.ground, &grounder));
+  return Solver(std::move(owned), std::move(ground), std::move(grounder),
+                std::move(options));
 }
 
 Solver::Solver(std::unique_ptr<Program> program, GroundProgram ground,
-               SolverOptions options)
+               std::unique_ptr<Grounder> grounder, SolverOptions options)
     : options_(std::move(options)),
       program_(std::move(program)),
       ground_(std::move(ground)),
       ctx_(std::make_unique<EvalContext>()),
-      registry_(std::make_unique<EvalContextRegistry>()) {
+      registry_(std::make_unique<EvalContextRegistry>()),
+      grounder_(std::move(grounder)) {
   stats_.engine = options_.engine;
   stats_.num_atoms = ground_.num_atoms();
   stats_.num_rules = ground_.num_rules();
@@ -363,14 +366,11 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
   for (AtomId id : retracts) {
     GroundProgram::FactRemoval rem = ground_.RemoveFact(id);
     if (!rem.removed) continue;
-    // Keep the delta grounder's provenance index aligned with the rule-id
-    // motion, and remember the head forever: it supported instances that
-    // survive the retract, so a later (re-)initialization of the grounder
-    // must treat it as derived.
-    if (delta_grounder_) {
-      delta_grounder_->NoteFactRemoved(rem.erased_rule, rem.moved_rule);
+    // The grounder tracks which rule each instance occupies; the swap may
+    // have moved one.
+    if (grounder_ && rem.moved_rule != rem.erased_rule) {
+      grounder_->NoteRuleMoved(ground_, rem.erased_rule);
     }
-    retracted_ever_.push_back(id);
     // The touched component's compiled bucket snapshots a rule set that
     // just changed. The moved rule's component needs nothing: buckets
     // snapshot rule content, not ids, and its content is untouched.
@@ -393,14 +393,10 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
   }
   for (AtomId id : asserts) {
     if (!ground_.AddFact(id)) continue;
-    // Queue the head for the delta grounder's derived set — folded in at
-    // the next rule op (the deferred-extension contract: asserts never
-    // extend the grounding mid-update; see docs/API.md). Before the
-    // grounder exists, Init derives the head from the fact rule itself.
-    if (delta_grounder_) {
-      delta_grounder_->NoteFactAppended();
-      pending_asserted_.push_back(id);
-    }
+    // An atom never derived before joins the grounder's derived set at the
+    // next rule op (the deferred-extension contract: asserts never extend
+    // the grounding mid-update; see docs/API.md).
+    if (grounder_) grounder_->NoteFactAsserted(id);
     comp_rules_[comp_of[id]].push_back(
         static_cast<std::uint32_t>(ground_.num_rules() - 1));
     if (kernels_) kernels_->InvalidateComponent(comp_of[id]);
@@ -451,57 +447,36 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
   return up;
 }
 
-namespace {
-
-Status RuleOpsRequireUnsimplified(const SolverOptions& options) {
-  if (!options.ground.simplify) return Status::Ok();
+Status Solver::RuleOpsAvailable() const {
+  if (grounder_) return Status::Ok();
+  if (!Grounder::SupportsRuleOps(options_.ground)) {
+    return Status::FailedPrecondition(
+        "rule mutations need the exact instance provenance of kSmart, "
+        "semi-naive, unsimplified grounding; construct the session with "
+        "options.ground = {mode = kSmart, semi_naive = true, simplify = "
+        "false}");
+  }
   return Status::FailedPrecondition(
-      "rule mutations require GroundOptions::simplify = false (simplified "
-      "grounding erases the body structure instance provenance is keyed "
-      "on); construct the session with options.ground.simplify = false");
-}
-
-}  // namespace
-
-Status Solver::PrepareRuleMutation(IncrementalGrounder::MutationDelta* delta) {
-  AFP_RETURN_IF_ERROR(RuleOpsRequireUnsimplified(options_));
-  // The graph must describe the PRE-mutation program: the delta splice
-  // below patches it in place, and the append fast path needs the old
-  // adjacency intact to judge feasibility.
-  EnsureGraph();
-  if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
-  if (!delta_grounder_) {
-    delta_grounder_ = std::make_unique<IncrementalGrounder>(
-        *program_, ground_, options_.ground);
-    AFP_RETURN_IF_ERROR(delta_grounder_->Init(retracted_ever_, delta));
-  }
-  if (!pending_asserted_.empty()) {
-    std::vector<AtomId> queued = std::move(pending_asserted_);
-    pending_asserted_.clear();
-    AFP_RETURN_IF_ERROR(delta_grounder_->SyncNewlyDerived(queued, delta));
-  }
-  return Status::Ok();
+      "an earlier rule mutation failed mid-grounding, so the session's "
+      "grounding no longer covers its rules; rebuild the session");
 }
 
 Status Solver::PoisonRuleMutation(Status st) {
-  delta_grounder_.reset();
-  pending_asserted_.clear();  // a future Init derives them from gp facts
+  grounder_.reset();
   graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
   comp_rules_ = ComponentRuleBuckets(ground_.View(), *graph_);
   kernels_.reset();
   EnsureKernels();
   InvalidateModel();
-  solved_ = false;
   return st;
 }
 
 StatusOr<RuleUpdateStats> Solver::AddRule(std::string_view rule_text) {
-  AFP_RETURN_IF_ERROR(RuleOpsRequireUnsimplified(options_));
+  AFP_RETURN_IF_ERROR(RuleOpsAvailable());
   const std::size_t atoms_before = ground_.num_atoms();
-  const bool had_grounder = delta_grounder_ != nullptr;
   // Parse first: a parse error must leave the session untouched, and the
-  // fact check must run before the delta grounder ever sees the appended
-  // rules (ParseRulesInto rolls the program back on error itself).
+  // fact check must run before the grounder ever sees the appended rules
+  // (ParseRulesInto rolls the program back on error itself).
   AFP_ASSIGN_OR_RETURN(std::size_t first,
                        Parser::ParseRulesInto(*program_, rule_text));
   const std::size_t num_added = program_->rules().size() - first;
@@ -517,39 +492,26 @@ StatusOr<RuleUpdateStats> Solver::AddRule(std::string_view rule_text) {
                                      "use AssertFacts");
     }
   }
-  IncrementalGrounder::MutationDelta delta;
-  Status st = PrepareRuleMutation(&delta);
-  // A freshly initialized grounder already instantiated every live rule —
-  // including the ones just parsed; only a pre-existing one needs the
-  // explicit delta instantiation.
-  if (st.ok() && had_grounder) {
-    st = delta_grounder_->AddSourceRules(first, &delta);
-  }
+  // The graph must describe the PRE-mutation program: the splice patches
+  // it in place, and the append fast path needs the old adjacency intact.
+  EnsureGraph();
+  if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
+  Grounder::Delta delta;
+  Status st = grounder_->AddSourceRules(ground_, first, &delta);
   if (!st.ok()) return PoisonRuleMutation(std::move(st));
   return FinishRuleMutation(delta, atoms_before, num_added);
 }
 
 StatusOr<RuleUpdateStats> Solver::RemoveRule(std::string_view rule_text) {
-  AFP_RETURN_IF_ERROR(RuleOpsRequireUnsimplified(options_));
+  AFP_RETURN_IF_ERROR(RuleOpsAvailable());
   const std::size_t atoms_before = ground_.num_atoms();
-  IncrementalGrounder::MutationDelta delta;
-  {
-    Status st = PrepareRuleMutation(&delta);
-    if (!st.ok()) return PoisonRuleMutation(std::move(st));
-  }
   // Parse the pattern into the live program — structural matching
   // compares hash-consed term ids, so the pattern must share the
   // session's interner — then find each live counterpart and drop the
-  // parsed copies again (they are invisible to the grounder: it only
-  // scans rules it has registered).
-  auto first_or = Parser::ParseRulesInto(*program_, rule_text);
-  if (!first_or.ok()) {
-    // Prepare may have spliced deferred-assert instances; patch them in
-    // so the session stays consistent, then report the parse error.
-    FinishRuleMutation(delta, atoms_before, 0);
-    return first_or.status();
-  }
-  const std::size_t first = *first_or;
+  // parsed copies again (the grounder only ever registered the rules
+  // before them). Nothing is mutated until every pattern matched.
+  AFP_ASSIGN_OR_RETURN(std::size_t first,
+                       Parser::ParseRulesInto(*program_, rule_text));
   std::vector<std::size_t> targets;
   Status find_st = Status::Ok();
   if (first == program_->rules().size()) {
@@ -564,7 +526,7 @@ StatusOr<RuleUpdateStats> Solver::RemoveRule(std::string_view rule_text) {
           "' is a fact — facts are EDB state, use RetractFacts");
       break;
     }
-    std::optional<std::size_t> live = delta_grounder_->FindLiveRule(r);
+    std::optional<std::size_t> live = grounder_->FindLiveRule(r);
     if (!live.has_value() ||
         std::find(targets.begin(), targets.end(), *live) != targets.end()) {
       find_st = Status::NotFound("RemoveRule: no live rule matches '" +
@@ -574,20 +536,20 @@ StatusOr<RuleUpdateStats> Solver::RemoveRule(std::string_view rule_text) {
     targets.push_back(*live);
   }
   program_->TruncateRules(first);
-  if (!find_st.ok()) {
-    FinishRuleMutation(delta, atoms_before, 0);
-    return find_st;
-  }
+  AFP_RETURN_IF_ERROR(find_st);
+  EnsureGraph();
+  if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
+  Grounder::Delta delta;
   for (std::size_t t : targets) {
-    Status st = delta_grounder_->RemoveSourceRule(t, &delta);
+    Status st = grounder_->RemoveSourceRule(ground_, t, &delta);
     if (!st.ok()) return PoisonRuleMutation(std::move(st));
   }
   return FinishRuleMutation(delta, atoms_before, targets.size());
 }
 
-RuleUpdateStats Solver::FinishRuleMutation(
-    const IncrementalGrounder::MutationDelta& delta,
-    std::size_t atoms_before, std::size_t source_rules_changed) {
+RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
+                                           std::size_t atoms_before,
+                                           std::size_t source_rules_changed) {
   RuleUpdateStats out;
   out.source_rules_changed = source_rules_changed;
   out.ground_rules_added = delta.added_rules.size();

@@ -42,7 +42,6 @@
 #include "exec/scheduler.h"
 #include "ground/ground_program.h"
 #include "ground/grounder.h"
-#include "ground/incremental_grounder.h"
 #include "search/stable_search.h"
 #include "stable/backtracking.h"
 #include "util/status.h"
@@ -132,12 +131,10 @@ struct SolverStats {
   /// per-worker work sharing, whether the root was seeded from the cached
   /// model, and whether the run completed (see StableSearchStats).
   StableSearchStats search;
-  /// Memory-layout receipt of the grounding pipeline: the grounding-time
-  /// scratch counters recorded by the grounder, plus the live atom/term
-  /// table index counters (which keep accumulating as queries and
-  /// mutations intern), plus current peak RSS. Probe/collision/alloc
-  /// counters are zero under GroundOptions::layout == kNode (std
-  /// containers expose none). Refreshed with the rest of the stats.
+  /// Memory receipt of the grounding pipeline: the grounding-time scratch
+  /// counters recorded by the grounder, plus the live atom/term table
+  /// index counters (which keep accumulating as queries and mutations
+  /// intern), plus current peak RSS. Refreshed with the rest of the stats.
   GroundStats ground;
 };
 
@@ -165,11 +162,8 @@ struct UpdateStats {
 /// `rules_reground` plus the kernel counters are the O(touched) evidence —
 /// a periphery edit re-runs a handful of source-rule instantiation joins
 /// and recompiles only the components whose rule buckets changed,
-/// independent of program size (pinned by the rule-mutation tests). The
-/// FIRST rule op of a session additionally pays a one-time O(program)
-/// initialization (the delta grounder reconstructs instance provenance
-/// from the sealed ground program), so receipts should be read from the
-/// second op onward.
+/// independent of program size (pinned by the rule-mutation tests), from
+/// the session's first rule op on.
 struct RuleUpdateStats {
   /// Source (non-ground) rules added or removed by this call.
   std::size_t source_rules_changed = 0;
@@ -178,7 +172,7 @@ struct RuleUpdateStats {
   std::size_t ground_rules_removed = 0;
   /// Universe growth (atom ids are append-only; removal never shrinks).
   std::size_t atoms_added = 0;
-  /// Source-rule instantiation joins the delta grounder ran.
+  /// Source-rule instantiation joins the grounder ran.
   std::size_t rules_reground = 0;
   /// False: the cached SCC condensation was patched in place (the append
   /// or removal fast path). True: the delta would have merged, split or
@@ -346,11 +340,11 @@ class Solver {
   /// Previously derived head atoms stay in the universe as (typically
   /// false) dead atoms, exactly like RetractFacts leaves its atom behind.
   ///
-  /// Both require the session to have been grounded with
-  /// GroundOptions::simplify = false (simplified grounding erases the
-  /// body structure that instance provenance is keyed on) and fail
-  /// FailedPrecondition otherwise, mutating nothing. Fact texts are
-  /// rejected (InvalidArgument): facts are EDB state, use
+  /// Both need the exact instance provenance the session's grounder keeps
+  /// from construction, which only GroundMode::kSmart, semi_naive = true,
+  /// simplify = false grounding provides (Grounder::SupportsRuleOps); on
+  /// any other session they fail FailedPrecondition, mutating nothing.
+  /// Fact texts are rejected (InvalidArgument): facts are EDB state, use
   /// AssertFacts/RetractFacts.
   StatusOr<RuleUpdateStats> AddRule(std::string_view rule_text);
   StatusOr<RuleUpdateStats> RemoveRule(std::string_view rule_text);
@@ -420,7 +414,7 @@ class Solver {
 
  private:
   Solver(std::unique_ptr<Program> program, GroundProgram ground,
-         SolverOptions options);
+         std::unique_ptr<Grounder> grounder, SolverOptions options);
 
   /// Lazily builds (and caches) the dependency graph + rule buckets the
   /// kScc engine and every incremental update share.
@@ -438,22 +432,20 @@ class Solver {
   StatusOr<UpdateStats> MutateFacts(const std::vector<std::string>& atoms,
                                     bool add);
 
-  /// Rule-op front half: checks the simplify=false precondition, creates
-  /// and initializes the delta grounder on first use (folding
-  /// retracted-fact heads into its derived set), and folds queued
-  /// asserted-fact heads in (the deferred-extension contract).
-  Status PrepareRuleMutation(IncrementalGrounder::MutationDelta* delta);
+  /// Rule-op precondition: the session kept its grounder.
+  Status RuleOpsAvailable() const;
 
   /// Rule-op back half: patches graph/buckets/kernels from the delta
   /// (fast path or rebuild), repairs the model, fills the receipt.
-  RuleUpdateStats FinishRuleMutation(
-      const IncrementalGrounder::MutationDelta& delta,
-      std::size_t atoms_before, std::size_t source_rules_changed);
+  RuleUpdateStats FinishRuleMutation(const Grounder::Delta& delta,
+                                     std::size_t atoms_before,
+                                     std::size_t source_rules_changed);
 
   /// Recovery from a grounder error that may have left a partial splice
-  /// (resource limits mid-cascade): drops the delta grounder, rebuilds
-  /// the analysis over whatever the ground program now holds, and
-  /// invalidates the model so the next Solve() is full. Returns `st`.
+  /// (resource limits mid-cascade): drops the grounder — its provenance no
+  /// longer covers the program, so later rule ops fail FailedPrecondition
+  /// — rebuilds the analysis over whatever the ground program now holds,
+  /// and invalidates the model so the next Solve() is full. Returns `st`.
   Status PoisonRuleMutation(Status st);
 
   SccOptions SccOptionsFromSession();
@@ -484,18 +476,11 @@ class Solver {
   /// incremental repair O(downstream closure) instead of paying an
   /// O(num_components) zero-fill floor per update (see SccUpdateScratch).
   SccUpdateScratch update_scratch_;
-  /// Delta re-grounder for AddRule/RemoveRule, created on the first rule
-  /// op (null until then; fact-only sessions never pay for it).
-  std::unique_ptr<IncrementalGrounder> delta_grounder_;
-  /// Heads of every fact ever retracted this session: they supported
-  /// instances that may still be in the program, so the delta grounder's
-  /// (re-)initialization must count them as derived — a later re-assert
-  /// must not re-instantiate rules that already exist. Never cleared
-  /// (init can happen more than once after an error recovery).
-  std::vector<AtomId> retracted_ever_;
-  /// Heads of facts asserted since the delta grounder initialized, not
-  /// yet folded into its derived set (consumed by the next rule op).
-  std::vector<AtomId> pending_asserted_;
+  /// The grounder that built ground_, kept with its instance provenance
+  /// for AddRule/RemoveRule (null unless Grounder::SupportsRuleOps holds
+  /// for options_.ground, or after PoisonRuleMutation). It holds no
+  /// reference to ground_ between calls, so the session stays movable.
+  std::unique_ptr<Grounder> grounder_;
   /// Cached stable-model search engine (worker contexts + evaluator pairs
   /// stay warm across StableModels calls). Guarded by EnsureSearch's
   /// epoch/address staleness check; null until the first call.

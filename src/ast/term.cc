@@ -7,10 +7,6 @@
 
 namespace afp {
 
-std::size_t TermTable::KeyHash::operator()(const Key& k) const {
-  return static_cast<std::size_t>(HashTerm(k.kind, k.symbol, k.args));
-}
-
 std::uint64_t TermTable::HashTerm(TermKind kind, SymbolId symbol,
                                   std::span<const TermId> args) {
   std::uint64_t h = HashMixWord(kSpanHashSeed, static_cast<std::uint64_t>(kind));
@@ -49,55 +45,22 @@ TermId TermTable::AppendNode(TermKind kind, SymbolId symbol,
 
 TermId TermTable::Intern(TermKind kind, SymbolId symbol,
                          std::span<const TermId> args) {
-  if (layout_ == IndexLayout::kFlat) {
-    const std::uint64_t h = HashTerm(kind, symbol, args);
-    const TermId next = static_cast<TermId>(nodes_.size());
-    const TermId got = flat_.FindOrInsert(h, next, [&](std::uint32_t id) {
-      return TermEquals(id, kind, symbol, args);
-    });
-    if (got == next) AppendNode(kind, symbol, args);
-    return got;
-  }
-  Key key{kind, symbol, {args.begin(), args.end()}};
-  auto it = node_.find(key);
-  if (it != node_.end()) return it->second;
-  TermId id = AppendNode(kind, symbol, args);
-  node_.emplace(std::move(key), id);
-  return id;
+  const TermId next = static_cast<TermId>(nodes_.size());
+  const TermId got = index_.FindOrInsert(
+      HashTerm(kind, symbol, args), next, [&](std::uint32_t id) {
+        return TermEquals(id, kind, symbol, args);
+      });
+  if (got == next) AppendNode(kind, symbol, args);
+  return got;
 }
 
 TermId TermTable::Find(TermKind kind, SymbolId symbol,
                        std::span<const TermId> args) const {
-  if (layout_ == IndexLayout::kFlat) {
-    const std::uint64_t h = HashTerm(kind, symbol, args);
-    const std::uint32_t got = flat_.Find(h, [&](std::uint32_t id) {
-      return TermEquals(id, kind, symbol, args);
-    });
-    return got == FlatIndex::kNotFound ? kInvalidTerm : got;
-  }
-  auto it = node_.find(Key{kind, symbol, {args.begin(), args.end()}});
-  return it == node_.end() ? kInvalidTerm : it->second;
-}
-
-void TermTable::SetLayout(IndexLayout layout) {
-  if (layout == layout_) return;
-  layout_ = layout;
-  flat_.Clear();
-  node_.clear();
-  if (layout_ == IndexLayout::kFlat) {
-    flat_.Reserve(nodes_.size());
-    for (TermId id = 0; id < nodes_.size(); ++id) {
-      const Node& n = nodes_[id];
-      flat_.InsertUnique(HashTerm(n.kind, n.symbol, args(id)), id);
-    }
-  } else {
-    node_.reserve(nodes_.size());
-    for (TermId id = 0; id < nodes_.size(); ++id) {
-      const Node& n = nodes_[id];
-      auto as = args(id);
-      node_.emplace(Key{n.kind, n.symbol, {as.begin(), as.end()}}, id);
-    }
-  }
+  const std::uint32_t got =
+      index_.Find(HashTerm(kind, symbol, args), [&](std::uint32_t id) {
+        return TermEquals(id, kind, symbol, args);
+      });
+  return got == FlatIndex::kNotFound ? kInvalidTerm : got;
 }
 
 TermId TermTable::MakeConstant(SymbolId symbol) {

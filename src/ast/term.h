@@ -32,23 +32,12 @@ enum class TermKind : std::uint8_t {
 /// machinery backing it.
 ///
 /// Interning is indexed by a FlatIndex probing the node/argument pools in
-/// place (IndexLayout::kFlat, the default): Make*/Find* hash the candidate
-/// (kind, symbol, args) directly from the caller's span and compare against
-/// resident terms through nodes_/args_, so a compound lookup materializes
-/// no key and performs no steady-state allocation. IndexLayout::kNode keeps
-/// the historical std::unordered_map<Key{vector}> index as the ablation
-/// baseline of the grounding `layout` bench axis.
+/// place: Make*/Find* hash the candidate (kind, symbol, args) directly from
+/// the caller's span and compare against resident terms through
+/// nodes_/args_, so a compound lookup materializes no key and performs no
+/// steady-state allocation.
 class TermTable {
  public:
-  explicit TermTable(IndexLayout layout = IndexLayout::kFlat)
-      : layout_(layout) {}
-
-  /// Switches the index implementation, rebuilding the index over the
-  /// already interned terms (ids are unaffected — they are positional).
-  /// Grounding applies GroundOptions::layout to the program's table here.
-  void SetLayout(IndexLayout layout);
-  IndexLayout layout() const { return layout_; }
-
   /// Returns the (unique) constant term with the given symbol.
   TermId MakeConstant(SymbolId symbol);
   /// Returns the (unique) variable term with the given symbol.
@@ -78,8 +67,8 @@ class TermTable {
 
   std::size_t size() const { return nodes_.size(); }
 
-  /// Probe/allocation counters of the flat index (zero under kNode).
-  FlatIndexStats index_stats() const { return flat_.stats(); }
+  /// Probe/allocation counters of the index.
+  FlatIndexStats index_stats() const { return index_.stats(); }
 
   /// Renders `t` using `symbols` for names, e.g. "f(a,g(X))".
   std::string ToString(TermId t, const Interner& symbols) const;
@@ -108,21 +97,6 @@ class TermTable {
     std::uint32_t args_len;
   };
 
-  /// kNode index key: an owning copy of the term structure (one heap
-  /// allocation per interned term, plus one per compound lookup). Kept
-  /// verbatim as the layout-axis baseline.
-  struct Key {
-    TermKind kind;
-    SymbolId symbol;
-    std::vector<TermId> args;
-    bool operator==(const Key& o) const {
-      return kind == o.kind && symbol == o.symbol && args == o.args;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-
   static std::uint64_t HashTerm(TermKind kind, SymbolId symbol,
                                 std::span<const TermId> args);
   /// True iff resident term `id` is (kind, symbol, args).
@@ -136,11 +110,9 @@ class TermTable {
   TermId AppendNode(TermKind kind, SymbolId symbol,
                     std::span<const TermId> args);
 
-  IndexLayout layout_ = IndexLayout::kFlat;
   std::vector<Node> nodes_;
   std::vector<TermId> args_;
-  FlatIndex flat_;                                 // kFlat
-  std::unordered_map<Key, TermId, KeyHash> node_;  // kNode
+  FlatIndex index_;
 };
 
 }  // namespace afp

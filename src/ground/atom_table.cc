@@ -6,10 +6,6 @@
 
 namespace afp {
 
-std::size_t AtomTable::KeyHash::operator()(const Key& k) const {
-  return static_cast<std::size_t>(HashAtom(k.pred, k.args));
-}
-
 std::uint64_t AtomTable::HashAtom(SymbolId pred,
                                   std::span<const TermId> args) {
   std::uint64_t h = HashMixWord(kSpanHashSeed, pred);
@@ -34,59 +30,27 @@ AtomId AtomTable::Append(SymbolId pred, std::span<const TermId> args) {
 }
 
 AtomId AtomTable::Intern(SymbolId pred, std::span<const TermId> args) {
-  if (layout_ == IndexLayout::kFlat) {
-    const std::uint64_t h = HashAtom(pred, args);
-    const AtomId next = static_cast<AtomId>(preds_.size());
-    const AtomId got = flat_.FindOrInsert(h, next, [&](std::uint32_t id) {
-      return AtomEquals(id, pred, args);
-    });
-    if (got == next) Append(pred, args);
-    return got;
-  }
-  Key key{pred, {args.begin(), args.end()}};
-  auto it = node_.find(key);
-  if (it != node_.end()) return it->second;
-  AtomId id = Append(pred, args);
-  node_.emplace(std::move(key), id);
-  return id;
+  const AtomId next = static_cast<AtomId>(preds_.size());
+  const AtomId got =
+      index_.FindOrInsert(HashAtom(pred, args), next, [&](std::uint32_t id) {
+        return AtomEquals(id, pred, args);
+      });
+  if (got == next) Append(pred, args);
+  return got;
 }
 
 AtomId AtomTable::Find(SymbolId pred, std::span<const TermId> args) const {
-  if (layout_ == IndexLayout::kFlat) {
-    const std::uint32_t got =
-        flat_.Find(HashAtom(pred, args), [&](std::uint32_t id) {
-          return AtomEquals(id, pred, args);
-        });
-    return got == FlatIndex::kNotFound ? kInvalidAtom : got;
-  }
-  Key key{pred, {args.begin(), args.end()}};
-  auto it = node_.find(key);
-  return it == node_.end() ? kInvalidAtom : it->second;
+  const std::uint32_t got =
+      index_.Find(HashAtom(pred, args), [&](std::uint32_t id) {
+        return AtomEquals(id, pred, args);
+      });
+  return got == FlatIndex::kNotFound ? kInvalidAtom : got;
 }
 
 void AtomTable::Reserve(std::size_t n) {
   preds_.reserve(n);
   arg_offsets_.reserve(n + 1);
-  if (layout_ == IndexLayout::kFlat) flat_.Reserve(n);
-}
-
-void AtomTable::SetLayout(IndexLayout layout) {
-  if (layout == layout_) return;
-  layout_ = layout;
-  flat_.Clear();
-  node_.clear();
-  if (layout_ == IndexLayout::kFlat) {
-    flat_.Reserve(preds_.size());
-    for (AtomId id = 0; id < preds_.size(); ++id) {
-      flat_.InsertUnique(HashAtom(preds_[id], args(id)), id);
-    }
-  } else {
-    node_.reserve(preds_.size());
-    for (AtomId id = 0; id < preds_.size(); ++id) {
-      auto as = args(id);
-      node_.emplace(Key{preds_[id], {as.begin(), as.end()}}, id);
-    }
-  }
+  index_.Reserve(n);
 }
 
 std::string AtomTable::ToString(AtomId a, const Interner& symbols,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/term.h"
@@ -22,25 +21,12 @@ inline constexpr AtomId kInvalidAtom = static_cast<AtomId>(-1);
 /// dense AtomId, so sets of atoms / negative literals (the paper's I+, Ĩ)
 /// can be represented as bitsets.
 ///
-/// Under IndexLayout::kFlat (the default) the index is a FlatIndex probing
-/// preds_/arg_offsets_/args_pool_ in place: Intern and Find hash
-/// (pred, args) straight from the caller's span and compare against
-/// resident atoms by reading the pools — no key object, no per-lookup
-/// allocation (the grounder's negative-literal path calls Find once per
-/// candidate literal, which used to heap-allocate a Key{std::vector} each
-/// time). IndexLayout::kNode preserves that historical node-based index as
-/// the `layout` bench-axis baseline; both orders of interning produce
-/// identical dense ids.
+/// The index is a FlatIndex probing preds_/arg_offsets_/args_pool_ in
+/// place: Intern and Find hash (pred, args) straight from the caller's span
+/// and compare against resident atoms by reading the pools — no key object,
+/// no per-lookup allocation.
 class AtomTable {
  public:
-  explicit AtomTable(IndexLayout layout = IndexLayout::kFlat)
-      : layout_(layout) {}
-
-  /// Switches the index implementation, rebuilding the index over the
-  /// already interned atoms (dense ids are positional and unaffected).
-  void SetLayout(IndexLayout layout);
-  IndexLayout layout() const { return layout_; }
-
   /// Returns the id for pred(args...), interning it if new. All args must be
   /// ground terms.
   AtomId Intern(SymbolId pred, std::span<const TermId> args);
@@ -59,40 +45,25 @@ class AtomTable {
             arg_offsets_[a + 1] - arg_offsets_[a]};
   }
 
-  /// Probe/allocation counters of the flat index (zero under kNode).
-  /// grow_allocs only moves when the slot array doubles: a steady-state
-  /// Intern of a present atom — and every Find — allocates nothing.
-  FlatIndexStats index_stats() const { return flat_.stats(); }
+  /// Probe/allocation counters of the index. grow_allocs only moves when
+  /// the slot array doubles: a steady-state Intern of a present atom — and
+  /// every Find — allocates nothing.
+  FlatIndexStats index_stats() const { return index_.stats(); }
 
   /// Renders the atom, e.g. "move(a,b)".
   std::string ToString(AtomId a, const Interner& symbols,
                        const TermTable& terms) const;
 
  private:
-  /// kNode index key: an owning copy of the atom (one heap allocation per
-  /// interned atom and per lookup). Kept verbatim as the layout baseline.
-  struct Key {
-    SymbolId pred;
-    std::vector<TermId> args;
-    bool operator==(const Key& o) const {
-      return pred == o.pred && args == o.args;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-
   static std::uint64_t HashAtom(SymbolId pred, std::span<const TermId> args);
   bool AtomEquals(AtomId id, SymbolId pred,
                   std::span<const TermId> args) const;
   AtomId Append(SymbolId pred, std::span<const TermId> args);
 
-  IndexLayout layout_ = IndexLayout::kFlat;
   std::vector<SymbolId> preds_;
   std::vector<std::uint32_t> arg_offsets_{0};  // size()+1 entries
   std::vector<TermId> args_pool_;
-  FlatIndex flat_;                                  // kFlat
-  std::unordered_map<Key, AtomId, KeyHash> node_;   // kNode
+  FlatIndex index_;
 };
 
 }  // namespace afp

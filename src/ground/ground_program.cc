@@ -3,53 +3,31 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ground/ground_match.h"
-
 namespace afp {
 
-std::size_t GroundProgram::RuleKeyHash::operator()(const RuleKey& k) const {
-  return static_cast<std::size_t>(HashGroundRule(k.head, k.pos, k.neg));
-}
-
-bool GroundProgram::SortedRuleEquals(std::uint32_t id, AtomId head) const {
-  const GroundRule& r = rules_[id];
-  if (r.head != head || r.pos_len != sort_pos_.size() ||
-      r.neg_len != sort_neg_.size()) {
-    return false;
-  }
-  auto sorted_equals = [this](std::span<const AtomId> resident,
-                              const std::vector<AtomId>& sorted_cand) {
-    eq_scratch_.assign(resident.begin(), resident.end());
-    std::sort(eq_scratch_.begin(), eq_scratch_.end());
-    return eq_scratch_ == sorted_cand;
-  };
-  return sorted_equals(pos(r), sort_pos_) && sorted_equals(neg(r), sort_neg_);
+bool SameAtomMultiset(std::span<const AtomId> a, std::span<const AtomId> b) {
+  if (a.size() != b.size()) return false;
+  if (std::equal(a.begin(), a.end(), b.begin())) return true;
+  std::vector<AtomId> sa(a.begin(), a.end()), sb(b.begin(), b.end());
+  std::sort(sa.begin(), sa.end());
+  std::sort(sb.begin(), sb.end());
+  return sa == sb;
 }
 
 bool GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
                             std::span<const AtomId> neg, bool dedupe) {
   if (dedupe && !sealed_) {
     // Dedupe is structural up to body reordering (simplification can
-    // collapse distinct emitted instances), so both layouts compare sorted
-    // bodies. kFlat sorts into reusable scratch and hashes/compares the
-    // stored rule through body_pool_ in place; kNode keeps the historical
-    // owning RuleKey copy per candidate.
-    if (layout_ == IndexLayout::kFlat) {
-      sort_pos_.assign(pos.begin(), pos.end());
-      sort_neg_.assign(neg.begin(), neg.end());
-      std::sort(sort_pos_.begin(), sort_pos_.end());
-      std::sort(sort_neg_.begin(), sort_neg_.end());
-      const std::uint64_t h = HashGroundRule(head, sort_pos_, sort_neg_);
-      const std::uint32_t next = static_cast<std::uint32_t>(rules_.size());
-      const std::uint32_t got = seen_flat_.FindOrInsert(
-          h, next, [&](std::uint32_t id) { return SortedRuleEquals(id, head); });
-      if (got != next) return false;
-    } else {
-      RuleKey key{head, {pos.begin(), pos.end()}, {neg.begin(), neg.end()}};
-      std::sort(key.pos.begin(), key.pos.end());
-      std::sort(key.neg.begin(), key.neg.end());
-      if (!seen_rules_.insert(std::move(key)).second) return false;
-    }
+    // collapse distinct emitted instances); candidates are compared with
+    // the resident rules in place.
+    const std::uint32_t next = static_cast<std::uint32_t>(rules_.size());
+    const std::uint32_t got = seen_.FindOrInsert(
+        HashGroundRule(head, pos, neg), next, [&](std::uint32_t id) {
+          const GroundRule& r = rules_[id];
+          return r.head == head && SameAtomMultiset(this->pos(r), pos) &&
+                 SameAtomMultiset(this->neg(r), neg);
+        });
+    if (got != next) return false;
   }
   GroundRule r;
   r.head = head;

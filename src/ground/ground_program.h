@@ -5,21 +5,19 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ast/program.h"
 #include "ground/atom_table.h"
 #include "util/flat_index.h"
+#include "util/span_hash.h"
 
 namespace afp {
 
-/// What grounding cost in memory-layout terms: the receipt of the flat
-/// interning pipeline (AtomTable / TermTable / instance dedupe / rule
-/// dedupe), surfaced through Solver::Stats and the CLI's --stats, and
-/// recorded per layout by bench_scale. Under IndexLayout::kNode the
-/// index counters stay zero (std containers expose no probe counts);
-/// atoms/rules/arena/RSS are layout-independent.
+/// What grounding cost in memory terms: the receipt of the flat interning
+/// pipeline (AtomTable / TermTable / instance dedupe / rule dedupe),
+/// surfaced through Solver::Stats and the CLI's --stats, and recorded by
+/// bench_scale.
 struct GroundStats {
   std::size_t atoms = 0;
   std::size_t rules = 0;
@@ -57,6 +55,29 @@ struct GroundRule {
   std::uint32_t neg_len;
 };
 
+/// Hash of the ground rule `head :- pos, not neg` that ignores body order:
+/// each body is hashed as a multiset (a sum of avalanched ids). Both rule
+/// dedupes — the grounder's emitted instances and GroundProgram's pre-seal
+/// rules — treat rules equal up to body reordering, pairing this hash with
+/// SameAtomMultiset.
+inline std::uint64_t HashGroundRule(AtomId head, std::span<const AtomId> pos,
+                                    std::span<const AtomId> neg) {
+  auto bag = [](std::span<const AtomId> body) {
+    std::uint64_t sum = 0;
+    for (AtomId a : body) sum += HashAvalanche(a + kSpanHashSeed);
+    return sum;
+  };
+  std::uint64_t h = HashMixWord(kSpanHashSeed, head);
+  h = HashMixWord(HashMixWord(h, bag(pos)), pos.size());
+  h = HashMixWord(HashMixWord(h, bag(neg)), neg.size());
+  return HashAvalanche(h);
+}
+
+/// True iff `a` and `b` hold the same atoms with the same multiplicities.
+/// Compares in order first (the common case); sorts copies only when that
+/// fails.
+bool SameAtomMultiset(std::span<const AtomId> a, std::span<const AtomId> b);
+
 /// A borrowed, index-free view of a set of ground rules over a fixed atom
 /// universe. Both GroundProgram and the residual-program reducer produce
 /// views; the solvers consume them.
@@ -81,12 +102,8 @@ struct RuleView {
 class GroundProgram {
  public:
   /// `source` provides the interner/term table used for rendering atom
-  /// names. Must outlive this object. `layout` selects the interning index
-  /// implementation for the atom table and the pre-seal rule dedupe
-  /// (GroundOptions::layout; kNode is the bench-axis ablation baseline).
-  explicit GroundProgram(const Program* source,
-                         IndexLayout layout = IndexLayout::kFlat)
-      : source_(source), layout_(layout), atoms_(layout) {}
+  /// names. Must outlive this object.
+  explicit GroundProgram(const Program* source) : source_(source) {}
 
   AtomTable& atoms() { return atoms_; }
   const AtomTable& atoms() const { return atoms_; }
@@ -98,8 +115,8 @@ class GroundProgram {
   /// in the complexity discussions.
   std::size_t TotalSize() const { return body_pool_.size() + rules_.size(); }
 
-  /// Appends a ground rule. When `dedupe` is true, structurally identical
-  /// rules are silently skipped. Returns true if the rule was added.
+  /// Appends a ground rule. When `dedupe` is true, rules identical up to
+  /// body reordering are silently skipped. Returns true if the rule was added.
   /// After SealRules(), duplicate suppression is no longer available.
   /// Post-seal, an empty-body AddRule is an EDB fact append and keeps the
   /// lazily built fact index (HasFact/RemoveFact) current, exactly as
@@ -108,27 +125,23 @@ class GroundProgram {
   bool AddRule(AtomId head, std::span<const AtomId> pos,
                std::span<const AtomId> neg, bool dedupe = true);
 
-  /// Releases the dedupe bookkeeping once construction is complete —
-  /// under kNode a structural copy of every rule body, easily rivaling the
-  /// program itself in size; under kFlat just the (hash, id) slot arrays,
-  /// whose probe counters are folded into the grounding receipt first.
-  /// Called by the grounder before handing the program out; rules added
-  /// afterwards are appended without duplicate checks.
+  /// Releases the dedupe bookkeeping (the (hash, id) slot arrays, whose
+  /// probe counters are folded into the grounding receipt first) once
+  /// construction is complete. Called by the grounder before handing the
+  /// program out; rules added afterwards are appended without duplicate
+  /// checks.
   void SealRules() {
-    grounding_stats_.Absorb(seen_flat_.stats());
-    seen_flat_.Release();
-    decltype(seen_rules_)().swap(seen_rules_);
+    grounding_stats_.Absorb(seen_.stats());
+    seen_.Release();
     sealed_ = true;
   }
 
-  /// The flat-layout receipt of the grounding run that built this program
+  /// The receipt of the grounding run that built this program
   /// (counters of scratch structures the grounder destroys on completion;
   /// the live atom/term table counters are read separately — see
   /// Solver::Stats). Filled by the grounder; mutable access for it.
   const GroundStats& grounding_stats() const { return grounding_stats_; }
   GroundStats& grounding_stats_mutable() { return grounding_stats_; }
-
-  IndexLayout layout() const { return layout_; }
 
   /// --- Post-seal EDB mutation (Solver::AssertFacts / RetractFacts) ---
   ///
@@ -202,42 +215,15 @@ class GroundProgram {
   std::string ToString() const;
 
  private:
-  /// kNode dedupe key: an owning, sorted copy of the rule (two heap
-  /// allocations per candidate). Kept verbatim as the layout baseline;
-  /// the kFlat path hashes the sorted candidate from reusable scratch and
-  /// compares against rules_/body_pool_ in place.
-  struct RuleKey {
-    AtomId head;
-    std::vector<AtomId> pos;
-    std::vector<AtomId> neg;
-    bool operator==(const RuleKey& o) const {
-      return head == o.head && pos == o.pos && neg == o.neg;
-    }
-  };
-  struct RuleKeyHash {
-    std::size_t operator()(const RuleKey& k) const;
-  };
-
-  /// True iff rule `id`, with its pos/neg bodies sorted, equals the sorted
-  /// candidate (sort_pos_/sort_neg_ + `head`). Reads body_pool_ in place;
-  /// the sort of the resident rule runs in eq_scratch_ and only on a full
-  /// 64-bit hash match (i.e. almost always on a genuine duplicate).
-  bool SortedRuleEquals(std::uint32_t id, AtomId head) const;
-
   /// Rebuilds fact_index_ (fact head -> rule id) on first mutation query.
   void EnsureFactIndex() const;
 
   const Program* source_;
-  IndexLayout layout_;
   AtomTable atoms_;
   std::vector<GroundRule> rules_;
   std::vector<AtomId> body_pool_;
-  std::unordered_set<RuleKey, RuleKeyHash> seen_rules_;  // kNode
-  FlatIndex seen_flat_;                                  // kFlat
-  /// Reusable dedupe scratch (kFlat): sorted candidate bodies and the
-  /// sorted-resident comparison buffer. Steady-state allocation-free once
-  /// warmed to the longest body seen.
-  mutable std::vector<AtomId> sort_pos_, sort_neg_, eq_scratch_;
+  /// Pre-seal rule dedupe: (hash, rule id) over rules_/body_pool_.
+  FlatIndex seen_;
   GroundStats grounding_stats_;
   bool sealed_ = false;
   std::uint64_t mutation_epoch_ = 0;

@@ -3,592 +3,670 @@
 #include <algorithm>
 #include <cassert>
 #include <new>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
-
-#include "ground/ground_match.h"
-#include "util/arena.h"
+#include <utility>
 
 namespace afp {
 
 namespace {
 
-using Binding = GroundBinding;
-
-/// A fully instantiated rule awaiting final assembly (kNode layout: one
-/// node per rule, two owning vectors). The kFlat layout stores the same
-/// data as PendingMeta offsets into a shared AtomId pool.
-struct PendingRule {
-  AtomId head;
-  std::vector<AtomId> pos;
-  std::vector<AtomId> neg;
-};
-
-/// kFlat pending-rule record: body literals live in pending_pool_.
-struct PendingMeta {
-  AtomId head;
-  std::uint32_t pos_offset;
-  std::uint32_t pos_len;
-  std::uint32_t neg_offset;
-  std::uint32_t neg_len;
-};
-
-/// Structural signature used to suppress duplicate instances during
-/// enumeration (the naive mode re-discovers instances every round).
-/// Matching and signature types are shared with the incremental
-/// delta-grounder (ground/ground_match.h). kNode only; the kFlat path
-/// hashes the scratch instance and compares against the pending pool in
-/// place, materializing nothing.
-using RuleSig = GroundRuleSig;
-using RuleSigHash = GroundRuleSigHash;
-
-/// One growable arena-backed segment of a per-predicate candidate list.
-/// Chunks never move once allocated, so Join may keep walking a list while
-/// EmitInstance appends to it — the same append-during-iteration tolerance
-/// the kNode std::vector gets from index-based iteration.
-struct CandChunk {
-  CandChunk* next;
-  std::uint32_t count;
-  std::uint32_t cap;
-  AtomId* items() { return reinterpret_cast<AtomId*>(this + 1); }
-  const AtomId* items() const {
-    return reinterpret_cast<const AtomId*>(this + 1);
-  }
-};
-
-/// Head/tail of one predicate's chunk list (kFlat candidate index, indexed
-/// densely by SymbolId).
-struct PredList {
-  CandChunk* head = nullptr;
-  CandChunk* tail = nullptr;
-};
-
-/// Which derivation rounds a join position may draw candidates from.
-enum class RoundFilter { kOld, kDelta, kUpTo };
-
-class GrounderImpl {
- public:
-  GrounderImpl(Program& program, const GroundOptions& opts)
-      : program_(program), opts_(opts), atoms_(opts.layout) {}
-
-  StatusOr<GroundProgram> Run() {
-    // Ground instantiation interns one term per substituted argument; the
-    // program's term table is on the hot path and follows the same layout
-    // toggle as the atom tables (ids are insertion-ordered either way).
-    program_.terms().SetLayout(opts_.layout);
-
-    // Split facts from proper rules; facts seed round 0.
-    for (const Rule& r : program_.rules()) {
-      if (r.IsFact(program_.terms())) {
-        AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(r.head.predicate,
-                                                   r.head.args));
-        if (!derived_[id]) MarkDerived(id, 0);
-        fact_atoms_.push_back(id);
-      } else {
-        rules_.push_back(&r);
+/// One-way matching of a rule-body pattern (terms with variables) against
+/// an interned ground term, extending `binding`. Newly bound variables are
+/// appended to `trail` so the caller can undo the extension on backtrack.
+/// Ground instantiation is plain matching, never full unification —
+/// candidate atoms carry no variables.
+bool MatchTerm(const TermTable& tt, TermId pattern, TermId ground,
+               std::unordered_map<SymbolId, TermId>& binding,
+               std::vector<SymbolId>& trail) {
+  switch (tt.kind(pattern)) {
+    case TermKind::kVariable: {
+      SymbolId v = tt.symbol(pattern);
+      auto [it, inserted] = binding.emplace(v, ground);
+      if (inserted) {
+        trail.push_back(v);
+        return true;
       }
+      return it->second == ground;
     }
-
-    if (opts_.mode == GroundMode::kFull) {
-      AFP_RETURN_IF_ERROR(FullInstantiation());
-    } else {
-      AFP_RETURN_IF_ERROR(SmartInstantiation());
-    }
-    return Assemble();
-  }
-
- private:
-  // --- atom bookkeeping ---
-
-  StatusOr<AtomId> InternAtom(SymbolId pred, std::span<const TermId> args) {
-    AtomId id = atoms_.Intern(pred, args);
-    if (id >= derived_.size()) {
-      if (atoms_.size() > opts_.max_atoms) {
-        return Status::ResourceExhausted(
-            "grounding exceeded max_atoms=" +
-            std::to_string(opts_.max_atoms) +
-            " (infinite Herbrand universe? raise GroundOptions::max_atoms)");
+    case TermKind::kConstant:
+      return pattern == ground;
+    case TermKind::kCompound: {
+      if (tt.kind(ground) != TermKind::kCompound ||
+          tt.symbol(ground) != tt.symbol(pattern) ||
+          tt.args(ground).size() != tt.args(pattern).size()) {
+        return false;
       }
-      derived_.push_back(false);
-      round_.push_back(0);
-    }
-    return id;
-  }
-
-  void MarkDerived(AtomId id, std::uint32_t round) {
-    derived_[id] = true;
-    round_[id] = round;
-    const SymbolId pred = atoms_.predicate(id);
-    if (opts_.layout == IndexLayout::kFlat) {
-      if (pred >= by_pred_flat_.size()) by_pred_flat_.resize(pred + 1);
-      PredAppend(by_pred_flat_[pred], id);
-    } else {
-      by_pred_[pred].push_back(id);
-    }
-    derived_log_.push_back(id);
-  }
-
-  CandChunk* NewChunk(std::uint32_t cap) {
-    void* mem = cand_arena_.Allocate(
-        sizeof(CandChunk) + cap * sizeof(AtomId), alignof(CandChunk));
-    return new (mem) CandChunk{nullptr, 0, cap};
-  }
-
-  void PredAppend(PredList& pl, AtomId id) {
-    if (pl.tail == nullptr || pl.tail->count == pl.tail->cap) {
-      const std::uint32_t cap =
-          pl.tail == nullptr ? 8u : std::min(pl.tail->cap * 2u, 4096u);
-      CandChunk* c = NewChunk(cap);
-      if (pl.tail == nullptr) {
-        pl.head = c;
-      } else {
-        pl.tail->next = c;
+      auto pa = tt.args(pattern);
+      auto ga = tt.args(ground);
+      for (std::size_t i = 0; i < pa.size(); ++i) {
+        if (!MatchTerm(tt, pa[i], ga[i], binding, trail)) return false;
       }
-      pl.tail = c;
+      return true;
     }
-    pl.tail->items()[pl.tail->count++] = id;
   }
+  return false;
+}
 
-  // --- full (active-domain) instantiation ---
-
-  Status FullInstantiation() {
-    // Active domain: every constant occurring anywhere in the program.
-    std::vector<TermId> domain;
-    {
-      std::unordered_set<TermId> seen;
-      auto visit_term = [&](auto&& self, TermId t) -> void {
-        const TermTable& tt = program_.terms();
-        if (tt.kind(t) == TermKind::kConstant) {
-          if (seen.insert(t).second) domain.push_back(t);
-        }
-        for (TermId a : tt.args(t)) self(self, a);
-      };
-      for (const Rule& r : program_.rules()) {
-        for (TermId t : r.head.args) visit_term(visit_term, t);
-        for (const Literal& l : r.body) {
-          for (TermId t : l.atom.args) visit_term(visit_term, t);
-        }
+/// Structural equivalence of two terms up to a bijective variable renaming
+/// (`ab`/`ba` accumulate the two directions of the bijection). Constants and
+/// compounds are hash-consed, so ground subterms compare by id.
+bool TermEquiv(const TermTable& tt, TermId a, TermId b,
+               std::unordered_map<SymbolId, SymbolId>& ab,
+               std::unordered_map<SymbolId, SymbolId>& ba) {
+  if (tt.kind(a) != tt.kind(b)) return false;
+  switch (tt.kind(a)) {
+    case TermKind::kVariable: {
+      SymbolId va = tt.symbol(a), vb = tt.symbol(b);
+      auto [ita, insa] = ab.emplace(va, vb);
+      auto [itb, insb] = ba.emplace(vb, va);
+      return ita->second == vb && itb->second == va && insa == insb;
+    }
+    case TermKind::kConstant:
+      return a == b;
+    case TermKind::kCompound: {
+      if (tt.symbol(a) != tt.symbol(b)) return false;
+      auto aa = tt.args(a), bb = tt.args(b);
+      if (aa.size() != bb.size()) return false;
+      for (std::size_t i = 0; i < aa.size(); ++i) {
+        if (!TermEquiv(tt, aa[i], bb[i], ab, ba)) return false;
       }
+      return true;
     }
-
-    for (const Rule* r : rules_) {
-      std::vector<SymbolId> vars;
-      auto collect_atom = [&](const Atom& a) {
-        for (TermId t : a.args) program_.terms().CollectVariables(t, vars);
-      };
-      collect_atom(r->head);
-      for (const Literal& l : r->body) collect_atom(l.atom);
-      std::sort(vars.begin(), vars.end());
-      vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-
-      Binding binding;
-      AFP_RETURN_IF_ERROR(EnumerateAssignments(*r, vars, 0, domain, binding));
-    }
-    // In full mode every interned atom belongs to the base; mark everything
-    // derived so no simplification drops it.
-    for (std::size_t i = 0; i < derived_.size(); ++i) derived_[i] = true;
-    return Status::Ok();
   }
+  return false;
+}
 
-  Status EnumerateAssignments(const Rule& r, const std::vector<SymbolId>& vars,
-                              std::size_t i, const std::vector<TermId>& domain,
-                              Binding& binding) {
-    if (i == vars.size()) return EmitInstance(r, binding);
-    for (TermId c : domain) {
-      binding[vars[i]] = c;
-      AFP_RETURN_IF_ERROR(EnumerateAssignments(r, vars, i + 1, domain,
-                                               binding));
-    }
-    binding.erase(vars[i]);
-    return Status::Ok();
+bool AtomEquiv(const TermTable& tt, const Atom& a, const Atom& b,
+               std::unordered_map<SymbolId, SymbolId>& ab,
+               std::unordered_map<SymbolId, SymbolId>& ba) {
+  if (a.predicate != b.predicate || a.args.size() != b.args.size()) {
+    return false;
   }
-
-  // --- smart (derivability-driven) instantiation ---
-
-  Status SmartInstantiation() {
-    // Trigger index: for each predicate, the (rule, positive-literal index)
-    // pairs whose literal has that predicate. A round only revisits rules
-    // triggered by the previous round's newly derived atoms.
-    std::unordered_map<SymbolId,
-                       std::vector<std::pair<const Rule*, std::size_t>>>
-        triggers;
-    std::vector<const Rule*> body_free_rules;
-    for (const Rule* r : rules_) {
-      std::size_t num_pos = 0;
-      for (const Literal& l : r->body) {
-        if (l.positive) {
-          triggers[l.atom.predicate].push_back({r, num_pos});
-          ++num_pos;
-        }
-      }
-      if (num_pos == 0) body_free_rules.push_back(r);
-    }
-
-    std::size_t delta_begin = 0;  // derived_log_ range of the last round
-    std::size_t delta_end = derived_log_.size();  // facts = round 0
-    std::uint32_t round = 1;
-    while (true) {
-      current_emit_round_ = round;
-      std::size_t log_before = derived_log_.size();
-      if (round == 1) {
-        // Fully ground rules (no positive literals): exactly once.
-        for (const Rule* r : body_free_rules) {
-          Binding empty;
-          AFP_RETURN_IF_ERROR(EmitInstance(*r, empty));
-        }
-      }
-      if (!opts_.semi_naive) {
-        // Naive: re-join everything derived so far, every round.
-        for (const Rule* r : rules_) {
-          std::size_t num_pos = 0;
-          for (const Literal& l : r->body) num_pos += l.positive;
-          if (num_pos == 0) continue;
-          Binding binding;
-          std::vector<AtomId> matched;
-          AFP_RETURN_IF_ERROR(Join(*r, /*delta_pos=*/num_pos, 0, round,
-                                   binding, matched));
-        }
-      } else {
-        // Semi-naive: fire only the rules whose bodies mention a predicate
-        // that gained atoms in the previous round, at that delta position.
-        // Sorted-unique scratch, iterated in the same ascending-SymbolId
-        // order the historical std::set produced (rule firing order — and
-        // therefore atom/rule ids — must not depend on layout or hashing).
-        delta_preds_.clear();
-        for (std::size_t i = delta_begin; i < delta_end; ++i) {
-          delta_preds_.push_back(atoms_.predicate(derived_log_[i]));
-        }
-        std::sort(delta_preds_.begin(), delta_preds_.end());
-        delta_preds_.erase(
-            std::unique(delta_preds_.begin(), delta_preds_.end()),
-            delta_preds_.end());
-        for (SymbolId pred : delta_preds_) {
-          auto it = triggers.find(pred);
-          if (it == triggers.end()) continue;
-          for (const auto& [r, dp] : it->second) {
-            Binding binding;
-            std::vector<AtomId> matched;
-            AFP_RETURN_IF_ERROR(Join(*r, dp, 0, round, binding, matched));
-          }
-        }
-      }
-      if (derived_log_.size() == log_before) break;  // no new atoms
-      delta_begin = log_before;
-      delta_end = derived_log_.size();
-      ++round;
-    }
-    return Status::Ok();
+  for (std::size_t i = 0; i < a.args.size(); ++i) {
+    if (!TermEquiv(tt, a.args[i], b.args[i], ab, ba)) return false;
   }
+  return true;
+}
 
-  /// Joins the positive body literals of `r` left to right. `pos_index`
-  /// counts positive literals seen so far; `delta_pos` selects the literal
-  /// constrained to the previous round's delta (or num_pos for naive mode,
-  /// meaning "no delta constraint": everything matches kUpTo).
-  Status Join(const Rule& r, std::size_t delta_pos, std::size_t pos_index,
-              std::uint32_t round, Binding& binding,
-              std::vector<AtomId>& matched) {
-    // Find the pos_index-th positive literal.
-    std::size_t seen = 0;
-    const Literal* lit = nullptr;
-    for (const Literal& l : r.body) {
-      if (!l.positive) continue;
-      if (seen == pos_index) {
-        lit = &l;
-        break;
-      }
-      ++seen;
-    }
-    if (lit == nullptr) return EmitInstance(r, binding);  // all joined
-
-    RoundFilter filter = RoundFilter::kUpTo;
-    if (opts_.semi_naive) {
-      if (pos_index < delta_pos) {
-        filter = RoundFilter::kOld;
-      } else if (pos_index == delta_pos) {
-        filter = RoundFilter::kDelta;
-      }
-    }
-
-    // Candidates derived in later rounds were appended later, so either
-    // list form is sorted by round; we simply filter, and stop at the first
-    // atom of the current round. Both iterations tolerate EmitInstance
-    // appending to the very list being walked (atoms derived this round,
-    // which the round filter then rejects): the kNode vector is walked by
-    // index, the kFlat chunk list never relocates a chunk.
-    bool stop = false;
-    if (opts_.layout == IndexLayout::kFlat) {
-      const SymbolId pred = lit->atom.predicate;
-      if (pred >= by_pred_flat_.size()) return Status::Ok();
-      for (const CandChunk* c = by_pred_flat_[pred].head;
-           c != nullptr && !stop; c = c->next) {
-        for (std::uint32_t i = 0; i < c->count && !stop; ++i) {
-          AFP_RETURN_IF_ERROR(VisitCandidate(r, *lit, c->items()[i],
-                                             delta_pos, pos_index, round,
-                                             filter, binding, matched, stop));
-        }
-      }
-    } else {
-      auto it = by_pred_.find(lit->atom.predicate);
-      if (it == by_pred_.end()) return Status::Ok();
-      const std::vector<AtomId>& candidates = it->second;
-      for (std::size_t ci = 0; ci < candidates.size() && !stop; ++ci) {
-        AFP_RETURN_IF_ERROR(VisitCandidate(r, *lit, candidates[ci], delta_pos,
-                                           pos_index, round, filter, binding,
-                                           matched, stop));
-      }
-    }
-    return Status::Ok();
+/// Rule equivalence up to variable renaming; body literal order is
+/// significant (the removal API matches the rule as written).
+bool RuleEquiv(const TermTable& tt, const Rule& a, const Rule& b) {
+  if (a.body.size() != b.body.size()) return false;
+  std::unordered_map<SymbolId, SymbolId> ab, ba;
+  if (!AtomEquiv(tt, a.head, b.head, ab, ba)) return false;
+  for (std::size_t i = 0; i < a.body.size(); ++i) {
+    if (a.body[i].positive != b.body[i].positive) return false;
+    if (!AtomEquiv(tt, a.body[i].atom, b.body[i].atom, ab, ba)) return false;
   }
+  return true;
+}
 
-  /// Round-filters one candidate atom and, on a successful match, recurses
-  /// into the next join position. Sets `stop` when the candidate list has
-  /// advanced past the rounds this position may see.
-  Status VisitCandidate(const Rule& r, const Literal& lit, AtomId cand,
-                        std::size_t delta_pos, std::size_t pos_index,
-                        std::uint32_t round, RoundFilter filter,
-                        Binding& binding, std::vector<AtomId>& matched,
-                        bool& stop) {
-    const std::uint32_t cr = round_[cand];
-    if (cr > round - 1 ||  // derived this round; not visible yet
-        (filter == RoundFilter::kOld && cr >= round - 1)) {
-      stop = true;
-      return Status::Ok();
-    }
-    if (filter == RoundFilter::kDelta && cr != round - 1) return Status::Ok();
-    std::vector<SymbolId> trail;
-    if (MatchAtom(lit.atom, cand, binding, trail)) {
-      matched.push_back(cand);
-      Status s = Join(r, delta_pos, pos_index + 1, round, binding, matched);
-      if (!s.ok()) return s;
-      matched.pop_back();
-    }
-    for (SymbolId v : trail) binding.erase(v);
-    return Status::Ok();
+/// The predicate of a rule's first positive literal, or nullopt for a rule
+/// without one.
+std::optional<SymbolId> FirstPositivePredicate(const Rule& r) {
+  for (const Literal& l : r.body) {
+    if (l.positive) return l.atom.predicate;
   }
-
-  bool MatchAtom(const Atom& pattern, AtomId cand, Binding& binding,
-                 std::vector<SymbolId>& trail) {
-    return GroundMatchAtom(program_.terms(), atoms_, pattern.args, cand,
-                           binding, trail);
-  }
-
-  // --- instance emission ---
-
-  /// Substitutes `binding` into `a`'s arguments; every result must be
-  /// ground (guaranteed by rule safety for head and body alike).
-  Status SubstArgs(const Rule& r, const Atom& a, const Binding& binding,
-                   const char* what, std::vector<TermId>& out) {
-    out.clear();
-    out.reserve(a.args.size());
-    for (TermId t : a.args) {
-      TermId g = program_.terms().Substitute(t, binding);
-      if (!program_.terms().IsGround(g)) {
-        return Status::Internal(std::string("non-ground ") + what +
-                                " after substitution in '" +
-                                program_.RuleToString(r) + "'");
-      }
-      out.push_back(g);
-    }
-    return Status::Ok();
-  }
-
-  Status EmitInstance(const Rule& r, const Binding& binding) {
-    return opts_.layout == IndexLayout::kFlat ? EmitInstanceFlat(r, binding)
-                                              : EmitInstanceNode(r, binding);
-  }
-
-  /// kFlat emission: substitute into reusable scratch, dedupe by hashing
-  /// the scratch instance against the pending pool in place, then append
-  /// to the pool. Steady state (duplicate instance, warmed scratch) touches
-  /// the allocator zero times.
-  Status EmitInstanceFlat(const Rule& r, const Binding& binding) {
-    AFP_RETURN_IF_ERROR(SubstArgs(r, r.head, binding, "head", emit_args_));
-    AtomId head;
-    AFP_ASSIGN_OR_RETURN(head, InternAtom(r.head.predicate, emit_args_));
-    emit_pos_.clear();
-    emit_neg_.clear();
-    for (const Literal& l : r.body) {
-      AFP_RETURN_IF_ERROR(
-          SubstArgs(r, l.atom, binding, "body literal", emit_args_));
-      AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(l.atom.predicate,
-                                                 emit_args_));
-      (l.positive ? emit_pos_ : emit_neg_).push_back(id);
-    }
-
-    const std::uint64_t h = HashGroundRule(head, emit_pos_, emit_neg_);
-    const std::uint32_t next =
-        static_cast<std::uint32_t>(pending_meta_.size());
-    const std::uint32_t got = emitted_flat_.FindOrInsert(
-        h, next, [&](std::uint32_t id) { return PendingEquals(id, head); });
-    if (got != next) return Status::Ok();
-    if (pending_meta_.size() >= opts_.max_rules) {
-      return Status::ResourceExhausted(
-          "grounding exceeded max_rules=" + std::to_string(opts_.max_rules));
-    }
-    if (!derived_[head]) MarkDerived(head, current_emit_round_);
-    PendingMeta m;
-    m.head = head;
-    m.pos_offset = static_cast<std::uint32_t>(pending_pool_.size());
-    m.pos_len = static_cast<std::uint32_t>(emit_pos_.size());
-    pending_pool_.insert(pending_pool_.end(), emit_pos_.begin(),
-                         emit_pos_.end());
-    m.neg_offset = static_cast<std::uint32_t>(pending_pool_.size());
-    m.neg_len = static_cast<std::uint32_t>(emit_neg_.size());
-    pending_pool_.insert(pending_pool_.end(), emit_neg_.begin(),
-                         emit_neg_.end());
-    pending_meta_.push_back(m);
-    return Status::Ok();
-  }
-
-  /// True iff pending instance `id` equals the scratch instance
-  /// (emit_pos_/emit_neg_ + `head`). Order-sensitive, like the RuleSig it
-  /// replaces — body reordering is collapsed later by GroundProgram's
-  /// structural dedupe. Reads pending_pool_ in place.
-  bool PendingEquals(std::uint32_t id, AtomId head) const {
-    const PendingMeta& m = pending_meta_[id];
-    if (m.head != head || m.pos_len != emit_pos_.size() ||
-        m.neg_len != emit_neg_.size()) {
-      return false;
-    }
-    const AtomId* pool = pending_pool_.data();
-    return std::equal(emit_pos_.begin(), emit_pos_.end(),
-                      pool + m.pos_offset) &&
-           std::equal(emit_neg_.begin(), emit_neg_.end(),
-                      pool + m.neg_offset);
-  }
-
-  /// kNode emission, kept verbatim as the layout-axis baseline: one owning
-  /// PendingRule plus a structural RuleSig copy per unique instance, and a
-  /// discarded RuleSig copy per duplicate.
-  Status EmitInstanceNode(const Rule& r, const Binding& binding) {
-    PendingRule pr;
-    {
-      std::vector<TermId> args;
-      AFP_RETURN_IF_ERROR(SubstArgs(r, r.head, binding, "head", args));
-      AFP_ASSIGN_OR_RETURN(pr.head, InternAtom(r.head.predicate, args));
-    }
-    for (const Literal& l : r.body) {
-      std::vector<TermId> args;
-      AFP_RETURN_IF_ERROR(SubstArgs(r, l.atom, binding, "body literal",
-                                    args));
-      AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(l.atom.predicate, args));
-      (l.positive ? pr.pos : pr.neg).push_back(id);
-    }
-
-    RuleSig sig{pr.head, pr.pos, pr.neg};
-    if (!emitted_.insert(std::move(sig)).second) return Status::Ok();
-    if (pending_.size() >= opts_.max_rules) {
-      return Status::ResourceExhausted(
-          "grounding exceeded max_rules=" + std::to_string(opts_.max_rules));
-    }
-    if (!derived_[pr.head]) MarkDerived(pr.head, current_emit_round_);
-    pending_.push_back(std::move(pr));
-    return Status::Ok();
-  }
-
-  // --- final assembly ---
-
-  StatusOr<GroundProgram> Assemble() {
-    const bool simplify = opts_.simplify && opts_.mode != GroundMode::kFull;
-    GroundProgram gp(&program_, opts_.layout);
-
-    // Compact the atom table: in simplify mode, only derivable atoms remain
-    // in the base (everything else is certainly false and gets erased from
-    // rule bodies below).
-    std::vector<AtomId> remap(atoms_.size(), kInvalidAtom);
-    for (AtomId a = 0; a < atoms_.size(); ++a) {
-      if (!simplify || derived_[a]) {
-        remap[a] = gp.atoms().Intern(atoms_.predicate(a), atoms_.args(a));
-      }
-    }
-
-    for (AtomId f : fact_atoms_) {
-      gp.AddRule(remap[f], {}, {});
-    }
-    std::vector<AtomId> pos, neg;
-    auto add_pending = [&](AtomId head, std::span<const AtomId> ppos,
-                           std::span<const AtomId> pneg) {
-      pos.clear();
-      neg.clear();
-      for (AtomId a : ppos) pos.push_back(remap[a]);
-      for (AtomId a : pneg) {
-        if (simplify && !derived_[a]) continue;  // certainly-true literal
-        neg.push_back(remap[a]);
-      }
-      gp.AddRule(remap[head], pos, neg);
-    };
-    if (opts_.layout == IndexLayout::kFlat) {
-      for (const PendingMeta& m : pending_meta_) {
-        add_pending(m.head,
-                    {pending_pool_.data() + m.pos_offset, m.pos_len},
-                    {pending_pool_.data() + m.neg_offset, m.neg_len});
-      }
-    } else {
-      for (const PendingRule& pr : pending_) {
-        add_pending(pr.head, pr.pos, pr.neg);
-      }
-    }
-
-    // The grounding receipt: fold in the counters of every scratch
-    // structure this grounder is about to destroy (its own atom table, the
-    // instance-dedupe index, the candidate-index arena). The live tables
-    // the program keeps (gp.atoms(), program_.terms()) are read separately
-    // by Solver::Stats so their counters keep accumulating.
-    GroundStats& gs = gp.grounding_stats_mutable();
-    gs.Absorb(atoms_.index_stats());
-    gs.Absorb(emitted_flat_.stats());
-    gs.arena_bytes = cand_arena_.total_allocated();
-
-    // Grounding is done: drop the dedupe bookkeeping (under kNode a
-    // structural copy of every rule body) before the program starts its
-    // long life. Folds the rule-dedupe index counters into the receipt.
-    gp.SealRules();
-    gs.atoms = gp.num_atoms();
-    gs.rules = gp.num_rules();
-    return gp;
-  }
-
-  Program& program_;
-  const GroundOptions& opts_;
-  std::vector<const Rule*> rules_;  // non-fact rules
-
-  AtomTable atoms_;
-  std::vector<bool> derived_;
-  std::vector<std::uint32_t> round_;
-  std::vector<AtomId> derived_log_;  // derivation order, grouped by round
-  std::vector<AtomId> fact_atoms_;
-  std::uint32_t current_emit_round_ = 1;
-
-  // Per-predicate candidate index. kNode: hash map of owning vectors.
-  // kFlat: dense-by-SymbolId chunk lists bump-allocated from an arena.
-  std::unordered_map<SymbolId, std::vector<AtomId>> by_pred_;
-  std::vector<PredList> by_pred_flat_;
-  Arena cand_arena_;
-
-  // Emitted-instance dedupe + pending storage. kNode: signature set plus
-  // one PendingRule node per instance. kFlat: (hash, id) index over a
-  // shared AtomId pool.
-  std::vector<PendingRule> pending_;
-  std::unordered_set<RuleSig, RuleSigHash> emitted_;
-  std::vector<PendingMeta> pending_meta_;
-  std::vector<AtomId> pending_pool_;
-  FlatIndex emitted_flat_;
-
-  // Reusable emission scratch (kFlat; also SmartInstantiation's per-round
-  // delta-predicate set, both layouts).
-  std::vector<TermId> emit_args_;
-  std::vector<AtomId> emit_pos_, emit_neg_;
-  std::vector<SymbolId> delta_preds_;
-};
+  return std::nullopt;
+}
 
 }  // namespace
 
+/// Binds the patched program, its atom table and the receipt for one rule
+/// op, and unbinds them on every exit path.
+class Grounder::OpScope {
+ public:
+  OpScope(Grounder& g, GroundProgram& gp, Delta* delta) : g_(g) {
+    g_.gp_ = &gp;
+    g_.atoms_ = &gp.atoms();
+    g_.delta_ = delta;
+  }
+  ~OpScope() {
+    g_.gp_ = nullptr;
+    g_.atoms_ = nullptr;
+    g_.delta_ = nullptr;
+    g_.retiring_ = false;
+  }
+
+ private:
+  Grounder& g_;
+};
+
 StatusOr<GroundProgram> Grounder::Ground(Program& program,
-                                         const GroundOptions& options) {
+                                         const GroundOptions& options,
+                                         std::unique_ptr<Grounder>* keep) {
   AFP_RETURN_IF_ERROR(program.Validate());
-  GrounderImpl impl(program, options);
-  return impl.Run();
+  const bool kept = keep != nullptr && SupportsRuleOps(options);
+  std::unique_ptr<Grounder> g(new Grounder(program, options));
+  AFP_ASSIGN_OR_RETURN(GroundProgram gp, g->Build(kept));
+  if (keep != nullptr) *keep = kept ? std::move(g) : nullptr;
+  return gp;
+}
+
+StatusOr<GroundProgram> Grounder::Build(bool keep) {
+  atoms_ = &scratch_atoms_;
+  // Facts are the EDB: derived in round 0, in program order.
+  for (const Rule& r : program_.rules()) {
+    if (!r.IsFact(program_.terms())) continue;
+    AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(r.head.predicate, r.head.args));
+    if (!derived_[id]) MarkDerived(id, 0);
+    fact_atoms_.push_back(id);
+  }
+  if (opts_.mode == GroundMode::kFull) {
+    AFP_RETURN_IF_ERROR(FullInstantiation());
+  } else if (opts_.semi_naive) {
+    AFP_RETURN_IF_ERROR(AddRules(0));
+  } else {
+    AFP_RETURN_IF_ERROR(NaiveInstantiation());
+  }
+  AFP_ASSIGN_OR_RETURN(GroundProgram gp, Assemble(keep));
+  atoms_ = nullptr;
+  return gp;
+}
+
+// --- atom bookkeeping -----------------------------------------------------
+
+StatusOr<AtomId> Grounder::InternAtom(SymbolId pred,
+                                      std::span<const TermId> args) {
+  AtomId id = atoms_->Intern(pred, args);
+  if (id >= derived_.size()) {
+    if (atoms_->size() > opts_.max_atoms) {
+      return Status::ResourceExhausted(
+          "grounding exceeded max_atoms=" + std::to_string(opts_.max_atoms) +
+          " (infinite Herbrand universe? raise GroundOptions::max_atoms)");
+    }
+    derived_.push_back(false);
+    round_.push_back(0);
+  }
+  return id;
+}
+
+void Grounder::MarkDerived(AtomId id, std::uint32_t round) {
+  derived_[id] = true;
+  round_[id] = round;
+  const SymbolId pred = atoms_->predicate(id);
+  if (pred >= by_pred_.size()) by_pred_.resize(pred + 1);
+  PredAppend(by_pred_[pred], id);
+  derived_log_.push_back(id);
+}
+
+void Grounder::PredAppend(PredList& pl, AtomId id) {
+  if (pl.tail == nullptr || pl.tail->count == pl.tail->cap) {
+    const std::uint32_t cap =
+        pl.tail == nullptr ? 8u : std::min(pl.tail->cap * 2u, 4096u);
+    void* mem = cand_arena_.Allocate(sizeof(CandChunk) + cap * sizeof(AtomId),
+                                     alignof(CandChunk));
+    CandChunk* c = new (mem) CandChunk{nullptr, 0, cap};
+    if (pl.tail == nullptr) {
+      pl.head = c;
+    } else {
+      pl.tail->next = c;
+    }
+    pl.tail = c;
+  }
+  pl.tail->items()[pl.tail->count++] = id;
+}
+
+// --- source rules ---------------------------------------------------------
+
+void Grounder::RegisterSourceRules() {
+  const auto& rules = program_.rules();
+  for (std::size_t ri = alive_.size(); ri < rules.size(); ++ri) {
+    const Rule& r = rules[ri];
+    const bool fact = r.IsFact(program_.terms());
+    alive_.push_back(fact ? 0 : 1);  // EDB facts are not source rules
+    if (fact) continue;
+    std::uint32_t num_pos = 0;
+    for (const Literal& l : r.body) {
+      if (!l.positive) continue;
+      const SymbolId pred = l.atom.predicate;
+      if (pred >= triggers_.size()) triggers_.resize(pred + 1);
+      triggers_[pred].push_back({static_cast<std::uint32_t>(ri), num_pos++});
+    }
+  }
+}
+
+Status Grounder::AddRules(std::size_t first) {
+  assert(first == alive_.size());
+  RegisterSourceRules();
+  // New rules join in trigger order — rules without a positive literal
+  // first, then by the predicate of the first positive literal — which is
+  // the order the cascade would fire them in if every derived atom were
+  // new. For the initial grounding every derived atom IS new (the EDB), so
+  // this is exactly the first semi-naive round.
+  std::vector<std::pair<std::int64_t, std::size_t>> order;
+  for (std::size_t ri = first; ri < alive_.size(); ++ri) {
+    if (!alive_[ri]) continue;
+    const std::optional<SymbolId> pred =
+        FirstPositivePredicate(program_.rules()[ri]);
+    order.push_back({pred.has_value() ? std::int64_t{*pred} : -1, ri});
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  const std::size_t log_before = derived_log_.size();
+  ++current_round_;
+  Binding binding;
+  for (const auto& [pred, ri] : order) {
+    if (delta_ != nullptr) ++delta_->rules_reground;
+    binding.clear();
+    AFP_RETURN_IF_ERROR(
+        Join(program_.rules()[ri], kFullJoin, 0, current_round_, binding));
+  }
+  return CascadeFrom(log_before);
+}
+
+Status Grounder::FoldAsserted() {
+  if (asserted_.empty()) return Status::Ok();
+  const std::size_t log_before = derived_log_.size();
+  ++current_round_;
+  for (AtomId a : asserted_) {
+    if (!derived_[a]) MarkDerived(a, current_round_);
+  }
+  asserted_.clear();
+  return CascadeFrom(log_before);
+}
+
+Status Grounder::CascadeFrom(std::size_t delta_begin) {
+  std::size_t delta_end = derived_log_.size();
+  Binding binding;
+  while (delta_begin < delta_end) {
+    ++current_round_;
+    // Fire only the rules whose bodies mention a predicate that gained
+    // atoms in the previous round, at that delta position, in ascending
+    // SymbolId order (rule firing order fixes atom and rule ids).
+    delta_preds_.clear();
+    for (std::size_t i = delta_begin; i < delta_end; ++i) {
+      delta_preds_.push_back(atoms_->predicate(derived_log_[i]));
+    }
+    std::sort(delta_preds_.begin(), delta_preds_.end());
+    delta_preds_.erase(std::unique(delta_preds_.begin(), delta_preds_.end()),
+                       delta_preds_.end());
+    for (SymbolId pred : delta_preds_) {
+      if (pred >= triggers_.size()) continue;
+      for (const Trigger& t : triggers_[pred]) {
+        if (!alive_[t.rule]) continue;
+        if (delta_ != nullptr) ++delta_->rules_reground;
+        binding.clear();
+        AFP_RETURN_IF_ERROR(Join(program_.rules()[t.rule], t.pos, 0,
+                                 current_round_, binding));
+      }
+    }
+    delta_begin = delta_end;
+    delta_end = derived_log_.size();
+  }
+  return Status::Ok();
+}
+
+Status Grounder::NaiveInstantiation() {
+  // The ablation baseline: every round re-joins every rule against
+  // everything derived so far, in rule order; rules without a positive
+  // literal emit once, first.
+  RegisterSourceRules();
+  Binding binding;
+  while (true) {
+    ++current_round_;
+    const std::size_t log_before = derived_log_.size();
+    for (const bool body_free : {true, false}) {
+      if (body_free && current_round_ > 1) continue;
+      for (std::size_t ri = 0; ri < alive_.size(); ++ri) {
+        const Rule& r = program_.rules()[ri];
+        if (!alive_[ri] || FirstPositivePredicate(r).has_value() == body_free) {
+          continue;
+        }
+        binding.clear();
+        AFP_RETURN_IF_ERROR(Join(r, kFullJoin, 0, current_round_, binding));
+      }
+    }
+    if (derived_log_.size() == log_before) return Status::Ok();
+  }
+}
+
+Status Grounder::FullInstantiation() {
+  RegisterSourceRules();
+  // Active domain: every constant occurring anywhere in the program.
+  std::vector<TermId> domain;
+  {
+    std::unordered_set<TermId> seen;
+    auto visit_term = [&](auto&& self, TermId t) -> void {
+      const TermTable& tt = program_.terms();
+      if (tt.kind(t) == TermKind::kConstant) {
+        if (seen.insert(t).second) domain.push_back(t);
+      }
+      for (TermId a : tt.args(t)) self(self, a);
+    };
+    for (const Rule& r : program_.rules()) {
+      for (TermId t : r.head.args) visit_term(visit_term, t);
+      for (const Literal& l : r.body) {
+        for (TermId t : l.atom.args) visit_term(visit_term, t);
+      }
+    }
+  }
+
+  for (std::size_t ri = 0; ri < alive_.size(); ++ri) {
+    if (!alive_[ri]) continue;
+    const Rule& r = program_.rules()[ri];
+    std::vector<SymbolId> vars;
+    auto collect_atom = [&](const Atom& a) {
+      for (TermId t : a.args) program_.terms().CollectVariables(t, vars);
+    };
+    collect_atom(r.head);
+    for (const Literal& l : r.body) collect_atom(l.atom);
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+
+    Binding binding;
+    AFP_RETURN_IF_ERROR(EnumerateAssignments(r, vars, 0, domain, binding));
+  }
+  // In full mode every interned atom belongs to the base; mark everything
+  // derived so no simplification drops it.
+  for (std::size_t i = 0; i < derived_.size(); ++i) derived_[i] = true;
+  return Status::Ok();
+}
+
+Status Grounder::EnumerateAssignments(const Rule& r,
+                                      const std::vector<SymbolId>& vars,
+                                      std::size_t i,
+                                      const std::vector<TermId>& domain,
+                                      Binding& binding) {
+  if (i == vars.size()) return EmitInstance(r, binding);
+  for (TermId c : domain) {
+    binding[vars[i]] = c;
+    AFP_RETURN_IF_ERROR(EnumerateAssignments(r, vars, i + 1, domain, binding));
+  }
+  binding.erase(vars[i]);
+  return Status::Ok();
+}
+
+// --- the join -------------------------------------------------------------
+
+Status Grounder::Join(const Rule& r, std::size_t delta_pos,
+                      std::size_t pos_index, std::uint32_t round,
+                      Binding& binding) {
+  // Find the pos_index-th positive literal.
+  std::size_t seen = 0;
+  const Literal* lit = nullptr;
+  for (const Literal& l : r.body) {
+    if (!l.positive) continue;
+    if (seen == pos_index) {
+      lit = &l;
+      break;
+    }
+    ++seen;
+  }
+  if (lit == nullptr) return EmitInstance(r, binding);  // all joined
+
+  const RoundFilter filter = delta_pos == kFullJoin  ? RoundFilter::kUpTo
+                             : pos_index < delta_pos  ? RoundFilter::kOld
+                             : pos_index == delta_pos ? RoundFilter::kDelta
+                                                      : RoundFilter::kUpTo;
+  const SymbolId pred = lit->atom.predicate;
+  if (pred >= by_pred_.size()) return Status::Ok();
+  // Candidates are appended in derivation order, so each list is sorted by
+  // round: filter, and stop at the first atom this position may not see.
+  // EmitInstance may append to the very list being walked (atoms derived
+  // this round, which the filter then rejects); chunks never relocate.
+  // This scan is the grounder's hottest loop; matching and recursion live
+  // in Descend so the loop's own state stays in registers.
+  for (const CandChunk* c = by_pred_[pred].head; c != nullptr; c = c->next) {
+    for (std::uint32_t i = 0; i < c->count; ++i) {
+      const AtomId cand = c->items()[i];
+      const std::uint32_t cr = round_[cand];
+      if (cr > round - 1 ||  // derived this round; not visible yet
+          (filter == RoundFilter::kOld && cr >= round - 1)) {
+        return Status::Ok();
+      }
+      if (filter == RoundFilter::kDelta && cr != round - 1) continue;
+      AFP_RETURN_IF_ERROR(
+          Descend(r, lit->atom, cand, delta_pos, pos_index, round, binding));
+    }
+  }
+  return Status::Ok();
+}
+
+Status Grounder::Descend(const Rule& r, const Atom& pattern, AtomId cand,
+                         std::size_t delta_pos, std::size_t pos_index,
+                         std::uint32_t round, Binding& binding) {
+  const TermTable& tt = program_.terms();
+  const auto cand_args = atoms_->args(cand);
+  std::vector<SymbolId> trail;
+  bool match = cand_args.size() == pattern.args.size();
+  for (std::size_t a = 0; match && a < cand_args.size(); ++a) {
+    match = MatchTerm(tt, pattern.args[a], cand_args[a], binding, trail);
+  }
+  Status st = Status::Ok();
+  if (match) st = Join(r, delta_pos, pos_index + 1, round, binding);
+  for (SymbolId v : trail) binding.erase(v);
+  return st;
+}
+
+// --- instance emission ----------------------------------------------------
+
+/// Substitutes `binding` into `a`'s arguments; every result must be ground
+/// (guaranteed by rule safety for head and body alike).
+Status Grounder::SubstArgs(const Rule& r, const Atom& a,
+                           const Binding& binding, const char* what,
+                           std::vector<TermId>& out) {
+  out.clear();
+  out.reserve(a.args.size());
+  for (TermId t : a.args) {
+    TermId g = program_.terms().Substitute(t, binding);
+    if (!program_.terms().IsGround(g)) {
+      return Status::Internal(std::string("non-ground ") + what +
+                              " after substitution in '" +
+                              program_.RuleToString(r) + "'");
+    }
+    out.push_back(g);
+  }
+  return Status::Ok();
+}
+
+bool Grounder::InstanceEquals(std::uint32_t id, AtomId head,
+                              std::span<const AtomId> pos,
+                              std::span<const AtomId> neg) const {
+  const Instance& in = instances_[id];
+  if (in.head != head) return false;
+  const AtomId* pool = instance_pool_.data();
+  return SameAtomMultiset({pool + in.pos_offset, in.pos_len}, pos) &&
+         SameAtomMultiset({pool + in.pos_offset + in.pos_len, in.neg_len},
+                          neg);
+}
+
+Status Grounder::EmitInstance(const Rule& r, const Binding& binding) {
+  AFP_RETURN_IF_ERROR(SubstArgs(r, r.head, binding, "head", emit_args_));
+  AtomId head;
+  AFP_ASSIGN_OR_RETURN(head, InternAtom(r.head.predicate, emit_args_));
+  emit_pos_.clear();
+  emit_neg_.clear();
+  for (const Literal& l : r.body) {
+    AFP_RETURN_IF_ERROR(
+        SubstArgs(r, l.atom, binding, "body literal", emit_args_));
+    AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(l.atom.predicate, emit_args_));
+    (l.positive ? emit_pos_ : emit_neg_).push_back(id);
+  }
+
+  const std::uint64_t h = HashGroundRule(head, emit_pos_, emit_neg_);
+  if (retiring_) return RetireInstance(r, h, head);
+  const std::uint32_t next = static_cast<std::uint32_t>(instances_.size());
+  const std::uint32_t got =
+      instance_index_.FindOrInsert(h, next, [&](std::uint32_t id) {
+        return InstanceEquals(id, head, emit_pos_, emit_neg_);
+      });
+  if (got == next) {
+    if (instances_.size() >= opts_.max_rules) {
+      return Status::ResourceExhausted(
+          "grounding exceeded max_rules=" + std::to_string(opts_.max_rules));
+    }
+    Instance in;
+    in.head = head;
+    in.pos_offset = static_cast<std::uint32_t>(instance_pool_.size());
+    in.pos_len = static_cast<std::uint32_t>(emit_pos_.size());
+    instance_pool_.insert(instance_pool_.end(), emit_pos_.begin(),
+                          emit_pos_.end());
+    in.neg_len = static_cast<std::uint32_t>(emit_neg_.size());
+    instance_pool_.insert(instance_pool_.end(), emit_neg_.begin(),
+                          emit_neg_.end());
+    in.count = 0;
+    instances_.push_back(in);
+  }
+  // An instance several live bindings emit (or one emitted again) only
+  // gains provenance.
+  if (instances_[got].count++ > 0) return Status::Ok();
+  if (!derived_[head]) MarkDerived(head, current_round_);
+  if (gp_ != nullptr) {
+    // A rule op splices the newly live instance in right away.
+    gp_->AddRule(head, emit_pos_, emit_neg_, /*dedupe=*/false);
+    const std::uint32_t rule =
+        static_cast<std::uint32_t>(gp_->num_rules() - 1);
+    if (got >= instance_rule_.size()) instance_rule_.resize(got + 1, kNoRule);
+    instance_rule_[got] = rule;
+    delta_->added_rules.push_back(rule);
+    delta_->added_heads.push_back(head);
+  }
+  return Status::Ok();
+}
+
+Status Grounder::RetireInstance(const Rule& r, std::uint64_t hash,
+                                AtomId head) {
+  const std::uint32_t got =
+      instance_index_.Find(hash, [&](std::uint32_t id) {
+        return InstanceEquals(id, head, emit_pos_, emit_neg_);
+      });
+  if (got == FlatIndex::kNotFound || instances_[got].count == 0) {
+    return Status::Internal(
+        "rule removal found an instance with no provenance (invariant "
+        "breach): " + program_.RuleToString(r));
+  }
+  if (--instances_[got].count > 0) return Status::Ok();
+  // The last binding emitting it is gone: drop the instance's rule.
+  const std::uint32_t rule = instance_rule_[got];
+  instance_rule_[got] = kNoRule;
+  GroundProgram::FactRemoval rem = gp_->RemoveRuleAt(rule);
+  AtomId moved_head = kInvalidAtom;
+  if (rem.moved_rule != rem.erased_rule) {
+    moved_head = gp_->rule(rem.erased_rule).head;
+    NoteRuleMoved(*gp_, rem.erased_rule);
+  }
+  delta_->removals.push_back({rem.erased_rule, rem.moved_rule, head,
+                              moved_head, emit_pos_, emit_neg_});
+  return Status::Ok();
+}
+
+void Grounder::NoteRuleMoved(const GroundProgram& gp, std::uint32_t rule) {
+  const GroundRule& gr = gp.rule(rule);
+  if (gr.pos_len + gr.neg_len == 0) return;  // an EDB fact, no instance
+  const auto pos = gp.pos(gr);
+  const auto neg = gp.neg(gr);
+  const std::uint32_t id = instance_index_.Find(
+      HashGroundRule(gr.head, pos, neg), [&](std::uint32_t i) {
+        return InstanceEquals(i, gr.head, pos, neg);
+      });
+  // Not found: a rule appended behind the grounder's back, which no
+  // provenance covers.
+  if (id != FlatIndex::kNotFound) instance_rule_[id] = rule;
+}
+
+// --- rule ops ---------------------------------------------------------------
+
+Status Grounder::AddSourceRules(GroundProgram& gp, std::size_t first_rule,
+                                Delta* delta) {
+  OpScope scope(*this, gp, delta);
+  AFP_RETURN_IF_ERROR(FoldAsserted());
+  return AddRules(first_rule);
+}
+
+Status Grounder::RemoveSourceRule(GroundProgram& gp, std::size_t rule_index,
+                                  Delta* delta) {
+  OpScope scope(*this, gp, delta);
+  AFP_RETURN_IF_ERROR(FoldAsserted());
+  if (rule_index >= alive_.size() || !alive_[rule_index]) {
+    return Status::InvalidArgument("rule is not live");
+  }
+  alive_[rule_index] = 0;
+  // Re-enumerate the rule's bindings over the derived set — by the
+  // emission invariant exactly the bindings it has emitted — and take
+  // their provenance away. Nothing is derived meanwhile.
+  ++current_round_;
+  ++delta->rules_reground;
+  retiring_ = true;
+  Binding binding;
+  return Join(program_.rules()[rule_index], kFullJoin, 0, current_round_,
+              binding);
+}
+
+std::optional<std::size_t> Grounder::FindLiveRule(const Rule& r) const {
+  for (std::size_t ri = 0; ri < alive_.size(); ++ri) {
+    if (!alive_[ri]) continue;
+    if (RuleEquiv(program_.terms(), program_.rules()[ri], r)) return ri;
+  }
+  return std::nullopt;
+}
+
+// --- final assembly ---------------------------------------------------------
+
+StatusOr<GroundProgram> Grounder::Assemble(bool keep) {
+  const bool simplify = opts_.simplify && opts_.mode != GroundMode::kFull;
+  GroundProgram gp(&program_);
+
+  // Compact the atom table: in simplify mode, only derivable atoms remain
+  // in the base (everything else is certainly false and gets erased from
+  // rule bodies below).
+  std::vector<AtomId> remap(atoms_->size(), kInvalidAtom);
+  for (AtomId a = 0; a < atoms_->size(); ++a) {
+    if (!simplify || derived_[a]) {
+      remap[a] = gp.atoms().Intern(atoms_->predicate(a), atoms_->args(a));
+    }
+  }
+
+  for (AtomId f : fact_atoms_) {
+    gp.AddRule(remap[f], {}, {});
+  }
+  const std::uint32_t first_instance_rule =
+      static_cast<std::uint32_t>(gp.num_rules());
+  std::vector<AtomId> pos, neg;
+  for (const Instance& in : instances_) {
+    pos.clear();
+    neg.clear();
+    for (std::uint32_t i = 0; i < in.pos_len; ++i) {
+      pos.push_back(remap[instance_pool_[in.pos_offset + i]]);
+    }
+    for (std::uint32_t i = 0; i < in.neg_len; ++i) {
+      const AtomId a = instance_pool_[in.pos_offset + in.pos_len + i];
+      if (simplify && !derived_[a]) continue;  // certainly-true literal
+      neg.push_back(remap[a]);
+    }
+    gp.AddRule(remap[in.head], pos, neg);
+  }
+
+  // The grounding receipt: fold in the counters of the scratch structures
+  // (the scratch atom table, the instance-dedupe index, the candidate
+  // arena). The live tables the program keeps (gp.atoms(),
+  // program_.terms()) are read separately by Solver::Stats so their
+  // counters keep accumulating.
+  GroundStats& gs = gp.grounding_stats_mutable();
+  gs.Absorb(atoms_->index_stats());
+  gs.Absorb(instance_index_.stats());
+  gs.arena_bytes = cand_arena_.total_allocated();
+  gp.SealRules();
+  gs.atoms = gp.num_atoms();
+  gs.rules = gp.num_rules();
+
+  if (keep) {
+    // Unsimplified: atom ids carried over unchanged, and no instance was
+    // dropped as a duplicate (their bodies are never empty, and the
+    // instance dedupe already merged reorderings), so instance i is rule
+    // first_instance_rule + i. From here on the program's own atom table
+    // is the one rule ops intern into.
+    assert(gp.num_rules() == first_instance_rule + instances_.size());
+    instance_rule_.resize(instances_.size());
+    for (std::uint32_t i = 0; i < instances_.size(); ++i) {
+      instance_rule_[i] = first_instance_rule + i;
+    }
+    scratch_atoms_ = AtomTable();
+    std::vector<AtomId>().swap(fact_atoms_);
+  }
+  return gp;
 }
 
 }  // namespace afp

@@ -7,17 +7,6 @@
 
 namespace afp {
 
-/// Which index implementation an interning table uses. kFlat is the
-/// production layout (FlatIndex below); kNode preserves the node-based
-/// std::unordered_map/set structures with heap-copied keys as the ablation
-/// baseline for the `layout` bench axis. Both produce bit-identical dense
-/// ids, rule order and models — the toggle changes constant factors only.
-enum class IndexLayout : std::uint8_t { kFlat, kNode };
-
-inline const char* IndexLayoutName(IndexLayout l) {
-  return l == IndexLayout::kFlat ? "flat" : "node";
-}
-
 /// Allocation/probe counters of a FlatIndex (or of a table aggregating
 /// several). Steady-state lookups touch `probes`/`collisions` only;
 /// `grow_allocs` moves exclusively when a table (re)allocates its slot

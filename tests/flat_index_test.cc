@@ -1,7 +1,5 @@
 // FlatIndex tests: randomized differential fuzz against std::unordered_map,
-// dense-id stability across growth, and the kFlat-vs-kNode interning
-// lockstep stress on AtomTable (the two layouts must hand out bit-identical
-// ids in every interleaving).
+// dense-id stability across growth, adversarial hash collisions.
 
 #include "util/flat_index.h"
 
@@ -12,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ground/atom_table.h"
 #include "util/span_hash.h"
 
 namespace afp {
@@ -98,8 +95,8 @@ TEST(FlatIndex, SteadyStateLookupsNeverGrow) {
 }
 
 TEST(FlatIndex, InsertUniqueRebuildMatchesFindOrInsert) {
-  // Index rebuild path (SetLayout): InsertUnique over known-distinct keys
-  // must produce a probeable index identical to the incremental build.
+  // Index rebuild path: InsertUnique over known-distinct keys must produce
+  // a probeable index identical to the incremental build.
   Pool incremental;
   for (std::uint32_t i = 0; i < 500; ++i) incremental.Intern(i * 7919u);
 
@@ -176,57 +173,6 @@ TEST(FlatIndex, AdversarialHashCollisionsStayCorrect) {
   EXPECT_EQ(
       index.Find(12345, [&](std::uint32_t id) { return keys[id] == 999; }),
       FlatIndex::kNotFound);
-}
-
-// ---------------------------------------------------------------------------
-// AtomTable layout lockstep
-// ---------------------------------------------------------------------------
-
-TEST(FlatIndexLayout, MillionInternLockstep) {
-  // The layout toggle must be invisible in ids: drive a kFlat and a kNode
-  // AtomTable through the same million-op intern/find stream (heavy repeat
-  // rate, varying arities) and require identical results at every step.
-  AtomTable flat(IndexLayout::kFlat);
-  AtomTable node(IndexLayout::kNode);
-  std::mt19937_64 rng(89);
-  std::uniform_int_distribution<std::uint32_t> pred_dist(0, 15);
-  std::uniform_int_distribution<std::uint32_t> term_dist(0, 199);
-  std::uniform_int_distribution<std::uint32_t> arity_dist(0, 3);
-
-  TermId args[3];
-  for (int op = 0; op < 1000000; ++op) {
-    const SymbolId pred = pred_dist(rng);
-    const std::uint32_t arity = arity_dist(rng);
-    for (std::uint32_t i = 0; i < arity; ++i) args[i] = term_dist(rng);
-    const std::span<const TermId> span(args, arity);
-    if (op % 4 == 0) {
-      ASSERT_EQ(flat.Find(pred, span), node.Find(pred, span)) << "op " << op;
-    } else {
-      ASSERT_EQ(flat.Intern(pred, span), node.Intern(pred, span))
-          << "op " << op;
-    }
-  }
-  ASSERT_EQ(flat.size(), node.size());
-  // kNode performed no flat-index work; kFlat allocated only on growth.
-  EXPECT_EQ(node.index_stats().probes, 0u);
-  EXPECT_GT(flat.index_stats().probes, 0u);
-}
-
-TEST(FlatIndexLayout, SetLayoutRebuildsWithoutRenumbering) {
-  // Intern under kNode, flip to kFlat (the Grounder does this when the
-  // program's tables were populated before GroundOptions were known), and
-  // require every id to resolve unchanged — then keep interning.
-  AtomTable table(IndexLayout::kNode);
-  std::vector<TermId> args = {3, 4};
-  const AtomId a = table.Intern(1, args);
-  const AtomId b = table.Intern(2, args);
-  table.SetLayout(IndexLayout::kFlat);
-  EXPECT_EQ(table.Find(1, args), a);
-  EXPECT_EQ(table.Find(2, args), b);
-  const AtomId c = table.Intern(3, args);
-  EXPECT_EQ(c, 2u);
-  table.SetLayout(IndexLayout::kNode);
-  EXPECT_EQ(table.Find(3, args), c);
 }
 
 }  // namespace

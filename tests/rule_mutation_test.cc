@@ -251,74 +251,6 @@ TEST(RuleMutationParallel, FuzzSccGusInterpretedThreads4) {
                   7, 24);
 }
 
-// --- Memory-layout axis: the fuzz under IndexLayout::kNode, and a
-// --- flat-vs-node lockstep over the same mutation stream ----------------
-
-TEST(RuleMutationTest, FuzzSccSpInterpretedNodeLayout) {
-  // The full differential fuzz with the ablation-baseline interning layout:
-  // IncrementalGrounder's delta re-grounding must behave identically when
-  // the tables index through the node-based structures.
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff, 1);
-  o.ground.layout = IndexLayout::kNode;
-  RunMutationFuzz(o, 8, 24);
-}
-
-TEST(RuleMutationTest, LayoutLockstepUnderMutationFuzz) {
-  // Two sessions, one per layout, fed the identical mutation stream; after
-  // every step the (spliced, delta-reground) ground programs must render
-  // identically and the models must agree. This pins the layout toggle as
-  // a constant-factor change through the incremental-grounding path too —
-  // remap tables, splices and delta emissions included.
-  SolverOptions flat_opts = MutableOptions(
-      SolverEngine::kScc, SccInnerEngine::kAfp, CompileMode::kOff, 1);
-  flat_opts.ground.layout = IndexLayout::kFlat;
-  SolverOptions node_opts = flat_opts;
-  node_opts.ground.layout = IndexLayout::kNode;
-
-  const std::string base_text =
-      "p(X) :- e(X,Y), not p(Y).\n"
-      "e(a,b). e(b,c). e(c,a). e(c,d). f(a). f(d).\n";
-  const std::vector<std::string> pool = {
-      "q(X) :- e(X,Y), p(Y).", "s(X) :- f(X).",
-      "r(X) :- q(X), not s(X).", "w(g(X)) :- f(X).",
-      "q(X) :- f(X), not r(X).",
-  };
-
-  Solver flat = MustSolver(base_text, flat_opts);
-  Solver node = MustSolver(base_text, node_opts);
-  flat.Solve();
-  node.Solve();
-  ASSERT_EQ(flat.ground().ToString(), node.ground().ToString());
-
-  FuzzState rng{42};
-  std::vector<std::string> live;
-  for (int step = 0; step < 24; ++step) {
-    const std::string where = "step=" + std::to_string(step);
-    if (rng.Next() % 3 != 0 || live.empty()) {
-      const std::string& rule = pool[rng.Next() % pool.size()];
-      auto rf = flat.AddRule(rule);
-      auto rn = node.AddRule(rule);
-      ASSERT_TRUE(rf.ok() && rn.ok()) << where;
-      ASSERT_EQ(rf->ground_rules_added, rn->ground_rules_added) << where;
-      ASSERT_EQ(rf->atoms_added, rn->atoms_added) << where;
-      live.push_back(rule);
-    } else {
-      const std::size_t i = rng.Next() % live.size();
-      auto rf = flat.RemoveRule(live[i]);
-      auto rn = node.RemoveRule(live[i]);
-      ASSERT_TRUE(rf.ok() && rn.ok()) << where;
-      ASSERT_EQ(rf->ground_rules_removed, rn->ground_rules_removed) << where;
-      live.erase(live.begin() + i);
-    }
-    ASSERT_EQ(flat.ground().ToString(), node.ground().ToString()) << where;
-    const PartialModel& mf = flat.Solve();
-    const PartialModel& mn = node.Solve();
-    ASSERT_EQ(mf.true_atoms(), mn.true_atoms()) << where;
-    ASSERT_EQ(mf.false_atoms(), mn.false_atoms()) << where;
-  }
-}
-
 // --- Targeted unit tests ----------------------------------------------
 
 TEST(RuleMutationTest, AddRuleDerivesAndGrowsUniverse) {
@@ -410,6 +342,58 @@ TEST(RuleMutationTest, RejectsFactsAndUnknownRules) {
   EXPECT_EQ(*s.Query("p(a)"), TruthValue::kFalse);
 }
 
+TEST(RuleMutationTest, RuleOpsRequireSmartSemiNaiveGrounding) {
+  // Full and naive grounding emit instances without the exactly-once
+  // provenance rule ops rely on; both refuse before touching anything.
+  const std::string text = "f(a). f(b). p(X) :- f(X), not q(X).";
+  for (int variant = 0; variant < 2; ++variant) {
+    SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
+                                     CompileMode::kOff, 1);
+    if (variant == 0) {
+      o.ground.mode = GroundMode::kFull;
+    } else {
+      o.ground.semi_naive = false;
+    }
+    Solver s = MustSolver(text, o);
+    s.Solve();
+    const std::string before = s.ground().ToString();
+    const std::size_t atoms = s.ground().num_atoms();
+    const std::size_t rules = s.program().rules().size();
+    EXPECT_EQ(s.AddRule("q(X) :- f(X).").status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(s.RemoveRule("p(X) :- f(X), not q(X).").status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(s.ground().ToString(), before);
+    EXPECT_EQ(s.ground().num_atoms(), atoms);
+    EXPECT_EQ(s.program().rules().size(), rules);
+    EXPECT_EQ(*s.Query("p(a)"), TruthValue::kTrue);
+  }
+}
+
+TEST(RuleMutationTest, RuleOpsSurviveSessionMove) {
+  // The grounder holds no reference into the session, so rule ops keep
+  // working after the session object moves (it used to crash here).
+  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
+                                   CompileMode::kAlways, 1);
+  const std::string base = "e(a,b). e(b,c). e(c,a). p(X) :- e(X,Y), not p(Y).";
+  Solver first = MustSolver(base, o);
+  first.Solve();
+  ASSERT_TRUE(first.AddRule("q(X) :- e(X,Y), p(Y).").ok());
+  std::vector<Solver> sessions;
+  sessions.push_back(std::move(first));
+  Solver& s = sessions.back();
+  auto r = s.AddRule("r(X) :- q(X), not p(X).");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(s.RemoveRule("q(X) :- e(X,Y), p(Y).").ok());
+  ASSERT_TRUE(s.AddRule("q(X) :- e(Y,X), p(Y).").ok());
+  ASSERT_TRUE(s.ValidateRuleBuckets());
+  ExpectFreshSccAgrees(s, o, "RuleOpsSurviveSessionMove");
+  ExpectFreshTextAgrees(s,
+                        base + " r(X) :- q(X), not p(X)."
+                               " q(X) :- e(Y,X), p(Y).",
+                        o, "RuleOpsSurviveSessionMove");
+}
+
 TEST(RuleMutationTest, SimplifiedSessionsRefuseRuleOps) {
   SolverOptions o;  // default: simplify = true
   o.engine = SolverEngine::kScc;
@@ -434,11 +418,9 @@ TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
   const std::size_t program_rules = s.ground().num_rules();
   ASSERT_GT(program_rules, 4000u);
 
-  // Warmup op: the first rule op pays the one-time O(program) provenance
-  // initialization; receipts are read from the second op onward.
-  ASSERT_TRUE(s.AddRule("warm :- wins(a).").ok());
-
-  // The periphery edit: one new head, one instance, one new component.
+  // The periphery edit — the session's FIRST rule op: instance provenance
+  // exists from construction, so there is no O(program) warm-up to pay.
+  // One new head, one instance, one new component.
   auto r = s.AddRule("probe :- wins(b).");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rules_reground, 1u);
@@ -479,7 +461,6 @@ TEST(RuleMutationTest, RuleEditRecompilesExactlyTheTouchedKernels) {
       "g(b). y(X) :- g(X), not y2(X). y2(X) :- g(X), not y(X).",
       o);
   s.Solve();
-  ASSERT_TRUE(s.AddRule("warm :- f(a).").ok());  // pay provenance init
 
   // Touch only the w-cycle: its kernel recompiles, the y-cycle's doesn't.
   // The instance w(a) :- f(a) appends an old-head dependency on a

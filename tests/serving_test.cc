@@ -223,7 +223,9 @@ TEST(Serving, ConcurrentReadersSeeCompleteVersionedSnapshots) {
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&] {
       std::uint64_t last_version = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
+      // At least one read per reader: on a loaded machine the writes can
+      // all finish before a reader thread is first scheduled.
+      do {
         SnapshotPtr snap = srv->snapshot();
         // Complete-model invariant: with e true, p is true and q false;
         // with e retracted, p false and q undefined (p/q alternation
@@ -239,7 +241,7 @@ TEST(Serving, ConcurrentReadersSeeCompleteVersionedSnapshots) {
         }
         last_version = snap->version;
         reads.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
 

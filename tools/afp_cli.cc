@@ -55,22 +55,21 @@
 //                                      work-sharing pool (default 1; the
 //                                      model set AND the emission order
 //                                      are identical at every N)
-//   --layout=flat|node                 memory layout of the grounding
-//                                      pipeline's interning structures
-//                                      (default flat; node = the node-based
-//                                      ablation baseline of the bench
-//                                      `layout` axis; models and ids are
-//                                      identical in both)
 //   --query=ATOM                       point query (repeatable via commas)
 //   --select=PATTERN                   enumerate matches, e.g. wins(X)
 //   --trace                            print the Table-I style trace (wfs)
 //   --json                             print the model as JSON
 //   --max-models=N                     cap stable-model enumeration
+//                                      (N, --threads and --search-threads
+//                                      are whole decimal numbers; anything
+//                                      else exits 1)
 //   --ground                           print the ground program and exit
 //   --stats                            print sizes and iteration counts
 //
 // Exit status: 0 on success, 1 on input errors.
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -112,7 +111,6 @@ struct Options {
   bool inner_given = false;
   std::string compile = "hot";
   bool compile_given = false;
-  std::string layout = "flat";
   int threads = 1;
   bool threads_given = false;
   int search_threads = 1;
@@ -144,6 +142,23 @@ void SplitCommas(const std::string& s, std::vector<std::string>* out) {
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) out->push_back(item);
   }
+}
+
+/// Parses `text` as a whole decimal number in [lo, hi]: no sign, no
+/// whitespace, nothing trailing.
+bool ParseNumber(const std::string& text, std::uint64_t lo, std::uint64_t hi,
+                 std::uint64_t* out) {
+  const char* end = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+int BadValue(const std::string& flag, const std::string& value) {
+  std::cerr << "afp: bad --" << flag << " value '" << value << "'\n";
+  return 1;
 }
 
 int Fail(const afp::Status& status) {
@@ -185,10 +200,14 @@ void PrintModel(const afp::GroundProgram& gp, const afp::PartialModel& model,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Worker threads are capped well above any machine this runs on; the
+  // cap only keeps a typo from spawning millions of threads.
+  constexpr std::uint64_t kMaxThreads = 1024;
   Options opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
+    std::uint64_t number = 0;
     if (ParseFlag(arg, "semantics", &opts.semantics)) continue;
     if (ParseFlag(arg, "engine", &opts.engine)) continue;
     if (ParseFlag(arg, "sp", &opts.sp)) {
@@ -207,24 +226,19 @@ int main(int argc, char** argv) {
       opts.compile_given = true;
       continue;
     }
-    if (ParseFlag(arg, "layout", &opts.layout)) continue;
     if (ParseFlag(arg, "threads", &value)) {
-      try {
-        opts.threads = std::stoi(value);
-      } catch (const std::exception&) {
-        std::cerr << "afp: bad --threads value '" << value << "'\n";
-        return 1;
+      if (!ParseNumber(value, 1, kMaxThreads, &number)) {
+        return BadValue("threads", value);
       }
+      opts.threads = static_cast<int>(number);
       opts.threads_given = true;
       continue;
     }
     if (ParseFlag(arg, "search-threads", &value)) {
-      try {
-        opts.search_threads = std::stoi(value);
-      } catch (const std::exception&) {
-        std::cerr << "afp: bad --search-threads value '" << value << "'\n";
-        return 1;
+      if (!ParseNumber(value, 1, kMaxThreads, &number)) {
+        return BadValue("search-threads", value);
       }
+      opts.search_threads = static_cast<int>(number);
       opts.search_threads_given = true;
       continue;
     }
@@ -257,7 +271,10 @@ int main(int argc, char** argv) {
       continue;
     }
     if (ParseFlag(arg, "max-models", &value)) {
-      opts.max_models = std::stoull(value);
+      if (!ParseNumber(value, 0, SIZE_MAX, &number)) {
+        return BadValue("max-models", value);
+      }
+      opts.max_models = static_cast<std::size_t>(number);
       continue;
     }
     if (arg == "--trace") {
@@ -347,19 +364,11 @@ int main(int argc, char** argv) {
               << opts.semantics << " --engine=" << opts.engine
               << " without --assert/--retract\n";
   }
-  if (opts.threads < 1) {
-    std::cerr << "afp: --threads must be >= 1\n";
-    return 1;
-  }
   if (opts.threads_given &&
       !(opts.semantics == "wfs" && opts.engine == "scc")) {
     std::cerr << "afp: note: --threads has no effect for --semantics="
               << opts.semantics << " --engine=" << opts.engine
               << " (only --engine=scc runs the wavefront scheduler)\n";
-  }
-  if (opts.search_threads < 1) {
-    std::cerr << "afp: --search-threads must be >= 1\n";
-    return 1;
   }
   if (opts.search_threads_given && opts.semantics != "stable") {
     std::cerr << "afp: note: --search-threads has no effect for --semantics="
@@ -405,13 +414,6 @@ int main(int argc, char** argv) {
   sopts.search_threads = opts.search_threads;
   sopts.compile = compile_mode;
   sopts.record_trace = opts.trace;
-  if (opts.layout == "node") {
-    sopts.ground.layout = afp::IndexLayout::kNode;
-  } else if (opts.layout != "flat") {
-    std::cerr << "afp: bad --layout value '" << opts.layout
-              << "' (flat|node)\n";
-    return 1;
-  }
   // Fitting/IFP need the rule instances whose positive bodies are
   // underivable (see GroundMode documentation).
   if (opts.semantics == "fitting" || opts.semantics == "ifp") {
@@ -435,8 +437,7 @@ int main(int argc, char** argv) {
               << "  rules: " << gp.num_rules()
               << "  size: " << gp.TotalSize() << "\n";
     const afp::GroundStats& g = solver.Stats().ground;
-    std::cout << "% layout: " << afp::IndexLayoutName(gp.layout())
-              << "  intern probes: " << g.intern_probes
+    std::cout << "% intern probes: " << g.intern_probes
               << "  intern collisions: " << g.intern_collisions
               << "  intern grow allocs: " << g.intern_allocs << "\n";
     std::cout << "% arena bytes: " << g.arena_bytes

@@ -47,13 +47,7 @@ regresses:
     row (always enforced: determinism is counter-like, safe on any
     machine), keep every thread count the recording machine could
     actually run in parallel at >= 1x over the 1-thread run, and reach
-    MIN_SEARCH_SPEEDUP (2x) at 4 threads on the SEARCH_FLAGSHIP row;
-  * the memory-layout axis (bench_scale: flat pool-probing interning vs
-    the node-based baseline) must report bit-identical programs and
-    models on every row, beat the node baseline's grounding wall on
-    every row of >= LAYOUT_GATED_MIN_RULES ground rules, and keep at
-    least MIN_LAYOUT_RATIO (1.5x) on the LAYOUT_FLAGSHIP row — which
-    must itself stay at or above the 64k-rule floor.
+    MIN_SEARCH_SPEEDUP (2x) at 4 threads on the SEARCH_FLAGSHIP row.
 
 The rescan gates are counters, not wall-clock: deterministic for a fixed
 workload, so safe on noisy CI machines. The thread gates are necessarily
@@ -102,20 +96,6 @@ MIN_SCRATCH_RATIO = 2.0
 COMPILE_FLAGSHIP = "WinMove/4096"
 MIN_COMPILE_RATIO = 1.5
 COMPILE_ZERO_ENGAGEMENT = "WfNodes/256"
-# The memory-layout axis (bench_scale): flat pool-probing interning
-# (GroundOptions::layout = kFlat) vs the node-based std::unordered_map/set
-# baseline (kNode), identical programs and models. Every row must report
-# bit-identical models across the layouts; rows whose recorded ground-rule
-# count reaches LAYOUT_GATED_MIN_RULES get the wall-clock gates — at that
-# scale interning dominates grounding and the margins are wide, the same
-# reasoning that makes the incremental/scratch wall gates CI-safe (a tiny
-# row, where fixed costs could drown the signal, is report-only). The
-# flagship row must both exist at >= LAYOUT_GATED_MIN_RULES (the workload
-# silently shrinking under it fails CI) and keep a grounding-wall speedup
-# of at least MIN_LAYOUT_RATIO.
-LAYOUT_FLAGSHIP = "winmove_er_flagship"
-MIN_LAYOUT_RATIO = 1.5
-LAYOUT_GATED_MIN_RULES = 64000
 # The parallel stable-model search flagship (bench_search): 4096 models
 # over a 4096-leaf branch tree with ~300 atoms of per-node propagation.
 # 4 search threads must enumerate at least 2x faster than the 1-thread
@@ -221,7 +201,6 @@ def main() -> int:
     seen_incremental_workloads = set()
     seen_scratch_workloads = set()
     seen_compile_workloads = set()
-    seen_layout_workloads = set()
     seen_search_workloads = set()
     ratios = []
     thread_lines = []
@@ -229,7 +208,6 @@ def main() -> int:
     incremental_lines = []
     scratch_lines = []
     compile_lines = []
-    layout_lines = []
     for row in rows:
         axis = row.get("axis", "sp")
         workload = row.get("workload", "?")
@@ -311,41 +289,6 @@ def main() -> int:
                 failures.append(
                     f"{label}: flagship ratio {ratio} < {MIN_COMPILE_RATIO}")
             continue
-        if axis == "layout":
-            seen_layout_workloads.add(workload)
-            label = f"layout:{workload}"
-            ratio = row.get("ground_wall_ratio_node_over_flat")
-            rules = row.get("flat", {}).get("ground_rules")
-            if ratio is None:
-                failures.append(f"{label}: no grounding wall ratio recorded")
-                continue
-            layout_lines.append(
-                f"  {label}: node/flat grounding wall ratio {ratio}x "
-                f"(ground rules: {rules}, peak RSS ratio: "
-                f"{row.get('peak_rss_ratio_node_over_flat')})")
-            if not row.get("models_identical"):
-                failures.append(
-                    f"{label}: layouts disagree on program or model "
-                    f"(atoms/rules/true/undef must be bit-identical)")
-            gated = rules is not None and rules >= LAYOUT_GATED_MIN_RULES
-            if not gated:
-                layout_lines.append(
-                    f"  {label}: wall-clock gates SKIPPED "
-                    f"(ground rules {rules} < {LAYOUT_GATED_MIN_RULES})")
-            elif ratio <= MIN_RATIO:
-                failures.append(
-                    f"{label}: flat interning no faster than node baseline "
-                    f"(ratio {ratio} <= {MIN_RATIO})")
-            if workload == LAYOUT_FLAGSHIP:
-                if not gated:
-                    failures.append(
-                        f"{label}: flagship shrank below "
-                        f"{LAYOUT_GATED_MIN_RULES} ground rules ({rules})")
-                elif ratio < MIN_LAYOUT_RATIO:
-                    failures.append(
-                        f"{label}: flagship ratio {ratio} < "
-                        f"{MIN_LAYOUT_RATIO}")
-            continue
         ratio = row.get("rescan_ratio_scratch_over_delta")
         label = f"{axis}:{workload}"
         if ratio is None:
@@ -378,8 +321,6 @@ def main() -> int:
     if COMPILE_ZERO_ENGAGEMENT not in seen_compile_workloads:
         failures.append(
             f"compile:{COMPILE_ZERO_ENGAGEMENT}: zero-engagement row missing")
-    if LAYOUT_FLAGSHIP not in seen_layout_workloads:
-        failures.append(f"layout:{LAYOUT_FLAGSHIP}: layout row missing")
     if SEARCH_FLAGSHIP not in seen_search_workloads:
         failures.append(
             f"search:{SEARCH_FLAGSHIP}: parallel-search row missing")
@@ -396,8 +337,6 @@ def main() -> int:
         print(line)
     for line in compile_lines:
         print(line)
-    for line in layout_lines:
-        print(line)
     if failures:
         for f_ in failures:
             print(f"FAIL {f_}", file=sys.stderr)
@@ -407,7 +346,6 @@ def main() -> int:
           f"{len(seen_incremental_workloads)} incremental rows + "
           f"{len(seen_scratch_workloads)} scratch rows + "
           f"{len(seen_compile_workloads)} compile rows + "
-          f"{len(seen_layout_workloads)} layout rows + "
           f"{len(seen_search_workloads)} search rows OK")
     return 0
 

@@ -256,13 +256,8 @@ print(f"== ablation axis -> {dst}")
 PYEOF
     fi
   elif [[ "${bench}" == "bench_scale" ]]; then
-    # Self-timed, native JSON on stdout (fork-per-config so each layout's
-    # peak RSS is measured in its own process). Stored as BENCH_scale.json;
-    # then the per-workload flat/node pairs are merged into the ablation
-    # axis report as the `layout` axis, replacing any previous layout rows
-    # (bench_ablation rewrites the file wholesale and runs first in a full
-    # sweep; this merge keeps a scale-only rerun from clobbering the other
-    # axes). tools/check_ablation_axis.py gates CI on the flagship row.
+    # Self-timed, native JSON on stdout (fork-per-workload so each row's
+    # peak RSS is measured in its own process). Stored as BENCH_scale.json.
     "${bin}" | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
@@ -271,62 +266,13 @@ d["timestamp"] = sys.argv[2]
 with open(sys.argv[3], "w") as f:
     json.dump(d, f, indent=1)
 ' "${GIT_REV}" "${TIMESTAMP}" "${out_json}"
-    python3 - "${out_json}" "${OUT_DIR}/BENCH_ablation_axis.json" \
-      "${GIT_REV}" "${TIMESTAMP}" <<'PYEOF'
-import json, os, sys
-src, dst, git_rev, timestamp = sys.argv[1:5]
-with open(src) as f:
-    report = json.load(f)
-by_workload = {}
-for row in report.get("rows", []):
-    by_workload.setdefault(row["workload"], {})[row["layout"]] = row
-
-layout_rows = []
-for workload in sorted(by_workload):
-    per = by_workload[workload]
-    entry = {"axis": "layout", "workload": workload}
-    for side in ("flat", "node"):
-        cell = per.get(side)
-        if cell:
-            entry[side] = {k: v for k, v in cell.items()
-                           if k not in ("workload", "layout")}
-    flat, node = entry.get("flat", {}), entry.get("node", {})
-    if flat.get("ground_ms") and node.get("ground_ms"):
-        entry["ground_wall_ratio_node_over_flat"] = round(
-            node["ground_ms"] / flat["ground_ms"], 2)
-    if flat.get("total_ms") and node.get("total_ms"):
-        entry["total_wall_ratio_node_over_flat"] = round(
-            node["total_ms"] / flat["total_ms"], 2)
-    if flat.get("peak_rss_bytes") and node.get("peak_rss_bytes"):
-        entry["peak_rss_ratio_node_over_flat"] = round(
-            node["peak_rss_bytes"] / flat["peak_rss_bytes"], 2)
-    # The two layouts must produce bit-identical programs and models
-    # (same atom universe, rule count, and true/undef partition).
-    entry["models_identical"] = all(
-        flat.get(k) is not None and flat.get(k) == node.get(k)
-        for k in ("atoms", "ground_rules", "true_atoms", "undef_atoms"))
-    layout_rows.append(entry)
-
-if os.path.exists(dst):
-    with open(dst) as f:
-        axis = json.load(f)
-    axis["rows"] = [r for r in axis.get("rows", [])
-                    if r.get("axis") != "layout"]
-else:
-    axis = {"bench": "ablation_axis", "rows": []}
-axis["git_rev"] = git_rev
-axis["timestamp"] = timestamp
-axis["rows"].extend(layout_rows)
-with open(dst, "w") as f:
-    json.dump(axis, f, indent=1)
-print(f"== layout axis -> {dst}")
-PYEOF
   elif [[ "${bench}" == "bench_search" ]]; then
     # Self-timed, native JSON on stdout (fork-per-config so timings never
     # share allocator state). Stored as BENCH_search.json; then the
     # per-workload thread rows are merged into the ablation axis report as
-    # the `search` axis, replacing any previous search rows (same
-    # merge-don't-clobber protocol as the layout axis above).
+    # the `search` axis, replacing any previous search rows (bench_ablation
+    # rewrites the file wholesale and runs first in a full sweep; this
+    # merge keeps a search-only rerun from clobbering the other axes).
     # tools/check_ablation_axis.py gates CI on the flagship row.
     "${bin}" | python3 -c '
 import json, sys
