@@ -114,10 +114,10 @@ std::string RunConfig(const Config& cfg, int threads, bool seeded) {
   // Two runs on the same engine; keep the faster (the enumeration is
   // deterministic, so both runs do identical work).
   double wall_ms = 0;
-  afp::ParallelSearchResult result;
+  afp::StableResult result;
   for (int run = 0; run < 2; ++run) {
     const auto t0 = Clock::now();
-    afp::ParallelSearchResult r = engine.Enumerate();
+    afp::StableResult r = engine.Enumerate();
     const auto t1 = Clock::now();
     const double ms = Ms(t0, t1);
     if (run == 0 || ms < wall_ms) {

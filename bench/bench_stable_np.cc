@@ -11,7 +11,7 @@
 
 #include "core/alternating.h"
 #include "ground/grounder.h"
-#include "stable/backtracking.h"
+#include "search/stable_search.h"
 #include "util/table_printer.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
@@ -45,19 +45,18 @@ int main() {
 
     double wfs_ms = MsOf([&] { afp::AlternatingFixpoint(*ground); });
 
-    afp::StableModelSearch search(*ground);
-    std::size_t count = 0;
-    double enum_ms = MsOf([&] { count = search.Count(); });
+    afp::ParallelStableSearch search(*ground);
+    afp::StableSearchStats all;
+    double enum_ms = MsOf([&] { all = search.Count().search; });
 
-    afp::StableSearchOptions first_opts;
-    first_opts.max_models = 1;
-    afp::StableModelSearch first(*ground, first_opts);
-    double first_ms = MsOf([&] { first.Count(); });
+    afp::StableSearchControl first_only;
+    first_only.max_models = 1;
+    afp::ParallelStableSearch first(*ground);
+    double first_ms = MsOf([&] { first.Count(first_only); });
 
-    table.AddRow({std::to_string(k), std::to_string(count),
+    table.AddRow({std::to_string(k), std::to_string(all.models),
                   std::to_string(wfs_ms), std::to_string(enum_ms),
-                  std::to_string(search.stats().nodes),
-                  std::to_string(first_ms)});
+                  std::to_string(all.nodes), std::to_string(first_ms)});
   }
   table.Print(std::cout);
   std::cout << "\nexpected shape: 'stable models' and 'search nodes' double "
@@ -76,15 +75,13 @@ int main() {
     afp::Program p = afp::workload::WinMove(afp::graphs::Chain(n));
     auto ground = afp::Grounder::Ground(p);
     if (!ground.ok()) return 1;
-    afp::StableModelSearch wfs_search(*ground);
-    wfs_search.Count();
-    afp::StableSearchOptions naive_opts;
+    afp::ParallelStableSearch wfs_search(*ground);
+    afp::ParallelSearchOptions naive_opts;
     naive_opts.wfs_propagation = false;
-    afp::StableModelSearch naive_search(*ground, naive_opts);
-    naive_search.Count();
+    afp::ParallelStableSearch naive_search(*ground, naive_opts);
     prune.AddRow({std::to_string(n),
-                  std::to_string(wfs_search.stats().nodes),
-                  std::to_string(naive_search.stats().nodes)});
+                  std::to_string(wfs_search.Count().search.nodes),
+                  std::to_string(naive_search.Count().search.nodes)});
   }
   prune.Print(std::cout);
   std::cout << "\nexpected shape: WFS propagation decides chains without "

@@ -42,7 +42,7 @@
 #include "fol/simplify.h"
 #include "ground/grounder.h"
 #include "parser/parser.h"
-#include "stable/backtracking.h"
+#include "search/stable_search.h"
 #include "stable/enumerate.h"
 #include "stable/gl_transform.h"
 #include "stratified/inflationary.h"

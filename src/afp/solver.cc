@@ -246,7 +246,7 @@ ParallelStableSearch& Solver::EnsureSearch() {
   // session that mutated since its last solve has solved_ == false (or a
   // repaired-in-place model_, which is exactly current), so this re-arms
   // or disarms the seed on every call.
-  if (solved_ && options_.seed_search) {
+  if (solved_) {
     search_->SeedRoot(model_.true_atoms(), model_.false_atoms());
   } else {
     search_->ClearSeed();
@@ -261,13 +261,9 @@ StableResult Solver::StableModels(std::size_t max_models) {
 }
 
 StableResult Solver::StableModels(const StableSearchControl& control) {
-  ParallelSearchResult r = EnsureSearch().Enumerate(control);
+  StableResult r = EnsureSearch().Enumerate(control);
   stats_.search = r.search;
-  StableResult out;
-  out.models = std::move(r.models);
-  out.search = std::move(r.search);
-  out.eval = r.eval;
-  return out;
+  return r;
 }
 
 std::size_t Solver::CountStableModels(std::size_t max_models) {
@@ -277,7 +273,7 @@ std::size_t Solver::CountStableModels(std::size_t max_models) {
 }
 
 std::size_t Solver::CountStableModels(const StableSearchControl& control) {
-  ParallelSearchResult r = EnsureSearch().Count(control);
+  StableResult r = EnsureSearch().Count(control);
   stats_.search = std::move(r.search);
   return stats_.search.models;
 }

@@ -43,7 +43,6 @@
 #include "ground/ground_program.h"
 #include "ground/grounder.h"
 #include "search/stable_search.h"
-#include "stable/backtracking.h"
 #include "util/status.h"
 
 namespace afp {
@@ -94,11 +93,6 @@ struct SolverOptions {
   /// model set and order — at every value; independent of num_threads so
   /// a serving session can size its solve pool and its search pool apart.
   int search_threads = 1;
-  /// Seed the search's root from the session's cached well-founded model
-  /// when one is current (Solve() ran and incremental updates kept it
-  /// fresh), skipping the root's alternating fixpoint. Off = the pinned
-  /// ablation baseline: every StableModels call re-derives the root.
-  bool seed_search = true;
   /// Grounding controls (instantiation mode, semi-naive, simplification).
   GroundOptions ground;
   /// Record the Table-I style trace on kAfp solves (costly; debugging).
@@ -192,14 +186,6 @@ struct RuleUpdateStats {
   EvalStats eval;
 };
 
-/// Result of Solver::StableModels.
-struct StableResult {
-  /// The stable models found (positive-atom sets), in search order.
-  std::vector<Bitset> models;
-  StableSearchStats search;
-  EvalStats eval;
-};
-
 /// A long-lived solving session over one program: owns the parse → ground
 /// pipeline output, the pooled evaluation scratch (EvalContext +
 /// per-worker registry), the cached atom-dependency condensation, and the
@@ -261,8 +247,9 @@ class Solver {
   /// (src/search/), honoring the session's sp_mode / horn_mode /
   /// search_threads. Models arrive in the canonical (sequential
   /// depth-first) order at every thread count. On a solved session the
-  /// root is seeded from the cached well-founded model (see
-  /// SolverOptions::seed_search); the engine itself is cached across
+  /// root is seeded from the cached well-founded model (Solve() ran and
+  /// incremental updates kept it current), skipping the root's
+  /// alternating fixpoint; the engine itself is cached across
   /// calls and dropped whenever the ground program mutates
   /// (AssertFacts / RetractFacts / AddRule / RemoveRule), so a mutated
   /// session never reuses a stale ground-program view.

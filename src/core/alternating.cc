@@ -104,14 +104,6 @@ AfpResult AlternatingFixpointWithContext(EvalContext& ctx,
                                          seed_negatives, options);
 }
 
-AfpResult AlternatingFixpointWithSolver(const HornSolver& solver,
-                                        const Bitset& seed_negatives,
-                                        const AfpOptions& options) {
-  EvalContext ctx;
-  return AlternatingFixpointWithContext(ctx, solver, seed_negatives,
-                                        options);
-}
-
 AfpResult AlternatingFixpoint(const GroundProgram& gp,
                               const AfpOptions& options) {
   EvalContext ctx;

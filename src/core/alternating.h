@@ -62,21 +62,12 @@ AfpResult AlternatingFixpoint(const GroundProgram& gp,
 
 /// As above, but seeds the iteration with Ĩ_0 = `seed_negatives` (a set of
 /// atoms assumed false over the program's full universe), computing the
-/// least fixpoint of X ↦ A_P(X ∪ seed).
-/// Used by the stable-model enumerator: for any stable model M whose
+/// least fixpoint of X ↦ A_P(X ∪ seed). For any stable model M whose
 /// negative part contains the seed, the result under-approximates M
-/// (Ã ⊆ M̃ and S_P(Ã) ... ⊆ M+ need not hold for inconsistent seeds; the
-/// caller re-checks stability at total leaves).
+/// (this need not hold for inconsistent seeds). Only tests call it.
 AfpResult AlternatingFixpointSeeded(const GroundProgram& gp,
                                     const Bitset& seed_negatives,
                                     const AfpOptions& options = {});
-
-/// Convenience: alternating fixpoint on an existing HornSolver (shared
-/// across calls when the same program is solved under many seeds). Uses a
-/// private, throwaway EvalContext.
-AfpResult AlternatingFixpointWithSolver(const HornSolver& solver,
-                                        const Bitset& seed_negatives,
-                                        const AfpOptions& options);
 
 /// The full-control entry point: alternating fixpoint on an existing solver
 /// drawing all scratch from `ctx`. Engines that solve many programs (the

@@ -1,5 +1,6 @@
 #include "parser/parser.h"
 
+#include <string>
 #include <vector>
 
 #include "parser/lexer.h"
@@ -155,6 +156,12 @@ class ParserImpl {
       std::string name = Cur().text;
       Advance();
       if (!At(TokenKind::kLParen)) return program_->Const(name);
+      // An error abandons the whole parse, so the early returns below
+      // need not unwind nesting_.
+      if (++nesting_ > kMaxTermNesting) {
+        return ErrorHere("term nested deeper than " +
+                         std::to_string(kMaxTermNesting) + " levels");
+      }
       Advance();
       std::vector<TermId> args;
       while (true) {
@@ -164,6 +171,7 @@ class ParserImpl {
         Advance();
       }
       AFP_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
+      --nesting_;
       return program_->Compound(name, std::move(args));
     }
     return ErrorHere("expected a term");
@@ -171,6 +179,7 @@ class ParserImpl {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;  // compound terms open around the current token
   Program owned_;
   Program* program_;
 };

@@ -28,6 +28,13 @@ namespace afp {
 /// surfaces as undefined in the well-founded model when the body can hold.
 inline constexpr char kConstraintAtomName[] = "__bot";
 
+/// Deepest compound-term nesting the parser accepts: f(f(a)) nests 2
+/// levels. Terms are parsed recursively, so a bound keeps hostile input
+/// from overflowing the stack; deeper terms fail with InvalidArgument at
+/// the offending '('. The bound leaves room for sanitizer-sized stack
+/// frames and is far beyond any program in the corpus.
+inline constexpr int kMaxTermNesting = 1000;
+
 class Parser {
  public:
   static StatusOr<Program> Parse(std::string_view text);

@@ -8,6 +8,29 @@
 
 namespace afp {
 
+namespace {
+
+/// Conditions `base` on an assumption pair into `*out` (cleared here):
+/// atoms in `assumed_true` become facts; when `delete_false_heads`, rules
+/// whose head is in `assumed_false` are deleted (making those atoms
+/// unfounded in the conditioned program).
+void ConditionOnAssumptions(const RuleView& base, const Bitset& assumed_true,
+                            const Bitset& assumed_false,
+                            bool delete_false_heads, OwnedRules* out) {
+  out->rules.clear();
+  out->pool.clear();
+  out->num_atoms = base.num_atoms;
+  for (const GroundRule& r : base.rules) {
+    if (delete_false_heads && assumed_false.Test(r.head)) continue;
+    out->Add(r.head, base.pos(r), base.neg(r));
+  }
+  assumed_true.ForEach([&](std::size_t a) {
+    out->Add(static_cast<AtomId>(a), {}, {});
+  });
+}
+
+}  // namespace
+
 ParallelStableSearch::ParallelStableSearch(const GroundProgram& gp,
                                            ParallelSearchOptions options)
     : gp_(gp), options_(options) {
@@ -19,8 +42,8 @@ ParallelStableSearch::ParallelStableSearch(const GroundProgram& gp,
   }
   if (!options_.wfs_propagation) {
     // Atoms not derivable even with every negative literal granted can
-    // never belong to a stable model (S_P is monotonic) — the same static
-    // cut the sequential search computes, done once with throwaway scratch.
+    // never belong to a stable model (S_P is monotonic); computed once,
+    // with throwaway scratch.
     EvalContext tmp;
     HornSolver solver(gp_.View(), &tmp);
     Bitset all(gp_.num_atoms());
@@ -45,18 +68,18 @@ void ParallelStableSearch::ClearSeed() {
   seeded_ = false;
 }
 
-ParallelSearchResult ParallelStableSearch::Enumerate(
+StableResult ParallelStableSearch::Enumerate(
     const StableSearchControl& control) {
   return Run(control, /*count_only=*/false);
 }
 
-ParallelSearchResult ParallelStableSearch::Count(
+StableResult ParallelStableSearch::Count(
     const StableSearchControl& control) {
   return Run(control, /*count_only=*/true);
 }
 
-ParallelSearchResult ParallelStableSearch::Run(
-    const StableSearchControl& control, bool count_only) {
+StableResult ParallelStableSearch::Run(const StableSearchControl& control,
+                                       bool count_only) {
   const std::size_t n = gp_.num_atoms();
   int requested = options_.num_threads < 1 ? 1 : options_.num_threads;
   if (requested > 256) requested = 256;  // RunWorkPool's own clamp
@@ -125,7 +148,7 @@ ParallelSearchResult ParallelStableSearch::Run(
         });
   }
 
-  ParallelSearchResult result;
+  StableResult result;
   StableSearchStats& s = result.search;
   for (std::size_t i = 0; i < nw; ++i) {
     const Worker& w = workers_[i];
@@ -193,8 +216,8 @@ void ParallelStableSearch::ExpandNode(WorkPool& pool, std::uint32_t id,
   }
   ++w.nodes;
 
-  // --- Propagate under this node's assumptions (sequential semantics,
-  // worker-local machinery).
+  // --- Propagate under this node's assumptions with worker-local
+  // machinery.
   Bitset decided_true;
   Bitset decided_false;
   if (options_.wfs_propagation) {
@@ -228,7 +251,10 @@ void ParallelStableSearch::ExpandNode(WorkPool& pool, std::uint32_t id,
       ctx.ReleaseRules(std::move(conditioned));
     }
   } else {
-    // Positive-closure-only propagation (the Saccà–Zaniolo ablation).
+    // Positive-closure-only propagation (the Saccà–Zaniolo flavor): derive
+    // what follows from the assumed-false set, detect direct conflicts,
+    // and leave everything else to branching. Single-shot evaluation, so
+    // scratch mode regardless of sp_mode.
     OwnedRules conditioned = ctx.AcquireRules();
     ConditionOnAssumptions(gp_.View(), node->assumed_true,
                            node->assumed_false,

@@ -2,16 +2,21 @@
 #define AFP_SEARCH_STABLE_SEARCH_H_
 
 /// \file
-/// Parallel stable-model search: the guess-and-check branch tree as a
+/// The stable-model search: the guess-and-check branch tree as a
 /// work-sharing pool workload.
 ///
-/// The sequential StableModelSearch (stable/backtracking.h) conditions the
-/// program on an assumed-literal set at every node, runs the alternating
-/// fixpoint of the conditioned program as its pruning propagation, and
-/// branches on the first atom the fixpoint left undecided. Those per-node
-/// fixpoints dominate the cost and are mutually independent once a node's
-/// assumptions are fixed — which makes the branch tree a natural workload
-/// for the worker-pool machinery in exec/scheduler.
+/// Every node of the tree is an assumed-literal set. Expanding a node
+/// conditions the program on its assumptions (assumed-true atoms become
+/// facts; rules for assumed-false atoms are deleted), runs the
+/// alternating fixpoint of the conditioned program as the pruning
+/// propagation, and branches on the first atom the fixpoint left
+/// undecided. Every total leaf is verified against the original program
+/// with the Gelfond–Lifschitz condition. Since every stable model
+/// extends the well-founded partial model (§2.4), the propagation prunes
+/// the tree without losing models. The per-node fixpoints dominate the
+/// cost and are mutually independent once a node's assumptions are fixed
+/// — which makes the branch tree a natural workload for the worker-pool
+/// machinery in exec/scheduler.
 ///
 /// ParallelStableSearch decomposes the tree into work units: one unit =
 /// one branch node, carrying its assumed-true / assumed-false sets (the
@@ -20,14 +25,14 @@
 /// LIFO deque (WorkPool); each worker owns a persistent EvalContext slot
 /// in an EvalContextRegistry plus a rebindable even/odd SpEvaluator pair
 /// (the SCC engine's ComponentSolver pattern), so expanding a node
-/// allocates nothing once the pools are warm. Leaves are verified with
-/// the same incremental IsStableModel path the sequential search uses.
+/// allocates nothing once the pools are warm. At one thread the pool runs
+/// every unit inline on the caller: the exact sequential depth-first
+/// search.
 ///
 /// Determinism argument. Enumeration is bit-identical — model set AND
 /// emission order — at every thread count because
 ///   (1) the branch tree itself is thread-count independent: a node's
-///       propagation depends only on its assumptions (same conditioning,
-///       same fixpoint code as the sequential search), the branch atom is
+///       propagation depends only on its assumptions, the branch atom is
 ///       canonically the first undecided atom, and children are ordered
 ///       assume-false before assume-true;
 ///   (2) workers record results into an explicit tree (node states, never
@@ -44,11 +49,12 @@
 /// model. A session that already holds that model (solved once, or kept
 /// current by incremental repair) passes it to SeedRoot and the engine
 /// copies it instead of re-deriving it; every deeper node still runs its
-/// own conditioned fixpoint. Running unseeded is the pinned ablation
-/// baseline (bench_search measures both). The seed must be THE
+/// own conditioned fixpoint. An engine that is never seeded derives the
+/// root itself (bench_search measures both). The seed must be THE
 /// well-founded model of the engine's program: Solver guarantees this by
 /// dropping its cached engine whenever the ground program mutates.
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -62,7 +68,6 @@
 #include "core/horn_solver.h"
 #include "exec/scheduler.h"
 #include "ground/ground_program.h"
-#include "stable/backtracking.h"
 #include "util/bitset.h"
 
 namespace afp {
@@ -74,9 +79,11 @@ struct ParallelSearchOptions {
   /// (no threads spawned); any value yields the same models in the same
   /// order.
   int num_threads = 1;
-  /// Per-node propagation: full well-founded deduction (default) or the
-  /// positive-Horn-closure-only Saccà–Zaniolo flavor (the ablation of
-  /// stable/backtracking.h, kept comparable here).
+  /// Per-node propagation: full well-founded deduction (default), or only
+  /// the positive Horn closure of the assumed-false set — close in spirit
+  /// to the Saccà–Zaniolo backtracking fixpoint the paper cites (§2.4),
+  /// whose running time "may be unpleasant". bench_stable_np compares the
+  /// two.
   bool wfs_propagation = true;
   SpMode sp_mode = SpMode::kDelta;
   HornMode horn_mode = HornMode::kCounting;
@@ -85,8 +92,57 @@ struct ParallelSearchOptions {
   EvalContextRegistry* registry = nullptr;
 };
 
-/// Result of one Enumerate / Count run.
-struct ParallelSearchResult {
+/// Per-run controls of a stable-model search, separate from the
+/// construction-time ParallelSearchOptions so one engine (with its warm
+/// worker pools) serves many differently-bounded runs.
+struct StableSearchControl {
+  /// Stop after this many models (SIZE_MAX = all). The emitted set is
+  /// exactly the first max_models models of the canonical (sequential
+  /// depth-first) enumeration order at every thread count.
+  std::size_t max_models = static_cast<std::size_t>(-1);
+  /// Wall-clock budget; zero = none. On expiry the run stops expanding
+  /// and returns the models emitted so far — always a prefix of the
+  /// canonical order, but how long a prefix is timing-dependent
+  /// (StableSearchStats::complete reports the cut).
+  std::chrono::nanoseconds timeout{0};
+  /// Optional external cancellation token, read with relaxed loads at
+  /// node granularity. Same prefix semantics as timeout.
+  const std::atomic<bool>* cancel = nullptr;
+};
+
+/// Search statistics of one run.
+struct StableSearchStats {
+  std::size_t nodes = 0;        // search tree nodes visited
+  std::size_t leaves = 0;       // total candidates reached
+  std::size_t stable_checks = 0;
+  std::size_t models = 0;
+  /// Alternating-fixpoint propagations run — one per node under
+  /// wfs_propagation, minus a root seeded from a session's cached model.
+  std::size_t afp_calls = 0;
+  /// Atoms decided by per-node propagation beyond the assumptions
+  /// themselves — the paper's pruning at work: every implied atom halves
+  /// the subtree a blind guess-and-check would have explored.
+  std::size_t implied_atoms = 0;
+  /// Nodes cut without branching or a leaf check (positive-closure
+  /// conflicts under wfs_propagation = false).
+  std::size_t pruned_nodes = 0;
+  /// Pool shape and work-sharing behavior of the run that produced these
+  /// counts.
+  std::size_t num_workers = 1;
+  std::size_t steals = 0;
+  std::size_t idle_waits = 0;
+  std::vector<std::size_t> per_worker_nodes;
+  std::vector<std::size_t> per_worker_steals;
+  /// Whether the root node's propagation was seeded from the session's
+  /// cached well-founded model instead of being re-derived.
+  bool seeded = false;
+  /// False when the run stopped early on timeout or external cancellation
+  /// (exhausting max_models still counts as complete).
+  bool complete = true;
+};
+
+/// Result of one Enumerate / Count run (and of Solver::StableModels).
+struct StableResult {
   /// The stable models (positive-atom sets) in canonical depth-first
   /// order; empty on Count runs.
   std::vector<Bitset> models;
@@ -121,12 +177,12 @@ class ParallelStableSearch {
 
   /// Runs the search; models in canonical order. Re-entrant across calls
   /// (worker pools stay warm), not concurrently.
-  ParallelSearchResult Enumerate(const StableSearchControl& control = {});
+  StableResult Enumerate(const StableSearchControl& control = {});
 
   /// As Enumerate without materializing models (the tree is still walked
   /// and every leaf checked; only the O(models × atoms) storage is
   /// skipped).
-  ParallelSearchResult Count(const StableSearchControl& control = {});
+  StableResult Count(const StableSearchControl& control = {});
 
   /// The program this engine is bound to (Solver's staleness check
   /// compares addresses after a session move).
@@ -179,8 +235,7 @@ class ParallelStableSearch {
 
   static constexpr std::uint32_t kRootNode = 0;
 
-  ParallelSearchResult Run(const StableSearchControl& control,
-                           bool count_only);
+  StableResult Run(const StableSearchControl& control, bool count_only);
   /// The work-unit body: condition + propagate + branch or leaf-check one
   /// node, then record the outcome in the tree.
   void ExpandNode(WorkPool& pool, std::uint32_t id, std::uint32_t worker);

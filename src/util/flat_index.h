@@ -105,21 +105,6 @@ class FlatIndex {
     }
   }
 
-  /// Inserts a key known to be absent (index rebuild paths). The caller
-  /// vouches for absence; no equality check runs.
-  void InsertUnique(std::uint64_t hash, std::uint32_t id) {
-    if ((size_ + 1) * 3 > ids_.size() * 2) Rehash(NextCapacity());
-    Place(hash, id);
-    ++size_;
-  }
-
-  void Clear() {
-    hashes_.clear();
-    ids_.clear();
-    size_ = 0;
-    stats_ = FlatIndexStats{};
-  }
-
   /// Releases the slot arrays entirely (seal paths: dedupe is over and the
   /// index would otherwise idle at program-size footprint).
   void Release() {

@@ -29,7 +29,7 @@
 #include "core/residual.h"
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
-#include "stable/backtracking.h"
+#include "search/stable_search.h"
 #include "stable/enumerate.h"
 #include "wfs/unfounded.h"
 #include "wfs/wp_engine.h"
@@ -187,25 +187,22 @@ TEST(DeltaScratchDifferential, StableSearchAgreesAcrossSpModes) {
     auto ground = Grounder::Ground(p);
     ASSERT_TRUE(ground.ok());
 
-    StableSearchOptions delta_opts;
+    ParallelSearchOptions delta_opts;
     delta_opts.sp_mode = SpMode::kDelta;
-    StableSearchOptions scratch_opts;
+    ParallelSearchOptions scratch_opts;
     scratch_opts.sp_mode = SpMode::kScratch;
-    StableModelSearch delta_search(*ground, delta_opts);
-    StableModelSearch scratch_search(*ground, scratch_opts);
-    auto delta_models = delta_search.Enumerate();
-    auto scratch_models = scratch_search.Enumerate();
-    ASSERT_EQ(delta_models.size(), scratch_models.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < delta_models.size(); ++i) {
-      EXPECT_EQ(delta_models[i], scratch_models[i]) << "seed " << seed;
-    }
-    EXPECT_EQ(delta_search.stats().nodes, scratch_search.stats().nodes);
+    ParallelStableSearch delta_search(*ground, delta_opts);
+    ParallelStableSearch scratch_search(*ground, scratch_opts);
+    StableResult delta = delta_search.Enumerate();
+    StableResult scratch = scratch_search.Enumerate();
+    EXPECT_EQ(delta.models, scratch.models) << "seed " << seed;
+    EXPECT_EQ(delta.search.nodes, scratch.search.nodes);
 
     // And the brute-force enumerator (internally delta-driven) agrees.
     if (ground->num_atoms() <= 16) {
       auto brute = EnumerateStableModelsBruteForce(*ground);
       ASSERT_TRUE(brute.ok());
-      ASSERT_EQ(brute->size(), delta_models.size()) << "seed " << seed;
+      ASSERT_EQ(brute->size(), delta.models.size()) << "seed " << seed;
     }
   }
 }
@@ -323,8 +320,8 @@ TEST(GusDeltaScratchDifferential, WpAndSccEnginesAgreeAcrossGusModes) {
     // And with the stable-model search: every stable model extends the
     // well-founded model the delta GUS computed.
     if (ground->num_atoms() <= 16) {
-      StableModelSearch search(*ground);
-      for (const Bitset& m : search.Enumerate()) {
+      ParallelStableSearch search(*ground);
+      for (const Bitset& m : search.Enumerate().models) {
         EXPECT_TRUE(wp_delta.model.true_atoms().IsSubsetOf(m))
             << "seed " << seed;
         EXPECT_TRUE(wp_delta.model.false_atoms().IsDisjointWith(m))

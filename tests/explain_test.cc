@@ -7,7 +7,7 @@
 
 #include "core/alternating.h"
 #include "ground/grounder.h"
-#include "stable/backtracking.h"
+#include "search/stable_search.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
 
@@ -150,9 +150,9 @@ TEST(Constraints, EliminateStableModels) {
   Program p = std::move(parsed).value();
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
-  StableModelSearch search(*ground);
+  ParallelStableSearch search(*ground);
   // 4 combinations minus {a,c}.
-  EXPECT_EQ(search.Count(), 3u);
+  EXPECT_EQ(search.Count().search.models, 3u);
 }
 
 TEST(Constraints, UnviolatedConstraintIsHarmless) {
@@ -161,9 +161,8 @@ TEST(Constraints, UnviolatedConstraintIsHarmless) {
   Program p = std::move(parsed).value();
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
-  StableModelSearch search(*ground);
-  auto models = search.Enumerate();
-  ASSERT_EQ(models.size(), 1u);
+  ParallelStableSearch search(*ground);
+  ASSERT_EQ(search.Enumerate().models.size(), 1u);
   AfpResult wfs = AlternatingFixpoint(*ground);
   EXPECT_EQ(*QueryAtom(*ground, wfs.model, "p"), TruthValue::kTrue);
 }
@@ -174,8 +173,8 @@ TEST(Constraints, DefinitelyViolatedKillsAllModels) {
   Program p = std::move(parsed).value();
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
-  StableModelSearch search(*ground);
-  EXPECT_EQ(search.Count(), 0u);
+  ParallelStableSearch search(*ground);
+  EXPECT_EQ(search.Count().search.models, 0u);
 }
 
 TEST(Constraints, VariablesAllowedWhenSafe) {

@@ -94,31 +94,9 @@ TEST(FlatIndex, SteadyStateLookupsNeverGrow) {
   EXPECT_EQ(pool.index.stats().grow_allocs, allocs);
 }
 
-TEST(FlatIndex, InsertUniqueRebuildMatchesFindOrInsert) {
-  // Index rebuild path: InsertUnique over known-distinct keys must produce
-  // a probeable index identical to the incremental build.
-  Pool incremental;
-  for (std::uint32_t i = 0; i < 500; ++i) incremental.Intern(i * 7919u);
-
-  Pool rebuilt;
-  rebuilt.keys = incremental.keys;
-  rebuilt.index.Reserve(rebuilt.keys.size());
-  for (std::uint32_t i = 0; i < rebuilt.keys.size(); ++i) {
-    rebuilt.index.InsertUnique(Pool::Hash(rebuilt.keys[i]), i);
-  }
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    ASSERT_EQ(rebuilt.Find(i * 7919u), incremental.Find(i * 7919u));
-  }
-}
-
 TEST(FlatIndex, ClearAndReleaseResetState) {
   Pool pool;
   for (std::uint32_t i = 0; i < 100; ++i) pool.Intern(i);
-  pool.index.Clear();
-  pool.keys.clear();
-  EXPECT_EQ(pool.index.size(), 0u);
-  EXPECT_EQ(pool.Find(5), FlatIndex::kNotFound);
-  EXPECT_EQ(pool.Intern(5), 0u);  // reusable after Clear
 
   pool.index.Release();
   EXPECT_EQ(pool.index.size(), 0u);

@@ -107,8 +107,8 @@ TEST(Integration, StableAndWfsPipelinesCompose) {
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->afp.model.IsTotal());
 
-  StableModelSearch search(sol->ground);
-  auto models = search.Enumerate();
+  ParallelStableSearch search(sol->ground);
+  auto models = search.Enumerate().models;
   ASSERT_EQ(models.size(), 1u);
   EXPECT_EQ(models[0], sol->afp.model.true_atoms());
 

@@ -1,7 +1,8 @@
-// The parallel stable-model search (src/search/): bit-identical
-// enumeration — model set AND emission order — at every thread count,
-// differential against the sequential search and the brute-force
-// enumerator, prefix-exact max_models / cancellation / timeout, and the
+// The stable-model search (src/search/): bit-identical enumeration —
+// model set AND emission order — at every thread count (2/4/8 threads
+// against the 1-thread sequential run), golden fingerprints of the
+// emission sequence and tree shape, a brute-force differential on the
+// model set, prefix-exact max_models / cancellation / timeout, and the
 // Solver integration (well-founded seeding, cached-engine invalidation
 // on session mutation). The suite names match the TSan CI lane regex
 // ('(Scheduler|Parallel|Serving)'), so every differential here also runs
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,7 +25,6 @@
 #include "afp/solver.h"
 #include "ast/program.h"
 #include "ground/grounder.h"
-#include "stable/backtracking.h"
 #include "stable/enumerate.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
@@ -87,21 +88,25 @@ std::vector<Bitset> Sorted(std::vector<Bitset> models) {
   return models;
 }
 
-// The core differential: the parallel engine must reproduce the
-// sequential search's model list EXACTLY (set and order) at every thread
-// count, and — on full enumerations — grow the identical branch tree.
-void ExpectMatchesSequential(const GroundProgram& gp, bool wfs_propagation) {
-  StableSearchOptions seq_opts;
-  seq_opts.wfs_propagation = wfs_propagation;
-  StableModelSearch seq(gp, seq_opts);
-  const std::vector<Bitset> expected = seq.Enumerate();
+StableResult EnumerateWith(const GroundProgram& gp, int threads,
+                           bool wfs_propagation) {
+  ParallelSearchOptions po;
+  po.num_threads = threads;
+  po.wfs_propagation = wfs_propagation;
+  ParallelStableSearch search(gp, po);
+  return search.Enumerate();
+}
 
-  for (int threads : kThreadCounts) {
-    ParallelSearchOptions po;
-    po.num_threads = threads;
-    po.wfs_propagation = wfs_propagation;
-    ParallelStableSearch par(gp, po);
-    ParallelSearchResult r = par.Enumerate();
+// The core differential: every thread count must reproduce the 1-thread
+// run — the sequential depth-first search, which the golden fingerprints
+// below pin — EXACTLY (set and order), and grow the identical branch tree.
+void ExpectMatchesSequential(const GroundProgram& gp, bool wfs_propagation) {
+  const StableResult seq = EnumerateWith(gp, 1, wfs_propagation);
+  const std::vector<Bitset>& expected = seq.models;
+  EXPECT_TRUE(seq.search.complete);
+
+  for (int threads : {2, 4, 8}) {
+    StableResult r = EnumerateWith(gp, threads, wfs_propagation);
     ASSERT_EQ(r.models.size(), expected.size())
         << "threads=" << threads << " wfs=" << wfs_propagation;
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -110,9 +115,9 @@ void ExpectMatchesSequential(const GroundProgram& gp, bool wfs_propagation) {
     }
     // Same propagation + same canonical branch atom => the same tree,
     // regardless of how it was carved up across workers.
-    EXPECT_EQ(r.search.nodes, seq.stats().nodes) << "threads=" << threads;
-    EXPECT_EQ(r.search.leaves, seq.stats().leaves) << "threads=" << threads;
-    EXPECT_EQ(r.search.implied_atoms, seq.stats().implied_atoms)
+    EXPECT_EQ(r.search.nodes, seq.search.nodes) << "threads=" << threads;
+    EXPECT_EQ(r.search.leaves, seq.search.leaves) << "threads=" << threads;
+    EXPECT_EQ(r.search.implied_atoms, seq.search.implied_atoms)
         << "threads=" << threads;
     EXPECT_TRUE(r.search.complete);
     EXPECT_EQ(r.search.num_workers, static_cast<std::size_t>(threads));
@@ -181,7 +186,7 @@ TEST(ParallelSearch, NoModelsOnOddLoop) {
     ParallelSearchOptions po;
     po.num_threads = threads;
     ParallelStableSearch par(gp, po);
-    ParallelSearchResult r = par.Enumerate();
+    StableResult r = par.Enumerate();
     EXPECT_TRUE(r.models.empty());
     EXPECT_TRUE(r.search.complete);
   }
@@ -190,8 +195,8 @@ TEST(ParallelSearch, NoModelsOnOddLoop) {
 TEST(ParallelSearch, MaxModelsIsPrefixExact) {
   Program p = workload::EvenNegativeCycles(6);
   GroundProgram gp = MustGround(p);
-  StableModelSearch seq(gp);
-  const std::vector<Bitset> all = seq.Enumerate();
+  const std::vector<Bitset> all =
+      EnumerateWith(gp, 1, /*wfs_propagation=*/true).models;
   ASSERT_EQ(all.size(), 64u);
 
   for (int threads : {1, 4, 8}) {
@@ -202,7 +207,7 @@ TEST(ParallelSearch, MaxModelsIsPrefixExact) {
       ParallelStableSearch par(gp, po);
       StableSearchControl control;
       control.max_models = k;
-      ParallelSearchResult r = par.Enumerate(control);
+      StableResult r = par.Enumerate(control);
       ASSERT_EQ(r.models.size(), k) << "threads=" << threads;
       // Not just any k models: the FIRST k of the canonical order.
       for (std::size_t i = 0; i < k; ++i) {
@@ -224,7 +229,7 @@ TEST(ParallelSearch, PreCancelledTokenStopsImmediately) {
     ParallelStableSearch par(gp, po);
     StableSearchControl control;
     control.cancel = &cancel;
-    ParallelSearchResult r = par.Enumerate(control);
+    StableResult r = par.Enumerate(control);
     EXPECT_TRUE(r.models.empty());
     EXPECT_FALSE(r.search.complete);
   }
@@ -239,7 +244,7 @@ TEST(ParallelSearch, ExpiredTimeoutGivesEmptyPrefixAndIncomplete) {
     ParallelStableSearch par(gp, po);
     StableSearchControl control;
     control.timeout = std::chrono::nanoseconds(1);
-    ParallelSearchResult r = par.Enumerate(control);
+    StableResult r = par.Enumerate(control);
     EXPECT_TRUE(r.models.empty());
     EXPECT_FALSE(r.search.complete);
   }
@@ -252,10 +257,10 @@ TEST(ParallelSearch, CountMatchesEnumerate) {
     ParallelSearchOptions po;
     po.num_threads = threads;
     ParallelStableSearch par(gp, po);
-    ParallelSearchResult counted = par.Count();
+    StableResult counted = par.Count();
     EXPECT_TRUE(counted.models.empty());
     EXPECT_EQ(counted.search.models, 64u) << "threads=" << threads;
-    ParallelSearchResult enumerated = par.Enumerate();  // engine is reusable
+    StableResult enumerated = par.Enumerate();  // engine is reusable
     EXPECT_EQ(enumerated.models.size(), 64u) << "threads=" << threads;
     EXPECT_EQ(enumerated.search.nodes, counted.search.nodes);
   }
@@ -269,12 +274,12 @@ TEST(ParallelSearch, SeededRootMatchesUnseededAndSkipsOneFixpoint) {
   ParallelSearchOptions po;
   po.num_threads = 4;
   ParallelStableSearch unseeded(gp, po);
-  ParallelSearchResult base = unseeded.Enumerate();
+  StableResult base = unseeded.Enumerate();
   ASSERT_FALSE(base.search.seeded);
 
   ParallelStableSearch seeded(gp, po);
   seeded.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
-  ParallelSearchResult r = seeded.Enumerate();
+  StableResult r = seeded.Enumerate();
   EXPECT_TRUE(r.search.seeded);
   ASSERT_EQ(r.models.size(), base.models.size());
   for (std::size_t i = 0; i < r.models.size(); ++i) {
@@ -283,6 +288,141 @@ TEST(ParallelSearch, SeededRootMatchesUnseededAndSkipsOneFixpoint) {
   // Same tree, one fewer alternating fixpoint (the root's).
   EXPECT_EQ(r.search.nodes, base.search.nodes);
   EXPECT_EQ(r.search.afp_calls + 1, base.search.afp_calls);
+}
+
+// --- Golden enumeration fingerprints -------------------------------------
+//
+// The emitted model sequence and the shape of the branch tree are the
+// search's contract. A fingerprint hashes every model in emission order
+// (a boundary word, then its atom ids) followed by nodes, leaves and
+// implied_atoms, so a reordered model, a different branch atom or a lost
+// implied atom changes it. The expected values were recorded with the
+// recursive sequential search that the 1-thread mode replaced; every
+// thread count must reproduce them. RandomPropositional depends on
+// libstdc++'s <random> distributions.
+
+std::uint64_t EnumerationFingerprint(const std::vector<Bitset>& models,
+                                     const StableSearchStats& s) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over 64-bit words
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (const Bitset& m : models) {
+    mix(~std::uint64_t{0});
+    m.ForEach([&](std::size_t a) { mix(a); });
+  }
+  mix(s.nodes);
+  mix(s.leaves);
+  mix(s.implied_atoms);
+  return h;
+}
+
+/// Every fingerprinted input, in table order: the corpus files (each at
+/// most 128 atoms under full grounding), then the generator families the
+/// differentials above use.
+std::vector<std::pair<std::string, Program>> GoldenSearchInputs() {
+  constexpr const char* kFiles[] = {
+      "double_negation.lp", "even_cycle.lp", "example31.lp", "example51.lp",
+      "facts_only.lp", "growth_function_terms.lp", "growth_new_constants.lp",
+      "growth_win_move_frontier.lp", "odd_loop.lp", "tc_ntc.lp",
+      "win_move_fig4a.lp", "win_move_fig4b.lp", "win_move_fig4c.lp",
+  };
+  std::vector<std::pair<std::string, Program>> out;
+  for (const char* file : kFiles) {
+    std::ifstream in(std::filesystem::path(AFP_LP_CORPUS_DIR) / file);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    auto parsed = ParseProgram(ss.str());
+    EXPECT_TRUE(parsed.ok()) << file << ": " << parsed.status().ToString();
+    if (parsed.ok()) out.emplace_back(file, std::move(parsed).value());
+  }
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    out.emplace_back("RandomPropositional(8,14,2,50," +
+                         std::to_string(seed) + ")",
+                     workload::RandomPropositional(8, 14, 2, 50, seed));
+  }
+  out.emplace_back("EvenCycleClusters(5,6)",
+                   workload::EvenCycleClusters(5, 6));
+  out.emplace_back("EvenNegativeCycles(6)", workload::EvenNegativeCycles(6));
+  return out;
+}
+
+struct SearchGolden {
+  const char* input;
+  std::uint64_t wfs;  // wfs_propagation = true
+  /// wfs_propagation = false; 0 = not run. Positive-closure propagation
+  /// never decides a chain atom false, so on EvenCycleClusters(5,6) it
+  /// branches on all 40 atoms.
+  std::uint64_t positive;
+};
+
+constexpr SearchGolden kSearchGolden[] = {
+    {"double_negation.lp", 0xa710581ff5eb959ull, 0x2d1dbc82130478a4ull},
+    {"even_cycle.lp", 0xc4b16c1b017cdf09ull, 0xd5f3631b0b3e6adfull},
+    {"example31.lp", 0x669b3851f6c47979ull, 0xbd22415227c03e87ull},
+    {"example51.lp", 0x21eaac9529dc20daull, 0x785023955abbba6cull},
+    {"facts_only.lp", 0x592a2e799f5ec411ull, 0x592a2e799f5ec411ull},
+    {"growth_function_terms.lp", 0x84f5de3d3b19420aull, 0x84f5de3d3b19420aull},
+    {"growth_new_constants.lp", 0x81870ef17e3ac1eaull, 0x4d9f2ff160d94234ull},
+    {"growth_win_move_frontier.lp",
+     0xf02aa590c1930be5ull, 0x241ccb90defd58c5ull},
+    {"odd_loop.lp", 0x8f4ea04f2be01cd2ull, 0x8f4b3a4f2bdd39a9ull},
+    {"tc_ntc.lp", 0x26704d107fcee3cbull, 0xc786fe17a5758c13ull},
+    {"win_move_fig4a.lp", 0xfdf9932997d8b5bfull, 0x7721af29dc6f1be7ull},
+    {"win_move_fig4b.lp", 0xf0d78ba08884ca66ull, 0x361348a0afb7d1aaull},
+    {"win_move_fig4c.lp", 0x4500862c8eadc8e8ull, 0x2261312c7b133a7full},
+    {"RandomPropositional(8,14,2,50,0)",
+     0x8f4eac4f2be03136ull, 0x19f4244f7a6bfa1aull},
+    {"RandomPropositional(8,14,2,50,1)",
+     0x5f24384fa193daaeull, 0x44344450b451976bull},
+    {"RandomPropositional(8,14,2,50,2)",
+     0xd4a7d64f532b3c40ull, 0xe9ab984ff0067d3bull},
+    {"RandomPropositional(8,14,2,50,3)",
+     0xf755054f66d1c773ull, 0x44303f50b44da615ull},
+    {"RandomPropositional(8,14,2,50,4)",
+     0xc33d674f4947926eull, 0x4b63164cc14349beull},
+    {"RandomPropositional(8,14,2,50,5)",
+     0x2186d777c8bc219aull, 0xafcec478aa465cf2ull},
+    {"RandomPropositional(8,14,2,50,6)",
+     0x7fec65f29f7d8e17ull, 0xd6a340f2d0a228bdull},
+    {"RandomPropositional(8,14,2,50,7)",
+     0xa6a90cdd90f5ebdeull, 0x579a72de86234750ull},
+    {"RandomPropositional(8,14,2,50,8)",
+     0x93131a4fbefb7e2bull, 0x85dcd0504891acfaull},
+    {"RandomPropositional(8,14,2,50,9)",
+     0xb1e0424f3f6ef0b6ull, 0xa84240505bfaf0fdull},
+    {"RandomPropositional(8,14,2,50,10)",
+     0x28450f4f44b84c3dull, 0x84155a4dc590cd73ull},
+    {"RandomPropositional(8,14,2,50,11)",
+     0x8f4eac4f2be03136ull, 0xf7330d4f66b4eea5ull},
+    {"EvenCycleClusters(5,6)", 0x3c01dc48c11c6ca0ull, 0},
+    {"EvenNegativeCycles(6)", 0xc5eab3ed4dc0e6caull, 0xf064c1f829e8d86full},
+};
+
+TEST(ParallelSearch, GoldenFingerprintsPinEnumeration) {
+  auto inputs = GoldenSearchInputs();
+  EXPECT_EQ(inputs.size(), std::size(kSearchGolden));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const std::string& name = inputs[i].first;
+    const SearchGolden want = i < std::size(kSearchGolden)
+                                  ? kSearchGolden[i]
+                                  : SearchGolden{"", 0, 0};
+    EXPECT_EQ(name, want.input);
+    GroundProgram gp = MustGround(inputs[i].second);
+    for (bool wfs : {true, false}) {
+      const std::uint64_t expected = wfs ? want.wfs : want.positive;
+      if (!wfs && expected == 0) continue;
+      for (int threads : kThreadCounts) {
+        const StableResult r = EnumerateWith(gp, threads, wfs);
+        EXPECT_TRUE(r.search.complete) << name;
+        const std::uint64_t got = EnumerationFingerprint(r.models, r.search);
+        EXPECT_EQ(got, expected) << name << " threads=" << threads
+                                 << " wfs=" << wfs << std::hex
+                                 << " got 0x" << got;
+      }
+    }
+  }
 }
 
 // --- Solver integration -------------------------------------------------
@@ -312,18 +452,6 @@ TEST(ParallelSearchSolver, SolvedSessionSeedsTheRoot) {
   // The receipt is surfaced through the session stats (CLI --stats).
   EXPECT_EQ(warm.Stats().search.models, warm_r.models.size());
   EXPECT_EQ(warm.Stats().search.num_workers, 4u);
-
-  SolverOptions ablation = o;
-  ablation.seed_search = false;  // pinned re-solve-from-scratch baseline
-  Solver unseeded = MustCreate(workload::EvenNegativeCycles(5), ablation);
-  unseeded.Solve();
-  StableResult ab_r = unseeded.StableModels();
-  EXPECT_FALSE(ab_r.search.seeded);
-  EXPECT_EQ(ab_r.search.afp_calls, cold_r.search.afp_calls);
-  ASSERT_EQ(ab_r.models.size(), warm_r.models.size());
-  for (std::size_t i = 0; i < ab_r.models.size(); ++i) {
-    EXPECT_EQ(ab_r.models[i], warm_r.models[i]) << "model " << i;
-  }
 }
 
 TEST(ParallelSearchSolver, ThreadCountsAgreeThroughTheFacade) {

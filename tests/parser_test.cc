@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "parser/lexer.h"
 
 namespace afp {
@@ -126,6 +128,32 @@ TEST(Parser, AcceptsGroundNegation) {
 TEST(Parser, VariablesOnlyInPositiveBodyAreFine) {
   auto p = Parser::Parse("reach(Y) :- reach(X), e(X,Y). reach(a).");
   EXPECT_TRUE(p.ok()) << p.status().ToString();
+}
+
+std::string NestedFact(int levels) {
+  std::string text = "p(";
+  for (int i = 0; i < levels; ++i) text += "f(";
+  text += "a";
+  text.append(static_cast<std::size_t>(levels) + 1, ')');
+  return text + ".";
+}
+
+TEST(Parser, RejectsTermNestingPastTheLimit) {
+  auto at_limit = Parser::Parse(NestedFact(kMaxTermNesting));
+  EXPECT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+
+  // Reported at the first '(' past the limit: after "p(" and 1000 "f(",
+  // the next "f" sits at column 2003 and its '(' at 2004.
+  auto past = Parser::Parse(NestedFact(kMaxTermNesting + 1));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(past.status().message().find("at 1:2004:"), std::string::npos)
+      << past.status().message();
+
+  // 200k levels used to overflow the stack of the recursive term parser.
+  auto hostile = Parser::Parse(NestedFact(200000));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Parser, EmptyInput) {

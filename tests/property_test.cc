@@ -11,7 +11,7 @@
 #include "core/scc_engine.h"
 #include "fitting/fitting.h"
 #include "ground/grounder.h"
-#include "stable/backtracking.h"
+#include "search/stable_search.h"
 #include "stable/gl_transform.h"
 #include "wfs/wp_engine.h"
 #include "workload/graphs.h"
@@ -148,8 +148,8 @@ TEST_P(RandomProgramProperty, StableModelsExtendWfsAndAreStable) {
     if (gp.num_atoms() > 16) continue;  // keep enumeration cheap
     AfpResult wfs = AlternatingFixpoint(gp);
     HornSolver solver(gp.View());
-    StableModelSearch search(gp);
-    auto models = search.Enumerate();
+    ParallelStableSearch search(gp);
+    const std::vector<Bitset> models = search.Enumerate().models;
     for (const Bitset& m : models) {
       EXPECT_TRUE(wfs.model.true_atoms().IsSubsetOf(m)) << "seed " << seed;
       EXPECT_TRUE(wfs.model.false_atoms().IsDisjointWith(m))

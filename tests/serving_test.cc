@@ -391,7 +391,9 @@ TEST(ServingParallel, RuleOpsUnderLockFreeReaders) {
   std::atomic<std::uint64_t> reads{0};
   auto reader = [&] {
     std::uint64_t last_version = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
+    // At least one read per reader: on a loaded machine the writes can
+    // all finish before a reader thread is first scheduled.
+    do {
       SnapshotPtr snap = srv->snapshot();
       EXPECT_GE(snap->version, last_version);
       last_version = snap->version;
@@ -399,7 +401,7 @@ TEST(ServingParallel, RuleOpsUnderLockFreeReaders) {
       (void)srv->QueryBatchIds(ids);
       (void)srv->Query("z(a)");  // text path: may or may not exist yet
       reads.fetch_add(1, std::memory_order_relaxed);
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   };
   std::thread r1(reader), r2(reader), r3(reader);
 

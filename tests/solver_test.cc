@@ -22,7 +22,7 @@
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
 #include "parser/parser.h"
-#include "stable/backtracking.h"
+#include "search/stable_search.h"
 #include "wfs/wp_engine.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
@@ -196,11 +196,11 @@ TEST(Solver, StableModelsMatchDirectSearch) {
     ASSERT_TRUE(parsed.ok());
     Program p = std::move(parsed).value();
     GroundProgram gp = MustGround(p);
-    StableModelSearch direct(gp);
+    ParallelStableSearch direct(gp);
     auto solver = Solver::FromText(text);
     ASSERT_TRUE(solver.ok());
     StableResult r = solver->StableModels();
-    EXPECT_EQ(r.models, direct.Enumerate());
+    EXPECT_EQ(r.models, direct.Enumerate().models);
     EXPECT_GT(r.search.nodes, 0u);
   }
 }

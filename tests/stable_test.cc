@@ -1,14 +1,13 @@
 // Stable models (§4, §2.4): GL transform, stability checks, brute-force vs
 // backtracking enumeration, and the paper's WFS/stable relationships.
 
-#include "stable/backtracking.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/alternating.h"
 #include "ground/grounder.h"
+#include "search/stable_search.h"
 #include "stable/enumerate.h"
 #include "stable/gl_transform.h"
 #include "workload/graphs.h"
@@ -83,9 +82,8 @@ TEST(StableModels, EvenCycleHasTwoModels) {
   ASSERT_TRUE(brute.ok());
   EXPECT_EQ(brute->size(), 2u);
 
-  StableModelSearch search(gp);
-  auto models = search.Enumerate();
-  EXPECT_EQ(models.size(), 2u);
+  ParallelStableSearch search(gp);
+  EXPECT_EQ(search.Enumerate().models.size(), 2u);
 }
 
 TEST(StableModels, OddLoopHasNoModel) {
@@ -96,16 +94,16 @@ TEST(StableModels, OddLoopHasNoModel) {
   auto brute = EnumerateStableModelsBruteForce(gp);
   ASSERT_TRUE(brute.ok());
   EXPECT_TRUE(brute->empty());
-  StableModelSearch search(gp);
-  EXPECT_EQ(search.Count(), 0u);
+  ParallelStableSearch search(gp);
+  EXPECT_EQ(search.Count().search.models, 0u);
 }
 
 TEST(StableModels, CountGrowsAsTwoToTheK) {
   for (int k = 1; k <= 4; ++k) {
     Program p = workload::EvenNegativeCycles(k);
     GroundProgram gp = MustGround(p);
-    StableModelSearch search(gp);
-    EXPECT_EQ(search.Count(), (1u << k)) << "k=" << k;
+    ParallelStableSearch search(gp);
+    EXPECT_EQ(search.Count().search.models, (1u << k)) << "k=" << k;
   }
 }
 
@@ -118,8 +116,8 @@ TEST(StableModels, BacktrackingMatchesBruteForce) {
     auto brute = EnumerateStableModelsBruteForce(gp);
     ASSERT_TRUE(brute.ok());
 
-    StableModelSearch search(gp);
-    auto models = search.Enumerate();
+    ParallelStableSearch search(gp);
+    auto models = search.Enumerate().models;
 
     auto canon = [&](const std::vector<Bitset>& ms) {
       std::vector<std::vector<std::string>> out;
@@ -137,13 +135,14 @@ TEST(StableModels, NaivePropagationAgreesWithWfsPropagation) {
         /*num_atoms=*/8, /*num_rules=*/14, /*body_len=*/2,
         /*neg_prob_percent=*/50, seed);
     GroundProgram gp = MustGround(p);
-    StableSearchOptions wfs_opts;
+    ParallelSearchOptions wfs_opts;
     wfs_opts.wfs_propagation = true;
-    StableSearchOptions naive_opts;
+    ParallelSearchOptions naive_opts;
     naive_opts.wfs_propagation = false;
-    StableModelSearch s1(gp, wfs_opts);
-    StableModelSearch s2(gp, naive_opts);
-    EXPECT_EQ(s1.Count(), s2.Count()) << "seed " << seed;
+    ParallelStableSearch s1(gp, wfs_opts);
+    ParallelStableSearch s2(gp, naive_opts);
+    EXPECT_EQ(s1.Count().search.models, s2.Count().search.models)
+        << "seed " << seed;
   }
 }
 
@@ -152,16 +151,17 @@ TEST(StableModels, WfsPruningVisitsFewerNodes) {
   // WFS propagation decides everything without branching.
   Program p = workload::WinMove(graphs::Chain(10));
   GroundProgram gp = MustGround(p);
-  StableSearchOptions wfs_opts;
-  StableModelSearch s1(gp, wfs_opts);
-  EXPECT_EQ(s1.Count(), 1u);
-  EXPECT_EQ(s1.stats().nodes, 1u);  // no branching needed
+  ParallelStableSearch s1(gp);
+  const StableSearchStats wfs = s1.Count().search;
+  EXPECT_EQ(wfs.models, 1u);
+  EXPECT_EQ(wfs.nodes, 1u);  // no branching needed
 
-  StableSearchOptions naive_opts;
+  ParallelSearchOptions naive_opts;
   naive_opts.wfs_propagation = false;
-  StableModelSearch s2(gp, naive_opts);
-  EXPECT_EQ(s2.Count(), 1u);
-  EXPECT_GT(s2.stats().nodes, s1.stats().nodes);
+  ParallelStableSearch s2(gp, naive_opts);
+  const StableSearchStats naive = s2.Count().search;
+  EXPECT_EQ(naive.models, 1u);
+  EXPECT_GT(naive.nodes, wfs.nodes);
 }
 
 // --- relationships the paper states (§2.4) ---
@@ -173,8 +173,8 @@ TEST(StableModels, EveryStableModelContainsWellFoundedModel) {
         /*neg_prob_percent=*/50, seed);
     GroundProgram gp = MustGround(p);
     AfpResult wfs = AlternatingFixpoint(gp);
-    StableModelSearch search(gp);
-    for (const Bitset& m : search.Enumerate()) {
+    ParallelStableSearch search(gp);
+    for (const Bitset& m : search.Enumerate().models) {
       EXPECT_TRUE(wfs.model.true_atoms().IsSubsetOf(m)) << "seed " << seed;
       EXPECT_TRUE(wfs.model.false_atoms().IsDisjointWith(m))
           << "seed " << seed;
@@ -189,8 +189,8 @@ TEST(StableModels, TotalWellFoundedModelIsUniqueStableModel) {
     GroundProgram gp = MustGround(p);
     AfpResult wfs = AlternatingFixpoint(gp);
     ASSERT_TRUE(wfs.model.IsTotal());
-    StableModelSearch search(gp);
-    auto models = search.Enumerate();
+    ParallelStableSearch search(gp);
+    auto models = search.Enumerate().models;
     ASSERT_EQ(models.size(), 1u);
     EXPECT_EQ(models[0], wfs.model.true_atoms());
   }
@@ -204,8 +204,8 @@ TEST(StableModels, StableModelsAreFixpointsOfAp) {
         /*neg_prob_percent=*/60, seed);
     GroundProgram gp = MustGround(p);
     HornSolver solver(gp.View());
-    StableModelSearch search(gp);
-    for (const Bitset& m : search.Enumerate()) {
+    ParallelStableSearch search(gp);
+    for (const Bitset& m : search.Enumerate().models) {
       Bitset neg = Bitset::ComplementOf(m);
       Bitset s1 = Bitset::ComplementOf(solver.EventualConsequences(neg));
       Bitset a_p = Bitset::ComplementOf(solver.EventualConsequences(s1));
@@ -225,10 +225,10 @@ TEST(StableModels, BruteForceGuardsUniverseSize) {
 TEST(StableModels, MaxModelsStopsEarly) {
   Program p = workload::EvenNegativeCycles(6);
   GroundProgram gp = MustGround(p);
-  StableSearchOptions opts;
-  opts.max_models = 3;
-  StableModelSearch search(gp, opts);
-  EXPECT_EQ(search.Enumerate().size(), 3u);
+  StableSearchControl control;
+  control.max_models = 3;
+  ParallelStableSearch search(gp);
+  EXPECT_EQ(search.Enumerate(control).models.size(), 3u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include "core/alternating.h"
 #include "ground/grounder.h"
-#include "stable/backtracking.h"
+#include "search/stable_search.h"
 #include "stratified/inflationary.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
@@ -75,8 +75,8 @@ TEST(Stratified, AgreesWithWfsAndStableOnStratifiedPrograms) {
     EXPECT_TRUE(wfs.model.IsTotal()) << "seed " << seed;
     EXPECT_EQ(strat->model, wfs.model) << "seed " << seed;
 
-    StableModelSearch search(gp);
-    auto models = search.Enumerate();
+    ParallelStableSearch search(gp);
+    auto models = search.Enumerate().models;
     ASSERT_EQ(models.size(), 1u) << "seed " << seed;
     EXPECT_EQ(models[0], wfs.model.true_atoms()) << "seed " << seed;
   }

@@ -558,8 +558,8 @@ int main(int argc, char** argv) {
   }
   if (opts.semantics == "stable") {
     // Solve first: the session's well-founded model seeds the search's
-    // root node (SolverOptions::seed_search), so enumeration starts from
-    // the partial model this session already paid for.
+    // root node, so enumeration starts from the partial model this
+    // session already paid for.
     solver.Solve();
     afp::StableResult r = solver.StableModels(opts.max_models);
     std::cout << "% " << r.models.size() << " stable model(s)\n";
