@@ -17,9 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
-#include <thread>
 
 #include "afp/solver.h"
 #include "core/alternating.h"
@@ -315,66 +313,6 @@ void BM_SingleSpNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleSpNaive);
 
-// The thread-scaling axis: win-move over a clustered graph whose
-// condensation has wide antichains (64-node strongly connected clusters,
-// sparse forward wiring), solved by the wavefront scheduler at 1/2/4
-// workers. The 1-thread row runs the plain sequential path — the
-// scheduler only engages past one worker — so speedups are relative to
-// the exact engine single-threaded users get. run_benches.sh distills
-// these into the "threads" axis of BENCH_ablation_axis.json and
-// check_ablation_axis.py gates the speedups (wall-clock, so the gate
-// applies only when the recording machine has the cores to show it;
-// hardware_concurrency is recorded alongside).
-std::unique_ptr<afp::Program> g_cluster_program;
-std::unique_ptr<afp::GroundProgram> g_cluster_ground;
-
-const afp::GroundProgram& ClusteredWinMoveInstance(int n) {
-  static int current_n = -1;
-  if (current_n != n) {
-    g_cluster_ground.reset();
-    const int clusters = n / 64;
-    g_cluster_program = std::make_unique<afp::Program>(
-        afp::workload::WinMove(afp::graphs::ClusteredScc(
-            clusters, /*cluster_size=*/64, /*intra_per_cluster=*/128,
-            /*inter_edges=*/clusters, /*seed=*/17)));
-    auto g = afp::Grounder::Ground(*g_cluster_program);
-    g_cluster_ground = std::make_unique<afp::GroundProgram>(std::move(g).value());
-    current_n = n;
-  }
-  return *g_cluster_ground;
-}
-
-void BM_ThreadsWinMove(benchmark::State& state) {
-  const auto& gp = ClusteredWinMoveInstance(static_cast<int>(state.range(0)));
-  afp::SccOptions opts;
-  opts.num_threads = static_cast<int>(state.range(1));
-  afp::EvalContextRegistry registry;  // warm worker pools across iterations
-  opts.registry = &registry;
-  // The sequential 1-thread row solves out of `ctx` (the registry only
-  // serves workers), so keep it warm across iterations too — otherwise
-  // the gated speedups would measure pool warm-up asymmetry on top of
-  // scheduler scaling.
-  afp::EvalContext ctx;
-  std::size_t components = 0;
-  std::size_t max_width = 0;
-  for (auto _ : state) {
-    afp::SccWfsResult r = afp::WellFoundedSccWithContext(ctx, gp, opts);
-    benchmark::DoNotOptimize(r);
-    components = r.num_components;
-    max_width = r.sched.MaxWavefrontWidth();
-  }
-  state.counters["threads"] = static_cast<double>(opts.num_threads);
-  state.counters["components"] = static_cast<double>(components);
-  state.counters["max_wavefront_width"] = static_cast<double>(max_width);
-  state.counters["hardware_concurrency"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ThreadsWinMove)
-    ->Args({4096, 1})
-    ->Args({4096, 2})
-    ->Args({4096, 4})
-    ->UseRealTime();
-
 // The borrowed-view unfounded-set axis (GusEvaluator::EvalSupported vs
 // Eval): a steady-state call on the Example 8.2 chain at n=1024, where
 // Eval's only extra work over EvalSupported is materializing U_P —
@@ -574,88 +512,7 @@ void BM_FullUpdateClusteredWinMove(benchmark::State& state) {
 }
 BENCHMARK(BM_FullUpdateClusteredWinMove)->Arg(4096);
 
-// (7) the scratch axis: SccResolveDownstream's per-update bookkeeping
-// with a Solver-style persistent SccUpdateScratch (epoch stamps, nothing
-// cleared per update) vs the old call-local allocate-and-zero floor. The
-// workload is built so the floor is ALL the work: win-move over a chain
-// has ~2n singleton components, and toggling the chain-head move fact
-// re-solves a downstream closure of exactly two of them — so the
-// persistent/fresh ratio is the O(num_components) memset cost itself.
-void RunScratchUpdate(benchmark::State& state, bool persistent) {
-  const int n = static_cast<int>(state.range(0));
-  afp::Program program = afp::workload::WinMove(afp::graphs::Chain(n));
-  auto ground = afp::Grounder::Ground(program);
-  if (!ground.ok()) {
-    state.SkipWithError("grounding failed");
-    return;
-  }
-  afp::GroundProgram gp = std::move(ground).value();
-  afp::AtomDependencyGraph graph(gp.View());
-  auto buckets = afp::ComponentRuleBuckets(gp.View(), graph);
-  afp::EvalContext ctx;
-  afp::SccOptions opts;
-  afp::SccWfsResult base =
-      afp::WellFoundedSccOnGraph(ctx, gp.View(), graph, buckets, opts);
-  afp::PartialModel model = std::move(base.model);
-  const afp::AtomId victim = SmallClosureFactAtom(gp);
-  if (victim == afp::kInvalidAtom) {
-    state.SkipWithError("workload has no EDB fact to mutate");
-    return;
-  }
-  const auto& comp_of = graph.component_of();
-  // Solver::UpdateFactsById's sorted-bucket surgery, inlined: the bench
-  // drives SccResolveDownstream directly so the fresh baseline can pass
-  // a null scratch (the facade now always passes its persistent one).
-  const auto toggle = [&](bool add) {
-    if (add) {
-      gp.AddFact(victim);
-      buckets[comp_of[victim]].push_back(
-          static_cast<std::uint32_t>(gp.num_rules() - 1));
-      return;
-    }
-    afp::GroundProgram::FactRemoval rem = gp.RemoveFact(victim);
-    auto& bucket = buckets[comp_of[victim]];
-    bucket.erase(
-        std::lower_bound(bucket.begin(), bucket.end(), rem.erased_rule));
-    if (rem.moved_rule != rem.erased_rule) {
-      const afp::AtomId moved_head = gp.rule(rem.erased_rule).head;
-      auto& mb = buckets[comp_of[moved_head]];
-      auto old_it = std::lower_bound(mb.begin(), mb.end(), rem.moved_rule);
-      auto new_it = std::lower_bound(mb.begin(), old_it, rem.erased_rule);
-      std::rotate(new_it, old_it, old_it + 1);
-      *new_it = rem.erased_rule;
-    }
-  };
-  afp::SccUpdateScratch scratch;
-  afp::SccUpdateScratch* sp = persistent ? &scratch : nullptr;
-  const afp::AtomId touched[] = {victim};
-  std::size_t downstream = 0;
-  for (auto _ : state) {
-    toggle(/*add=*/false);
-    afp::SccUpdateStats out = afp::SccResolveDownstream(
-        ctx, gp.View(), graph, buckets, opts, touched, &model, nullptr, sp);
-    toggle(/*add=*/true);
-    afp::SccUpdateStats back = afp::SccResolveDownstream(
-        ctx, gp.View(), graph, buckets, opts, touched, &model, nullptr, sp);
-    benchmark::DoNotOptimize(model);
-    downstream = out.components_downstream + back.components_downstream;
-  }
-  state.counters["components"] =
-      static_cast<double>(graph.num_components());
-  state.counters["components_downstream"] = static_cast<double>(downstream);
-}
-
-void BM_UpdateScratchPersistentChainWinMove(benchmark::State& state) {
-  RunScratchUpdate(state, /*persistent=*/true);
-}
-BENCHMARK(BM_UpdateScratchPersistentChainWinMove)->Arg(4096)->Arg(32768);
-
-void BM_UpdateScratchFreshChainWinMove(benchmark::State& state) {
-  RunScratchUpdate(state, /*persistent=*/false);
-}
-BENCHMARK(BM_UpdateScratchFreshChainWinMove)->Arg(4096)->Arg(32768);
-
-// (8) the compiled-kernel axis: component-wise evaluation with the rule
+// (7) the compiled-kernel axis: component-wise evaluation with the rule
 // buckets lowered once into packed CSR kernels (SolverOptions::compile =
 // kAlways) vs the fully interpreted per-solve lowering (kOff). Two
 // regimes: the serving-repair shape (a long-lived session absorbing a

@@ -100,8 +100,6 @@ SccOptions Solver::SccOptionsFromSession() {
   o.sp_mode = options_.sp_mode;
   o.inner = options_.inner;
   o.gus_mode = options_.gus_mode;
-  o.num_threads = options_.num_threads;
-  o.registry = registry_.get();
   o.kernels = kernels_.get();
   return o;
 }
@@ -176,7 +174,6 @@ const PartialModel& Solver::Solve() {
       stats_.num_components = r.num_components;
       stats_.total_local_size = r.total_local_size;
       stats_.locally_stratified = r.locally_stratified;
-      stats_.sched = r.sched;
       stats_.eval = r.eval;
       break;
     }
@@ -235,7 +232,7 @@ ParallelStableSearch& Solver::EnsureSearch() {
   }
   if (search_ == nullptr) {
     ParallelSearchOptions po;
-    po.num_threads = options_.search_threads;
+    po.num_threads = options_.num_threads;
     po.sp_mode = options_.sp_mode;
     po.horn_mode = options_.horn_mode;
     po.registry = registry_.get();
@@ -428,7 +425,7 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
       component_iterations_.empty() ? nullptr : &component_iterations_;
   SccUpdateStats r = SccResolveDownstream(
       *ctx_, ground_.View(), *graph_, comp_rules_, SccOptionsFromSession(),
-      touched, &model_, iters, &update_scratch_);
+      touched, &model_, iters, update_scratch_);
   if (kernels_) {
     r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
   }
@@ -708,7 +705,7 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
       component_iterations_.empty() ? nullptr : &component_iterations_;
   SccUpdateStats r = SccResolveDownstream(
       *ctx_, ground_.View(), *graph_, comp_rules_, SccOptionsFromSession(),
-      touched, &model_, iters, &update_scratch_);
+      touched, &model_, iters, update_scratch_);
   if (kernels_) {
     r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
   }

@@ -6,7 +6,7 @@
 ///
 /// The paper presents the alternating fixpoint as a one-shot computation;
 /// everything built on top of it here — delta-driven evaluators, pooled
-/// contexts, the cached condensation, the wavefront scheduler — is
+/// contexts, the cached condensation, compiled rule kernels — is
 /// session-shaped: compile (parse + ground + index) once, then solve,
 /// query, and UPDATE many times. afp::Solver is that session. The four
 /// well-founded engines remain available as free functions (the ablation
@@ -39,7 +39,6 @@
 #include "core/query.h"
 #include "core/rule_kernel.h"
 #include "core/scc_engine.h"
-#include "exec/scheduler.h"
 #include "ground/ground_program.h"
 #include "ground/grounder.h"
 #include "search/stable_search.h"
@@ -51,8 +50,8 @@ namespace afp {
 /// model (Theorem 7.8; pinned by the differential tests); the axis exists
 /// because their cost profiles differ per workload class — monolithic
 /// alternation (kAfp), residual-program shrinking (kResidual),
-/// component-wise evaluation with optional parallelism (kScc), and the
-/// original Van Gelder–Ross–Schlipf iteration (kWp).
+/// component-wise evaluation (kScc), and the original Van
+/// Gelder–Ross–Schlipf iteration (kWp).
 enum class SolverEngine { kAfp, kResidual, kScc, kWp };
 
 const char* SolverEngineName(SolverEngine e);
@@ -73,8 +72,11 @@ struct SolverOptions {
   /// Per-component engine for kScc — and for every incremental re-solve,
   /// which always runs component-wise regardless of `engine`.
   SccInnerEngine inner = SccInnerEngine::kAfp;
-  /// Worker threads for kScc solves, incremental re-solves, and query
-  /// batches. Results are identical at every thread count.
+  /// Worker threads for StableModels/CountStableModels (the branch-tree
+  /// search, src/search/) and for QueryBatch on an unsolved session.
+  /// Results are identical at every value — for the search, the model set
+  /// AND the emission order. Solves and incremental repairs are
+  /// sequential.
   int num_threads = 1;
   /// Compiled-kernel staging for component-wise evaluation (kScc solves
   /// and every incremental update, which always runs component-wise):
@@ -88,11 +90,6 @@ struct SolverOptions {
   /// Heat units (inner iterations + 1 per interpreted general-path solve
   /// of a component) before CompileMode::kHot compiles that component.
   std::uint32_t compile_hot_threshold = 32;
-  /// Worker threads for StableModels/CountStableModels (the parallel
-  /// branch-tree search, src/search/). Enumeration is bit-identical —
-  /// model set and order — at every value; independent of num_threads so
-  /// a serving session can size its solve pool and its search pool apart.
-  int search_threads = 1;
   /// Grounding controls (instantiation mode, semi-naive, simplification).
   GroundOptions ground;
   /// Record the Table-I style trace on kAfp solves (costly; debugging).
@@ -115,7 +112,6 @@ struct SolverStats {
   std::size_t num_components = 0;
   std::size_t total_local_size = 0;
   bool locally_stratified = false;
-  SchedulerStats sched;
   /// Work counters of the last full solve or incremental update.
   EvalStats eval;
   /// Session counters.
@@ -245,7 +241,7 @@ class Solver {
 
   /// Enumerates stable models with the parallel branch-tree search
   /// (src/search/), honoring the session's sp_mode / horn_mode /
-  /// search_threads. Models arrive in the canonical (sequential
+  /// num_threads. Models arrive in the canonical (sequential
   /// depth-first) order at every thread count. On a solved session the
   /// root is seeded from the cached well-founded model (Solve() ran and
   /// incremental updates kept it current), skipping the root's

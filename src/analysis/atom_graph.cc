@@ -269,7 +269,6 @@ AtomDependencyGraph::DeltaAppendResult AtomDependencyGraph::TryAppendDelta(
     new_offsets[i] += new_offsets[i - 1];
   }
   std::vector<std::uint32_t> new_succ(new_offsets.back());
-  cond_in_degrees_.resize(num_components_, 0);
   std::size_t ei = 0;
   for (std::uint32_t c = 0; c < num_components_; ++c) {
     std::uint32_t* outp = new_succ.data() + new_offsets[c];
@@ -286,9 +285,7 @@ AtomDependencyGraph::DeltaAppendResult AtomDependencyGraph::TryAppendDelta(
           (ei < extra.size() && (extra[ei] >> 32) == c &&
            static_cast<std::uint32_t>(extra[ei]) < *old_it);
       if (take_extra) {
-        const std::uint32_t dst = static_cast<std::uint32_t>(extra[ei++]);
-        *outp++ = dst;
-        ++cond_in_degrees_[dst];
+        *outp++ = static_cast<std::uint32_t>(extra[ei++]);
       } else {
         *outp++ = *old_it++;
       }
@@ -305,7 +302,7 @@ AtomDependencyGraph::DeltaAppendResult AtomDependencyGraph::TryAppendDelta(
 void AtomDependencyGraph::EnsureCondensation() const {
   if (condensation_built_) return;
   // Cross-component arcs, flipped to dependency -> dependent (an atom
-  // arc h -> a means h depends on a, so the scheduling edge runs
+  // arc h -> a means h depends on a, so the condensation edge runs
   // comp(a) -> comp(h)), deduped by sort+unique. Tarjan already gives
   // comp(a) < comp(h), so every edge points id-upward and component id
   // order is a topological order of the condensation.
@@ -324,7 +321,6 @@ void AtomDependencyGraph::EnsureCondensation() const {
 
   cond_offsets_.assign(num_components_ + 1, 0);
   cond_successors_.resize(edges.size());
-  cond_in_degrees_.assign(num_components_, 0);
   for (std::uint64_t e : edges) ++cond_offsets_[(e >> 32) + 1];
   for (std::size_t i = 1; i < cond_offsets_.size(); ++i) {
     cond_offsets_[i] += cond_offsets_[i - 1];
@@ -332,10 +328,7 @@ void AtomDependencyGraph::EnsureCondensation() const {
   std::vector<std::uint32_t> cursor(cond_offsets_.begin(),
                                     cond_offsets_.end() - 1);
   for (std::uint64_t e : edges) {
-    const std::uint32_t src = static_cast<std::uint32_t>(e >> 32);
-    const std::uint32_t dst = static_cast<std::uint32_t>(e);
-    cond_successors_[cursor[src]++] = dst;
-    ++cond_in_degrees_[dst];
+    cond_successors_[cursor[e >> 32]++] = static_cast<std::uint32_t>(e);
   }
   condensation_built_ = true;
 }

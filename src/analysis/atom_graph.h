@@ -44,14 +44,13 @@ class AtomDependencyGraph {
   /// entries [condensation_offsets()[c], condensation_offsets()[c+1]) of
   /// condensation_successors() are the distinct components that depend on
   /// c (edges point dependency -> dependent, so every edge goes from a
-  /// smaller component id to a larger one). This is the dispatch order of
-  /// the wavefront scheduler (exec/scheduler.h): a component is ready once
-  /// all its predecessors have published.
+  /// smaller component id to a larger one). The incremental repair
+  /// (SccResolveDownstream) walks it to collect the downstream closure of
+  /// the touched components.
   ///
-  /// Built lazily on first access and cached (the sequential engine never
-  /// pays for it). Like HornSolver's lazy negative index, the build is NOT
-  /// thread-safe: touch these accessors once before handing the graph to
-  /// worker threads.
+  /// Built lazily on first access and cached (a full solve never pays for
+  /// it). Like HornSolver's lazy negative index, the build is not
+  /// thread-safe.
   const std::vector<std::uint32_t>& condensation_offsets() const {
     EnsureCondensation();
     return cond_offsets_;
@@ -59,12 +58,6 @@ class AtomDependencyGraph {
   const std::vector<std::uint32_t>& condensation_successors() const {
     EnsureCondensation();
     return cond_successors_;
-  }
-  /// Number of distinct predecessor components per component (the Kahn
-  /// in-degrees the scheduler counts down).
-  const std::vector<std::uint32_t>& condensation_in_degrees() const {
-    EnsureCondensation();
-    return cond_in_degrees_;
   }
 
   /// --- Incremental maintenance (Solver::AddRule / RemoveRule) ---
@@ -105,7 +98,7 @@ class AtomDependencyGraph {
   /// components, so as long as no removed edge was intra-component
   /// (caller-checked via component_of()), membership and numbering stay
   /// valid; stale condensation edges only over-approximate downstream
-  /// closures, which is conservative for both scheduling and repair.
+  /// closures, which is conservative for repair.
   ///
   /// After the first successful splice the atom-level adjacency CSR is
   /// STALE (it is construction-only state); all further maintenance runs
@@ -131,7 +124,6 @@ class AtomDependencyGraph {
   mutable bool condensation_built_ = false;
   mutable std::vector<std::uint32_t> cond_offsets_;
   mutable std::vector<std::uint32_t> cond_successors_;
-  mutable std::vector<std::uint32_t> cond_in_degrees_;
 };
 
 }  // namespace afp

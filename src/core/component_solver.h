@@ -1,7 +1,6 @@
 #ifndef AFP_CORE_COMPONENT_SOLVER_H_
 #define AFP_CORE_COMPONENT_SOLVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -21,34 +20,21 @@
 
 namespace afp {
 
-/// The per-component half of the SCC engine, extracted so the sequential
-/// loop and the wavefront scheduler's workers share one implementation.
-/// One ComponentSolver is one worker's machinery: it owns the local rule
-/// buffer, the atom-id remap scratch, and — the piece that closes the kWp
-/// wall-clock gap — ONE evaluator pair per inner engine, kept alive and
-/// Rebind-ed across every component this worker solves, so per-component
-/// solves pay zero evaluator construction, zero pool round-trips, and
-/// reuse the retained head-index capacity instead of re-growing it.
+/// The per-component half of the SCC engine, shared by the full solve and
+/// the incremental repair (core/scc_engine.cc). A ComponentSolver owns the
+/// local rule buffer, the atom-id remap scratch, and — the piece that
+/// closes the kWp wall-clock gap — ONE evaluator pair per inner engine,
+/// kept alive and Rebind-ed across every component it solves, so
+/// per-component solves pay zero evaluator construction, zero pool
+/// round-trips, and reuse the retained head-index capacity instead of
+/// re-growing it.
 ///
 /// `Solve(c, gm)` builds component c's local subprogram by substituting
-/// decided externals read from the global model `gm`, runs the configured
-/// inner fixpoint, and publishes the members' verdicts back through `gm`.
-/// GlobalModel is a policy with
-///
-///   bool IsTrue(AtomId) / bool IsFalse(AtomId)   — reads; must be exact
-///       for atoms of completed components (the scheduler guarantees all
-///       predecessors completed) and are never issued for other external
-///       atoms;
-///   void Publish(members, local_model)           — writes each member's
-///       decided verdict; called exactly once per component;
-///   void PublishOne(atom, value)                 — the singleton fast
-///       path's publish: one member, decided without a local model.
-///
-/// Two policies exist: SequentialGlobalModel (plain bitsets, the
-/// single-threaded engine) and AtomicGlobalModel (shared atomic words for
-/// concurrent workers). A ComponentSolver itself is strictly
-/// single-threaded — one per worker, each bound to that worker's private
-/// EvalContext.
+/// decided externals read from the global model `gm` (exact for every
+/// component solved before c; never consulted for other atoms), runs the
+/// configured inner fixpoint, and publishes the members' verdicts back
+/// through `gm` exactly once. A ComponentSolver is single-threaded and
+/// bound to one EvalContext.
 class ComponentSolver {
  public:
   /// Everything referenced must outlive the solver; `comp_rules` is the
@@ -69,7 +55,6 @@ class ComponentSolver {
     std::size_t local_size = 0;
   };
 
-  template <typename GlobalModel>
   Outcome Solve(std::uint32_t c, GlobalModel& gm);
 
  private:
@@ -80,11 +65,8 @@ class ComponentSolver {
   /// condensation are singleton EDB facts, so this skips the per-component
   /// machinery for the bulk of the DAG. Returns true (and publishes
   /// through gm.PublishOne) unless a self-dependent rule forces the
-  /// general path. Runs identically at every thread count — it reads the
-  /// same completed externals the general path would substitute — so
-  /// per-component trajectories stay in sync between the sequential and
-  /// parallel engines (fast-path components report 1 iteration).
-  template <typename GlobalModel>
+  /// general path. It reads the same completed externals the general path
+  /// would substitute; fast-path components report 1 iteration.
   bool SolveSingleton(std::uint32_t c, GlobalModel& gm, Outcome* out);
 
   EvalContext& ctx_;
@@ -110,388 +92,6 @@ class ComponentSolver {
   /// rest — the kernel-side analogue of the evaluator pairs above).
   std::optional<KernelEvaluator> kernel_;
 };
-
-/// GlobalModel policy over two plain bitsets — the sequential engine's
-/// view of the global partial model.
-struct SequentialGlobalModel {
-  Bitset* true_atoms;
-  Bitset* false_atoms;
-
-  bool IsTrue(AtomId a) const { return true_atoms->Test(a); }
-  bool IsFalse(AtomId a) const { return false_atoms->Test(a); }
-  void Publish(std::span<const AtomId> members, const PartialModel& local) {
-    for (std::uint32_t i = 0; i < members.size(); ++i) {
-      switch (local.Value(i)) {
-        case TruthValue::kTrue:
-          true_atoms->Set(members[i]);
-          break;
-        case TruthValue::kFalse:
-          false_atoms->Set(members[i]);
-          break;
-        case TruthValue::kUndefined:
-          break;
-      }
-    }
-  }
-  void PublishOne(AtomId a, TruthValue v) {
-    if (v == TruthValue::kTrue) {
-      true_atoms->Set(a);
-    } else if (v == TruthValue::kFalse) {
-      false_atoms->Set(a);
-    }
-  }
-};
-
-/// GlobalModel policy over shared atomic words, for concurrent workers.
-///
-/// The ownership/publication contract (docs/ARCHITECTURE.md): every
-/// worker writes only the bits of its own component's member atoms —
-/// disjoint BIT ranges, though two components' atoms may share a 64-bit
-/// word, which is why the word-level writes are fetch_or rather than
-/// plain stores. The happens-before edge between a predecessor's Publish
-/// and a successor's reads IS the scheduler's completion/claim mutex —
-/// that is why the bit ops and the reads can be relaxed. The trailing
-/// seq-cst fence globally orders each component's publish but is NOT a
-/// substitute for that edge: anyone replacing the mutex-protected ready
-/// queue with a lock-free one must pair the publish with acquire-side
-/// reads (or keep a release/acquire edge in the queue itself).
-class AtomicGlobalModel {
- public:
-  explicit AtomicGlobalModel(std::size_t num_atoms)
-      : num_atoms_(num_atoms),
-        true_words_((num_atoms + 63) / 64),
-        false_words_((num_atoms + 63) / 64) {}
-
-  bool IsTrue(AtomId a) const {
-    return (true_words_[a >> 6].load(std::memory_order_relaxed) >>
-            (a & 63)) &
-           1ULL;
-  }
-  bool IsFalse(AtomId a) const {
-    return (false_words_[a >> 6].load(std::memory_order_relaxed) >>
-            (a & 63)) &
-           1ULL;
-  }
-
-  /// Publishes a component's verdicts. Member bits are batched into
-  /// per-word true/false masks first, so a component spanning W distinct
-  /// 64-bit words costs at most 2W fetch_or RMWs instead of one per
-  /// decided atom — component members are id-contiguous runs in practice
-  /// (Tarjan numbers them together), so large components collapse to a
-  /// handful of atomic ops.
-  void Publish(std::span<const AtomId> members, const PartialModel& local) {
-    std::size_t wi = kNoWord;
-    std::uint64_t tmask = 0, fmask = 0;
-    for (std::uint32_t i = 0; i < members.size(); ++i) {
-      const AtomId a = members[i];
-      const std::size_t w = a >> 6;
-      if (w != wi) {
-        FlushWord(wi, tmask, fmask);
-        wi = w;
-        tmask = fmask = 0;
-      }
-      switch (local.Value(i)) {
-        case TruthValue::kTrue:
-          tmask |= 1ULL << (a & 63);
-          break;
-        case TruthValue::kFalse:
-          fmask |= 1ULL << (a & 63);
-          break;
-        case TruthValue::kUndefined:
-          break;
-      }
-    }
-    FlushWord(wi, tmask, fmask);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
-
-  /// Singleton fast-path publish (see ComponentSolver::SolveSingleton).
-  void PublishOne(AtomId a, TruthValue v) {
-    if (v == TruthValue::kTrue) {
-      true_words_[a >> 6].fetch_or(1ULL << (a & 63),
-                                   std::memory_order_relaxed);
-    } else if (v == TruthValue::kFalse) {
-      false_words_[a >> 6].fetch_or(1ULL << (a & 63),
-                                    std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
-
-  /// Seeds the words from a previously computed model (before any worker
-  /// exists) — the incremental re-solve starts from the old verdicts and
-  /// overwrites only the re-solved components' members.
-  void ImportFrom(const Bitset& true_atoms, const Bitset& false_atoms) {
-    for (std::size_t wi = 0; wi < true_words_.size(); ++wi) {
-      true_words_[wi].store(true_atoms.word(wi), std::memory_order_relaxed);
-      false_words_[wi].store(false_atoms.word(wi),
-                             std::memory_order_relaxed);
-    }
-  }
-
-  /// As Publish, but first CLEARS the members' previous bits (clear and
-  /// set ride the same per-word batching: one fetch_and plus up to two
-  /// fetch_or per touched word). Returns whether any member's verdict
-  /// changed — the signal that drives the incremental re-solve's
-  /// downstream dirtiness. Only this component's worker may touch these
-  /// bits (the ownership contract above), so the transient between clear
-  /// and set is invisible to other workers.
-  bool PublishOverwrite(std::span<const AtomId> members,
-                        const PartialModel& local) {
-    bool changed = false;
-    std::size_t wi = kNoWord;
-    std::uint64_t mmask = 0, tmask = 0, fmask = 0;
-    auto flush = [&] {
-      if (wi == kNoWord || mmask == 0) return;
-      const std::uint64_t prev_t =
-          true_words_[wi].fetch_and(~mmask, std::memory_order_relaxed);
-      const std::uint64_t prev_f =
-          false_words_[wi].fetch_and(~mmask, std::memory_order_relaxed);
-      if (tmask) true_words_[wi].fetch_or(tmask, std::memory_order_relaxed);
-      if (fmask) {
-        false_words_[wi].fetch_or(fmask, std::memory_order_relaxed);
-      }
-      changed |= ((prev_t ^ tmask) & mmask) != 0;
-      changed |= ((prev_f ^ fmask) & mmask) != 0;
-    };
-    for (std::uint32_t i = 0; i < members.size(); ++i) {
-      const AtomId a = members[i];
-      const std::size_t w = a >> 6;
-      if (w != wi) {
-        flush();
-        wi = w;
-        mmask = tmask = fmask = 0;
-      }
-      mmask |= 1ULL << (a & 63);
-      switch (local.Value(i)) {
-        case TruthValue::kTrue:
-          tmask |= 1ULL << (a & 63);
-          break;
-        case TruthValue::kFalse:
-          fmask |= 1ULL << (a & 63);
-          break;
-        case TruthValue::kUndefined:
-          break;
-      }
-    }
-    flush();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    return changed;
-  }
-
-  /// Singleton overwrite (fast path of the incremental re-solve).
-  bool PublishOneOverwrite(AtomId a, TruthValue v) {
-    const std::uint64_t bit = 1ULL << (a & 63);
-    const std::uint64_t tmask = v == TruthValue::kTrue ? bit : 0;
-    const std::uint64_t fmask = v == TruthValue::kFalse ? bit : 0;
-    const std::uint64_t prev_t =
-        true_words_[a >> 6].fetch_and(~bit, std::memory_order_relaxed);
-    const std::uint64_t prev_f =
-        false_words_[a >> 6].fetch_and(~bit, std::memory_order_relaxed);
-    if (tmask) {
-      true_words_[a >> 6].fetch_or(tmask, std::memory_order_relaxed);
-    }
-    if (fmask) {
-      false_words_[a >> 6].fetch_or(fmask, std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    return ((prev_t ^ tmask) & bit) != 0 || ((prev_f ^ fmask) & bit) != 0;
-  }
-
-  /// Copies the accumulated words into plain bitsets (call after the
-  /// worker pool has joined). The bitsets are resized to the universe.
-  void ExportTo(Bitset* true_atoms, Bitset* false_atoms) const {
-    true_atoms->Resize(num_atoms_);
-    false_atoms->Resize(num_atoms_);
-    for (std::size_t wi = 0; wi < true_words_.size(); ++wi) {
-      true_atoms->set_word(wi,
-                           true_words_[wi].load(std::memory_order_relaxed));
-      false_atoms->set_word(
-          wi, false_words_[wi].load(std::memory_order_relaxed));
-    }
-  }
-
- private:
-  static constexpr std::size_t kNoWord = static_cast<std::size_t>(-1);
-
-  void FlushWord(std::size_t wi, std::uint64_t tmask, std::uint64_t fmask) {
-    if (wi == kNoWord) return;
-    if (tmask) true_words_[wi].fetch_or(tmask, std::memory_order_relaxed);
-    if (fmask) {
-      false_words_[wi].fetch_or(fmask, std::memory_order_relaxed);
-    }
-  }
-
-  std::size_t num_atoms_;
-  std::vector<std::atomic<std::uint64_t>> true_words_;
-  std::vector<std::atomic<std::uint64_t>> false_words_;
-};
-
-template <typename GlobalModel>
-bool ComponentSolver::SolveSingleton(std::uint32_t c, GlobalModel& gm,
-                                     Outcome* out) {
-  const AtomId self = graph_.components()[c][0];
-  // Head value = max over rules of the three-valued body value (min over
-  // literals), using the enum order kFalse < kUndefined < kTrue. A body
-  // that is fully true from externals decides the head true regardless of
-  // any self-dependent rule (so the early exit below is sound); any other
-  // self-dependency needs the fixpoint treatment of the general path.
-  TruthValue head = TruthValue::kFalse;
-  std::size_t local_size = 0;
-  for (std::uint32_t ri : comp_rules_[c]) {
-    const GroundRule& r = view_.rules[ri];
-    local_size += 1 + r.pos_len + r.neg_len;
-    TruthValue body = TruthValue::kTrue;
-    for (AtomId q : view_.pos(r)) {
-      if (q == self) return false;
-      if (gm.IsTrue(q)) continue;
-      if (gm.IsFalse(q)) {
-        body = TruthValue::kFalse;
-        break;
-      }
-      body = TruthValue::kUndefined;
-    }
-    if (body == TruthValue::kFalse) continue;
-    for (AtomId q : view_.neg(r)) {
-      if (q == self) return false;
-      if (gm.IsFalse(q)) continue;
-      if (gm.IsTrue(q)) {
-        body = TruthValue::kFalse;
-        break;
-      }
-      body = TruthValue::kUndefined;
-    }
-    if (body > head) head = body;
-    if (head == TruthValue::kTrue) break;
-  }
-  gm.PublishOne(self, head);
-  out->iterations = 1;
-  out->local_size = local_size;
-  return true;
-}
-
-template <typename GlobalModel>
-ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
-                                                GlobalModel& gm) {
-  const std::vector<AtomId>& members = graph_.components()[c];
-  if (members.size() == 1) {
-    Outcome fast;
-    if (SolveSingleton(c, gm, &fast)) return fast;
-  }
-  // Compiled components skip the whole interpreted pipeline below (remap,
-  // lowering, HornSolver CSR build, evaluator Rebind) — the bucket was
-  // lowered once at compile time and only its external literals are bound
-  // against the global model here. Bit-identical by contract
-  // (core/rule_kernel.h); pinned by the differential tests.
-  if (options_.kernels != nullptr) {
-    if (const CompiledBucket* bucket = options_.kernels->Get(c)) {
-      if (!kernel_) kernel_.emplace(ctx_, options_.inner);
-      const KernelOutcome k = kernel_->Solve(*bucket, gm);
-      Outcome out;
-      out.iterations = k.iterations;
-      out.local_size = k.local_size;
-      return out;
-    }
-  }
-  for (std::uint32_t i = 0; i < members.size(); ++i) {
-    local_id_[members[i]] = i;
-    stamp_[members[i]] = c;
-  }
-  const AtomId sentinel = static_cast<AtomId>(members.size());
-  bool sentinel_used = false;
-
-  local_.rules.clear();
-  local_.pool.clear();
-  local_.num_atoms = members.size() + 1;
-  for (std::uint32_t ri : comp_rules_[c]) {
-    const GroundRule& r = view_.rules[ri];
-    pos_buf_.clear();
-    neg_buf_.clear();
-    bool dead = false;
-    for (AtomId q : view_.pos(r)) {
-      if (stamp_[q] == c) {
-        pos_buf_.push_back(local_id_[q]);
-      } else if (gm.IsTrue(q)) {
-        // erased: satisfied
-      } else if (gm.IsFalse(q)) {
-        dead = true;
-        break;
-      } else {
-        pos_buf_.push_back(sentinel);  // undefined external
-        sentinel_used = true;
-      }
-    }
-    if (!dead) {
-      for (AtomId q : view_.neg(r)) {
-        if (stamp_[q] == c) {
-          neg_buf_.push_back(local_id_[q]);
-        } else if (gm.IsFalse(q)) {
-          // erased: not q holds
-        } else if (gm.IsTrue(q)) {
-          dead = true;
-          break;
-        } else {
-          pos_buf_.push_back(sentinel);  // undefined external caps body
-          sentinel_used = true;
-        }
-      }
-    }
-    if (!dead) local_.Add(local_id_[r.head], pos_buf_, neg_buf_);
-  }
-  if (sentinel_used) {
-    // u :- not u — permanently undefined.
-    AtomId s = sentinel;
-    local_.Add(s, {}, std::span<const AtomId>(&s, 1));
-  }
-
-  Outcome out;
-  out.local_size = local_.pool.size() + local_.rules.size();
-
-  HornSolver solver(local_.View(), &ctx_);
-  PartialModel local_model;
-  if (options_.inner == SccInnerEngine::kWp) {
-    if (tp_) {
-      tp_->Rebind(solver);
-      gus_->Rebind(solver);
-    } else {
-      tp_.emplace(solver, ctx_, options_.gus_mode);
-      gus_.emplace(solver, ctx_, options_.gus_mode);
-    }
-    WpResult r =
-        WellFoundedViaWpOnEvaluators(ctx_, *tp_, *gus_, local_.num_atoms);
-    out.iterations = static_cast<std::uint32_t>(r.iterations);
-    local_model = std::move(r.model);
-  } else {
-    if (even_) {
-      even_->Rebind(solver);
-      odd_->Rebind(solver);
-    } else {
-      even_.emplace(solver, ctx_, options_.sp_mode, options_.horn_mode);
-      odd_.emplace(solver, ctx_, options_.sp_mode, options_.horn_mode);
-    }
-    Bitset local_seed = ctx_.AcquireBitset(local_.num_atoms);
-    AfpResult r = AlternatingFixpointOnEvaluators(
-        ctx_, *even_, *odd_, local_.num_atoms, local_seed, afp_opts_);
-    ctx_.ReleaseBitset(std::move(local_seed));
-    out.iterations = static_cast<std::uint32_t>(r.outer_iterations);
-    local_model = std::move(r.model);
-  }
-
-  gm.Publish(members, local_model);
-
-  // Recycle the local model's bitsets for the next component (reversing
-  // the inner fixpoint's escape note — they re-enter the pool cycle
-  // here).
-  ctx_.NoteAdoptedBytes(local_model.true_atoms().CapacityBytes() +
-                        local_model.false_atoms().CapacityBytes());
-  ctx_.ReleaseBitset(std::move(local_model.true_atoms()));
-  ctx_.ReleaseBitset(std::move(local_model.false_atoms()));
-  // Feed the staging profiler: this component went through the full
-  // interpreted pipeline; enough of these and the session compiles it.
-  if (options_.kernels != nullptr) {
-    options_.kernels->NoteInterpretedSolve(c, out.iterations);
-  }
-  return out;
-}
 
 }  // namespace afp
 

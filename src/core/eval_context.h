@@ -127,7 +127,7 @@ struct EvalStats {
   /// Folds another context's (or worker's) stats into this one: counters
   /// add, peaks take the max (pools peak independently). The single place
   /// that knows how to merge — EvalContextRegistry::AggregateStats and
-  /// the parallel SCC engine's per-worker fold both go through here, so
+  /// the stable-model search's per-worker fold both go through here, so
   /// a counter added to this struct cannot be summed in one and silently
   /// dropped in the other.
   void Accumulate(const EvalStats& o) {
@@ -204,7 +204,7 @@ class EvalContext {
 };
 
 /// A fixed roster of EvalContexts, one per worker thread of a parallel
-/// run (the wavefront scheduler's workers index straight into it). The
+/// run (RunWorkPool's workers index straight into it). The
 /// registry is the ownership boundary that keeps the no-locks contract
 /// honest: every context is created up front on the calling thread, each
 /// worker touches exclusively its own slot while the pool runs, and the

@@ -1,5 +1,6 @@
 #include "core/relevance.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -108,33 +109,24 @@ std::vector<StatusOr<RelevanceQueryResult>> QueryBatchWithRelevance(
   EvalContextRegistry private_registry;
   EvalContextRegistry& registry =
       options.registry ? *options.registry : private_registry;
-  const std::size_t num_workers =
-      options.num_threads > 1 ? static_cast<std::size_t>(options.num_threads)
-                              : 1;
-  registry.EnsureSize(num_workers);
-
-  if (num_workers == 1) {
-    for (std::size_t i = 0; i < atom_texts.size(); ++i) {
-      results[i] = QueryWithRelevanceWithContext(
-          registry.ForWorker(0), gp, atom_texts[i], options.horn_mode);
-    }
-    return results;
+  // No more workers than queries: an idle worker could only park.
+  int num_workers = std::clamp(options.num_threads, 1, kMaxPoolWorkers);
+  if (static_cast<std::size_t>(num_workers) > atom_texts.size()) {
+    num_workers = std::max(static_cast<int>(atom_texts.size()), 1);
   }
+  registry.EnsureSize(static_cast<std::size_t>(num_workers));
 
-  // A query batch is an antichain: an edge-free DAG over the queries. The
-  // workers write disjoint results slots, and each reads only the
-  // immutable ground program plus its own registry context.
-  std::vector<std::uint32_t> offsets(atom_texts.size() + 1, 0);
-  std::vector<std::uint32_t> targets;
-  DagView dag{atom_texts.size(), &offsets, &targets};
-  SchedulerOptions sched_opts;
-  sched_opts.num_threads = options.num_threads;
-  RunWavefront(dag, sched_opts,
-               [&](std::uint32_t i, std::uint32_t worker) {
-                 results[i] = QueryWithRelevanceWithContext(
-                     registry.ForWorker(worker), gp, atom_texts[i],
-                     options.horn_mode);
-               });
+  // The queries are independent roots; no task submits more. The workers
+  // write disjoint results slots, and each reads only the immutable
+  // ground program plus its own registry context.
+  std::vector<std::uint64_t> roots(atom_texts.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) roots[i] = i;
+  RunWorkPool(roots, num_workers,
+              [&](WorkPool&, std::uint64_t i, std::uint32_t worker) {
+                results[i] = QueryWithRelevanceWithContext(
+                    registry.ForWorker(worker), gp, atom_texts[i],
+                    options.horn_mode);
+              });
   return results;
 }
 

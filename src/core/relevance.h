@@ -59,11 +59,11 @@ StatusOr<RelevanceQueryResult> QueryWithRelevanceWithContext(
 /// Options for a relevance-sliced query batch.
 struct QueryBatchOptions {
   HornMode horn_mode = HornMode::kCounting;
-  /// Worker threads. Point queries are mutually independent — an
-  /// antichain — so a batch dispatches straight to the wavefront worker
-  /// pool, each worker slicing and solving through its own registry
-  /// context. <= 1 answers the queries in order on the calling thread
-  /// through `registry`'s slot 0 (or a private context).
+  /// Worker threads. Point queries are mutually independent, so the batch
+  /// hands its query indices to RunWorkPool as roots (exec/scheduler.h),
+  /// each worker slicing and solving through its own registry context;
+  /// <= 1 answers every query on the calling thread through `registry`'s
+  /// slot 0. The pool never has more workers than queries.
   int num_threads = 1;
   /// Optional warm per-worker contexts (grown as needed); null means a
   /// batch-private registry. Must not be used concurrently by two runs.

@@ -16,21 +16,17 @@ KernelCache::KernelCache(
       hot_threshold_(hot_threshold),
       expected_epoch_(initial_epoch),
       buckets_(graph.num_components(), nullptr),
-      heat_(graph.num_components()),
+      heat_(graph.num_components(), 0),
       local_id_(graph.num_atoms(), 0),
       stamp_(graph.num_atoms(), 0) {}
 
 void KernelCache::NoteInterpretedSolve(std::uint32_t c,
                                        std::uint32_t iterations) {
   // iterations + 1 so even zero-round solves register; the crossing test
-  // over [prev, prev + delta) fires exactly once per heat-up regardless
-  // of how worker increments interleave (the ranges partition the
-  // counter's history).
-  const std::uint32_t delta = iterations + 1;
-  const std::uint32_t prev =
-      heat_[c].fetch_add(delta, std::memory_order_relaxed);
-  if (prev < hot_threshold_ && prev + delta >= hot_threshold_) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
+  // fires exactly once per heat-up.
+  const std::uint32_t prev = heat_[c];
+  heat_[c] += iterations + 1;
+  if (prev < hot_threshold_ && heat_[c] >= hot_threshold_) {
     pending_.push_back(c);
   }
 }
@@ -52,17 +48,14 @@ std::size_t KernelCache::CompileAllEligible() {
 
 std::size_t KernelCache::CompilePending() {
   std::vector<std::uint32_t> drained;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    drained.swap(pending_);
-  }
+  drained.swap(pending_);
   std::size_t compiled = 0;
   for (std::uint32_t c : drained) {
     // Re-check under current state: an invalidation may have reset the
     // heat since the crossing was queued, and ineligible components heat
     // up too (their crossings are recorded but never acted on).
     if (buckets_[c] == nullptr && Eligible(c) &&
-        heat_[c].load(std::memory_order_relaxed) >= hot_threshold_) {
+        heat_[c] >= hot_threshold_) {
       buckets_[c] = Compile(c);
       ++compiled_count_;
       ++compiled;
@@ -87,7 +80,7 @@ std::size_t KernelCache::CompileInvalidated() {
 void KernelCache::InvalidateComponent(std::uint32_t c) {
   if (buckets_[c] != nullptr) --compiled_count_;
   buckets_[c] = nullptr;
-  heat_[c].store(0, std::memory_order_relaxed);
+  heat_[c] = 0;
   invalidated_.push_back(c);
 }
 
@@ -98,8 +91,7 @@ void KernelCache::InvalidateAll() {
   // The rule set changed in an unexplained way; eligibility (a pure
   // function of it) must be re-derived too.
   eligibility_valid_ = false;
-  for (auto& h : heat_) h.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(pending_mu_);
+  std::fill(heat_.begin(), heat_.end(), 0);
   pending_.clear();
 }
 
@@ -108,15 +100,7 @@ void KernelCache::GrowToComponents() {
   const std::size_t nc = graph_.num_components();
   if (nc > old_nc) {
     buckets_.resize(nc, nullptr);
-    // atomics are not movable, so heat_ cannot resize in place: rebuild
-    // and carry the counts over (racing worker increments are impossible
-    // here — growth happens on the session thread between solves).
-    std::vector<std::atomic<std::uint32_t>> grown(nc);
-    for (std::size_t c = 0; c < old_nc; ++c) {
-      grown[c].store(heat_[c].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    }
-    heat_ = std::move(grown);
+    heat_.resize(nc, 0);
     if (eligibility_valid_) {
       eligible_.resize(nc, 0);
       for (std::size_t c = old_nc; c < nc; ++c) {
@@ -304,6 +288,70 @@ KernelEvaluator::~KernelEvaluator() {
   ctx_.ReleaseU32(std::move(undef_rules_));
   ctx_.ReleaseU32(std::move(remaining_));
   ctx_.ReleaseU32(std::move(queue_));
+}
+
+KernelOutcome KernelEvaluator::Solve(const CompiledBucket& b,
+                                     GlobalModel& gm) {
+  Bind(b, gm);
+  KernelOutcome out;
+  out.local_size = local_size_;
+  PartialModel local;
+  out.iterations = inner_ == SccInnerEngine::kWp ? RunWp(b, &local)
+                                                 : RunAfp(b, &local);
+  gm.Publish(std::span<const AtomId>(b.members, b.num_members), local);
+  ++ctx_.stats().kernel_components;
+  ctx_.stats().kernel_rounds += out.iterations;
+  ctx_.ReleaseBitset(std::move(local.true_atoms()));
+  ctx_.ReleaseBitset(std::move(local.false_atoms()));
+  return out;
+}
+
+void KernelEvaluator::Bind(const CompiledBucket& b, const GlobalModel& gm) {
+  undef_.resize(b.num_rules);
+  undef_rules_.clear();
+  sentinel_used_ = false;
+  local_size_ = 0;
+  for (std::uint32_t r = 0; r < b.num_rules; ++r) {
+    std::uint32_t undef = 0;
+    bool dead = false;
+    for (std::uint32_t k = b.ext_pos_offsets[r];
+         k < b.ext_pos_offsets[r + 1]; ++k) {
+      const AtomId q = b.ext_pos[k];
+      if (gm.IsTrue(q)) continue;  // erased: satisfied
+      if (gm.IsFalse(q)) {
+        dead = true;
+        break;
+      }
+      ++undef;  // undefined external -> sentinel copy
+    }
+    if (!dead) {
+      for (std::uint32_t k = b.ext_neg_offsets[r];
+           k < b.ext_neg_offsets[r + 1]; ++k) {
+        const AtomId q = b.ext_neg[k];
+        if (gm.IsFalse(q)) continue;  // erased: not q holds
+        if (gm.IsTrue(q)) {
+          dead = true;
+          break;
+        }
+        ++undef;  // undefined external caps body (positive sentinel)
+      }
+    }
+    // The interpreted lowering materializes the sentinel as soon as any
+    // undefined external is pushed — including into a body that later
+    // turns out dead — so the flag must not be gated on liveness.
+    if (undef > 0) sentinel_used_ = true;
+    if (dead) {
+      undef_[r] = kDead;
+      continue;
+    }
+    undef_[r] = undef;
+    if (undef > 0) undef_rules_.push_back(r);
+    local_size_ += (b.int_pos_offsets[r + 1] - b.int_pos_offsets[r]) +
+                   (b.int_neg_offsets[r + 1] - b.int_neg_offsets[r]) +
+                   undef + 1;
+  }
+  // `u :- not u` adds one rule and one body literal.
+  if (sentinel_used_) local_size_ += 2;
 }
 
 void KernelEvaluator::Propagate(const CompiledBucket& b, Bitset* out) {

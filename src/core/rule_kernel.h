@@ -1,11 +1,8 @@
 #ifndef AFP_CORE_RULE_KERNEL_H_
 #define AFP_CORE_RULE_KERNEL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <span>
 #include <vector>
 
 #include "analysis/atom_graph.h"
@@ -106,11 +103,8 @@ struct CompiledBucket {
 /// and the invalidation authority (epoch protocol against GroundProgram's
 /// post-seal mutation counter).
 ///
-/// Thread contract: buckets are compiled and invalidated ONLY on the
-/// session thread between engine runs; during a run, workers concurrently
-/// read Get() and feed NoteInterpretedSolve() (atomic heat counters, a
-/// mutex around the pending list — the only synchronization in the hot
-/// path is one relaxed fetch_add per interpreted general-path solve).
+/// Buckets are compiled and invalidated only between engine runs; during
+/// a run the engine reads Get() and feeds NoteInterpretedSolve().
 ///
 /// Epoch protocol: the cache records the GroundProgram::mutation_epoch()
 /// its buckets were built against. A caller that mutates the program
@@ -139,13 +133,12 @@ class KernelCache {
   KernelCache& operator=(const KernelCache&) = delete;
 
   /// The compiled bucket for component c, or null if it runs interpreted.
-  /// Safe to call from worker threads during a run.
   const CompiledBucket* Get(std::uint32_t c) const { return buckets_[c]; }
 
   /// Heat feedback from an interpreted general-path solve of component c
-  /// that took `iterations` inner rounds. Thread-safe. Charges
-  /// iterations + 1 heat units; the crossing of hot_threshold queues c
-  /// for the next CompilePending() drain on the session thread.
+  /// that took `iterations` inner rounds. Charges iterations + 1 heat
+  /// units; the crossing of hot_threshold queues c for the next
+  /// CompilePending() drain.
   void NoteInterpretedSolve(std::uint32_t c, std::uint32_t iterations);
 
   /// Compiles every eligible not-yet-compiled component (CompileMode::
@@ -254,11 +247,9 @@ class KernelCache {
   mutable std::vector<std::uint8_t> eligible_;
   mutable std::size_t num_eligible_ = 0;
   mutable bool eligibility_valid_ = false;
-  /// Accumulated interpreted-solve work per component (relaxed; exactness
-  /// is irrelevant — any interleaving crosses the threshold exactly once
-  /// because the claimed [prev, prev+delta) ranges are disjoint).
-  std::vector<std::atomic<std::uint32_t>> heat_;
-  std::mutex pending_mu_;
+  /// Accumulated interpreted-solve work per component.
+  std::vector<std::uint32_t> heat_;
+  /// Components whose heat crossed the threshold, awaiting CompilePending.
   std::vector<std::uint32_t> pending_;
   std::uint64_t compile_ns_ = 0;
 
@@ -280,9 +271,9 @@ struct KernelOutcome {
 /// Executes compiled buckets: the packed, branch-light replacement for
 /// the interpreted per-component pipeline (lower into OwnedRules →
 /// HornSolver CSR build → SpEvaluator/TpEvaluator/GusEvaluator rounds).
-/// One evaluator per worker, bound to that worker's EvalContext, reused
-/// across every compiled component the worker solves (all per-rule
-/// scratch is pooled and recycled).
+/// One evaluator per ComponentSolver, bound to its EvalContext, reused
+/// across every compiled component it solves (all per-rule scratch is
+/// pooled and recycled).
 ///
 /// Semantics: bit-identical to the interpreted path — same local model,
 /// same inner iteration count — because S_P, T_P, and the externally-
@@ -290,8 +281,8 @@ struct KernelOutcome {
 /// externals) with exactly the interpreted operators' definitions, and
 /// the outer loops replicate AlternatingFixpointOnEvaluators /
 /// WellFoundedViaWpOnEvaluators termination tests verbatim. The
-/// differential tests pin this across the corpus, engines, modes, and
-/// thread counts. (EvalStats work counters are NOT pinned: kernels charge
+/// differential tests pin this across the corpus, engines and modes.
+/// (EvalStats work counters are NOT pinned: kernels charge
 /// kernel_components / kernel_rounds instead of the interpreted path's
 /// rescan counters.)
 class KernelEvaluator {
@@ -304,23 +295,8 @@ class KernelEvaluator {
 
   /// Solves one compiled component against the global model and publishes
   /// the members' verdicts, exactly as ComponentSolver::Solve's general
-  /// path would. GlobalModel is the same policy concept (IsTrue / IsFalse
-  /// / Publish).
-  template <typename GlobalModel>
-  KernelOutcome Solve(const CompiledBucket& b, GlobalModel& gm) {
-    Bind(b, gm);
-    KernelOutcome out;
-    out.local_size = local_size_;
-    PartialModel local;
-    out.iterations = inner_ == SccInnerEngine::kWp ? RunWp(b, &local)
-                                                   : RunAfp(b, &local);
-    gm.Publish(std::span<const AtomId>(b.members, b.num_members), local);
-    ++ctx_.stats().kernel_components;
-    ctx_.stats().kernel_rounds += out.iterations;
-    ctx_.ReleaseBitset(std::move(local.true_atoms()));
-    ctx_.ReleaseBitset(std::move(local.false_atoms()));
-    return out;
-  }
+  /// path would.
+  KernelOutcome Solve(const CompiledBucket& b, GlobalModel& gm);
 
  private:
   static constexpr std::uint32_t kDead = UINT32_MAX;
@@ -334,54 +310,7 @@ class KernelEvaluator {
   /// (undef_rules_ — the sentinel's dynamic occurrence list), the
   /// sentinel_used_ flag, and the interpreted path's local_size
   /// accounting. Every slot is written each Bind; nothing needs clearing.
-  template <typename GlobalModel>
-  void Bind(const CompiledBucket& b, GlobalModel& gm) {
-    undef_.resize(b.num_rules);
-    undef_rules_.clear();
-    sentinel_used_ = false;
-    local_size_ = 0;
-    for (std::uint32_t r = 0; r < b.num_rules; ++r) {
-      std::uint32_t undef = 0;
-      bool dead = false;
-      for (std::uint32_t k = b.ext_pos_offsets[r];
-           k < b.ext_pos_offsets[r + 1]; ++k) {
-        const AtomId q = b.ext_pos[k];
-        if (gm.IsTrue(q)) continue;  // erased: satisfied
-        if (gm.IsFalse(q)) {
-          dead = true;
-          break;
-        }
-        ++undef;  // undefined external -> sentinel copy
-      }
-      if (!dead) {
-        for (std::uint32_t k = b.ext_neg_offsets[r];
-             k < b.ext_neg_offsets[r + 1]; ++k) {
-          const AtomId q = b.ext_neg[k];
-          if (gm.IsFalse(q)) continue;  // erased: not q holds
-          if (gm.IsTrue(q)) {
-            dead = true;
-            break;
-          }
-          ++undef;  // undefined external caps body (positive sentinel)
-        }
-      }
-      // The interpreted lowering materializes the sentinel as soon as any
-      // undefined external is pushed — including into a body that later
-      // turns out dead — so the flag must not be gated on liveness.
-      if (undef > 0) sentinel_used_ = true;
-      if (dead) {
-        undef_[r] = kDead;
-        continue;
-      }
-      undef_[r] = undef;
-      if (undef > 0) undef_rules_.push_back(r);
-      local_size_ += (b.int_pos_offsets[r + 1] - b.int_pos_offsets[r]) +
-                     (b.int_neg_offsets[r + 1] - b.int_neg_offsets[r]) +
-                     undef + 1;
-    }
-    // `u :- not u` adds one rule and one body literal.
-    if (sentinel_used_) local_size_ += 2;
-  }
+  void Bind(const CompiledBucket& b, const GlobalModel& gm);
 
   /// S_P(assumed_false) over the bound bucket (Definition 4.2: counting
   /// Horn propagation among rules whose negative body is contained in the

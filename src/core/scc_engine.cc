@@ -1,15 +1,11 @@
 #include "core/scc_engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "analysis/atom_graph.h"
 #include "core/component_solver.h"
-#include "exec/scheduler.h"
-#include "ground/owned_rules.h"
 
 namespace afp {
 
@@ -21,150 +17,6 @@ std::vector<std::vector<std::uint32_t>> ComponentRuleBuckets(
   }
   return comp_rules;
 }
-
-namespace {
-
-/// The parallel path: ready components dispatched to a fixed worker pool,
-/// each worker solving through its own registry context and publishing
-/// into the shared atomic model. Component id order is a topological
-/// order of the condensation (Tarjan), so the in-degree countdown is all
-/// the ordering the workers need.
-void RunParallel(EvalContext& ctx, const AtomDependencyGraph& graph,
-                 const RuleView& view,
-                 const std::vector<std::vector<std::uint32_t>>& comp_rules,
-                 const SccOptions& options, SccWfsResult* result) {
-  const std::size_t n = view.num_atoms;
-  const std::size_t num_components = graph.num_components();
-  // Mirror the scheduler's worker clamp so no registry slot or
-  // ComponentSolver is created for a worker that can never hold work.
-  const std::size_t num_workers =
-      std::min({static_cast<std::size_t>(options.num_threads),
-                std::max<std::size_t>(num_components, 1), std::size_t{256}});
-
-  // Everything shared is created — and the condensation built — before
-  // any worker exists; workers only read it. The precomputed in-degrees
-  // ride along so the scheduler does not recount them from the CSR.
-  DagView dag{num_components, &graph.condensation_offsets(),
-              &graph.condensation_successors(),
-              &graph.condensation_in_degrees()};
-
-  EvalContextRegistry private_registry;
-  EvalContextRegistry& registry =
-      options.registry ? *options.registry : private_registry;
-  registry.EnsureSize(num_workers);
-  std::vector<EvalStats> starts(num_workers);
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    starts[w] = registry.ForWorker(w).stats();
-  }
-
-  std::vector<std::unique_ptr<ComponentSolver>> solvers;
-  solvers.reserve(num_workers);
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    solvers.push_back(std::make_unique<ComponentSolver>(
-        registry.ForWorker(w), options, view, graph, comp_rules));
-  }
-
-  AtomicGlobalModel gm(n);
-  std::vector<std::uint32_t> iterations(num_components, 0);
-  std::vector<std::size_t> local_sizes(num_components, 0);
-
-  SchedulerOptions sched_opts;
-  sched_opts.num_threads = static_cast<int>(num_workers);
-  result->sched = RunWavefront(
-      dag, sched_opts, [&](std::uint32_t c, std::uint32_t worker) {
-        ComponentSolver::Outcome o = solvers[worker]->Solve(c, gm);
-        iterations[c] = o.iterations;
-        local_sizes[c] = o.local_size;
-      });
-
-  // Workers have joined: tear the solvers down (returning their pooled
-  // buffers to the registry slots) before reading the slot stats, then
-  // fold the workers' deltas into the caller's context so its
-  // Since-snapshots see the whole run.
-  solvers.clear();
-  for (std::size_t w = 0; w < num_workers; ++w) {
-    ctx.stats().Accumulate(registry.ForWorker(w).stats().Since(starts[w]));
-  }
-
-  result->component_iterations.assign(iterations.begin(), iterations.end());
-  for (std::size_t s : local_sizes) result->total_local_size += s;
-
-  Bitset global_true = ctx.AcquireBitset(n);
-  Bitset global_false = ctx.AcquireBitset(n);
-  gm.ExportTo(&global_true, &global_false);
-  ctx.NoteEscapedBytes(global_true.CapacityBytes() +
-                       global_false.CapacityBytes());
-  result->model =
-      PartialModel(std::move(global_true), std::move(global_false));
-}
-
-/// GlobalModel policy for the incremental re-solve's sequential path:
-/// verdicts OVERWRITE the previous model's bits (clearing first), and the
-/// policy records whether the last published component changed any member
-/// — the signal that keeps the change frontier advancing.
-struct DiffSequentialGlobalModel {
-  Bitset* true_atoms;
-  Bitset* false_atoms;
-  bool changed = false;
-
-  bool IsTrue(AtomId a) const { return true_atoms->Test(a); }
-  bool IsFalse(AtomId a) const { return false_atoms->Test(a); }
-
-  TruthValue Old(AtomId a) const {
-    if (true_atoms->Test(a)) return TruthValue::kTrue;
-    if (false_atoms->Test(a)) return TruthValue::kFalse;
-    return TruthValue::kUndefined;
-  }
-
-  void Write(AtomId a, TruthValue v) {
-    true_atoms->Reset(a);
-    false_atoms->Reset(a);
-    if (v == TruthValue::kTrue) {
-      true_atoms->Set(a);
-    } else if (v == TruthValue::kFalse) {
-      false_atoms->Set(a);
-    }
-  }
-
-  void Publish(std::span<const AtomId> members, const PartialModel& local) {
-    changed = false;
-    for (std::uint32_t i = 0; i < members.size(); ++i) {
-      const TruthValue now = local.Value(i);
-      if (Old(members[i]) == now) continue;
-      changed = true;
-      Write(members[i], now);
-    }
-  }
-
-  void PublishOne(AtomId a, TruthValue v) {
-    changed = Old(a) != v;
-    if (changed) Write(a, v);
-  }
-};
-
-/// The parallel counterpart: overwrites ride AtomicGlobalModel's
-/// PublishOverwrite and the change bit is recorded per COMPONENT (each
-/// component has exactly one publisher, so the plain byte writes are
-/// race-free; readers see them through the scheduler's completion edge).
-struct DiffAtomicGlobalModel {
-  AtomicGlobalModel* gm;
-  const std::vector<std::uint32_t>* comp_of;
-  std::vector<std::uint8_t>* changed_by_comp;
-
-  bool IsTrue(AtomId a) const { return gm->IsTrue(a); }
-  bool IsFalse(AtomId a) const { return gm->IsFalse(a); }
-
-  void Publish(std::span<const AtomId> members, const PartialModel& local) {
-    (*changed_by_comp)[(*comp_of)[members[0]]] =
-        gm->PublishOverwrite(members, local) ? 1 : 0;
-  }
-
-  void PublishOne(AtomId a, TruthValue v) {
-    (*changed_by_comp)[(*comp_of)[a]] = gm->PublishOneOverwrite(a, v) ? 1 : 0;
-  }
-};
-
-}  // namespace
 
 SccWfsResult WellFoundedSccOnGraph(
     EvalContext& ctx, const RuleView& view, const AtomDependencyGraph& graph,
@@ -178,17 +30,11 @@ SccWfsResult WellFoundedSccOnGraph(
   result.locally_stratified = graph.IsLocallyStratified();
   result.component_iterations.reserve(graph.num_components());
 
-  if (options.num_threads > 1) {
-    RunParallel(ctx, graph, view, comp_rules, options, &result);
-    result.eval = ctx.stats().Since(start);
-    return result;
-  }
-
-  // Sequential path: components in id order (a topological order of the
-  // condensation), one ComponentSolver, the caller's context throughout.
+  // Components in id order (a topological order of the condensation), one
+  // ComponentSolver, the caller's context throughout.
   Bitset global_true = ctx.AcquireBitset(n);
   Bitset global_false = ctx.AcquireBitset(n);
-  SequentialGlobalModel gm{&global_true, &global_false};
+  GlobalModel gm{&global_true, &global_false};
   {
     ComponentSolver solver(ctx, options, view, graph, comp_rules);
     for (std::uint32_t c = 0; c < graph.num_components(); ++c) {
@@ -234,20 +80,11 @@ void SccUpdateScratch::Ensure(std::size_t nc) {
     // One O(num_components) fill when the condensation (re)sizes; every
     // later update resets nothing — epoch comparison does the clearing.
     in_closure_.assign(nc, 0);
-    std::vector<std::atomic<std::uint64_t>> fresh(nc);
-    for (auto& n : fresh) n.store(0, std::memory_order_relaxed);
-    need_ = std::move(fresh);
-    local_of_.resize(nc);
-    changed_by_comp_.assign(nc, 0);
+    need_.assign(nc, 0);
     epoch_ = 0;
   }
   ++epoch_;
   closure_.clear();
-  seeds_.clear();
-  sub_offsets_.clear();
-  sub_targets_.clear();
-  iters_.clear();
-  resolved_.clear();
 }
 
 SccUpdateStats SccResolveDownstream(
@@ -255,7 +92,7 @@ SccUpdateStats SccResolveDownstream(
     const std::vector<std::vector<std::uint32_t>>& comp_rules,
     const SccOptions& options, std::span<const AtomId> touched_atoms,
     PartialModel* model, std::vector<std::uint32_t>* component_iterations,
-    SccUpdateScratch* scratch) {
+    SccUpdateScratch& s) {
   SccUpdateStats out;
   const EvalStats start = ctx.stats();
   const std::size_t nc = graph.num_components();
@@ -266,24 +103,23 @@ SccUpdateStats SccResolveDownstream(
   const std::vector<std::uint32_t>& succ = graph.condensation_successors();
 
   // All per-update bookkeeping lives in the caller's persistent scratch
-  // (epoch-stamped, so nothing O(num_components) is cleared per update);
-  // a caller without one pays the old allocate-and-zero floor here.
-  SccUpdateScratch local_scratch;
-  SccUpdateScratch& s = scratch ? *scratch : local_scratch;
+  // (epoch-stamped, so nothing O(num_components) is cleared per update).
   s.Ensure(nc);
   const std::uint64_t epoch = s.epoch_;
   std::vector<std::uint32_t>& closure = s.closure_;
 
   // Static downstream closure of the touched components. Every successor
   // of a closure member is itself a member, so the closure is exactly the
-  // sub-DAG the re-solve may schedule; its ascending id order is a
-  // topological order.
+  // set the re-solve may visit; its ascending id order is a topological
+  // order. Change-frontier stamps: need_[c] == epoch means the frontier
+  // reaches c — seeded here by the touched components, advanced below
+  // when a re-solve changes a verdict.
   for (AtomId a : touched_atoms) {
     const std::uint32_t c = comp_of[a];
+    s.need_[c] = epoch;
     if (s.in_closure_[c] != epoch) {
       s.in_closure_[c] = epoch;
       closure.push_back(c);
-      s.seeds_.push_back(c);
     }
   }
   for (std::size_t i = 0; i < closure.size(); ++i) {
@@ -298,103 +134,12 @@ SccUpdateStats SccResolveDownstream(
   std::sort(closure.begin(), closure.end());
   out.components_downstream = closure.size();
 
-  // Change-frontier stamps: need_[c] == epoch means the frontier reaches
-  // c. Seeded by the touched components; advanced when a predecessor's
-  // re-solve changes a verdict. Relaxed atomics — in the parallel path
-  // several predecessors may flag one successor concurrently, and the
-  // scheduler's completion edge orders the flag before the successor's
-  // task; the sequential path runs the same stores single-threaded.
-  for (std::uint32_t c : s.seeds_) {
-    s.need_[c].store(epoch, std::memory_order_relaxed);
-  }
-
-  if (options.num_threads > 1 && closure.size() > 1) {
-    // Parallel path: the induced sub-DAG through the wavefront scheduler.
-    const std::size_t num_workers =
-        std::min({static_cast<std::size_t>(options.num_threads),
-                  closure.size(), std::size_t{256}});
-
-    // local_of_ is read only for closure members (every successor of a
-    // member is a member), so stale entries from prior updates are never
-    // observed and the array is never cleared.
-    for (std::uint32_t i = 0; i < closure.size(); ++i) {
-      s.local_of_[closure[i]] = i;
-    }
-    s.sub_offsets_.assign(1, 0);
-    for (std::uint32_t i = 0; i < closure.size(); ++i) {
-      const std::uint32_t c = closure[i];
-      for (std::uint32_t k = off[c]; k < off[c + 1]; ++k) {
-        s.sub_targets_.push_back(s.local_of_[succ[k]]);
-      }
-      s.sub_offsets_.push_back(
-          static_cast<std::uint32_t>(s.sub_targets_.size()));
-    }
-    // In-degrees recounted from the sub-CSR (predecessors outside the
-    // closure have already published and must not be waited for).
-    DagView dag{closure.size(), &s.sub_offsets_, &s.sub_targets_, nullptr};
-
-    EvalContextRegistry private_registry;
-    EvalContextRegistry& registry =
-        options.registry ? *options.registry : private_registry;
-    registry.EnsureSize(num_workers);
-    std::vector<EvalStats> starts(num_workers);
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      starts[w] = registry.ForWorker(w).stats();
-    }
-    std::vector<std::unique_ptr<ComponentSolver>> solvers;
-    solvers.reserve(num_workers);
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      solvers.push_back(std::make_unique<ComponentSolver>(
-          registry.ForWorker(w), options, view, graph, comp_rules));
-    }
-
-    AtomicGlobalModel agm(view.num_atoms);
-    agm.ImportFrom(model->true_atoms(), model->false_atoms());
-    DiffAtomicGlobalModel gm{&agm, &comp_of, &s.changed_by_comp_};
-    s.resolved_.assign(closure.size(), 0);
-    s.iters_.assign(closure.size(), 0);
-
-    SchedulerOptions sched_opts;
-    sched_opts.num_threads = static_cast<int>(num_workers);
-    RunWavefront(dag, sched_opts, [&](std::uint32_t ci,
-                                      std::uint32_t worker) {
-      const std::uint32_t c = closure[ci];
-      if (s.need_[c].load(std::memory_order_relaxed) != epoch) return;
-      ComponentSolver::Outcome o = solvers[worker]->Solve(c, gm);
-      s.resolved_[ci] = 1;
-      s.iters_[ci] = o.iterations;
-      if (s.changed_by_comp_[c]) {
-        for (std::uint32_t k = off[c]; k < off[c + 1]; ++k) {
-          s.need_[succ[k]].store(epoch, std::memory_order_relaxed);
-        }
-      }
-    });
-
-    solvers.clear();
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      ctx.stats().Accumulate(registry.ForWorker(w).stats().Since(starts[w]));
-    }
-    for (std::uint32_t i = 0; i < closure.size(); ++i) {
-      if (!s.resolved_[i]) continue;
-      ++out.components_resolved;
-      out.model_changed |= s.changed_by_comp_[closure[i]] != 0;
-      if (component_iterations) {
-        (*component_iterations)[closure[i]] = s.iters_[i];
-      }
-    }
-    out.components_skipped = closure.size() - out.components_resolved;
-    agm.ExportTo(&model->true_atoms(), &model->false_atoms());
-    out.eval = ctx.stats().Since(start);
-    return out;
-  }
-
-  // Sequential path: closure components in ascending (topological) id
-  // order, advancing the change frontier inline.
-  DiffSequentialGlobalModel gm{&model->true_atoms(), &model->false_atoms(),
-                               false};
+  // Closure components in ascending (topological) id order: every
+  // frontier flag is final before its component is visited.
+  GlobalModel gm{&model->true_atoms(), &model->false_atoms()};
   ComponentSolver solver(ctx, options, view, graph, comp_rules);
   for (std::uint32_t c : closure) {
-    if (s.need_[c].load(std::memory_order_relaxed) != epoch) {
+    if (s.need_[c] != epoch) {
       ++out.components_skipped;
       continue;
     }
@@ -404,7 +149,7 @@ SccUpdateStats SccResolveDownstream(
     if (gm.changed) {
       out.model_changed = true;
       for (std::uint32_t k = off[c]; k < off[c + 1]; ++k) {
-        s.need_[succ[k]].store(epoch, std::memory_order_relaxed);
+        s.need_[succ[k]] = epoch;
       }
     }
   }

@@ -1,7 +1,6 @@
 #ifndef AFP_CORE_SCC_ENGINE_H_
 #define AFP_CORE_SCC_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -11,8 +10,8 @@
 #include "core/eval_context.h"
 #include "core/horn_solver.h"
 #include "core/interpretation.h"
-#include "exec/scheduler.h"
 #include "ground/ground_program.h"
+#include "util/bitset.h"
 
 namespace afp {
 
@@ -38,26 +37,11 @@ struct SccOptions {
   SccInnerEngine inner = SccInnerEngine::kAfp;
   /// T_P / U_P witness recomputation for the kWp inner engine.
   GusMode gus_mode = GusMode::kDelta;
-  /// Worker threads for the wavefront scheduler over the condensation DAG.
-  /// <= 1 keeps the fully sequential path (component id order, no threads
-  /// spawned, no atomics); > 1 dispatches ready components to a fixed
-  /// worker pool. Models and per-component iteration trajectories are
-  /// identical at every thread count (pinned by the differential tests);
-  /// EvalStats counter totals match too, except peak_scratch_bytes, which
-  /// depends on how components share the per-worker pools.
-  int num_threads = 1;
-  /// Optional warm per-worker contexts for the parallel path (grown to
-  /// num_threads slots if needed). Null means a run-private registry.
-  /// Passing one across runs keeps every worker's scratch pool warm, the
-  /// same way passing one EvalContext does for sequential engines. Must
-  /// not be used concurrently by two runs.
-  EvalContextRegistry* registry = nullptr;
   /// Optional compiled-kernel cache (core/rule_kernel.h). Null keeps every
   /// component interpreted. When set, ComponentSolver serves components
   /// with a compiled bucket through the packed KernelEvaluator and reports
   /// interpreted general-path solves back as heat; the cache's buckets are
-  /// read-only during a run (all compilation happens on the owning
-  /// session's thread between runs), so workers share the pointer freely.
+  /// read-only during a run (all compilation happens between runs).
   /// Results are bit-identical with and without a cache (models AND
   /// per-component trajectories; pinned by the differential tests).
   KernelCache* kernels = nullptr;
@@ -76,18 +60,66 @@ struct SccWfsResult {
   /// model is total — the perfect model).
   bool locally_stratified = false;
   /// Work counters for this computation (rules rescanned, delta sizes,
-  /// peak scratch bytes). In parallel runs the counters are the sum over
-  /// all workers (deterministic — every component does the same work on
-  /// any worker); peak_scratch_bytes is the max across worker pools.
+  /// peak scratch bytes), drawn from the caller's context.
   EvalStats eval;
   /// Per-component inner-solve iteration counts (A_P rounds under kAfp,
   /// W_P rounds under kWp), indexed by component id — the trajectory the
-  /// determinism tests compare across thread counts.
+  /// differential tests compare (incremental repair vs a from-scratch
+  /// solve, compiled vs interpreted components).
   std::vector<std::uint32_t> component_iterations;
-  /// Scheduler execution profile; populated only by the parallel path
-  /// (num_workers == 0 otherwise). wavefront_widths is the condensation's
-  /// static antichain profile — the parallelism the program offers.
-  SchedulerStats sched;
+};
+
+/// The global partial model the component-wise engine reads and writes:
+/// two bitsets that are exact for every atom of an already solved
+/// component (components run in id order, a topological order of the
+/// condensation, so a component's externals are always decided by the
+/// time it runs). ComponentSolver reads decided externals through
+/// IsTrue / IsFalse and publishes each component's verdicts once, through
+/// Publish (general path and compiled kernels) or PublishOne (the
+/// singleton fast path). Publishing OVERWRITES the members' previous bits
+/// — a full solve starts from empty sets, an incremental repair from the
+/// previous model — and records in `changed` whether the component just
+/// published changed any verdict: the signal that advances the repair's
+/// change frontier.
+struct GlobalModel {
+  Bitset* true_atoms;
+  Bitset* false_atoms;
+  bool changed = false;
+
+  bool IsTrue(AtomId a) const { return true_atoms->Test(a); }
+  bool IsFalse(AtomId a) const { return false_atoms->Test(a); }
+
+  void Publish(std::span<const AtomId> members, const PartialModel& local) {
+    changed = false;
+    for (std::uint32_t i = 0; i < members.size(); ++i) {
+      const TruthValue now = local.Value(i);
+      if (Old(members[i]) == now) continue;
+      changed = true;
+      Write(members[i], now);
+    }
+  }
+
+  void PublishOne(AtomId a, TruthValue v) {
+    changed = Old(a) != v;
+    if (changed) Write(a, v);
+  }
+
+ private:
+  TruthValue Old(AtomId a) const {
+    if (true_atoms->Test(a)) return TruthValue::kTrue;
+    if (false_atoms->Test(a)) return TruthValue::kFalse;
+    return TruthValue::kUndefined;
+  }
+
+  void Write(AtomId a, TruthValue v) {
+    true_atoms->Reset(a);
+    false_atoms->Reset(a);
+    if (v == TruthValue::kTrue) {
+      true_atoms->Set(a);
+    } else if (v == TruthValue::kFalse) {
+      false_atoms->Set(a);
+    }
+  }
 };
 
 /// Computes the well-founded model one strongly connected component of the
@@ -160,18 +192,15 @@ struct SccUpdateStats {
 };
 
 /// Caller-owned persistent scratch for SccResolveDownstream. Without it,
-/// every update would allocate and zero-fill five O(num_components)
-/// working arrays (closure membership, change-frontier flags, sub-DAG
-/// remap, per-component change bits) — a memset floor that dominates
-/// small updates once the condensation reaches ~100k components. The
-/// scratch keeps those arrays alive across updates and replaces the
-/// clears with a per-update epoch: an entry is "set for this update" iff
-/// its stamp equals the current epoch, so per-update cost is
-/// O(downstream closure), independent of num_components after the first
-/// use. One scratch serves one (graph, session) at a time; a Solver owns
-/// one for its cached condensation. Passing null to SccResolveDownstream
-/// falls back to a call-local scratch (the old per-update floor — kept as
-/// the ablation baseline measured by bench_ablation's scratch axis).
+/// every update would allocate and zero-fill its O(num_components)
+/// working arrays (closure membership, change-frontier flags) — a memset
+/// floor that dominates small updates once the condensation reaches
+/// ~100k components. The scratch keeps those arrays alive across updates
+/// and replaces the clears with a per-update epoch: an entry is "set for
+/// this update" iff its stamp equals the current epoch, so per-update
+/// cost is O(downstream closure), independent of num_components after the
+/// first use. One scratch serves one (graph, session) at a time; a Solver
+/// owns one for its cached condensation.
 class SccUpdateScratch {
  public:
   SccUpdateScratch() = default;
@@ -187,7 +216,7 @@ class SccUpdateScratch {
       const std::vector<std::vector<std::uint32_t>>& comp_rules,
       const SccOptions& options, std::span<const AtomId> touched_atoms,
       PartialModel* model, std::vector<std::uint32_t>* component_iterations,
-      SccUpdateScratch* scratch);
+      SccUpdateScratch& scratch);
 
   /// (Re)sizes the stamp arrays to `nc` components; zero-fills only when
   /// the component count changed (epoch 0 never matches a live epoch).
@@ -198,19 +227,9 @@ class SccUpdateScratch {
   std::vector<std::uint64_t> in_closure_;
   /// stamp == epoch_ → the change frontier reaches this component (seeded
   /// by the touched components, advanced by changed predecessors).
-  /// Atomic because several parallel predecessors may flag one successor;
-  /// the sequential path uses the same array with relaxed ops.
-  std::vector<std::atomic<std::uint64_t>> need_;
-  /// Closure-local index of a component; read only for closure members,
-  /// so it needs no clearing at all.
-  std::vector<std::uint32_t> local_of_;
-  /// Whether the last publish of this component changed a verdict;
-  /// written by Publish before every read, so stale bytes are harmless.
-  std::vector<std::uint8_t> changed_by_comp_;
-  /// O(closure)-sized per-update vectors, pooled for capacity reuse.
-  std::vector<std::uint32_t> closure_, seeds_, sub_offsets_, sub_targets_,
-      iters_;
-  std::vector<std::uint8_t> resolved_;
+  std::vector<std::uint64_t> need_;
+  /// The O(closure)-sized downstream closure, pooled for capacity reuse.
+  std::vector<std::uint32_t> closure_;
 };
 
 /// Incrementally repairs a previously computed well-founded model after an
@@ -224,10 +243,7 @@ class SccUpdateScratch {
 ///     ComponentSolver machinery as a full solve — only while the change
 ///     frontier reaches it: it contains a touched atom, or a predecessor
 ///     re-solve changed some member's verdict. Unreached closure
-///     components and all upstream components keep their verdicts;
-///   * options.num_threads > 1 dispatches the closure through the
-///     wavefront scheduler over the induced sub-DAG, with the same
-///     determinism contract as the full parallel engine.
+///     components and all upstream components keep their verdicts.
 ///
 /// `model` holds the previous well-founded model on entry and the repaired
 /// one on return; the result is pinned bit-identical — model AND
@@ -238,17 +254,16 @@ class SccUpdateScratch {
 /// been patched for the added/removed fact rules).
 /// `component_iterations`, when non-null, must be sized to
 /// graph.num_components() and is updated for re-solved components.
-/// `scratch`, when non-null, must be dedicated to this graph/session and
-/// makes the per-update bookkeeping O(downstream closure) instead of
-/// O(num_components) (see SccUpdateScratch); null allocates call-local
-/// scratch with the old per-update floor. Results are bit-identical
-/// either way.
+/// `scratch` must be dedicated to this graph/session; it makes the
+/// per-update bookkeeping O(downstream closure) instead of
+/// O(num_components) (see SccUpdateScratch). Results do not depend on
+/// the scratch's history.
 SccUpdateStats SccResolveDownstream(
     EvalContext& ctx, const RuleView& view, const AtomDependencyGraph& graph,
     const std::vector<std::vector<std::uint32_t>>& comp_rules,
     const SccOptions& options, std::span<const AtomId> touched_atoms,
     PartialModel* model, std::vector<std::uint32_t>* component_iterations,
-    SccUpdateScratch* scratch = nullptr);
+    SccUpdateScratch& scratch);
 
 }  // namespace afp
 

@@ -21,7 +21,9 @@ namespace afp {
 struct GroundStats {
   std::size_t atoms = 0;
   std::size_t rules = 0;
-  /// Flat-index slots inspected / rejected across every interning lookup.
+  /// Flat-index slots inspected / rejected by interning (FindOrInsert)
+  /// only; read-only lookups (AtomTable::Find, TermTable::Find) are not
+  /// counted, so concurrent readers write nothing.
   std::uint64_t intern_probes = 0;
   std::uint64_t intern_collisions = 0;
   /// Slot-array (re)allocations — the ONLY allocations the flat interning

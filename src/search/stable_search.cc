@@ -1,5 +1,6 @@
 #include "search/stable_search.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/alternating.h"
@@ -81,8 +82,7 @@ StableResult ParallelStableSearch::Count(
 StableResult ParallelStableSearch::Run(const StableSearchControl& control,
                                        bool count_only) {
   const std::size_t n = gp_.num_atoms();
-  int requested = options_.num_threads < 1 ? 1 : options_.num_threads;
-  if (requested > 256) requested = 256;  // RunWorkPool's own clamp
+  const int requested = std::clamp(options_.num_threads, 1, kMaxPoolWorkers);
   const std::size_t nw = static_cast<std::size_t>(requested);
 
   // Grow the worker roster to the pool size; slots persist across runs
@@ -139,10 +139,8 @@ StableResult ParallelStableSearch::Run(const StableSearchControl& control,
     root.assumed_true = Bitset(n);
     root.assumed_false = Bitset(n);
     const std::uint64_t roots[] = {kRootNode};
-    SchedulerOptions sched;
-    sched.num_threads = requested;
     pstats = RunWorkPool(
-        roots, sched,
+        roots, requested,
         [this](WorkPool& pool, std::uint64_t item, std::uint32_t worker) {
           ExpandNode(pool, static_cast<std::uint32_t>(item), worker);
         });

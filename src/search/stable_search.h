@@ -88,7 +88,7 @@ struct ParallelSearchOptions {
   SpMode sp_mode = SpMode::kDelta;
   HornMode horn_mode = HornMode::kCounting;
   /// Per-worker contexts. Pass a session's registry to share warm pools
-  /// with the SCC engine's workers; null = engine-private registry.
+  /// with its relevance query batches; null = engine-private registry.
   EvalContextRegistry* registry = nullptr;
 };
 

@@ -129,9 +129,8 @@ class Bitset {
     return words_.back() == (~o.words_.back() & mask);
   }
 
-  /// Word-granular access, for mirroring a bitset into (or out of) an
-  /// atomically shared word array — the parallel SCC engine's publication
-  /// path. Bit i lives in word i/64 at position i%64.
+  /// Word-granular access, for serializing a bitset (ServingSolver's
+  /// SaveState / RestoreState). Bit i lives in word i/64 at position i%64.
   std::size_t num_words() const { return words_.size(); }
   std::uint64_t word(std::size_t wi) const { return words_[wi]; }
   void set_word(std::size_t wi, std::uint64_t w) { words_[wi] = w; }

@@ -8,9 +8,10 @@
 namespace afp {
 
 /// Allocation/probe counters of a FlatIndex (or of a table aggregating
-/// several). Steady-state lookups touch `probes`/`collisions` only;
-/// `grow_allocs` moves exclusively when a table (re)allocates its slot
-/// array — the regression guard for "interning allocates nothing per call".
+/// several). `probes`/`collisions` count the interning path (FindOrInsert)
+/// only — a const Find writes nothing; `grow_allocs` moves exclusively
+/// when a table (re)allocates its slot array — the regression guard for
+/// "interning allocates nothing per call".
 struct FlatIndexStats {
   std::uint64_t probes = 0;
   std::uint64_t collisions = 0;
@@ -47,7 +48,9 @@ struct FlatIndexStats {
 ///     append-only), so probe chains never degrade;
 ///   * dense ids survive rehash: growth reinserts (hash, id) pairs from
 ///     the stored hashes — keys are not re-read, ids are not renumbered;
-///   * not thread-safe (each table owns its index, like the pools).
+///   * Find is a pure read, so concurrent Finds are safe; FindOrInsert
+///     (which also keeps the probe counters) is single-threaded, like the
+///     owning table's pools.
 class FlatIndex {
  public:
   static constexpr std::uint32_t kNotFound = static_cast<std::uint32_t>(-1);
@@ -65,18 +68,18 @@ class FlatIndex {
   }
 
   /// Returns the dense id of the entry whose stored hash equals `hash` and
-  /// for which `eq(id)` holds, or kNotFound. Never allocates.
+  /// for which `eq(id)` holds, or kNotFound. Never allocates and writes
+  /// nothing (not even the probe counters), so concurrent readers of a
+  /// table that no one is interning into need no synchronization.
   template <typename Eq>
   std::uint32_t Find(std::uint64_t hash, Eq&& eq) const {
     if (ids_.empty()) return kNotFound;
     const std::size_t mask = ids_.size() - 1;
     std::size_t i = static_cast<std::size_t>(hash) & mask;
     while (true) {
-      ++stats_.probes;
       const std::uint32_t id = ids_[i];
       if (id == kNotFound) return kNotFound;
       if (hashes_[i] == hash && eq(id)) return id;
-      ++stats_.collisions;
       i = (i + 1) & mask;
     }
   }
@@ -153,7 +156,7 @@ class FlatIndex {
   std::vector<std::uint64_t> hashes_;
   std::vector<std::uint32_t> ids_;
   std::size_t size_ = 0;
-  mutable FlatIndexStats stats_;
+  FlatIndexStats stats_;
 };
 
 }  // namespace afp

@@ -38,9 +38,10 @@ Digraph CompleteBipartite(int half);
 /// internal edges), wired by `inter_edges` random edges that always run
 /// from a lower-indexed cluster to a higher one. The win-move program
 /// over this graph grounds to one large SCC per cluster, and the sparse
-/// inter-cluster wiring leaves the condensation DAG with wide antichains
-/// — the workload the wavefront scheduler's thread-scaling axis (and its
-/// tests) measure. n = clusters * cluster_size.
+/// inter-cluster wiring leaves the condensation DAG with wide antichains:
+/// many multi-member components per solve, and incremental repairs whose
+/// change frontier crosses several clusters (the incremental bench axis
+/// and the compiled-kernel repair tests). n = clusters * cluster_size.
 Digraph ClusteredScc(int clusters, int cluster_size, int intra_per_cluster,
                      int inter_edges, std::uint64_t seed);
 

@@ -261,37 +261,5 @@ TEST(LpCorpus, MutationScriptsReplayAndAgreeWithFromScratch) {
       << "no mutation-script fixtures (growth_*.lp) in the corpus";
 }
 
-// The parallel acceptance bar: for every corpus file, every thread count,
-// and both inner engines, the wavefront-scheduled engine must reproduce
-// the sequential engine's model AND per-component iteration trajectory
-// bit for bit.
-TEST(LpCorpusParallel, ParallelSccIsBitIdenticalToSequentialOnEveryFile) {
-  for (const auto& path : CorpusFiles()) {
-    SCOPED_TRACE(path.filename().string());
-    auto parsed = ParseProgram(ReadFile(path));
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    Program p = std::move(parsed).value();
-    auto ground = Grounder::Ground(p);
-    ASSERT_TRUE(ground.ok()) << ground.status().ToString();
-    for (SccInnerEngine inner :
-         {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
-      SccOptions seq_opts;
-      seq_opts.inner = inner;
-      SccWfsResult seq = WellFoundedScc(*ground, seq_opts);
-      for (int threads : {2, 4, 8}) {
-        SccOptions par_opts = seq_opts;
-        par_opts.num_threads = threads;
-        SccWfsResult par = WellFoundedScc(*ground, par_opts);
-        EXPECT_EQ(par.model, seq.model)
-            << threads << " threads, inner "
-            << (inner == SccInnerEngine::kWp ? "wp" : "afp");
-        EXPECT_EQ(par.component_iterations, seq.component_iterations)
-            << threads << " threads, inner "
-            << (inner == SccInnerEngine::kWp ? "wp" : "afp");
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace afp

@@ -435,7 +435,7 @@ Solver MustCreate(Program program, const SolverOptions& options = {}) {
 
 TEST(ParallelSearchSolver, SolvedSessionSeedsTheRoot) {
   SolverOptions o;
-  o.search_threads = 4;
+  o.num_threads = 4;
   Solver cold = MustCreate(workload::EvenNegativeCycles(5), o);
   StableResult cold_r = cold.StableModels();
   EXPECT_FALSE(cold_r.search.seeded);  // nothing solved yet
@@ -458,7 +458,7 @@ TEST(ParallelSearchSolver, ThreadCountsAgreeThroughTheFacade) {
   std::vector<Bitset> expected;
   for (int threads : kThreadCounts) {
     SolverOptions o;
-    o.search_threads = threads;
+    o.num_threads = threads;
     Solver solver = MustCreate(workload::EvenCycleClusters(4, 4), o);
     solver.Solve();
     StableResult r = solver.StableModels();
@@ -484,7 +484,7 @@ TEST(ParallelSearchSolver, ThreadCountsAgreeThroughTheFacade) {
 TEST(ParallelSearchSolver, FactMutationInvalidatesCachedSearch) {
   const std::string_view text = "e. p :- e, not q. a :- not b. b :- not a.";
   SolverOptions o;
-  o.search_threads = 2;
+  o.num_threads = 2;
   auto solver = Solver::FromText(text, o);
   ASSERT_TRUE(solver.ok());
   solver->Solve();
@@ -512,7 +512,7 @@ TEST(ParallelSearchSolver, FactMutationInvalidatesCachedSearch) {
 
 TEST(ParallelSearchSolver, RuleMutationInvalidatesCachedSearch) {
   SolverOptions o;
-  o.search_threads = 2;
+  o.num_threads = 2;
   o.ground.simplify = false;  // rule mutations require unsimplified grounding
   auto solver = Solver::FromText("a :- not b. b :- not a.", o);
   ASSERT_TRUE(solver.ok());

@@ -97,27 +97,6 @@ TEST_P(RandomProgramProperty, WpGusModesAgree) {
   }
 }
 
-// The parallel wavefront engine over the random families: models and
-// per-component trajectories must equal the sequential SCC engine's at
-// every thread count (the determinism-by-construction argument of
-// docs/ARCHITECTURE.md, pinned empirically here).
-TEST_P(RandomProgramProperty, ParallelSccMatchesSequential) {
-  for (int seed = 0; seed < GetParam().num_seeds; ++seed) {
-    Program p = Make(seed);
-    GroundProgram gp = Ground(p);
-    SccWfsResult seq = WellFoundedScc(gp);
-    for (int threads : {2, 4}) {
-      SccOptions par;
-      par.num_threads = threads;
-      SccWfsResult r = WellFoundedScc(gp, par);
-      EXPECT_EQ(r.model, seq.model)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(r.component_iterations, seq.component_iterations)
-          << "seed " << seed << " threads " << threads;
-    }
-  }
-}
-
 TEST_P(RandomProgramProperty, WellFoundedModelSatisfiesProgram) {
   for (int seed = 0; seed < GetParam().num_seeds; ++seed) {
     Program p = Make(seed);

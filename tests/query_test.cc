@@ -171,8 +171,8 @@ TEST(Relevance, ContextThreadedQueriesMatchAndPoolScratch) {
 }
 
 // "Parallel" in the name keeps this inside the TSan CI lane's filter
-// (-R '(Scheduler|Parallel)') — the query batch is the one RunWavefront
-// consumer outside the SCC engine.
+// (-R '(Scheduler|Parallel|Serving)'): the batch's workers call the
+// atom/term tables' const Find concurrently through RunWorkPool.
 TEST(Relevance, ParallelBatchMatchesSingleQueriesAtEveryThreadCount) {
   Program p = workload::WinMove(graphs::ErdosRenyi(40, 100, 5));
   auto ground = Grounder::Ground(p);

@@ -69,25 +69,20 @@ TEST(KernelDifferential, CorpusCompiledMatchesInterpretedBitForBit) {
   for (const std::string& text : CorpusTexts()) {
     for (SccInnerEngine inner :
          {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
-      for (int threads : {1, 4}) {
-        SolverOptions off;
-        off.engine = SolverEngine::kScc;
-        off.inner = inner;
-        off.num_threads = threads;
-        off.compile = CompileMode::kOff;
-        SolverOptions on = off;
-        on.compile = CompileMode::kAlways;
-        auto a = Solver::FromText(text, off);
-        auto b = Solver::FromText(text, on);
-        ASSERT_TRUE(a.ok() && b.ok());
-        EXPECT_EQ(a->Solve(), b->Solve())
-            << "inner " << static_cast<int>(inner) << " threads " << threads
-            << "\n" << text;
-        EXPECT_EQ(a->component_iterations(), b->component_iterations())
-            << "inner " << static_cast<int>(inner) << " threads " << threads
-            << "\n" << text;
-        engaged += b->Stats().eval.kernel_components;
-      }
+      SolverOptions off;
+      off.engine = SolverEngine::kScc;
+      off.inner = inner;
+      off.compile = CompileMode::kOff;
+      SolverOptions on = off;
+      on.compile = CompileMode::kAlways;
+      auto a = Solver::FromText(text, off);
+      auto b = Solver::FromText(text, on);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a->Solve(), b->Solve())
+          << "inner " << static_cast<int>(inner) << "\n" << text;
+      EXPECT_EQ(a->component_iterations(), b->component_iterations())
+          << "inner " << static_cast<int>(inner) << "\n" << text;
+      engaged += b->Stats().eval.kernel_components;
     }
   }
   // The sweep must exercise real kernels, not just ineligible singletons.

@@ -16,7 +16,7 @@
 //
 // The fuzz interleaves AddRule / RemoveRule / AssertFacts / RetractFacts
 // under every engine axis the session exposes: inner Sp vs Gus, compile
-// kOff vs kAlways, 1 vs 4 threads. Fact ops stay on initially-derived
+// kOff vs kAlways. Fact ops stay on initially-derived
 // atoms (the deferred-extension contract is tested separately and in
 // isolation below).
 
@@ -38,12 +38,11 @@ namespace afp {
 namespace {
 
 SolverOptions MutableOptions(SolverEngine engine, SccInnerEngine inner,
-                             CompileMode compile, int threads) {
+                             CompileMode compile) {
   SolverOptions o;
   o.engine = engine;
   o.inner = inner;
   o.compile = compile;
-  o.num_threads = threads;
   o.ground.simplify = false;  // rule ops require unsimplified grounding
   return o;
 }
@@ -88,9 +87,7 @@ void ExpectFreshSccAgrees(Solver& solver, const SolverOptions& options,
 void ExpectFreshTextAgrees(Solver& solver, const std::string& text,
                            const SolverOptions& options,
                            const std::string& where) {
-  SolverOptions fresh_opts = options;
-  fresh_opts.num_threads = 1;
-  Solver fresh = MustSolver(text, fresh_opts);
+  Solver fresh = MustSolver(text, options);
   fresh.Solve();
   solver.Solve();
   for (AtomId a = 0; a < solver.ground().num_atoms(); ++a) {
@@ -203,29 +200,29 @@ void RunMutationFuzz(const SolverOptions& options, std::uint64_t seed,
   }
 }
 
-// --- The fuzz matrix: engine x inner x compile x threads ---------------
+// --- The fuzz matrix: engine x inner x compile ---------------------------
 
 TEST(RuleMutationTest, FuzzSccSpInterpreted) {
   RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                 CompileMode::kOff, 1),
+                                 CompileMode::kOff),
                   1, 28);
 }
 
 TEST(RuleMutationTest, FuzzSccSpCompiled) {
   RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                 CompileMode::kAlways, 1),
+                                 CompileMode::kAlways),
                   2, 28);
 }
 
 TEST(RuleMutationTest, FuzzSccGusInterpreted) {
   RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kWp,
-                                 CompileMode::kOff, 1),
+                                 CompileMode::kOff),
                   3, 28);
 }
 
 TEST(RuleMutationTest, FuzzSccGusCompiled) {
   RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kWp,
-                                 CompileMode::kAlways, 1),
+                                 CompileMode::kAlways),
                   4, 28);
 }
 
@@ -233,29 +230,15 @@ TEST(RuleMutationTest, FuzzMonolithicEngineSession) {
   // A session solved by the monolithic kAfp engine still repairs rule
   // edits component-wise (no trajectory to maintain).
   RunMutationFuzz(MutableOptions(SolverEngine::kAfp, SccInnerEngine::kAfp,
-                                 CompileMode::kOff, 1),
+                                 CompileMode::kOff),
                   5, 18);
-}
-
-// Parallel fuzz lives in its own suite so the TSan CI lane's
-// -R '(Scheduler|Parallel|Serving)' filter picks it up.
-TEST(RuleMutationParallel, FuzzSccSpCompiledThreads4) {
-  RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                 CompileMode::kAlways, 4),
-                  6, 24);
-}
-
-TEST(RuleMutationParallel, FuzzSccGusInterpretedThreads4) {
-  RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kWp,
-                                 CompileMode::kOff, 4),
-                  7, 24);
 }
 
 // --- Targeted unit tests ----------------------------------------------
 
 TEST(RuleMutationTest, AddRuleDerivesAndGrowsUniverse) {
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff, 1);
+                                   CompileMode::kOff);
   Solver s = MustSolver("e(a,b). e(b,c). p(X) :- e(X,Y).", o);
   s.Solve();
   const std::size_t atoms0 = s.ground().num_atoms();
@@ -271,7 +254,7 @@ TEST(RuleMutationTest, AddRuleDerivesAndGrowsUniverse) {
 
 TEST(RuleMutationTest, RemoveRuleLeavesDeadAtomsFalse) {
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff, 1);
+                                   CompileMode::kOff);
   Solver s = MustSolver("e(a,b). p(X) :- e(X,Y).", o);
   s.Solve();
   ASSERT_TRUE(s.AddRule("q(X) :- p(X).").ok());
@@ -286,7 +269,7 @@ TEST(RuleMutationTest, RemoveRuleLeavesDeadAtomsFalse) {
 
 TEST(RuleMutationTest, SharedInstancesSurviveSingleRemoval) {
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff, 1);
+                                   CompileMode::kOff);
   Solver s = MustSolver("f(a). p(X) :- f(X).", o);
   s.Solve();
   // Two structurally distinct source rules emitting the same instance
@@ -306,7 +289,7 @@ TEST(RuleMutationTest, SharedInstancesSurviveSingleRemoval) {
 
 TEST(RuleMutationTest, DeferredExtensionFoldsAssertsAtNextRuleOp) {
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff, 1);
+                                   CompileMode::kOff);
   // q/1 atoms exist in the universe (negative bodies) but are initially
   // underivable.
   Solver s = MustSolver("f(a). f(b). p(X) :- f(X), not q(X).", o);
@@ -330,7 +313,7 @@ TEST(RuleMutationTest, DeferredExtensionFoldsAssertsAtNextRuleOp) {
 
 TEST(RuleMutationTest, RejectsFactsAndUnknownRules) {
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff, 1);
+                                   CompileMode::kOff);
   Solver s = MustSolver("f(a). p(X) :- f(X).", o);
   s.Solve();
   EXPECT_EQ(s.AddRule("g(b).").status().code(), StatusCode::kInvalidArgument);
@@ -348,7 +331,7 @@ TEST(RuleMutationTest, RuleOpsRequireSmartSemiNaiveGrounding) {
   const std::string text = "f(a). f(b). p(X) :- f(X), not q(X).";
   for (int variant = 0; variant < 2; ++variant) {
     SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                     CompileMode::kOff, 1);
+                                     CompileMode::kOff);
     if (variant == 0) {
       o.ground.mode = GroundMode::kFull;
     } else {
@@ -374,7 +357,7 @@ TEST(RuleMutationTest, RuleOpsSurviveSessionMove) {
   // The grounder holds no reference into the session, so rule ops keep
   // working after the session object moves (it used to crash here).
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways, 1);
+                                   CompileMode::kAlways);
   const std::string base = "e(a,b). e(b,c). e(c,a). p(X) :- e(X,Y), not p(Y).";
   Solver first = MustSolver(base, o);
   first.Solve();
@@ -410,7 +393,7 @@ TEST(RuleMutationTest, SimplifiedSessionsRefuseRuleOps) {
 TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
   Digraph g = graphs::RandomFunctional(4096, 7);
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways, 1);
+                                   CompileMode::kAlways);
   auto sv = Solver::FromProgram(workload::WinMove(g), o);
   ASSERT_TRUE(sv.ok()) << sv.status().ToString();
   Solver s = std::move(sv).value();
@@ -454,7 +437,7 @@ TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
 
 TEST(RuleMutationTest, RuleEditRecompilesExactlyTheTouchedKernels) {
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways, 1);
+                                   CompileMode::kAlways);
   // Two independent 2-cycles: both components compile (multi-member).
   Solver s = MustSolver(
       "f(a). w(X) :- f(X), not w2(X). w2(X) :- f(X), not w(X).\n"
@@ -494,7 +477,7 @@ TEST(RuleMutationTest, RuleEditRecompilesExactlyTheTouchedKernels) {
 
 TEST(RuleMutationTest, IntraComponentRemovalRebuildsAnalysis) {
   SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways, 1);
+                                   CompileMode::kAlways);
   Solver s = MustSolver("f(a). w(X) :- f(X), not v(X).", o);
   s.Solve();
   // Close a 2-cycle, then cut it: the removed edge is intra-component,

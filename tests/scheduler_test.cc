@@ -1,7 +1,7 @@
-// The wavefront scheduler: Kahn layering, dependency ordering, thread
-// counts, and the concurrency stress test the ThreadSanitizer CI lane
-// runs. DAG shapes are hand-built (diamond, chain, antichain, single
-// node, empty) plus random layered DAGs for the stress sweep.
+// The work-sharing pool (RunWorkPool): exactly-once execution at every
+// thread count, cancellation, and the wide-antichain stress test the
+// ThreadSanitizer CI lane runs (the relevance query batch's shape: many
+// independent roots, no submits).
 
 #include "exec/scheduler.h"
 
@@ -10,180 +10,10 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <random>
 #include <vector>
 
 namespace afp {
 namespace {
-
-/// CSR DAG builder for test shapes: edges run dependency -> dependent.
-struct TestDag {
-  std::size_t n;
-  std::vector<std::uint32_t> offsets;
-  std::vector<std::uint32_t> targets;
-
-  explicit TestDag(std::size_t num_nodes,
-                   std::vector<std::pair<std::uint32_t, std::uint32_t>>
-                       edges = {})
-      : n(num_nodes) {
-    offsets.assign(n + 1, 0);
-    for (auto [u, v] : edges) ++offsets[u + 1];
-    for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
-    targets.resize(edges.size());
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (auto [u, v] : edges) targets[cursor[u]++] = v;
-  }
-
-  DagView View() const { return DagView{n, &offsets, &targets}; }
-};
-
-/// Runs the DAG at `threads`, recording completion order, and checks
-/// every node ran exactly once with all predecessors already complete.
-void CheckRun(const TestDag& dag, int threads) {
-  std::vector<std::atomic<int>> run_count(dag.n);
-  std::vector<std::atomic<bool>> completed(dag.n);
-  for (std::size_t i = 0; i < dag.n; ++i) {
-    run_count[i] = 0;
-    completed[i] = false;
-  }
-  // Predecessor lists (transpose of the CSR successors).
-  std::vector<std::vector<std::uint32_t>> preds(dag.n);
-  for (std::uint32_t u = 0; u < dag.n; ++u) {
-    for (std::uint32_t k = dag.offsets[u]; k < dag.offsets[u + 1]; ++k) {
-      preds[dag.targets[k]].push_back(u);
-    }
-  }
-
-  SchedulerOptions opts;
-  opts.num_threads = threads;
-  SchedulerStats stats =
-      RunWavefront(dag.View(), opts, [&](std::uint32_t v, std::uint32_t w) {
-        EXPECT_LT(w, static_cast<std::uint32_t>(threads < 1 ? 1 : threads));
-        for (std::uint32_t p : preds[v]) {
-          EXPECT_TRUE(completed[p].load()) << "node " << v
-                                           << " ran before predecessor "
-                                           << p << " at " << threads
-                                           << " threads";
-        }
-        ++run_count[v];
-        completed[v] = true;
-      });
-
-  for (std::size_t i = 0; i < dag.n; ++i) {
-    EXPECT_EQ(run_count[i].load(), 1) << "node " << i;
-  }
-  EXPECT_EQ(stats.num_nodes, dag.n);
-  std::size_t total = 0;
-  for (std::uint32_t w : stats.wavefront_widths) total += w;
-  EXPECT_EQ(total, dag.n);
-}
-
-TEST(Scheduler, DiamondWavefrontsAndOrdering) {
-  // 0 -> {1,2} -> 3.
-  TestDag dag(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  std::vector<std::uint32_t> widths;
-  ASSERT_TRUE(ComputeWavefronts(dag.View(), &widths));
-  EXPECT_EQ(widths, (std::vector<std::uint32_t>{1, 2, 1}));
-  for (int t : {1, 2, 4, 8}) CheckRun(dag, t);
-}
-
-TEST(Scheduler, ChainIsFullySequential) {
-  TestDag dag(16, [] {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> e;
-    for (std::uint32_t i = 0; i + 1 < 16; ++i) e.push_back({i, i + 1});
-    return e;
-  }());
-  std::vector<std::uint32_t> widths;
-  ASSERT_TRUE(ComputeWavefronts(dag.View(), &widths));
-  EXPECT_EQ(widths.size(), 16u);
-  for (std::uint32_t w : widths) EXPECT_EQ(w, 1u);
-  for (int t : {1, 2, 4}) CheckRun(dag, t);
-}
-
-TEST(Scheduler, AntichainIsOneWavefront) {
-  TestDag dag(32);
-  std::vector<std::uint32_t> widths;
-  ASSERT_TRUE(ComputeWavefronts(dag.View(), &widths));
-  EXPECT_EQ(widths, (std::vector<std::uint32_t>{32}));
-  for (int t : {1, 2, 4, 8}) CheckRun(dag, t);
-}
-
-TEST(Scheduler, SingleNodeAndEmpty) {
-  TestDag single(1);
-  std::vector<std::uint32_t> widths;
-  ASSERT_TRUE(ComputeWavefronts(single.View(), &widths));
-  EXPECT_EQ(widths, (std::vector<std::uint32_t>{1}));
-  for (int t : {1, 4}) CheckRun(single, t);
-
-  TestDag empty(0);
-  ASSERT_TRUE(ComputeWavefronts(empty.View(), &widths));
-  EXPECT_TRUE(widths.empty());
-  SchedulerOptions opts;
-  opts.num_threads = 4;
-  SchedulerStats stats = RunWavefront(
-      empty.View(), opts,
-      [](std::uint32_t, std::uint32_t) { FAIL() << "task on empty DAG"; });
-  EXPECT_EQ(stats.num_nodes, 0u);
-}
-
-TEST(Scheduler, CycleIsRejectedByWavefrontCheck) {
-  TestDag cyclic(3, {{0, 1}, {1, 2}, {2, 0}});
-  std::vector<std::uint32_t> widths;
-  EXPECT_FALSE(ComputeWavefronts(cyclic.View(), &widths));
-
-  // A cycle hanging off an acyclic prefix is also caught.
-  TestDag mixed(4, {{0, 1}, {1, 2}, {2, 1}, {0, 3}});
-  EXPECT_FALSE(ComputeWavefronts(mixed.View(), &widths));
-}
-
-TEST(Scheduler, InlineModeIsDeterministicFifo) {
-  // Kahn FIFO at one thread: roots in id order, then readied nodes in
-  // completion order. For the diamond that is exactly 0,1,2,3.
-  TestDag dag(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  SchedulerOptions opts;
-  opts.num_threads = 1;
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::uint32_t> order;
-    RunWavefront(dag.View(), opts,
-                 [&](std::uint32_t v, std::uint32_t) { order.push_back(v); });
-    EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  }
-}
-
-/// Random layered DAG: `layers` antichains of width `width`, each node
-/// wired to a random subset of the next layer. The shape every SCC
-/// condensation decomposes into.
-TestDag RandomLayeredDag(std::uint32_t layers, std::uint32_t width,
-                         std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (std::uint32_t l = 0; l + 1 < layers; ++l) {
-    for (std::uint32_t i = 0; i < width; ++i) {
-      for (std::uint32_t j = 0; j < width; ++j) {
-        if (rng() % 3 == 0) {
-          edges.push_back({l * width + i, (l + 1) * width + j});
-        }
-      }
-    }
-  }
-  return TestDag(layers * width, std::move(edges));
-}
-
-// The ThreadSanitizer lane's main target (ctest -R SchedulerStress):
-// repeated contended runs over random layered DAGs, all thread counts,
-// with the ordering/exactly-once checks active. Any missed
-// happens-before edge between a completion and a successor dispatch
-// shows up here as a TSan race or an ordering failure.
-TEST(SchedulerStress, RepeatedContendedRuns) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    TestDag dag = RandomLayeredDag(/*layers=*/5, /*width=*/11, seed);
-    for (int t : {2, 4, 8}) {
-      CheckRun(dag, t);
-    }
-  }
-}
-
-// --- the dynamic work-sharing pool (RunWorkPool) ---
 
 // Tree-shaped workload: item i submits 2i+1 and 2i+2 while they are < n.
 // Every item must run exactly once at any thread count.
@@ -191,11 +21,9 @@ void RunBinaryTreePool(std::size_t n, int threads, WorkPoolStats* stats,
                        std::vector<int>* run_counts) {
   run_counts->assign(n, 0);
   std::mutex mu;
-  SchedulerOptions opts;
-  opts.num_threads = threads;
   const std::uint64_t roots[] = {0};
   *stats = RunWorkPool(
-      roots, opts,
+      roots, threads,
       [&](WorkPool& pool, std::uint64_t item, std::uint32_t worker) {
         {
           std::lock_guard<std::mutex> lk(mu);
@@ -242,11 +70,9 @@ TEST(SchedulerWorkPool, ParallelRunsEveryItemOnceAtEveryThreadCount) {
 TEST(SchedulerWorkPool, CancelDropsQueuedItems) {
   for (int threads : {1, 4}) {
     std::atomic<std::size_t> ran{0};
-    SchedulerOptions opts;
-    opts.num_threads = threads;
     const std::uint64_t roots[] = {0};
     WorkPoolStats stats = RunWorkPool(
-        roots, opts,
+        roots, threads,
         [&](WorkPool& pool, std::uint64_t item, std::uint32_t worker) {
           if (ran.fetch_add(1, std::memory_order_relaxed) >= 10) {
             pool.Cancel();
@@ -265,11 +91,9 @@ TEST(SchedulerWorkPool, CancelDropsQueuedItems) {
 
 TEST(SchedulerWorkPool, SubmitAfterCancelIsDropped) {
   std::atomic<std::size_t> ran{0};
-  SchedulerOptions opts;
-  opts.num_threads = 1;
   const std::uint64_t roots[] = {0};
   WorkPoolStats stats = RunWorkPool(
-      roots, opts,
+      roots, /*num_threads=*/1,
       [&](WorkPool& pool, std::uint64_t item, std::uint32_t worker) {
         ++ran;
         pool.Cancel();
@@ -281,24 +105,32 @@ TEST(SchedulerWorkPool, SubmitAfterCancelIsDropped) {
 }
 
 TEST(SchedulerWorkPool, EmptyRootsIsANoop) {
-  SchedulerOptions opts;
-  opts.num_threads = 4;
   WorkPoolStats stats = RunWorkPool(
-      {}, opts,
+      {}, /*num_threads=*/4,
       [&](WorkPool&, std::uint64_t, std::uint32_t) { ADD_FAILURE(); });
   EXPECT_EQ(stats.items_run, 0u);
   EXPECT_FALSE(stats.cancelled);
 }
 
+// 256 independent roots, no submits, 8 workers — the relevance query
+// batch's shape. Every item must run exactly once, on a valid worker.
 TEST(SchedulerStress, WideAntichainManyWorkers) {
-  TestDag dag(256);
+  std::vector<std::uint64_t> roots(256);
+  for (std::uint64_t i = 0; i < roots.size(); ++i) roots[i] = i;
   for (int round = 0; round < 4; ++round) {
-    std::atomic<std::uint32_t> ran{0};
-    SchedulerOptions opts;
-    opts.num_threads = 8;
-    RunWavefront(dag.View(), opts,
-                 [&](std::uint32_t, std::uint32_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 256u);
+    std::vector<std::atomic<int>> run_count(roots.size());  // all zero
+    WorkPoolStats stats = RunWorkPool(
+        roots, /*num_threads=*/8,
+        [&](WorkPool&, std::uint64_t item, std::uint32_t worker) {
+          EXPECT_LT(worker, 8u);
+          ++run_count[item];
+        });
+    for (std::size_t i = 0; i < run_count.size(); ++i) {
+      EXPECT_EQ(run_count[i].load(), 1) << "item " << i;
+    }
+    EXPECT_EQ(stats.num_workers, 8u);
+    EXPECT_EQ(stats.items_run, roots.size());
+    EXPECT_FALSE(stats.cancelled);
   }
 }
 

@@ -96,7 +96,6 @@ PartialModel DirectModel(const GroundProgram& gp, const SolverOptions& o) {
       s.sp_mode = o.sp_mode;
       s.gus_mode = o.gus_mode;
       s.inner = o.inner;
-      s.num_threads = o.num_threads;
       return WellFoundedScc(gp, s).model;
     }
   }
@@ -145,20 +144,17 @@ TEST(Solver, MatchesDirectEnginesAcrossModesOnRandomFamilies) {
         }
       }
     }
-    // The kScc inner-engine axis and the parallel path.
+    // The kScc inner-engine axis.
     for (SccInnerEngine inner :
          {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
-      for (int threads : {1, 4}) {
-        SolverOptions o;
-        o.engine = SolverEngine::kScc;
-        o.inner = inner;
-        o.num_threads = threads;
-        o.ground.mode = GroundMode::kFull;
-        Solver solver = MustCreate(
-            workload::RandomPropositional(24, 48, 3, 50, seed), o);
-        EXPECT_EQ(solver.Solve(), DirectModel(gp, o))
-            << "seed " << seed << " threads " << threads;
-      }
+      SolverOptions o;
+      o.engine = SolverEngine::kScc;
+      o.inner = inner;
+      o.ground.mode = GroundMode::kFull;
+      Solver solver = MustCreate(
+          workload::RandomPropositional(24, 48, 3, 50, seed), o);
+      EXPECT_EQ(solver.Solve(), DirectModel(gp, o))
+          << "seed " << seed << " inner " << static_cast<int>(inner);
     }
   }
 }
@@ -374,55 +370,6 @@ TEST(SolverIncremental, RetractThenReassertRoundTripsBitIdentical) {
   EXPECT_GE(solver.Stats().incremental_updates, 2u);
   EXPECT_EQ(solver.Stats().full_solves, 1u)
       << "updates must repair, not re-solve";
-}
-
-TEST(SolverIncremental, ParallelUpdatesMatchSequential) {
-  Program base = workload::WinMove(
-      graphs::ClusteredScc(/*clusters=*/6, /*cluster_size=*/8,
-                           /*intra_per_cluster=*/14, /*inter_edges=*/8,
-                           /*seed=*/11));
-  GroundProgram reference = MustGround(base);
-  std::vector<std::string> fact_names;
-  for (AtomId a = 0; a < reference.num_atoms(); ++a) {
-    if (reference.HasFact(a)) fact_names.push_back(reference.AtomName(a));
-  }
-
-  // Sequential session as the oracle; parallel sessions must track it
-  // through an identical mutation sequence.
-  SolverOptions seq;
-  seq.engine = SolverEngine::kScc;
-  Solver oracle = MustCreate(workload::WinMove(graphs::ClusteredScc(
-                                 6, 8, 14, 8, 11)),
-                             seq);
-  oracle.Solve();
-  for (int threads : {2, 4}) {
-    SolverOptions par = seq;
-    par.num_threads = threads;
-    Solver solver = MustCreate(
-        workload::WinMove(graphs::ClusteredScc(6, 8, 14, 8, 11)), par);
-    solver.Solve();
-    EXPECT_EQ(solver.model(), oracle.model()) << threads << " threads";
-    for (std::size_t i = 0; i < fact_names.size(); i += 3) {
-      auto a = oracle.RetractFact(fact_names[i]);
-      auto b = solver.RetractFact(fact_names[i]);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(b->components_resolved, a->components_resolved)
-          << threads << " threads, " << fact_names[i];
-      EXPECT_EQ(solver.model(), oracle.model())
-          << threads << " threads after retract " << fact_names[i];
-      EXPECT_EQ(solver.component_iterations(),
-                oracle.component_iterations())
-          << threads << " threads after retract " << fact_names[i];
-      a = oracle.AssertFact(fact_names[i]);
-      b = solver.AssertFact(fact_names[i]);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(solver.model(), oracle.model())
-          << threads << " threads after reassert " << fact_names[i];
-      EXPECT_EQ(solver.component_iterations(),
-                oracle.component_iterations())
-          << threads << " threads after reassert " << fact_names[i];
-    }
-  }
 }
 
 TEST(SolverIncremental, MonolithicEnginesRepairTheirModelsToo) {

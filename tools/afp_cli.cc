@@ -42,13 +42,7 @@
 //                                      compiles every eligible component
 //                                      up front; models are identical in
 //                                      all three modes
-//   --threads=N                        worker threads for --engine=scc: the
-//                                      wavefront scheduler dispatches ready
-//                                      components of the condensation DAG
-//                                      to N workers, each with its own
-//                                      pooled context (default 1; models
-//                                      are identical at every N)
-//   --search-threads=N                 worker threads for
+//   --threads=N                        worker threads for
 //                                      --semantics=stable: the branch tree
 //                                      of the stable-model search is
 //                                      dispatched to N workers through the
@@ -60,9 +54,8 @@
 //   --trace                            print the Table-I style trace (wfs)
 //   --json                             print the model as JSON
 //   --max-models=N                     cap stable-model enumeration
-//                                      (N, --threads and --search-threads
-//                                      are whole decimal numbers; anything
-//                                      else exits 1)
+//                                      (N and --threads are whole decimal
+//                                      numbers; anything else exits 1)
 //   --ground                           print the ground program and exit
 //   --stats                            print sizes and iteration counts
 //
@@ -113,8 +106,6 @@ struct Options {
   bool compile_given = false;
   int threads = 1;
   bool threads_given = false;
-  int search_threads = 1;
-  bool search_threads_given = false;
   std::vector<std::string> queries;
   std::vector<std::string> selects;
   /// Session mutations (facts and rules) in command-line order.
@@ -232,14 +223,6 @@ int main(int argc, char** argv) {
       }
       opts.threads = static_cast<int>(number);
       opts.threads_given = true;
-      continue;
-    }
-    if (ParseFlag(arg, "search-threads", &value)) {
-      if (!ParseNumber(value, 1, kMaxThreads, &number)) {
-        return BadValue("search-threads", value);
-      }
-      opts.search_threads = static_cast<int>(number);
-      opts.search_threads_given = true;
       continue;
     }
     if (ParseFlag(arg, "query", &value)) {
@@ -364,14 +347,8 @@ int main(int argc, char** argv) {
               << opts.semantics << " --engine=" << opts.engine
               << " without --assert/--retract\n";
   }
-  if (opts.threads_given &&
-      !(opts.semantics == "wfs" && opts.engine == "scc")) {
+  if (opts.threads_given && opts.semantics != "stable") {
     std::cerr << "afp: note: --threads has no effect for --semantics="
-              << opts.semantics << " --engine=" << opts.engine
-              << " (only --engine=scc runs the wavefront scheduler)\n";
-  }
-  if (opts.search_threads_given && opts.semantics != "stable") {
-    std::cerr << "afp: note: --search-threads has no effect for --semantics="
               << opts.semantics
               << " (only --semantics=stable runs the branch-tree search)\n";
   }
@@ -411,7 +388,6 @@ int main(int argc, char** argv) {
   sopts.gus_mode = gus_mode;
   sopts.inner = inner_engine;
   sopts.num_threads = opts.threads;
-  sopts.search_threads = opts.search_threads;
   sopts.compile = compile_mode;
   sopts.record_trace = opts.trace;
   // Fitting/IFP need the rule instances whose positive bodies are
@@ -475,24 +451,6 @@ int main(int argc, char** argv) {
         case afp::SolverEngine::kScc:
           std::cout << "% components: " << st.num_components
                     << "  local size: " << st.total_local_size << "\n";
-          if (st.sched.num_workers > 0) {
-            const afp::SchedulerStats& sc = st.sched;
-            std::cout << "% scheduler: workers " << sc.num_workers
-                      << "  wavefronts " << sc.wavefront_widths.size()
-                      << "  max width " << sc.MaxWavefrontWidth()
-                      << "  max ready " << sc.max_ready
-                      << "  steals " << sc.steals
-                      << "  idle waits " << sc.idle_waits << "\n";
-            std::cout << "% wavefront widths:";
-            for (std::size_t d = 0; d < sc.wavefront_widths.size(); ++d) {
-              if (d >= 16) {
-                std::cout << " ...";
-                break;
-              }
-              std::cout << ' ' << sc.wavefront_widths[d];
-            }
-            std::cout << "\n";
-          }
           break;
       }
     }

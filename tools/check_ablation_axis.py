@@ -4,9 +4,8 @@
 The delta-driven evaluation paths (SpMode::kDelta for S_P enablement,
 GusMode::kDelta for the T_P / unfounded-set witness counters) exist to do
 strictly less rule-body rescanning than their from-scratch ablation
-baselines, and the wavefront scheduler exists to turn condensation-DAG
-antichains into wall-clock speedup. This check fails CI if either ever
-regresses:
+baselines. This check fails CI if they, or any of the other recorded
+axes below, ever regress:
 
   * every delta/scratch pair must have the delta side rescan FEWER rule
     bodies than the scratch side (ratio scratch/delta > 1.0) — a delta mode
@@ -15,10 +14,6 @@ regresses:
   * the flagship workloads — win-move at the largest benched size and the
     Example 8.2 chain — must keep a ratio of at least MIN_FLAGSHIP_RATIO
     (3x) on the GusMode axis, the headline number recorded in ROADMAP.md;
-  * the thread-scaling axis must exist for the flagship THREAD_FLAGSHIP
-    workload with 1- and 4-thread rows, every speedup must stay >= 1.0
-    (more workers never slower than one), and the 4-thread run must be at
-    least MIN_THREAD_SPEEDUP (2x) faster than the 1-thread run;
   * the incremental-update axis (a Solver session's single-fact
     AssertFacts/RetractFacts repair vs a full re-solve of the mutated
     program) must beat the full re-solve on every recorded workload
@@ -26,12 +21,6 @@ regresses:
     flagship INCREMENTAL_FLAGSHIP row. These ratios are wall-clock but
     single-threaded with two-orders-of-magnitude margins, so they are
     safe on noisy or small CI machines;
-  * the scratch axis (SccResolveDownstream with a persistent
-    epoch-stamped SccUpdateScratch vs the old per-update
-    allocate-and-zero-O(num_components) floor) must keep the persistent
-    side faster on every row (ratio > 1x) and by MIN_SCRATCH_RATIO (2x)
-    on the many-component SCRATCH_FLAGSHIP chain — the receipt that
-    per-update allocation no longer scales with the component count;
   * the compiled-kernel axis (packed CSR rule kernels,
     SolverOptions::compile = kAlways, vs the interpreted per-solve
     lowering) must beat interpretation on every row where kernels
@@ -50,10 +39,10 @@ regresses:
     MIN_SEARCH_SPEEDUP (2x) at 4 threads on the SEARCH_FLAGSHIP row.
 
 The rescan gates are counters, not wall-clock: deterministic for a fixed
-workload, so safe on noisy CI machines. The thread gates are necessarily
-wall-clock; they are enforced only when the RECORDING machine reported
-hardware_concurrency >= the gated thread count (a 1-core container can
-run the parallel engine correctly but cannot exhibit speedup — the row is
+workload, so safe on noisy CI machines. The search speedup gates are
+necessarily wall-clock; they are enforced only for thread counts the
+RECORDING machine's hardware_concurrency covers (a 1-core container can
+run the parallel search correctly but cannot exhibit speedup — the row is
 still required to exist there, so the axis cannot silently vanish).
 
 Usage: check_ablation_axis.py [path/to/BENCH_ablation_axis.json]
@@ -70,21 +59,10 @@ MIN_FLAGSHIP_RATIO = 3.0
 # keep this list in sync with the BENCHMARK(...)->Arg(...) registrations in
 # bench/bench_ablation.cc.
 FLAGSHIPS = {("gus", "WinMove/1024"), ("gus", "WfNodes/256")}
-# The thread-scaling flagship: 4 threads must be >= 2x the 1-thread run.
-THREAD_FLAGSHIP = "WinMove/4096"
-GATED_THREAD = "4"
-MIN_THREAD_SPEEDUP = 2.0
 # The incremental-update flagship: a single-fact update on win-move/4096
 # must re-solve at least 5x faster than the from-scratch baseline.
 INCREMENTAL_FLAGSHIP = "WinMove/4096"
 MIN_INCREMENTAL_RATIO = 5.0
-# The scratch-floor flagship: with ~65k singleton components and a
-# two-component downstream closure, the persistent epoch-stamped
-# SccUpdateScratch must beat the call-local allocate-and-zero baseline by
-# at least 2x (measured ~5x even in debug builds; single-threaded
-# wall-clock with a wide margin, like the incremental gate).
-SCRATCH_FLAGSHIP = "ChainWinMove/32768"
-MIN_SCRATCH_RATIO = 2.0
 # The compiled-kernel axis: on every row where the compiled side actually
 # served components (kernel_components > 0), the packed kernels must beat
 # the interpreted lowering (ratio > 1x), and by MIN_COMPILE_RATIO (1.5x)
@@ -100,44 +78,11 @@ COMPILE_ZERO_ENGAGEMENT = "WfNodes/256"
 # over a 4096-leaf branch tree with ~300 atoms of per-node propagation.
 # 4 search threads must enumerate at least 2x faster than the 1-thread
 # run (the exact sequential in-line path of the work pool). Wall-clock
-# gates are per-thread-count hardware-guarded like the scheduler thread
-# axis; the bit-identical-enumeration receipt is enforced everywhere.
+# gates are hardware-guarded per thread count; the
+# bit-identical-enumeration receipt is enforced everywhere.
 SEARCH_FLAGSHIP = "EvenCycleClusters/12x24"
 GATED_SEARCH_THREAD = "4"
 MIN_SEARCH_SPEEDUP = 2.0
-
-
-def check_thread_row(row, failures, lines):
-    workload = row.get("workload", "?")
-    label = f"threads:{workload}"
-    speedups = row.get("speedup_over_one_thread")
-    hc = row.get("hardware_concurrency")
-    if not speedups or "1" not in speedups:
-        failures.append(f"{label}: no 1-thread baseline recorded")
-        return
-    for t, s in sorted(speedups.items(), key=lambda kv: int(kv[0])):
-        lines.append(f"  {label}: {t} thread(s) speedup {s}x"
-                     f" (hw concurrency {hc})")
-    if speedups["1"] < MIN_RATIO:
-        # The 1-thread row is its own baseline; anything but 1.0 means the
-        # distiller broke.
-        failures.append(f"{label}: 1-thread speedup {speedups['1']} != 1.0")
-    enforce_wallclock = hc is not None and hc >= int(GATED_THREAD)
-    if not enforce_wallclock:
-        lines.append(f"  {label}: wall-clock gates SKIPPED (recorded with "
-                     f"hardware_concurrency {hc} < {GATED_THREAD})")
-        return
-    for t, s in speedups.items():
-        if s < MIN_RATIO:
-            failures.append(
-                f"{label}: {t} threads slower than 1 (speedup {s} < 1.0)")
-    if workload == THREAD_FLAGSHIP:
-        if GATED_THREAD not in speedups:
-            failures.append(f"{label}: no {GATED_THREAD}-thread row")
-        elif speedups[GATED_THREAD] < MIN_THREAD_SPEEDUP:
-            failures.append(
-                f"{label}: flagship {GATED_THREAD}-thread speedup "
-                f"{speedups[GATED_THREAD]} < {MIN_THREAD_SPEEDUP}")
 
 
 def check_search_row(row, failures, lines):
@@ -197,24 +142,16 @@ def main() -> int:
 
     failures = []
     seen_flagships = set()
-    seen_thread_workloads = set()
     seen_incremental_workloads = set()
-    seen_scratch_workloads = set()
     seen_compile_workloads = set()
     seen_search_workloads = set()
     ratios = []
-    thread_lines = []
     search_lines = []
     incremental_lines = []
-    scratch_lines = []
     compile_lines = []
     for row in rows:
         axis = row.get("axis", "sp")
         workload = row.get("workload", "?")
-        if axis == "threads":
-            seen_thread_workloads.add(workload)
-            check_thread_row(row, failures, thread_lines)
-            continue
         if axis == "search":
             seen_search_workloads.add(workload)
             check_search_row(row, failures, search_lines)
@@ -239,24 +176,6 @@ def main() -> int:
                 failures.append(
                     f"{label}: flagship ratio {ratio} < "
                     f"{MIN_INCREMENTAL_RATIO}")
-            continue
-        if axis == "scratch":
-            seen_scratch_workloads.add(workload)
-            label = f"scratch:{workload}"
-            ratio = row.get("wall_ratio_fresh_over_persistent")
-            if ratio is None:
-                failures.append(f"{label}: no wall ratio recorded")
-                continue
-            scratch_lines.append(
-                f"  {label}: fresh/persistent wall ratio {ratio}x "
-                f"(components: {row.get('persistent', {}).get('components')})")
-            if ratio <= MIN_RATIO:
-                failures.append(
-                    f"{label}: persistent scratch no faster than per-update "
-                    f"zero-fill (ratio {ratio} <= {MIN_RATIO})")
-            if workload == SCRATCH_FLAGSHIP and ratio < MIN_SCRATCH_RATIO:
-                failures.append(
-                    f"{label}: flagship ratio {ratio} < {MIN_SCRATCH_RATIO}")
             continue
         if axis == "compile":
             seen_compile_workloads.add(workload)
@@ -308,14 +227,9 @@ def main() -> int:
                     f"{label}: flagship ratio {ratio} < {MIN_FLAGSHIP_RATIO}")
     for missing in sorted(FLAGSHIPS - seen_flagships):
         failures.append(f"{missing[0]}:{missing[1]}: flagship row missing")
-    if THREAD_FLAGSHIP not in seen_thread_workloads:
-        failures.append(
-            f"threads:{THREAD_FLAGSHIP}: thread-scaling row missing")
     if INCREMENTAL_FLAGSHIP not in seen_incremental_workloads:
         failures.append(
             f"incremental:{INCREMENTAL_FLAGSHIP}: incremental row missing")
-    if SCRATCH_FLAGSHIP not in seen_scratch_workloads:
-        failures.append(f"scratch:{SCRATCH_FLAGSHIP}: scratch row missing")
     if COMPILE_FLAGSHIP not in seen_compile_workloads:
         failures.append(f"compile:{COMPILE_FLAGSHIP}: compile row missing")
     if COMPILE_ZERO_ENGAGEMENT not in seen_compile_workloads:
@@ -327,13 +241,9 @@ def main() -> int:
 
     for label, ratio in sorted(ratios):
         print(f"  {label}: scratch/delta rescan ratio {ratio}")
-    for line in thread_lines:
-        print(line)
     for line in search_lines:
         print(line)
     for line in incremental_lines:
-        print(line)
-    for line in scratch_lines:
         print(line)
     for line in compile_lines:
         print(line)
@@ -342,9 +252,7 @@ def main() -> int:
             print(f"FAIL {f_}", file=sys.stderr)
         return 1
     print(f"check_ablation_axis: {len(ratios)} rescan rows + "
-          f"{len(seen_thread_workloads)} thread rows + "
           f"{len(seen_incremental_workloads)} incremental rows + "
-          f"{len(seen_scratch_workloads)} scratch rows + "
           f"{len(seen_compile_workloads)} compile rows + "
           f"{len(seen_search_workloads)} search rows OK")
     return 0

@@ -114,44 +114,6 @@ for (axis, key) in sorted(rows):
         entry["rescan_ratio_scratch_over_delta"] = round(s / max(d, 1), 2)
     axis_rows.append(entry)
 
-# Thread-scaling axis: BM_Threads<Workload>/<size>/<threads> rows are
-# grouped per workload with wall-clock speedups relative to the 1-thread
-# run (the exact sequential engine path). hardware_concurrency travels
-# with the row so the gate can tell a real scaling regression from a
-# recording made on a machine with too few cores to show one.
-thread_rows = {}
-for b in report.get("benchmarks", []):
-    name = b.get("name", "")
-    if not name.startswith("BM_Threads"):
-        continue
-    base = name[len("BM_Threads"):]
-    if base.endswith("/real_time"):
-        base = base[: -len("/real_time")]
-    workload, _, threads = base.rpartition("/")
-    if not workload or not threads.isdigit():
-        continue
-    cell = {"real_time_ns": b.get("real_time")}
-    for c in ("components", "max_wavefront_width", "hardware_concurrency"):
-        if c in b:
-            cell[c] = b[c]
-    thread_rows.setdefault(workload, {})[threads] = cell
-
-for workload in sorted(thread_rows):
-    per = thread_rows[workload]
-    entry = {"axis": "threads", "workload": workload, "per_thread": per}
-    hc = next((c["hardware_concurrency"] for c in per.values()
-               if "hardware_concurrency" in c), None)
-    if hc is not None:
-        entry["hardware_concurrency"] = hc
-    one = per.get("1", {}).get("real_time_ns")
-    if one:
-        entry["speedup_over_one_thread"] = {
-            t: round(one / c["real_time_ns"], 2)
-            for t, c in sorted(per.items())
-            if c.get("real_time_ns")
-        }
-    axis_rows.append(entry)
-
 # Incremental-update axis: BM_Incremental<Workload>/<size> (a Solver
 # session absorbing a single-fact retract+reassert round trip) paired
 # with BM_FullUpdate<Workload>/<size> (the identical mutation re-solved
@@ -181,38 +143,6 @@ for workload in sorted(incr_rows):
     full = per.get("full", {}).get("real_time_ns")
     if inc and full:
         entry["wall_ratio_full_over_incremental"] = round(full / inc, 2)
-    axis_rows.append(entry)
-
-# Scratch axis: BM_UpdateScratchPersistent<Workload> (Solver-style
-# persistent epoch-stamped SccUpdateScratch) vs
-# BM_UpdateScratchFresh<Workload> (null scratch: the old call-local
-# allocate-and-zero-O(num_components) floor), identical update stream.
-# The wall ratio is the per-update bookkeeping floor the persistent
-# scratch removes; components / components_downstream show how far
-# apart the floor and the real work are on the chain workload.
-scratch_rows = {}
-for b in report.get("benchmarks", []):
-    name = b.get("name", "")
-    for prefix, side in (("BM_UpdateScratchPersistent", "persistent"),
-                         ("BM_UpdateScratchFresh", "fresh")):
-        if not name.startswith(prefix):
-            continue
-        cell = {"real_time_ns": b.get("real_time")}
-        for c in ("components", "components_downstream"):
-            if c in b:
-                cell[c] = b[c]
-        scratch_rows.setdefault(name[len(prefix):], {})[side] = cell
-        break
-
-for workload in sorted(scratch_rows):
-    per = scratch_rows[workload]
-    entry = {"axis": "scratch", "workload": workload}
-    entry.update(per)
-    fresh = per.get("fresh", {}).get("real_time_ns")
-    persistent = per.get("persistent", {}).get("real_time_ns")
-    if fresh and persistent:
-        entry["wall_ratio_fresh_over_persistent"] = round(
-            fresh / persistent, 2)
     axis_rows.append(entry)
 
 # Compiled-kernel axis: BM_KernelCompiled<Workload> (packed CSR rule
