@@ -11,8 +11,9 @@
 // Workloads: win-move over Erdos-Renyi digraphs (the unstratified
 // flagship; grounding is interning-dominated) and transitive-closure
 // complement (stratified; the n^2 ntc stratum pushes the rule count to the
-// million rung). The true/undefined atom counts are recorded per row as
-// the receipt of what was solved.
+// million rung, and a supercritical edge set makes the recursive join
+// the cost). The true/undefined atom counts are recorded per row as the
+// receipt of what was solved.
 
 #include <unistd.h>
 
@@ -53,11 +54,9 @@ afp::Program WinMoveFlagship() {
 }
 
 afp::Program TcComplement262k() {
-  // ntc stratum alone is n^2 = 262k instances. The edge set is kept
-  // subcritical (avg degree 1/4) so the recursive tc closure stays tiny:
-  // the grounder's join is an unindexed per-predicate candidate scan, and
-  // at supercritical densities that scan cost (rounds x |e| x |tc|) drowns
-  // the interning cost this bench measures.
+  // ntc stratum alone is n^2 = 262k instances. The edge set is subcritical
+  // (avg degree 1/4), so the recursive tc closure stays tiny and the
+  // interning of the ntc stratum dominates.
   return afp::workload::TransitiveClosureComplement(
       afp::graphs::ErdosRenyi(512, 128, 29));
 }
@@ -68,11 +67,21 @@ afp::Program TcComplement1M() {
       afp::graphs::ErdosRenyi(1024, 256, 29));
 }
 
+afp::Program TcComplementEr512Deg2() {
+  // The supercritical rung: at avg degree 2 the tc closure reaches most
+  // node pairs, so the recursive join (e(X,Z), tc(Z,Y)) emits ~340k of the
+  // 602k rules. It measures the join itself: the tc literal probes the
+  // posting list of its bound first argument.
+  return afp::workload::TransitiveClosureComplement(
+      afp::graphs::ErdosRenyi(512, 1024, 29));
+}
+
 constexpr Config kConfigs[] = {
     {"winmove_er_64k", &WinMove64k},
     {"winmove_er_flagship", &WinMoveFlagship},
     {"tc_complement_262k", &TcComplement262k},
     {"tc_complement_1m", &TcComplement1M},
+    {"tc_complement_er512_deg2", &TcComplementEr512Deg2},
 };
 
 double Ms(Clock::time_point a, Clock::time_point b) {
@@ -98,13 +107,14 @@ std::string RunConfig(const Config& cfg) {
   const auto t2 = Clock::now();
 
   const afp::GroundStats& g = solver->Stats().ground;
-  char buf[640];
+  char buf[768];
   std::snprintf(
       buf, sizeof(buf),
       "{\"workload\": \"%s\", \"atoms\": %llu, "
       "\"ground_rules\": %llu, \"ground_ms\": %.2f, \"solve_ms\": %.2f, "
       "\"total_ms\": %.2f, \"intern_probes\": %llu, "
       "\"intern_collisions\": %llu, \"intern_allocs\": %llu, "
+      "\"join_candidates\": %llu, "
       "\"arena_bytes\": %llu, \"index_bytes\": %llu, "
       "\"peak_rss_bytes\": %llu, \"true_atoms\": %llu, "
       "\"undef_atoms\": %llu}",
@@ -113,6 +123,7 @@ std::string RunConfig(const Config& cfg) {
       Ms(t0, t2), static_cast<unsigned long long>(g.intern_probes),
       static_cast<unsigned long long>(g.intern_collisions),
       static_cast<unsigned long long>(g.intern_allocs),
+      static_cast<unsigned long long>(g.join_candidates),
       static_cast<unsigned long long>(g.arena_bytes),
       static_cast<unsigned long long>(g.index_bytes),
       static_cast<unsigned long long>(g.peak_rss_bytes),

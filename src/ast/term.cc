@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/span_hash.h"
 
@@ -87,16 +88,28 @@ TermId TermTable::FindCompound(SymbolId functor,
 }
 
 std::string TermTable::ToString(TermId t, const Interner& symbols) const {
-  const Node& n = nodes_[t];
-  std::string out = symbols.Name(n.symbol);
-  if (n.kind == TermKind::kCompound) {
-    out += '(';
-    auto as = args(t);
-    for (std::size_t i = 0; i < as.size(); ++i) {
-      if (i > 0) out += ',';
-      out += ToString(as[i], symbols);
+  std::string out;
+  // The compounds being written, innermost last, each with the index of
+  // its next argument.
+  std::vector<std::pair<TermId, std::uint32_t>> open;
+  auto write_symbol = [&](TermId u) {
+    out += symbols.Name(nodes_[u].symbol);
+    if (nodes_[u].kind == TermKind::kCompound) {
+      out += '(';
+      open.push_back({u, 0});
     }
-    out += ')';
+  };
+  write_symbol(t);
+  while (!open.empty()) {
+    const Node& n = nodes_[open.back().first];
+    const std::uint32_t i = open.back().second++;
+    if (i == n.args_len) {
+      out += ')';
+      open.pop_back();
+      continue;
+    }
+    if (i > 0) out += ',';
+    write_symbol(args_[n.args_offset + i]);
   }
   return out;
 }
@@ -137,33 +150,6 @@ void TermTable::CollectVariables(TermId t, std::vector<SymbolId>& out) const {
     return;
   }
   for (TermId a : args(t)) CollectVariables(a, out);
-}
-
-bool TermTable::Match(TermId pattern, TermId ground,
-                      std::unordered_map<SymbolId, TermId>& binding) const {
-  const Node& p = nodes_[pattern];
-  switch (p.kind) {
-    case TermKind::kVariable: {
-      auto [it, inserted] = binding.emplace(p.symbol, ground);
-      return inserted || it->second == ground;
-    }
-    case TermKind::kConstant:
-      return pattern == ground;
-    case TermKind::kCompound: {
-      const Node& g = nodes_[ground];
-      if (g.kind != TermKind::kCompound || g.symbol != p.symbol ||
-          g.args_len != p.args_len) {
-        return false;
-      }
-      auto pa = args(pattern);
-      auto ga = args(ground);
-      for (std::size_t i = 0; i < pa.size(); ++i) {
-        if (!Match(pa[i], ga[i], binding)) return false;
-      }
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace afp

@@ -62,7 +62,8 @@ class TermTable {
   /// True iff the term contains no variables.
   bool IsGround(TermId t) const { return nodes_[t].ground; }
   /// Nesting depth: constants/variables have depth 0, f(t...) has
-  /// 1 + max depth of arguments. Used by the grounder's depth guard.
+  /// 1 + max depth of arguments. Informational: no grounding limit reads
+  /// it (only GroundOptions::max_atoms bounds the terms grounding builds).
   std::uint32_t Depth(TermId t) const { return nodes_[t].depth; }
 
   std::size_t size() const { return nodes_.size(); }
@@ -70,7 +71,8 @@ class TermTable {
   /// Probe/allocation counters of the index.
   FlatIndexStats index_stats() const { return index_.stats(); }
 
-  /// Renders `t` using `symbols` for names, e.g. "f(a,g(X))".
+  /// Renders `t` using `symbols` for names, e.g. "f(a,g(X))". Iterative:
+  /// any nesting depth renders.
   std::string ToString(TermId t, const Interner& symbols) const;
 
   /// Applies the substitution `binding` (variable symbol -> term) to `t`.
@@ -80,12 +82,6 @@ class TermTable {
 
   /// Collects the variable symbols occurring in `t` into `out` (may repeat).
   void CollectVariables(TermId t, std::vector<SymbolId>& out) const;
-
-  /// Syntactic one-way matching of pattern `pattern` (may contain variables)
-  /// against ground term `ground`; extends `binding` on success. Returns
-  /// false (and may leave partial bindings) on mismatch.
-  bool Match(TermId pattern, TermId ground,
-             std::unordered_map<SymbolId, TermId>& binding) const;
 
  private:
   struct Node {

@@ -31,8 +31,12 @@ struct GroundStats {
   /// re-intern, every duplicate-rule rejection) allocates nothing; this
   /// counter is the steady-state-zero-allocation regression guard.
   std::uint64_t intern_allocs = 0;
-  /// Bytes handed out by the grounder's candidate-index arena.
+  /// Bytes handed out by the grounder's candidate-list arena: the
+  /// predicate lists and posting lists its join walks.
   std::size_t arena_bytes = 0;
+  /// Candidate atoms the grounder's join tested, the receipt of join work:
+  /// deterministic, and linear in the ground program on indexed joins.
+  std::uint64_t join_candidates = 0;
   /// Flat-index slot-array footprint across the live tables.
   std::size_t index_bytes = 0;
   /// Process peak RSS when the receipt was filled (0 where unavailable).

@@ -1,51 +1,20 @@
 #include "ground/grounder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <new>
+#include <numeric>
+#include <type_traits>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
+
+#include "util/span_hash.h"
 
 namespace afp {
 
 namespace {
-
-/// One-way matching of a rule-body pattern (terms with variables) against
-/// an interned ground term, extending `binding`. Newly bound variables are
-/// appended to `trail` so the caller can undo the extension on backtrack.
-/// Ground instantiation is plain matching, never full unification —
-/// candidate atoms carry no variables.
-bool MatchTerm(const TermTable& tt, TermId pattern, TermId ground,
-               std::unordered_map<SymbolId, TermId>& binding,
-               std::vector<SymbolId>& trail) {
-  switch (tt.kind(pattern)) {
-    case TermKind::kVariable: {
-      SymbolId v = tt.symbol(pattern);
-      auto [it, inserted] = binding.emplace(v, ground);
-      if (inserted) {
-        trail.push_back(v);
-        return true;
-      }
-      return it->second == ground;
-    }
-    case TermKind::kConstant:
-      return pattern == ground;
-    case TermKind::kCompound: {
-      if (tt.kind(ground) != TermKind::kCompound ||
-          tt.symbol(ground) != tt.symbol(pattern) ||
-          tt.args(ground).size() != tt.args(pattern).size()) {
-        return false;
-      }
-      auto pa = tt.args(pattern);
-      auto ga = tt.args(ground);
-      for (std::size_t i = 0; i < pa.size(); ++i) {
-        if (!MatchTerm(tt, pa[i], ga[i], binding, trail)) return false;
-      }
-      return true;
-    }
-  }
-  return false;
-}
 
 /// Structural equivalence of two terms up to a bijective variable renaming
 /// (`ab`/`ba` accumulate the two directions of the bijection). Constants and
@@ -101,13 +70,9 @@ bool RuleEquiv(const TermTable& tt, const Rule& a, const Rule& b) {
   return true;
 }
 
-/// The predicate of a rule's first positive literal, or nullopt for a rule
-/// without one.
-std::optional<SymbolId> FirstPositivePredicate(const Rule& r) {
-  for (const Literal& l : r.body) {
-    if (l.positive) return l.atom.predicate;
-  }
-  return std::nullopt;
+std::uint64_t PostingHash(SymbolId pred, std::uint32_t pos, TermId term) {
+  return HashAvalanche(
+      HashMixWord(HashMixWord(HashMixWord(kSpanHashSeed, pred), pos), term));
 }
 
 }  // namespace
@@ -125,7 +90,7 @@ class Grounder::OpScope {
     g_.gp_ = nullptr;
     g_.atoms_ = nullptr;
     g_.delta_ = nullptr;
-    g_.retiring_ = false;
+    g_.retiring_ = kNoRule;
   }
 
  private:
@@ -134,11 +99,22 @@ class Grounder::OpScope {
 
 StatusOr<GroundProgram> Grounder::Ground(Program& program,
                                          const GroundOptions& options,
-                                         std::unique_ptr<Grounder>* keep) {
+                                         std::unique_ptr<Grounder>* keep,
+                                         GroundStats* receipt) {
+  if (receipt != nullptr) *receipt = GroundStats();
   AFP_RETURN_IF_ERROR(program.Validate());
   const bool kept = keep != nullptr && SupportsRuleOps(options);
   std::unique_ptr<Grounder> g(new Grounder(program, options));
-  AFP_ASSIGN_OR_RETURN(GroundProgram gp, g->Build(kept));
+  StatusOr<GroundProgram> gp = g->Build(kept);
+  if (!gp.ok()) {
+    if (receipt != nullptr) {
+      g->FillReceipt(*receipt);
+      receipt->atoms = g->atoms_->size();
+      receipt->rules = g->fact_atoms_.size() + g->instances_.size();
+    }
+    return gp.status();
+  }
+  if (receipt != nullptr) *receipt = gp->grounding_stats();
   if (keep != nullptr) *keep = kept ? std::move(g) : nullptr;
   return gp;
 }
@@ -155,11 +131,16 @@ StatusOr<GroundProgram> Grounder::Build(bool keep) {
   if (opts_.mode == GroundMode::kFull) {
     AFP_RETURN_IF_ERROR(FullInstantiation());
   } else if (opts_.semi_naive) {
-    AFP_RETURN_IF_ERROR(AddRules(0));
+    AFP_RETURN_IF_ERROR(AddRules());
   } else {
     AFP_RETURN_IF_ERROR(NaiveInstantiation());
   }
-  AFP_ASSIGN_OR_RETURN(GroundProgram gp, Assemble(keep));
+  // Take the receipt before a one-shot grounding releases the structures
+  // that assembling the program no longer needs.
+  GroundStats receipt;
+  FillReceipt(receipt);
+  if (!keep) ReleaseJoinState();
+  AFP_ASSIGN_OR_RETURN(GroundProgram gp, Assemble(keep, receipt));
   atoms_ = nullptr;
   return gp;
 }
@@ -184,62 +165,251 @@ StatusOr<AtomId> Grounder::InternAtom(SymbolId pred,
 void Grounder::MarkDerived(AtomId id, std::uint32_t round) {
   derived_[id] = true;
   round_[id] = round;
-  const SymbolId pred = atoms_->predicate(id);
-  if (pred >= by_pred_.size()) by_pred_.resize(pred + 1);
-  PredAppend(by_pred_[pred], id);
   derived_log_.push_back(id);
+  const SymbolId pred = atoms_->predicate(id);
+  if (pred < pred_lists_.size()) IndexAtom(id, pred_lists_[pred]);
 }
 
-void Grounder::PredAppend(PredList& pl, AtomId id) {
-  if (pl.tail == nullptr || pl.tail->count == pl.tail->cap) {
+void Grounder::IndexAtom(AtomId id, const PredLists& which) {
+  if (which.list != kNone) Append(lists_[which.list], id);
+  if (which.positions == 0) return;
+  const SymbolId pred = atoms_->predicate(id);
+  const auto args = atoms_->args(id);
+  for (std::uint64_t m = which.positions; m != 0; m &= m - 1) {
+    const auto pos = static_cast<std::uint32_t>(std::countr_zero(m));
+    if (pos < args.size()) Append(PostingList(pred, pos, args[pos]), id);
+  }
+}
+
+Grounder::CandList& Grounder::PostingList(SymbolId pred, std::uint32_t pos,
+                                          TermId term) {
+  const auto next = static_cast<std::uint32_t>(posting_keys_.size());
+  const std::uint32_t got = posting_index_.FindOrInsert(
+      PostingHash(pred, pos, term), next, [&](std::uint32_t id) {
+        const PostingKey& k = posting_keys_[id];
+        return k.pred == pred && k.pos == pos && k.term == term;
+      });
+  if (got == next) {
+    posting_keys_.push_back(
+        {pred, pos, term, static_cast<std::uint32_t>(lists_.size())});
+    lists_.emplace_back();
+  }
+  return lists_[posting_keys_[got].list];
+}
+
+void Grounder::Append(CandList& list, AtomId id) {
+  CandChunk* tail = list.tail;
+  if (tail == nullptr || tail->count == tail->cap) {
     const std::uint32_t cap =
-        pl.tail == nullptr ? 8u : std::min(pl.tail->cap * 2u, 4096u);
+        tail == nullptr ? 4u : std::min(tail->cap * 2u, 4096u);
     void* mem = cand_arena_.Allocate(sizeof(CandChunk) + cap * sizeof(AtomId),
                                      alignof(CandChunk));
     CandChunk* c = new (mem) CandChunk{nullptr, 0, cap};
-    if (pl.tail == nullptr) {
-      pl.head = c;
+    if (tail == nullptr) {
+      list.head = c;
     } else {
-      pl.tail->next = c;
+      tail->next = c;
     }
-    pl.tail = c;
+    list.tail = tail = c;
   }
-  pl.tail->items()[pl.tail->count++] = id;
+  const std::uint32_t round = round_[id];
+  if (round != list.last.round) {
+    list.prev = list.last;
+    list.last = {tail, tail->count, round};
+  }
+  tail->items()[tail->count++] = id;
+}
+
+const Grounder::CandList* Grounder::StepList(const JoinStep& step) const {
+  if (step.access == JoinStep::kScan) {
+    return &lists_[pred_lists_[step.pred].list];
+  }
+  const TermId term = step.key_kind == TermOp::kGround
+                          ? step.key_value
+                          : slots_[step.key_value];
+  const std::uint32_t id = posting_index_.Find(
+      PostingHash(step.pred, step.key_pos, term), [&](std::uint32_t i) {
+        const PostingKey& k = posting_keys_[i];
+        return k.pred == step.pred && k.pos == step.key_pos && k.term == term;
+      });
+  return id == FlatIndex::kNotFound ? nullptr : &lists_[posting_keys_[id].list];
 }
 
 // --- source rules ---------------------------------------------------------
 
-void Grounder::RegisterSourceRules() {
-  const auto& rules = program_.rules();
-  for (std::size_t ri = alive_.size(); ri < rules.size(); ++ri) {
-    const Rule& r = rules[ri];
-    const bool fact = r.IsFact(program_.terms());
-    alive_.push_back(fact ? 0 : 1);  // EDB facts are not source rules
-    if (fact) continue;
-    std::uint32_t num_pos = 0;
-    for (const Literal& l : r.body) {
-      if (!l.positive) continue;
-      const SymbolId pred = l.atom.predicate;
-      if (pred >= triggers_.size()) triggers_.resize(pred + 1);
-      triggers_[pred].push_back({static_cast<std::uint32_t>(ri), num_pos++});
+StatusOr<Grounder::RulePlan> Grounder::CompileRule(const Rule& r) {
+  const TermTable& tt = program_.terms();
+  RulePlan plan{};
+  plan.vars_begin = static_cast<std::uint32_t>(slot_vars_.size());
+  std::vector<std::uint8_t> bound;  // per slot
+  auto find_slot = [&](SymbolId v) -> std::uint32_t {
+    for (std::uint32_t s = 0; s < plan.num_slots; ++s) {
+      if (slot_vars_[plan.vars_begin + s] == v) return s;
     }
+    return kNone;
+  };
+  auto slot_of = [&](SymbolId v) -> std::uint32_t {
+    std::uint32_t s = find_slot(v);
+    if (s == kNone) {
+      s = plan.num_slots++;
+      slot_vars_.push_back(v);
+      bound.push_back(0);
+    }
+    return s;
+  };
+  // Matching visits a literal's terms in preorder; a variable's first
+  // occurrence in join order binds its slot, later ones compare.
+  auto match_ops = [&](auto&& self, TermId t) -> void {
+    if (tt.IsGround(t)) {
+      plan_ops_.push_back({TermOp::kGround, 0, t});
+    } else if (tt.kind(t) == TermKind::kVariable) {
+      const std::uint32_t s = slot_of(tt.symbol(t));
+      plan_ops_.push_back({bound[s] ? TermOp::kSlot : TermOp::kBind, 0, s});
+      bound[s] = 1;
+    } else {
+      const auto args = tt.args(t);
+      plan_ops_.push_back({TermOp::kCompound,
+                           static_cast<std::uint32_t>(args.size()),
+                           tt.symbol(t)});
+      for (TermId a : args) self(self, a);
+    }
+  };
+  // Building pushes terms in postfix; every variable is bound by then.
+  bool unbound = false;
+  auto build_ops = [&](auto&& self, TermId t) -> void {
+    if (tt.IsGround(t)) {
+      plan_ops_.push_back({TermOp::kGround, 0, t});
+    } else if (tt.kind(t) == TermKind::kVariable) {
+      const std::uint32_t s = find_slot(tt.symbol(t));
+      unbound = unbound || s == kNone;
+      plan_ops_.push_back({TermOp::kSlot, 0, s});
+    } else {
+      const auto args = tt.args(t);
+      for (TermId a : args) self(self, a);
+      plan_ops_.push_back({TermOp::kCompound,
+                           static_cast<std::uint32_t>(args.size()),
+                           tt.symbol(t)});
+    }
+  };
+
+  plan.steps_begin = static_cast<std::uint32_t>(steps_.size());
+  for (const Literal& l : r.body) {
+    if (!l.positive) continue;
+    JoinStep step{};
+    step.pred = l.atom.predicate;
+    step.arity = static_cast<std::uint32_t>(l.atom.args.size());
+    step.key_pos = kNone;
+    std::uint32_t num_bound = 0;
+    for (std::uint32_t pos = 0; pos < step.arity; ++pos) {
+      const TermId t = l.atom.args[pos];
+      std::uint32_t s = kNone;
+      if (!tt.IsGround(t)) {
+        if (tt.kind(t) != TermKind::kVariable) continue;
+        s = find_slot(tt.symbol(t));
+        if (s == kNone || !bound[s]) continue;
+      }
+      ++num_bound;
+      if (step.key_pos == kNone && pos < kMaxKeyPosition) {
+        step.key_pos = pos;
+        step.key_kind = s == kNone ? TermOp::kGround : TermOp::kSlot;
+        step.key_value = s == kNone ? t : s;
+      }
+    }
+    step.access = num_bound == step.arity ? JoinStep::kProbe
+                  : step.key_pos != kNone ? JoinStep::kPosting
+                                          : JoinStep::kScan;
+    step.ops_begin = static_cast<std::uint32_t>(plan_ops_.size());
+    for (TermId t : l.atom.args) match_ops(match_ops, t);
+    step.ops_end = static_cast<std::uint32_t>(plan_ops_.size());
+    steps_.push_back(step);
   }
+  plan.steps_end = static_cast<std::uint32_t>(steps_.size());
+
+  plan.atoms_begin = static_cast<std::uint32_t>(plan_atoms_.size());
+  auto add_atom = [&](const Atom& a, bool positive) {
+    AtomPlan ap{a.predicate, static_cast<std::uint32_t>(plan_ops_.size()), 0,
+                positive};
+    for (TermId t : a.args) build_ops(build_ops, t);
+    ap.ops_end = static_cast<std::uint32_t>(plan_ops_.size());
+    plan_atoms_.push_back(ap);
+  };
+  add_atom(r.head, true);
+  for (const Literal& l : r.body) add_atom(l.atom, l.positive);
+  plan.atoms_end = static_cast<std::uint32_t>(plan_atoms_.size());
+  if (unbound) {
+    // Program::Validate rejects unsafe rules before they get here.
+    return Status::Internal("unsafe rule reached the grounder: '" +
+                            program_.RuleToString(r) + "'");
+  }
+  return plan;
 }
 
-Status Grounder::AddRules(std::size_t first) {
-  assert(first == alive_.size());
-  RegisterSourceRules();
+Status Grounder::RegisterSourceRules() {
+  const auto& rules = program_.rules();
+  // The lists this call creates, one predicate list or one position's
+  // posting lists per entry: the atoms derived so far are back-filled into
+  // them (in derivation order, as if appended all along).
+  std::vector<std::pair<SymbolId, PredLists>> fresh;
+  for (; registered_rules_ < rules.size(); ++registered_rules_) {
+    const Rule& r = rules[registered_rules_];
+    if (r.IsFact(program_.terms())) continue;  // EDB facts are not rules
+    AFP_ASSIGN_OR_RETURN(RulePlan plan, CompileRule(r));
+    plan.rule = static_cast<std::uint32_t>(registered_rules_);
+    plan.alive = true;
+    const auto plan_index = static_cast<std::uint32_t>(plans_.size());
+    plans_.push_back(plan);
+    slots_.resize(std::max<std::size_t>(slots_.size(), plan.num_slots));
+    matched_.resize(std::max<std::size_t>(matched_.size(),
+                                          plan.steps_end - plan.steps_begin));
+    for (std::uint32_t s = plan.steps_begin; s < plan.steps_end; ++s) {
+      const JoinStep& step = steps_[s];
+      const SymbolId pred = step.pred;
+      if (pred >= triggers_.size()) triggers_.resize(pred + 1);
+      triggers_[pred].push_back({plan_index, s - plan.steps_begin});
+      if (step.access == JoinStep::kProbe) continue;
+      if (pred >= pred_lists_.size()) pred_lists_.resize(pred + 1);
+      PredLists& have = pred_lists_[pred];
+      PredLists created;
+      if (step.access == JoinStep::kScan) {
+        if (have.list != kNone) continue;
+        have.list = created.list = static_cast<std::uint32_t>(lists_.size());
+        lists_.emplace_back();
+      } else {
+        const std::uint64_t bit = std::uint64_t{1} << step.key_pos;
+        if (have.positions & bit) continue;
+        have.positions |= bit;
+        created.positions = bit;
+      }
+      fresh.push_back({pred, created});
+    }
+  }
+  if (fresh.empty()) return Status::Ok();
+  auto by_pred = [](const auto& a, const auto& b) { return a.first < b.first; };
+  std::sort(fresh.begin(), fresh.end(), by_pred);
+  for (AtomId a : derived_log_) {
+    const std::pair<SymbolId, PredLists> key{atoms_->predicate(a), {}};
+    const auto [lo, hi] =
+        std::equal_range(fresh.begin(), fresh.end(), key, by_pred);
+    for (auto it = lo; it != hi; ++it) IndexAtom(a, it->second);
+  }
+  return Status::Ok();
+}
+
+Status Grounder::AddRules() {
+  const std::size_t first_plan = plans_.size();
+  AFP_RETURN_IF_ERROR(RegisterSourceRules());
   // New rules join in trigger order — rules without a positive literal
   // first, then by the predicate of the first positive literal — which is
   // the order the cascade would fire them in if every derived atom were
   // new. For the initial grounding every derived atom IS new (the EDB), so
   // this is exactly the first semi-naive round.
   std::vector<std::pair<std::int64_t, std::size_t>> order;
-  for (std::size_t ri = first; ri < alive_.size(); ++ri) {
-    if (!alive_[ri]) continue;
-    const std::optional<SymbolId> pred =
-        FirstPositivePredicate(program_.rules()[ri]);
-    order.push_back({pred.has_value() ? std::int64_t{*pred} : -1, ri});
+  for (std::size_t pi = first_plan; pi < plans_.size(); ++pi) {
+    const RulePlan& plan = plans_[pi];
+    order.push_back({plan.steps_begin == plan.steps_end
+                         ? -1
+                         : std::int64_t{steps_[plan.steps_begin].pred},
+                     pi});
   }
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) {
@@ -247,12 +417,9 @@ Status Grounder::AddRules(std::size_t first) {
                    });
   const std::size_t log_before = derived_log_.size();
   ++current_round_;
-  Binding binding;
-  for (const auto& [pred, ri] : order) {
+  for (const auto& [pred, pi] : order) {
     if (delta_ != nullptr) ++delta_->rules_reground;
-    binding.clear();
-    AFP_RETURN_IF_ERROR(
-        Join(program_.rules()[ri], kFullJoin, 0, current_round_, binding));
+    AFP_RETURN_IF_ERROR(Join(plans_[pi], 0, kFullJoin, current_round_));
   }
   return CascadeFrom(log_before);
 }
@@ -270,7 +437,6 @@ Status Grounder::FoldAsserted() {
 
 Status Grounder::CascadeFrom(std::size_t delta_begin) {
   std::size_t delta_end = derived_log_.size();
-  Binding binding;
   while (delta_begin < delta_end) {
     ++current_round_;
     // Fire only the rules whose bodies mention a predicate that gained
@@ -286,11 +452,9 @@ Status Grounder::CascadeFrom(std::size_t delta_begin) {
     for (SymbolId pred : delta_preds_) {
       if (pred >= triggers_.size()) continue;
       for (const Trigger& t : triggers_[pred]) {
-        if (!alive_[t.rule]) continue;
+        if (!plans_[t.plan].alive) continue;
         if (delta_ != nullptr) ++delta_->rules_reground;
-        binding.clear();
-        AFP_RETURN_IF_ERROR(Join(program_.rules()[t.rule], t.pos, 0,
-                                 current_round_, binding));
+        AFP_RETURN_IF_ERROR(Join(plans_[t.plan], 0, t.pos, current_round_));
       }
     }
     delta_begin = delta_end;
@@ -303,20 +467,15 @@ Status Grounder::NaiveInstantiation() {
   // The ablation baseline: every round re-joins every rule against
   // everything derived so far, in rule order; rules without a positive
   // literal emit once, first.
-  RegisterSourceRules();
-  Binding binding;
+  AFP_RETURN_IF_ERROR(RegisterSourceRules());
   while (true) {
     ++current_round_;
     const std::size_t log_before = derived_log_.size();
     for (const bool body_free : {true, false}) {
       if (body_free && current_round_ > 1) continue;
-      for (std::size_t ri = 0; ri < alive_.size(); ++ri) {
-        const Rule& r = program_.rules()[ri];
-        if (!alive_[ri] || FirstPositivePredicate(r).has_value() == body_free) {
-          continue;
-        }
-        binding.clear();
-        AFP_RETURN_IF_ERROR(Join(r, kFullJoin, 0, current_round_, binding));
+      for (const RulePlan& plan : plans_) {
+        if ((plan.steps_begin == plan.steps_end) != body_free) continue;
+        AFP_RETURN_IF_ERROR(Join(plan, 0, kFullJoin, current_round_));
       }
     }
     if (derived_log_.size() == log_before) return Status::Ok();
@@ -324,7 +483,7 @@ Status Grounder::NaiveInstantiation() {
 }
 
 Status Grounder::FullInstantiation() {
-  RegisterSourceRules();
+  AFP_RETURN_IF_ERROR(RegisterSourceRules());
   // Active domain: every constant occurring anywhere in the program.
   std::vector<TermId> domain;
   {
@@ -344,20 +503,17 @@ Status Grounder::FullInstantiation() {
     }
   }
 
-  for (std::size_t ri = 0; ri < alive_.size(); ++ri) {
-    if (!alive_[ri]) continue;
-    const Rule& r = program_.rules()[ri];
-    std::vector<SymbolId> vars;
-    auto collect_atom = [&](const Atom& a) {
-      for (TermId t : a.args) program_.terms().CollectVariables(t, vars);
-    };
-    collect_atom(r.head);
-    for (const Literal& l : r.body) collect_atom(l.atom);
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-
-    Binding binding;
-    AFP_RETURN_IF_ERROR(EnumerateAssignments(r, vars, 0, domain, binding));
+  std::vector<std::uint32_t> order;
+  for (const RulePlan& plan : plans_) {
+    // Assign the rule's variables in ascending symbol order.
+    order.resize(plan.num_slots);
+    std::iota(order.begin(), order.end(), 0u);
+    const SymbolId* vars = slot_vars_.data() + plan.vars_begin;
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return vars[a] < vars[b];
+              });
+    AFP_RETURN_IF_ERROR(EnumerateAssignments(plan, order, 0, domain));
   }
   // In full mode every interned atom belongs to the base; mark everything
   // derived so no simplification drops it.
@@ -365,101 +521,150 @@ Status Grounder::FullInstantiation() {
   return Status::Ok();
 }
 
-Status Grounder::EnumerateAssignments(const Rule& r,
-                                      const std::vector<SymbolId>& vars,
+Status Grounder::EnumerateAssignments(const RulePlan& plan,
+                                      std::span<const std::uint32_t> order,
                                       std::size_t i,
-                                      const std::vector<TermId>& domain,
-                                      Binding& binding) {
-  if (i == vars.size()) return EmitInstance(r, binding);
+                                      const std::vector<TermId>& domain) {
+  if (i == order.size()) return EmitInstance(plan, /*joined=*/false);
   for (TermId c : domain) {
-    binding[vars[i]] = c;
-    AFP_RETURN_IF_ERROR(EnumerateAssignments(r, vars, i + 1, domain, binding));
+    slots_[order[i]] = c;
+    AFP_RETURN_IF_ERROR(EnumerateAssignments(plan, order, i + 1, domain));
   }
-  binding.erase(vars[i]);
   return Status::Ok();
 }
 
 // --- the join -------------------------------------------------------------
 
-Status Grounder::Join(const Rule& r, std::size_t delta_pos,
-                      std::size_t pos_index, std::uint32_t round,
-                      Binding& binding) {
-  // Find the pos_index-th positive literal.
-  std::size_t seen = 0;
-  const Literal* lit = nullptr;
-  for (const Literal& l : r.body) {
-    if (!l.positive) continue;
-    if (seen == pos_index) {
-      lit = &l;
-      break;
-    }
-    ++seen;
+Status Grounder::Join(const RulePlan& plan, std::uint32_t step,
+                      std::size_t delta_pos, std::uint32_t round) {
+  if (step == plan.steps_end - plan.steps_begin) {
+    return EmitInstance(plan, /*joined=*/true);
   }
-  if (lit == nullptr) return EmitInstance(r, binding);  // all joined
-
-  const RoundFilter filter = delta_pos == kFullJoin  ? RoundFilter::kUpTo
-                             : pos_index < delta_pos  ? RoundFilter::kOld
-                             : pos_index == delta_pos ? RoundFilter::kDelta
-                                                      : RoundFilter::kUpTo;
-  const SymbolId pred = lit->atom.predicate;
-  if (pred >= by_pred_.size()) return Status::Ok();
-  // Candidates are appended in derivation order, so each list is sorted by
-  // round: filter, and stop at the first atom this position may not see.
-  // EmitInstance may append to the very list being walked (atoms derived
-  // this round, which the filter then rejects); chunks never relocate.
-  // This scan is the grounder's hottest loop; matching and recursion live
-  // in Descend so the loop's own state stays in registers.
-  for (const CandChunk* c = by_pred_[pred].head; c != nullptr; c = c->next) {
-    for (std::uint32_t i = 0; i < c->count; ++i) {
+  const JoinStep& js = steps_[plan.steps_begin + step];
+  const RoundFilter filter = delta_pos == kFullJoin ? RoundFilter::kUpTo
+                             : step < delta_pos     ? RoundFilter::kOld
+                             : step == delta_pos    ? RoundFilter::kDelta
+                                                    : RoundFilter::kUpTo;
+  if (js.access == JoinStep::kProbe) {
+    // Every argument is bound: at most one atom can match, found by its
+    // arguments (emit_args_ is free until the instance is emitted).
+    emit_args_.clear();
+    for (std::uint32_t k = js.ops_begin; k < js.ops_end; ++k) {
+      const TermOp& op = plan_ops_[k];
+      emit_args_.push_back(op.kind == TermOp::kGround ? op.value
+                                                      : slots_[op.value]);
+    }
+    const AtomId cand = atoms_->Find(js.pred, emit_args_);
+    if (cand >= derived_.size() || !derived_[cand]) return Status::Ok();
+    ++join_candidates_;
+    const std::uint32_t cr = round_[cand];
+    const bool visible = filter == RoundFilter::kOld     ? cr < round - 1
+                         : filter == RoundFilter::kDelta ? cr == round - 1
+                                                         : cr <= round - 1;
+    if (!visible) return Status::Ok();
+    matched_[step] = cand;
+    return Join(plan, step + 1, delta_pos, round);
+  }
+  const CandList* list = StepList(js);
+  if (list == nullptr) return Status::Ok();
+  // Lists are sorted by round: a delta walk starts at the previous
+  // round's first atom, and every walk stops at the first atom this step
+  // may not see. EmitInstance may append to the very list being walked
+  // (atoms derived this round, which end the walk) or create lists
+  // (moving lists_), so the walk holds chunk pointers only.
+  const CandChunk* c = list->head;
+  std::uint32_t i = 0;
+  if (filter == RoundFilter::kDelta) {
+    const RoundMark& m = list->last.round == round - 1 ? list->last
+                                                       : list->prev;
+    if (m.round != round - 1) return Status::Ok();
+    c = m.chunk;
+    i = m.index;
+  }
+  for (; c != nullptr; c = c->next, i = 0) {
+    for (; i < c->count; ++i) {
+      ++join_candidates_;
       const AtomId cand = c->items()[i];
       const std::uint32_t cr = round_[cand];
       if (cr > round - 1 ||  // derived this round; not visible yet
           (filter == RoundFilter::kOld && cr >= round - 1)) {
         return Status::Ok();
       }
-      if (filter == RoundFilter::kDelta && cr != round - 1) continue;
-      AFP_RETURN_IF_ERROR(
-          Descend(r, lit->atom, cand, delta_pos, pos_index, round, binding));
+      if (!Match(js, cand)) continue;
+      matched_[step] = cand;
+      AFP_RETURN_IF_ERROR(Join(plan, step + 1, delta_pos, round));
     }
   }
   return Status::Ok();
 }
 
-Status Grounder::Descend(const Rule& r, const Atom& pattern, AtomId cand,
-                         std::size_t delta_pos, std::size_t pos_index,
-                         std::uint32_t round, Binding& binding) {
+bool Grounder::Match(const JoinStep& step, AtomId cand) {
+  const auto args = atoms_->args(cand);
+  if (args.size() != step.arity) return false;
   const TermTable& tt = program_.terms();
-  const auto cand_args = atoms_->args(cand);
-  std::vector<SymbolId> trail;
-  bool match = cand_args.size() == pattern.args.size();
-  for (std::size_t a = 0; match && a < cand_args.size(); ++a) {
-    match = MatchTerm(tt, pattern.args[a], cand_args[a], binding, trail);
+  // Terms are consumed in preorder: the inner arguments of an opened
+  // compound (pending_) before the candidate's next argument.
+  std::size_t next_arg = 0;
+  pending_.clear();
+  for (std::uint32_t k = step.ops_begin; k < step.ops_end; ++k) {
+    const TermOp& op = plan_ops_[k];
+    TermId g;
+    if (pending_.empty()) {
+      g = args[next_arg++];
+    } else {
+      g = pending_.back();
+      pending_.pop_back();
+    }
+    switch (op.kind) {
+      case TermOp::kGround:
+        if (g != op.value) return false;
+        break;
+      case TermOp::kBind:
+        slots_[op.value] = g;
+        break;
+      case TermOp::kSlot:
+        if (slots_[op.value] != g) return false;
+        break;
+      case TermOp::kCompound: {
+        if (tt.kind(g) != TermKind::kCompound || tt.symbol(g) != op.value) {
+          return false;
+        }
+        const auto sub = tt.args(g);
+        if (sub.size() != op.arity) return false;
+        pending_.insert(pending_.end(), sub.rbegin(), sub.rend());
+        break;
+      }
+    }
   }
-  Status st = Status::Ok();
-  if (match) st = Join(r, delta_pos, pos_index + 1, round, binding);
-  for (SymbolId v : trail) binding.erase(v);
-  return st;
+  return true;
 }
 
 // --- instance emission ----------------------------------------------------
 
-/// Substitutes `binding` into `a`'s arguments; every result must be ground
-/// (guaranteed by rule safety for head and body alike).
-Status Grounder::SubstArgs(const Rule& r, const Atom& a,
-                           const Binding& binding, const char* what,
-                           std::vector<TermId>& out) {
-  out.clear();
-  out.reserve(a.args.size());
-  for (TermId t : a.args) {
-    TermId g = program_.terms().Substitute(t, binding);
-    if (!program_.terms().IsGround(g)) {
-      return Status::Internal(std::string("non-ground ") + what +
-                              " after substitution in '" +
-                              program_.RuleToString(r) + "'");
+void Grounder::BuildArgs(const AtomPlan& a) {
+  TermTable& tt = program_.terms();
+  emit_args_.clear();
+  for (std::uint32_t k = a.ops_begin; k < a.ops_end; ++k) {
+    const TermOp& op = plan_ops_[k];
+    switch (op.kind) {
+      case TermOp::kGround:
+        emit_args_.push_back(op.value);
+        break;
+      case TermOp::kSlot:
+        emit_args_.push_back(slots_[op.value]);
+        break;
+      case TermOp::kCompound: {
+        const std::size_t first = emit_args_.size() - op.arity;
+        const TermId t = tt.MakeCompound(
+            op.value, std::span<const TermId>(emit_args_).subspan(first));
+        emit_args_.resize(first);
+        emit_args_.push_back(t);
+        break;
+      }
+      case TermOp::kBind:
+        break;  // matching only
     }
-    out.push_back(g);
   }
-  return Status::Ok();
 }
 
 bool Grounder::InstanceEquals(std::uint32_t id, AtomId head,
@@ -473,21 +678,27 @@ bool Grounder::InstanceEquals(std::uint32_t id, AtomId head,
                           neg);
 }
 
-Status Grounder::EmitInstance(const Rule& r, const Binding& binding) {
-  AFP_RETURN_IF_ERROR(SubstArgs(r, r.head, binding, "head", emit_args_));
+Status Grounder::EmitInstance(const RulePlan& plan, bool joined) {
+  const AtomPlan* atoms = plan_atoms_.data() + plan.atoms_begin;
+  const std::uint32_t num_atoms = plan.atoms_end - plan.atoms_begin;
+  BuildArgs(atoms[0]);
   AtomId head;
-  AFP_ASSIGN_OR_RETURN(head, InternAtom(r.head.predicate, emit_args_));
+  AFP_ASSIGN_OR_RETURN(head, InternAtom(atoms[0].pred, emit_args_));
   emit_pos_.clear();
   emit_neg_.clear();
-  for (const Literal& l : r.body) {
-    AFP_RETURN_IF_ERROR(
-        SubstArgs(r, l.atom, binding, "body literal", emit_args_));
-    AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(l.atom.predicate, emit_args_));
-    (l.positive ? emit_pos_ : emit_neg_).push_back(id);
+  if (joined) {
+    emit_pos_.assign(matched_.begin(),
+                     matched_.begin() + (plan.steps_end - plan.steps_begin));
+  }
+  for (std::uint32_t i = 1; i < num_atoms; ++i) {
+    if (joined && atoms[i].positive) continue;
+    BuildArgs(atoms[i]);
+    AFP_ASSIGN_OR_RETURN(AtomId id, InternAtom(atoms[i].pred, emit_args_));
+    (atoms[i].positive ? emit_pos_ : emit_neg_).push_back(id);
   }
 
   const std::uint64_t h = HashGroundRule(head, emit_pos_, emit_neg_);
-  if (retiring_) return RetireInstance(r, h, head);
+  if (retiring_ != kNoRule) return RetireInstance(h, head);
   const std::uint32_t next = static_cast<std::uint32_t>(instances_.size());
   const std::uint32_t got =
       instance_index_.FindOrInsert(h, next, [&](std::uint32_t id) {
@@ -527,8 +738,7 @@ Status Grounder::EmitInstance(const Rule& r, const Binding& binding) {
   return Status::Ok();
 }
 
-Status Grounder::RetireInstance(const Rule& r, std::uint64_t hash,
-                                AtomId head) {
+Status Grounder::RetireInstance(std::uint64_t hash, AtomId head) {
   const std::uint32_t got =
       instance_index_.Find(hash, [&](std::uint32_t id) {
         return InstanceEquals(id, head, emit_pos_, emit_neg_);
@@ -536,7 +746,7 @@ Status Grounder::RetireInstance(const Rule& r, std::uint64_t hash,
   if (got == FlatIndex::kNotFound || instances_[got].count == 0) {
     return Status::Internal(
         "rule removal found an instance with no provenance (invariant "
-        "breach): " + program_.RuleToString(r));
+        "breach): " + program_.RuleToString(program_.rules()[retiring_]));
   }
   if (--instances_[got].count > 0) return Status::Ok();
   // The last binding emitting it is gone: drop the instance's rule.
@@ -571,41 +781,79 @@ void Grounder::NoteRuleMoved(const GroundProgram& gp, std::uint32_t rule) {
 
 Status Grounder::AddSourceRules(GroundProgram& gp, std::size_t first_rule,
                                 Delta* delta) {
+  if (first_rule != registered_rules_) {
+    return Status::InvalidArgument(
+        "AddSourceRules: rules before " + std::to_string(first_rule) +
+        " were never added");
+  }
   OpScope scope(*this, gp, delta);
   AFP_RETURN_IF_ERROR(FoldAsserted());
-  return AddRules(first_rule);
+  return AddRules();
 }
 
 Status Grounder::RemoveSourceRule(GroundProgram& gp, std::size_t rule_index,
                                   Delta* delta) {
   OpScope scope(*this, gp, delta);
   AFP_RETURN_IF_ERROR(FoldAsserted());
-  if (rule_index >= alive_.size() || !alive_[rule_index]) {
+  const auto it = std::lower_bound(
+      plans_.begin(), plans_.end(), rule_index,
+      [](const RulePlan& p, std::size_t ri) { return p.rule < ri; });
+  if (it == plans_.end() || it->rule != rule_index || !it->alive) {
     return Status::InvalidArgument("rule is not live");
   }
-  alive_[rule_index] = 0;
+  it->alive = false;
   // Re-enumerate the rule's bindings over the derived set — by the
   // emission invariant exactly the bindings it has emitted — and take
   // their provenance away. Nothing is derived meanwhile.
   ++current_round_;
   ++delta->rules_reground;
-  retiring_ = true;
-  Binding binding;
-  return Join(program_.rules()[rule_index], kFullJoin, 0, current_round_,
-              binding);
+  retiring_ = it->rule;
+  return Join(*it, 0, kFullJoin, current_round_);
 }
 
 std::optional<std::size_t> Grounder::FindLiveRule(const Rule& r) const {
-  for (std::size_t ri = 0; ri < alive_.size(); ++ri) {
-    if (!alive_[ri]) continue;
-    if (RuleEquiv(program_.terms(), program_.rules()[ri], r)) return ri;
+  for (const RulePlan& plan : plans_) {
+    if (plan.alive &&
+        RuleEquiv(program_.terms(), program_.rules()[plan.rule], r)) {
+      return plan.rule;
+    }
   }
   return std::nullopt;
 }
 
 // --- final assembly ---------------------------------------------------------
 
-StatusOr<GroundProgram> Grounder::Assemble(bool keep) {
+/// The counters of the scratch structures: the scratch atom table, the
+/// instance-dedupe and posting indexes, the candidate arena and the join.
+void Grounder::FillReceipt(GroundStats& gs) const {
+  gs.Absorb(atoms_->index_stats());
+  gs.Absorb(instance_index_.stats());
+  gs.Absorb(posting_index_.stats());
+  gs.arena_bytes = cand_arena_.total_allocated();
+  gs.join_candidates = join_candidates_;
+}
+
+void Grounder::ReleaseJoinState() {
+  auto release = [](auto& v) {
+    std::remove_reference_t<decltype(v)>().swap(v);
+  };
+  release(round_);
+  release(derived_log_);
+  release(pred_lists_);
+  release(lists_);
+  release(posting_keys_);
+  posting_index_.Release();
+  release(triggers_);
+  release(plans_);
+  release(steps_);
+  release(plan_atoms_);
+  release(plan_ops_);
+  release(slot_vars_);
+  instance_index_.Release();
+}
+
+StatusOr<GroundProgram> Grounder::Assemble(bool keep,
+                                           const GroundStats& receipt) {
   const bool simplify = opts_.simplify && opts_.mode != GroundMode::kFull;
   GroundProgram gp(&program_);
 
@@ -639,15 +887,11 @@ StatusOr<GroundProgram> Grounder::Assemble(bool keep) {
     gp.AddRule(remap[in.head], pos, neg);
   }
 
-  // The grounding receipt: fold in the counters of the scratch structures
-  // (the scratch atom table, the instance-dedupe index, the candidate
-  // arena). The live tables the program keeps (gp.atoms(),
-  // program_.terms()) are read separately by Solver::Stats so their
-  // counters keep accumulating.
+  // The receipt holds the counters of the scratch structures; the live
+  // tables the program keeps (gp.atoms(), program_.terms()) are read
+  // separately by Solver::Stats so their counters keep accumulating.
   GroundStats& gs = gp.grounding_stats_mutable();
-  gs.Absorb(atoms_->index_stats());
-  gs.Absorb(instance_index_.stats());
-  gs.arena_bytes = cand_arena_.total_allocated();
+  gs = receipt;
   gp.SealRules();
   gs.atoms = gp.num_atoms();
   gs.rules = gp.num_rules();

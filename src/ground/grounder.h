@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/program.h"
@@ -60,6 +59,15 @@ struct GroundOptions {
 /// a provenance count — how many live source-rule bindings emit it — so a
 /// removal drops exactly the instances no live rule still emits.
 ///
+/// The join runs on plans compiled once per source rule (variables as
+/// dense slots). A positive literal whose arguments are all bound on
+/// arrival — constants, or variables an earlier literal bound — probes the
+/// atom table for its one candidate; one with some bound walks the posting
+/// list of (predicate, first bound position, term); one with none walks
+/// its predicate's list; a delta literal starts at the previous round's
+/// first atom. Every list is in derivation order, so matches, atom ids and
+/// rule order are those of a scan over the whole predicate.
+///
 /// `program` is taken by mutable reference because instantiation creates
 /// new ground terms in its term table; no rules or symbols are modified.
 /// The returned GroundProgram borrows `program` and must not outlive it,
@@ -100,10 +108,14 @@ class Grounder {
   /// Grounds `program`. When `keep` is non-null and SupportsRuleOps holds,
   /// the grounder survives in `*keep` so the caller can later patch the
   /// returned program with rule ops; otherwise `*keep` is left null and
-  /// every grounding structure is released on return.
+  /// every grounding structure is released on return. When `receipt` is
+  /// non-null it receives the grounding receipt even if grounding fails:
+  /// after a resource limit it says how far the run got (`atoms`
+  /// interned, `rules` emitted with the EDB facts, `join_candidates`).
   static StatusOr<GroundProgram> Ground(
       Program& program, const GroundOptions& options = {},
-      std::unique_ptr<Grounder>* keep = nullptr);
+      std::unique_ptr<Grounder>* keep = nullptr,
+      GroundStats* receipt = nullptr);
 
   /// Rule ops need exact provenance: semi-naive kSmart grounding emits
   /// every binding exactly once, and only unsimplified grounding keeps each
@@ -149,16 +161,81 @@ class Grounder {
   void NoteRuleMoved(const GroundProgram& gp, std::uint32_t rule);
 
  private:
-  /// Which derivation rounds a join position may draw candidates from.
+  /// Which derivation rounds a join step may draw candidates from.
   enum class RoundFilter { kOld, kDelta, kUpTo };
   /// Join() delta position meaning "no semi-naive restriction": every
   /// literal matches anything derived before the current round.
   static constexpr std::size_t kFullJoin = static_cast<std::size_t>(-1);
   static constexpr std::uint32_t kNoRule = static_cast<std::uint32_t>(-1);
+  /// "None" for list ids, key positions and rounds.
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  /// Posting lists cover argument positions below this (one mask bit each).
+  static constexpr std::uint32_t kMaxKeyPosition = 64;
 
-  /// One arena-backed segment of a predicate's candidate list. Chunks
-  /// never move once allocated, so Join may keep walking a list while
-  /// EmitInstance appends to it.
+  // --- join plans -----------------------------------------------------
+  //
+  // Each source rule is compiled once, when it is registered. Its
+  // variables become dense slots of slots_; which slot a literal binds and
+  // which it only reads is fixed by the left-to-right join order, so a
+  // binding is never undone: the next candidate simply overwrites it.
+
+  /// One instruction of a compiled term. Matching runs a literal's
+  /// arguments in preorder against a candidate's terms; building runs an
+  /// atom's arguments in postfix onto emit_args_.
+  struct TermOp {
+    enum Kind : std::uint8_t {
+      kGround,    // match: the term is `value`; build: push `value`
+      kBind,      // match: the variable's first occurrence; slot `value`
+                  // takes the term (never built: all slots are bound)
+      kSlot,      // match: the term equals slot `value`; build: push it
+      kCompound,  // match: the term is `value`(...) with `arity`
+                  // arguments, matched next; build: replace the top
+                  // `arity` terms by `value`(...)
+    };
+    Kind kind;
+    std::uint32_t arity;
+    std::uint32_t value;
+  };
+  /// An atom to build, its arguments in plan_ops_[ops_begin, ops_end).
+  struct AtomPlan {
+    SymbolId pred;
+    std::uint32_t ops_begin, ops_end;
+    bool positive;  // body atoms: the literal's sign
+  };
+  /// One positive body literal, matched by plan_ops_[ops_begin, ops_end).
+  /// How the join finds its candidates depends on which arguments are
+  /// bound when it gets there — constants of the rule, and variables an
+  /// earlier literal bound: with all of them bound (arity 0 included) it
+  /// probes the atom table for the one atom it can match (kProbe); with
+  /// some bound it walks the posting list of (pred, key_pos, the term
+  /// there) (kPosting); with none it walks the predicate's list (kScan).
+  struct JoinStep {
+    enum Access : std::uint8_t { kScan, kPosting, kProbe };
+    SymbolId pred;
+    std::uint32_t arity;
+    std::uint32_t ops_begin, ops_end;
+    Access access;
+    /// kPosting: the first bound argument, and its term: `key_value`
+    /// itself (kGround) or the value of slot `key_value` (kSlot).
+    TermOp::Kind key_kind;
+    std::uint32_t key_pos;
+    std::uint32_t key_value;
+  };
+  /// A compiled source rule; ranges index the plan pools below.
+  struct RulePlan {
+    std::uint32_t rule;  // index in program_.rules()
+    bool alive;          // false once the rule is retracted
+    std::uint32_t num_slots;
+    std::uint32_t steps_begin, steps_end;  // steps_: positive literals
+    std::uint32_t atoms_begin, atoms_end;  // plan_atoms_: head, then body
+    std::uint32_t vars_begin;  // slot_vars_: each slot's variable
+  };
+
+  // --- candidate lists ------------------------------------------------
+
+  /// One arena-backed segment of a candidate list. Chunks never move once
+  /// allocated, so Join may keep walking a list while EmitInstance
+  /// appends to it (or creates other lists).
   struct CandChunk {
     CandChunk* next;
     std::uint32_t count;
@@ -168,14 +245,39 @@ class Grounder {
       return reinterpret_cast<const AtomId*>(this + 1);
     }
   };
-  struct PredList {
+  /// Where one round's atoms begin in a list.
+  struct RoundMark {
+    const CandChunk* chunk = nullptr;
+    std::uint32_t index = 0;
+    std::uint32_t round = kNone;
+  };
+  /// Atoms appended in derivation order, hence sorted by round. During
+  /// round r a list holds nothing newer than r, so the starts of its last
+  /// two rounds locate round r-1's atoms: where a delta walk begins.
+  struct CandList {
     CandChunk* head = nullptr;
     CandChunk* tail = nullptr;
+    RoundMark last, prev;
   };
-  /// A (source rule, positive-literal position) pair fired when the
-  /// literal's predicate gains atoms.
+  /// The lists a predicate keeps: a whole-predicate list when some
+  /// registered kScan step reads it, and posting lists on the argument
+  /// positions registered kPosting steps key on.
+  struct PredLists {
+    std::uint32_t list = kNone;   // lists_ index
+    std::uint64_t positions = 0;  // bit i: posting lists on argument i
+  };
+  /// The posting list of the atoms whose argument `pos` is `term`.
+  struct PostingKey {
+    SymbolId pred;
+    std::uint32_t pos;
+    TermId term;
+    std::uint32_t list;  // lists_ index
+  };
+
+  /// A (source rule plan, join step) pair fired when the step's predicate
+  /// gains atoms.
   struct Trigger {
-    std::uint32_t rule;
+    std::uint32_t plan;
     std::uint32_t pos;
   };
   /// An emitted instance; its body lives in instance_pool_, the negative
@@ -189,56 +291,70 @@ class Grounder {
     /// one of them was retracted.
     std::uint32_t count;
   };
-  using Binding = std::unordered_map<SymbolId, TermId>;
 
   Grounder(Program& program, const GroundOptions& options)
       : program_(program), opts_(options) {}
 
   /// The initial grounding; `keep` prepares the grounder for rule ops.
   StatusOr<GroundProgram> Build(bool keep);
-  /// Syncs alive_/triggers_ with program_.rules() (appends only).
-  void RegisterSourceRules();
-  /// Registers rules [first..], full-joins each over the derived set and
-  /// cascades.
-  Status AddRules(std::size_t first);
+  /// Compiles the source rules program_.rules() gained since the last
+  /// call into plans_ and triggers_, creating the lists the new plans read
+  /// and back-filling them from derived_log_.
+  Status RegisterSourceRules();
+  StatusOr<RulePlan> CompileRule(const Rule& r);
+  /// Registers the program rules appended since the last call, full-joins
+  /// each new source rule over the derived set and cascades.
+  Status AddRules();
   Status FoldAsserted();
   /// Runs semi-naive rounds until no new atoms are derived; the first
   /// round's delta is derived_log_[delta_begin..].
   Status CascadeFrom(std::size_t delta_begin);
   Status NaiveInstantiation();
   Status FullInstantiation();
-  Status EnumerateAssignments(const Rule& r, const std::vector<SymbolId>& vars,
-                              std::size_t i, const std::vector<TermId>& domain,
-                              Binding& binding);
+  Status EnumerateAssignments(const RulePlan& plan,
+                              std::span<const std::uint32_t> order,
+                              std::size_t i, const std::vector<TermId>& domain);
 
   StatusOr<AtomId> InternAtom(SymbolId pred, std::span<const TermId> args);
   void MarkDerived(AtomId id, std::uint32_t round);
-  void PredAppend(PredList& pl, AtomId id);
+  /// Appends `id` to the lists `which` names (its predicate's lists, or
+  /// the subset a back-fill creates).
+  void IndexAtom(AtomId id, const PredLists& which);
+  CandList& PostingList(SymbolId pred, std::uint32_t pos, TermId term);
+  void Append(CandList& list, AtomId id);
+  /// The list a kScan or kPosting step walks under the current slots, or
+  /// null if it is empty.
+  const CandList* StepList(const JoinStep& step) const;
 
-  /// Joins the positive body literals of `r` left to right, from the
-  /// `pos_index`-th on, emitting one instance per complete match. Literals
-  /// before `delta_pos` match only atoms older than the previous round
-  /// (kOld), the one at it only the previous round's (kDelta), later ones
+  /// Joins the plan's positive literals left to right, from `step` on,
+  /// emitting one instance per complete match. Literals before
+  /// `delta_pos` match only atoms older than the previous round (kOld),
+  /// the one at it only the previous round's (kDelta), later ones
   /// anything derived before `round` (kUpTo).
-  Status Join(const Rule& r, std::size_t delta_pos, std::size_t pos_index,
-              std::uint32_t round, Binding& binding);
-  /// Matches `pattern` against candidate `cand` and, on success, joins the
-  /// next positive literal; undoes the match's bindings before returning.
-  Status Descend(const Rule& r, const Atom& pattern, AtomId cand,
-                 std::size_t delta_pos, std::size_t pos_index,
-                 std::uint32_t round, Binding& binding);
-  Status SubstArgs(const Rule& r, const Atom& a, const Binding& binding,
-                   const char* what, std::vector<TermId>& out);
-  /// Builds the instance `binding` gives `r` into the emit_* scratch, then
-  /// adds one provenance count to it (or, while retiring_, takes one away).
-  Status EmitInstance(const Rule& r, const Binding& binding);
-  Status RetireInstance(const Rule& r, std::uint64_t hash, AtomId head);
+  Status Join(const RulePlan& plan, std::uint32_t step, std::size_t delta_pos,
+              std::uint32_t round);
+  /// Matches `step` against candidate `cand`, binding its new slots.
+  bool Match(const JoinStep& step, AtomId cand);
+  /// Builds `a`'s arguments from slots_ into emit_args_.
+  void BuildArgs(const AtomPlan& a);
+  /// Builds the instance the slots give `plan` into the emit_* scratch,
+  /// then adds one provenance count to it (or, while retiring_, takes one
+  /// away). After a join (`joined`) the positive body is the matched
+  /// candidates; kFull grounding builds and interns it too.
+  Status EmitInstance(const RulePlan& plan, bool joined);
+  Status RetireInstance(std::uint64_t hash, AtomId head);
   /// True iff instance `id` equals (head, pos, neg), bodies as multisets.
   bool InstanceEquals(std::uint32_t id, AtomId head,
                       std::span<const AtomId> pos,
                       std::span<const AtomId> neg) const;
 
-  StatusOr<GroundProgram> Assemble(bool keep);
+  /// Folds the grounding structures' counters into `gs`.
+  void FillReceipt(GroundStats& gs) const;
+  /// Frees what only joins use (derivation log and rounds, lists, plans,
+  /// triggers, the instance dedupe) once a one-shot grounding is done
+  /// joining, so the program is assembled without them alongside.
+  void ReleaseJoinState();
+  StatusOr<GroundProgram> Assemble(bool keep, const GroundStats& receipt);
 
   /// Binds the program a rule op patches for the duration of one call.
   class OpScope;
@@ -253,12 +369,20 @@ class Grounder {
   /// The program and receipt of the rule op in progress (null otherwise).
   GroundProgram* gp_ = nullptr;
   Delta* delta_ = nullptr;
-  /// Set while a removal re-enumerates the retracted rule's bindings.
-  bool retiring_ = false;
+  /// The source rule a removal is re-enumerating the bindings of, else
+  /// kNoRule.
+  std::uint32_t retiring_ = kNoRule;
 
-  /// Tombstone bitmap over program_.rules() (facts are never "live").
-  std::vector<std::uint8_t> alive_;
-  /// Trigger index by predicate SymbolId; tombstoned rules skipped at use.
+  /// The source rules' plans in program order (EDB facts have none), and
+  /// how many of program_.rules() have been registered.
+  std::vector<RulePlan> plans_;
+  std::size_t registered_rules_ = 0;
+  /// Plan pools.
+  std::vector<JoinStep> steps_;
+  std::vector<AtomPlan> plan_atoms_;
+  std::vector<TermOp> plan_ops_;
+  std::vector<SymbolId> slot_vars_;
+  /// Trigger index by predicate SymbolId; retracted rules skipped at use.
   std::vector<std::vector<Trigger>> triggers_;
 
   /// Derivation state, indexed by AtomId. The derived set is monotone: a
@@ -270,10 +394,16 @@ class Grounder {
   std::vector<AtomId> fact_atoms_;  // EDB facts of the initial program
   std::vector<AtomId> asserted_;    // NoteFactAsserted queue
 
-  /// Per-predicate candidate index: dense-by-SymbolId chunk lists
-  /// bump-allocated from an arena.
-  std::vector<PredList> by_pred_;
+  /// Candidate index: the lists each predicate keeps (dense by SymbolId,
+  /// registered predicates only), their chunks bump-allocated from an
+  /// arena, and the posting lists found by (pred, pos, term).
+  std::vector<PredLists> pred_lists_;
+  std::vector<CandList> lists_;
+  std::vector<PostingKey> posting_keys_;
+  FlatIndex posting_index_;
   Arena cand_arena_;
+  /// Candidate atoms the joins have tested (GroundStats::join_candidates).
+  std::uint64_t join_candidates_ = 0;
 
   /// Emitted instances, deduped by a FlatIndex over instance_pool_, and
   /// (kept grounders only) each live instance's rule id in the program.
@@ -282,7 +412,13 @@ class Grounder {
   FlatIndex instance_index_;
   std::vector<std::uint32_t> instance_rule_;
 
-  // Reusable scratch.
+  // Join and emission scratch, reused by every join: the slots and the
+  // candidate each step matched (sized when rules register), the
+  // candidate terms a match has yet to visit inside compound arguments,
+  // and the instance being emitted.
+  std::vector<TermId> slots_;
+  std::vector<AtomId> matched_;
+  std::vector<TermId> pending_;
   std::vector<TermId> emit_args_;
   std::vector<AtomId> emit_pos_, emit_neg_;
   std::vector<SymbolId> delta_preds_;

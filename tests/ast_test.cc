@@ -1,5 +1,5 @@
-// Term table and Program AST tests: hash-consing, substitution, matching,
-// EDB/IDB classification, rendering, validation.
+// Term table and Program AST tests: hash-consing, substitution, EDB/IDB
+// classification, rendering, validation.
 
 #include "ast/program.h"
 
@@ -52,16 +52,23 @@ TEST(TermTable, SubstituteSharesUnchangedSubterms) {
   EXPECT_EQ(p.terms().Substitute(ga, binding), ga);
 }
 
-TEST(TermTable, MatchBindsConsistently) {
+TEST(TermTable, ToStringRendersDeepTerms) {
+  // Rendering walks the term with an explicit stack: a term nested far
+  // deeper than the call stack allows still renders.
+  constexpr int kDepth = 200000;
   Program p;
-  TermId x = p.Var("X");
-  TermId pat = p.Compound("f", {x, x});
-  std::unordered_map<SymbolId, TermId> binding;
-  TermId good = p.Compound("f", {p.Const("a"), p.Const("a")});
-  EXPECT_TRUE(p.terms().Match(pat, good, binding));
-  binding.clear();
-  TermId bad = p.Compound("f", {p.Const("a"), p.Const("b")});
-  EXPECT_FALSE(p.terms().Match(pat, bad, binding));
+  TermId t = p.Const("a");
+  for (int i = 0; i < kDepth; ++i) t = p.Compound("f", {t});
+  const std::string s = p.terms().ToString(t, p.symbols());
+  ASSERT_EQ(s.size(), 3u * kDepth + 1);
+  EXPECT_EQ(s.substr(0, 6), "f(f(f(");
+  EXPECT_EQ(s.substr(2 * kDepth - 2, 6), "f(a)))");
+  EXPECT_EQ(s.find_first_not_of(')', 2 * kDepth + 1), std::string::npos);
+  EXPECT_EQ(p.terms().Depth(t), static_cast<std::uint32_t>(kDepth));
+  EXPECT_EQ(p.terms().ToString(p.Compound("g", {p.Const("b"), t, p.Var("X")}),
+                               p.symbols())
+                .substr(0, 8),
+            "g(b,f(f(");
 }
 
 TEST(TermTable, FindConstLookupsDoNotIntern) {

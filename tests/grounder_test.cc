@@ -384,6 +384,76 @@ TEST(Grounder, GroundStatsReceiptIsFilled) {
   EXPECT_GT(g.arena_bytes, 0u);
 }
 
+TEST(Grounder, RepeatedVariablesMatchConsistently) {
+  // A variable repeated within one literal binds at its first occurrence
+  // and must agree at the later ones, at top level and inside a compound.
+  const char* kPrograms[][2] = {
+      {"e(a,a). e(a,b). p(X) :- e(X,X).", "p(a)"},
+      {"r(f(a,a)). r(f(a,b)). q(X) :- r(f(X,X)).", "q(a)"},
+  };
+  for (const auto& [text, derived] : kPrograms) {
+    SCOPED_TRACE(text);
+    auto parsed = ParseProgram(text);
+    ASSERT_TRUE(parsed.ok());
+    Program p = std::move(parsed).value();
+    GroundProgram gp = MustGround(p);
+    // The two facts plus the one instance whose literal matched.
+    ASSERT_EQ(gp.num_rules(), 3u);
+    EXPECT_EQ(gp.AtomName(gp.rule(2).head), derived);
+  }
+}
+
+/// Grounds `p` and returns the receipt, which Ground fills on failure too.
+GroundStats GroundReceipt(Program& p, const GroundOptions& opts,
+                          StatusCode want) {
+  GroundStats receipt;
+  auto g = Grounder::Ground(p, opts, nullptr, &receipt);
+  EXPECT_EQ(g.status().code(), want) << g.status().ToString();
+  return receipt;
+}
+
+TEST(Grounder, JoinCandidatesAreLinearInOutput) {
+  // The join tests candidates only from the lists a literal can match: a
+  // posting list when an argument is bound on arrival, and a delta
+  // literal's walk starts at the previous round. So the candidates tested
+  // stay within a small multiple of what grounding emits. A scan of the
+  // whole predicate tests 50-300 candidates per instance on the first
+  // input and grows quadratically on the other two.
+  GroundOptions defaults;
+  Program tc = workload::TransitiveClosureComplement(
+      graphs::ErdosRenyi(72, 216, 5));
+  const GroundStats tc_receipt = GroundReceipt(tc, defaults, StatusCode::kOk);
+
+  // One new atom per round, without end: the run stops at max_atoms.
+  auto infinite = ParseProgram("p(a). p(f(X)) :- p(X).");
+  ASSERT_TRUE(infinite.ok());
+  GroundOptions capped;
+  capped.max_atoms = 20000;
+  const GroundStats infinite_receipt = GroundReceipt(
+      infinite.value(), capped, StatusCode::kResourceExhausted);
+  EXPECT_GE(infinite_receipt.atoms, capped.max_atoms);
+
+  // A 5000-round chain whose every round probes s by its bound first
+  // argument.
+  std::string text = "p(a,n0).\n";
+  for (int i = 0; i < 5000; ++i) {
+    text += "s(n" + std::to_string(i) + ",n" + std::to_string(i + 1) + ").\n";
+  }
+  text += "p(f(X),M) :- p(X,N), s(N,M).\n";
+  auto chain = ParseProgram(text);
+  ASSERT_TRUE(chain.ok());
+  const GroundStats chain_receipt =
+      GroundReceipt(chain.value(), defaults, StatusCode::kOk);
+  EXPECT_EQ(chain_receipt.rules, 5001u + 5000u);  // facts + instances
+
+  for (const GroundStats* g : {&tc_receipt, &infinite_receipt,
+                               &chain_receipt}) {
+    EXPECT_GT(g->join_candidates, 0u);
+    EXPECT_LE(g->join_candidates, 2 * (g->rules + g->atoms))
+        << "rules " << g->rules << ", atoms " << g->atoms;
+  }
+}
+
 TEST(Grounder, PostSealAddRuleMaintainsFactIndex) {
   // Regression: AddRule is public, and calling it on a sealed program with
   // an empty body is an EDB fact append by another name. The lazily built

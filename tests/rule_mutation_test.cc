@@ -128,7 +128,9 @@ void RunMutationFuzz(const SolverOptions& options, std::uint64_t seed,
   // Candidate IDB rules; several introduce new predicates (universe
   // growth), one introduces compound terms, several chain on each other
   // (cascaded delta grounding), and q/s share an instance shape with
-  // themselves when duplicated.
+  // themselves when duplicated. The last three make the join create
+  // lists mid-session: posting lists on e's first argument (bound by f)
+  // and on its second (the constant c), and a match inside w's compound.
   const std::vector<std::string> pool = {
       "q(X) :- e(X,Y), p(Y).",
       "s(X) :- f(X).",
@@ -138,6 +140,9 @@ void RunMutationFuzz(const SolverOptions& options, std::uint64_t seed,
       "v(X) :- t(X), s(X).",
       "w(g(X)) :- f(X).",
       "q(X) :- t(X), f(X).",
+      "x(Y) :- f(X), e(X,Y).",
+      "y(X) :- e(X,c), not f(X).",
+      "z(X) :- w(g(X)), e(X,Y), not p(Y).",
   };
 
   std::string base_text = base_rules;
@@ -250,6 +255,33 @@ TEST(RuleMutationTest, AddRuleDerivesAndGrowsUniverse) {
   EXPECT_EQ(*s.Query("q(a)"), TruthValue::kTrue);
   EXPECT_EQ(*s.Query("q(b)"), TruthValue::kTrue);
   ExpectFreshSccAgrees(s, o, "AddRuleDerivesAndGrowsUniverse");
+}
+
+TEST(RuleMutationTest, AddedRulesJoinThroughListsBuiltMidSession) {
+  // The initial grounding builds only the candidate lists its rules read
+  // (here e's predicate list). Added rules need new ones — a posting list
+  // on e's first argument (bound by f), one on its second (the constant
+  // c), f's predicate list — which must be back-filled from every atom
+  // derived so far, facts included.
+  const std::string base = "p(X) :- e(X,Y), not p(Y).\n"
+                           "e(a,b). e(b,c). e(c,a). f(a). f(c).\n";
+  const SolverOptions o = MutableOptions(
+      SolverEngine::kScc, SccInnerEngine::kAfp, CompileMode::kOff);
+  Solver s = MustSolver(base, o);
+  s.Solve();
+  const std::string added[] = {"x(Y) :- f(X), e(X,Y).", "y(X) :- e(X,c).",
+                               "z(X) :- f(X), not y(X)."};
+  std::string text = base;
+  for (const std::string& rule : added) {
+    ASSERT_TRUE(s.AddRule(rule).ok()) << rule;
+    text += rule + "\n";
+  }
+  EXPECT_EQ(*s.Query("x(b)"), TruthValue::kTrue);
+  EXPECT_EQ(*s.Query("x(a)"), TruthValue::kTrue);
+  EXPECT_EQ(*s.Query("x(c)"), TruthValue::kFalse);
+  EXPECT_EQ(*s.Query("y(b)"), TruthValue::kTrue);
+  EXPECT_EQ(*s.Query("z(a)"), TruthValue::kTrue);
+  ExpectFreshTextAgrees(s, text, o, "after the rule ops");
 }
 
 TEST(RuleMutationTest, RemoveRuleLeavesDeadAtomsFalse) {
