@@ -1,30 +1,27 @@
-// Parallel stable-model search bench: wall time of the branch-tree engine
-// (src/search/) at 1/2/4/8 worker threads, per workload. This is the bench
-// behind the `search` axis of BENCH_ablation_axis.json: tools/run_benches.sh
-// stores the report as BENCH_search.json and distills per-workload thread
-// rows (speedup over the 1-thread run, which takes the exact sequential
-// in-line path of the work pool), and tools/check_ablation_axis.py gates CI
-// on the flagship 4-thread speedup.
+// Stable-model search bench: wall time of the depth-first search
+// (src/search/) per workload, one row each. This is the bench behind the
+// `search` axis of BENCH_ablation_axis.json: tools/run_benches.sh stores
+// the report as BENCH_search.json and copies the rows into the axis, and
+// tools/check_ablation_axis.py checks every row's counters and hash
+// against pinned values.
 //
 // Like bench_scale this binary is self-timed and prints a native JSON
-// report on stdout. Each (workload, threads, variant) config runs in a
-// forked child so allocator and registry state never leak between timings;
-// within the child the same engine is run twice and the faster run is
-// reported (enumeration is deterministic, so the second run does identical
-// work on warm pools).
+// report on stdout. Each workload runs in a forked child so allocator
+// state never leaks between timings; within the child the same engine is
+// run twice and the faster run is reported (enumeration is deterministic,
+// so the second run does identical work on a warm engine).
 //
-// Every row carries the model count, the node count, and an FNV-1a hash of
-// the full emission sequence (model set AND order), so the distiller can
-// assert that every thread count produced the bit-identical enumeration —
-// the subsystem's core contract — before any wall-clock ratio is trusted.
+// Every row carries the model and node counts, implied_atoms (the tree's
+// decisions), components_resolved (the per-node repair work) and an FNV-1a
+// hash of the full emission sequence (model set AND order), so a changed
+// tree or enumeration shows up before any wall time is compared.
 //
 // Workloads: EvenCycleClusters(k, chain_len) — k independent even negative
-// cycles (2^k stable models, a full depth-k branch tree) with a chain of
-// chain_len alternating atoms per cluster so each node's propagation does
-// real per-node fixpoint work. The `seeded` variant rows re-run the
-// 1-thread flagship with the root propagation seeded from a precomputed
-// well-founded model (the Solver::StableModels warm path); info only, not
-// gated.
+// cycles (2^k stable models, a full depth-k branch tree), each next to a
+// negation chain of chain_len atoms that hangs off its own fact. No branch
+// touches a chain, so the incremental propagation re-solves one cycle
+// component per node however long the chains are; a propagation that
+// re-derived the whole program at every node would pay for every chain.
 
 #include <unistd.h>
 
@@ -39,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/alternating.h"
 #include "ground/grounder.h"
 #include "search/stable_search.h"
 #include "workload/programs.h"
@@ -55,14 +51,12 @@ struct Config {
 };
 
 // The flagship row is EvenCycleClusters/12x24: 4096 stable models over a
-// 4096-leaf branch tree, ~300 atoms of per-node propagation. The second
-// row trades tree width for per-node propagation depth.
+// 4096-leaf branch tree in a ~300-atom program. The second row trades
+// tree width for chain length.
 constexpr Config kConfigs[] = {
     {"EvenCycleClusters/12x24", 12, 24},
     {"EvenCycleClusters/9x48", 9, 48},
 };
-
-constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 double Ms(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -71,7 +65,7 @@ double Ms(Clock::time_point a, Clock::time_point b) {
 }
 
 /// FNV-1a over the emission sequence: model index boundaries and the set
-/// bits of each model, in order. Identical across thread counts iff the
+/// bits of each model, in order. Identical across runs iff the
 /// enumeration (set and order) is identical.
 std::uint64_t HashModels(const std::vector<afp::Bitset>& models) {
   std::uint64_t h = 1469598103934665603ull;
@@ -86,9 +80,9 @@ std::uint64_t HashModels(const std::vector<afp::Bitset>& models) {
   return h;
 }
 
-/// Runs one (workload, threads, variant) config and returns its JSON row.
-/// Called in a forked child; must not touch the parent's report state.
-std::string RunConfig(const Config& cfg, int threads, bool seeded) {
+/// Runs one workload and returns its JSON row. Called in a forked child;
+/// must not touch the parent's report state.
+std::string RunConfig(const Config& cfg) {
   afp::Program program =
       afp::workload::EvenCycleClusters(cfg.clusters, cfg.chain_len);
   afp::GroundOptions gopts;
@@ -101,15 +95,7 @@ std::string RunConfig(const Config& cfg, int threads, bool seeded) {
   }
   afp::GroundProgram gp = std::move(ground).value();
 
-  afp::ParallelSearchOptions popts;
-  popts.num_threads = threads;
-  afp::ParallelStableSearch engine(gp, popts);
-  if (seeded) {
-    // The Solver warm path: root propagation replaced by the session's
-    // cached well-founded model. Computed outside the timed region.
-    afp::AfpResult wfs = afp::AlternatingFixpoint(gp);
-    engine.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
-  }
+  afp::StableSearch engine(gp);
 
   // Two runs on the same engine; keep the faster (the enumeration is
   // deterministic, so both runs do identical work).
@@ -130,17 +116,13 @@ std::string RunConfig(const Config& cfg, int threads, bool seeded) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"workload\": \"%s\", \"threads\": %d, \"variant\": \"%s\", "
-      "\"wall_ms\": %.2f, \"models\": %llu, \"nodes\": %llu, "
-      "\"afp_calls\": %llu, \"implied_atoms\": %llu, \"steals\": %llu, "
-      "\"idle_waits\": %llu, \"model_hash\": \"%016llx\"}",
-      cfg.workload, threads, seeded ? "seeded" : "unseeded", wall_ms,
-      static_cast<unsigned long long>(s.models),
+      "{\"workload\": \"%s\", \"wall_ms\": %.2f, \"models\": %llu, "
+      "\"nodes\": %llu, \"implied_atoms\": %llu, "
+      "\"components_resolved\": %llu, \"model_hash\": \"%016llx\"}",
+      cfg.workload, wall_ms, static_cast<unsigned long long>(s.models),
       static_cast<unsigned long long>(s.nodes),
-      static_cast<unsigned long long>(s.afp_calls),
       static_cast<unsigned long long>(s.implied_atoms),
-      static_cast<unsigned long long>(s.steals),
-      static_cast<unsigned long long>(s.idle_waits),
+      static_cast<unsigned long long>(s.components_resolved),
       static_cast<unsigned long long>(HashModels(result.models)));
   return buf;
 }
@@ -148,7 +130,7 @@ std::string RunConfig(const Config& cfg, int threads, bool seeded) {
 /// Forks a child to run one config; the child writes its row to a pipe and
 /// exits without running atexit handlers. Returns the row, or "" on any
 /// child failure (reported on stderr by the child).
-std::string RunConfigForked(const Config& cfg, int threads, bool seeded) {
+std::string RunConfigForked(const Config& cfg) {
   int fds[2];
   if (pipe(fds) != 0) {
     std::perror("bench_search: pipe");
@@ -163,7 +145,7 @@ std::string RunConfigForked(const Config& cfg, int threads, bool seeded) {
   }
   if (pid == 0) {
     close(fds[0]);
-    const std::string row = RunConfig(cfg, threads, seeded);
+    const std::string row = RunConfig(cfg);
     std::size_t off = 0;
     while (off < row.size()) {
       const ssize_t n = write(fds[1], row.data() + off, row.size() - off);
@@ -193,19 +175,9 @@ std::string RunConfigForked(const Config& cfg, int threads, bool seeded) {
 int main() {
   std::vector<std::string> rows;
   for (const Config& cfg : kConfigs) {
-    for (int threads : kThreadCounts) {
-      std::string row = RunConfigForked(cfg, threads, /*seeded=*/false);
-      if (row.empty()) {
-        std::fprintf(stderr, "bench_search: config %s/%d failed\n",
-                     cfg.workload, threads);
-        return 1;
-      }
-      rows.push_back(std::move(row));
-    }
-    // Seeded-root info row (the Solver warm path) at 1 thread.
-    std::string row = RunConfigForked(cfg, 1, /*seeded=*/true);
+    std::string row = RunConfigForked(cfg);
     if (row.empty()) {
-      std::fprintf(stderr, "bench_search: config %s seeded failed\n",
+      std::fprintf(stderr, "bench_search: workload %s failed\n",
                    cfg.workload);
       return 1;
     }

@@ -45,13 +45,13 @@ int main() {
 
     double wfs_ms = MsOf([&] { afp::AlternatingFixpoint(*ground); });
 
-    afp::ParallelStableSearch search(*ground);
+    afp::StableSearch search(*ground);
     afp::StableSearchStats all;
     double enum_ms = MsOf([&] { all = search.Count().search; });
 
     afp::StableSearchControl first_only;
     first_only.max_models = 1;
-    afp::ParallelStableSearch first(*ground);
+    afp::StableSearch first(*ground);
     double first_ms = MsOf([&] { first.Count(first_only); });
 
     table.AddRow({std::to_string(k), std::to_string(all.models),
@@ -75,10 +75,10 @@ int main() {
     afp::Program p = afp::workload::WinMove(afp::graphs::Chain(n));
     auto ground = afp::Grounder::Ground(p);
     if (!ground.ok()) return 1;
-    afp::ParallelStableSearch wfs_search(*ground);
-    afp::ParallelSearchOptions naive_opts;
+    afp::StableSearch wfs_search(*ground);
+    afp::StableSearchOptions naive_opts;
     naive_opts.wfs_propagation = false;
-    afp::ParallelStableSearch naive_search(*ground, naive_opts);
+    afp::StableSearch naive_search(*ground, naive_opts);
     prune.AddRow({std::to_string(n),
                   std::to_string(wfs_search.Count().search.nodes),
                   std::to_string(naive_search.Count().search.nodes)});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/component_solver.h"
 #include "core/relevance.h"
 #include "core/residual.h"
 #include "parser/parser.h"
@@ -224,19 +225,17 @@ StatusOr<Justification> Solver::Explain(const std::string& atom_text) {
   return afp::Explain(ground_, Solve(), atom_text);
 }
 
-ParallelStableSearch& Solver::EnsureSearch() {
+StableSearch& Solver::EnsureSearch() {
   if (search_ != nullptr &&
       (&search_->ground() != &ground_ ||
        search_epoch_ != ground_.mutation_epoch())) {
     search_.reset();
   }
   if (search_ == nullptr) {
-    ParallelSearchOptions po;
-    po.num_threads = options_.num_threads;
-    po.sp_mode = options_.sp_mode;
-    po.horn_mode = options_.horn_mode;
-    po.registry = registry_.get();
-    search_ = std::make_unique<ParallelStableSearch>(ground_, po);
+    StableSearchOptions so;
+    so.sp_mode = options_.sp_mode;
+    so.horn_mode = options_.horn_mode;
+    search_ = std::make_unique<StableSearch>(ground_, so);
     search_epoch_ = ground_.mutation_epoch();
   }
   // The seed must be THE well-founded model of the CURRENT program: a
@@ -420,24 +419,32 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
     return up;
   }
 
-  trace_.clear();
-  std::vector<std::uint32_t>* iters =
-      component_iterations_.empty() ? nullptr : &component_iterations_;
-  SccUpdateStats r = SccResolveDownstream(
-      *ctx_, ground_.View(), *graph_, comp_rules_, SccOptionsFromSession(),
-      touched, &model_, iters, update_scratch_);
-  if (kernels_) {
-    r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
-  }
+  const SccUpdateStats r = RepairDownstream(touched);
   up.components_downstream = r.components_downstream;
   up.components_resolved = r.components_resolved;
   up.components_skipped = r.components_skipped;
   up.components_reused = graph_->num_components() - r.components_downstream;
   up.model_changed = r.model_changed;
   up.eval = r.eval;
+  return up;
+}
+
+SccUpdateStats Solver::RepairDownstream(std::span<const AtomId> touched) {
+  trace_.clear();
+  std::vector<std::uint32_t>* iters =
+      component_iterations_.empty() ? nullptr : &component_iterations_;
+  const RuleView view = ground_.View();
+  ComponentSolver solver(*ctx_, SccOptionsFromSession(), view, *graph_,
+                         comp_rules_);
+  GlobalModel gm{&model_.true_atoms(), &model_.false_atoms()};
+  SccUpdateStats r =
+      SccResolveDownstream(solver, touched, gm, iters, update_scratch_);
+  if (kernels_) {
+    r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
+  }
   stats_.eval = r.eval;
   ++stats_.incremental_updates;
-  return up;
+  return r;
 }
 
 Status Solver::RuleOpsAvailable() const {
@@ -695,28 +702,18 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
   if (!component_iterations_.empty()) {
     component_iterations_.resize(graph_->num_components(), 0);
   }
-  trace_.clear();
   std::vector<AtomId> touched;
   touched.reserve(dirty.size());
   for (std::uint32_t c : dirty) {
     touched.push_back(graph_->components()[c][0]);
   }
-  std::vector<std::uint32_t>* iters =
-      component_iterations_.empty() ? nullptr : &component_iterations_;
-  SccUpdateStats r = SccResolveDownstream(
-      *ctx_, ground_.View(), *graph_, comp_rules_, SccOptionsFromSession(),
-      touched, &model_, iters, update_scratch_);
-  if (kernels_) {
-    r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
-  }
+  const SccUpdateStats r = RepairDownstream(touched);
   out.components_downstream = r.components_downstream;
   out.components_resolved = r.components_resolved;
   out.components_skipped = r.components_skipped;
   out.components_reused = graph_->num_components() - r.components_downstream;
   out.model_changed = r.model_changed;
   out.eval = r.eval;
-  stats_.eval = r.eval;
-  ++stats_.incremental_updates;
   return out;
 }
 

@@ -72,10 +72,9 @@ struct SolverOptions {
   /// Per-component engine for kScc — and for every incremental re-solve,
   /// which always runs component-wise regardless of `engine`.
   SccInnerEngine inner = SccInnerEngine::kAfp;
-  /// Worker threads for StableModels/CountStableModels (the branch-tree
-  /// search, src/search/) and for QueryBatch on an unsolved session.
-  /// Results are identical at every value — for the search, the model set
-  /// AND the emission order. Solves and incremental repairs are
+  /// Worker threads for QueryBatch on an unsolved session (the
+  /// relevance-sliced point queries). Results are identical at every
+  /// value. Solves, incremental repairs and the stable-model search are
   /// sequential.
   int num_threads = 1;
   /// Compiled-kernel staging for component-wise evaluation (kScc solves
@@ -118,7 +117,7 @@ struct SolverStats {
   std::size_t full_solves = 0;
   std::size_t incremental_updates = 0;
   /// Receipt of the last StableModels/CountStableModels run: tree shape,
-  /// per-worker work sharing, whether the root was seeded from the cached
+  /// per-node repair work, whether the root was seeded from the cached
   /// model, and whether the run completed (see StableSearchStats).
   StableSearchStats search;
   /// Memory receipt of the grounding pipeline: the grounding-time scratch
@@ -239,14 +238,12 @@ class Solver {
   /// Why `atom_text` has its well-founded value (solves on demand).
   StatusOr<Justification> Explain(const std::string& atom_text);
 
-  /// Enumerates stable models with the parallel branch-tree search
-  /// (src/search/), honoring the session's sp_mode / horn_mode /
-  /// num_threads. Models arrive in the canonical (sequential
-  /// depth-first) order at every thread count. On a solved session the
-  /// root is seeded from the cached well-founded model (Solve() ran and
-  /// incremental updates kept it current), skipping the root's
-  /// alternating fixpoint; the engine itself is cached across
-  /// calls and dropped whenever the ground program mutates
+  /// Enumerates stable models with the depth-first search (src/search/),
+  /// honoring the session's sp_mode / horn_mode. Models arrive in
+  /// depth-first order. On a solved session the root is seeded from the
+  /// cached well-founded model (Solve() ran and incremental updates kept
+  /// it current), skipping the root's propagation; the engine itself is
+  /// cached across calls and dropped whenever the ground program mutates
   /// (AssertFacts / RetractFacts / AddRule / RemoveRule), so a mutated
   /// session never reuses a stale ground-program view.
   StableResult StableModels(
@@ -415,6 +412,11 @@ class Solver {
   StatusOr<UpdateStats> MutateFacts(const std::vector<std::string>& atoms,
                                     bool add);
 
+  /// The repair both mutation kinds share: re-solves the components
+  /// downstream of `touched` in place (SccResolveDownstream) and records
+  /// the work in stats_.
+  SccUpdateStats RepairDownstream(std::span<const AtomId> touched);
+
   /// Rule-op precondition: the session kept its grounder.
   Status RuleOpsAvailable() const;
 
@@ -438,7 +440,7 @@ class Solver {
   /// (address mismatch) since it was built — the engine's solvers and
   /// indexes reference the rule storage directly, so reuse across either
   /// would read a stale ground-program view.
-  ParallelStableSearch& EnsureSearch();
+  StableSearch& EnsureSearch();
 
   SolverOptions options_;
   std::unique_ptr<Program> program_;
@@ -464,10 +466,10 @@ class Solver {
   /// for options_.ground, or after PoisonRuleMutation). It holds no
   /// reference to ground_ between calls, so the session stays movable.
   std::unique_ptr<Grounder> grounder_;
-  /// Cached stable-model search engine (worker contexts + evaluator pairs
+  /// Cached stable-model search engine (its graph, solvers and scratch
   /// stay warm across StableModels calls). Guarded by EnsureSearch's
   /// epoch/address staleness check; null until the first call.
-  std::unique_ptr<ParallelStableSearch> search_;
+  std::unique_ptr<StableSearch> search_;
   /// GroundProgram::mutation_epoch() at the time search_ was built.
   std::uint64_t search_epoch_ = 0;
   bool solved_ = false;

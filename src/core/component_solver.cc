@@ -7,12 +7,14 @@ namespace afp {
 ComponentSolver::ComponentSolver(
     EvalContext& ctx, const SccOptions& options, const RuleView& view,
     const AtomDependencyGraph& graph,
-    const std::vector<std::vector<std::uint32_t>>& comp_rules)
+    const std::vector<std::vector<std::uint32_t>>& comp_rules,
+    AssumptionPair assumptions)
     : ctx_(ctx),
       options_(options),
       view_(view),
       graph_(graph),
       comp_rules_(comp_rules),
+      assumptions_(assumptions),
       local_(ctx.AcquireRules()),
       local_id_(ctx.AcquireU32()),
       stamp_(ctx.AcquireU32()) {
@@ -40,6 +42,13 @@ ComponentSolver::~ComponentSolver() {
 bool ComponentSolver::SolveSingleton(std::uint32_t c, GlobalModel& gm,
                                      Outcome* out) {
   const AtomId self = graph_.components()[c][0];
+  if (AssumedTrue(self) || AssumedFalse(self)) {
+    gm.PublishOne(self, AssumedTrue(self) ? TruthValue::kTrue
+                                          : TruthValue::kFalse);
+    out->iterations = 1;
+    out->local_size = 0;
+    return true;
+  }
   // Head value = max over rules of the three-valued body value (min over
   // literals), using the enum order kFalse < kUndefined < kTrue. A body
   // that is fully true from externals decides the head true regardless of
@@ -113,6 +122,7 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
   local_.num_atoms = members.size() + 1;
   for (std::uint32_t ri : comp_rules_[c]) {
     const GroundRule& r = view_.rules[ri];
+    if (AssumedFalse(r.head)) continue;
     pos_buf_.clear();
     neg_buf_.clear();
     bool dead = false;
@@ -145,6 +155,11 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
       }
     }
     if (!dead) local_.Add(local_id_[r.head], pos_buf_, neg_buf_);
+  }
+  if (assumptions_.true_atoms != nullptr) {
+    for (AtomId m : members) {
+      if (AssumedTrue(m)) local_.Add(local_id_[m], {}, {});
+    }
   }
   if (sentinel_used) {
     // u :- not u — permanently undefined.

@@ -20,6 +20,13 @@
 
 namespace afp {
 
+/// Atoms a ComponentSolver assumes true / false (see below); both bitsets
+/// span the program's atoms and must outlive the solver.
+struct AssumptionPair {
+  const Bitset* true_atoms = nullptr;
+  const Bitset* false_atoms = nullptr;
+};
+
 /// The per-component half of the SCC engine, shared by the full solve and
 /// the incremental repair (core/scc_engine.cc). A ComponentSolver owns the
 /// local rule buffer, the atom-id remap scratch, and — the piece that
@@ -35,17 +42,30 @@ namespace afp {
 /// configured inner fixpoint, and publishes the members' verdicts back
 /// through `gm` exactly once. A ComponentSolver is single-threaded and
 /// bound to one EvalContext.
+///
+/// With an assumption pair (the stable search, search/stable_search.h)
+/// every solve runs on the CONDITIONED program: an assumed-true atom gets
+/// a fact, rules whose head is assumed false are dropped. Conditioning
+/// only removes dependency arcs, so the base program's condensation stays
+/// a valid bottom-up order for it. The pair is read at every Solve, so
+/// the caller flips bits between solves. Compiled kernels never see
+/// assumptions: an assuming solver must run with SccOptions::kernels null.
 class ComponentSolver {
  public:
   /// Everything referenced must outlive the solver; `comp_rules` is the
   /// rule-ids-by-head-component bucketing the engine computes up front.
+  /// Sessions pass no assumptions.
   ComponentSolver(EvalContext& ctx, const SccOptions& options,
                   const RuleView& view, const AtomDependencyGraph& graph,
-                  const std::vector<std::vector<std::uint32_t>>& comp_rules);
+                  const std::vector<std::vector<std::uint32_t>>& comp_rules,
+                  AssumptionPair assumptions = {});
   ~ComponentSolver();
 
   ComponentSolver(const ComponentSolver&) = delete;
   ComponentSolver& operator=(const ComponentSolver&) = delete;
+
+  EvalContext& ctx() { return ctx_; }
+  const AtomDependencyGraph& graph() const { return graph_; }
 
   struct Outcome {
     /// Inner fixpoint rounds (A_P applications under kAfp, W_P rounds
@@ -66,14 +86,25 @@ class ComponentSolver {
   /// machinery for the bulk of the DAG. Returns true (and publishes
   /// through gm.PublishOne) unless a self-dependent rule forces the
   /// general path. It reads the same completed externals the general path
-  /// would substitute; fast-path components report 1 iteration.
+  /// would substitute; fast-path components report 1 iteration. An
+  /// assumed atom is published as assumed, without looking at its rules.
   bool SolveSingleton(std::uint32_t c, GlobalModel& gm, Outcome* out);
+
+  bool AssumedTrue(AtomId a) const {
+    return assumptions_.true_atoms != nullptr &&
+           assumptions_.true_atoms->Test(a);
+  }
+  bool AssumedFalse(AtomId a) const {
+    return assumptions_.false_atoms != nullptr &&
+           assumptions_.false_atoms->Test(a);
+  }
 
   EvalContext& ctx_;
   SccOptions options_;
   const RuleView& view_;
   const AtomDependencyGraph& graph_;
   const std::vector<std::vector<std::uint32_t>>& comp_rules_;
+  AssumptionPair assumptions_;
   AfpOptions afp_opts_;
   /// Local rule buffer recycled across components (pooled).
   OwnedRules local_;

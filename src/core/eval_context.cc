@@ -30,12 +30,6 @@ Bitset EvalContext::AcquireBitset(std::size_t universe) {
   return b;
 }
 
-Bitset EvalContext::AcquireBitsetCopy(const Bitset& src) {
-  Bitset b = AcquireBitset(src.universe_size());
-  b |= src;
-  return b;
-}
-
 void EvalContext::ReleaseBitset(Bitset&& b) {
   const std::size_t bytes = b.CapacityBytes();
   pool_bytes_ += bytes;

@@ -126,10 +126,9 @@ struct EvalStats {
 
   /// Folds another context's (or worker's) stats into this one: counters
   /// add, peaks take the max (pools peak independently). The single place
-  /// that knows how to merge — EvalContextRegistry::AggregateStats and
-  /// the stable-model search's per-worker fold both go through here, so
-  /// a counter added to this struct cannot be summed in one and silently
-  /// dropped in the other.
+  /// that knows how to merge (EvalContextRegistry::AggregateStats goes
+  /// through here), so a counter added to this struct cannot be summed
+  /// in one place and silently dropped in another.
   void Accumulate(const EvalStats& o) {
     sp_calls += o.sp_calls;
     rules_rescanned += o.rules_rescanned;
@@ -160,10 +159,6 @@ class EvalContext {
 
   /// Returns a cleared bitset over `universe` atoms.
   Bitset AcquireBitset(std::size_t universe);
-  /// Returns a pooled copy of `src` (same universe, same bits). The
-  /// branch-tree search ships assumption sets and the session's
-  /// well-founded seed into pooled scratch through this.
-  Bitset AcquireBitsetCopy(const Bitset& src);
   void ReleaseBitset(Bitset&& b);
 
   /// Returns an empty uint32 vector with whatever capacity the pool has.

@@ -88,12 +88,12 @@ void SccUpdateScratch::Ensure(std::size_t nc) {
 }
 
 SccUpdateStats SccResolveDownstream(
-    EvalContext& ctx, const RuleView& view, const AtomDependencyGraph& graph,
-    const std::vector<std::vector<std::uint32_t>>& comp_rules,
-    const SccOptions& options, std::span<const AtomId> touched_atoms,
-    PartialModel* model, std::vector<std::uint32_t>* component_iterations,
+    ComponentSolver& solver, std::span<const AtomId> touched_atoms,
+    GlobalModel& gm, std::vector<std::uint32_t>* component_iterations,
     SccUpdateScratch& s) {
   SccUpdateStats out;
+  EvalContext& ctx = solver.ctx();
+  const AtomDependencyGraph& graph = solver.graph();
   const EvalStats start = ctx.stats();
   const std::size_t nc = graph.num_components();
   if (nc == 0 || touched_atoms.empty()) return out;
@@ -136,8 +136,6 @@ SccUpdateStats SccResolveDownstream(
 
   // Closure components in ascending (topological) id order: every
   // frontier flag is final before its component is visited.
-  GlobalModel gm{&model->true_atoms(), &model->false_atoms()};
-  ComponentSolver solver(ctx, options, view, graph, comp_rules);
   for (std::uint32_t c : closure) {
     if (s.need_[c] != epoch) {
       ++out.components_skipped;

@@ -15,7 +15,8 @@
 
 namespace afp {
 
-class KernelCache;  // core/rule_kernel.h
+class ComponentSolver;  // core/component_solver.h
+class KernelCache;      // core/rule_kernel.h
 
 /// Which engine solves each component's local subprogram. By Theorem 7.8
 /// both compute the same local (well-founded) model; the axis exists so the
@@ -69,6 +70,13 @@ struct SccWfsResult {
   std::vector<std::uint32_t> component_iterations;
 };
 
+/// One undo record of a logged GlobalModel write: the atom and the verdict
+/// it held before the write.
+struct TrailEntry {
+  AtomId atom;
+  TruthValue old;
+};
+
 /// The global partial model the component-wise engine reads and writes:
 /// two bitsets that are exact for every atom of an already solved
 /// component (components run in id order, a topological order of the
@@ -80,10 +88,13 @@ struct SccWfsResult {
 /// — a full solve starts from empty sets, an incremental repair from the
 /// previous model — and records in `changed` whether the component just
 /// published changed any verdict: the signal that advances the repair's
-/// change frontier.
+/// change frontier. With a `trail`, every overwrite first logs the
+/// verdict it replaces, and UndoTo rolls the model back to a trail mark
+/// (the stable search backtracks this way; session repairs log nothing).
 struct GlobalModel {
   Bitset* true_atoms;
   Bitset* false_atoms;
+  std::vector<TrailEntry>* trail = nullptr;
   bool changed = false;
 
   bool IsTrue(AtomId a) const { return true_atoms->Test(a); }
@@ -104,6 +115,16 @@ struct GlobalModel {
     if (changed) Write(a, v);
   }
 
+  /// Restores, newest first, every write logged after trail position
+  /// `mark`, and truncates the trail to it.
+  void UndoTo(std::size_t mark) {
+    while (trail->size() > mark) {
+      const TrailEntry e = trail->back();
+      trail->pop_back();
+      Assign(e.atom, e.old);
+    }
+  }
+
  private:
   TruthValue Old(AtomId a) const {
     if (true_atoms->Test(a)) return TruthValue::kTrue;
@@ -112,6 +133,11 @@ struct GlobalModel {
   }
 
   void Write(AtomId a, TruthValue v) {
+    if (trail != nullptr) trail->push_back({a, Old(a)});
+    Assign(a, v);
+  }
+
+  void Assign(AtomId a, TruthValue v) {
     true_atoms->Reset(a);
     false_atoms->Reset(a);
     if (v == TruthValue::kTrue) {
@@ -199,8 +225,8 @@ struct SccUpdateStats {
 /// and replaces the clears with a per-update epoch: an entry is "set for
 /// this update" iff its stamp equals the current epoch, so per-update
 /// cost is O(downstream closure), independent of num_components after the
-/// first use. One scratch serves one (graph, session) at a time; a Solver
-/// owns one for its cached condensation.
+/// first use. One scratch serves one graph at a time; a Solver owns one
+/// for its cached condensation, a StableSearch one for its own.
 class SccUpdateScratch {
  public:
   SccUpdateScratch() = default;
@@ -211,11 +237,8 @@ class SccUpdateScratch {
 
  private:
   friend SccUpdateStats SccResolveDownstream(
-      EvalContext& ctx, const RuleView& view,
-      const AtomDependencyGraph& graph,
-      const std::vector<std::vector<std::uint32_t>>& comp_rules,
-      const SccOptions& options, std::span<const AtomId> touched_atoms,
-      PartialModel* model, std::vector<std::uint32_t>* component_iterations,
+      ComponentSolver& solver, std::span<const AtomId> touched_atoms,
+      GlobalModel& gm, std::vector<std::uint32_t>* component_iterations,
       SccUpdateScratch& scratch);
 
   /// (Re)sizes the stamp arrays to `nc` components; zero-fills only when
@@ -232,37 +255,38 @@ class SccUpdateScratch {
   std::vector<std::uint32_t> closure_;
 };
 
-/// Incrementally repairs a previously computed well-founded model after an
-/// EDB fact mutation (GroundProgram::AddFact / RemoveFact), re-running
-/// only components condensation-downstream of `touched_atoms`:
+/// Incrementally repairs a previously computed well-founded model after
+/// the rules of `touched_atoms` changed — an EDB fact mutation
+/// (GroundProgram::AddFact / RemoveFact), a rule-op delta, or a stable
+/// search branch assumption — re-running only components
+/// condensation-downstream of `touched_atoms`:
 ///
-///   * the static closure of the touched components under the cached
+///   * the static closure of the touched components under the
 ///     condensation's successor relation is collected (component id order
 ///     is topological, so ascending order is a valid schedule);
-///   * a closure component is re-solved — through the same
+///   * a closure component is re-solved by `solver` — the same
 ///     ComponentSolver machinery as a full solve — only while the change
 ///     frontier reaches it: it contains a touched atom, or a predecessor
 ///     re-solve changed some member's verdict. Unreached closure
 ///     components and all upstream components keep their verdicts.
 ///
-/// `model` holds the previous well-founded model on entry and the repaired
-/// one on return; the result is pinned bit-identical — model AND
-/// per-component trajectories — to a from-scratch solve of the mutated
-/// program (the Solver differential tests enforce this). The graph and
-/// comp_rules must already describe the MUTATED view (facts change no
-/// dependency arcs, so the graph needs no rebuild; comp_rules must have
-/// been patched for the added/removed fact rules).
+/// `gm` holds the previous well-founded model on entry and the repaired
+/// one on return (writes go through its trail when it has one); the
+/// result is pinned bit-identical — model AND per-component trajectories
+/// — to a from-scratch solve of the changed program (the Solver
+/// differential tests enforce this). The solver's graph and rule buckets
+/// must already describe the CHANGED program (facts change no dependency
+/// arcs, so the graph needs no rebuild; the buckets must have been
+/// patched for added/removed fact rules; search assumptions only remove
+/// arcs, so the base condensation stays a valid order).
 /// `component_iterations`, when non-null, must be sized to
 /// graph.num_components() and is updated for re-solved components.
-/// `scratch` must be dedicated to this graph/session; it makes the
-/// per-update bookkeeping O(downstream closure) instead of
-/// O(num_components) (see SccUpdateScratch). Results do not depend on
-/// the scratch's history.
+/// `scratch` must be dedicated to this graph; it makes the per-update
+/// bookkeeping O(downstream closure) instead of O(num_components) (see
+/// SccUpdateScratch). Results do not depend on the scratch's history.
 SccUpdateStats SccResolveDownstream(
-    EvalContext& ctx, const RuleView& view, const AtomDependencyGraph& graph,
-    const std::vector<std::vector<std::uint32_t>>& comp_rules,
-    const SccOptions& options, std::span<const AtomId> touched_atoms,
-    PartialModel* model, std::vector<std::uint32_t>* component_iterations,
+    ComponentSolver& solver, std::span<const AtomId> touched_atoms,
+    GlobalModel& gm, std::vector<std::uint32_t>* component_iterations,
     SccUpdateScratch& scratch);
 
 }  // namespace afp

@@ -44,7 +44,7 @@ class WorkPool;
 /// Runs a dynamic work-sharing pool until the deque drains (and no item is
 /// still executing) or the pool is cancelled. `roots` seeds the deque; the
 /// task receives the pool handle so it can Submit the items it discovers
-/// (branch-tree children) and check cancellation. Workers are indexed
+/// (tree-shaped work) and check cancellation. Workers are indexed
 /// 0..num_workers-1, so tasks address per-thread state (an
 /// EvalContextRegistry slot) by worker index without locking. The pool
 /// has min(max(num_threads, 1), kMaxPoolWorkers) workers; one worker runs
@@ -52,16 +52,14 @@ class WorkPool;
 /// a one-worker pool would use, with no threads spawned. Tasks must not
 /// throw.
 ///
-/// The library's two users: the stable-model search (tree-shaped work,
-/// children submitted as discovered) and the relevance query batch on an
-/// unsolved session (independent roots, no submits).
+/// The library's user is the relevance query batch on an unsolved
+/// session (independent roots, no submits).
 ///
 /// Determinism contract: the pool guarantees nothing about execution
 /// order across workers (LIFO claiming is a locality heuristic, not a
 /// promise). A caller that needs a deterministic RESULT must make its
-/// task outputs order-independent — the parallel stable-model search does
-/// this with an explicit tree + ordered emission cursor (src/search/), the
-/// query batch by writing each answer to its own slot.
+/// task outputs order-independent — the query batch writes each answer
+/// to its own slot.
 WorkPoolStats RunWorkPool(std::span<const std::uint64_t> roots,
                           int num_threads,
                           const std::function<void(WorkPool& pool,

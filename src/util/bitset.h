@@ -156,6 +156,22 @@ class Bitset {
     return true;
   }
 
+  /// The smallest position set in neither `a` nor `b` (equal universe
+  /// sizes required), or the universe size when `a | b` covers it. A word
+  /// at a time, with the bits past the universe masked off the last word:
+  /// the stable search's branch choice (first atom neither true nor
+  /// false).
+  static std::size_t FirstZeroOfUnion(const Bitset& a, const Bitset& b) {
+    for (std::size_t wi = 0; wi < a.words_.size(); ++wi) {
+      std::uint64_t free = ~(a.words_[wi] | b.words_[wi]);
+      if (wi + 1 == a.words_.size() && a.size_ % 64 != 0) {
+        free &= (1ULL << (a.size_ % 64)) - 1;
+      }
+      if (free != 0) return wi * 64 + CountTrailingZeros(free);
+    }
+    return a.size_;
+  }
+
   /// Calls fn(i, now_set) for every position whose bit differs between
   /// `prev` and `now` (equal universe sizes required); `now_set` is the
   /// bit's value in `now`. Word-level XOR scan — the primitive behind

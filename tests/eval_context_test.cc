@@ -187,12 +187,12 @@ TEST(DeltaScratchDifferential, StableSearchAgreesAcrossSpModes) {
     auto ground = Grounder::Ground(p);
     ASSERT_TRUE(ground.ok());
 
-    ParallelSearchOptions delta_opts;
+    StableSearchOptions delta_opts;
     delta_opts.sp_mode = SpMode::kDelta;
-    ParallelSearchOptions scratch_opts;
+    StableSearchOptions scratch_opts;
     scratch_opts.sp_mode = SpMode::kScratch;
-    ParallelStableSearch delta_search(*ground, delta_opts);
-    ParallelStableSearch scratch_search(*ground, scratch_opts);
+    StableSearch delta_search(*ground, delta_opts);
+    StableSearch scratch_search(*ground, scratch_opts);
     StableResult delta = delta_search.Enumerate();
     StableResult scratch = scratch_search.Enumerate();
     EXPECT_EQ(delta.models, scratch.models) << "seed " << seed;
@@ -320,7 +320,7 @@ TEST(GusDeltaScratchDifferential, WpAndSccEnginesAgreeAcrossGusModes) {
     // And with the stable-model search: every stable model extends the
     // well-founded model the delta GUS computed.
     if (ground->num_atoms() <= 16) {
-      ParallelStableSearch search(*ground);
+      StableSearch search(*ground);
       for (const Bitset& m : search.Enumerate().models) {
         EXPECT_TRUE(wp_delta.model.true_atoms().IsSubsetOf(m))
             << "seed " << seed;

@@ -150,7 +150,7 @@ TEST(Constraints, EliminateStableModels) {
   Program p = std::move(parsed).value();
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
-  ParallelStableSearch search(*ground);
+  StableSearch search(*ground);
   // 4 combinations minus {a,c}.
   EXPECT_EQ(search.Count().search.models, 3u);
 }
@@ -161,7 +161,7 @@ TEST(Constraints, UnviolatedConstraintIsHarmless) {
   Program p = std::move(parsed).value();
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
-  ParallelStableSearch search(*ground);
+  StableSearch search(*ground);
   ASSERT_EQ(search.Enumerate().models.size(), 1u);
   AfpResult wfs = AlternatingFixpoint(*ground);
   EXPECT_EQ(*QueryAtom(*ground, wfs.model, "p"), TruthValue::kTrue);
@@ -173,7 +173,7 @@ TEST(Constraints, DefinitelyViolatedKillsAllModels) {
   Program p = std::move(parsed).value();
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
-  ParallelStableSearch search(*ground);
+  StableSearch search(*ground);
   EXPECT_EQ(search.Count().search.models, 0u);
 }
 

@@ -107,7 +107,7 @@ TEST(Integration, StableAndWfsPipelinesCompose) {
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->afp.model.IsTotal());
 
-  ParallelStableSearch search(sol->ground);
+  StableSearch search(sol->ground);
   auto models = search.Enumerate().models;
   ASSERT_EQ(models.size(), 1u);
   EXPECT_EQ(models[0], sol->afp.model.true_atoms());

@@ -1,12 +1,11 @@
 // The stable-model search (src/search/): bit-identical enumeration —
-// model set AND emission order — at every thread count (2/4/8 threads
-// against the 1-thread sequential run), golden fingerprints of the
+// model set AND emission order — across engine reuse (the undo trail
+// must leave nothing behind) and root seeding, golden fingerprints of the
 // emission sequence and tree shape, a brute-force differential on the
-// model set, prefix-exact max_models / cancellation / timeout, and the
-// Solver integration (well-founded seeding, cached-engine invalidation
-// on session mutation). The suite names match the TSan CI lane regex
-// ('(Scheduler|Parallel|Serving)'), so every differential here also runs
-// under ThreadSanitizer.
+// model set, prefix-exact max_models / cancellation / timeout, the
+// per-node repair receipt, and the Solver integration (well-founded
+// seeding, cached-engine invalidation on session mutation). The suites
+// kept the names they had when the search ran on a thread pool.
 
 #include "search/stable_search.h"
 
@@ -35,8 +34,6 @@
 
 namespace afp {
 namespace {
-
-constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
 GroundProgram MustGround(Program& p) {
   GroundOptions opts;
@@ -88,39 +85,45 @@ std::vector<Bitset> Sorted(std::vector<Bitset> models) {
   return models;
 }
 
-StableResult EnumerateWith(const GroundProgram& gp, int threads,
-                           bool wfs_propagation) {
-  ParallelSearchOptions po;
-  po.num_threads = threads;
+StableResult EnumerateWith(const GroundProgram& gp, bool wfs_propagation) {
+  StableSearchOptions po;
   po.wfs_propagation = wfs_propagation;
-  ParallelStableSearch search(gp, po);
+  StableSearch search(gp, po);
   return search.Enumerate();
 }
 
-// The core differential: every thread count must reproduce the 1-thread
-// run — the sequential depth-first search, which the golden fingerprints
-// below pin — EXACTLY (set and order), and grow the identical branch tree.
-void ExpectMatchesSequential(const GroundProgram& gp, bool wfs_propagation) {
-  const StableResult seq = EnumerateWith(gp, 1, wfs_propagation);
-  const std::vector<Bitset>& expected = seq.models;
-  EXPECT_TRUE(seq.search.complete);
+void ExpectSameRun(const StableResult& r, const StableResult& expected,
+                   const char* what) {
+  ASSERT_EQ(r.models.size(), expected.models.size()) << what;
+  for (std::size_t i = 0; i < expected.models.size(); ++i) {
+    EXPECT_EQ(r.models[i], expected.models[i]) << "model " << i << " " << what;
+  }
+  // Same propagation + same branch atom => the same tree.
+  EXPECT_EQ(r.search.nodes, expected.search.nodes) << what;
+  EXPECT_EQ(r.search.leaves, expected.search.leaves) << what;
+  EXPECT_EQ(r.search.implied_atoms, expected.search.implied_atoms) << what;
+  EXPECT_TRUE(r.search.complete) << what;
+}
 
-  for (int threads : {2, 4, 8}) {
-    StableResult r = EnumerateWith(gp, threads, wfs_propagation);
-    ASSERT_EQ(r.models.size(), expected.size())
-        << "threads=" << threads << " wfs=" << wfs_propagation;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(r.models[i], expected[i])
-          << "model " << i << " threads=" << threads;
-    }
-    // Same propagation + same canonical branch atom => the same tree,
-    // regardless of how it was carved up across workers.
-    EXPECT_EQ(r.search.nodes, seq.search.nodes) << "threads=" << threads;
-    EXPECT_EQ(r.search.leaves, seq.search.leaves) << "threads=" << threads;
-    EXPECT_EQ(r.search.implied_atoms, seq.search.implied_atoms)
-        << "threads=" << threads;
-    EXPECT_TRUE(r.search.complete);
-    EXPECT_EQ(r.search.num_workers, static_cast<std::size_t>(threads));
+// The core differential against a fresh engine's depth-first run, which
+// the golden fingerprints below pin: a second run on the same (warm)
+// engine must reproduce it EXACTLY (set, order and tree), so backtracking
+// left no trail entry, assumption bit or scratch stamp behind; under
+// wfs_propagation so must a run whose root is seeded with the
+// well-founded model.
+void ExpectMatchesSequential(const GroundProgram& gp, bool wfs_propagation) {
+  StableSearchOptions po;
+  po.wfs_propagation = wfs_propagation;
+  StableSearch search(gp, po);
+  const StableResult seq = search.Enumerate();
+  EXPECT_TRUE(seq.search.complete);
+  ExpectSameRun(search.Enumerate(), seq, "warm rerun");
+  if (wfs_propagation) {
+    const AfpResult wfs = AlternatingFixpoint(gp);
+    search.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
+    const StableResult seeded = search.Enumerate();
+    ExpectSameRun(seeded, seq, "seeded");
+    EXPECT_EQ(seeded.search.afp_calls + 1, seq.search.afp_calls);
   }
 }
 
@@ -167,9 +170,7 @@ TEST(ParallelSearch, MatchesBruteForce) {
     GroundProgram gp = MustGround(p);
     auto brute = EnumerateStableModelsBruteForce(gp);
     ASSERT_TRUE(brute.ok());
-    ParallelSearchOptions po;
-    po.num_threads = 4;
-    ParallelStableSearch par(gp, po);
+    StableSearch par(gp);
     // Brute force emits in subset-mask order, not search order: compare
     // as sets.
     EXPECT_EQ(Sorted(*brute), Sorted(par.Enumerate().models))
@@ -182,40 +183,34 @@ TEST(ParallelSearch, NoModelsOnOddLoop) {
   ASSERT_TRUE(parsed.ok());
   Program p = std::move(parsed).value();
   GroundProgram gp = MustGround(p);
-  for (int threads : kThreadCounts) {
-    ParallelSearchOptions po;
-    po.num_threads = threads;
-    ParallelStableSearch par(gp, po);
-    StableResult r = par.Enumerate();
-    EXPECT_TRUE(r.models.empty());
-    EXPECT_TRUE(r.search.complete);
-  }
+  StableSearch par(gp);
+  StableResult r = par.Enumerate();
+  EXPECT_TRUE(r.models.empty());
+  EXPECT_TRUE(r.search.complete);
 }
 
 TEST(ParallelSearch, MaxModelsIsPrefixExact) {
   Program p = workload::EvenNegativeCycles(6);
   GroundProgram gp = MustGround(p);
   const std::vector<Bitset> all =
-      EnumerateWith(gp, 1, /*wfs_propagation=*/true).models;
+      EnumerateWith(gp, /*wfs_propagation=*/true).models;
   ASSERT_EQ(all.size(), 64u);
 
-  for (int threads : {1, 4, 8}) {
-    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                          std::size_t{64}}) {
-      ParallelSearchOptions po;
-      po.num_threads = threads;
-      ParallelStableSearch par(gp, po);
-      StableSearchControl control;
-      control.max_models = k;
-      StableResult r = par.Enumerate(control);
-      ASSERT_EQ(r.models.size(), k) << "threads=" << threads;
-      // Not just any k models: the FIRST k of the canonical order.
-      for (std::size_t i = 0; i < k; ++i) {
-        EXPECT_EQ(r.models[i], all[i]) << "threads=" << threads << " i=" << i;
-      }
-      EXPECT_TRUE(r.search.complete);
-      EXPECT_EQ(r.search.models, k);
+  // One engine throughout: a run cut short by max_models leaves its trail
+  // and assumption bits behind, and the next run must not see them.
+  StableSearch par(gp);
+  for (std::size_t k : {std::size_t{5}, std::size_t{0}, std::size_t{1},
+                        std::size_t{64}, std::size_t{5}}) {
+    StableSearchControl control;
+    control.max_models = k;
+    StableResult r = par.Enumerate(control);
+    ASSERT_EQ(r.models.size(), k);
+    // Not just any k models: the FIRST k of the depth-first order.
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(r.models[i], all[i]) << "i=" << i;
     }
+    EXPECT_TRUE(r.search.complete);
+    EXPECT_EQ(r.search.models, k);
   }
 }
 
@@ -223,47 +218,35 @@ TEST(ParallelSearch, PreCancelledTokenStopsImmediately) {
   Program p = workload::EvenNegativeCycles(8);
   GroundProgram gp = MustGround(p);
   std::atomic<bool> cancel{true};
-  for (int threads : {1, 4}) {
-    ParallelSearchOptions po;
-    po.num_threads = threads;
-    ParallelStableSearch par(gp, po);
-    StableSearchControl control;
-    control.cancel = &cancel;
-    StableResult r = par.Enumerate(control);
-    EXPECT_TRUE(r.models.empty());
-    EXPECT_FALSE(r.search.complete);
-  }
+  StableSearch par(gp);
+  StableSearchControl control;
+  control.cancel = &cancel;
+  StableResult r = par.Enumerate(control);
+  EXPECT_TRUE(r.models.empty());
+  EXPECT_FALSE(r.search.complete);
 }
 
 TEST(ParallelSearch, ExpiredTimeoutGivesEmptyPrefixAndIncomplete) {
   Program p = workload::EvenNegativeCycles(8);
   GroundProgram gp = MustGround(p);
-  for (int threads : {1, 4}) {
-    ParallelSearchOptions po;
-    po.num_threads = threads;
-    ParallelStableSearch par(gp, po);
-    StableSearchControl control;
-    control.timeout = std::chrono::nanoseconds(1);
-    StableResult r = par.Enumerate(control);
-    EXPECT_TRUE(r.models.empty());
-    EXPECT_FALSE(r.search.complete);
-  }
+  StableSearch par(gp);
+  StableSearchControl control;
+  control.timeout = std::chrono::nanoseconds(1);
+  StableResult r = par.Enumerate(control);
+  EXPECT_TRUE(r.models.empty());
+  EXPECT_FALSE(r.search.complete);
 }
 
 TEST(ParallelSearch, CountMatchesEnumerate) {
   Program p = workload::EvenCycleClusters(/*k=*/6, /*chain_len=*/4);
   GroundProgram gp = MustGround(p);
-  for (int threads : kThreadCounts) {
-    ParallelSearchOptions po;
-    po.num_threads = threads;
-    ParallelStableSearch par(gp, po);
-    StableResult counted = par.Count();
-    EXPECT_TRUE(counted.models.empty());
-    EXPECT_EQ(counted.search.models, 64u) << "threads=" << threads;
-    StableResult enumerated = par.Enumerate();  // engine is reusable
-    EXPECT_EQ(enumerated.models.size(), 64u) << "threads=" << threads;
-    EXPECT_EQ(enumerated.search.nodes, counted.search.nodes);
-  }
+  StableSearch par(gp);
+  StableResult counted = par.Count();
+  EXPECT_TRUE(counted.models.empty());
+  EXPECT_EQ(counted.search.models, 64u);
+  StableResult enumerated = par.Enumerate();  // engine is reusable
+  EXPECT_EQ(enumerated.models.size(), 64u);
+  EXPECT_EQ(enumerated.search.nodes, counted.search.nodes);
 }
 
 TEST(ParallelSearch, SeededRootMatchesUnseededAndSkipsOneFixpoint) {
@@ -271,13 +254,11 @@ TEST(ParallelSearch, SeededRootMatchesUnseededAndSkipsOneFixpoint) {
   GroundProgram gp = MustGround(p);
   AfpResult wfs = AlternatingFixpoint(gp);
 
-  ParallelSearchOptions po;
-  po.num_threads = 4;
-  ParallelStableSearch unseeded(gp, po);
+  StableSearch unseeded(gp);
   StableResult base = unseeded.Enumerate();
   ASSERT_FALSE(base.search.seeded);
 
-  ParallelStableSearch seeded(gp, po);
+  StableSearch seeded(gp);
   seeded.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
   StableResult r = seeded.Enumerate();
   EXPECT_TRUE(r.search.seeded);
@@ -290,6 +271,30 @@ TEST(ParallelSearch, SeededRootMatchesUnseededAndSkipsOneFixpoint) {
   EXPECT_EQ(r.search.afp_calls + 1, base.search.afp_calls);
 }
 
+// The per-node work receipt. Each cluster's chain hangs off its own fact
+// and never meets the cycle, so a branch assumption re-solves exactly the
+// branch atom's two-atom cycle component: one component solve per
+// non-root node, whatever the chain length (a from-scratch propagation
+// re-derives every chain at every node).
+TEST(ParallelSearch, SeededRunResolvesOneComponentPerNode) {
+  std::size_t nodes = 0;
+  for (int chain_len : {5, 50}) {
+    Program p = workload::EvenCycleClusters(/*k=*/4, chain_len);
+    GroundProgram gp = MustGround(p);
+    const AfpResult wfs = AlternatingFixpoint(gp);
+    StableSearch search(gp);
+    search.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
+    const StableResult r = search.Enumerate();
+    EXPECT_EQ(r.models.size(), 16u) << "chain_len=" << chain_len;
+    EXPECT_EQ(r.search.components_resolved, r.search.nodes - 1)
+        << "chain_len=" << chain_len;
+    if (nodes != 0) {
+      EXPECT_EQ(r.search.nodes, nodes);
+    }
+    nodes = r.search.nodes;
+  }
+}
+
 // --- Golden enumeration fingerprints -------------------------------------
 //
 // The emitted model sequence and the shape of the branch tree are the
@@ -297,9 +302,10 @@ TEST(ParallelSearch, SeededRootMatchesUnseededAndSkipsOneFixpoint) {
 // (a boundary word, then its atom ids) followed by nodes, leaves and
 // implied_atoms, so a reordered model, a different branch atom or a lost
 // implied atom changes it. The expected values were recorded with the
-// recursive sequential search that the 1-thread mode replaced; every
-// thread count must reproduce them. RandomPropositional depends on
-// libstdc++'s <random> distributions.
+// recursive sequential search that re-ran the whole alternating fixpoint
+// of the conditioned program at every node; the incremental repair must
+// reproduce them. RandomPropositional depends on libstdc++'s <random>
+// distributions.
 
 std::uint64_t EnumerationFingerprint(const std::vector<Bitset>& models,
                                      const StableSearchStats& s) {
@@ -413,14 +419,11 @@ TEST(ParallelSearch, GoldenFingerprintsPinEnumeration) {
     for (bool wfs : {true, false}) {
       const std::uint64_t expected = wfs ? want.wfs : want.positive;
       if (!wfs && expected == 0) continue;
-      for (int threads : kThreadCounts) {
-        const StableResult r = EnumerateWith(gp, threads, wfs);
-        EXPECT_TRUE(r.search.complete) << name;
-        const std::uint64_t got = EnumerationFingerprint(r.models, r.search);
-        EXPECT_EQ(got, expected) << name << " threads=" << threads
-                                 << " wfs=" << wfs << std::hex
-                                 << " got 0x" << got;
-      }
+      const StableResult r = EnumerateWith(gp, wfs);
+      EXPECT_TRUE(r.search.complete) << name;
+      const std::uint64_t got = EnumerationFingerprint(r.models, r.search);
+      EXPECT_EQ(got, expected) << name << " wfs=" << wfs << std::hex
+                               << " got 0x" << got;
     }
   }
 }
@@ -434,13 +437,11 @@ Solver MustCreate(Program program, const SolverOptions& options = {}) {
 }
 
 TEST(ParallelSearchSolver, SolvedSessionSeedsTheRoot) {
-  SolverOptions o;
-  o.num_threads = 4;
-  Solver cold = MustCreate(workload::EvenNegativeCycles(5), o);
+  Solver cold = MustCreate(workload::EvenNegativeCycles(5));
   StableResult cold_r = cold.StableModels();
   EXPECT_FALSE(cold_r.search.seeded);  // nothing solved yet
 
-  Solver warm = MustCreate(workload::EvenNegativeCycles(5), o);
+  Solver warm = MustCreate(workload::EvenNegativeCycles(5));
   warm.Solve();
   StableResult warm_r = warm.StableModels();
   EXPECT_TRUE(warm_r.search.seeded);
@@ -451,28 +452,28 @@ TEST(ParallelSearchSolver, SolvedSessionSeedsTheRoot) {
   EXPECT_EQ(warm_r.search.afp_calls + 1, cold_r.search.afp_calls);
   // The receipt is surfaced through the session stats (CLI --stats).
   EXPECT_EQ(warm.Stats().search.models, warm_r.models.size());
-  EXPECT_EQ(warm.Stats().search.num_workers, 4u);
+  EXPECT_EQ(warm.Stats().search.components_resolved,
+            warm_r.search.components_resolved);
 }
 
-TEST(ParallelSearchSolver, ThreadCountsAgreeThroughTheFacade) {
-  std::vector<Bitset> expected;
-  for (int threads : kThreadCounts) {
-    SolverOptions o;
-    o.num_threads = threads;
-    Solver solver = MustCreate(workload::EvenCycleClusters(4, 4), o);
-    solver.Solve();
-    StableResult r = solver.StableModels();
-    EXPECT_EQ(r.search.num_workers, static_cast<std::size_t>(threads));
-    if (expected.empty()) {
-      expected = std::move(r.models);
-      continue;
-    }
-    ASSERT_EQ(r.models.size(), expected.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(r.models[i], expected[i])
-          << "threads=" << threads << " model " << i;
-    }
+// The session caches its engine across StableModels calls: the second
+// call runs on the warm engine (its trail, scratch and assumption bits
+// left by the first run) and must repeat the first exactly, as must a
+// CountStableModels call in between.
+TEST(ParallelSearchSolver, CachedEngineRepeatsThroughTheFacade) {
+  Solver solver = MustCreate(workload::EvenCycleClusters(4, 4));
+  solver.Solve();
+  const StableResult first = solver.StableModels();
+  ASSERT_EQ(first.models.size(), 16u);
+  EXPECT_EQ(solver.CountStableModels(), 16u);
+  const StableResult again = solver.StableModels();
+  ASSERT_EQ(again.models.size(), first.models.size());
+  for (std::size_t i = 0; i < first.models.size(); ++i) {
+    EXPECT_EQ(again.models[i], first.models[i]) << "model " << i;
   }
+  EXPECT_EQ(again.search.nodes, first.search.nodes);
+  EXPECT_EQ(again.search.components_resolved,
+            first.search.components_resolved);
 }
 
 // Regression pair: StableModels on a session mutated after a previous
@@ -483,9 +484,7 @@ TEST(ParallelSearchSolver, ThreadCountsAgreeThroughTheFacade) {
 
 TEST(ParallelSearchSolver, FactMutationInvalidatesCachedSearch) {
   const std::string_view text = "e. p :- e, not q. a :- not b. b :- not a.";
-  SolverOptions o;
-  o.num_threads = 2;
-  auto solver = Solver::FromText(text, o);
+  auto solver = Solver::FromText(text);
   ASSERT_TRUE(solver.ok());
   solver->Solve();
   StableResult before = solver->StableModels();
@@ -494,7 +493,7 @@ TEST(ParallelSearchSolver, FactMutationInvalidatesCachedSearch) {
   ASSERT_TRUE(solver->RetractFacts({"e"}).ok());
   StableResult after = solver->StableModels();
 
-  auto fresh = Solver::FromText("p :- e, not q. a :- not b. b :- not a.", o);
+  auto fresh = Solver::FromText("p :- e, not q. a :- not b. b :- not a.");
   ASSERT_TRUE(fresh.ok());
   StableResult oracle = fresh->StableModels();
   EXPECT_EQ(NamedModels(solver->ground(), after.models),
@@ -512,7 +511,6 @@ TEST(ParallelSearchSolver, FactMutationInvalidatesCachedSearch) {
 
 TEST(ParallelSearchSolver, RuleMutationInvalidatesCachedSearch) {
   SolverOptions o;
-  o.num_threads = 2;
   o.ground.simplify = false;  // rule mutations require unsimplified grounding
   auto solver = Solver::FromText("a :- not b. b :- not a.", o);
   ASSERT_TRUE(solver.ok());

@@ -127,7 +127,7 @@ TEST_P(RandomProgramProperty, StableModelsExtendWfsAndAreStable) {
     if (gp.num_atoms() > 16) continue;  // keep enumeration cheap
     AfpResult wfs = AlternatingFixpoint(gp);
     HornSolver solver(gp.View());
-    ParallelStableSearch search(gp);
+    StableSearch search(gp);
     const std::vector<Bitset> models = search.Enumerate().models;
     for (const Bitset& m : models) {
       EXPECT_TRUE(wfs.model.true_atoms().IsSubsetOf(m)) << "seed " << seed;

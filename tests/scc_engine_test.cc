@@ -10,7 +10,9 @@
 
 #include "analysis/atom_graph.h"
 #include "core/alternating.h"
+#include "core/component_solver.h"
 #include "ground/grounder.h"
+#include "ground/owned_rules.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
 
@@ -216,6 +218,21 @@ TEST(AtomGraph, CondensationEdgesAndInDegrees) {
   EXPECT_EQ(off[cr + 1], off[cr]);
 }
 
+/// One session-style repair: a fresh assumption-free ComponentSolver over
+/// `gp`'s current view drives SccResolveDownstream on `model`.
+SccUpdateStats Repair(EvalContext& ctx, const GroundProgram& gp,
+                      const AtomDependencyGraph& graph,
+                      const std::vector<std::vector<std::uint32_t>>& buckets,
+                      const SccOptions& opts,
+                      std::span<const AtomId> touched, PartialModel* model,
+                      std::vector<std::uint32_t>* iters,
+                      SccUpdateScratch& scratch) {
+  const RuleView view = gp.View();
+  ComponentSolver solver(ctx, opts, view, graph, buckets);
+  GlobalModel gm{&model->true_atoms(), &model->false_atoms()};
+  return SccResolveDownstream(solver, touched, gm, iters, scratch);
+}
+
 /// Mirrors Solver::UpdateFactsById's sorted-bucket surgery so the direct
 /// SccResolveDownstream tests below can toggle EDB facts.
 void ToggleFactAndPatchBuckets(
@@ -278,11 +295,11 @@ TEST(SccEngine, UpdateScratchSharedAcrossUpdatesBitIdentical) {
       ToggleFactAndPatchBuckets(gp, graph, buckets, id);
       if (HasFatalFailure()) return;
       const AtomId touched[] = {id};
-      SccResolveDownstream(ctx, gp.View(), graph, buckets, opts, touched,
-                           &with_scratch, &iters_shared, scratch);
+      Repair(ctx, gp, graph, buckets, opts, touched, &with_scratch,
+             &iters_shared, scratch);
       SccUpdateScratch per_call;
-      SccResolveDownstream(ctx, gp.View(), graph, buckets, opts, touched,
-                           &fresh_scratch, &iters_fresh, per_call);
+      Repair(ctx, gp, graph, buckets, opts, touched, &fresh_scratch,
+             &iters_fresh, per_call);
       EXPECT_EQ(with_scratch, fresh_scratch)
           << "sequence " << sequence << " step " << step;
       EXPECT_EQ(iters_shared, iters_fresh)
@@ -294,6 +311,133 @@ TEST(SccEngine, UpdateScratchSharedAcrossUpdatesBitIdentical) {
       EXPECT_EQ(iters_shared, fresh.component_iterations)
           << "sequence " << sequence << " step " << step;
       if (HasFatalFailure()) return;
+    }
+  }
+}
+
+/// The stable search's assumption masks against the definition they
+/// implement: solving every component of the BASE condensation under an
+/// assumption pair must give exactly the alternating fixpoint of the
+/// conditioned program, which the test builds itself (assumed-true atoms
+/// become facts, rules whose head is assumed false are deleted). The
+/// pairs are random and consistent, and include atoms inside multi-atom
+/// components, where the assumption cuts a cycle the condensation still
+/// treats as one component.
+TEST(SccEngine, AssumptionMasksMatchConditionedProgram) {
+  std::size_t multi_atom_assumptions = 0;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Program p = workload::RandomPropositional(14, 30, 2, 50, seed);
+    GroundProgram gp = MustGround(p, GroundMode::kFull);
+    const RuleView view = gp.View();
+    const std::size_t n = gp.num_atoms();
+    AtomDependencyGraph graph(view);
+    const auto buckets = ComponentRuleBuckets(view, graph);
+    EvalContext ctx;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull ^ (seed * 0x100000001b3ull);
+    auto next = [&rng] {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    for (int trial = 0; trial < 12; ++trial) {
+      Bitset assumed_true(n);
+      Bitset assumed_false(n);
+      for (std::size_t a = 0; a < n; ++a) {
+        const std::uint64_t r = next() % 6;  // 1/6 true, 1/6 false
+        if (r == 0) assumed_true.Set(a);
+        if (r == 1) assumed_false.Set(a);
+        if (r <= 1 &&
+            graph.components()[graph.component_of()[a]].size() > 1) {
+          ++multi_atom_assumptions;
+        }
+      }
+
+      Bitset got_true(n);
+      Bitset got_false(n);
+      GlobalModel gm{&got_true, &got_false};
+      {
+        ComponentSolver solver(ctx, SccOptions{}, view, graph, buckets,
+                               AssumptionPair{&assumed_true, &assumed_false});
+        for (std::uint32_t c = 0; c < graph.num_components(); ++c) {
+          solver.Solve(c, gm);
+        }
+      }
+
+      OwnedRules conditioned;
+      conditioned.num_atoms = n;
+      for (const GroundRule& r : view.rules) {
+        if (assumed_false.Test(r.head)) continue;
+        conditioned.Add(r.head, view.pos(r), view.neg(r));
+      }
+      assumed_true.ForEach([&](std::size_t a) {
+        conditioned.Add(static_cast<AtomId>(a), {}, {});
+      });
+      HornSolver oracle_solver(conditioned.View());
+      const AfpResult oracle =
+          AlternatingFixpointWithContext(ctx, oracle_solver, Bitset());
+      EXPECT_EQ(got_true, oracle.model.true_atoms())
+          << "seed " << seed << " trial " << trial;
+      EXPECT_EQ(got_false, oracle.model.false_atoms())
+          << "seed " << seed << " trial " << trial;
+    }
+  }
+  EXPECT_GT(multi_atom_assumptions, 0u) << "no assumption hit a cycle";
+}
+
+/// The search's incremental step: repairing downstream of one new
+/// assumption (writes logged on a trail) equals solving the conditioned
+/// program from scratch, and undoing the trail restores the model before
+/// the step bit for bit.
+TEST(SccEngine, AssumptionRepairMatchesFullSolveAndUndoRestores) {
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    Program p = workload::RandomPropositional(14, 30, 2, 50, seed);
+    GroundProgram gp = MustGround(p, GroundMode::kFull);
+    const RuleView view = gp.View();
+    const std::size_t n = gp.num_atoms();
+    AtomDependencyGraph graph(view);
+    const auto buckets = ComponentRuleBuckets(view, graph);
+    EvalContext ctx;
+    Bitset assumed_true(n);
+    Bitset assumed_false(n);
+    const AssumptionPair pair{&assumed_true, &assumed_false};
+    ComponentSolver incremental(ctx, SccOptions{}, view, graph, buckets, pair);
+    SccUpdateScratch scratch;
+    std::vector<TrailEntry> trail;
+    Bitset model_true(n);
+    Bitset model_false(n);
+    GlobalModel gm{&model_true, &model_false, &trail};
+    for (std::uint32_t c = 0; c < graph.num_components(); ++c) {
+      incremental.Solve(c, gm);
+    }
+    trail.clear();
+    // Assume every atom in turn (alternating polarity), keeping each
+    // assumption, as a depth-first path would.
+    for (AtomId a = 0; a < n; ++a) {
+      if (model_true.Test(a) || model_false.Test(a)) continue;
+      const Bitset before_true = model_true;
+      const Bitset before_false = model_false;
+      const std::size_t mark = trail.size();
+      (a % 2 == 0 ? assumed_false : assumed_true).Set(a);
+      const AtomId touched[] = {a};
+      SccResolveDownstream(incremental, touched, gm, nullptr, scratch);
+
+      Bitset full_true(n);
+      Bitset full_false(n);
+      GlobalModel full{&full_true, &full_false};
+      ComponentSolver fresh(ctx, SccOptions{}, view, graph, buckets, pair);
+      for (std::uint32_t c = 0; c < graph.num_components(); ++c) {
+        fresh.Solve(c, full);
+      }
+      EXPECT_EQ(model_true, full_true) << "seed " << seed << " atom " << a;
+      EXPECT_EQ(model_false, full_false) << "seed " << seed << " atom " << a;
+
+      // Roll back, check, then replay to continue down the path.
+      gm.UndoTo(mark);
+      EXPECT_EQ(model_true, before_true) << "seed " << seed << " atom " << a;
+      EXPECT_EQ(model_false, before_false)
+          << "seed " << seed << " atom " << a;
+      SccResolveDownstream(incremental, touched, gm, nullptr, scratch);
     }
   }
 }

@@ -192,7 +192,7 @@ TEST(Solver, StableModelsMatchDirectSearch) {
     ASSERT_TRUE(parsed.ok());
     Program p = std::move(parsed).value();
     GroundProgram gp = MustGround(p);
-    ParallelStableSearch direct(gp);
+    StableSearch direct(gp);
     auto solver = Solver::FromText(text);
     ASSERT_TRUE(solver.ok());
     StableResult r = solver->StableModels();

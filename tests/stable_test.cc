@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "analysis/atom_graph.h"
 #include "core/alternating.h"
 #include "ground/grounder.h"
 #include "search/stable_search.h"
@@ -82,7 +83,7 @@ TEST(StableModels, EvenCycleHasTwoModels) {
   ASSERT_TRUE(brute.ok());
   EXPECT_EQ(brute->size(), 2u);
 
-  ParallelStableSearch search(gp);
+  StableSearch search(gp);
   EXPECT_EQ(search.Enumerate().models.size(), 2u);
 }
 
@@ -94,7 +95,7 @@ TEST(StableModels, OddLoopHasNoModel) {
   auto brute = EnumerateStableModelsBruteForce(gp);
   ASSERT_TRUE(brute.ok());
   EXPECT_TRUE(brute->empty());
-  ParallelStableSearch search(gp);
+  StableSearch search(gp);
   EXPECT_EQ(search.Count().search.models, 0u);
 }
 
@@ -102,7 +103,7 @@ TEST(StableModels, CountGrowsAsTwoToTheK) {
   for (int k = 1; k <= 4; ++k) {
     Program p = workload::EvenNegativeCycles(k);
     GroundProgram gp = MustGround(p);
-    ParallelStableSearch search(gp);
+    StableSearch search(gp);
     EXPECT_EQ(search.Count().search.models, (1u << k)) << "k=" << k;
   }
 }
@@ -116,7 +117,7 @@ TEST(StableModels, BacktrackingMatchesBruteForce) {
     auto brute = EnumerateStableModelsBruteForce(gp);
     ASSERT_TRUE(brute.ok());
 
-    ParallelStableSearch search(gp);
+    StableSearch search(gp);
     auto models = search.Enumerate().models;
 
     auto canon = [&](const std::vector<Bitset>& ms) {
@@ -129,18 +130,48 @@ TEST(StableModels, BacktrackingMatchesBruteForce) {
   }
 }
 
+// One component holds every atom, so the search's second branch atom (c)
+// lands in the component of its first assumption (a false): the repair
+// must re-solve that component with both assumptions applied.
+TEST(StableModels, SecondBranchInFirstAssumptionsComponent) {
+  auto parsed = ParseProgram(
+      "a :- not b. b :- not a. c :- not d. d :- not c. a :- c. c :- a.");
+  ASSERT_TRUE(parsed.ok());
+  Program p = std::move(parsed).value();
+  GroundProgram gp = MustGround(p);
+  ASSERT_EQ(AtomDependencyGraph(gp.View()).num_components(), 1u);
+  auto brute = EnumerateStableModelsBruteForce(gp);
+  ASSERT_TRUE(brute.ok());
+
+  StableSearch search(gp);
+  const StableResult r = search.Enumerate();
+  auto canon = [&](const std::vector<Bitset>& ms) {
+    std::vector<std::vector<std::string>> out;
+    for (const Bitset& m : ms) out.push_back(ModelNames(gp, m));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::vector<std::string>> expected = {{"a", "c"},
+                                                          {"b", "d"}};
+  EXPECT_EQ(canon(*brute), expected);
+  EXPECT_EQ(canon(r.models), expected);
+  // Root, a false (branch on c), its two leaves, and the a-true leaf.
+  EXPECT_EQ(r.search.nodes, 5u);
+  EXPECT_EQ(r.search.leaves, 3u);
+}
+
 TEST(StableModels, NaivePropagationAgreesWithWfsPropagation) {
   for (std::uint64_t seed = 100; seed < 115; ++seed) {
     Program p = workload::RandomPropositional(
         /*num_atoms=*/8, /*num_rules=*/14, /*body_len=*/2,
         /*neg_prob_percent=*/50, seed);
     GroundProgram gp = MustGround(p);
-    ParallelSearchOptions wfs_opts;
+    StableSearchOptions wfs_opts;
     wfs_opts.wfs_propagation = true;
-    ParallelSearchOptions naive_opts;
+    StableSearchOptions naive_opts;
     naive_opts.wfs_propagation = false;
-    ParallelStableSearch s1(gp, wfs_opts);
-    ParallelStableSearch s2(gp, naive_opts);
+    StableSearch s1(gp, wfs_opts);
+    StableSearch s2(gp, naive_opts);
     EXPECT_EQ(s1.Count().search.models, s2.Count().search.models)
         << "seed " << seed;
   }
@@ -151,14 +182,14 @@ TEST(StableModels, WfsPruningVisitsFewerNodes) {
   // WFS propagation decides everything without branching.
   Program p = workload::WinMove(graphs::Chain(10));
   GroundProgram gp = MustGround(p);
-  ParallelStableSearch s1(gp);
+  StableSearch s1(gp);
   const StableSearchStats wfs = s1.Count().search;
   EXPECT_EQ(wfs.models, 1u);
   EXPECT_EQ(wfs.nodes, 1u);  // no branching needed
 
-  ParallelSearchOptions naive_opts;
+  StableSearchOptions naive_opts;
   naive_opts.wfs_propagation = false;
-  ParallelStableSearch s2(gp, naive_opts);
+  StableSearch s2(gp, naive_opts);
   const StableSearchStats naive = s2.Count().search;
   EXPECT_EQ(naive.models, 1u);
   EXPECT_GT(naive.nodes, wfs.nodes);
@@ -173,7 +204,7 @@ TEST(StableModels, EveryStableModelContainsWellFoundedModel) {
         /*neg_prob_percent=*/50, seed);
     GroundProgram gp = MustGround(p);
     AfpResult wfs = AlternatingFixpoint(gp);
-    ParallelStableSearch search(gp);
+    StableSearch search(gp);
     for (const Bitset& m : search.Enumerate().models) {
       EXPECT_TRUE(wfs.model.true_atoms().IsSubsetOf(m)) << "seed " << seed;
       EXPECT_TRUE(wfs.model.false_atoms().IsDisjointWith(m))
@@ -189,7 +220,7 @@ TEST(StableModels, TotalWellFoundedModelIsUniqueStableModel) {
     GroundProgram gp = MustGround(p);
     AfpResult wfs = AlternatingFixpoint(gp);
     ASSERT_TRUE(wfs.model.IsTotal());
-    ParallelStableSearch search(gp);
+    StableSearch search(gp);
     auto models = search.Enumerate().models;
     ASSERT_EQ(models.size(), 1u);
     EXPECT_EQ(models[0], wfs.model.true_atoms());
@@ -204,7 +235,7 @@ TEST(StableModels, StableModelsAreFixpointsOfAp) {
         /*neg_prob_percent=*/60, seed);
     GroundProgram gp = MustGround(p);
     HornSolver solver(gp.View());
-    ParallelStableSearch search(gp);
+    StableSearch search(gp);
     for (const Bitset& m : search.Enumerate().models) {
       Bitset neg = Bitset::ComplementOf(m);
       Bitset s1 = Bitset::ComplementOf(solver.EventualConsequences(neg));
@@ -227,7 +258,7 @@ TEST(StableModels, MaxModelsStopsEarly) {
   GroundProgram gp = MustGround(p);
   StableSearchControl control;
   control.max_models = 3;
-  ParallelStableSearch search(gp);
+  StableSearch search(gp);
   EXPECT_EQ(search.Enumerate(control).models.size(), 3u);
 }
 

@@ -75,7 +75,7 @@ TEST(Stratified, AgreesWithWfsAndStableOnStratifiedPrograms) {
     EXPECT_TRUE(wfs.model.IsTotal()) << "seed " << seed;
     EXPECT_EQ(strat->model, wfs.model) << "seed " << seed;
 
-    ParallelStableSearch search(gp);
+    StableSearch search(gp);
     auto models = search.Enumerate().models;
     ASSERT_EQ(models.size(), 1u) << "seed " << seed;
     EXPECT_EQ(models[0], wfs.model.true_atoms()) << "seed " << seed;

@@ -89,6 +89,32 @@ TEST(Bitset, SubsetAndDisjoint) {
   EXPECT_TRUE(a.IsDisjointWith(c));
 }
 
+// The search's branch choice: the first position in neither set, a word
+// at a time. Universes on both sides of a word boundary pin the mask on
+// the last word (bits past the universe are never reported).
+TEST(Bitset, FirstZeroOfUnionAtWordBoundaries) {
+  for (std::size_t n : {63u, 64u, 65u, 128u}) {
+    Bitset t(n), f(n);
+    EXPECT_EQ(Bitset::FirstZeroOfUnion(t, f), 0u) << "n=" << n;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      (i % 2 == 0 ? t : f).Set(i);
+      EXPECT_EQ(Bitset::FirstZeroOfUnion(t, f), i + 1) << "n=" << n;
+    }
+    (n % 2 == 0 ? f : t).Set(n - 1);
+    EXPECT_EQ(Bitset::FirstZeroOfUnion(t, f), n) << "n=" << n << " full";
+    // A hole in the first word wins over any later one.
+    t.Reset(5);
+    f.Reset(5);
+    t.Reset(n - 1);
+    f.Reset(n - 1);
+    EXPECT_EQ(Bitset::FirstZeroOfUnion(t, f), 5u) << "n=" << n;
+    t.Set(5);
+    EXPECT_EQ(Bitset::FirstZeroOfUnion(t, f), n - 1) << "n=" << n;
+  }
+  Bitset empty_t, empty_f;
+  EXPECT_EQ(Bitset::FirstZeroOfUnion(empty_t, empty_f), 0u);
+}
+
 TEST(Bitset, BooleanOpsAndForEach) {
   Bitset a(100), b(100);
   a.Set(2);

@@ -42,24 +42,18 @@
 //                                      compiles every eligible component
 //                                      up front; models are identical in
 //                                      all three modes
-//   --threads=N                        worker threads for
-//                                      --semantics=stable: the branch tree
-//                                      of the stable-model search is
-//                                      dispatched to N workers through the
-//                                      work-sharing pool (default 1; the
-//                                      model set AND the emission order
-//                                      are identical at every N)
 //   --query=ATOM                       point query (repeatable via commas)
 //   --select=PATTERN                   enumerate matches, e.g. wins(X)
 //   --trace                            print the Table-I style trace (wfs)
 //   --json                             print the model as JSON
 //   --max-models=N                     cap stable-model enumeration
-//                                      (N and --threads are whole decimal
-//                                      numbers; anything else exits 1)
+//                                      (N is a whole decimal number;
+//                                      anything else exits 1)
 //   --ground                           print the ground program and exit
 //   --stats                            print sizes and iteration counts
 //
-// Exit status: 0 on success, 1 on input errors.
+// Exit status: 0 on success, 1 on input errors. Unknown flags and flag
+// values are rejected before any input is read.
 
 #include <charconv>
 #include <cstdint>
@@ -104,8 +98,6 @@ struct Options {
   bool inner_given = false;
   std::string compile = "hot";
   bool compile_given = false;
-  int threads = 1;
-  bool threads_given = false;
   std::vector<std::string> queries;
   std::vector<std::string> selects;
   /// Session mutations (facts and rules) in command-line order.
@@ -191,9 +183,6 @@ void PrintModel(const afp::GroundProgram& gp, const afp::PartialModel& model,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker threads are capped well above any machine this runs on; the
-  // cap only keeps a typo from spawning millions of threads.
-  constexpr std::uint64_t kMaxThreads = 1024;
   Options opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -215,14 +204,6 @@ int main(int argc, char** argv) {
     }
     if (ParseFlag(arg, "compile", &opts.compile)) {
       opts.compile_given = true;
-      continue;
-    }
-    if (ParseFlag(arg, "threads", &value)) {
-      if (!ParseNumber(value, 1, kMaxThreads, &number)) {
-        return BadValue("threads", value);
-      }
-      opts.threads = static_cast<int>(number);
-      opts.threads_given = true;
       continue;
     }
     if (ParseFlag(arg, "query", &value)) {
@@ -281,6 +262,15 @@ int main(int argc, char** argv) {
       return 1;
     }
     opts.file = arg;
+  }
+  if (opts.semantics != "wfs" && opts.semantics != "stable" &&
+      opts.semantics != "fitting" && opts.semantics != "stratified" &&
+      opts.semantics != "ifp") {
+    return BadValue("semantics", opts.semantics);
+  }
+  if (opts.engine != "afp" && opts.engine != "wp" &&
+      opts.engine != "residual" && opts.engine != "scc") {
+    return BadValue("engine", opts.engine);
   }
   if (opts.sp != "delta" && opts.sp != "scratch") {
     std::cerr << "afp: unknown --sp mode '" << opts.sp << "'\n";
@@ -347,11 +337,6 @@ int main(int argc, char** argv) {
               << opts.semantics << " --engine=" << opts.engine
               << " without --assert/--retract\n";
   }
-  if (opts.threads_given && opts.semantics != "stable") {
-    std::cerr << "afp: note: --threads has no effect for --semantics="
-              << opts.semantics
-              << " (only --semantics=stable runs the branch-tree search)\n";
-  }
 
   std::string text;
   if (opts.file.empty()) {
@@ -387,7 +372,6 @@ int main(int argc, char** argv) {
   sopts.sp_mode = sp_mode;
   sopts.gus_mode = gus_mode;
   sopts.inner = inner_engine;
-  sopts.num_threads = opts.threads;
   sopts.compile = compile_mode;
   sopts.record_trace = opts.trace;
   // Fitting/IFP need the rule instances whose positive bodies are
@@ -532,9 +516,8 @@ int main(int argc, char** argv) {
                 << "  implied atoms: " << r.search.implied_atoms
                 << "  candidates checked: " << r.search.stable_checks
                 << "\n";
-      std::cout << "% search workers: " << r.search.num_workers
-                << "  steals: " << r.search.steals
-                << "  idle waits: " << r.search.idle_waits
+      std::cout << "% components re-solved: "
+                << r.search.components_resolved
                 << "  seeded: " << (r.search.seeded ? "yes" : "no")
                 << "  complete: " << (r.search.complete ? "yes" : "no")
                 << "\n";
@@ -556,13 +539,10 @@ int main(int argc, char** argv) {
     PrintModel(gp, r->model, opts);
     return 0;
   }
-  if (opts.semantics == "ifp") {
-    afp::InflationaryResult r = afp::InflationaryFixpoint(gp);
-    afp::PartialModel model(r.true_atoms,
-                            afp::Bitset::ComplementOf(r.true_atoms));
-    PrintModel(gp, model, opts);
-    return 0;
-  }
-  std::cerr << "afp: unknown semantics '" << opts.semantics << "'\n";
-  return 1;
+  // --semantics=ifp (validated above).
+  afp::InflationaryResult r = afp::InflationaryFixpoint(gp);
+  afp::PartialModel model(r.true_atoms,
+                          afp::Bitset::ComplementOf(r.true_atoms));
+  PrintModel(gp, model, opts);
+  return 0;
 }

@@ -29,21 +29,13 @@ axes below, ever regress:
     COMPILE_FLAGSHIP; the COMPILE_ZERO_ENGAGEMENT chain row must exist
     and report kernel_components == 0 — fast-path singleton workloads
     are never routed through (or taxed by) the kernel machinery;
-  * the parallel stable-model search axis (bench_search: the branch-tree
-    engine at 1/2/4/8 worker threads) must report a bit-identical
-    enumeration — model set AND emission order, receipted by the
-    model_hash / nodes / models fields — at every thread count on every
-    row (always enforced: determinism is counter-like, safe on any
-    machine), keep every thread count the recording machine could
-    actually run in parallel at >= 1x over the 1-thread run, and reach
-    MIN_SEARCH_SPEEDUP (2x) at 4 threads on the SEARCH_FLAGSHIP row.
+  * the stable-model search axis (bench_search: one depth-first run per
+    workload) must reproduce the pinned enumeration of every row in
+    SEARCH_PINNED exactly — model_hash (model set AND emission order),
+    models, nodes and implied_atoms — and every pinned row must exist.
 
-The rescan gates are counters, not wall-clock: deterministic for a fixed
-workload, so safe on noisy CI machines. The search speedup gates are
-necessarily wall-clock; they are enforced only for thread counts the
-RECORDING machine's hardware_concurrency covers (a 1-core container can
-run the parallel search correctly but cannot exhibit speedup — the row is
-still required to exist there, so the axis cannot silently vanish).
+The rescan gates and the search pins are counters, not wall-clock:
+deterministic for a fixed workload, so safe on noisy CI machines.
 
 Usage: check_ablation_axis.py [path/to/BENCH_ablation_axis.json]
 Exit status: 0 when every row passes, 1 otherwise.
@@ -74,61 +66,34 @@ MIN_INCREMENTAL_RATIO = 5.0
 COMPILE_FLAGSHIP = "WinMove/4096"
 MIN_COMPILE_RATIO = 1.5
 COMPILE_ZERO_ENGAGEMENT = "WfNodes/256"
-# The parallel stable-model search flagship (bench_search): 4096 models
-# over a 4096-leaf branch tree with ~300 atoms of per-node propagation.
-# 4 search threads must enumerate at least 2x faster than the 1-thread
-# run (the exact sequential in-line path of the work pool). Wall-clock
-# gates are hardware-guarded per thread count; the
-# bit-identical-enumeration receipt is enforced everywhere.
-SEARCH_FLAGSHIP = "EvenCycleClusters/12x24"
-GATED_SEARCH_THREAD = "4"
-MIN_SEARCH_SPEEDUP = 2.0
+# The stable-model search rows (bench_search): the depth-first
+# enumeration of each workload, pinned exactly. model_hash covers the full
+# emission sequence (model set AND order); nodes and implied_atoms pin the
+# branch tree and every node's decided sets.
+SEARCH_PINNED = {
+    "EvenCycleClusters/12x24": {"model_hash": "7ff6fae4f6feac43",
+                                "models": 4096, "nodes": 8191,
+                                "implied_atoms": 2449122},
+    "EvenCycleClusters/9x48": {"model_hash": "4b901dfea7181283",
+                               "models": 512, "nodes": 1023,
+                               "implied_atoms": 450130},
+}
 
 
 def check_search_row(row, failures, lines):
     workload = row.get("workload", "?")
     label = f"search:{workload}"
-    speedups = row.get("speedup_over_one_thread")
-    hc = row.get("hardware_concurrency")
-    if not speedups or "1" not in speedups:
-        failures.append(f"{label}: no 1-thread baseline recorded")
+    lines.append(f"  {label}: {row.get('wall_ms')} ms, nodes "
+                 f"{row.get('nodes')}, components re-solved "
+                 f"{row.get('components_resolved')}")
+    pinned = SEARCH_PINNED.get(workload)
+    if pinned is None:
+        failures.append(f"{label}: no pinned enumeration for this workload")
         return
-    for t, s in sorted(speedups.items(), key=lambda kv: int(kv[0])):
-        lines.append(f"  {label}: {t} thread(s) speedup {s}x"
-                     f" (hw concurrency {hc})")
-    # Determinism is the subsystem's core contract and is counter-like
-    # (model_hash covers the full emission sequence, set AND order), so it
-    # is enforced regardless of the recording machine's core count.
-    if not row.get("models_identical"):
-        failures.append(
-            f"{label}: enumeration differs across thread counts "
-            f"(models/nodes/model_hash must be bit-identical)")
-    if speedups["1"] < MIN_RATIO:
-        # The 1-thread row is its own baseline; anything but 1.0 means the
-        # distiller broke.
-        failures.append(f"{label}: 1-thread speedup {speedups['1']} != 1.0")
-    if hc is None:
-        lines.append(f"  {label}: wall-clock gates SKIPPED "
-                     f"(no hardware_concurrency recorded)")
-        return
-    # Thread counts beyond the recording machine's cores cannot exhibit
-    # speedup (oversubscription may even cost a little); gate only the
-    # counts the machine could actually run in parallel.
-    for t, s in speedups.items():
-        if int(t) <= hc and s < MIN_RATIO:
+    for key, want in pinned.items():
+        if row.get(key) != want:
             failures.append(
-                f"{label}: {t} threads slower than 1 (speedup {s} < 1.0)")
-    if workload == SEARCH_FLAGSHIP:
-        if hc < int(GATED_SEARCH_THREAD):
-            lines.append(
-                f"  {label}: flagship speedup gate SKIPPED (recorded with "
-                f"hardware_concurrency {hc} < {GATED_SEARCH_THREAD})")
-        elif GATED_SEARCH_THREAD not in speedups:
-            failures.append(f"{label}: no {GATED_SEARCH_THREAD}-thread row")
-        elif speedups[GATED_SEARCH_THREAD] < MIN_SEARCH_SPEEDUP:
-            failures.append(
-                f"{label}: flagship {GATED_SEARCH_THREAD}-thread speedup "
-                f"{speedups[GATED_SEARCH_THREAD]} < {MIN_SEARCH_SPEEDUP}")
+                f"{label}: {key} {row.get(key)!r} != pinned {want!r}")
 
 
 def main() -> int:
@@ -235,9 +200,8 @@ def main() -> int:
     if COMPILE_ZERO_ENGAGEMENT not in seen_compile_workloads:
         failures.append(
             f"compile:{COMPILE_ZERO_ENGAGEMENT}: zero-engagement row missing")
-    if SEARCH_FLAGSHIP not in seen_search_workloads:
-        failures.append(
-            f"search:{SEARCH_FLAGSHIP}: parallel-search row missing")
+    for missing in sorted(set(SEARCH_PINNED) - seen_search_workloads):
+        failures.append(f"search:{missing}: search row missing")
 
     for label, ratio in sorted(ratios):
         print(f"  {label}: scratch/delta rescan ratio {ratio}")

@@ -197,13 +197,13 @@ with open(sys.argv[3], "w") as f:
     json.dump(d, f, indent=1)
 ' "${GIT_REV}" "${TIMESTAMP}" "${out_json}"
   elif [[ "${bench}" == "bench_search" ]]; then
-    # Self-timed, native JSON on stdout (fork-per-config so timings never
-    # share allocator state). Stored as BENCH_search.json; then the
-    # per-workload thread rows are merged into the ablation axis report as
-    # the `search` axis, replacing any previous search rows (bench_ablation
-    # rewrites the file wholesale and runs first in a full sweep; this
-    # merge keeps a search-only rerun from clobbering the other axes).
-    # tools/check_ablation_axis.py gates CI on the flagship row.
+    # Self-timed, native JSON on stdout (fork-per-workload so timings never
+    # share allocator state). Stored as BENCH_search.json; then its rows
+    # are merged into the ablation axis report as the `search` axis,
+    # replacing any previous search rows (bench_ablation rewrites the file
+    # wholesale and runs first in a full sweep; this merge keeps a
+    # search-only rerun from clobbering the other axes).
+    # tools/check_ablation_axis.py checks each row against pinned values.
     "${bin}" | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
@@ -220,41 +220,13 @@ with open(src) as f:
     report = json.load(f)
 hc = report.get("hardware_concurrency")
 
-by_workload = {}
-for row in report.get("rows", []):
-    per = by_workload.setdefault(row["workload"], {})
-    cell = {k: v for k, v in row.items()
-            if k not in ("workload", "threads", "variant")}
-    if row.get("variant") == "seeded":
-        per.setdefault("seeded", {})[str(row["threads"])] = cell
-    else:
-        per.setdefault("unseeded", {})[str(row["threads"])] = cell
-
+# One row per workload: wall time plus the enumeration receipt (models,
+# nodes, implied_atoms, components_resolved, model_hash).
 search_rows = []
-for workload in sorted(by_workload):
-    per = by_workload[workload].get("unseeded", {})
-    entry = {"axis": "search", "workload": workload, "per_thread": per}
+for row in sorted(report.get("rows", []), key=lambda r: r["workload"]):
+    entry = {"axis": "search", **row}
     if hc is not None:
         entry["hardware_concurrency"] = hc
-    one = per.get("1", {}).get("wall_ms")
-    if one:
-        entry["speedup_over_one_thread"] = {
-            t: round(one / c["wall_ms"], 2)
-            for t, c in sorted(per.items())
-            if c.get("wall_ms")
-        }
-    # The subsystem contract: bit-identical enumeration (model set AND
-    # order) at every thread count. The hash covers the full emission
-    # sequence; nodes/models pin the tree shape too.
-    entry["models_identical"] = len(per) > 0 and all(
-        c.get(k) is not None and c.get(k) == per["1"].get(k)
-        for c in per.values() for k in ("models", "nodes", "model_hash"))
-    seeded = by_workload[workload].get("seeded", {}).get("1")
-    if seeded:
-        entry["seeded"] = seeded
-        if one and seeded.get("wall_ms"):
-            entry["seeded_wall_ratio_unseeded_over_seeded"] = round(
-                one / seeded["wall_ms"], 2)
     search_rows.append(entry)
 
 if os.path.exists(dst):
