@@ -472,7 +472,7 @@ void RunFullUpdate(benchmark::State& state, afp::Program program) {
     gp.RemoveFact(victim);
     {
       const afp::RuleView view = gp.View();
-      auto buckets = afp::ComponentRuleBuckets(view, graph);
+      const afp::RuleBuckets buckets(view, graph);
       auto r = afp::WellFoundedSccOnGraph(ctx, view, graph, buckets, opts);
       benchmark::DoNotOptimize(r);
       components = r.num_components;
@@ -480,7 +480,7 @@ void RunFullUpdate(benchmark::State& state, afp::Program program) {
     gp.AddFact(victim);
     {
       const afp::RuleView view = gp.View();
-      auto buckets = afp::ComponentRuleBuckets(view, graph);
+      const afp::RuleBuckets buckets(view, graph);
       auto r = afp::WellFoundedSccOnGraph(ctx, view, graph, buckets, opts);
       benchmark::DoNotOptimize(r);
     }

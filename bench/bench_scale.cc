@@ -14,6 +14,11 @@
 // million rung, and a supercritical edge set makes the recursive join
 // the cost). The true/undefined atom counts are recorded per row as the
 // receipt of what was solved.
+//
+// After the solve, each row times the session's first repair: retracting
+// the ground program's first EDB fact through UpdateFactsById. It is what
+// a session's first update pays — building the dependency analysis the
+// solve never needed, then repairing the model downstream of the fact.
 
 #include <unistd.h>
 
@@ -106,13 +111,31 @@ std::string RunConfig(const Config& cfg) {
   const afp::PartialModel& model = solver->Solve();
   const auto t2 = Clock::now();
 
-  const afp::GroundStats& g = solver->Stats().ground;
-  char buf[768];
+  // The receipts of the solve, read before the repair below changes the
+  // model and raises the peak RSS.
+  const afp::GroundStats g = solver->Stats().ground;
+  const std::size_t true_atoms = model.num_true();
+  const std::size_t undef_atoms = g.atoms - true_atoms - model.num_false();
+
+  double first_repair_ms = 0;
+  const afp::GroundProgram& gp = solver->ground();
+  for (std::size_t ri = 0; ri < gp.num_rules(); ++ri) {
+    const afp::GroundRule& r = gp.rule(ri);
+    if (r.pos_len != 0 || r.neg_len != 0) continue;
+    const afp::AtomId fact[] = {r.head};
+    const auto t3 = Clock::now();
+    solver->UpdateFactsById({}, fact);
+    first_repair_ms = Ms(t3, Clock::now());
+    break;
+  }
+
+  char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "{\"workload\": \"%s\", \"atoms\": %llu, "
       "\"ground_rules\": %llu, \"ground_ms\": %.2f, \"solve_ms\": %.2f, "
-      "\"total_ms\": %.2f, \"intern_probes\": %llu, "
+      "\"total_ms\": %.2f, \"first_repair_ms\": %.2f, "
+      "\"intern_probes\": %llu, "
       "\"intern_collisions\": %llu, \"intern_allocs\": %llu, "
       "\"join_candidates\": %llu, "
       "\"arena_bytes\": %llu, \"index_bytes\": %llu, "
@@ -120,16 +143,16 @@ std::string RunConfig(const Config& cfg) {
       "\"undef_atoms\": %llu}",
       cfg.workload, static_cast<unsigned long long>(g.atoms),
       static_cast<unsigned long long>(g.rules), Ms(t0, t1), Ms(t1, t2),
-      Ms(t0, t2), static_cast<unsigned long long>(g.intern_probes),
+      Ms(t0, t2), first_repair_ms,
+      static_cast<unsigned long long>(g.intern_probes),
       static_cast<unsigned long long>(g.intern_collisions),
       static_cast<unsigned long long>(g.intern_allocs),
       static_cast<unsigned long long>(g.join_candidates),
       static_cast<unsigned long long>(g.arena_bytes),
       static_cast<unsigned long long>(g.index_bytes),
       static_cast<unsigned long long>(g.peak_rss_bytes),
-      static_cast<unsigned long long>(model.num_true()),
-      static_cast<unsigned long long>(g.atoms - model.num_true() -
-                                      model.num_false()));
+      static_cast<unsigned long long>(true_atoms),
+      static_cast<unsigned long long>(undef_atoms));
   return buf;
 }
 

@@ -73,7 +73,7 @@ void Solver::RefreshGroundStats() {
 void Solver::EnsureGraph() {
   if (!graph_) {
     graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
-    comp_rules_ = ComponentRuleBuckets(ground_.View(), *graph_);
+    comp_rules_ = RuleBuckets(ground_.View(), *graph_);
   }
   EnsureKernels();
 }
@@ -367,19 +367,12 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
     // just changed. The moved rule's component needs nothing: buckets
     // snapshot rule content, not ids, and its content is untouched.
     if (kernels_) kernels_->InvalidateComponent(comp_of[id]);
-    // Buckets are kept sorted (matching a fresh bucketing), so both
-    // patches are binary searches: erase the fact rule's id, and slide
-    // the moved (previously last) rule's id down to its new slot.
-    std::vector<std::uint32_t>& bucket = comp_rules_[comp_of[id]];
-    bucket.erase(
-        std::lower_bound(bucket.begin(), bucket.end(), rem.erased_rule));
+    // Erase the fact rule's id, and move the swapped-in (previously
+    // last) rule's id down to its new slot.
+    comp_rules_.Erase(comp_of[id], rem.erased_rule);
     if (rem.moved_rule != rem.erased_rule) {
-      const AtomId moved_head = ground_.rule(rem.erased_rule).head;
-      std::vector<std::uint32_t>& mb = comp_rules_[comp_of[moved_head]];
-      auto old_it = std::lower_bound(mb.begin(), mb.end(), rem.moved_rule);
-      auto new_it = std::lower_bound(mb.begin(), old_it, rem.erased_rule);
-      std::rotate(new_it, old_it, old_it + 1);
-      *new_it = rem.erased_rule;
+      comp_rules_.Renumber(comp_of[ground_.rule(rem.erased_rule).head],
+                           rem.moved_rule, rem.erased_rule);
     }
     touched.push_back(id);
   }
@@ -389,8 +382,8 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
     // next rule op (the deferred-extension contract: asserts never extend
     // the grounding mid-update; see docs/API.md).
     if (grounder_) grounder_->NoteFactAsserted(id);
-    comp_rules_[comp_of[id]].push_back(
-        static_cast<std::uint32_t>(ground_.num_rules() - 1));
+    comp_rules_.Append(comp_of[id],
+                       static_cast<std::uint32_t>(ground_.num_rules() - 1));
     if (kernels_) kernels_->InvalidateComponent(comp_of[id]);
     touched.push_back(id);
   }
@@ -464,7 +457,7 @@ Status Solver::RuleOpsAvailable() const {
 Status Solver::PoisonRuleMutation(Status st) {
   grounder_.reset();
   graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
-  comp_rules_ = ComponentRuleBuckets(ground_.View(), *graph_);
+  comp_rules_ = RuleBuckets(ground_.View(), *graph_);
   kernels_.reset();
   EnsureKernels();
   InvalidateModel();
@@ -601,28 +594,22 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
   if (fast) {
     const std::vector<std::uint32_t>& comp_of = graph_->component_of();
     const std::size_t nc = graph_->num_components();
-    comp_rules_.resize(nc);
-    // Additions: appended gp ids ascend, so push_back keeps each bucket
-    // sorted (matching a fresh bucketing).
+    comp_rules_.Resize(nc);
+    // Additions: appended gp ids ascend, so each Append lands at the end
+    // of its row.
     for (std::size_t i = 0; i < delta.added_rules.size(); ++i) {
       const std::uint32_t c = comp_of[delta.added_heads[i]];
-      comp_rules_[c].push_back(delta.added_rules[i]);
+      comp_rules_.Append(c, delta.added_rules[i]);
       dirty.push_back(c);
     }
-    // Removals, replayed in application order: erase the removed id from
-    // its head's bucket, slide the swapped-in rule's id down to its new
-    // slot (same surgery as UpdateFactsById).
+    // Removals, replayed in application order: the same swap-erase patch
+    // as UpdateFactsById.
     for (const auto& rem : delta.removals) {
       const std::uint32_t c = comp_of[rem.head];
-      std::vector<std::uint32_t>& bucket = comp_rules_[c];
-      bucket.erase(
-          std::lower_bound(bucket.begin(), bucket.end(), rem.erased_rule));
+      comp_rules_.Erase(c, rem.erased_rule);
       if (rem.moved_rule != rem.erased_rule) {
-        std::vector<std::uint32_t>& mb = comp_rules_[comp_of[rem.moved_head]];
-        auto old_it = std::lower_bound(mb.begin(), mb.end(), rem.moved_rule);
-        auto new_it = std::lower_bound(mb.begin(), old_it, rem.erased_rule);
-        std::rotate(new_it, old_it, old_it + 1);
-        *new_it = rem.erased_rule;
+        comp_rules_.Renumber(comp_of[rem.moved_head], rem.moved_rule,
+                             rem.erased_rule);
       }
       dirty.push_back(c);
     }
@@ -649,7 +636,7 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
     std::vector<std::uint32_t> old_iters = std::move(component_iterations_);
     component_iterations_.clear();
     graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
-    comp_rules_ = ComponentRuleBuckets(ground_.View(), *graph_);
+    comp_rules_ = RuleBuckets(ground_.View(), *graph_);
     if (kernels_) {
       kernels_.reset();
       kernels_ = std::make_unique<KernelCache>(
@@ -669,11 +656,11 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
       component_iterations_.assign(nc, 0);
       const std::vector<std::uint32_t>& old_comp = old_graph->component_of();
       for (std::uint32_t c = 0; c < nc; ++c) {
-        const std::vector<AtomId>& m = graph_->components()[c];
+        const std::span<const AtomId> m = graph_->members(c);
         bool same = m[0] < old_comp.size();
         if (same) {
           const std::uint32_t oc = old_comp[m[0]];
-          same = old_graph->components()[oc].size() == m.size();
+          same = old_graph->members(oc).size() == m.size();
           for (std::size_t i = 0; same && i < m.size(); ++i) {
             same = m[i] < old_comp.size() && old_comp[m[i]] == oc;
           }
@@ -705,7 +692,7 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
   std::vector<AtomId> touched;
   touched.reserve(dirty.size());
   for (std::uint32_t c : dirty) {
-    touched.push_back(graph_->components()[c][0]);
+    touched.push_back(graph_->members(c)[0]);
   }
   const SccUpdateStats r = RepairDownstream(touched);
   out.components_downstream = r.components_downstream;
@@ -754,7 +741,7 @@ bool Solver::ValidateRuleBuckets() {
   // poking the ground program directly (tests, tools) can re-validate and
   // thereby guarantee no stale kernel survives the poke.
   if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
-  return comp_rules_ == ComponentRuleBuckets(ground_.View(), *graph_);
+  return comp_rules_ == RuleBuckets(ground_.View(), *graph_);
 }
 
 }  // namespace afp

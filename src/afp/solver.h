@@ -448,7 +448,7 @@ class Solver {
   std::unique_ptr<EvalContext> ctx_;
   std::unique_ptr<EvalContextRegistry> registry_;
   std::unique_ptr<AtomDependencyGraph> graph_;
-  std::vector<std::vector<std::uint32_t>> comp_rules_;
+  RuleBuckets comp_rules_;
   /// Session cache of compiled rule kernels, alongside the condensation
   /// it is indexed by (null when options_.compile == kOff or horn_mode
   /// != kCounting). Invalidation: UpdateFactsById invalidates exactly

@@ -4,39 +4,53 @@
 
 namespace afp {
 
+namespace {
+
+constexpr std::uint32_t kNoComponent = UINT32_MAX;
+
+/// Builds a CSR over `rows` rows from `for_each_arc(emit)`, which calls
+/// emit(row, target) for every arc and must enumerate the same arcs in the
+/// same order each time: it runs twice, to count and then to fill, and
+/// each row keeps that order. The counts sit two slots ahead of their row,
+/// so the fill uses the slot after each row as that row's cursor and
+/// leaves the offsets final: no cursor array, one allocation per array.
+template <typename ForEachArc>
+void FillCsr(std::size_t rows, ForEachArc&& for_each_arc,
+             std::vector<std::uint32_t>* offsets,
+             std::vector<std::uint32_t>* targets) {
+  std::vector<std::uint32_t>& off = *offsets;
+  off.assign(rows + 2, 0);
+  for_each_arc([&](std::uint32_t row, std::uint32_t) { ++off[row + 2]; });
+  for (std::size_t i = 2; i < off.size(); ++i) off[i] += off[i - 1];
+  targets->resize(off.back());
+  for_each_arc([&](std::uint32_t row, std::uint32_t target) {
+    (*targets)[off[row + 1]++] = target;
+  });
+  off.pop_back();
+}
+
+}  // namespace
+
 AtomDependencyGraph::AtomDependencyGraph(const RuleView& view)
     : num_atoms_(view.num_atoms) {
-  // Build CSR adjacency head -> body atoms.
-  adj_offsets_.assign(num_atoms_ + 1, 0);
-  for (const GroundRule& r : view.rules) {
-    adj_offsets_[r.head + 1] += r.pos_len + r.neg_len;
-  }
-  for (std::size_t i = 1; i < adj_offsets_.size(); ++i) {
-    adj_offsets_[i] += adj_offsets_[i - 1];
-  }
-  adj_.resize(adj_offsets_.back());
-  adj_negative_.resize(adj_offsets_.back());
-  std::vector<std::uint32_t> cursor(adj_offsets_.begin(),
-                                    adj_offsets_.end() - 1);
-  for (const GroundRule& r : view.rules) {
-    for (AtomId a : view.pos(r)) {
-      adj_[cursor[r.head]] = a;
-      adj_negative_[cursor[r.head]] = 0;
-      ++cursor[r.head];
-    }
-    for (AtomId a : view.neg(r)) {
-      adj_[cursor[r.head]] = a;
-      adj_negative_[cursor[r.head]] = 1;
-      ++cursor[r.head];
-    }
-  }
-
-  ComputeSccs(view);
+  FillCsr(
+      num_atoms_,
+      [&](auto&& emit) {
+        for (const GroundRule& r : view.rules) {
+          for (AtomId a : view.pos(r)) emit(r.head, a);
+          for (AtomId a : view.neg(r)) emit(r.head, a);
+        }
+      },
+      &adj_offsets_, &adj_);
+  comp_.assign(num_atoms_, kNoComponent);
+  member_offsets_.reserve(num_atoms_ + 1);
+  members_.reserve(num_atoms_);
+  AppendSccs(adj_offsets_, adj_, 0);
 
   // Local stratification: no negative arc within a component.
-  for (AtomId h = 0; h < num_atoms_; ++h) {
-    for (std::uint32_t k = adj_offsets_[h]; k < adj_offsets_[h + 1]; ++k) {
-      if (adj_negative_[k] && comp_[h] == comp_[adj_[k]]) {
+  for (const GroundRule& r : view.rules) {
+    for (AtomId a : view.neg(r)) {
+      if (comp_[a] == comp_[r.head]) {
         locally_stratified_ = false;
         return;
       }
@@ -44,72 +58,71 @@ AtomDependencyGraph::AtomDependencyGraph(const RuleView& view)
   }
 }
 
-void AtomDependencyGraph::ComputeSccs(const RuleView& view) {
-  (void)view;
-  // Iterative Tarjan.
+void AtomDependencyGraph::AppendSccs(std::span<const std::uint32_t> offsets,
+                                     std::span<const AtomId> adj,
+                                     AtomId base) {
+  // Iterative Tarjan. An atom's comp_ entry stays kNoComponent until its
+  // component completes, so a visited atom is on the SCC stack iff it has
+  // no component yet.
+  const std::uint32_t n = static_cast<std::uint32_t>(offsets.size() - 1);
   constexpr std::uint32_t kUnvisited = UINT32_MAX;
-  std::vector<std::uint32_t> index(num_atoms_, kUnvisited);
-  std::vector<std::uint32_t> lowlink(num_atoms_, 0);
-  std::vector<bool> on_stack(num_atoms_, false);
-  std::vector<AtomId> scc_stack;
-  comp_.assign(num_atoms_, 0);
+  std::vector<std::uint32_t> index(n, kUnvisited);
+  std::vector<std::uint32_t> lowlink(n, 0);
+  std::vector<std::uint32_t> scc_stack;
   std::uint32_t next_index = 0;
 
   struct Frame {
-    AtomId v;
+    std::uint32_t v;
     std::uint32_t edge;  // next adjacency slot to explore
   };
   std::vector<Frame> call_stack;
 
-  for (AtomId root = 0; root < num_atoms_; ++root) {
+  for (std::uint32_t root = 0; root < n; ++root) {
     if (index[root] != kUnvisited) continue;
-    call_stack.push_back({root, adj_offsets_[root]});
+    call_stack.push_back({root, offsets[root]});
     index[root] = lowlink[root] = next_index++;
     scc_stack.push_back(root);
-    on_stack[root] = true;
 
     while (!call_stack.empty()) {
       Frame& f = call_stack.back();
-      if (f.edge < adj_offsets_[f.v + 1]) {
-        AtomId w = adj_[f.edge++];
+      if (f.edge < offsets[f.v + 1]) {
+        const std::uint32_t w = adj[f.edge++];
         if (index[w] == kUnvisited) {
           index[w] = lowlink[w] = next_index++;
           scc_stack.push_back(w);
-          on_stack[w] = true;
-          call_stack.push_back({w, adj_offsets_[w]});
-        } else if (on_stack[w]) {
+          call_stack.push_back({w, offsets[w]});
+        } else if (comp_[base + w] == kNoComponent) {
           lowlink[f.v] = std::min(lowlink[f.v], index[w]);
         }
         continue;
       }
       // Post-order: pop the frame.
-      AtomId v = f.v;
+      const std::uint32_t v = f.v;
       call_stack.pop_back();
       if (!call_stack.empty()) {
-        AtomId parent = call_stack.back().v;
+        const std::uint32_t parent = call_stack.back().v;
         lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
       }
       if (lowlink[v] == index[v]) {
-        members_.emplace_back();
-        AtomId w;
+        const std::uint32_t c = static_cast<std::uint32_t>(num_components());
+        std::uint32_t w;
         do {
           w = scc_stack.back();
           scc_stack.pop_back();
-          on_stack[w] = false;
-          comp_[w] = static_cast<std::uint32_t>(members_.size() - 1);
-          members_.back().push_back(w);
+          comp_[base + w] = c;
+          members_.push_back(base + w);
         } while (w != v);
+        member_offsets_.push_back(static_cast<std::uint32_t>(members_.size()));
       }
     }
   }
-  num_components_ = members_.size();
 }
 
 AtomDependencyGraph::DeltaAppendResult AtomDependencyGraph::TryAppendDelta(
     const RuleView& view, std::span<const std::uint32_t> added_rules,
     std::size_t old_num_atoms) {
   DeltaAppendResult out;
-  out.first_new_component = static_cast<std::uint32_t>(num_components_);
+  out.first_new_component = static_cast<std::uint32_t>(num_components());
   const std::size_t new_num_atoms = view.num_atoms;
 
   // Feasibility: an old head may only gain dependencies on old atoms in
@@ -138,84 +151,27 @@ AtomDependencyGraph::DeltaAppendResult AtomDependencyGraph::TryAppendDelta(
   const std::size_t nn = new_num_atoms - old_num_atoms;
   if (nn > 0) {
     // Local CSR over new atoms (ids shifted by old_num_atoms).
-    std::vector<std::uint32_t> offsets(nn + 1, 0);
-    for (std::uint32_t ri : added_rules) {
-      const GroundRule& r = view.rules[ri];
-      if (r.head < old_num_atoms) continue;
-      for (AtomId a : view.pos(r)) {
-        if (a >= old_num_atoms) ++offsets[r.head - old_num_atoms + 1];
-      }
-      for (AtomId a : view.neg(r)) {
-        if (a >= old_num_atoms) ++offsets[r.head - old_num_atoms + 1];
-      }
-    }
-    for (std::size_t i = 1; i <= nn; ++i) offsets[i] += offsets[i - 1];
-    std::vector<AtomId> adj(offsets.back());
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::uint32_t ri : added_rules) {
-      const GroundRule& r = view.rules[ri];
-      if (r.head < old_num_atoms) continue;
-      const std::size_t h = r.head - old_num_atoms;
-      for (AtomId a : view.pos(r)) {
-        if (a >= old_num_atoms) adj[cursor[h]++] = a - old_num_atoms;
-      }
-      for (AtomId a : view.neg(r)) {
-        if (a >= old_num_atoms) adj[cursor[h]++] = a - old_num_atoms;
-      }
-    }
-
-    constexpr std::uint32_t kUnvisited = UINT32_MAX;
-    std::vector<std::uint32_t> index(nn, kUnvisited), lowlink(nn, 0);
-    std::vector<bool> on_stack(nn, false);
-    std::vector<std::uint32_t> scc_stack;
-    std::uint32_t next_index = 0;
-    struct Frame {
-      std::uint32_t v;
-      std::uint32_t edge;
-    };
-    std::vector<Frame> call_stack;
-    comp_.resize(new_num_atoms, 0);
-    for (std::uint32_t root = 0; root < nn; ++root) {
-      if (index[root] != kUnvisited) continue;
-      call_stack.push_back({root, offsets[root]});
-      index[root] = lowlink[root] = next_index++;
-      scc_stack.push_back(root);
-      on_stack[root] = true;
-      while (!call_stack.empty()) {
-        Frame& f = call_stack.back();
-        if (f.edge < offsets[f.v + 1]) {
-          std::uint32_t w = adj[f.edge++];
-          if (index[w] == kUnvisited) {
-            index[w] = lowlink[w] = next_index++;
-            scc_stack.push_back(w);
-            on_stack[w] = true;
-            call_stack.push_back({w, offsets[w]});
-          } else if (on_stack[w]) {
-            lowlink[f.v] = std::min(lowlink[f.v], index[w]);
+    std::vector<std::uint32_t> offsets;
+    std::vector<AtomId> adj;
+    FillCsr(
+        nn,
+        [&](auto&& emit) {
+          for (std::uint32_t ri : added_rules) {
+            const GroundRule& r = view.rules[ri];
+            if (r.head < old_num_atoms) continue;
+            const std::uint32_t h =
+                static_cast<std::uint32_t>(r.head - old_num_atoms);
+            for (AtomId a : view.pos(r)) {
+              if (a >= old_num_atoms) emit(h, a - old_num_atoms);
+            }
+            for (AtomId a : view.neg(r)) {
+              if (a >= old_num_atoms) emit(h, a - old_num_atoms);
+            }
           }
-          continue;
-        }
-        std::uint32_t v = f.v;
-        call_stack.pop_back();
-        if (!call_stack.empty()) {
-          std::uint32_t parent = call_stack.back().v;
-          lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-        }
-        if (lowlink[v] == index[v]) {
-          members_.emplace_back();
-          std::uint32_t w;
-          do {
-            w = scc_stack.back();
-            scc_stack.pop_back();
-            on_stack[w] = false;
-            comp_[w + old_num_atoms] =
-                static_cast<std::uint32_t>(members_.size() - 1);
-            members_.back().push_back(static_cast<AtomId>(w + old_num_atoms));
-          } while (w != v);
-        }
-      }
-    }
-    num_components_ = members_.size();
+        },
+        &offsets, &adj);
+    comp_.resize(new_num_atoms, kNoComponent);
+    AppendSccs(offsets, adj, static_cast<AtomId>(old_num_atoms));
     num_atoms_ = new_num_atoms;
   }
 
@@ -260,7 +216,8 @@ AtomDependencyGraph::DeltaAppendResult AtomDependencyGraph::TryAppendDelta(
     return std::binary_search(begin, end, dst);
   });
 
-  std::vector<std::uint32_t> new_offsets(num_components_ + 1, 0);
+  const std::size_t nc = num_components();
+  std::vector<std::uint32_t> new_offsets(nc + 1, 0);
   for (std::uint32_t c = 0; c < old_nc; ++c) {
     new_offsets[c + 1] = cond_offsets_[c + 1] - cond_offsets_[c];
   }
@@ -270,7 +227,7 @@ AtomDependencyGraph::DeltaAppendResult AtomDependencyGraph::TryAppendDelta(
   }
   std::vector<std::uint32_t> new_succ(new_offsets.back());
   std::size_t ei = 0;
-  for (std::uint32_t c = 0; c < num_components_; ++c) {
+  for (std::uint32_t c = 0; c < nc; ++c) {
     std::uint32_t* outp = new_succ.data() + new_offsets[c];
     const std::uint32_t* old_it = nullptr;
     const std::uint32_t* old_end = nullptr;
@@ -303,33 +260,32 @@ void AtomDependencyGraph::EnsureCondensation() const {
   if (condensation_built_) return;
   // Cross-component arcs, flipped to dependency -> dependent (an atom
   // arc h -> a means h depends on a, so the condensation edge runs
-  // comp(a) -> comp(h)), deduped by sort+unique. Tarjan already gives
-  // comp(a) < comp(h), so every edge points id-upward and component id
-  // order is a topological order of the condensation.
-  std::vector<std::uint64_t> edges;
-  for (AtomId h = 0; h < num_atoms_; ++h) {
-    const std::uint32_t ch = comp_[h];
-    for (std::uint32_t k = adj_offsets_[h]; k < adj_offsets_[h + 1]; ++k) {
-      const std::uint32_t ca = comp_[adj_[k]];
-      if (ca != ch) {
-        edges.push_back((static_cast<std::uint64_t>(ca) << 32) | ch);
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  cond_offsets_.assign(num_components_ + 1, 0);
-  cond_successors_.resize(edges.size());
-  for (std::uint64_t e : edges) ++cond_offsets_[(e >> 32) + 1];
-  for (std::size_t i = 1; i < cond_offsets_.size(); ++i) {
-    cond_offsets_[i] += cond_offsets_[i - 1];
-  }
-  std::vector<std::uint32_t> cursor(cond_offsets_.begin(),
-                                    cond_offsets_.end() - 1);
-  for (std::uint64_t e : edges) {
-    cond_successors_[cursor[e >> 32]++] = static_cast<std::uint32_t>(e);
-  }
+  // comp(a) -> comp(h)). Tarjan already gives comp(a) < comp(h), so every
+  // edge points id-upward and component id order is a topological order
+  // of the condensation. Dependents are visited in ascending id order, so
+  // each source row fills in ascending order, and all of one dependent's
+  // edges are emitted together, so `last[ca] == ch` catches every repeat:
+  // the rows come out sorted and distinct without a sort.
+  const std::size_t nc = num_components();
+  std::vector<std::uint32_t> last(nc);
+  FillCsr(
+      nc,
+      [&](auto&& emit) {
+        std::fill(last.begin(), last.end(), kNoComponent);
+        for (std::uint32_t ch = 0; ch < nc; ++ch) {
+          for (AtomId h : members(ch)) {
+            for (std::uint32_t k = adj_offsets_[h]; k < adj_offsets_[h + 1];
+                 ++k) {
+              const std::uint32_t ca = comp_[adj_[k]];
+              if (ca != ch && last[ca] != ch) {
+                last[ca] = ch;
+                emit(ca, ch);
+              }
+            }
+          }
+        }
+      },
+      &cond_offsets_, &cond_successors_);
   condensation_built_ = true;
 }
 

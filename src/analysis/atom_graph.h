@@ -10,16 +10,20 @@
 namespace afp {
 
 /// Atom-level dependency analysis of a ground program: the graph with an
-/// arc from each rule head to each of its body atoms, labeled by polarity.
-/// This is the ground analogue of the predicate dependency graph (§8.2) and
-/// the basis of
+/// arc from each rule head to each of its body atoms. This is the ground
+/// analogue of the predicate dependency graph (§8.2) and the basis of
 ///   * ground local stratification (Przymusinski, §2.3): no cycle through a
 ///     negative arc — decidable here because the program is ground, unlike
 ///     the general case the paper cites as undecidable (Cholak);
 ///   * the component-wise well-founded engine (core/scc_engine.h).
+///
+/// Every array is flat: the adjacency, the component membership and the
+/// condensation are each one CSR pair, built in linear time without a
+/// sort, so building the analysis costs a few passes over the program
+/// regardless of how many components it has.
 class AtomDependencyGraph {
  public:
-  /// Builds the graph; O(program size).
+  /// Builds the graph and its components; O(program size).
   explicit AtomDependencyGraph(const RuleView& view);
 
   std::size_t num_atoms() const { return num_atoms_; }
@@ -28,11 +32,15 @@ class AtomDependencyGraph {
   /// programs). Component ids are assigned in reverse topological order:
   /// if p's body mentions q in another component, then comp(q) < comp(p).
   const std::vector<std::uint32_t>& component_of() const { return comp_; }
-  std::size_t num_components() const { return num_components_; }
+  std::size_t num_components() const { return member_offsets_.size() - 1; }
 
-  /// Atoms of each component, grouped (indexed by component id).
-  const std::vector<std::vector<AtomId>>& components() const {
-    return members_;
+  /// The atoms of component c, in the order Tarjan popped them off its
+  /// stack (local ids, compiled buckets and trajectories all index them in
+  /// this order). The span is invalidated by TryAppendDelta, which appends
+  /// to the same array.
+  std::span<const AtomId> members(std::uint32_t c) const {
+    return {members_.data() + member_offsets_[c],
+            member_offsets_[c + 1] - member_offsets_[c]};
   }
 
   /// True iff no negative arc connects two atoms of the same component,
@@ -43,14 +51,15 @@ class AtomDependencyGraph {
   /// The condensation DAG, CSR by source component: for component c,
   /// entries [condensation_offsets()[c], condensation_offsets()[c+1]) of
   /// condensation_successors() are the distinct components that depend on
-  /// c (edges point dependency -> dependent, so every edge goes from a
-  /// smaller component id to a larger one). The incremental repair
-  /// (SccResolveDownstream) walks it to collect the downstream closure of
-  /// the touched components.
+  /// c, in ascending order (edges point dependency -> dependent, so every
+  /// edge goes from a smaller component id to a larger one). The
+  /// incremental repair (SccResolveDownstream) walks it to collect the
+  /// downstream closure of the touched components.
   ///
   /// Built lazily on first access and cached (a full solve never pays for
-  /// it). Like HornSolver's lazy negative index, the build is not
-  /// thread-safe.
+  /// it), in two linear passes over the components — count, then fill —
+  /// with a per-source stamp dropping repeated edges; no sort. Like
+  /// HornSolver's lazy negative index, the build is not thread-safe.
   const std::vector<std::uint32_t>& condensation_offsets() const {
     EnsureCondensation();
     return cond_offsets_;
@@ -77,9 +86,10 @@ class AtomDependencyGraph {
   /// touches:
   ///
   ///   * new atoms are grouped into SCCs by a Tarjan run over the
-  ///     new-atom subgraph only and appended in reverse topological
-  ///     order, preserving the id-order-is-schedule invariant (every new
-  ///     component may depend only on old or earlier-new components);
+  ///     new-atom subgraph only and appended, in reverse topological
+  ///     order, to the same membership CSR, preserving the
+  ///     id-order-is-schedule invariant (every new component may depend
+  ///     only on old or earlier-new components);
   ///   * membership of every old component is untouched — the fast path
   ///     applies only when each added dependency h -> a with an old head
   ///     satisfies comp(a) <= comp(h) (no merge, no reordering) and no
@@ -108,18 +118,24 @@ class AtomDependencyGraph {
                                    std::size_t old_num_atoms);
 
  private:
-  void ComputeSccs(const RuleView& view);
+  /// Tarjan over atoms [base, base + offsets.size() - 1) with adjacency
+  /// `adj` (CSR by atom - base, targets as atom - base; arcs leaving the
+  /// range must already be filtered out): assigns comp_ and appends each
+  /// component to the membership CSR as it completes.
+  void AppendSccs(std::span<const std::uint32_t> offsets,
+                  std::span<const AtomId> adj, AtomId base);
   void EnsureCondensation() const;
 
   std::size_t num_atoms_;
-  // CSR adjacency: head -> body atoms (positive then negative, with the
-  // split position recorded so polarity is recoverable).
+  // CSR adjacency: head -> body atoms (each rule's positive then negative
+  // body, rules in id order — the order Tarjan explores arcs in).
   std::vector<std::uint32_t> adj_offsets_;
   std::vector<AtomId> adj_;
-  std::vector<std::uint8_t> adj_negative_;  // parallel to adj_
   std::vector<std::uint32_t> comp_;
-  std::vector<std::vector<AtomId>> members_;
-  std::size_t num_components_ = 0;
+  // CSR membership: component c's atoms are
+  // members_[member_offsets_[c], member_offsets_[c + 1]).
+  std::vector<std::uint32_t> member_offsets_{0};
+  std::vector<AtomId> members_;
   bool locally_stratified_ = true;
   mutable bool condensation_built_ = false;
   mutable std::vector<std::uint32_t> cond_offsets_;

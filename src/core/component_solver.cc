@@ -6,8 +6,7 @@ namespace afp {
 
 ComponentSolver::ComponentSolver(
     EvalContext& ctx, const SccOptions& options, const RuleView& view,
-    const AtomDependencyGraph& graph,
-    const std::vector<std::vector<std::uint32_t>>& comp_rules,
+    const AtomDependencyGraph& graph, const RuleBuckets& comp_rules,
     AssumptionPair assumptions)
     : ctx_(ctx),
       options_(options),
@@ -41,7 +40,7 @@ ComponentSolver::~ComponentSolver() {
 
 bool ComponentSolver::SolveSingleton(std::uint32_t c, GlobalModel& gm,
                                      Outcome* out) {
-  const AtomId self = graph_.components()[c][0];
+  const AtomId self = graph_.members(c)[0];
   if (AssumedTrue(self) || AssumedFalse(self)) {
     gm.PublishOne(self, AssumedTrue(self) ? TruthValue::kTrue
                                           : TruthValue::kFalse);
@@ -90,7 +89,7 @@ bool ComponentSolver::SolveSingleton(std::uint32_t c, GlobalModel& gm,
 
 ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
                                                 GlobalModel& gm) {
-  const std::vector<AtomId>& members = graph_.components()[c];
+  const std::span<const AtomId> members = graph_.members(c);
   if (members.size() == 1) {
     Outcome fast;
     if (SolveSingleton(c, gm, &fast)) return fast;

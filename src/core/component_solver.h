@@ -57,7 +57,7 @@ class ComponentSolver {
   /// Sessions pass no assumptions.
   ComponentSolver(EvalContext& ctx, const SccOptions& options,
                   const RuleView& view, const AtomDependencyGraph& graph,
-                  const std::vector<std::vector<std::uint32_t>>& comp_rules,
+                  const RuleBuckets& comp_rules,
                   AssumptionPair assumptions = {});
   ~ComponentSolver();
 
@@ -103,7 +103,7 @@ class ComponentSolver {
   SccOptions options_;
   const RuleView& view_;
   const AtomDependencyGraph& graph_;
-  const std::vector<std::vector<std::uint32_t>>& comp_rules_;
+  const RuleBuckets& comp_rules_;
   AssumptionPair assumptions_;
   AfpOptions afp_opts_;
   /// Local rule buffer recycled across components (pooled).

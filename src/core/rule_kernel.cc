@@ -8,8 +8,8 @@ namespace afp {
 
 KernelCache::KernelCache(
     const GroundProgram& ground, const AtomDependencyGraph& graph,
-    const std::vector<std::vector<std::uint32_t>>& comp_rules,
-    std::uint32_t hot_threshold, std::uint64_t initial_epoch)
+    const RuleBuckets& comp_rules, std::uint32_t hot_threshold,
+    std::uint64_t initial_epoch)
     : ground_(ground),
       graph_(graph),
       comp_rules_(comp_rules),
@@ -140,9 +140,9 @@ bool KernelCache::Eligible(std::uint32_t c) const {
 }
 
 bool KernelCache::ComputeEligible(std::uint32_t c) const {
-  const std::vector<std::uint32_t>& bucket = comp_rules_[c];
+  const std::span<const std::uint32_t> bucket = comp_rules_[c];
   if (bucket.empty()) return false;
-  const std::vector<AtomId>& members = graph_.components()[c];
+  const std::span<const AtomId> members = graph_.members(c);
   if (members.size() > 1) return true;
   // A self-dependency-free singleton is decided by the fast path without
   // ever lowering a subprogram; compiling it would be dead weight.
@@ -174,8 +174,8 @@ void KernelCache::EnsureEligibility() const {
 
 const CompiledBucket* KernelCache::Compile(std::uint32_t c) {
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<std::uint32_t>& bucket = comp_rules_[c];
-  const std::vector<AtomId>& members = graph_.components()[c];
+  const std::span<const std::uint32_t> bucket = comp_rules_[c];
+  const std::span<const AtomId> members = graph_.members(c);
   const std::uint32_t n = static_cast<std::uint32_t>(bucket.size());
   const std::uint32_t m = static_cast<std::uint32_t>(members.size());
 
@@ -202,7 +202,9 @@ const CompiledBucket* KernelCache::Compile(std::uint32_t c) {
   CompiledBucket* b = arena_.AllocateArray<CompiledBucket>(1);
   b->num_rules = n;
   b->num_members = m;
-  b->members = members.data();
+  AtomId* own_members = arena_.AllocateArray<AtomId>(m);
+  std::copy(members.begin(), members.end(), own_members);
+  b->members = own_members;
   std::uint32_t* head = arena_.AllocateArray<std::uint32_t>(n);
   std::uint32_t* ipo = arena_.AllocateArray<std::uint32_t>(n + 1);
   std::uint32_t* ip = arena_.AllocateArray<std::uint32_t>(int_pos_total);

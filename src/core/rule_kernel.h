@@ -64,14 +64,12 @@ enum class CompileMode {
 struct CompiledBucket {
   std::uint32_t num_rules = 0;
   std::uint32_t num_members = 0;
-  /// The component's member atoms (borrows the dependency graph's member
-  /// storage); local id i is members[i], the same remap the interpreted
-  /// lowering uses. A raw element pointer, not a pointer to the vector:
-  /// rule-level universe growth appends NEW component vectors to the
-  /// graph's outer members() vector, which may relocate the inner vector
-  /// OBJECTS — but moving a vector steals its buffer, so the element
-  /// storage (and this pointer) stays valid as long as the component's own
-  /// membership is untouched, which is exactly the invalidation contract.
+  /// The component's member atoms, copied into the cache's arena; local id
+  /// i is members[i], the same remap the interpreted lowering uses. A copy,
+  /// not a view of the dependency graph's membership CSR: rule-level
+  /// universe growth (AtomDependencyGraph::TryAppendDelta) appends to that
+  /// array and may reallocate it, while an old component's bucket stays
+  /// valid as long as its own membership is untouched.
   const AtomId* members = nullptr;
   /// Local head id per rule.
   const std::uint32_t* head = nullptr;
@@ -126,8 +124,8 @@ class KernelCache {
   /// is observed as long as the touched components are invalidated).
   /// `initial_epoch` is ground.mutation_epoch() at creation.
   KernelCache(const GroundProgram& ground, const AtomDependencyGraph& graph,
-              const std::vector<std::vector<std::uint32_t>>& comp_rules,
-              std::uint32_t hot_threshold, std::uint64_t initial_epoch);
+              const RuleBuckets& comp_rules, std::uint32_t hot_threshold,
+              std::uint64_t initial_epoch);
 
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
@@ -179,8 +177,8 @@ class KernelCache {
   /// after a rule-level delta was spliced (AtomDependencyGraph::
   /// TryAppendDelta): new components start uncompiled and cold, with
   /// freshly computed eligibility; existing buckets, heat, and queues are
-  /// untouched (old components' membership is unchanged on that path, so
-  /// their bucket pointers stay valid). The caller then invalidates each
+  /// untouched (old components' membership is unchanged on that path, and
+  /// each bucket owns a copy of its members). The caller then invalidates each
   /// old component whose rule bucket changed — via InvalidateComponent +
   /// RecomputeEligibility — and AcknowledgeEpoch()s. Session thread only.
   void GrowToComponents();
@@ -229,7 +227,7 @@ class KernelCache {
 
   const GroundProgram& ground_;
   const AtomDependencyGraph& graph_;
-  const std::vector<std::vector<std::uint32_t>>& comp_rules_;
+  const RuleBuckets& comp_rules_;
   std::uint32_t hot_threshold_;
   std::uint64_t expected_epoch_;
 

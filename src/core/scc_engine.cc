@@ -1,6 +1,7 @@
 #include "core/scc_engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -9,19 +10,77 @@
 
 namespace afp {
 
-std::vector<std::vector<std::uint32_t>> ComponentRuleBuckets(
-    const RuleView& view, const AtomDependencyGraph& graph) {
-  std::vector<std::vector<std::uint32_t>> comp_rules(graph.num_components());
-  for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
-    comp_rules[graph.component_of()[view.rules[ri].head]].push_back(ri);
+RuleBuckets::RuleBuckets(const RuleView& view,
+                         const AtomDependencyGraph& graph)
+    : rows_(graph.num_components()), pool_(view.rules.size()) {
+  // Counting sort by head component, in rule-id order: every row is
+  // packed exactly and ascending.
+  const std::vector<std::uint32_t>& comp_of = graph.component_of();
+  for (const GroundRule& r : view.rules) ++rows_[comp_of[r.head]].cap;
+  std::uint32_t begin = 0;
+  for (Row& row : rows_) {
+    row.begin = begin;
+    begin += row.cap;
   }
-  return comp_rules;
+  for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
+    Row& row = rows_[comp_of[view.rules[ri].head]];
+    pool_[row.begin + row.size++] = ri;
+  }
 }
 
-SccWfsResult WellFoundedSccOnGraph(
-    EvalContext& ctx, const RuleView& view, const AtomDependencyGraph& graph,
-    const std::vector<std::vector<std::uint32_t>>& comp_rules,
-    const SccOptions& options) {
+void RuleBuckets::Resize(std::size_t n) { rows_.resize(n); }
+
+void RuleBuckets::Append(std::uint32_t c, std::uint32_t rule) {
+  Row& row = rows_[c];
+  assert(row.size == 0 || row_data(c)[row.size - 1] < rule);
+  if (row.size == row.cap) {
+    // Outgrown: move the row to the end of the pool, doubling its slot.
+    const std::uint32_t begin = static_cast<std::uint32_t>(pool_.size());
+    const std::uint32_t cap = row.cap == 0 ? 1 : 2 * row.cap;
+    pool_.resize(begin + cap);
+    std::copy_n(pool_.begin() + row.begin, row.size, pool_.begin() + begin);
+    row.begin = begin;
+    row.cap = cap;
+  }
+  pool_[row.begin + row.size++] = rule;
+}
+
+void RuleBuckets::Erase(std::uint32_t c, std::uint32_t rule) {
+  std::uint32_t* first = row_data(c);
+  std::uint32_t* last = first + rows_[c].size;
+  std::uint32_t* it = std::lower_bound(first, last, rule);
+  assert(it != last && *it == rule);
+  std::copy(it + 1, last, it);
+  --rows_[c].size;
+}
+
+void RuleBuckets::Renumber(std::uint32_t c, std::uint32_t rule,
+                           std::uint32_t to) {
+  assert(to < rule);
+  std::uint32_t* first = row_data(c);
+  std::uint32_t* last = first + rows_[c].size;
+  std::uint32_t* it = std::lower_bound(first, last, rule);
+  assert(it != last && *it == rule);
+  // Slide the entries between `to`'s sorted slot and `rule` up by one.
+  std::uint32_t* slot = std::lower_bound(first, it, to);
+  std::copy_backward(slot, it, it + 1);
+  *slot = to;
+}
+
+bool RuleBuckets::operator==(const RuleBuckets& other) const {
+  if (num_rows() != other.num_rows()) return false;
+  for (std::uint32_t c = 0; c < num_rows(); ++c) {
+    const std::span<const std::uint32_t> a = (*this)[c];
+    const std::span<const std::uint32_t> b = other[c];
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) return false;
+  }
+  return true;
+}
+
+SccWfsResult WellFoundedSccOnGraph(EvalContext& ctx, const RuleView& view,
+                                   const AtomDependencyGraph& graph,
+                                   const RuleBuckets& comp_rules,
+                                   const SccOptions& options) {
   const std::size_t n = view.num_atoms;
   const EvalStats start = ctx.stats();
 
@@ -57,9 +116,8 @@ SccWfsResult WellFoundedSccWithContext(EvalContext& ctx,
                                        const SccOptions& options) {
   const RuleView view = gp.View();
   AtomDependencyGraph graph(view);
-  const std::vector<std::vector<std::uint32_t>> comp_rules =
-      ComponentRuleBuckets(view, graph);
-  return WellFoundedSccOnGraph(ctx, view, graph, comp_rules, options);
+  return WellFoundedSccOnGraph(ctx, view, graph, RuleBuckets(view, graph),
+                               options);
 }
 
 SccWfsResult WellFoundedScc(const GroundProgram& gp, HornMode mode) {

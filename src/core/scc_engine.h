@@ -182,23 +182,68 @@ SccWfsResult WellFoundedSccWithContext(EvalContext& ctx,
                                        const GroundProgram& gp,
                                        const SccOptions& options = {});
 
-/// Buckets rule ids by the component of their head (ascending rule id per
-/// bucket) — the comp_rules input of the entry points below. Callers that
-/// keep a program and its dependency graph alive across solves (the
-/// Solver facade) compute this once and maintain it across EDB fact
-/// mutations instead of re-bucketing per call.
-std::vector<std::vector<std::uint32_t>> ComponentRuleBuckets(
-    const RuleView& view, const AtomDependencyGraph& graph);
+/// The program's rule ids bucketed by the component of their head: row c
+/// lists, in ascending order, the rules whose head lies in component c —
+/// the rules ComponentSolver lowers when it solves c. Callers that keep a
+/// program and its dependency graph alive across solves (the Solver
+/// facade, the stable search) build this once and patch it across EDB
+/// fact and rule mutations instead of re-bucketing per call.
+///
+/// All rows share one pool. Row c occupies a slot of cap(c) entries at
+/// offset begin(c), of which the first size(c) are live. The build is one
+/// counting sort in rule-id order that packs every row exactly; a row that
+/// outgrows its slot moves to the end of the pool with doubled capacity,
+/// leaving its old slot unused until the next build compacts the pool.
+class RuleBuckets {
+ public:
+  RuleBuckets() = default;
+  /// Buckets every rule of `view` by `graph` (which must describe it).
+  RuleBuckets(const RuleView& view, const AtomDependencyGraph& graph);
+
+  std::size_t num_rows() const { return rows_.size(); }
+  std::span<const std::uint32_t> operator[](std::uint32_t c) const {
+    return {pool_.data() + rows_[c].begin, rows_[c].size};
+  }
+
+  /// Adds empty rows up to `n` rows (components appended to the graph).
+  void Resize(std::size_t n);
+  /// Appends `rule` to row c; it must exceed every id already there (a
+  /// rule appended to the program has the largest id).
+  void Append(std::uint32_t c, std::uint32_t rule);
+  /// Removes `rule` from row c.
+  void Erase(std::uint32_t c, std::uint32_t rule);
+  /// Changes `rule`'s id in row c to the smaller id `to`, keeping the row
+  /// sorted — the patch for GroundProgram's swap-erase, which moves the
+  /// last rule down into the erased slot.
+  void Renumber(std::uint32_t c, std::uint32_t rule, std::uint32_t to);
+
+  /// Equal iff both have the same rows with the same ids, whatever the
+  /// pool layout.
+  bool operator==(const RuleBuckets& other) const;
+
+ private:
+  struct Row {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+  std::uint32_t* row_data(std::uint32_t c) {
+    return pool_.data() + rows_[c].begin;
+  }
+
+  std::vector<Row> rows_;
+  std::vector<std::uint32_t> pool_;
+};
 
 /// The full-control entry point: component-wise solve over a caller-owned
 /// dependency graph and rule bucketing (both must describe `view`
 /// exactly). WellFoundedSccWithContext is this plus graph construction
 /// and bucketing; a long-lived Solver calls this directly so repeated
 /// solves share one cached condensation.
-SccWfsResult WellFoundedSccOnGraph(
-    EvalContext& ctx, const RuleView& view, const AtomDependencyGraph& graph,
-    const std::vector<std::vector<std::uint32_t>>& comp_rules,
-    const SccOptions& options = {});
+SccWfsResult WellFoundedSccOnGraph(EvalContext& ctx, const RuleView& view,
+                                   const AtomDependencyGraph& graph,
+                                   const RuleBuckets& comp_rules,
+                                   const SccOptions& options = {});
 
 /// Outcome of an incremental downstream re-solve (SccResolveDownstream).
 struct SccUpdateStats {

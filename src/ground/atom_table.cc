@@ -47,9 +47,10 @@ AtomId AtomTable::Find(SymbolId pred, std::span<const TermId> args) const {
   return got == FlatIndex::kNotFound ? kInvalidAtom : got;
 }
 
-void AtomTable::Reserve(std::size_t n) {
+void AtomTable::Reserve(std::size_t n, std::size_t num_args) {
   preds_.reserve(n);
   arg_offsets_.reserve(n + 1);
+  args_pool_.reserve(num_args);
   index_.Reserve(n);
 }
 

@@ -34,8 +34,9 @@ class AtomTable {
   /// Returns the id if interned, kInvalidAtom otherwise.
   AtomId Find(SymbolId pred, std::span<const TermId> args) const;
 
-  /// Pre-sizes pools and index for `n` atoms.
-  void Reserve(std::size_t n);
+  /// Pre-sizes pools and index for `n` atoms with `num_args` arguments in
+  /// total.
+  void Reserve(std::size_t n, std::size_t num_args);
 
   std::size_t size() const { return preds_.size(); }
 

@@ -131,6 +131,14 @@ class GroundProgram {
   bool AddRule(AtomId head, std::span<const AtomId> pos,
                std::span<const AtomId> neg, bool dedupe = true);
 
+  /// Pre-sizes the rule table, the body pool and the pre-seal dedupe index
+  /// for `rules` rules with `body_atoms` body literals in total.
+  void Reserve(std::size_t rules, std::size_t body_atoms) {
+    rules_.reserve(rules);
+    body_pool_.reserve(body_atoms);
+    seen_.Reserve(rules);
+  }
+
   /// Releases the dedupe bookkeeping (the (hash, id) slot arrays, whose
   /// probe counters are folded into the grounding receipt first) once
   /// construction is complete. Called by the grounder before handing the

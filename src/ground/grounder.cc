@@ -857,6 +857,20 @@ StatusOr<GroundProgram> Grounder::Assemble(bool keep,
   const bool simplify = opts_.simplify && opts_.mode != GroundMode::kFull;
   GroundProgram gp(&program_);
 
+  // The final sizes are known up front, so the program's tables are sized
+  // once instead of growing by doubling and rehashing: the kept atoms, one
+  // rule per fact and per instance, and at most the instances' literals.
+  std::size_t kept = 0;
+  std::size_t kept_args = 0;
+  for (AtomId a = 0; a < atoms_->size(); ++a) {
+    if (!simplify || derived_[a]) {
+      ++kept;
+      kept_args += atoms_->args(a).size();
+    }
+  }
+  gp.atoms().Reserve(kept, kept_args);
+  gp.Reserve(fact_atoms_.size() + instances_.size(), instance_pool_.size());
+
   // Compact the atom table: in simplify mode, only derivable atoms remain
   // in the base (everything else is certainly false and gets erased from
   // rule bodies below).

@@ -44,7 +44,7 @@ StableSearch::StableSearch(const GroundProgram& gp,
     scc_options_.horn_mode = options_.horn_mode;
     scc_options_.sp_mode = options_.sp_mode;
     graph_.emplace(view_);
-    comp_rules_ = ComponentRuleBuckets(view_, *graph_);
+    comp_rules_ = RuleBuckets(view_, *graph_);
     solver_ = std::make_unique<ComponentSolver>(
         ctx_, scc_options_, view_, *graph_, comp_rules_,
         AssumptionPair{&assumed_true_, &assumed_false_});

@@ -221,7 +221,7 @@ class StableSearch {
   /// and the one assumption-reading solver every repair drives.
   SccOptions scc_options_;
   std::optional<AtomDependencyGraph> graph_;
-  std::vector<std::vector<std::uint32_t>> comp_rules_;
+  RuleBuckets comp_rules_;
   std::unique_ptr<ComponentSolver> solver_;
   SccUpdateScratch scratch_;
 

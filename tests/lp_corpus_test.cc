@@ -243,7 +243,7 @@ TEST(LpCorpus, MutationScriptsReplayAndAgreeWithFromScratch) {
     EvalContext ctx;
     const RuleView view = solver.ground().View();
     AtomDependencyGraph fresh_graph(view);
-    auto fresh_buckets = ComponentRuleBuckets(view, fresh_graph);
+    const RuleBuckets fresh_buckets(view, fresh_graph);
     SccWfsResult fresh =
         WellFoundedSccOnGraph(ctx, view, fresh_graph, fresh_buckets, {});
     EXPECT_EQ(fresh.model.true_atoms(), inc.true_atoms());

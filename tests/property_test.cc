@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
+#include <random>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/atom_graph.h"
 #include "core/alternating.h"
 #include "core/residual.h"
 #include "core/scc_engine.h"
@@ -188,6 +195,135 @@ TEST_P(RandomProgramProperty, HornModesAgree) {
     EXPECT_EQ(AlternatingFixpoint(gp).model,
               AlternatingFixpoint(gp, naive).model)
         << "seed " << seed;
+  }
+}
+
+// --- the flat dependency analysis against its sorting references ---
+
+/// Rule ids pushed one by one onto their head component's row: the
+/// per-component vectors that RuleBuckets' counting sort replaced.
+std::vector<std::vector<std::uint32_t>> PushBackBuckets(
+    const RuleView& view, const AtomDependencyGraph& graph) {
+  std::vector<std::vector<std::uint32_t>> rows(graph.num_components());
+  for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
+    rows[graph.component_of()[view.rules[ri].head]].push_back(ri);
+  }
+  return rows;
+}
+
+void ExpectBucketsMatchPushBack(const RuleView& view,
+                                const AtomDependencyGraph& graph,
+                                const std::string& where) {
+  const RuleBuckets got(view, graph);
+  const std::vector<std::vector<std::uint32_t>> want =
+      PushBackBuckets(view, graph);
+  ASSERT_EQ(got.num_rows(), want.size()) << where;
+  for (std::uint32_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(std::vector<std::uint32_t>(got[c].begin(), got[c].end()),
+              want[c])
+        << where << " row " << c;
+  }
+}
+
+/// The condensation by sort and unique, the algorithm the linear build
+/// replaced: every cross-component arc flipped to dependency -> dependent,
+/// sorted, deduplicated and laid out as CSR.
+std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
+SortUniqueCondensation(const RuleView& view,
+                       const AtomDependencyGraph& graph) {
+  const std::vector<std::uint32_t>& comp = graph.component_of();
+  std::vector<std::uint64_t> edges;
+  for (const GroundRule& r : view.rules) {
+    for (std::span<const AtomId> body : {view.pos(r), view.neg(r)}) {
+      for (AtomId a : body) {
+        if (comp[a] == comp[r.head]) continue;
+        edges.push_back((std::uint64_t{comp[a]} << 32) | comp[r.head]);
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<std::uint32_t> offsets(graph.num_components() + 1, 0);
+  std::vector<std::uint32_t> successors;
+  for (std::uint64_t e : edges) {
+    ++offsets[(e >> 32) + 1];
+    successors.push_back(static_cast<std::uint32_t>(e));
+  }
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    offsets[i] += offsets[i - 1];
+  }
+  return {offsets, successors};
+}
+
+/// The graph's condensation equals the sort-and-unique reference, and its
+/// membership CSR lists every atom exactly once, under its own component.
+void ExpectAnalysisMatchesReference(const RuleView& view,
+                                    const AtomDependencyGraph& graph,
+                                    const std::string& where) {
+  const auto [offsets, successors] = SortUniqueCondensation(view, graph);
+  EXPECT_EQ(graph.condensation_offsets(), offsets) << where;
+  EXPECT_EQ(graph.condensation_successors(), successors) << where;
+  std::vector<int> listed(view.num_atoms, 0);
+  for (std::uint32_t c = 0; c < graph.num_components(); ++c) {
+    for (AtomId a : graph.members(c)) {
+      EXPECT_EQ(graph.component_of()[a], c) << where << " atom " << a;
+      ++listed[a];
+    }
+  }
+  EXPECT_EQ(std::count(listed.begin(), listed.end(), 1),
+            static_cast<std::ptrdiff_t>(view.num_atoms))
+      << where;
+}
+
+TEST_P(RandomProgramProperty, RuleBucketsMatchPushBackReference) {
+  for (int seed = 0; seed < GetParam().num_seeds; ++seed) {
+    Program p = Make(seed);
+    GroundProgram gp = Ground(p);
+    ExpectBucketsMatchPushBack(gp.View(), AtomDependencyGraph(gp.View()),
+                               "seed " + std::to_string(seed));
+  }
+}
+
+// Before and after a TryAppendDelta splice: the grown program adds new
+// atoms whose rules read old atoms and each other (cycles through
+// negation included), so every added head is new and the splice applies.
+TEST_P(RandomProgramProperty, CondensationMatchesSortUniqueReference) {
+  for (int seed = 0; seed < GetParam().num_seeds; ++seed) {
+    const std::string where = "seed " + std::to_string(seed);
+    Program p = Make(seed);
+    GroundProgram gp = Ground(p);
+    AtomDependencyGraph graph(gp.View());
+    ExpectAnalysisMatchesReference(gp.View(), graph, where);
+
+    const std::size_t old_num_atoms = gp.num_atoms();
+    ASSERT_GT(old_num_atoms, 0u);
+    std::vector<AtomId> fresh;
+    for (int i = 0; i < 5; ++i) {
+      fresh.push_back(gp.atoms().Intern(
+          p.symbols().Intern("fresh" + std::to_string(i)), {}));
+    }
+    std::mt19937 rng(static_cast<std::uint32_t>(seed));
+    std::vector<std::uint32_t> added;
+    for (AtomId head : fresh) {
+      for (int j = 0; j < 2; ++j) {
+        const AtomId old_atom = static_cast<AtomId>(rng() % old_num_atoms);
+        const AtomId new_atom = fresh[rng() % fresh.size()];
+        const AtomId olds[] = {old_atom};
+        const AtomId news[] = {new_atom};
+        if (rng() % 2 == 0) {
+          ASSERT_TRUE(gp.AddRule(head, olds, news));
+        } else {
+          ASSERT_TRUE(gp.AddRule(head, news, olds));
+        }
+        added.push_back(static_cast<std::uint32_t>(gp.num_rules() - 1));
+      }
+    }
+    const std::size_t old_components = graph.num_components();
+    ASSERT_TRUE(graph.TryAppendDelta(gp.View(), added, old_num_atoms).applied)
+        << where;
+    EXPECT_GT(graph.num_components(), old_components) << where;
+    ExpectAnalysisMatchesReference(gp.View(), graph, where + " after delta");
+    ExpectBucketsMatchPushBack(gp.View(), graph, where + " after delta");
   }
 }
 

@@ -341,8 +341,7 @@ TEST(KernelStaleness, BareAddRuleDropsTheCacheThroughTheEpochCheck) {
   GroundProgram gp = std::move(ground).value();
 
   AtomDependencyGraph graph(gp.View());
-  std::vector<std::vector<std::uint32_t>> buckets =
-      ComponentRuleBuckets(gp.View(), graph);
+  RuleBuckets buckets(gp.View(), graph);
   KernelCache cache(gp, graph, buckets, /*hot_threshold=*/1,
                     gp.mutation_epoch());
   ASSERT_GT(cache.CompileAllEligible(), 0u);

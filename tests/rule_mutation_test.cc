@@ -61,7 +61,7 @@ void ExpectFreshSccAgrees(Solver& solver, const SolverOptions& options,
   EvalContext ctx;
   const RuleView view = solver.ground().View();
   AtomDependencyGraph fresh_graph(view);
-  auto fresh_buckets = ComponentRuleBuckets(view, fresh_graph);
+  const RuleBuckets fresh_buckets(view, fresh_graph);
   SccOptions so;
   so.inner = options.inner;
   SccWfsResult fresh =

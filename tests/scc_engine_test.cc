@@ -218,12 +218,112 @@ TEST(AtomGraph, CondensationEdgesAndInDegrees) {
   EXPECT_EQ(off[cr + 1], off[cr]);
 }
 
+/// A program whose component of `p` holds four rules, next to singleton
+/// components holding one rule each.
+constexpr char kFourRulesForP[] =
+    "q1. q2. q3. q4. p :- q1. p :- q2. p :- q3. p :- q4. r :- p.";
+
+std::vector<std::uint32_t> RowOf(const RuleBuckets& b, std::uint32_t c) {
+  return {b[c].begin(), b[c].end()};
+}
+
+TEST(RuleBuckets, AppendPastCapacityMovesOnlyThatRow) {
+  auto parsed = ParseProgram(kFourRulesForP);
+  ASSERT_TRUE(parsed.ok());
+  Program p = std::move(parsed).value();
+  GroundProgram gp = MustGround(p, GroundMode::kFull);
+  AtomDependencyGraph graph(gp.View());
+  RuleBuckets buckets(gp.View(), graph);
+  const RuleBuckets before = buckets;
+  const std::uint32_t cp = graph.component_of()[*ResolveAtom(gp, "p")];
+  std::vector<std::uint32_t> want = RowOf(buckets, cp);
+  ASSERT_EQ(want.size(), 4u);
+  // A fresh build packs every row exactly, so the first Append outgrows
+  // the slot; the next three fill the doubled one, the fifth moves again.
+  for (std::uint32_t id = 100; id < 105; ++id) {
+    buckets.Append(cp, id);
+    want.push_back(id);
+    EXPECT_EQ(RowOf(buckets, cp), want);
+    for (std::uint32_t c = 0; c < buckets.num_rows(); ++c) {
+      if (c == cp) continue;
+      EXPECT_EQ(RowOf(buckets, c), RowOf(before, c)) << "row " << c;
+      // The moved row now sits behind every other row in the pool.
+      if (!buckets[c].empty()) {
+        EXPECT_GT(buckets[cp].data(), buckets[c].data()) << "row " << c;
+      }
+    }
+  }
+  // An empty row (a component appended by Resize) grows from nothing.
+  buckets.Resize(buckets.num_rows() + 1);
+  const auto last = static_cast<std::uint32_t>(buckets.num_rows() - 1);
+  EXPECT_TRUE(buckets[last].empty());
+  buckets.Append(last, 7);
+  buckets.Append(last, 9);
+  EXPECT_EQ(RowOf(buckets, last), (std::vector<std::uint32_t>{7, 9}));
+  EXPECT_EQ(RowOf(buckets, cp), want);
+}
+
+TEST(RuleBuckets, EraseAndRenumberKeepRowsSorted) {
+  auto parsed = ParseProgram(kFourRulesForP);
+  ASSERT_TRUE(parsed.ok());
+  Program p = std::move(parsed).value();
+  GroundProgram gp = MustGround(p, GroundMode::kFull);
+  AtomDependencyGraph graph(gp.View());
+  RuleBuckets buckets(gp.View(), graph);
+  const std::uint32_t cp = graph.component_of()[*ResolveAtom(gp, "p")];
+  const std::vector<std::uint32_t> row = RowOf(buckets, cp);
+  ASSERT_EQ(row.size(), 4u);
+  ASSERT_TRUE(std::is_sorted(row.begin(), row.end()));
+  const std::uint32_t a = row[0], b = row[1], c = row[2], d = row[3];
+  for (std::uint32_t id : {100u, 101u, 102u}) buckets.Append(cp, id);
+  // Each swap-erase step: erase an id, then move the row's largest id
+  // down into the freed one — into the middle, to the front, and (no
+  // slide at all) into the slot it already holds.
+  buckets.Erase(cp, b);
+  EXPECT_EQ(RowOf(buckets, cp),
+            (std::vector<std::uint32_t>{a, c, d, 100, 101, 102}));
+  buckets.Renumber(cp, 102, b);
+  EXPECT_EQ(RowOf(buckets, cp),
+            (std::vector<std::uint32_t>{a, b, c, d, 100, 101}));
+  buckets.Erase(cp, a);
+  buckets.Renumber(cp, 101, a);
+  EXPECT_EQ(RowOf(buckets, cp),
+            (std::vector<std::uint32_t>{a, b, c, d, 100}));
+  buckets.Renumber(cp, 100, d + 1);
+  EXPECT_EQ(RowOf(buckets, cp),
+            (std::vector<std::uint32_t>{a, b, c, d, d + 1}));
+  buckets.Erase(cp, d + 1);
+  EXPECT_EQ(RowOf(buckets, cp), row);
+}
+
+TEST(RuleBuckets, EqualityComparesRowsNotPoolLayout) {
+  auto parsed = ParseProgram(kFourRulesForP);
+  ASSERT_TRUE(parsed.ok());
+  Program p = std::move(parsed).value();
+  GroundProgram gp = MustGround(p, GroundMode::kFull);
+  AtomDependencyGraph graph(gp.View());
+  const RuleBuckets packed(gp.View(), graph);
+  RuleBuckets moved = packed;
+  const std::uint32_t cp = graph.component_of()[*ResolveAtom(gp, "p")];
+  const std::uint32_t cq = graph.component_of()[*ResolveAtom(gp, "q1")];
+  // Moves row cp to the pool's end, then restores its contents.
+  moved.Append(cp, 100);
+  moved.Erase(cp, 100);
+  EXPECT_NE(moved[cp].data() - moved[cq].data(),
+            packed[cp].data() - packed[cq].data());
+  EXPECT_EQ(moved, packed);
+  moved.Erase(cp, moved[cp][0]);
+  EXPECT_NE(moved, packed);
+  RuleBuckets longer = packed;
+  longer.Resize(packed.num_rows() + 1);
+  EXPECT_NE(longer, packed);
+}
+
 /// One session-style repair: a fresh assumption-free ComponentSolver over
 /// `gp`'s current view drives SccResolveDownstream on `model`.
 SccUpdateStats Repair(EvalContext& ctx, const GroundProgram& gp,
                       const AtomDependencyGraph& graph,
-                      const std::vector<std::vector<std::uint32_t>>& buckets,
-                      const SccOptions& opts,
+                      const RuleBuckets& buckets, const SccOptions& opts,
                       std::span<const AtomId> touched, PartialModel* model,
                       std::vector<std::uint32_t>* iters,
                       SccUpdateScratch& scratch) {
@@ -233,30 +333,24 @@ SccUpdateStats Repair(EvalContext& ctx, const GroundProgram& gp,
   return SccResolveDownstream(solver, touched, gm, iters, scratch);
 }
 
-/// Mirrors Solver::UpdateFactsById's sorted-bucket surgery so the direct
-/// SccResolveDownstream tests below can toggle EDB facts.
-void ToggleFactAndPatchBuckets(
-    GroundProgram& gp, const AtomDependencyGraph& graph,
-    std::vector<std::vector<std::uint32_t>>& buckets, AtomId id) {
+/// Toggles an EDB fact and patches the buckets the way
+/// Solver::UpdateFactsById does, so the direct SccResolveDownstream tests
+/// below can mutate the program.
+void ToggleFactAndPatchBuckets(GroundProgram& gp,
+                               const AtomDependencyGraph& graph,
+                               RuleBuckets& buckets, AtomId id) {
   const auto& comp_of = graph.component_of();
   if (!gp.HasFact(id)) {
     ASSERT_TRUE(gp.AddFact(id));
-    buckets[comp_of[id]].push_back(
-        static_cast<std::uint32_t>(gp.num_rules() - 1));
+    buckets.Append(comp_of[id], static_cast<std::uint32_t>(gp.num_rules() - 1));
     return;
   }
   GroundProgram::FactRemoval rem = gp.RemoveFact(id);
   ASSERT_TRUE(rem.removed);
-  std::vector<std::uint32_t>& bucket = buckets[comp_of[id]];
-  bucket.erase(
-      std::lower_bound(bucket.begin(), bucket.end(), rem.erased_rule));
+  buckets.Erase(comp_of[id], rem.erased_rule);
   if (rem.moved_rule != rem.erased_rule) {
-    const AtomId moved_head = gp.rule(rem.erased_rule).head;
-    std::vector<std::uint32_t>& mb = buckets[comp_of[moved_head]];
-    auto old_it = std::lower_bound(mb.begin(), mb.end(), rem.moved_rule);
-    auto new_it = std::lower_bound(mb.begin(), old_it, rem.erased_rule);
-    std::rotate(new_it, old_it, old_it + 1);
-    *new_it = rem.erased_rule;
+    buckets.Renumber(comp_of[gp.rule(rem.erased_rule).head], rem.moved_rule,
+                     rem.erased_rule);
   }
 }
 
@@ -279,7 +373,7 @@ TEST(SccEngine, UpdateScratchSharedAcrossUpdatesBitIdentical) {
     Program p = workload::RandomPropositional(30, 60, 3, 50, 7);
     GroundProgram gp = MustGround(p, GroundMode::kFull);
     AtomDependencyGraph graph(gp.View());
-    auto buckets = ComponentRuleBuckets(gp.View(), graph);
+    RuleBuckets buckets(gp.View(), graph);
     EvalContext ctx;
     SccOptions opts;
     SccWfsResult base =
@@ -331,7 +425,7 @@ TEST(SccEngine, AssumptionMasksMatchConditionedProgram) {
     const RuleView view = gp.View();
     const std::size_t n = gp.num_atoms();
     AtomDependencyGraph graph(view);
-    const auto buckets = ComponentRuleBuckets(view, graph);
+    const RuleBuckets buckets(view, graph);
     EvalContext ctx;
     std::uint64_t rng = 0x9e3779b97f4a7c15ull ^ (seed * 0x100000001b3ull);
     auto next = [&rng] {
@@ -348,7 +442,7 @@ TEST(SccEngine, AssumptionMasksMatchConditionedProgram) {
         if (r == 0) assumed_true.Set(a);
         if (r == 1) assumed_false.Set(a);
         if (r <= 1 &&
-            graph.components()[graph.component_of()[a]].size() > 1) {
+            graph.members(graph.component_of()[a]).size() > 1) {
           ++multi_atom_assumptions;
         }
       }
@@ -396,7 +490,7 @@ TEST(SccEngine, AssumptionRepairMatchesFullSolveAndUndoRestores) {
     const RuleView view = gp.View();
     const std::size_t n = gp.num_atoms();
     AtomDependencyGraph graph(view);
-    const auto buckets = ComponentRuleBuckets(view, graph);
+    const RuleBuckets buckets(view, graph);
     EvalContext ctx;
     Bitset assumed_true(n);
     Bitset assumed_false(n);

@@ -494,7 +494,7 @@ TEST(SolverIncremental, SameBucketSwapRemoveTakesRotatePath) {
 
 TEST(SolverIncremental, InterleavedBatchesKeepBucketsAndMatchFromScratch) {
   // Fuzz the bucket surgery: random coalesced batches (UpdateFacts with
-  // both lists populated) against a freshly rebuilt ComponentRuleBuckets
+  // both lists populated) against a freshly rebuilt RuleBuckets
   // after every step, plus the usual from-scratch model differential.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Program p = workload::RandomPropositional(16, 40, 3, 60, seed);
