@@ -1,19 +1,18 @@
 // E8 — ablations of the design choices DESIGN.md calls out:
-//   (1) Dowling–Gallier counting propagation vs naive T_P iteration inside
-//       S_P (HornMode);
-//   (2) delta-driven vs from-scratch rule-enablement recomputation between
-//       half-steps (SpMode) — the incremental axis, with the work actually
-//       done reported through the rules_rescanned / delta_atoms counters;
-//   (3) delta-driven vs from-scratch witness recomputation in the W_P
-//       iteration's two halves (GusMode: TpEvaluator + GusEvaluator vs
-//       full per-round rescans), reported through rules_rescanned and
-//       gus_rules_rescanned;
-//   (4) residual-program reduction on/off across alternating rounds;
-//   (5) trace recording cost (off by default);
-//   (6) incremental re-solve vs full re-solve after a single-fact EDB
+//   (1) trace recording cost (off by default);
+//   (2) the borrowed-view unfounded-set evaluation (GusEvaluator's
+//       EvalSupported vs Eval);
+//   (3) component-wise vs monolithic evaluation on the same instances;
+//   (4) incremental re-solve vs full re-solve after a single-fact EDB
 //       update on a long-lived afp::Solver session (the incremental
 //       axis of BENCH_ablation_axis.json, gated by
-//       tools/check_ablation_axis.py).
+//       tools/check_ablation_axis.py);
+//   (5) compiled rule kernels vs the interpreted per-component lowering
+//       (the compile axis of the same report);
+//   (6) relevance-sliced point queries vs full solve + lookup.
+// The delta-driven vs from-scratch operator axes (S_P enablement, T_P /
+// U_P witnesses) are pinned by counters, not timed: see the
+// AblationCounters test in tests/eval_context_test.cc.
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +21,6 @@
 #include "afp/solver.h"
 #include "core/alternating.h"
 #include "core/relevance.h"
-#include "core/residual.h"
 #include "core/scc_engine.h"
 #include "wfs/unfounded.h"
 #include "wfs/wp_engine.h"
@@ -93,166 +91,6 @@ const afp::GroundProgram& WfNodesInstance(int n) {
   return *g_wf_ground;
 }
 
-// The incremental axis: identical fixpoint computation, enablement either
-// delta-driven or rescanned from scratch each half-step. The counters
-// expose the work difference directly.
-void RunSpModeAblation(benchmark::State& state, const afp::GroundProgram& gp,
-                       afp::SpMode sp_mode) {
-  afp::AfpOptions opts;
-  opts.sp_mode = sp_mode;
-  afp::EvalStats last;
-  for (auto _ : state) {
-    afp::AfpResult r = afp::AlternatingFixpoint(gp, opts);
-    benchmark::DoNotOptimize(r);
-    last = r.eval;
-  }
-  state.counters["sp_calls"] = static_cast<double>(last.sp_calls);
-  state.counters["rules_rescanned"] =
-      static_cast<double>(last.rules_rescanned);
-  state.counters["delta_atoms"] = static_cast<double>(last.delta_atoms);
-  state.counters["peak_scratch_bytes"] =
-      static_cast<double>(last.peak_scratch_bytes);
-}
-
-void BM_SpDeltaWinMove(benchmark::State& state) {
-  RunSpModeAblation(state, WinMoveInstance(static_cast<int>(state.range(0))),
-                    afp::SpMode::kDelta);
-}
-BENCHMARK(BM_SpDeltaWinMove)->Arg(128)->Arg(512)->Arg(1024);
-
-void BM_SpScratchWinMove(benchmark::State& state) {
-  RunSpModeAblation(state, WinMoveInstance(static_cast<int>(state.range(0))),
-                    afp::SpMode::kScratch);
-}
-BENCHMARK(BM_SpScratchWinMove)->Arg(128)->Arg(512)->Arg(1024);
-
-void BM_SpDeltaWfNodes(benchmark::State& state) {
-  RunSpModeAblation(state, WfNodesInstance(static_cast<int>(state.range(0))),
-                    afp::SpMode::kDelta);
-}
-BENCHMARK(BM_SpDeltaWfNodes)->Arg(64)->Arg(256);
-
-void BM_SpScratchWfNodes(benchmark::State& state) {
-  RunSpModeAblation(state, WfNodesInstance(static_cast<int>(state.range(0))),
-                    afp::SpMode::kScratch);
-}
-BENCHMARK(BM_SpScratchWfNodes)->Arg(64)->Arg(256);
-
-// The unfounded-set incremental axis: identical W_P iteration, the per-rule
-// body checks of both halves (T_P and U_P) either maintained by witness
-// counters across rounds or rescanned from scratch each round. The
-// rules_rescanned (T_P side) and gus_rules_rescanned (U_P side) counters
-// expose the work difference directly; the iteration count is pinned
-// identical by the differential tests.
-void RunGusModeAblation(benchmark::State& state, const afp::GroundProgram& gp,
-                        afp::GusMode gus_mode) {
-  afp::WpOptions opts;
-  opts.gus_mode = gus_mode;
-  afp::EvalStats last;
-  std::size_t iterations = 0;
-  for (auto _ : state) {
-    afp::EvalContext ctx;
-    afp::WpResult r = afp::WellFoundedViaWpWithContext(ctx, gp, opts);
-    benchmark::DoNotOptimize(r);
-    last = r.eval;
-    iterations = r.iterations;
-  }
-  state.counters["wp_iterations"] = static_cast<double>(iterations);
-  state.counters["gus_calls"] = static_cast<double>(last.gus_calls);
-  state.counters["gus_rules_rescanned"] =
-      static_cast<double>(last.gus_rules_rescanned);
-  state.counters["rules_rescanned"] =
-      static_cast<double>(last.rules_rescanned);
-  state.counters["delta_atoms"] = static_cast<double>(last.delta_atoms);
-  state.counters["peak_scratch_bytes"] =
-      static_cast<double>(last.peak_scratch_bytes);
-}
-
-void BM_GusDeltaWinMove(benchmark::State& state) {
-  RunGusModeAblation(state, WinMoveInstance(static_cast<int>(state.range(0))),
-                     afp::GusMode::kDelta);
-}
-BENCHMARK(BM_GusDeltaWinMove)->Arg(128)->Arg(512)->Arg(1024);
-
-void BM_GusScratchWinMove(benchmark::State& state) {
-  RunGusModeAblation(state, WinMoveInstance(static_cast<int>(state.range(0))),
-                     afp::GusMode::kScratch);
-}
-BENCHMARK(BM_GusScratchWinMove)->Arg(128)->Arg(512)->Arg(1024);
-
-void BM_GusDeltaWfNodes(benchmark::State& state) {
-  RunGusModeAblation(state, WfNodesInstance(static_cast<int>(state.range(0))),
-                     afp::GusMode::kDelta);
-}
-BENCHMARK(BM_GusDeltaWfNodes)->Arg(64)->Arg(256);
-
-void BM_GusScratchWfNodes(benchmark::State& state) {
-  RunGusModeAblation(state, WfNodesInstance(static_cast<int>(state.range(0))),
-                     afp::GusMode::kScratch);
-}
-BENCHMARK(BM_GusScratchWfNodes)->Arg(64)->Arg(256);
-
-// The component-wise engine across the same axis: many tiny W_P solves,
-// each priming its evaluators from pooled storage. (No ≥3× expectation
-// here: per-component W_P runs are short, so the deltas have fewer rounds
-// to amortize over — the axis row records whatever gap remains.)
-void RunSccInnerWpAblation(benchmark::State& state,
-                           const afp::GroundProgram& gp,
-                           afp::GusMode gus_mode) {
-  afp::SccOptions opts;
-  opts.inner = afp::SccInnerEngine::kWp;
-  opts.gus_mode = gus_mode;
-  afp::EvalStats last;
-  for (auto _ : state) {
-    afp::EvalContext ctx;
-    afp::SccWfsResult r = afp::WellFoundedSccWithContext(ctx, gp, opts);
-    benchmark::DoNotOptimize(r);
-    last = r.eval;
-  }
-  state.counters["gus_calls"] = static_cast<double>(last.gus_calls);
-  state.counters["gus_rules_rescanned"] =
-      static_cast<double>(last.gus_rules_rescanned);
-  state.counters["rules_rescanned"] =
-      static_cast<double>(last.rules_rescanned);
-  state.counters["delta_atoms"] = static_cast<double>(last.delta_atoms);
-  state.counters["peak_scratch_bytes"] =
-      static_cast<double>(last.peak_scratch_bytes);
-}
-
-void BM_GusDeltaSccInnerWp(benchmark::State& state) {
-  RunSccInnerWpAblation(state,
-                        WinMoveInstance(static_cast<int>(state.range(0))),
-                        afp::GusMode::kDelta);
-}
-BENCHMARK(BM_GusDeltaSccInnerWp)->Arg(512);
-
-void BM_GusScratchSccInnerWp(benchmark::State& state) {
-  RunSccInnerWpAblation(state,
-                        WinMoveInstance(static_cast<int>(state.range(0))),
-                        afp::GusMode::kScratch);
-}
-BENCHMARK(BM_GusScratchSccInnerWp)->Arg(512);
-
-void BM_HornCounting(benchmark::State& state) {
-  const auto& gp = WinMoveInstance(static_cast<int>(state.range(0)));
-  afp::AfpOptions opts;
-  opts.horn_mode = afp::HornMode::kCounting;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(afp::AlternatingFixpoint(gp, opts));
-  }
-}
-BENCHMARK(BM_HornCounting)->Arg(128)->Arg(512)->Arg(1024);
-
-void BM_HornNaive(benchmark::State& state) {
-  const auto& gp = WinMoveInstance(static_cast<int>(state.range(0)));
-  afp::AfpOptions opts;
-  opts.horn_mode = afp::HornMode::kNaive;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(afp::AlternatingFixpoint(gp, opts));
-  }
-}
-BENCHMARK(BM_HornNaive)->Arg(128)->Arg(512)->Arg(1024);
-
 void BM_PlainAlternating(benchmark::State& state) {
   const auto& gp = WinMoveInstance(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -260,14 +98,6 @@ void BM_PlainAlternating(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlainAlternating)->Arg(512)->Arg(1024);
-
-void BM_ResidualReduction(benchmark::State& state) {
-  const auto& gp = WinMoveInstance(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(afp::WellFoundedResidual(gp));
-  }
-}
-BENCHMARK(BM_ResidualReduction)->Arg(512)->Arg(1024);
 
 void BM_TraceRecordingOff(benchmark::State& state) {
   const auto& gp = WinMoveInstance(512);
@@ -289,30 +119,6 @@ void BM_TraceRecordingOn(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceRecordingOn);
 
-// Single S_P call: the unit the counting solver optimizes. Measured
-// separately so the per-call linearity is visible.
-void BM_SingleSpCounting(benchmark::State& state) {
-  const auto& gp = WinMoveInstance(2048);
-  afp::HornSolver solver(gp.View());
-  afp::Bitset none(gp.num_atoms());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        solver.EventualConsequences(none, afp::HornMode::kCounting));
-  }
-}
-BENCHMARK(BM_SingleSpCounting);
-
-void BM_SingleSpNaive(benchmark::State& state) {
-  const auto& gp = WinMoveInstance(2048);
-  afp::HornSolver solver(gp.View());
-  afp::Bitset none(gp.num_atoms());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        solver.EventualConsequences(none, afp::HornMode::kNaive));
-  }
-}
-BENCHMARK(BM_SingleSpNaive);
-
 // The borrowed-view unfounded-set axis (GusEvaluator::EvalSupported vs
 // Eval): a steady-state call on the Example 8.2 chain at n=1024, where
 // Eval's only extra work over EvalSupported is materializing U_P —
@@ -321,7 +127,7 @@ void BM_GusEvalCopyChain(benchmark::State& state) {
   const auto& gp = WfNodesInstance(static_cast<int>(state.range(0)));
   afp::EvalContext ctx;
   afp::HornSolver solver(gp.View(), &ctx);
-  afp::GusEvaluator gus(solver, ctx, afp::GusMode::kDelta);
+  afp::GusEvaluator gus(solver, ctx);
   afp::PartialModel I = afp::PartialModel::AllUndefined(gp.num_atoms());
   afp::Bitset out;
   gus.Eval(I, &out);  // prime
@@ -336,7 +142,7 @@ void BM_GusEvalBorrowedChain(benchmark::State& state) {
   const auto& gp = WfNodesInstance(static_cast<int>(state.range(0)));
   afp::EvalContext ctx;
   afp::HornSolver solver(gp.View(), &ctx);
-  afp::GusEvaluator gus(solver, ctx, afp::GusMode::kDelta);
+  afp::GusEvaluator gus(solver, ctx);
   afp::PartialModel I = afp::PartialModel::AllUndefined(gp.num_atoms());
   (void)gus.EvalSupported(I);  // prime
   for (auto _ : state) {
@@ -547,7 +353,7 @@ BENCHMARK(BM_FullUpdateClusteredWinMove)->Arg(4096);
 /// bucket patch, publish) across n/64 kernel-served solves. The random
 /// ClusteredScc of the incremental axis is the opposite regime — its
 /// change frontier dies after ~4 components — and iteration-heavy SCCs
-/// belong to the delta evaluators (sp/gus axes), not to kernels.
+/// belong to the delta evaluators, not to kernels.
 afp::Program MakeKernelChainWinMove(int n) {
   const int kCluster = 64;
   const int clusters = n / kCluster;

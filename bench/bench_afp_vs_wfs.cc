@@ -1,5 +1,5 @@
 // E7 — Theorem 7.8 in practice: the alternating fixpoint (§5), the original
-// W_P/unfounded-set iteration (§6), and the residual-program refinement all
+// W_P/unfounded-set iteration (§6), and the component-wise engine all
 // compute the same well-founded model; this bench compares their cost with
 // google-benchmark across workload shapes.
 
@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "core/alternating.h"
-#include "core/residual.h"
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
 #include "wfs/wp_engine.h"
@@ -66,14 +65,6 @@ void BM_WpWinMove(benchmark::State& state) {
 }
 BENCHMARK(BM_WpWinMove)->Arg(128)->Arg(512)->Arg(2048);
 
-void BM_ResidualWinMove(benchmark::State& state) {
-  Instance inst = MakeWinMove(state.range(0), 4 * state.range(0), 11);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(afp::WellFoundedResidual(*inst.ground));
-  }
-}
-BENCHMARK(BM_ResidualWinMove)->Arg(128)->Arg(512)->Arg(2048);
-
 void BM_SccWinMove(benchmark::State& state) {
   Instance inst = MakeWinMove(state.range(0), 4 * state.range(0), 11);
   for (auto _ : state) {
@@ -82,8 +73,8 @@ void BM_SccWinMove(benchmark::State& state) {
 }
 BENCHMARK(BM_SccWinMove)->Arg(128)->Arg(512)->Arg(2048);
 
-// Chains force Θ(n) alternating rounds: the worst case for both engines,
-// where residual reduction shines.
+// Chains force Θ(n) alternating rounds: the worst case for both monolithic
+// engines, where component-wise evaluation shines.
 void BM_AfpChain(benchmark::State& state) {
   Instance inst = MakeChain(state.range(0));
   for (auto _ : state) {
@@ -99,14 +90,6 @@ void BM_WpChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WpChain)->Arg(128)->Arg(512)->Arg(2048);
-
-void BM_ResidualChain(benchmark::State& state) {
-  Instance inst = MakeChain(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(afp::WellFoundedResidual(*inst.ground));
-  }
-}
-BENCHMARK(BM_ResidualChain)->Arg(128)->Arg(512)->Arg(2048);
 
 void BM_SccChain(benchmark::State& state) {
   Instance inst = MakeChain(state.range(0));
@@ -131,14 +114,6 @@ void BM_WpRandomProp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WpRandomProp)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_ResidualRandomProp(benchmark::State& state) {
-  Instance inst = MakeRandomProp(state.range(0), 2 * state.range(0), 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(afp::WellFoundedResidual(*inst.ground));
-  }
-}
-BENCHMARK(BM_ResidualRandomProp)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace
 

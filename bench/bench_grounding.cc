@@ -1,7 +1,5 @@
-// E9 — grounder ablation: semi-naive (delta-driven) vs naive re-derivation
-// instantiation, and smart (derivability-driven) vs full active-domain
-// instantiation, on the transitive-closure workload whose join depth grows
-// with the graph diameter.
+// E9 — grounder ablation: smart (derivability-driven) vs full active-domain
+// instantiation.
 
 #include <chrono>
 #include <functional>
@@ -27,43 +25,10 @@ double MsOf(const std::function<void()>& fn) {
 }  // namespace
 
 int main() {
-  std::cout << "== grounding: semi-naive vs naive instantiation ==\n"
-            << "workload: tc/ntc over chain(n) (join depth = n)\n\n";
-  afp::TablePrinter table(
-      {"n", "ground rules", "semi-naive ms", "naive ms", "speedup"});
-  for (int n : {8, 16, 24, 32}) {
-    double semi_ms = 0, naive_ms = 0;
-    std::size_t rules = 0;
-    {
-      afp::Program p =
-          afp::workload::TransitiveClosureComplement(afp::graphs::Chain(n));
-      afp::GroundOptions opts;
-      opts.semi_naive = true;
-      semi_ms = MsOf([&] {
-        auto g = afp::Grounder::Ground(p, opts);
-        rules = g.ok() ? g->num_rules() : 0;
-      });
-    }
-    {
-      afp::Program p =
-          afp::workload::TransitiveClosureComplement(afp::graphs::Chain(n));
-      afp::GroundOptions opts;
-      opts.semi_naive = false;
-      naive_ms = MsOf([&] { (void)afp::Grounder::Ground(p, opts); });
-    }
-    table.AddRow({std::to_string(n), std::to_string(rules),
-                  std::to_string(semi_ms), std::to_string(naive_ms),
-                  std::to_string(naive_ms / semi_ms) + "x"});
-  }
-  table.Print(std::cout);
-  std::cout << "\nexpected shape: the naive grounder re-derives all "
-               "instances every round, so its\nadvantage gap widens with "
-               "join depth.\n\n";
-
   std::cout << "== grounding: smart vs full instantiation ==\n"
             << "workload: win-move on sparse G(n, 2n)\n\n";
-  afp::TablePrinter table2({"n", "smart rules", "smart ms", "full rules",
-                            "full ms"});
+  afp::TablePrinter table({"n", "smart rules", "smart ms", "full rules",
+                           "full ms"});
   for (int n : {16, 32, 64}) {
     std::size_t smart_rules = 0, full_rules = 0;
     double smart_ms = 0, full_ms = 0;
@@ -85,11 +50,11 @@ int main() {
         full_rules = g.ok() ? g->num_rules() : 0;
       });
     }
-    table2.AddRow({std::to_string(n), std::to_string(smart_rules),
-                   std::to_string(smart_ms), std::to_string(full_rules),
-                   std::to_string(full_ms)});
+    table.AddRow({std::to_string(n), std::to_string(smart_rules),
+                  std::to_string(smart_ms), std::to_string(full_rules),
+                  std::to_string(full_ms)});
   }
-  table2.Print(std::cout);
+  table.Print(std::cout);
   std::cout << "\nexpected shape: full instantiation materializes O(n^2) "
                "move atoms and O(n^2)\nrule instances; smart grounding "
                "stays proportional to the edges actually present.\n";

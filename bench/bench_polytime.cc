@@ -2,8 +2,7 @@
 // computable in time polynomial in the size of H (program fixed)". We scale
 // win-move on random graphs, time the alternating fixpoint, and fit the
 // growth exponent between successive sizes. The fitted exponents should
-// stay small-constant (the worst case is quadratic in ground-program size;
-// with the residual engine near-linear).
+// stay small-constant (the worst case is quadratic in ground-program size).
 
 #include <algorithm>
 #include <chrono>
@@ -13,7 +12,6 @@
 #include <string>
 
 #include "core/alternating.h"
-#include "core/residual.h"
 #include "ground/grounder.h"
 #include "util/table_printer.h"
 #include "workload/graphs.h"
@@ -43,8 +41,8 @@ int main() {
             << "workload: wins(X) :- move(X,Y), not wins(Y) on G(n, 4n)\n\n";
 
   afp::TablePrinter table({"n", "|H| atoms", "ground size", "A_P rounds",
-                           "AFP ms", "residual ms", "AFP exp", "resid exp"});
-  double prev_afp = 0, prev_res = 0;
+                           "AFP ms", "AFP exp"});
+  double prev_afp = 0;
   std::size_t prev_h = 0;
   for (int n : {64, 128, 256, 512, 1024, 2048}) {
     afp::Program p =
@@ -56,45 +54,38 @@ int main() {
     }
     afp::AfpResult last;
     double afp_ms = TimeMs([&] { last = afp::AlternatingFixpoint(*ground); });
-    double res_ms = TimeMs([&] { afp::WellFoundedResidual(*ground); });
 
-    std::string afp_exp = "-", res_exp = "-";
+    std::string afp_exp = "-";
     std::size_t h = ground->num_atoms();
     if (prev_h != 0) {
       double ratio = std::log(static_cast<double>(h) / prev_h);
       afp_exp = std::to_string(std::log(afp_ms / prev_afp) / ratio);
-      res_exp = std::to_string(std::log(res_ms / prev_res) / ratio);
     }
     table.AddRow({std::to_string(n), std::to_string(h),
                   std::to_string(ground->TotalSize()),
                   std::to_string(last.outer_iterations),
-                  std::to_string(afp_ms), std::to_string(res_ms), afp_exp,
-                  res_exp});
+                  std::to_string(afp_ms), afp_exp});
     prev_afp = afp_ms;
-    prev_res = res_ms;
     prev_h = h;
   }
   table.Print(std::cout);
   std::cout << "\nexpected shape: fitted exponents bounded by a small "
-               "constant (poly(|H|));\nresidual reduction trims the "
-               "constant/exponent, never the answer.\n";
+               "constant (poly(|H|)).\n";
 
   // Deep-alternation worst case: the chain takes Θ(n) A_P rounds of Θ(n)
   // work each — the quadratic upper bound the paper's polynomial claim
-  // allows — while the residual engine stays near-linear.
+  // allows.
   std::cout << "\n== deep alternation (chain graphs) ==\n";
-  afp::TablePrinter chain_table(
-      {"n", "A_P rounds", "AFP ms", "residual ms"});
+  afp::TablePrinter chain_table({"n", "A_P rounds", "AFP ms"});
   for (int n : {256, 512, 1024, 2048}) {
     afp::Program p = afp::workload::WinMove(afp::graphs::Chain(n));
     auto ground = afp::Grounder::Ground(p);
     if (!ground.ok()) return 1;
     afp::AfpResult last;
     double afp_ms = TimeMs([&] { last = afp::AlternatingFixpoint(*ground); });
-    double res_ms = TimeMs([&] { afp::WellFoundedResidual(*ground); });
     chain_table.AddRow({std::to_string(n),
                         std::to_string(last.outer_iterations),
-                        std::to_string(afp_ms), std::to_string(res_ms)});
+                        std::to_string(afp_ms)});
   }
   chain_table.Print(std::cout);
   return 0;

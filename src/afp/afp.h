@@ -9,14 +9,16 @@
 /// StableModels(), Explain() — and update it in place with AssertFacts()
 /// / RetractFacts(), which re-solve incrementally instead of from
 /// scratch. One consolidated SolverOptions selects the engine
-/// ({kAfp, kResidual, kScc, kWp}) and its modes.
+/// ({kAfp, kScc, kWp}), the component-wise inner engine and the kernel
+/// staging; every engine evaluates its operators through the same
+/// delta-driven evaluators.
 ///
-/// The individual headers expose the full machinery underneath — the four
-/// well-founded engines as free functions, the operators, baselines, and
-/// analyses — which remains the ablation and differential-testing
-/// surface. The one-shot SolveWellFounded() helpers below predate the
-/// Solver and are kept for small scripts and the test suite; new code
-/// should prefer the session API.
+/// The individual headers expose the full machinery underneath — the
+/// three well-founded engines as free functions, the evaluators, and the
+/// analyses — which remains the differential-testing surface. The
+/// one-shot SolveWellFounded() helper below predates the Solver and is
+/// kept for small scripts and the test suite; new code should prefer the
+/// session API.
 
 #include <memory>
 #include <string>
@@ -34,7 +36,6 @@
 #include "core/interpretation.h"
 #include "core/query.h"
 #include "core/relevance.h"
-#include "core/residual.h"
 #include "core/scc_engine.h"
 #include "fitting/fitting.h"
 #include "fol/formula.h"
@@ -86,19 +87,6 @@ inline StatusOr<WfsSolution> SolveWellFounded(
   AFP_ASSIGN_OR_RETURN(GroundProgram ground,
                        Grounder::Ground(*program, ground_options));
   WfsSolution solution{std::move(program), std::move(ground), AfpResult{}};
-  solution.afp = AlternatingFixpoint(solution.ground, afp_options);
-  return solution;
-}
-
-/// As SolveWellFounded, for an already constructed Program (takes
-/// ownership).
-inline StatusOr<WfsSolution> SolveWellFoundedProgram(
-    Program program, const GroundOptions& ground_options = {},
-    const AfpOptions& afp_options = {}) {
-  auto owned = std::make_unique<Program>(std::move(program));
-  AFP_ASSIGN_OR_RETURN(GroundProgram ground,
-                       Grounder::Ground(*owned, ground_options));
-  WfsSolution solution{std::move(owned), std::move(ground), AfpResult{}};
   solution.afp = AlternatingFixpoint(solution.ground, afp_options);
   return solution;
 }

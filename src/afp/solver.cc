@@ -5,7 +5,6 @@
 
 #include "core/component_solver.h"
 #include "core/relevance.h"
-#include "core/residual.h"
 #include "parser/parser.h"
 #include "util/rss.h"
 #include "wfs/wp_engine.h"
@@ -16,8 +15,6 @@ const char* SolverEngineName(SolverEngine e) {
   switch (e) {
     case SolverEngine::kAfp:
       return "afp";
-    case SolverEngine::kResidual:
-      return "residual";
     case SolverEngine::kScc:
       return "scc";
     case SolverEngine::kWp:
@@ -79,10 +76,7 @@ void Solver::EnsureGraph() {
 }
 
 void Solver::EnsureKernels() {
-  if (options_.compile == CompileMode::kOff ||
-      options_.horn_mode != HornMode::kCounting) {
-    return;
-  }
+  if (options_.compile == CompileMode::kOff) return;
   // The cache borrows ground_ and comp_rules_, which are value members: a
   // moved session leaves an existing cache pointing at the old object, so
   // detect the relocation and rebuild (it is a cache — heat re-warms).
@@ -97,10 +91,7 @@ void Solver::EnsureKernels() {
 
 SccOptions Solver::SccOptionsFromSession() {
   SccOptions o;
-  o.horn_mode = options_.horn_mode;
-  o.sp_mode = options_.sp_mode;
   o.inner = options_.inner;
-  o.gus_mode = options_.gus_mode;
   o.kernels = kernels_.get();
   return o;
 }
@@ -119,8 +110,6 @@ const PartialModel& Solver::Solve() {
     case SolverEngine::kAfp: {
       HornSolver solver(view, ctx_.get());
       AfpOptions a;
-      a.horn_mode = options_.horn_mode;
-      a.sp_mode = options_.sp_mode;
       a.record_trace = options_.record_trace;
       AfpResult r =
           AlternatingFixpointWithContext(*ctx_, solver, Bitset(), a);
@@ -131,21 +120,9 @@ const PartialModel& Solver::Solve() {
       break;
     }
     case SolverEngine::kWp: {
-      WpOptions w;
-      w.gus_mode = options_.gus_mode;
-      WpResult r = WellFoundedViaWpWithContext(*ctx_, ground_, w);
+      WpResult r = WellFoundedViaWpWithContext(*ctx_, ground_);
       model_ = std::move(r.model);
       stats_.iterations = r.iterations;
-      stats_.eval = r.eval;
-      break;
-    }
-    case SolverEngine::kResidual: {
-      ResidualOptions ro;
-      ro.horn_mode = options_.horn_mode;
-      ro.sp_mode = options_.sp_mode;
-      ResidualResult r = WellFoundedResidualWithContext(*ctx_, ground_, ro);
-      model_ = std::move(r.model);
-      stats_.iterations = r.rounds;
       stats_.eval = r.eval;
       break;
     }
@@ -186,8 +163,7 @@ const PartialModel& Solver::Solve() {
 
 StatusOr<TruthValue> Solver::Query(const std::string& atom_text) {
   if (solved_) return QueryAtom(ground_, model_, atom_text);
-  auto r = QueryWithRelevanceWithContext(*ctx_, ground_, atom_text,
-                                         options_.horn_mode);
+  auto r = QueryWithRelevanceWithContext(*ctx_, ground_, atom_text);
   if (!r.ok()) return r.status();
   return r->value;
 }
@@ -203,7 +179,6 @@ std::vector<StatusOr<TruthValue>> Solver::QueryBatch(
     return out;
   }
   QueryBatchOptions opts;
-  opts.horn_mode = options_.horn_mode;
   opts.num_threads = options_.num_threads;
   opts.registry = registry_.get();
   for (auto& r : QueryBatchWithRelevance(ground_, atom_texts, opts)) {
@@ -232,10 +207,7 @@ StableSearch& Solver::EnsureSearch() {
     search_.reset();
   }
   if (search_ == nullptr) {
-    StableSearchOptions so;
-    so.sp_mode = options_.sp_mode;
-    so.horn_mode = options_.horn_mode;
-    search_ = std::make_unique<StableSearch>(ground_, so);
+    search_ = std::make_unique<StableSearch>(ground_);
     search_epoch_ = ground_.mutation_epoch();
   }
   // The seed must be THE well-founded model of the CURRENT program: a
@@ -445,9 +417,8 @@ Status Solver::RuleOpsAvailable() const {
   if (!Grounder::SupportsRuleOps(options_.ground)) {
     return Status::FailedPrecondition(
         "rule mutations need the exact instance provenance of kSmart, "
-        "semi-naive, unsimplified grounding; construct the session with "
-        "options.ground = {mode = kSmart, semi_naive = true, simplify = "
-        "false}");
+        "unsimplified grounding; construct the session with "
+        "options.ground = {mode = kSmart, simplify = false}");
   }
   return Status::FailedPrecondition(
       "an earlier rule mutation failed mid-grounding, so the session's "

@@ -8,9 +8,10 @@
 /// everything built on top of it here — delta-driven evaluators, pooled
 /// contexts, the cached condensation, compiled rule kernels — is
 /// session-shaped: compile (parse + ground + index) once, then solve,
-/// query, and UPDATE many times. afp::Solver is that session. The four
-/// well-founded engines remain available as free functions (the ablation
-/// surface); every user-facing entry point goes through the facade.
+/// query, and UPDATE many times. afp::Solver is that session. The three
+/// well-founded engines remain available as free functions (the
+/// differential-testing surface); every user-facing entry point goes
+/// through the facade.
 ///
 /// Lifecycle (see docs/API.md for the full contract):
 ///
@@ -34,7 +35,6 @@
 #include "core/alternating.h"
 #include "core/eval_context.h"
 #include "core/explain.h"
-#include "core/horn_solver.h"
 #include "core/interpretation.h"
 #include "core/query.h"
 #include "core/rule_kernel.h"
@@ -46,29 +46,23 @@
 
 namespace afp {
 
-/// Which well-founded engine a Solve() runs. All four compute the same
+/// Which well-founded engine a Solve() runs. All three compute the same
 /// model (Theorem 7.8; pinned by the differential tests); the axis exists
 /// because their cost profiles differ per workload class — monolithic
-/// alternation (kAfp), residual-program shrinking (kResidual),
-/// component-wise evaluation (kScc), and the original Van
-/// Gelder–Ross–Schlipf iteration (kWp).
-enum class SolverEngine { kAfp, kResidual, kScc, kWp };
+/// alternation (kAfp), component-wise evaluation (kScc), and the original
+/// Van Gelder–Ross–Schlipf iteration (kWp).
+enum class SolverEngine { kAfp, kScc, kWp };
 
 const char* SolverEngineName(SolverEngine e);
 
-/// The one options struct of the public API, replacing the four divergent
-/// per-engine structs (AfpOptions / ResidualOptions / SccOptions /
-/// WpOptions) at the call boundary. Fields that do not apply to the
-/// selected engine are ignored (e.g. gus_mode under kAfp).
+/// The one options struct of the public API, standing in for the
+/// per-engine structs (AfpOptions / SccOptions) at the call boundary.
+/// Fields that do not apply to the selected engine are ignored (e.g.
+/// record_trace under kScc). Every engine evaluates its operators through
+/// the delta-driven evaluators (SpEvaluator for S_P, TpEvaluator and
+/// GusEvaluator for T_P and U_P); there is no evaluation-mode knob.
 struct SolverOptions {
   SolverEngine engine = SolverEngine::kAfp;
-  /// S_P propagation discipline (all engines' inner Horn solves).
-  HornMode horn_mode = HornMode::kCounting;
-  /// S_P enablement recomputation (kAfp, kResidual, kScc with inner kAfp,
-  /// and the stable-model search).
-  SpMode sp_mode = SpMode::kDelta;
-  /// T_P / unfounded-set witness recomputation (kWp, kScc with inner kWp).
-  GusMode gus_mode = GusMode::kDelta;
   /// Per-component engine for kScc — and for every incremental re-solve,
   /// which always runs component-wise regardless of `engine`.
   SccInnerEngine inner = SccInnerEngine::kAfp;
@@ -83,13 +77,12 @@ struct SolverOptions {
   /// its accumulated interpreted work crosses compile_hot_threshold,
   /// kAlways compiles every eligible component up front. Models and
   /// per-component trajectories are bit-identical in all three modes
-  /// (pinned by the differential tests); only HornMode::kCounting
-  /// sessions compile (kNaive keeps its fully interpreted baseline).
+  /// (pinned by the differential tests).
   CompileMode compile = CompileMode::kHot;
   /// Heat units (inner iterations + 1 per interpreted general-path solve
   /// of a component) before CompileMode::kHot compiles that component.
   std::uint32_t compile_hot_threshold = 32;
-  /// Grounding controls (instantiation mode, semi-naive, simplification).
+  /// Grounding controls (instantiation mode, simplification, limits).
   GroundOptions ground;
   /// Record the Table-I style trace on kAfp solves (costly; debugging).
   bool record_trace = false;
@@ -104,8 +97,8 @@ struct SolverStats {
   std::size_t num_rules = 0;
   std::size_t ground_size = 0;
   /// Outer iterations of the last full solve: A_P rounds (kAfp), W_P
-  /// rounds (kWp), alternating rounds (kResidual); 0 for kScc (see
-  /// num_components / component_iterations instead).
+  /// rounds (kWp); 0 for kScc (see num_components / component_iterations
+  /// instead).
   std::size_t iterations = 0;
   /// kScc shape of the last full solve.
   std::size_t num_components = 0;
@@ -238,14 +231,14 @@ class Solver {
   /// Why `atom_text` has its well-founded value (solves on demand).
   StatusOr<Justification> Explain(const std::string& atom_text);
 
-  /// Enumerates stable models with the depth-first search (src/search/),
-  /// honoring the session's sp_mode / horn_mode. Models arrive in
-  /// depth-first order. On a solved session the root is seeded from the
-  /// cached well-founded model (Solve() ran and incremental updates kept
-  /// it current), skipping the root's propagation; the engine itself is
-  /// cached across calls and dropped whenever the ground program mutates
-  /// (AssertFacts / RetractFacts / AddRule / RemoveRule), so a mutated
-  /// session never reuses a stale ground-program view.
+  /// Enumerates stable models with the depth-first search (src/search/).
+  /// Models arrive in depth-first order. On a solved session the root is
+  /// seeded from the cached well-founded model (Solve() ran and
+  /// incremental updates kept it current), skipping the root's
+  /// propagation; the engine itself is cached across calls and dropped
+  /// whenever the ground program mutates (AssertFacts / RetractFacts /
+  /// AddRule / RemoveRule), so a mutated session never reuses a stale
+  /// ground-program view.
   StableResult StableModels(
       std::size_t max_models = static_cast<std::size_t>(-1));
 
@@ -321,8 +314,8 @@ class Solver {
   /// false) dead atoms, exactly like RetractFacts leaves its atom behind.
   ///
   /// Both need the exact instance provenance the session's grounder keeps
-  /// from construction, which only GroundMode::kSmart, semi_naive = true,
-  /// simplify = false grounding provides (Grounder::SupportsRuleOps); on
+  /// from construction, which only GroundMode::kSmart, simplify = false
+  /// grounding provides (Grounder::SupportsRuleOps); on
   /// any other session they fail FailedPrecondition, mutating nothing.
   /// Fact texts are rejected (InvalidArgument): facts are EDB state, use
   /// AssertFacts/RetractFacts.
@@ -450,12 +443,12 @@ class Solver {
   std::unique_ptr<AtomDependencyGraph> graph_;
   RuleBuckets comp_rules_;
   /// Session cache of compiled rule kernels, alongside the condensation
-  /// it is indexed by (null when options_.compile == kOff or horn_mode
-  /// != kCounting). Invalidation: UpdateFactsById invalidates exactly
-  /// the touched components and acknowledges the program's mutation
-  /// epoch; any OTHER post-seal mutation (a bare GroundProgram::AddRule)
-  /// is caught by the epoch check at every entry point and drops the
-  /// whole cache rather than ever serving a stale kernel.
+  /// it is indexed by (null when options_.compile == kOff).
+  /// Invalidation: UpdateFactsById invalidates exactly the touched
+  /// components and acknowledges the program's mutation epoch; any OTHER
+  /// post-seal mutation (a bare GroundProgram::AddRule) is caught by the
+  /// epoch check at every entry point and drops the whole cache rather
+  /// than ever serving a stale kernel.
   std::unique_ptr<KernelCache> kernels_;
   /// Persistent per-update scratch for SccResolveDownstream: keeps every
   /// incremental repair O(downstream closure) instead of paying an

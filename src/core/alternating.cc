@@ -97,8 +97,8 @@ AfpResult AlternatingFixpointWithContext(EvalContext& ctx,
   // engine applies the same treatment to its T_P/U_P halves through
   // TpEvaluator and GusEvaluator; docs/ARCHITECTURE.md lays the two delta
   // index families side by side.)
-  SpEvaluator even(solver, ctx, options.sp_mode, options.horn_mode);
-  SpEvaluator odd(solver, ctx, options.sp_mode, options.horn_mode);
+  SpEvaluator even(solver, ctx);
+  SpEvaluator odd(solver, ctx);
   return AlternatingFixpointOnEvaluators(ctx, even, odd,
                                          solver.view().num_atoms,
                                          seed_negatives, options);
@@ -110,15 +110,6 @@ AfpResult AlternatingFixpoint(const GroundProgram& gp,
   HornSolver solver(gp.View(), &ctx);
   return AlternatingFixpointWithContext(ctx, solver,
                                         Bitset(gp.num_atoms()), options);
-}
-
-AfpResult AlternatingFixpointSeeded(const GroundProgram& gp,
-                                    const Bitset& seed_negatives,
-                                    const AfpOptions& options) {
-  EvalContext ctx;
-  HornSolver solver(gp.View(), &ctx);
-  return AlternatingFixpointWithContext(ctx, solver, seed_negatives,
-                                        options);
 }
 
 }  // namespace afp

@@ -23,10 +23,6 @@ struct AfpTraceRow {
 
 /// Options for the alternating fixpoint computation.
 struct AfpOptions {
-  HornMode horn_mode = HornMode::kCounting;
-  /// How rule enablement is recomputed between half-steps: delta-driven
-  /// (default) or from-scratch (ablation baseline; implied by kNaive).
-  SpMode sp_mode = SpMode::kDelta;
   /// Record every half-step (Ĩ_k, S_P(Ĩ_k)). Costs two bitset copies per
   /// half-step; leave off for large instances.
   bool record_trace = false;
@@ -60,23 +56,20 @@ struct AfpResult {
 AfpResult AlternatingFixpoint(const GroundProgram& gp,
                               const AfpOptions& options = {});
 
-/// As above, but seeds the iteration with Ĩ_0 = `seed_negatives` (a set of
-/// atoms assumed false over the program's full universe), computing the
-/// least fixpoint of X ↦ A_P(X ∪ seed). For any stable model M whose
-/// negative part contains the seed, the result under-approximates M
-/// (this need not hold for inconsistent seeds). Only tests call it.
-AfpResult AlternatingFixpointSeeded(const GroundProgram& gp,
-                                    const Bitset& seed_negatives,
-                                    const AfpOptions& options = {});
-
 /// The full-control entry point: alternating fixpoint on an existing solver
-/// drawing all scratch from `ctx`. Engines that solve many programs (the
-/// SCC engine, the stable-model search) pass one context through every
-/// call, reducing the steady-state allocation rate to zero; the context's
-/// counters accumulate and the result carries this call's share.
-/// `seed_negatives` must be sized to the solver's atom universe; a
-/// default-constructed (universe-0) bitset is accepted as "no seed". The
-/// seeded and unseeded iterations are one code path.
+/// drawing all scratch from `ctx`. Callers that solve many programs (the
+/// relevance-sliced point queries, a Solver session) pass one context
+/// through every call, reducing the steady-state allocation rate to zero;
+/// the context's counters accumulate and the result carries this call's
+/// share.
+///
+/// `seed_negatives` seeds the iteration with Ĩ_0 = seed (a set of atoms
+/// assumed false over the solver's atom universe), computing the least
+/// fixpoint of X ↦ A_P(X ∪ seed). For any stable model M whose negative
+/// part contains the seed, the result under-approximates M (this need not
+/// hold for inconsistent seeds). A default-constructed (universe-0) bitset
+/// is accepted as "no seed"; the seeded and unseeded iterations are one
+/// code path.
 AfpResult AlternatingFixpointWithContext(EvalContext& ctx,
                                          const HornSolver& solver,
                                          const Bitset& seed_negatives,

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/alternating.h"
+
 namespace afp {
 
 ComponentSolver::ComponentSolver(
@@ -17,8 +19,6 @@ ComponentSolver::ComponentSolver(
       local_(ctx.AcquireRules()),
       local_id_(ctx.AcquireU32()),
       stamp_(ctx.AcquireU32()) {
-  afp_opts_.horn_mode = options_.horn_mode;
-  afp_opts_.sp_mode = options_.sp_mode;
   local_id_.assign(view.num_atoms, 0);
   // UINT32_MAX never collides with a component id, so unstamped atoms are
   // recognized across every component this solver handles.
@@ -176,8 +176,8 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
       tp_->Rebind(solver);
       gus_->Rebind(solver);
     } else {
-      tp_.emplace(solver, ctx_, options_.gus_mode);
-      gus_.emplace(solver, ctx_, options_.gus_mode);
+      tp_.emplace(solver, ctx_);
+      gus_.emplace(solver, ctx_);
     }
     WpResult r =
         WellFoundedViaWpOnEvaluators(ctx_, *tp_, *gus_, local_.num_atoms);
@@ -188,12 +188,12 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
       even_->Rebind(solver);
       odd_->Rebind(solver);
     } else {
-      even_.emplace(solver, ctx_, options_.sp_mode, options_.horn_mode);
-      odd_.emplace(solver, ctx_, options_.sp_mode, options_.horn_mode);
+      even_.emplace(solver, ctx_);
+      odd_.emplace(solver, ctx_);
     }
     Bitset local_seed = ctx_.AcquireBitset(local_.num_atoms);
     AfpResult r = AlternatingFixpointOnEvaluators(
-        ctx_, *even_, *odd_, local_.num_atoms, local_seed, afp_opts_);
+        ctx_, *even_, *odd_, local_.num_atoms, local_seed);
     ctx_.ReleaseBitset(std::move(local_seed));
     out.iterations = static_cast<std::uint32_t>(r.outer_iterations);
     local_model = std::move(r.model);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "analysis/atom_graph.h"
-#include "core/alternating.h"
 #include "core/eval_context.h"
 #include "core/horn_solver.h"
 #include "core/interpretation.h"
@@ -105,7 +104,6 @@ class ComponentSolver {
   const AtomDependencyGraph& graph_;
   const RuleBuckets& comp_rules_;
   AssumptionPair assumptions_;
-  AfpOptions afp_opts_;
   /// Local rule buffer recycled across components (pooled).
   OwnedRules local_;
   /// Scratch map AtomId -> local id, versioned by component id to avoid

@@ -114,12 +114,9 @@ void EvalContextRegistry::ResetStats() {
   for (const auto& ctx : contexts_) ctx->ResetStats();
 }
 
-SpEvaluator::SpEvaluator(const HornSolver& solver, EvalContext& ctx,
-                         SpMode mode, HornMode horn_mode)
+SpEvaluator::SpEvaluator(const HornSolver& solver, EvalContext& ctx)
     : solver_(&solver),
       ctx_(ctx),
-      mode_(mode),
-      horn_mode_(horn_mode),
       neg_missing_(ctx.AcquireU32()),
       last_false_(ctx.AcquireBitset(0)),
       remaining_(ctx.AcquireU32()),
@@ -136,13 +133,7 @@ void SpEvaluator::Eval(const Bitset& assumed_false, Bitset* out) {
   assert(assumed_false.universe_size() == solver_->view().num_atoms);
   assert(out != &assumed_false);
   ++ctx_.stats().sp_calls;
-  if (horn_mode_ == HornMode::kNaive) {
-    // Ablation baseline: textbook T_P iteration, no incremental state.
-    ctx_.stats().rules_rescanned += solver_->view().rules.size();
-    *out = solver_->EventualConsequences(assumed_false, HornMode::kNaive);
-    return;
-  }
-  if (mode_ == SpMode::kScratch || !primed_) {
+  if (!primed_) {
     Prime(assumed_false);
   } else {
     ApplyDelta(assumed_false);
@@ -176,10 +167,8 @@ void SpEvaluator::Prime(const Bitset& assumed_false) {
     }
     ctx_.stats().rules_rescanned += view.rules.size();
   }
-  if (mode_ == SpMode::kDelta) {
-    last_false_ = assumed_false;
-    primed_ = true;
-  }
+  last_false_ = assumed_false;
+  primed_ = true;
 }
 
 void SpEvaluator::ApplyDelta(const Bitset& assumed_false) {

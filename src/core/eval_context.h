@@ -15,45 +15,6 @@
 
 namespace afp {
 
-/// Strategy for recomputing per-rule enablement (the negative-body check of
-/// S_P, Definition 4.2) between consecutive evaluations of the eventual
-/// consequence operator.
-enum class SpMode {
-  /// Incremental: keep per-rule counters of unsatisfied negative literals
-  /// and update them only for the rules reachable — through the
-  /// negative-occurrence index — from atoms whose assumed-false status
-  /// flipped since the previous call. The alternating sequences are
-  /// monotone per subsequence (Theorem 5.4), so these deltas shrink to
-  /// nothing as the fixpoint is approached.
-  kDelta,
-  /// From-scratch: rescan every negative literal of every rule on every
-  /// call. Kept as the ablation baseline (bench_ablation pins the two
-  /// paths equivalent; the differential tests do so on every engine).
-  kScratch,
-};
-
-/// Strategy for recomputing per-rule witnesses of unusability (the body
-/// check of the unfounded-set operator U_P, Definition 6.1, and of the
-/// immediate consequence operator T_P, Definition 3.7) between consecutive
-/// evaluations — the unfounded-set mirror of SpMode.
-enum class GusMode {
-  /// Incremental: keep per-rule witness counters over BOTH body polarities
-  /// (positive literals false in I, negative literals true in I) and update
-  /// them only for the rules reachable — through the positive- and
-  /// negative-occurrence indexes — from atoms whose truth status flipped
-  /// since the previous call. The W_P iteration is monotone (its sequence
-  /// of partial interpretations increases to the well-founded model), so
-  /// every atom flips at most once per polarity across a whole run and the
-  /// total delta work is bounded by the program size, independent of the
-  /// number of rounds. The externally-supported set is maintained across
-  /// calls by an over-delete / re-derive worklist (GusEvaluator).
-  kDelta,
-  /// From-scratch: rescan every rule body on every call. Kept as the
-  /// ablation baseline, pinned bit-identical to kDelta by differential
-  /// tests on every engine and measured by bench_ablation's GusMode axis.
-  kScratch,
-};
-
 /// Work counters accumulated by every evaluation that runs through one
 /// EvalContext. Engines snapshot the counters around a run and report the
 /// difference in their result structs.
@@ -62,13 +23,15 @@ struct EvalStats {
   /// per alternating round plus the confirming ones).
   std::size_t sp_calls = 0;
   /// Rule-enablement examinations: how many per-rule negative-body checks
-  /// were (re)done. The from-scratch path pays one per rule per call; the
-  /// delta path pays one per rule *touched by a flipped atom*. This
-  /// isolates the enablement-scan work the delta path removes; it does NOT
-  /// include the propagation itself, which re-derives the full S_P output
-  /// on every call (inherently Ω(|output|)) in either mode — so wall-clock
-  /// improves by less than this counter's ratio. bench_ablation reports
-  /// both side by side.
+  /// were (re)done. A priming call pays one per rule (none when Ĩ = ∅);
+  /// a delta call pays one per rule *touched by a flipped atom*. A
+  /// from-scratch evaluation would pay one per rule per call (the test
+  /// reference in tests/reference/ charges exactly that, and the
+  /// AblationCounters test pins the gap). It does NOT include the
+  /// propagation itself, which re-derives the full S_P output on every
+  /// call (inherently Ω(|output|)) — so wall-clock improves by less than
+  /// this counter's ratio. The W_P side (TpEvaluator) charges its body
+  /// examinations here too.
   std::size_t rules_rescanned = 0;
   /// Atoms whose assumed-false status flipped between consecutive delta
   /// evaluations (the |Δ| that drives the incremental path). The W_P-side
@@ -79,16 +42,17 @@ struct EvalStats {
   /// Definition 6.1 — one per W_P round).
   std::size_t gus_calls = 0;
   /// Rule-body witness examinations done by the unfounded-set side: how
-  /// many per-rule witness-of-unusability checks were (re)done. The
-  /// from-scratch path pays one per rule per U_P call; the delta path pays
-  /// one per rule *occurrence touched by a flipped atom* plus one per
-  /// defining rule of each over-deleted atom during re-derivation. The two
-  /// modes therefore count slightly different units — on shallow
-  /// iterations over wide-bodied rules the delta side's incidence touches
-  /// can exceed the scratch side's per-rule count; the delta win is an
-  /// amortized one, materializing as rounds grow (each atom flips at most
-  /// once per polarity across a monotone W_P run, so the delta total is
-  /// bounded by program size while scratch pays rounds × rules).
+  /// many per-rule witness-of-unusability checks were (re)done. A priming
+  /// call pays one per rule (none on the all-undefined interpretation); a
+  /// delta call pays one per rule *occurrence touched by a flipped atom*
+  /// plus one per defining rule of each over-deleted atom during
+  /// re-derivation. A from-scratch evaluation would pay one per rule per
+  /// U_P call, a slightly different unit — on shallow iterations over
+  /// wide-bodied rules the incidence touches can exceed the per-rule
+  /// count; the delta win is an amortized one, materializing as rounds
+  /// grow (each atom flips at most once per polarity across a monotone
+  /// W_P run, so the delta total is bounded by program size while a
+  /// rescan pays rounds × rules).
   std::size_t gus_rules_rescanned = 0;
   /// Component solves served by a compiled rule kernel (KernelEvaluator
   /// over a CompiledBucket, core/rule_kernel.h) instead of the interpreted
@@ -166,8 +130,8 @@ class EvalContext {
   void ReleaseU32(std::vector<std::uint32_t>&& v);
 
   /// Returns an empty rewritable rule buffer (capacity retained across
-  /// uses — the residual engine's double buffer and the SCC engine's local
-  /// subprograms cycle through these).
+  /// uses — the SCC engine's local subprograms and the relevance slices
+  /// cycle through these).
   OwnedRules AcquireRules();
   void ReleaseRules(OwnedRules&& r);
 
@@ -270,21 +234,19 @@ void BuildCsrIndex(std::size_t num_atoms, std::span<const GroundRule> rules,
 /// Incremental S_P evaluator binding one HornSolver to one EvalContext.
 ///
 /// Construction borrows scratch from the context (cheap once the context is
-/// warm); destruction returns it. The first Eval in kDelta mode primes the
-/// per-rule unsatisfied-negative-literal counters with one full scan; every
-/// later call updates them only from the atoms whose membership in
-/// `assumed_false` changed, via the solver's negative-occurrence index.
+/// warm); destruction returns it. The first Eval primes the per-rule
+/// unsatisfied-negative-literal counters with one full scan (free when
+/// Ĩ = ∅); every later call updates them only from the atoms whose
+/// membership in `assumed_false` changed, via the solver's
+/// negative-occurrence index. The Ĩ arguments of the alternating sequences
+/// are monotone per subsequence (Theorem 5.4), so these deltas shrink to
+/// nothing as the fixpoint is approached.
 ///
 /// The alternating fixpoint keeps two evaluators — one per subsequence of
 /// Ĩ_k arguments — so each sees a monotone, shrinking delta stream.
 class SpEvaluator {
  public:
-  /// `horn_mode` kNaive bypasses the incremental machinery entirely and
-  /// delegates to HornSolver's naive iteration (the coarsest ablation
-  /// baseline).
-  SpEvaluator(const HornSolver& solver, EvalContext& ctx,
-              SpMode mode = SpMode::kDelta,
-              HornMode horn_mode = HornMode::kCounting);
+  SpEvaluator(const HornSolver& solver, EvalContext& ctx);
   ~SpEvaluator();
 
   SpEvaluator(const SpEvaluator&) = delete;
@@ -303,16 +265,13 @@ class SpEvaluator {
   /// Computes S_P(assumed_false) into `*out` (resized and cleared here).
   /// Precondition: `out` must not alias `assumed_false`, and
   /// `assumed_false` must have the solver's atom universe size.
-  /// Postcondition: `*out` equals
-  /// HornSolver::EventualConsequences(assumed_false) bit for bit, in
-  /// either mode and for any call sequence (monotone or not).
+  /// Postcondition: `*out` equals S_P(assumed_false) bit for bit, for any
+  /// call sequence (monotone or not).
   void Eval(const Bitset& assumed_false, Bitset* out);
 
   /// Convenience: returns a fresh bitset (allocates; prefer the in-place
   /// overload in loops).
   Bitset Eval(const Bitset& assumed_false);
-
-  SpMode mode() const { return mode_; }
 
  private:
   void Prime(const Bitset& assumed_false);
@@ -321,8 +280,6 @@ class SpEvaluator {
 
   const HornSolver* solver_;
   EvalContext& ctx_;
-  SpMode mode_;
-  HornMode horn_mode_;
   bool primed_ = false;
   /// neg_missing_[r]: negative body literals of rule r not satisfied by the
   /// last assumed_false seen. Rule enabled iff 0. Persistent across calls.

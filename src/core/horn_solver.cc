@@ -77,56 +77,20 @@ void HornSolver::ReleaseIndexes() {
   ctx_ = nullptr;
 }
 
-Bitset HornSolver::EventualConsequences(const Bitset& assumed_false,
-                                        HornMode mode) const {
-  return mode == HornMode::kCounting ? Counting(assumed_false)
-                                     : Naive(assumed_false);
-}
-
-Bitset HornSolver::Counting(const Bitset& assumed_false) const {
+Bitset HornSolver::EventualConsequences(const Bitset& assumed_false) const {
   // One-shot wrapper over the shared Dowling–Gallier propagation in
-  // SpEvaluator (scratch mode: prime the enablement counters, propagate,
-  // discard) — the single implementation of the counting loop. A solver
-  // built over an engine's context charges the work there (and borrows its
-  // pooled scratch); a standalone solver keeps a private context so
-  // repeated calls still recycle their buffers.
+  // SpEvaluator (a fresh evaluator: prime the enablement counters,
+  // propagate, discard) — the single implementation of the counting loop.
+  // A solver built over an engine's context charges the work there (and
+  // borrows its pooled scratch); a standalone solver keeps a private
+  // context so repeated calls still recycle their buffers.
   if (ctx_ == nullptr && scratch_ctx_ == nullptr) {
     scratch_ctx_ = std::make_unique<EvalContext>();
   }
   EvalContext& ctx = ctx_ != nullptr ? *ctx_ : *scratch_ctx_;
-  SpEvaluator sp(*this, ctx, SpMode::kScratch);
+  SpEvaluator sp(*this, ctx);
   Bitset derived;
   sp.Eval(assumed_false, &derived);
-  return derived;
-}
-
-Bitset HornSolver::Naive(const Bitset& assumed_false) const {
-  Bitset derived(view_.num_atoms);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const GroundRule& r : view_.rules) {
-      if (derived.Test(r.head)) continue;
-      bool fire = true;
-      for (AtomId a : view_.pos(r)) {
-        if (!derived.Test(a)) {
-          fire = false;
-          break;
-        }
-      }
-      if (!fire) continue;
-      for (AtomId a : view_.neg(r)) {
-        if (!assumed_false.Test(a)) {
-          fire = false;
-          break;
-        }
-      }
-      if (fire) {
-        derived.Set(r.head);
-        changed = true;
-      }
-    }
-  }
   return derived;
 }
 

@@ -12,16 +12,6 @@ namespace afp {
 
 class EvalContext;
 
-/// Strategy for computing Horn least fixpoints.
-enum class HornMode {
-  /// Dowling–Gallier style counting propagation: each call runs in time
-  /// linear in the size of the ground program.
-  kCounting,
-  /// Textbook T_P iteration to fixpoint: each round scans every rule;
-  /// worst-case quadratic. Kept as the ablation baseline (bench_ablation).
-  kNaive,
-};
-
 /// Computes the eventual consequence mapping S_P (Definition 4.2): the least
 /// fixpoint of T_{P∪Ĩ}, where a fixed set Ĩ of negative facts is treated
 /// like additional EDB facts (Fig. 3 of the paper). A negative body literal
@@ -30,9 +20,11 @@ enum class HornMode {
 /// The solver precomputes the positive-occurrence index once per RuleView
 /// (the negative one lazily on first use), so it can be applied to many
 /// different Ĩ arguments cheaply — exactly the access pattern of the
-/// alternating fixpoint. For incremental re-evaluation between nearby Ĩ
-/// arguments, see SpEvaluator (core/eval_context.h), which drives rule
-/// enablement from the negative-occurrence index and the Ĩ delta alone.
+/// alternating fixpoint. Fixpoints are computed by Dowling–Gallier
+/// counting propagation, linear in the size of the ground program per
+/// call. For incremental re-evaluation between nearby Ĩ arguments, see
+/// SpEvaluator (core/eval_context.h), which drives rule enablement from
+/// the negative-occurrence index and the Ĩ delta alone.
 ///
 /// Like the rest of the evaluation core, a solver is NOT thread-safe, even
 /// through const methods: EventualConsequences cycles pooled scratch and
@@ -43,7 +35,7 @@ class HornSolver {
   /// Builds indexes over `view`. The view's storage must outlive the
   /// solver. When `ctx` is non-null, the index arrays are drawn from (and
   /// on destruction returned to) the context's scratch pool, so rebuilding
-  /// a solver each round — the residual and SCC engines' pattern — reuses
+  /// a solver per component — the SCC engine's pattern — reuses
   /// the previous round's capacity instead of reallocating.
   explicit HornSolver(RuleView view, EvalContext* ctx = nullptr);
   ~HornSolver();
@@ -57,10 +49,9 @@ class HornSolver {
   /// model of P ∪ Ĩ restricted to positive atoms, where Ĩ = the atoms of
   /// `assumed_false` taken as negative facts. Precondition:
   /// `assumed_false` has the view's atom universe size. Postcondition:
-  /// the result is the unique least fixpoint of T_{P∪Ĩ} — identical
-  /// across both HornModes (pinned by the property tests).
-  Bitset EventualConsequences(const Bitset& assumed_false,
-                              HornMode mode = HornMode::kCounting) const;
+  /// the result is the unique least fixpoint of T_{P∪Ĩ} (pinned against
+  /// the naive T_P iteration of tests/reference/ by the property tests).
+  Bitset EventualConsequences(const Bitset& assumed_false) const;
 
   const RuleView& view() const { return view_; }
 
@@ -77,8 +68,8 @@ class HornSolver {
   /// For each atom, the rules in which it occurs negatively (CSR layout);
   /// drives the delta-driven enablement updates of SpEvaluator and the
   /// witness updates of TpEvaluator (flips into I−) and GusEvaluator
-  /// (flips into I+). Built lazily on first access — scratch-only and
-  /// naive-only consumers never pay for it. (Like the rest of the
+  /// (flips into I+). Built lazily on first access — one-shot
+  /// EventualConsequences calls never pay for it. (Like the rest of the
   /// evaluation core, not thread-safe.)
   const std::vector<std::uint32_t>& neg_occ_offsets() const {
     EnsureNegIndex();
@@ -93,13 +84,11 @@ class HornSolver {
   void EnsureNegIndex() const;
   void ReleaseIndexes();
 
-  Bitset Counting(const Bitset& assumed_false) const;
-  Bitset Naive(const Bitset& assumed_false) const;
 
   RuleView view_;
   EvalContext* ctx_ = nullptr;
   /// Lazily created for context-less solvers, so repeated
-  /// EventualConsequences(kCounting) calls reuse their scratch instead of
+  /// EventualConsequences calls reuse their scratch instead of
   /// reallocating per call.
   mutable std::unique_ptr<EvalContext> scratch_ctx_;
   std::vector<std::uint32_t> pos_occ_offsets_;  // num_atoms + 1

@@ -54,8 +54,7 @@ RelevantSlice RelevantSubprogram(const RuleView& view,
 }
 
 StatusOr<RelevanceQueryResult> QueryWithRelevanceWithContext(
-    EvalContext& ctx, const GroundProgram& gp, const std::string& atom_text,
-    HornMode mode) {
+    EvalContext& ctx, const GroundProgram& gp, const std::string& atom_text) {
   RelevanceQueryResult result;
   result.full_size = gp.TotalSize();
 
@@ -74,10 +73,8 @@ StatusOr<RelevanceQueryResult> QueryWithRelevanceWithContext(
 
   {
     HornSolver solver(slice.rules.View(), &ctx);
-    AfpOptions opts;
-    opts.horn_mode = mode;
     Bitset seed = ctx.AcquireBitset(gp.num_atoms());
-    AfpResult afp = AlternatingFixpointWithContext(ctx, solver, seed, opts);
+    AfpResult afp = AlternatingFixpointWithContext(ctx, solver, seed);
     ctx.ReleaseBitset(std::move(seed));
     result.value = afp.model.Value(target);
     // The model's bitsets were escape-noted by the fixpoint; a point
@@ -90,11 +87,10 @@ StatusOr<RelevanceQueryResult> QueryWithRelevanceWithContext(
   return result;
 }
 
-StatusOr<RelevanceQueryResult> QueryWithRelevance(const GroundProgram& gp,
-                                                  const std::string& atom_text,
-                                                  HornMode mode) {
+StatusOr<RelevanceQueryResult> QueryWithRelevance(
+    const GroundProgram& gp, const std::string& atom_text) {
   EvalContext ctx;
-  return QueryWithRelevanceWithContext(ctx, gp, atom_text, mode);
+  return QueryWithRelevanceWithContext(ctx, gp, atom_text);
 }
 
 std::vector<StatusOr<RelevanceQueryResult>> QueryBatchWithRelevance(
@@ -124,8 +120,7 @@ std::vector<StatusOr<RelevanceQueryResult>> QueryBatchWithRelevance(
   RunWorkPool(roots, num_workers,
               [&](WorkPool&, std::uint64_t i, std::uint32_t worker) {
                 results[i] = QueryWithRelevanceWithContext(
-                    registry.ForWorker(worker), gp, atom_texts[i],
-                    options.horn_mode);
+                    registry.ForWorker(worker), gp, atom_texts[i]);
               });
   return results;
 }

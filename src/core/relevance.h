@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/eval_context.h"
-#include "core/horn_solver.h"
 #include "core/interpretation.h"
 #include "ground/ground_program.h"
 #include "ground/owned_rules.h"
@@ -45,20 +44,16 @@ struct RelevanceQueryResult {
 /// slicing to the relevant subprogram and running the alternating fixpoint
 /// there. Atoms outside the grounded base are false (closed world).
 StatusOr<RelevanceQueryResult> QueryWithRelevance(
-    const GroundProgram& gp, const std::string& atom_text,
-    HornMode mode = HornMode::kCounting);
+    const GroundProgram& gp, const std::string& atom_text);
 
 /// As above, drawing the slice buffer, the solver indexes, and the
 /// fixpoint scratch from `ctx`, so a loop of point queries allocates
-/// like a single one (the PR 2 follow-up: no more private context per
-/// call).
+/// like a single one.
 StatusOr<RelevanceQueryResult> QueryWithRelevanceWithContext(
-    EvalContext& ctx, const GroundProgram& gp, const std::string& atom_text,
-    HornMode mode = HornMode::kCounting);
+    EvalContext& ctx, const GroundProgram& gp, const std::string& atom_text);
 
 /// Options for a relevance-sliced query batch.
 struct QueryBatchOptions {
-  HornMode horn_mode = HornMode::kCounting;
   /// Worker threads. Point queries are mutually independent, so the batch
   /// hands its query indices to RunWorkPool as roots (exec/scheduler.h),
   /// each worker slicing and solving through its own registry context;

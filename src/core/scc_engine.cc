@@ -111,26 +111,13 @@ SccWfsResult WellFoundedSccOnGraph(EvalContext& ctx, const RuleView& view,
   return result;
 }
 
-SccWfsResult WellFoundedSccWithContext(EvalContext& ctx,
-                                       const GroundProgram& gp,
-                                       const SccOptions& options) {
+SccWfsResult WellFoundedScc(const GroundProgram& gp,
+                            const SccOptions& options) {
+  EvalContext ctx;
   const RuleView view = gp.View();
   AtomDependencyGraph graph(view);
   return WellFoundedSccOnGraph(ctx, view, graph, RuleBuckets(view, graph),
                                options);
-}
-
-SccWfsResult WellFoundedScc(const GroundProgram& gp, HornMode mode) {
-  EvalContext ctx;
-  SccOptions options;
-  options.horn_mode = mode;
-  return WellFoundedSccWithContext(ctx, gp, options);
-}
-
-SccWfsResult WellFoundedScc(const GroundProgram& gp,
-                            const SccOptions& options) {
-  EvalContext ctx;
-  return WellFoundedSccWithContext(ctx, gp, options);
 }
 
 void SccUpdateScratch::Ensure(std::size_t nc) {

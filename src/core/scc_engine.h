@@ -8,7 +8,6 @@
 
 #include "analysis/atom_graph.h"
 #include "core/eval_context.h"
-#include "core/horn_solver.h"
 #include "core/interpretation.h"
 #include "ground/ground_program.h"
 #include "util/bitset.h"
@@ -20,8 +19,8 @@ class KernelCache;      // core/rule_kernel.h
 
 /// Which engine solves each component's local subprogram. By Theorem 7.8
 /// both compute the same local (well-founded) model; the axis exists so the
-/// delta-driven machinery of either engine family can be exercised — and
-/// ablated — under the many-small-programs access pattern.
+/// delta-driven machinery of either engine family can be exercised under
+/// the many-small-programs access pattern.
 enum class SccInnerEngine {
   /// The alternating fixpoint (§5): S_P twice per round (SpEvaluator).
   kAfp,
@@ -32,12 +31,7 @@ enum class SccInnerEngine {
 
 /// Options for the component-wise well-founded computation.
 struct SccOptions {
-  HornMode horn_mode = HornMode::kCounting;
-  /// S_P enablement recomputation for the kAfp inner engine.
-  SpMode sp_mode = SpMode::kDelta;
   SccInnerEngine inner = SccInnerEngine::kAfp;
-  /// T_P / U_P witness recomputation for the kWp inner engine.
-  GusMode gus_mode = GusMode::kDelta;
   /// Optional compiled-kernel cache (core/rule_kernel.h). Null keeps every
   /// component interpreted. When set, ComponentSolver serves components
   /// with a compiled bucket through the packed KernelEvaluator and reports
@@ -166,21 +160,11 @@ struct GlobalModel {
 /// On (ground-)locally-stratified programs every component is negation-free
 /// internally, so each local fixpoint is a plain Horn solve and the result
 /// is the perfect model. Equivalence with AlternatingFixpoint is pinned by
-/// the property tests.
+/// the property tests. Runs on a private, throwaway EvalContext; callers
+/// that keep a context, a dependency graph and rule buckets alive across
+/// solves use WellFoundedSccOnGraph.
 SccWfsResult WellFoundedScc(const GroundProgram& gp,
-                            HornMode mode = HornMode::kCounting);
-
-/// As above with full option control (inner engine, Sp/Gus modes) and a
-/// private, throwaway EvalContext.
-SccWfsResult WellFoundedScc(const GroundProgram& gp,
-                            const SccOptions& options);
-
-/// As above, drawing every per-component buffer — local rules, occurrence
-/// indexes, fixpoint scratch — from one shared `ctx`, so solving thousands
-/// of small components allocates like solving one.
-SccWfsResult WellFoundedSccWithContext(EvalContext& ctx,
-                                       const GroundProgram& gp,
-                                       const SccOptions& options = {});
+                            const SccOptions& options = {});
 
 /// The program's rule ids bucketed by the component of their head: row c
 /// lists, in ascending order, the rules whose head lies in component c —
@@ -237,9 +221,9 @@ class RuleBuckets {
 
 /// The full-control entry point: component-wise solve over a caller-owned
 /// dependency graph and rule bucketing (both must describe `view`
-/// exactly). WellFoundedSccWithContext is this plus graph construction
-/// and bucketing; a long-lived Solver calls this directly so repeated
-/// solves share one cached condensation.
+/// exactly). WellFoundedScc is this plus a private context, graph
+/// construction and bucketing; a long-lived Solver calls this directly so
+/// repeated solves share one cached condensation.
 SccWfsResult WellFoundedSccOnGraph(EvalContext& ctx, const RuleView& view,
                                    const AtomDependencyGraph& graph,
                                    const RuleBuckets& comp_rules,

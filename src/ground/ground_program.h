@@ -85,8 +85,8 @@ inline std::uint64_t HashGroundRule(AtomId head, std::span<const AtomId> pos,
 bool SameAtomMultiset(std::span<const AtomId> a, std::span<const AtomId> b);
 
 /// A borrowed, index-free view of a set of ground rules over a fixed atom
-/// universe. Both GroundProgram and the residual-program reducer produce
-/// views; the solvers consume them.
+/// universe. GroundProgram and OwnedRules produce views; the solvers
+/// consume them.
 struct RuleView {
   std::size_t num_atoms = 0;
   std::span<const GroundRule> rules;

@@ -130,10 +130,8 @@ StatusOr<GroundProgram> Grounder::Build(bool keep) {
   }
   if (opts_.mode == GroundMode::kFull) {
     AFP_RETURN_IF_ERROR(FullInstantiation());
-  } else if (opts_.semi_naive) {
-    AFP_RETURN_IF_ERROR(AddRules());
   } else {
-    AFP_RETURN_IF_ERROR(NaiveInstantiation());
+    AFP_RETURN_IF_ERROR(AddRules());
   }
   // Take the receipt before a one-shot grounding releases the structures
   // that assembling the program no longer needs.
@@ -461,25 +459,6 @@ Status Grounder::CascadeFrom(std::size_t delta_begin) {
     delta_end = derived_log_.size();
   }
   return Status::Ok();
-}
-
-Status Grounder::NaiveInstantiation() {
-  // The ablation baseline: every round re-joins every rule against
-  // everything derived so far, in rule order; rules without a positive
-  // literal emit once, first.
-  AFP_RETURN_IF_ERROR(RegisterSourceRules());
-  while (true) {
-    ++current_round_;
-    const std::size_t log_before = derived_log_.size();
-    for (const bool body_free : {true, false}) {
-      if (body_free && current_round_ > 1) continue;
-      for (const RulePlan& plan : plans_) {
-        if ((plan.steps_begin == plan.steps_end) != body_free) continue;
-        AFP_RETURN_IF_ERROR(Join(plan, 0, kFullJoin, current_round_));
-      }
-    }
-    if (derived_log_.size() == log_before) return Status::Ok();
-  }
 }
 
 Status Grounder::FullInstantiation() {

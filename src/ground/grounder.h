@@ -34,9 +34,6 @@ enum class GroundMode {
 /// Options controlling grounding.
 struct GroundOptions {
   GroundMode mode = GroundMode::kSmart;
-  /// Use delta-driven (semi-naive) instantiation; when false, every round
-  /// re-derives all instances (the ablation baseline for bench_grounding).
-  bool semi_naive = true;
   /// Drop negative body literals whose atom can never be derived (they are
   /// certainly true), and omit such atoms from the ground program's base.
   /// This preserves the well-founded and stable semantics of the reachable
@@ -117,12 +114,11 @@ class Grounder {
       std::unique_ptr<Grounder>* keep = nullptr,
       GroundStats* receipt = nullptr);
 
-  /// Rule ops need exact provenance: semi-naive kSmart grounding emits
-  /// every binding exactly once, and only unsimplified grounding keeps each
-  /// instance's body as emitted.
+  /// Rule ops need exact provenance: kSmart grounding emits every binding
+  /// exactly once, and only unsimplified grounding keeps each instance's
+  /// body as emitted.
   static bool SupportsRuleOps(const GroundOptions& options) {
-    return options.mode == GroundMode::kSmart && options.semi_naive &&
-           !options.simplify;
+    return options.mode == GroundMode::kSmart && !options.simplify;
   }
 
   // --- Rule ops on a kept grounder -------------------------------------
@@ -309,7 +305,6 @@ class Grounder {
   /// Runs semi-naive rounds until no new atoms are derived; the first
   /// round's delta is derived_log_[delta_begin..].
   Status CascadeFrom(std::size_t delta_begin);
-  Status NaiveInstantiation();
   Status FullInstantiation();
   Status EnumerateAssignments(const RulePlan& plan,
                               std::span<const std::uint32_t> order,

@@ -7,29 +7,16 @@
 
 namespace afp {
 
-/// An owned, rewritable copy of a rule set over an existing atom universe.
-/// Used wherever a transformed program (residual reduction, conditioning on
-/// assumptions) must be solved without mutating the source GroundProgram.
+/// An owned, rewritable rule set over an existing atom universe. Used
+/// wherever a transformed program (a component's local subprogram, a
+/// relevance slice, conditioning on assumptions) must be solved without
+/// mutating the source GroundProgram.
 struct OwnedRules {
   std::vector<GroundRule> rules;
   std::vector<AtomId> pool;
   std::size_t num_atoms = 0;
 
   RuleView View() const { return RuleView{num_atoms, rules, pool}; }
-
-  /// Overwrites this buffer with a copy of `v` (capacity retained — the
-  /// pooled-buffer path of the residual engine).
-  void AssignFrom(RuleView v) {
-    num_atoms = v.num_atoms;
-    rules.assign(v.rules.begin(), v.rules.end());
-    pool.assign(v.body_pool.begin(), v.body_pool.end());
-  }
-
-  static OwnedRules CopyOf(RuleView v) {
-    OwnedRules out;
-    out.AssignFrom(v);
-    return out;
-  }
 
   /// Appends a rule, copying the body atoms into the local pool.
   void Add(AtomId head, std::span<const AtomId> pos,

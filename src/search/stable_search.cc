@@ -35,26 +35,24 @@ StableSearch::StableSearch(const GroundProgram& gp,
       view_(gp.View()),
       options_(options),
       base_solver_(view_, &ctx_),
-      base_sp_(base_solver_, ctx_, options_.sp_mode, options_.horn_mode),
+      base_sp_(base_solver_, ctx_),
       assumed_true_(gp.num_atoms()),
       assumed_false_(gp.num_atoms()),
       true_(gp.num_atoms()),
       false_(gp.num_atoms()) {
   if (options_.wfs_propagation) {
-    scc_options_.horn_mode = options_.horn_mode;
-    scc_options_.sp_mode = options_.sp_mode;
     graph_.emplace(view_);
     comp_rules_ = RuleBuckets(view_, *graph_);
     solver_ = std::make_unique<ComponentSolver>(
-        ctx_, scc_options_, view_, *graph_, comp_rules_,
+        ctx_, SccOptions{}, view_, *graph_, comp_rules_,
         AssumptionPair{&assumed_true_, &assumed_false_});
   } else {
     // Atoms not derivable even with every negative literal granted can
     // never belong to a stable model (S_P is monotonic); computed once.
     Bitset all(gp_.num_atoms());
     all.SetAll();
-    statically_false_ = Bitset::ComplementOf(
-        base_solver_.EventualConsequences(all, options_.horn_mode));
+    statically_false_ =
+        Bitset::ComplementOf(base_solver_.EventualConsequences(all));
   }
 }
 
@@ -97,8 +95,8 @@ bool StableSearch::Propagate(bool use_seed, StableSearchStats* s) {
     false_ = seed_false_;
     return true;
   } else {
-    SccWfsResult r = WellFoundedSccOnGraph(ctx_, view_, *graph_,
-                                           comp_rules_, scc_options_);
+    SccWfsResult r =
+        WellFoundedSccOnGraph(ctx_, view_, *graph_, comp_rules_);
     true_ = std::move(r.model.true_atoms());
     false_ = std::move(r.model.false_atoms());
     s->components_resolved += r.num_components;
@@ -127,12 +125,12 @@ bool StableSearch::NextSibling() {
 bool StableSearch::PropagatePositive() {
   // Derive what follows from the assumed-false set, detect direct
   // conflicts, and leave everything else to branching. Single-shot
-  // evaluation, so scratch mode regardless of sp_mode.
+  // evaluation on a freshly conditioned program: one priming call.
   OwnedRules conditioned = ctx_.AcquireRules();
   ConditionOnAssumptions(view_, assumed_true_, &conditioned);
   {
     HornSolver solver(conditioned.View(), &ctx_);
-    SpEvaluator sp(solver, ctx_, SpMode::kScratch, options_.horn_mode);
+    SpEvaluator sp(solver, ctx_);
     sp.Eval(assumed_false_, &true_);
   }
   ctx_.ReleaseRules(std::move(conditioned));

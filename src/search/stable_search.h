@@ -79,8 +79,6 @@ struct StableSearchOptions {
   /// whose running time "may be unpleasant". bench_stable_np compares the
   /// two.
   bool wfs_propagation = true;
-  SpMode sp_mode = SpMode::kDelta;
-  HornMode horn_mode = HornMode::kCounting;
 };
 
 /// Per-run controls of a stable-model search, separate from the
@@ -219,7 +217,6 @@ class StableSearch {
 
   /// wfs_propagation: the base program's condensation, its rule buckets,
   /// and the one assumption-reading solver every repair drives.
-  SccOptions scc_options_;
   std::optional<AtomDependencyGraph> graph_;
   RuleBuckets comp_rules_;
   std::unique_ptr<ComponentSolver> solver_;

@@ -6,105 +6,22 @@
 
 namespace afp {
 
-void ExternallySupportedSet(EvalContext& ctx, const HornSolver& solver,
-                            const PartialModel& I, Bitset* out) {
-  const RuleView& view = solver.view();
-  // X = least set such that p ∈ X whenever some rule for p has no body
-  // literal false in I and all its positive body atoms are in X. Then
-  // U_P(I) = H − X; GreatestUnfoundedSet complements this on top.
-  out->Resize(view.num_atoms);
-  Bitset& x = *out;
-  std::vector<std::uint32_t> remaining = ctx.AcquireU32();
-  remaining.resize(view.rules.size());
-  std::vector<std::uint32_t> queue = ctx.AcquireU32();
-  ++ctx.stats().gus_calls;
-  ctx.stats().gus_rules_rescanned += view.rules.size();
-
-  for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
-    const GroundRule& r = view.rules[ri];
-    bool usable = true;
-    for (AtomId a : view.pos(r)) {
-      if (I.false_atoms().Test(a)) {  // positive literal false in I
-        usable = false;
-        break;
-      }
-    }
-    if (usable) {
-      for (AtomId a : view.neg(r)) {
-        if (I.true_atoms().Test(a)) {  // ¬a false in I
-          usable = false;
-          break;
-        }
-      }
-    }
-    if (!usable) {
-      remaining[ri] = UINT32_MAX;
-      continue;
-    }
-    remaining[ri] = r.pos_len;
-    if (r.pos_len == 0 && !x.Test(r.head)) {
-      x.Set(r.head);
-      queue.push_back(r.head);
-    }
-  }
-
-  const auto& off = solver.pos_occ_offsets();
-  const auto& occ = solver.pos_occ_rules();
-  while (!queue.empty()) {
-    AtomId a = queue.back();
-    queue.pop_back();
-    for (std::uint32_t k = off[a]; k < off[a + 1]; ++k) {
-      std::uint32_t ri = occ[k];
-      if (remaining[ri] == UINT32_MAX) continue;
-      if (--remaining[ri] == 0) {
-        AtomId h = view.rules[ri].head;
-        if (!x.Test(h)) {
-          x.Set(h);
-          queue.push_back(h);
-        }
-      }
-    }
-  }
-  ctx.ReleaseU32(std::move(remaining));
-  ctx.ReleaseU32(std::move(queue));
-}
-
-void GreatestUnfoundedSet(EvalContext& ctx, const HornSolver& solver,
-                          const PartialModel& I, Bitset* out) {
-  ExternallySupportedSet(ctx, solver, I, out);
-  out->Complement();
-}
-
-Bitset GreatestUnfoundedSet(const HornSolver& solver, const PartialModel& I) {
-  EvalContext ctx;
-  Bitset out;
-  GreatestUnfoundedSet(ctx, solver, I, &out);
-  return out;
-}
-
-GusEvaluator::GusEvaluator(const HornSolver& solver, EvalContext& ctx,
-                           GusMode mode)
-    : solver_(&solver), ctx_(ctx), mode_(mode) {
-  // The persistent counters and indexes exist only on the delta path; a
-  // kScratch evaluator stays a thin shim over the free function, so the
-  // ablation baseline's pool traffic and peak_scratch_bytes reflect the
-  // scratch algorithm alone.
-  if (mode_ != GusMode::kDelta) return;
-  witness_ = ctx.AcquireU32();
-  missing_ = ctx.AcquireU32();
-  x_ = ctx.AcquireBitset(0);
-  last_true_ = ctx.AcquireBitset(0);
-  last_false_ = ctx.AcquireBitset(0);
-  head_offsets_ = ctx.AcquireU32();
-  head_rules_ = ctx.AcquireU32();
-  rule_stamp_ = ctx.AcquireU32();
-  queue_ = ctx.AcquireU32();
-  touched_ = ctx.AcquireU32();
-  removed_ = ctx.AcquireU32();
-}
+GusEvaluator::GusEvaluator(const HornSolver& solver, EvalContext& ctx)
+    : solver_(&solver),
+      ctx_(ctx),
+      witness_(ctx.AcquireU32()),
+      missing_(ctx.AcquireU32()),
+      x_(ctx.AcquireBitset(0)),
+      last_true_(ctx.AcquireBitset(0)),
+      last_false_(ctx.AcquireBitset(0)),
+      head_offsets_(ctx.AcquireU32()),
+      head_rules_(ctx.AcquireU32()),
+      rule_stamp_(ctx.AcquireU32()),
+      queue_(ctx.AcquireU32()),
+      touched_(ctx.AcquireU32()),
+      removed_(ctx.AcquireU32()) {}
 
 GusEvaluator::~GusEvaluator() {
-  if (mode_ != GusMode::kDelta) return;
   ctx_.ReleaseU32(std::move(witness_));
   ctx_.ReleaseU32(std::move(missing_));
   ctx_.ReleaseBitset(std::move(x_));
@@ -125,13 +42,6 @@ void GusEvaluator::Eval(const PartialModel& I, Bitset* out) {
 const Bitset& GusEvaluator::EvalSupported(const PartialModel& I) {
   assert(I.true_atoms().universe_size() == solver_->view().num_atoms);
   assert(I.false_atoms().universe_size() == solver_->view().num_atoms);
-  if (mode_ == GusMode::kScratch) {
-    // Ablation baseline: the free function charges the call and the full
-    // rescan itself. x_ is a plain (never pool-acquired) bitset in this
-    // mode — just per-evaluator storage for the borrowed view.
-    ExternallySupportedSet(ctx_, *solver_, I, &x_);
-    return x_;
-  }
   ++ctx_.stats().gus_calls;
   if (!primed_) {
     Prime(I);
@@ -175,9 +85,9 @@ void GusEvaluator::FullSolve() {
   queue_.clear();
   for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
     const GroundRule& r = view.rules[ri];
-    // Unlike the scratch path, `missing_` counts down for every rule —
-    // usable or not — so a rule re-enabled by a later delta resumes with
-    // an accurate positive-body countdown.
+    // `missing_` counts down for every rule — usable or not — so a rule
+    // re-enabled by a later delta resumes with an accurate positive-body
+    // countdown.
     missing_[ri] = r.pos_len;
     if (witness_[ri] == 0 && r.pos_len == 0 && !x_.Test(r.head)) {
       x_.Set(r.head);
@@ -346,32 +256,6 @@ void GusEvaluator::ApplyDelta(const PartialModel& I) {
     }
   }
   ctx_.stats().gus_rules_rescanned += scans;
-}
-
-bool IsUnfoundedSet(const RuleView& view, const PartialModel& I,
-                    const Bitset& candidate) {
-  // Every rule whose head is in the candidate must have a witness of
-  // unusability (Definition 6.1).
-  for (const GroundRule& r : view.rules) {
-    if (!candidate.Test(r.head)) continue;
-    bool witness = false;
-    for (AtomId a : view.pos(r)) {
-      if (I.false_atoms().Test(a) || candidate.Test(a)) {
-        witness = true;
-        break;
-      }
-    }
-    if (!witness) {
-      for (AtomId a : view.neg(r)) {
-        if (I.true_atoms().Test(a)) {
-          witness = true;
-          break;
-        }
-      }
-    }
-    if (!witness) return false;
-  }
-  return true;
 }
 
 }  // namespace afp

@@ -11,43 +11,19 @@
 
 namespace afp {
 
-/// Computes the greatest unfounded set U_P(I) of the program with respect to
-/// the partial interpretation I (Definition 6.1), from scratch.
+/// Incremental evaluator of the greatest unfounded set U_P(I) (Definition
+/// 6.1), binding one HornSolver to one EvalContext — the unfounded-set
+/// mirror of SpEvaluator.
 ///
 /// An atom p belongs to an unfounded set U iff every rule for p has a
 /// "witness of unusability": a body literal false in I, or a positive body
 /// literal in U. The union of all unfounded sets is itself unfounded; it is
-/// computed here through its complement X = H − U, which is the least set
-/// closed under "p has a rule with no false literal whose positive body lies
-/// in X" — a Horn-style least fixpoint evaluated by counting propagation.
-///
-/// Precondition: `I`'s bitsets are sized to the solver's atom universe.
-/// Postcondition: the returned set is the unique ⊆-greatest unfounded set
-/// (every unfounded set w.r.t. I is contained in it; checkable with
-/// IsUnfoundedSet). `solver` supplies the positive-occurrence index for the
-/// rule view. This is the GusMode::kScratch baseline; GusEvaluator below is
-/// the delta-driven path.
-Bitset GreatestUnfoundedSet(const HornSolver& solver, const PartialModel& I);
-
-/// As above, into `*out` (resized here) with all scratch (counters, queue)
-/// drawn from `ctx`. Charges one gus_call and a full-program
-/// gus_rules_rescanned to the context's EvalStats.
-void GreatestUnfoundedSet(EvalContext& ctx, const HornSolver& solver,
-                          const PartialModel& I, Bitset* out);
-
-/// The complement form: computes the externally-supported set
-/// X = H − U_P(I) into `*out` (resized here) and stops before the final
-/// complement — GreatestUnfoundedSet is exactly this plus one
-/// Bitset::Complement. Same charging. GusEvaluator's kScratch
-/// EvalSupported path delegates here.
-void ExternallySupportedSet(EvalContext& ctx, const HornSolver& solver,
-                            const PartialModel& I, Bitset* out);
-
-/// Incremental U_P evaluator binding one HornSolver to one EvalContext —
-/// the unfounded-set mirror of SpEvaluator.
+/// computed through its complement X = H − U, the least set closed under
+/// "p has a rule with no false literal whose positive body lies in X" — a
+/// Horn-style least fixpoint evaluated by counting propagation.
 ///
 /// Construction borrows scratch from the context (cheap once the context is
-/// warm); destruction returns it. The first Eval in GusMode::kDelta primes
+/// warm); destruction returns it. The first Eval primes
 /// per-rule witness-of-unusability counters over BOTH body polarities
 /// (positive body literals false in I, via the positive-occurrence index;
 /// negative body literals true in I, via the negative-occurrence one) and
@@ -67,18 +43,18 @@ void ExternallySupportedSet(EvalContext& ctx, const HornSolver& solver,
 ///
 /// Under the monotone W_P iteration every atom flips at most once per
 /// polarity, so the total witness-update work across a whole run is bounded
-/// by the program size — independent of the number of rounds — where the
-/// from-scratch path pays |rules| per round. Arbitrary (non-monotone) call
-/// sequences are also supported: flips in either direction are handled, as
-/// the differential tests pin against the scratch reference.
+/// by the program size — independent of the number of rounds — where a
+/// from-scratch evaluation pays |rules| per round. Arbitrary
+/// (non-monotone) call sequences are also supported: flips in either
+/// direction are handled, as the differential tests pin against the
+/// from-scratch reference in tests/reference/.
 ///
 /// Precondition: `I` passed to Eval is sized to the solver's universe and
 /// consistent (true/false disjoint). Postcondition: `*out` equals the
-/// scratch GreatestUnfoundedSet(solver, I) bit for bit, in either mode.
+/// greatest unfounded set of the solver's program w.r.t. I, bit for bit.
 class GusEvaluator {
  public:
-  GusEvaluator(const HornSolver& solver, EvalContext& ctx,
-               GusMode mode = GusMode::kDelta);
+  GusEvaluator(const HornSolver& solver, EvalContext& ctx);
   ~GusEvaluator();
 
   GusEvaluator(const GusEvaluator&) = delete;
@@ -97,8 +73,8 @@ class GusEvaluator {
 
   /// Computes U_P(I) into `*out` (resized and overwritten here). Charges
   /// one gus_call; gus_rules_rescanned grows by the witness examinations
-  /// actually performed (full program in kScratch, touched rules plus
-  /// re-derivation probes in kDelta).
+  /// actually performed (the full program when priming on a non-empty I,
+  /// touched rules plus re-derivation probes afterwards).
   void Eval(const PartialModel& I, Bitset* out);
 
   /// Borrowed-view evaluation: updates the internally maintained
@@ -106,12 +82,10 @@ class GusEvaluator {
   /// it, valid until the next Eval/EvalSupported/Rebind or destruction.
   /// U_P membership is read as !x.Test(a). This skips the O(n/64)
   /// copy+complement that Eval pays per call to materialize U_P into
-  /// `out` — the engine loop (WellFoundedViaWpOnSolver) consumes X
+  /// `out` — the engine loop (WellFoundedViaWpOnEvaluators) consumes X
   /// directly via Bitset::IsComplementOf / AssignComplementOf.
   /// Same charging and postconditions as Eval otherwise.
   const Bitset& EvalSupported(const PartialModel& I);
-
-  GusMode mode() const { return mode_; }
 
  private:
   void Prime(const PartialModel& I);
@@ -121,7 +95,6 @@ class GusEvaluator {
 
   const HornSolver* solver_;
   EvalContext& ctx_;
-  GusMode mode_;
   bool primed_ = false;
   /// witness_[r]: number of unusability witnesses rule r has in the last I
   /// seen — positive body literals false in I plus negative body literals
@@ -151,11 +124,6 @@ class GusEvaluator {
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint32_t> removed_;
 };
-
-/// Returns true iff `candidate` is an unfounded set of the program w.r.t. I,
-/// by direct check of Definition 6.1 (used in tests and assertions).
-bool IsUnfoundedSet(const RuleView& view, const PartialModel& I,
-                    const Bitset& candidate);
 
 }  // namespace afp
 

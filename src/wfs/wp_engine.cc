@@ -8,54 +8,16 @@
 
 namespace afp {
 
-void ImmediateConsequences(EvalContext& ctx, const RuleView& view,
-                           const PartialModel& I, Bitset* out) {
-  ctx.stats().rules_rescanned += view.rules.size();
-  out->Resize(view.num_atoms);
-  for (const GroundRule& r : view.rules) {
-    if (out->Test(r.head)) continue;
-    bool body_true = true;
-    for (AtomId a : view.pos(r)) {
-      if (!I.true_atoms().Test(a)) {
-        body_true = false;
-        break;
-      }
-    }
-    if (body_true) {
-      for (AtomId a : view.neg(r)) {
-        if (!I.false_atoms().Test(a)) {
-          body_true = false;
-          break;
-        }
-      }
-    }
-    if (body_true) out->Set(r.head);
-  }
-}
-
-Bitset ImmediateConsequences(const RuleView& view, const PartialModel& I) {
-  EvalContext ctx;
-  Bitset out;
-  ImmediateConsequences(ctx, view, I, &out);
-  return out;
-}
-
-TpEvaluator::TpEvaluator(const HornSolver& solver, EvalContext& ctx,
-                         GusMode mode)
-    : solver_(&solver), ctx_(ctx), mode_(mode) {
-  // Counter state exists only on the delta path; a kScratch evaluator is
-  // a thin shim over ImmediateConsequences, so the ablation baseline's
-  // pool traffic reflects the scratch algorithm alone.
-  if (mode_ != GusMode::kDelta) return;
-  unsat_ = ctx.AcquireU32();
-  support_ = ctx.AcquireU32();
-  heads_ = ctx.AcquireBitset(0);
-  last_true_ = ctx.AcquireBitset(0);
-  last_false_ = ctx.AcquireBitset(0);
-}
+TpEvaluator::TpEvaluator(const HornSolver& solver, EvalContext& ctx)
+    : solver_(&solver),
+      ctx_(ctx),
+      unsat_(ctx.AcquireU32()),
+      support_(ctx.AcquireU32()),
+      heads_(ctx.AcquireBitset(0)),
+      last_true_(ctx.AcquireBitset(0)),
+      last_false_(ctx.AcquireBitset(0)) {}
 
 TpEvaluator::~TpEvaluator() {
-  if (mode_ != GusMode::kDelta) return;
   ctx_.ReleaseU32(std::move(unsat_));
   ctx_.ReleaseU32(std::move(support_));
   ctx_.ReleaseBitset(std::move(heads_));
@@ -66,11 +28,6 @@ TpEvaluator::~TpEvaluator() {
 void TpEvaluator::Eval(const PartialModel& I, Bitset* out) {
   assert(I.true_atoms().universe_size() == solver_->view().num_atoms);
   assert(I.false_atoms().universe_size() == solver_->view().num_atoms);
-  if (mode_ == GusMode::kScratch) {
-    // Ablation baseline: one full body scan per call.
-    ImmediateConsequences(ctx_, solver_->view(), I, out);
-    return;
-  }
   if (!primed_) {
     Prime(I);
   } else {
@@ -199,27 +156,21 @@ WpResult WellFoundedViaWpOnEvaluators(EvalContext& ctx, TpEvaluator& tp,
   return result;
 }
 
-WpResult WellFoundedViaWpOnSolver(EvalContext& ctx, const HornSolver& solver,
-                                  const WpOptions& options) {
-  // One evaluator per half of the W_P transformation; both see the same
-  // monotone I_0 ⊆ I_1 ⊆ ... stream, so every atom flips at most once per
-  // polarity across the whole run.
-  TpEvaluator tp(solver, ctx, options.gus_mode);
-  GusEvaluator gus(solver, ctx, options.gus_mode);
-  return WellFoundedViaWpOnEvaluators(ctx, tp, gus,
-                                      solver.view().num_atoms);
-}
-
-WpResult WellFoundedViaWpWithContext(EvalContext& ctx, const GroundProgram& gp,
-                                     const WpOptions& options) {
-  // Provides the shared occurrence indexes (built into pooled storage).
+WpResult WellFoundedViaWpWithContext(EvalContext& ctx,
+                                     const GroundProgram& gp) {
+  // The solver provides the shared occurrence indexes (built into pooled
+  // storage). One evaluator per half of the W_P transformation; both see
+  // the same monotone I_0 ⊆ I_1 ⊆ ... stream, so every atom flips at most
+  // once per polarity across the whole run.
   HornSolver solver(gp.View(), &ctx);
-  return WellFoundedViaWpOnSolver(ctx, solver, options);
+  TpEvaluator tp(solver, ctx);
+  GusEvaluator gus(solver, ctx);
+  return WellFoundedViaWpOnEvaluators(ctx, tp, gus, solver.view().num_atoms);
 }
 
-WpResult WellFoundedViaWp(const GroundProgram& gp, const WpOptions& options) {
+WpResult WellFoundedViaWp(const GroundProgram& gp) {
   EvalContext ctx;
-  return WellFoundedViaWpWithContext(ctx, gp, options);
+  return WellFoundedViaWpWithContext(ctx, gp);
 }
 
 }  // namespace afp

@@ -14,23 +14,14 @@ namespace afp {
 
 class GusEvaluator;  // wfs/unfounded.h
 
-/// Options for the W_P iteration.
-struct WpOptions {
-  /// How the two halves of each round — T_P (Definition 3.7) and U_P
-  /// (Definition 6.1) — recompute their per-rule body checks: delta-driven
-  /// witness counters over both polarities (default; TpEvaluator and
-  /// GusEvaluator), or full per-round rescans (the ablation baseline,
-  /// pinned bit-identical by the differential tests).
-  GusMode gus_mode = GusMode::kDelta;
-};
-
 /// Result of the W_P iteration.
 struct WpResult {
   /// The well-founded partial model: least fixpoint of W_P (Definition 6.2).
   PartialModel model;
   /// Number of W_P applications until the fixpoint (including the final
-  /// confirming application). Identical across GusModes — the iteration
-  /// trajectory does not depend on how the body checks are recomputed.
+  /// confirming application). The trajectory does not depend on how the
+  /// body checks are recomputed (pinned against the from-scratch
+  /// reference in tests/reference/).
   std::size_t iterations = 0;
   /// Work counters for this computation (rules rescanned on the T_P side,
   /// gus_calls / gus_rules_rescanned on the U_P side, delta sizes, peak
@@ -38,23 +29,11 @@ struct WpResult {
   EvalStats eval;
 };
 
-/// One application of the immediate consequence transformation T_P
-/// (Definition 3.7): heads of rules whose body is true in I, where a
-/// negative literal `not q` is true iff ¬q ∈ I (i.e. q is false in I).
-/// From-scratch (one full body scan); the GusMode::kScratch baseline.
-Bitset ImmediateConsequences(const RuleView& view, const PartialModel& I);
-
-/// In-place variant for engine loops: `*out` is resized and cleared here,
-/// and the full-program scan is charged to `ctx`'s rules_rescanned.
-/// Precondition: `I`'s bitsets are sized to `view.num_atoms`.
-void ImmediateConsequences(EvalContext& ctx, const RuleView& view,
-                           const PartialModel& I, Bitset* out);
-
 /// Incremental T_P evaluator (Definition 3.7) binding one HornSolver to one
 /// EvalContext — the same counter treatment SpEvaluator gives S_P, applied
 /// to the immediate consequence operator over BOTH body polarities.
 ///
-/// The first Eval in GusMode::kDelta primes one per-rule countdown of body
+/// The first Eval primes one per-rule countdown of body
 /// literals not yet true in I (positive literals not in I+, negative ones
 /// whose atom is not in I−) and a per-head count of fully-satisfied rules;
 /// every later call updates both only from the atoms whose truth status
@@ -64,12 +43,12 @@ void ImmediateConsequences(EvalContext& ctx, const RuleView& view,
 /// O(program size) in body examinations instead of O(rounds × rules).
 ///
 /// Precondition: `I` passed to Eval is sized to the solver's universe.
-/// Postcondition: `*out` equals ImmediateConsequences(view, I) bit for bit,
-/// in either mode.
+/// Postcondition: `*out` equals T_P(I) — the heads of rules whose body is
+/// true in I, where a negative literal `not q` is true iff q is false in
+/// I — bit for bit.
 class TpEvaluator {
  public:
-  TpEvaluator(const HornSolver& solver, EvalContext& ctx,
-              GusMode mode = GusMode::kDelta);
+  TpEvaluator(const HornSolver& solver, EvalContext& ctx);
   ~TpEvaluator();
 
   TpEvaluator(const TpEvaluator&) = delete;
@@ -84,11 +63,9 @@ class TpEvaluator {
   }
 
   /// Computes T_P(I) into `*out` (resized and overwritten here). Body
-  /// examinations are charged to the context's rules_rescanned (full
-  /// program in kScratch, touched rules only in kDelta).
+  /// examinations are charged to the context's rules_rescanned (the full
+  /// program when priming on a non-empty I, touched rules afterwards).
   void Eval(const PartialModel& I, Bitset* out);
-
-  GusMode mode() const { return mode_; }
 
  private:
   void Prime(const PartialModel& I);
@@ -96,7 +73,6 @@ class TpEvaluator {
 
   const HornSolver* solver_;
   EvalContext& ctx_;
-  GusMode mode_;
   bool primed_ = false;
   /// unsat_[r]: body literals of rule r not (yet) true in the last I seen.
   /// Rule contributes its head to T_P(I) iff 0. Persistent across calls.
@@ -114,20 +90,15 @@ class TpEvaluator {
 /// W_P(I) = T_P(I) ∪ ¬·U_P(I) from the empty interpretation. This is the
 /// baseline the alternating fixpoint is compared against (Theorem 7.8
 /// guarantees both return the same model; bench_afp_vs_wfs measures the
-/// relative cost, bench_ablation's GusMode axis the delta-vs-scratch gap).
-WpResult WellFoundedViaWp(const GroundProgram& gp,
-                          const WpOptions& options = {});
+/// relative cost).
+WpResult WellFoundedViaWp(const GroundProgram& gp);
 
-/// As above, drawing all per-iteration scratch from `ctx`.
-WpResult WellFoundedViaWpWithContext(EvalContext& ctx, const GroundProgram& gp,
-                                     const WpOptions& options = {});
-
-/// The full-control entry point: W_P iteration on an existing solver,
-/// drawing all scratch from `ctx`. The result model's bitsets are
-/// escape-noted; a caller that recycles them back into the pool must
-/// reverse the note with NoteAdoptedBytes first.
-WpResult WellFoundedViaWpOnSolver(EvalContext& ctx, const HornSolver& solver,
-                                  const WpOptions& options = {});
+/// As above, drawing the occurrence indexes and all per-iteration scratch
+/// from `ctx`. The result model's bitsets are escape-noted; a caller that
+/// recycles them back into the pool must reverse the note with
+/// NoteAdoptedBytes first.
+WpResult WellFoundedViaWpWithContext(EvalContext& ctx,
+                                     const GroundProgram& gp);
 
 /// The innermost loop on caller-owned evaluators (both already bound —
 /// or Rebind-ed — to the same solver over `n` atoms, sharing `ctx`). The

@@ -12,6 +12,7 @@
 #include "core/horn_solver.h"
 #include "core/interpretation.h"
 #include "ground/grounder.h"
+#include "reference/reference.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
 
@@ -148,15 +149,23 @@ TEST(AlternatingFixpoint, OddLoopLeavesAtomUndefined) {
   EXPECT_EQ(r.model.num_false(), 0u);
 }
 
+// The delta-driven counting evaluation against the reference loop, which
+// re-derives every S_P by naive T_P iteration: same model, same rounds,
+// same Table-I trace row by row.
 TEST(AlternatingFixpoint, NaiveAndCountingHornAgree) {
   Program p = workload::Example51();
   GroundProgram gp = GroundFull(p);
-  AfpOptions counting;
-  counting.horn_mode = HornMode::kCounting;
-  AfpOptions naive;
-  naive.horn_mode = HornMode::kNaive;
-  EXPECT_EQ(AlternatingFixpoint(gp, counting).model,
-            AlternatingFixpoint(gp, naive).model);
+  AfpOptions traced;
+  traced.record_trace = true;
+  AfpResult counting = AlternatingFixpoint(gp, traced);
+  AfpResult naive = reference::ScratchAlternatingFixpoint(gp, traced);
+  EXPECT_EQ(counting.model, naive.model);
+  EXPECT_EQ(counting.outer_iterations, naive.outer_iterations);
+  ASSERT_EQ(counting.trace.size(), naive.trace.size());
+  for (std::size_t k = 0; k < counting.trace.size(); ++k) {
+    EXPECT_EQ(counting.trace[k].neg_set, naive.trace[k].neg_set) << k;
+    EXPECT_EQ(counting.trace[k].sp_result, naive.trace[k].sp_result) << k;
+  }
 }
 
 TEST(AlternatingFixpoint, SeededFixpointRespectsSeed) {
@@ -177,7 +186,9 @@ TEST(AlternatingFixpoint, SeededFixpointRespectsSeed) {
   for (AtomId i = 0; i < gp.num_atoms(); ++i) {
     if (gp.AtomName(i) == "b") seed.Set(i);
   }
-  AfpResult seeded = AlternatingFixpointSeeded(gp, seed);
+  EvalContext ctx;
+  HornSolver solver(gp.View(), &ctx);
+  AfpResult seeded = AlternatingFixpointWithContext(ctx, solver, seed);
   EXPECT_EQ(seeded.model.num_true(), 1u);
   EXPECT_EQ(seeded.model.num_false(), 1u);
   auto a_val = QueryAtom(gp, seeded.model, "a");

@@ -3,17 +3,18 @@
 //    program through it — yields bit-identical models (the pooled scratch
 //    leaks no state between calls), over the examples/programs/ corpus and
 //    random workload:: programs;
-//  * the delta-driven enablement path equals the from-scratch path on every
-//    engine (the ISSUE's differential pin), while doing measurably less
+//  * the delta-driven S_P evaluation equals the from-scratch reference
+//    (tests/reference/) on every engine, while doing measurably less
 //    enablement work;
-//  * the delta-driven unfounded-set path (GusMode) equals the from-scratch
-//    path — bit-identical well-founded models AND iteration trajectories —
-//    on the W_P engine and the SCC engine's kWp inner mode, and agrees with
-//    the S_P-based engines and the stable-model search;
-//  * SpEvaluator matches HornSolver::EventualConsequences, GusEvaluator
-//    matches GreatestUnfoundedSet, and TpEvaluator matches
-//    ImmediateConsequences call by call on arbitrary (non-monotone)
-//    interpretation sequences.
+//  * the delta-driven unfounded-set evaluation equals the from-scratch
+//    reference — bit-identical well-founded models AND iteration
+//    trajectories — on the W_P engine and the SCC engine's kWp inner mode,
+//    and agrees with the S_P-based engines and the stable-model search;
+//  * SpEvaluator, GusEvaluator and TpEvaluator match the reference S_P,
+//    U_P and T_P call by call on arbitrary (non-monotone) interpretation
+//    sequences;
+//  * the rescan counters of the delta evaluators are pinned exactly on the
+//    ablation workloads, and beat the reference's from-scratch counts.
 
 #include <gtest/gtest.h>
 
@@ -24,11 +25,14 @@
 #include <string>
 #include <vector>
 
+#include "analysis/atom_graph.h"
 #include "core/alternating.h"
 #include "core/eval_context.h"
-#include "core/residual.h"
 #include "core/scc_engine.h"
+#include "fol/general_program.h"
+#include "fol/simplify.h"
 #include "ground/grounder.h"
+#include "reference/reference.h"
 #include "search/stable_search.h"
 #include "stable/enumerate.h"
 #include "wfs/unfounded.h"
@@ -112,13 +116,11 @@ TEST(EvalContextReuse, WorkloadProgramsTwiceThroughSharedContext) {
     EXPECT_EQ(first.model, second.model) << p.ToString();
 
     // The other context-threaded engines through the same shared context.
-    ResidualResult res1 = WellFoundedResidualWithContext(shared, *ground);
-    ResidualResult res2 = WellFoundedResidualWithContext(shared, *ground);
-    EXPECT_EQ(res1.model, res2.model);
-    EXPECT_EQ(first.model, res1.model);
-
-    SccWfsResult scc1 = WellFoundedSccWithContext(shared, *ground);
-    SccWfsResult scc2 = WellFoundedSccWithContext(shared, *ground);
+    const RuleView view = ground->View();
+    const AtomDependencyGraph graph(view);
+    const RuleBuckets buckets(view, graph);
+    SccWfsResult scc1 = WellFoundedSccOnGraph(shared, view, graph, buckets);
+    SccWfsResult scc2 = WellFoundedSccOnGraph(shared, view, graph, buckets);
     EXPECT_EQ(scc1.model, scc2.model);
     EXPECT_EQ(first.model, scc1.model);
 
@@ -129,8 +131,8 @@ TEST(EvalContextReuse, WorkloadProgramsTwiceThroughSharedContext) {
   }
 }
 
-// The differential pin: delta-driven S_P == from-scratch S_P on every
-// engine that exposes the axis, over random programs with heavy negation.
+// The differential pin: delta-driven S_P == the from-scratch reference on
+// every engine, over random programs with heavy negation.
 TEST(DeltaScratchDifferential, AllEnginesAgreeAcrossSpModes) {
   EvalContext ctx;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
@@ -138,71 +140,73 @@ TEST(DeltaScratchDifferential, AllEnginesAgreeAcrossSpModes) {
     auto ground = Grounder::Ground(p);
     ASSERT_TRUE(ground.ok());
 
-    AfpOptions delta_opts;
-    delta_opts.sp_mode = SpMode::kDelta;
-    AfpOptions scratch_opts;
-    scratch_opts.sp_mode = SpMode::kScratch;
-    AfpResult afp_delta = AlternatingFixpoint(*ground, delta_opts);
-    AfpResult afp_scratch = AlternatingFixpoint(*ground, scratch_opts);
+    AfpResult afp_delta = AlternatingFixpoint(*ground);
+    AfpResult afp_scratch = reference::ScratchAlternatingFixpoint(*ground);
     EXPECT_EQ(afp_delta.model, afp_scratch.model) << "seed " << seed;
     // Same fixpoint trajectory, so the same number of S_P calls; the delta
     // path must never examine more rules than the scratch path.
+    EXPECT_EQ(afp_delta.outer_iterations, afp_scratch.outer_iterations)
+        << "seed " << seed;
     EXPECT_EQ(afp_delta.sp_calls, afp_scratch.sp_calls) << "seed " << seed;
     EXPECT_LE(afp_delta.eval.rules_rescanned,
               afp_scratch.eval.rules_rescanned)
         << "seed " << seed;
 
-    ResidualOptions res_delta;
-    res_delta.sp_mode = SpMode::kDelta;
-    ResidualOptions res_scratch;
-    res_scratch.sp_mode = SpMode::kScratch;
-    ResidualResult r_delta =
-        WellFoundedResidualWithContext(ctx, *ground, res_delta);
-    ResidualResult r_scratch =
-        WellFoundedResidualWithContext(ctx, *ground, res_scratch);
-    EXPECT_EQ(r_delta.model, r_scratch.model) << "seed " << seed;
-    EXPECT_EQ(afp_delta.model, r_delta.model) << "seed " << seed;
+    // The component-wise engine's per-component S_P evaluators.
+    const RuleView view = ground->View();
+    const AtomDependencyGraph graph(view);
+    SccWfsResult scc = WellFoundedSccOnGraph(ctx, view, graph,
+                                             RuleBuckets(view, graph));
+    EXPECT_EQ(afp_scratch.model, scc.model) << "seed " << seed;
 
-    SccOptions scc_delta;
-    scc_delta.sp_mode = SpMode::kDelta;
-    SccOptions scc_scratch;
-    scc_scratch.sp_mode = SpMode::kScratch;
-    SccWfsResult s_delta = WellFoundedSccWithContext(ctx, *ground, scc_delta);
-    SccWfsResult s_scratch =
-        WellFoundedSccWithContext(ctx, *ground, scc_scratch);
-    EXPECT_EQ(s_delta.model, s_scratch.model) << "seed " << seed;
-    EXPECT_EQ(afp_delta.model, s_delta.model) << "seed " << seed;
-
-    // W_P has no delta axis but must agree with both.
-    EXPECT_EQ(afp_delta.model, WellFoundedViaWpWithContext(ctx, *ground).model)
+    // W_P has no S_P at all but must agree with both.
+    EXPECT_EQ(afp_scratch.model,
+              WellFoundedViaWpWithContext(ctx, *ground).model)
         << "seed " << seed;
   }
 }
 
-// Stable-model search across the axis: identical model sets and identical
-// search trees.
+// The stable-model search propagates with the delta-driven evaluators at
+// every node: its model set must equal the brute-force enumeration, and
+// every emitted model must pass the stability check computed from scratch
+// (M = S_P(H − M), Theorem 4.3's Gelfond–Lifschitz fixpoint), under both
+// per-node propagations.
 TEST(DeltaScratchDifferential, StableSearchAgreesAcrossSpModes) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Program p = workload::RandomPropositional(10, 14, 2, 80, seed);
     auto ground = Grounder::Ground(p);
     ASSERT_TRUE(ground.ok());
 
-    StableSearchOptions delta_opts;
-    delta_opts.sp_mode = SpMode::kDelta;
-    StableSearchOptions scratch_opts;
-    scratch_opts.sp_mode = SpMode::kScratch;
-    StableSearch delta_search(*ground, delta_opts);
-    StableSearch scratch_search(*ground, scratch_opts);
-    StableResult delta = delta_search.Enumerate();
-    StableResult scratch = scratch_search.Enumerate();
-    EXPECT_EQ(delta.models, scratch.models) << "seed " << seed;
-    EXPECT_EQ(delta.search.nodes, scratch.search.nodes);
+    StableSearch wfs_search(*ground);
+    StableSearchOptions positive;
+    positive.wfs_propagation = false;
+    StableSearch positive_search(*ground, positive);
+    StableResult wfs = wfs_search.Enumerate();
+    StableResult pos = positive_search.Enumerate();
+    for (const StableResult* r : {&wfs, &pos}) {
+      for (const Bitset& m : r->models) {
+        EXPECT_EQ(reference::NaiveEventualConsequences(
+                      ground->View(), Bitset::ComplementOf(m)),
+                  m)
+            << "seed " << seed;
+      }
+    }
+    auto sorted = [](std::vector<Bitset> models) {
+      std::sort(models.begin(), models.end(),
+                [](const Bitset& a, const Bitset& b) {
+                  for (std::size_t i = 0; i < a.universe_size(); ++i) {
+                    if (a.Test(i) != b.Test(i)) return b.Test(i);
+                  }
+                  return false;
+                });
+      return models;
+    };
+    EXPECT_EQ(sorted(wfs.models), sorted(pos.models)) << "seed " << seed;
 
-    // And the brute-force enumerator (internally delta-driven) agrees.
     if (ground->num_atoms() <= 16) {
       auto brute = EnumerateStableModelsBruteForce(*ground);
       ASSERT_TRUE(brute.ok());
-      ASSERT_EQ(brute->size(), delta.models.size()) << "seed " << seed;
+      EXPECT_EQ(sorted(*brute), sorted(wfs.models)) << "seed " << seed;
     }
   }
 }
@@ -218,8 +222,8 @@ TEST(SpEvaluatorDifferential, MatchesReferenceOnRandomSequences) {
     ASSERT_TRUE(ground.ok());
     const std::size_t n = ground->num_atoms();
     HornSolver solver(ground->View(), &ctx);
-    SpEvaluator sp_a(solver, ctx, SpMode::kDelta);
-    SpEvaluator sp_b(solver, ctx, SpMode::kDelta);
+    SpEvaluator sp_a(solver, ctx);
+    SpEvaluator sp_b(solver, ctx);
 
     std::uint64_t rng = seed * 6364136223846793005ULL + 1442695040888963407ULL;
     Bitset assumed(n);
@@ -238,35 +242,41 @@ TEST(SpEvaluatorDifferential, MatchesReferenceOnRandomSequences) {
       }
       SpEvaluator& sp = (step % 2 == 0) ? sp_a : sp_b;
       sp.Eval(assumed, &out);
-      EXPECT_EQ(out, solver.EventualConsequences(assumed))
+      EXPECT_EQ(out, reference::NaiveEventualConsequences(ground->View(),
+                                                          assumed))
           << "seed " << seed << " step " << step;
     }
   }
 }
 
 // The seeded and unseeded paths are one code path: a seed of the empty set
-// (properly sized) must reproduce the unseeded result exactly, and seeding
-// with the model's own false set is idempotent.
+// (properly sized) or the unsized "no seed" bitset must reproduce the
+// unseeded result exactly, and seeding with the model's own false set is
+// idempotent.
 TEST(SeededPath, EmptySeedEqualsUnseeded) {
+  EvalContext ctx;
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     Program p = workload::RandomPropositional(12, 20, 2, 50, seed);
     auto ground = Grounder::Ground(p);
     ASSERT_TRUE(ground.ok());
+    HornSolver solver(ground->View(), &ctx);
     AfpResult plain = AlternatingFixpoint(*ground);
-    AfpResult empty_seeded =
-        AlternatingFixpointSeeded(*ground, Bitset(ground->num_atoms()));
+    AfpResult empty_seeded = AlternatingFixpointWithContext(
+        ctx, solver, Bitset(ground->num_atoms()));
     EXPECT_EQ(plain.model, empty_seeded.model) << "seed " << seed;
     EXPECT_EQ(plain.outer_iterations, empty_seeded.outer_iterations);
-    AfpResult reseeded =
-        AlternatingFixpointSeeded(*ground, plain.model.false_atoms());
+    AfpResult unsized = AlternatingFixpointWithContext(ctx, solver, Bitset());
+    EXPECT_EQ(plain.model, unsized.model) << "seed " << seed;
+    AfpResult reseeded = AlternatingFixpointWithContext(
+        ctx, solver, plain.model.false_atoms());
     EXPECT_EQ(plain.model, reseeded.model) << "seed " << seed;
   }
 }
 
-// The GusMode differential pin: the delta-driven unfounded-set path equals
-// the from-scratch path on every engine that exposes the axis — same
-// models bit for bit, same W_P iteration trajectory — and both agree with
-// the S_P-based engines, over random programs with heavy negation.
+// The U_P differential pin: the delta-driven W_P iteration equals the
+// from-scratch reference on every engine that runs it — same models bit
+// for bit, same W_P iteration trajectory — and both agree with the
+// S_P-based engines, over random programs with heavy negation.
 TEST(GusDeltaScratchDifferential, WpAndSccEnginesAgreeAcrossGusModes) {
   EvalContext ctx;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
@@ -274,13 +284,8 @@ TEST(GusDeltaScratchDifferential, WpAndSccEnginesAgreeAcrossGusModes) {
     auto ground = Grounder::Ground(p);
     ASSERT_TRUE(ground.ok());
 
-    WpOptions delta_opts;
-    delta_opts.gus_mode = GusMode::kDelta;
-    WpOptions scratch_opts;
-    scratch_opts.gus_mode = GusMode::kScratch;
-    WpResult wp_delta = WellFoundedViaWpWithContext(ctx, *ground, delta_opts);
-    WpResult wp_scratch =
-        WellFoundedViaWpWithContext(ctx, *ground, scratch_opts);
+    WpResult wp_delta = WellFoundedViaWpWithContext(ctx, *ground);
+    WpResult wp_scratch = reference::ScratchWellFoundedViaWp(*ground);
     EXPECT_EQ(wp_delta.model, wp_scratch.model) << "seed " << seed;
     // Same fixpoint trajectory: the number of W_P rounds (and so U_P
     // solves) cannot depend on how the body checks are recomputed.
@@ -299,23 +304,14 @@ TEST(GusDeltaScratchDifferential, WpAndSccEnginesAgreeAcrossGusModes) {
     AfpResult afp = AlternatingFixpoint(*ground);
     EXPECT_EQ(afp.model, wp_delta.model) << "seed " << seed;
 
-    // The SCC engine's kWp inner mode across the same axis.
-    SccOptions scc_delta;
-    scc_delta.inner = SccInnerEngine::kWp;
-    scc_delta.gus_mode = GusMode::kDelta;
-    SccOptions scc_scratch;
-    scc_scratch.inner = SccInnerEngine::kWp;
-    scc_scratch.gus_mode = GusMode::kScratch;
-    SccWfsResult s_delta = WellFoundedSccWithContext(ctx, *ground, scc_delta);
-    SccWfsResult s_scratch =
-        WellFoundedSccWithContext(ctx, *ground, scc_scratch);
-    EXPECT_EQ(s_delta.model, s_scratch.model) << "seed " << seed;
-    EXPECT_EQ(afp.model, s_delta.model) << "seed " << seed;
-    // No per-component work comparison: per-component W_P runs are the
-    // shallow-iteration regime where the two modes' differing counter
-    // units (per flipped-atom occurrence vs per rule per round) make the
-    // inequality non-guaranteed; the deep-iteration claim lives in
-    // wfs_test.cc and the CI bench gate.
+    // The SCC engine's kWp inner mode: per-component Tp/Gus evaluators.
+    SccOptions scc_wp;
+    scc_wp.inner = SccInnerEngine::kWp;
+    const RuleView view = ground->View();
+    const AtomDependencyGraph graph(view);
+    SccWfsResult s_delta = WellFoundedSccOnGraph(
+        ctx, view, graph, RuleBuckets(view, graph), scc_wp);
+    EXPECT_EQ(wp_scratch.model, s_delta.model) << "seed " << seed;
 
     // And with the stable-model search: every stable model extends the
     // well-founded model the delta GUS computed.
@@ -346,9 +342,9 @@ TEST(GusEvaluatorDifferential, MatchesScratchOnRandomSequences) {
     const std::size_t n = ground->num_atoms();
     if (n == 0) continue;
     HornSolver solver(ground->View(), &ctx);
-    GusEvaluator gus_a(solver, ctx, GusMode::kDelta);
-    GusEvaluator gus_b(solver, ctx, GusMode::kDelta);
-    TpEvaluator tp(solver, ctx, GusMode::kDelta);
+    GusEvaluator gus_a(solver, ctx);
+    GusEvaluator gus_b(solver, ctx);
+    TpEvaluator tp(solver, ctx);
 
     std::uint64_t rng = seed * 6364136223846793005ULL + 1442695040888963407ULL;
     PartialModel I = PartialModel::AllUndefined(n);
@@ -369,10 +365,10 @@ TEST(GusEvaluatorDifferential, MatchesScratchOnRandomSequences) {
       }
       GusEvaluator& gus = (step % 2 == 0) ? gus_a : gus_b;
       gus.Eval(I, &out);
-      EXPECT_EQ(out, GreatestUnfoundedSet(solver, I))
+      EXPECT_EQ(out, reference::GreatestUnfoundedSet(ground->View(), I))
           << "seed " << seed << " step " << step;
       tp.Eval(I, &tp_out);
-      EXPECT_EQ(tp_out, ImmediateConsequences(ground->View(), I))
+      EXPECT_EQ(tp_out, reference::ImmediateConsequences(ground->View(), I))
           << "seed " << seed << " step " << step;
     }
   }
@@ -456,6 +452,128 @@ TEST(EvalContextRegistryUnit, SpEvaluatorRebindMatchesFreshEvaluator) {
   fresh.Eval(none2, &fresh_out);
   EXPECT_EQ(reused_out, fresh_out);
   EXPECT_EQ(reused_out, s2.EventualConsequences(none2));
+}
+
+// --- The rescan gate -------------------------------------------------------
+//
+// The delta evaluators exist to rescan fewer rule bodies than a
+// from-scratch evaluation. The ablation workloads below are win-move on
+// G(n, 4n) (seed 17) and the Example 8.2 well-founded-nodes program over a
+// chain (one alternating round per rank: the many-small-deltas regime).
+// Each row pins the delta side's work counters exactly, has the
+// tests/reference/ loops recompute the scratch side (whose counts must
+// match the recorded from-scratch figures exactly too), and requires the
+// scratch/delta ratio of (rules_rescanned + gus_rules_rescanned) to exceed
+// 1 everywhere and to reach 3 on the two flagship rows.
+
+Program WfNodesProgram(int n) {
+  GeneralProgram gp;
+  Program& b = gp.base();
+  for (auto [u, v] : graphs::Chain(n).edges) {
+    b.AddFact("e", {workload::NodeName(u), workload::NodeName(v)});
+  }
+  TermId x = b.Var("X"), y = b.Var("Y");
+  SymbolId ys = b.symbols().Intern("Y");
+  gp.AddGeneralRule(
+      b.MakeAtom("w", {x}),
+      Formula::Not(Formula::Exists(
+          {ys}, Formula::And({Formula::MakeAtom(b.MakeAtom("e", {y, x})),
+                              Formula::Not(Formula::MakeAtom(
+                                  b.MakeAtom("w", {y})))}))));
+  auto normal = TransformToNormal(gp);
+  EXPECT_TRUE(normal.ok());
+  return std::move(normal).value();
+}
+
+struct RescanPin {
+  /// "sp": AlternatingFixpoint; "gus": the W_P iteration, monolithic or
+  /// (SccInnerWp) per component.
+  const char* axis;
+  const char* workload;
+  int n;
+  /// The delta side: sp_calls (sp) or gus_calls (gus), then the rescan
+  /// and delta counters.
+  std::size_t calls;
+  std::size_t rules_rescanned;
+  std::size_t gus_rules_rescanned;
+  std::size_t delta_atoms;
+  /// The from-scratch side's rescan counters.
+  std::size_t scratch_rules_rescanned;
+  std::size_t scratch_gus_rules_rescanned;
+  bool flagship;
+};
+
+TEST(AblationCounters, DeltaRescansBeatScratchReference) {
+  const RescanPin pins[] = {
+      {"sp", "WinMove", 128, 6, 1061, 0, 8, 5120, 0, false},
+      {"sp", "WinMove", 512, 6, 4168, 0, 17, 20480, 0, false},
+      {"sp", "WinMove", 1024, 8, 8400, 0, 48, 57344, 0, false},
+      {"sp", "WfNodes", 64, 128, 379, 0, 126, 32258, 0, false},
+      {"sp", "WfNodes", 256, 512, 1531, 0, 510, 522242, 0, false},
+      {"gus", "WinMove", 128, 7, 520, 216, 1070, 7168, 7168, false},
+      {"gus", "WinMove", 512, 7, 2067, 452, 4220, 28672, 28672, false},
+      {"gus", "WinMove", 1024, 9, 4139, 1017, 8438, 73728, 73728, true},
+      {"gus", "WfNodes", 64, 129, 190, 126, 508, 32766, 32766, false},
+      {"gus", "WfNodes", 256, 513, 766, 510, 2044, 524286, 524286, true},
+      // No component-wise reference: the scratch side is the recorded
+      // per-component rescan count of the retired from-scratch mode.
+      {"gus", "SccInnerWp", 512, 6, 19, 445, 122, 12078, 12078, false},
+  };
+  for (const RescanPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.axis) + " " + pin.workload + "/" +
+                 std::to_string(pin.n));
+    const std::string name = pin.workload;
+    Program p = name == "WfNodes"
+                    ? WfNodesProgram(pin.n)
+                    : workload::WinMove(
+                          graphs::ErdosRenyi(pin.n, 4 * pin.n, 17));
+    auto ground = Grounder::Ground(p);
+    ASSERT_TRUE(ground.ok()) << ground.status().ToString();
+
+    EvalStats delta, scratch;
+    if (std::string(pin.axis) == "sp") {
+      AfpResult d = AlternatingFixpoint(*ground);
+      AfpResult s = reference::ScratchAlternatingFixpoint(*ground);
+      EXPECT_EQ(d.model, s.model);
+      delta = d.eval;
+      scratch = s.eval;
+      EXPECT_EQ(delta.sp_calls, pin.calls);
+      EXPECT_EQ(scratch.sp_calls, pin.calls);
+    } else if (name == "SccInnerWp") {
+      SccOptions options;
+      options.inner = SccInnerEngine::kWp;
+      SccWfsResult d = WellFoundedScc(*ground, options);
+      EXPECT_EQ(d.model, AlternatingFixpoint(*ground).model);
+      delta = d.eval;
+      EXPECT_EQ(delta.gus_calls, pin.calls);
+      scratch.rules_rescanned = pin.scratch_rules_rescanned;
+      scratch.gus_rules_rescanned = pin.scratch_gus_rules_rescanned;
+    } else {
+      WpResult d = WellFoundedViaWp(*ground);
+      WpResult s = reference::ScratchWellFoundedViaWp(*ground);
+      EXPECT_EQ(d.model, s.model);
+      EXPECT_EQ(d.iterations, s.iterations);
+      delta = d.eval;
+      scratch = s.eval;
+      EXPECT_EQ(delta.gus_calls, pin.calls);
+      EXPECT_EQ(scratch.gus_calls, pin.calls);
+    }
+    EXPECT_EQ(delta.rules_rescanned, pin.rules_rescanned);
+    EXPECT_EQ(delta.gus_rules_rescanned, pin.gus_rules_rescanned);
+    EXPECT_EQ(delta.delta_atoms, pin.delta_atoms);
+    EXPECT_EQ(scratch.rules_rescanned, pin.scratch_rules_rescanned);
+    EXPECT_EQ(scratch.gus_rules_rescanned, pin.scratch_gus_rules_rescanned);
+
+    const double ratio =
+        static_cast<double>(scratch.rules_rescanned +
+                            scratch.gus_rules_rescanned) /
+        static_cast<double>(delta.rules_rescanned +
+                            delta.gus_rules_rescanned);
+    EXPECT_GT(ratio, 1.0);
+    if (pin.flagship) {
+      EXPECT_GE(ratio, 3.0);
+    }
+  }
 }
 
 }  // namespace

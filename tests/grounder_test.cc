@@ -1,4 +1,4 @@
-// Grounder tests: smart vs full vs naive instantiation, simplification of
+// Grounder tests: smart vs full instantiation, simplification of
 // never-derivable negative literals, function-symbol guards, dedup.
 
 #include "ground/grounder.h"
@@ -76,21 +76,6 @@ TEST(Grounder, FullModeEnumeratesActiveDomain) {
   opts.mode = GroundMode::kFull;
   GroundProgram gp = MustGround(p, opts);
   EXPECT_EQ(gp.num_rules(), 1u + 4u);
-}
-
-TEST(Grounder, SemiNaiveAndNaiveAgree) {
-  Program p1 = workload::TransitiveClosureComplement(
-      graphs::ErdosRenyi(8, 14, /*seed=*/42));
-  Program p2 = workload::TransitiveClosureComplement(
-      graphs::ErdosRenyi(8, 14, /*seed=*/42));
-  GroundOptions semi;
-  semi.semi_naive = true;
-  GroundOptions naive;
-  naive.semi_naive = false;
-  GroundProgram g1 = MustGround(p1, semi);
-  GroundProgram g2 = MustGround(p2, naive);
-  EXPECT_EQ(g1.num_atoms(), g2.num_atoms());
-  EXPECT_EQ(g1.num_rules(), g2.num_rules());
 }
 
 TEST(Grounder, RecursiveJoinChainGrounding) {
@@ -245,73 +230,71 @@ struct Golden {
   const char* input;
   std::uint64_t simplified;    // default GroundOptions
   std::uint64_t unsimplified;  // simplify = false (rule-op sessions)
-  std::uint64_t naive;         // semi_naive = false
   std::uint64_t full;          // GroundMode::kFull
 };
 
 constexpr Golden kGolden[] = {
     {"double_negation.lp",
      0x4b23c4ab1afc3306ull, 0x4b23c4ab1afc3306ull,
-     0x4b23c4ab1afc3306ull, 0x4b23c4ab1afc3306ull},
+     0x4b23c4ab1afc3306ull},
     {"even_cycle.lp",
      0x3d456cafea20ffb0ull, 0x3d456cafea20ffb0ull,
-     0x3d456cafea20ffb0ull, 0x3d456cafea20ffb0ull},
+     0x3d456cafea20ffb0ull},
     {"example31.lp",
      0x538dd5cecd35886bull, 0x538dd5cecd35886bull,
-     0x538dd5cecd35886bull, 0xd8be8daa5f9bf26bull},
+     0xd8be8daa5f9bf26bull},
     {"example51.lp",
      0x2cd1fc27e7f03657ull, 0x5faa6d4f91a7f6ull,
-     0x2cd1fc27e7f03657ull, 0x3002a62a1321df92ull},
+     0x3002a62a1321df92ull},
     {"facts_only.lp",
      0xa22b54847c3d534bull, 0xa22b54847c3d534bull,
-     0xa22b54847c3d534bull, 0xa22b54847c3d534bull},
+     0xa22b54847c3d534bull},
     {"growth_function_terms.lp",
      0x3a1fc724bd66ab28ull, 0x3a1fc724bd66ab28ull,
-     0x3a1fc724bd66ab28ull, 0x3a1fc724bd66ab28ull},
+     0x3a1fc724bd66ab28ull},
     {"growth_new_constants.lp",
      0x1c7ce7c1d2b7804aull, 0x1c7ce7c1d2b7804aull,
-     0x1c7ce7c1d2b7804aull, 0x99237009dd012ecull},
+     0x99237009dd012ecull},
     {"growth_win_move_frontier.lp",
      0xeaabeb1361cc38c0ull, 0x9c10e68e8d63a92bull,
-     0xeaabeb1361cc38c0ull, 0xc5d963688fd7ed77ull},
+     0xc5d963688fd7ed77ull},
     {"odd_loop.lp",
      0x6aaf59ec5d89117bull, 0x6aaf59ec5d89117bull,
-     0x6aaf59ec5d89117bull, 0x6aaf59ec5d89117bull},
+     0x6aaf59ec5d89117bull},
     {"tc_ntc.lp",
      0x5f149e40918c1c40ull, 0x34601ad2ad35ee2ull,
-     0x5f149e40918c1c40ull, 0x4c91a3da279ef32dull},
+     0x4c91a3da279ef32dull},
     {"win_move_fig4a.lp",
      0x803c092d27a1e65full, 0x5830ffbb88eda932ull,
-     0x803c092d27a1e65full, 0x10fe317c488184b2ull},
+     0x10fe317c488184b2ull},
     {"win_move_fig4b.lp",
      0x3e3cfcdd941f5c72ull, 0xa1962727002b4605ull,
-     0x3e3cfcdd941f5c72ull, 0x29ab8c3b43c854bull},
+     0x29ab8c3b43c854bull},
     {"win_move_fig4c.lp",
      0x8469ec8d1a20452cull, 0x6f86b0b9931902dull,
-     0x8469ec8d1a20452cull, 0x7841a50264e6e19cull},
+     0x7841a50264e6e19cull},
     {"WinMove(ErdosRenyi(64,256,7))",
      0xc0b2d123136aa3eaull, 0xc1581c839baaf9fbull,
-     0xc0b2d123136aa3eaull, 0xa75ca46d7c453691ull},
+     0xa75ca46d7c453691ull},
     {"TransitiveClosureComplement(ErdosRenyi(24,48,3))",
      0xfbaeeabe24ca2ce2ull, 0xabcf2a97abb792dbull,
-     0xfbaeeabe24ca2ce2ull, 0xd36cc2bade86ef46ull},
+     0xd36cc2bade86ef46ull},
     {"EvenCycleClusters(4,6)",
      0x1180d4f1d683f3e5ull, 0x1180d4f1d683f3e5ull,
-     0x1180d4f1d683f3e5ull, 0x1180d4f1d683f3e5ull},
+     0x1180d4f1d683f3e5ull},
     {"RandomPropositional(40,120,3,40,5)",
      0xb17eef25220fed9cull, 0x2819bec78be7d230ull,
-     0xa3b6c7bea4232764ull, 0x63520c1524886ffcull},
+     0x63520c1524886ffcull},
 };
 
 TEST(Grounder, GoldenFingerprintsPinGroundingOutput) {
-  GroundOptions options[4];
+  GroundOptions options[3];
   options[1].simplify = false;
-  options[2].semi_naive = false;
-  options[3].mode = GroundMode::kFull;
+  options[2].mode = GroundMode::kFull;
   // got[k][i]: input i grounded under options[k], each from a fresh parse.
-  std::vector<std::uint64_t> got[4];
+  std::vector<std::uint64_t> got[3];
   std::vector<std::string> names;
-  for (int k = 0; k < 4; ++k) {
+  for (int k = 0; k < 3; ++k) {
     for (auto& [name, program] : GoldenInputs()) {
       if (k == 0) names.push_back(name);
       got[k].push_back(Fingerprint(MustGround(program, options[k])));
@@ -320,14 +303,12 @@ TEST(Grounder, GoldenFingerprintsPinGroundingOutput) {
   EXPECT_EQ(names.size(), std::size(kGolden));
   for (std::size_t i = 0; i < names.size(); ++i) {
     const Golden want =
-        i < std::size(kGolden) ? kGolden[i] : Golden{"", 0, 0, 0, 0};
+        i < std::size(kGolden) ? kGolden[i] : Golden{"", 0, 0, 0};
     EXPECT_EQ(names[i], want.input);
     EXPECT_TRUE(got[0][i] == want.simplified &&
-                got[1][i] == want.unsimplified && got[2][i] == want.naive &&
-                got[3][i] == want.full)
+                got[1][i] == want.unsimplified && got[2][i] == want.full)
         << std::hex << "got {\"" << names[i] << "\", 0x" << got[0][i]
-        << "ull, 0x" << got[1][i] << "ull, 0x" << got[2][i] << "ull, 0x"
-        << got[3][i] << "ull},";
+        << "ull, 0x" << got[1][i] << "ull, 0x" << got[2][i] << "ull},";
   }
 }
 

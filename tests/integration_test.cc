@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/reference.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
 
@@ -42,9 +43,10 @@ TEST(Facade, ParseErrorsSurface) {
   EXPECT_EQ(sol.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A constructed Program goes through the session's Program entry point.
 TEST(Facade, ProgramOverloadAndPrinting) {
   Program p = workload::WinMove(graphs::Figure4b());
-  auto sol = SolveWellFoundedProgram(std::move(p));
+  auto sol = Solver::FromProgram(std::move(p));
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   std::string text = sol->ModelText();
   EXPECT_NE(text.find("wins(c)"), std::string::npos);
@@ -60,19 +62,19 @@ TEST(Integration, DrawnPositionsAreUndefined) {
   // A 4-cycle where every node also has an escape to a losing sink would
   // be winnable; a bare cycle is all draws.
   Program p = workload::WinMove(graphs::Cycle(4));
-  auto sol = SolveWellFoundedProgram(std::move(p));
+  auto sol = Solver::FromProgram(std::move(p));
   ASSERT_TRUE(sol.ok());
-  EXPECT_EQ(sol->afp.model.num_undefined(), 4u);
+  EXPECT_EQ(sol->model().num_undefined(), 4u);
 }
 
 TEST(Integration, LargerWinMoveAgreesWithBaselines) {
   Program p1 = workload::WinMove(graphs::ErdosRenyi(60, 150, 7));
-  auto sol = SolveWellFoundedProgram(std::move(p1));
+  auto sol = Solver::FromProgram(std::move(p1));
   ASSERT_TRUE(sol.ok());
-  WpResult wp = WellFoundedViaWp(sol->ground);
-  EXPECT_EQ(sol->afp.model, wp.model);
-  ResidualResult res = WellFoundedResidual(sol->ground);
-  EXPECT_EQ(sol->afp.model, res.model);
+  WpResult wp = WellFoundedViaWp(sol->ground());
+  EXPECT_EQ(sol->model(), wp.model);
+  EXPECT_EQ(sol->model(),
+            reference::ScratchAlternatingFixpoint(sol->ground()).model);
 }
 
 TEST(Integration, TransitiveClosureEndToEnd) {
@@ -103,21 +105,22 @@ TEST(Integration, StableAndWfsPipelinesCompose) {
   // Ground once, use everywhere: WFS, stable enumeration, Fitting,
   // stratified all run off the same GroundProgram.
   Program p = workload::TransitiveClosureComplement(graphs::Chain(4));
-  auto sol = SolveWellFoundedProgram(std::move(p));
+  auto sol = Solver::FromProgram(std::move(p));
   ASSERT_TRUE(sol.ok());
-  ASSERT_TRUE(sol->afp.model.IsTotal());
+  const PartialModel& wfs = sol->model();
+  ASSERT_TRUE(wfs.IsTotal());
 
-  StableSearch search(sol->ground);
+  StableSearch search(sol->ground());
   auto models = search.Enumerate().models;
   ASSERT_EQ(models.size(), 1u);
-  EXPECT_EQ(models[0], sol->afp.model.true_atoms());
+  EXPECT_EQ(models[0], wfs.true_atoms());
 
-  auto strat = StratifiedEvaluate(sol->ground);
+  auto strat = StratifiedEvaluate(sol->ground());
   ASSERT_TRUE(strat.ok());
-  EXPECT_EQ(strat->model, sol->afp.model);
+  EXPECT_EQ(strat->model, wfs);
 
-  FittingResult fit = FittingFixpoint(sol->ground);
-  EXPECT_TRUE(fit.model.true_atoms().IsSubsetOf(sol->afp.model.true_atoms()));
+  FittingResult fit = FittingFixpoint(sol->ground());
+  EXPECT_TRUE(fit.model.true_atoms().IsSubsetOf(wfs.true_atoms()));
 }
 
 TEST(Integration, ModelToJsonRoundStructure) {

@@ -18,8 +18,9 @@
 // Plain `%!` verdicts always describe the pre-mutation model, so the
 // static engines keep using mutation fixtures as ordinary programs.
 //
-// Each file is additionally cross-checked across all four well-founded
-// engines, so the corpus doubles as a differential fixture.
+// Each file is additionally cross-checked across the three well-founded
+// engines and the from-scratch W_P reference loop (tests/reference/), so
+// the corpus doubles as a differential fixture.
 
 #include <gtest/gtest.h>
 
@@ -33,8 +34,8 @@
 #include "afp/solver.h"
 #include "analysis/atom_graph.h"
 #include "core/eval_context.h"
-#include "core/residual.h"
 #include "core/scc_engine.h"
+#include "reference/reference.h"
 
 #ifndef AFP_LP_CORPUS_DIR
 #error "AFP_LP_CORPUS_DIR must point at the .lp corpus directory"
@@ -186,8 +187,8 @@ TEST(LpCorpus, AllFourEnginesAgreeOnEveryFile) {
     ASSERT_TRUE(ground.ok()) << ground.status().ToString();
     PartialModel afp_model = AlternatingFixpoint(*ground).model;
     EXPECT_EQ(afp_model, WellFoundedViaWp(*ground).model);
-    EXPECT_EQ(afp_model, WellFoundedResidual(*ground).model);
     EXPECT_EQ(afp_model, WellFoundedScc(*ground).model);
+    EXPECT_EQ(afp_model, reference::ScratchWellFoundedViaWp(*ground).model);
   }
 }
 

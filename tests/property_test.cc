@@ -14,10 +14,10 @@
 
 #include "analysis/atom_graph.h"
 #include "core/alternating.h"
-#include "core/residual.h"
 #include "core/scc_engine.h"
 #include "fitting/fitting.h"
 #include "ground/grounder.h"
+#include "reference/reference.h"
 #include "search/stable_search.h"
 #include "stable/gl_transform.h"
 #include "wfs/wp_engine.h"
@@ -61,45 +61,35 @@ TEST_P(RandomProgramProperty, Theorem78FourEnginesAgree) {
     GroundProgram gp = Ground(p);
     AfpResult afp = AlternatingFixpoint(gp);
     EXPECT_EQ(afp.model, WellFoundedViaWp(gp).model) << "seed " << seed;
-    EXPECT_EQ(afp.model, WellFoundedResidual(gp).model) << "seed " << seed;
     EXPECT_EQ(afp.model, WellFoundedScc(gp).model) << "seed " << seed;
+    EXPECT_EQ(afp.model, reference::ScratchWellFoundedViaWp(gp).model)
+        << "seed " << seed;
   }
 }
 
-// The GusMode axis on random program families: the delta-driven W_P
-// iteration (witness-counter T_P + worklist unfounded sets) is pinned
-// bit-identical — model and round count — to the from-scratch baseline,
-// never does more body-examination work, and the SCC engine's kWp inner
-// mode agrees through both modes as well.
+// The delta-driven W_P iteration (witness-counter T_P + worklist unfounded
+// sets) on random program families is pinned bit-identical — model and
+// round count — to the from-scratch reference loop, and the SCC engine's
+// kWp inner mode agrees as well.
 TEST_P(RandomProgramProperty, WpGusModesAgree) {
   for (int seed = 0; seed < GetParam().num_seeds; ++seed) {
     Program p = Make(seed);
     GroundProgram gp = Ground(p);
-    WpOptions delta;
-    delta.gus_mode = GusMode::kDelta;
-    WpOptions scratch;
-    scratch.gus_mode = GusMode::kScratch;
-    WpResult wp_delta = WellFoundedViaWp(gp, delta);
-    WpResult wp_scratch = WellFoundedViaWp(gp, scratch);
+    WpResult wp_delta = WellFoundedViaWp(gp);
+    WpResult wp_scratch = reference::ScratchWellFoundedViaWp(gp);
     EXPECT_EQ(wp_delta.model, wp_scratch.model) << "seed " << seed;
     EXPECT_EQ(wp_delta.iterations, wp_scratch.iterations) << "seed " << seed;
-    // No work comparison here: the two modes count different units (per
+    // No work comparison here: the two sides count different units (per
     // flipped-atom occurrence vs per rule per round), and on the shallow
     // iterations of these tiny families the delta side's incidence touches
     // can legitimately exceed the scratch side's rule count. The deep-
     // iteration regime where delta must win >= 3x is pinned in
-    // wfs_test.cc (DeltaDoesLessWorkOnDeepIteration) and gated in CI over
-    // bench_ablation's GusMode axis.
+    // wfs_test.cc (DeltaDoesLessWorkOnDeepIteration) and in
+    // eval_context_test.cc (AblationCounters).
 
-    SccOptions scc_wp_delta;
-    scc_wp_delta.inner = SccInnerEngine::kWp;
-    scc_wp_delta.gus_mode = GusMode::kDelta;
-    SccOptions scc_wp_scratch;
-    scc_wp_scratch.inner = SccInnerEngine::kWp;
-    scc_wp_scratch.gus_mode = GusMode::kScratch;
-    EXPECT_EQ(wp_delta.model, WellFoundedScc(gp, scc_wp_delta).model)
-        << "seed " << seed;
-    EXPECT_EQ(wp_delta.model, WellFoundedScc(gp, scc_wp_scratch).model)
+    SccOptions scc_wp;
+    scc_wp.inner = SccInnerEngine::kWp;
+    EXPECT_EQ(wp_scratch.model, WellFoundedScc(gp, scc_wp).model)
         << "seed " << seed;
   }
 }
@@ -180,20 +170,25 @@ TEST_P(RandomProgramProperty, SeedingWithWfsFalseSetIsIdempotent) {
     Program p = Make(seed);
     GroundProgram gp = Ground(p);
     AfpResult plain = AlternatingFixpoint(gp);
+    EvalContext ctx;
+    HornSolver solver(gp.View(), &ctx);
     AfpResult seeded =
-        AlternatingFixpointSeeded(gp, plain.model.false_atoms());
+        AlternatingFixpointWithContext(ctx, solver, plain.model.false_atoms());
     EXPECT_EQ(plain.model, seeded.model) << "seed " << seed;
   }
 }
 
+// The counting, delta-driven alternating fixpoint against the reference
+// loop that re-derives every S_P by naive T_P iteration: same model and
+// same number of A_P rounds.
 TEST_P(RandomProgramProperty, HornModesAgree) {
   for (int seed = 0; seed < GetParam().num_seeds; ++seed) {
     Program p = Make(seed);
     GroundProgram gp = Ground(p);
-    AfpOptions naive;
-    naive.horn_mode = HornMode::kNaive;
-    EXPECT_EQ(AlternatingFixpoint(gp).model,
-              AlternatingFixpoint(gp, naive).model)
+    AfpResult counting = AlternatingFixpoint(gp);
+    AfpResult naive = reference::ScratchAlternatingFixpoint(gp);
+    EXPECT_EQ(counting.model, naive.model) << "seed " << seed;
+    EXPECT_EQ(counting.outer_iterations, naive.outer_iterations)
         << "seed " << seed;
   }
 }
@@ -363,7 +358,6 @@ TEST_P(WinMoveProperty, EnginesAgreeAndModelIsGameConsistent) {
     GroundProgram gp = std::move(ground).value();
     AfpResult afp = AlternatingFixpoint(gp);
     EXPECT_EQ(afp.model, WellFoundedViaWp(gp).model) << "seed " << seed;
-    EXPECT_EQ(afp.model, WellFoundedResidual(gp).model) << "seed " << seed;
     EXPECT_EQ(afp.model, WellFoundedScc(gp).model) << "seed " << seed;
 
     // Game-theoretic sanity: a position is won iff some move reaches a

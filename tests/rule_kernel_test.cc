@@ -1,7 +1,7 @@
 // Compiled rule kernels (core/rule_kernel.h): compiled and interpreted
 // evaluation must be bit-identical — same models AND same per-component
-// iteration trajectories — across the corpus, inner engines, eval modes,
-// and thread counts; heat staging must migrate re-solved components onto
+// iteration trajectories — across the corpus, inner engines and thread
+// counts; heat staging must migrate re-solved components onto
 // kernels without recompiling on reuse; and every post-seal rule append
 // must invalidate the affected buckets (the stale-kernel regressions).
 
@@ -22,6 +22,7 @@
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
 #include "parser/parser.h"
+#include "reference/reference.h"
 #include "serving/serving_solver.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
@@ -89,31 +90,34 @@ TEST(KernelDifferential, CorpusCompiledMatchesInterpretedBitForBit) {
   EXPECT_GT(engaged, 0u);
 }
 
+// Compiled vs interpreted under both inner engines, with the from-scratch
+// reference loop of tests/reference/ as the model oracle.
 TEST(KernelDifferential, ModeMatrixOnRandomFamilies) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    for (SpMode sp : {SpMode::kDelta, SpMode::kScratch}) {
-      for (GusMode gus : {GusMode::kDelta, GusMode::kScratch}) {
-        for (SccInnerEngine inner :
-             {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
-          SolverOptions off;
-          off.engine = SolverEngine::kScc;
-          off.sp_mode = sp;
-          off.gus_mode = gus;
-          off.inner = inner;
-          off.ground.mode = GroundMode::kFull;
-          off.compile = CompileMode::kOff;
-          SolverOptions on = off;
-          on.compile = CompileMode::kAlways;
-          Solver a = MustCreate(
-              workload::RandomPropositional(24, 48, 3, 50, seed), off);
-          Solver b = MustCreate(
-              workload::RandomPropositional(24, 48, 3, 50, seed), on);
-          EXPECT_EQ(a.Solve(), b.Solve())
-              << "seed " << seed << " inner " << static_cast<int>(inner);
-          EXPECT_EQ(a.component_iterations(), b.component_iterations())
-              << "seed " << seed << " inner " << static_cast<int>(inner);
-        }
-      }
+    Program p = workload::RandomPropositional(24, 48, 3, 50, seed);
+    GroundOptions gopts;
+    gopts.mode = GroundMode::kFull;
+    auto gp = Grounder::Ground(p, gopts);
+    ASSERT_TRUE(gp.ok());
+    const PartialModel scratch = reference::ScratchWellFoundedViaWp(*gp).model;
+    for (SccInnerEngine inner : {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
+      SolverOptions off;
+      off.engine = SolverEngine::kScc;
+      off.inner = inner;
+      off.ground.mode = GroundMode::kFull;
+      off.compile = CompileMode::kOff;
+      SolverOptions on = off;
+      on.compile = CompileMode::kAlways;
+      Solver a =
+          MustCreate(workload::RandomPropositional(24, 48, 3, 50, seed), off);
+      Solver b =
+          MustCreate(workload::RandomPropositional(24, 48, 3, 50, seed), on);
+      EXPECT_EQ(a.Solve(), b.Solve())
+          << "seed " << seed << " inner " << static_cast<int>(inner);
+      EXPECT_EQ(a.component_iterations(), b.component_iterations())
+          << "seed " << seed << " inner " << static_cast<int>(inner);
+      EXPECT_EQ(b.Solve(), scratch)
+          << "seed " << seed << " inner " << static_cast<int>(inner);
     }
   }
 }
@@ -441,18 +445,6 @@ TEST(KernelCacheShape, OnlyGeneralPathComponentsAreEligible) {
   self_dep->Solve();
   EXPECT_EQ(self_dep->Stats().eval.kernel_components, 1u);
   EXPECT_EQ(*self_dep->Query("w"), TruthValue::kUndefined);
-}
-
-TEST(KernelCacheShape, NaiveHornModeNeverCompiles) {
-  SolverOptions o;
-  o.engine = SolverEngine::kScc;
-  o.compile = CompileMode::kAlways;
-  o.horn_mode = HornMode::kNaive;
-  auto solver = Solver::FromText("p :- not q. q :- not p.", o);
-  ASSERT_TRUE(solver.ok());
-  solver->Solve();
-  EXPECT_EQ(solver->Stats().eval.kernel_components, 0u);
-  EXPECT_EQ(solver->Stats().eval.kernel_compile_ns, 0u);
 }
 
 }  // namespace

@@ -18,10 +18,10 @@
 #include <vector>
 
 #include "core/alternating.h"
-#include "core/residual.h"
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
 #include "parser/parser.h"
+#include "reference/reference.h"
 #include "search/stable_search.h"
 #include "wfs/wp_engine.h"
 #include "workload/graphs.h"
@@ -77,24 +77,12 @@ struct Rng {
 /// facade.
 PartialModel DirectModel(const GroundProgram& gp, const SolverOptions& o) {
   switch (o.engine) {
-    case SolverEngine::kAfp: {
-      AfpOptions a;
-      a.horn_mode = o.horn_mode;
-      a.sp_mode = o.sp_mode;
-      return AlternatingFixpoint(gp, a).model;
-    }
-    case SolverEngine::kWp: {
-      WpOptions w;
-      w.gus_mode = o.gus_mode;
-      return WellFoundedViaWp(gp, w).model;
-    }
-    case SolverEngine::kResidual:
-      return WellFoundedResidual(gp).model;
+    case SolverEngine::kAfp:
+      return AlternatingFixpoint(gp).model;
+    case SolverEngine::kWp:
+      return WellFoundedViaWp(gp).model;
     case SolverEngine::kScc: {
       SccOptions s;
-      s.horn_mode = o.horn_mode;
-      s.sp_mode = o.sp_mode;
-      s.gus_mode = o.gus_mode;
       s.inner = o.inner;
       return WellFoundedScc(gp, s).model;
     }
@@ -103,7 +91,6 @@ PartialModel DirectModel(const GroundProgram& gp, const SolverOptions& o) {
 }
 
 constexpr SolverEngine kAllEngines[] = {SolverEngine::kAfp,
-                                        SolverEngine::kResidual,
                                         SolverEngine::kScc, SolverEngine::kWp};
 
 TEST(Solver, MatchesDirectEnginesOnCorpus) {
@@ -129,20 +116,20 @@ TEST(Solver, MatchesDirectEnginesAcrossModesOnRandomFamilies) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Program p = workload::RandomPropositional(24, 48, 3, 50, seed);
     GroundProgram gp = MustGround(p, GroundMode::kFull);
+    // Every engine against its direct free function and against the
+    // from-scratch reference loop of tests/reference/.
+    const PartialModel scratch =
+        reference::ScratchAlternatingFixpoint(gp).model;
     for (SolverEngine e : kAllEngines) {
-      for (SpMode sp : {SpMode::kDelta, SpMode::kScratch}) {
-        for (GusMode gus : {GusMode::kDelta, GusMode::kScratch}) {
-          SolverOptions o;
-          o.engine = e;
-          o.sp_mode = sp;
-          o.gus_mode = gus;
-          o.ground.mode = GroundMode::kFull;
-          Solver solver = MustCreate(
-              workload::RandomPropositional(24, 48, 3, 50, seed), o);
-          EXPECT_EQ(solver.Solve(), DirectModel(gp, o))
-              << "seed " << seed << " engine " << SolverEngineName(e);
-        }
-      }
+      SolverOptions o;
+      o.engine = e;
+      o.ground.mode = GroundMode::kFull;
+      Solver solver =
+          MustCreate(workload::RandomPropositional(24, 48, 3, 50, seed), o);
+      EXPECT_EQ(solver.Solve(), DirectModel(gp, o))
+          << "seed " << seed << " engine " << SolverEngineName(e);
+      EXPECT_EQ(solver.Solve(), scratch)
+          << "seed " << seed << " engine " << SolverEngineName(e);
     }
     // The kScc inner-engine axis.
     for (SccInnerEngine inner :
@@ -376,8 +363,7 @@ TEST(SolverIncremental, MonolithicEnginesRepairTheirModelsToo) {
   // Incremental updates always run component-wise, whatever engine
   // produced the base model — the repaired model must still match a
   // from-scratch solve of the mutated program.
-  for (SolverEngine e :
-       {SolverEngine::kAfp, SolverEngine::kResidual, SolverEngine::kWp}) {
+  for (SolverEngine e : {SolverEngine::kAfp, SolverEngine::kWp}) {
     Program p = workload::WinMove(graphs::ErdosRenyi(30, 70, 3));
     GroundProgram reference = MustGround(p);
     SolverOptions o;

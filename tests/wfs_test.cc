@@ -12,6 +12,7 @@
 #include "core/alternating.h"
 #include "core/horn_solver.h"
 #include "ground/grounder.h"
+#include "reference/reference.h"
 #include "wfs/unfounded.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
@@ -38,6 +39,17 @@ Bitset NamedSet(const GroundProgram& gp,
   return out;
 }
 
+/// U_P(I) through the library's evaluator (one priming Eval on a fresh
+/// GusEvaluator); the tests compare it with the reference definition.
+Bitset LibraryGus(const GroundProgram& gp, const PartialModel& I) {
+  EvalContext ctx;
+  HornSolver solver(gp.View(), &ctx);
+  GusEvaluator gus(solver, ctx);
+  Bitset out;
+  gus.Eval(I, &out);
+  return out;
+}
+
 TEST(UnfoundedSets, Example61) {
   // With I = {p(c), ¬p(g), ¬p(h)}: U1 = {p(d),p(e),p(f)} is unfounded
   // (the third rule for p(d) and the second rule for p(f) have a literal
@@ -45,18 +57,18 @@ TEST(UnfoundedSets, Example61) {
   // U2 = {p(a),p(b)} is not unfounded.
   Program p = workload::Example51();
   GroundProgram gp = MustGround(p);
-  HornSolver solver(gp.View());
 
   PartialModel I(NamedSet(gp, {"p(c)"}), NamedSet(gp, {"p(g)", "p(h)"}));
   Bitset u1 = NamedSet(gp, {"p(d)", "p(e)", "p(f)"});
-  EXPECT_TRUE(IsUnfoundedSet(gp.View(), I, u1));
+  EXPECT_TRUE(reference::IsUnfoundedSet(gp.View(), I, u1));
   Bitset u2 = NamedSet(gp, {"p(a)", "p(b)"});
-  EXPECT_FALSE(IsUnfoundedSet(gp.View(), I, u2));
+  EXPECT_FALSE(reference::IsUnfoundedSet(gp.View(), I, u2));
 
   // The greatest unfounded set contains U1 (and is itself unfounded).
-  Bitset greatest = GreatestUnfoundedSet(solver, I);
+  Bitset greatest = LibraryGus(gp, I);
+  EXPECT_EQ(greatest, reference::GreatestUnfoundedSet(gp.View(), I));
   EXPECT_TRUE(u1.IsSubsetOf(greatest));
-  EXPECT_TRUE(IsUnfoundedSet(gp.View(), I, greatest));
+  EXPECT_TRUE(reference::IsUnfoundedSet(gp.View(), I, greatest));
 }
 
 TEST(UnfoundedSets, AtomsWithoutRulesAreUnfounded) {
@@ -68,10 +80,10 @@ TEST(UnfoundedSets, AtomsWithoutRulesAreUnfounded) {
   auto ground = Grounder::Ground(p, opts);
   ASSERT_TRUE(ground.ok());
   GroundProgram gp = std::move(ground).value();
-  HornSolver solver(gp.View());
 
   PartialModel empty = PartialModel::AllUndefined(gp.num_atoms());
-  Bitset u = GreatestUnfoundedSet(solver, empty);
+  Bitset u = LibraryGus(gp, empty);
+  EXPECT_EQ(u, reference::GreatestUnfoundedSet(gp.View(), empty));
   // q (no rules) is vacuously unfounded; p has a usable rule.
   EXPECT_EQ(AtomSetToString(gp, u, true), "{q}");
 }
@@ -82,13 +94,12 @@ TEST(UnfoundedSets, GreatestIsMaximalAmongChecked) {
   // all singletons.
   Program p = workload::Example51();
   GroundProgram gp = MustGround(p);
-  HornSolver solver(gp.View());
   PartialModel empty = PartialModel::AllUndefined(gp.num_atoms());
-  Bitset greatest = GreatestUnfoundedSet(solver, empty);
+  Bitset greatest = LibraryGus(gp, empty);
   for (AtomId a = 0; a < gp.num_atoms(); ++a) {
     Bitset single(gp.num_atoms());
     single.Set(a);
-    if (IsUnfoundedSet(gp.View(), empty, single)) {
+    if (reference::IsUnfoundedSet(gp.View(), empty, single)) {
       EXPECT_TRUE(greatest.Test(a)) << gp.AtomName(a);
     }
   }
@@ -101,8 +112,13 @@ TEST(WpEngine, ImmediateConsequencesSingleStep) {
   GroundProgram gp = MustGround(p);
   // T_P is one step: from ∅ it derives only the fact.
   PartialModel empty = PartialModel::AllUndefined(gp.num_atoms());
-  Bitset t1 = ImmediateConsequences(gp.View(), empty);
+  EvalContext ctx;
+  HornSolver solver(gp.View(), &ctx);
+  TpEvaluator tp(solver, ctx);
+  Bitset t1;
+  tp.Eval(empty, &t1);
   EXPECT_EQ(t1.Count(), 1u);
+  EXPECT_EQ(t1, reference::ImmediateConsequences(gp.View(), empty));
 }
 
 TEST(WpEngine, Example51WellFoundedModel) {
@@ -207,18 +223,18 @@ TEST(WpEngine, IterationCountBounded) {
 
 TEST(GusEvaluatorUnit, Example61DeltaSequenceMatchesScratch) {
   // Walk the Example 6.1 interpretation in from the empty one literal at a
-  // time: the delta evaluator must reproduce the scratch U_P at every
+  // time: the delta evaluator must reproduce the reference U_P at every
   // prefix, including the first (free) all-undefined priming call.
   Program p = workload::Example51();
   GroundProgram gp = MustGround(p);
   EvalContext ctx;
   HornSolver solver(gp.View(), &ctx);
-  GusEvaluator gus(solver, ctx, GusMode::kDelta);
+  GusEvaluator gus(solver, ctx);
 
   PartialModel I = PartialModel::AllUndefined(gp.num_atoms());
   Bitset out;
   gus.Eval(I, &out);
-  EXPECT_EQ(out, GreatestUnfoundedSet(solver, I));
+  EXPECT_EQ(out, reference::GreatestUnfoundedSet(gp.View(), I));
 
   std::vector<std::pair<std::string, bool>> steps = {
       {"p(c)", true}, {"p(g)", false}, {"p(h)", false}};
@@ -228,8 +244,10 @@ TEST(GusEvaluatorUnit, Example61DeltaSequenceMatchesScratch) {
       (truth ? I.true_atoms() : I.false_atoms()).Set(a);
     }
     gus.Eval(I, &out);
-    EXPECT_EQ(out, GreatestUnfoundedSet(solver, I)) << "after " << name;
-    EXPECT_TRUE(IsUnfoundedSet(gp.View(), I, out)) << "after " << name;
+    EXPECT_EQ(out, reference::GreatestUnfoundedSet(gp.View(), I))
+        << "after " << name;
+    EXPECT_TRUE(reference::IsUnfoundedSet(gp.View(), I, out))
+        << "after " << name;
   }
   // At the full Example 6.1 interpretation, U1 is contained in the result.
   EXPECT_TRUE(
@@ -238,27 +256,30 @@ TEST(GusEvaluatorUnit, Example61DeltaSequenceMatchesScratch) {
 
 TEST(GusEvaluatorUnit, BorrowedViewMatchesEvalInBothModes) {
   // EvalSupported returns the maintained X = H − U_P(I) without the
-  // per-call copy+complement; its complement must equal Eval's output —
-  // and the scratch reference — at every step of a non-monotone walk.
+  // per-call copy+complement; its complement must equal Eval's output
+  // and the reference U_P at every step of a non-monotone walk.
   Program p = workload::Example51();
   GroundProgram gp = MustGround(p);
-  for (GusMode mode : {GusMode::kDelta, GusMode::kScratch}) {
-    EvalContext ctx;
-    HornSolver solver(gp.View(), &ctx);
-    GusEvaluator gus(solver, ctx, mode);
-    PartialModel I = PartialModel::AllUndefined(gp.num_atoms());
-    std::vector<std::pair<std::string, bool>> steps = {
-        {"p(c)", true}, {"p(g)", false}, {"p(h)", false}, {"p(c)", true}};
-    Bitset expected;
-    for (const auto& [name, truth] : steps) {
-      const Bitset& x = gus.EvalSupported(I);
-      expected = GreatestUnfoundedSet(solver, I);
-      EXPECT_TRUE(x.IsComplementOf(expected)) << "step " << name;
-      EXPECT_EQ(Bitset::ComplementOf(x), expected) << "step " << name;
-      for (AtomId a = 0; a < gp.num_atoms(); ++a) {
-        if (gp.AtomName(a) != name) continue;
-        (truth ? I.true_atoms() : I.false_atoms()).Set(a);
-      }
+  EvalContext ctx;
+  HornSolver solver(gp.View(), &ctx);
+  GusEvaluator gus(solver, ctx);
+  GusEvaluator copying(solver, ctx);
+  PartialModel I = PartialModel::AllUndefined(gp.num_atoms());
+  std::vector<std::pair<std::string, bool>> steps = {
+      {"p(c)", true}, {"p(g)", false}, {"p(h)", false}, {"p(c)", true}};
+  Bitset expected, out;
+  for (const auto& [name, truth] : steps) {
+    const Bitset& x = gus.EvalSupported(I);
+    EXPECT_EQ(x, reference::ExternallySupportedSet(gp.View(), I))
+        << "step " << name;
+    expected = reference::GreatestUnfoundedSet(gp.View(), I);
+    EXPECT_TRUE(x.IsComplementOf(expected)) << "step " << name;
+    EXPECT_EQ(Bitset::ComplementOf(x), expected) << "step " << name;
+    copying.Eval(I, &out);
+    EXPECT_EQ(out, expected) << "step " << name;
+    for (AtomId a = 0; a < gp.num_atoms(); ++a) {
+      if (gp.AtomName(a) != name) continue;
+      (truth ? I.true_atoms() : I.false_atoms()).Set(a);
     }
   }
 }
@@ -274,7 +295,7 @@ TEST(GusEvaluatorUnit, RebindReusesOneEvaluatorAcrossSolvers) {
   EvalContext ctx;
   HornSolver s1(gp1.View(), &ctx);
   HornSolver s2(gp2.View(), &ctx);
-  GusEvaluator reused(s1, ctx, GusMode::kDelta);
+  GusEvaluator reused(s1, ctx);
 
   PartialModel i1 = PartialModel::AllUndefined(gp1.num_atoms());
   Bitset out;
@@ -287,31 +308,28 @@ TEST(GusEvaluatorUnit, RebindReusesOneEvaluatorAcrossSolvers) {
   PartialModel i2 = PartialModel::AllUndefined(gp2.num_atoms());
   Bitset reused_out, fresh_out;
   reused.Eval(i2, &reused_out);
-  GusEvaluator fresh(s2, ctx, GusMode::kDelta);
+  GusEvaluator fresh(s2, ctx);
   fresh.Eval(i2, &fresh_out);
   EXPECT_EQ(reused_out, fresh_out);
-  EXPECT_EQ(reused_out, GreatestUnfoundedSet(s2, i2));
+  EXPECT_EQ(reused_out, reference::GreatestUnfoundedSet(gp2.View(), i2));
 
   i2.false_atoms().Set(1);
   reused.Eval(i2, &reused_out);
   fresh.Eval(i2, &fresh_out);
   EXPECT_EQ(reused_out, fresh_out);
-  EXPECT_EQ(reused_out, GreatestUnfoundedSet(s2, i2));
+  EXPECT_EQ(reused_out, reference::GreatestUnfoundedSet(gp2.View(), i2));
 }
 
 TEST(WpEngine, DeltaDoesLessWorkOnDeepIteration) {
   // The Example 8.2-style regime: a chain forces one W_P round per rank,
   // the many-rounds case the witness counters target. The delta path's
-  // total body examinations must come in well under scratch (>= 3x here;
-  // bench_ablation records the full trajectory and CI gates the ratio).
+  // total body examinations must come in well under the from-scratch
+  // reference's (>= 3x here; eval_context_test.cc pins the ablation
+  // workloads exactly).
   Program p = workload::WinMove(graphs::Chain(40));
   GroundProgram gp = MustGround(p);
-  WpOptions delta;
-  delta.gus_mode = GusMode::kDelta;
-  WpOptions scratch;
-  scratch.gus_mode = GusMode::kScratch;
-  WpResult d = WellFoundedViaWp(gp, delta);
-  WpResult s = WellFoundedViaWp(gp, scratch);
+  WpResult d = WellFoundedViaWp(gp);
+  WpResult s = reference::ScratchWellFoundedViaWp(gp);
   ASSERT_EQ(d.model, s.model);
   ASSERT_EQ(d.iterations, s.iterations);
   const std::size_t d_total = d.eval.rules_rescanned + d.eval.gus_rules_rescanned;

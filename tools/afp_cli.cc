@@ -5,7 +5,7 @@
 //
 // Options:
 //   --semantics=wfs|stable|fitting|stratified|ifp   (default wfs)
-//   --engine=afp|wp|residual|scc       well-founded engine (default afp);
+//   --engine=afp|wp|scc                well-founded engine (default afp);
 //                                      selects afp::SolverOptions::engine —
 //                                      the whole wfs/stable path runs
 //                                      through one afp::Solver session
@@ -25,11 +25,6 @@
 //                                      force simplification off so source
 //                                      rules stay addressable; --stats
 //                                      prints the RuleUpdateStats receipt
-//   --sp=delta|scratch                 S_P enablement recomputation
-//                                      (default delta; scratch = ablation)
-//   --gus=delta|scratch                T_P / unfounded-set witness
-//                                      recomputation for the W_P iteration
-//                                      (default delta; scratch = ablation)
 //   --inner=afp|wp                     per-component engine for --engine=scc
 //                                      (default afp)
 //   --compile=off|hot|always           compiled rule kernels for
@@ -44,7 +39,8 @@
 //                                      all three modes
 //   --query=ATOM                       point query (repeatable via commas)
 //   --select=PATTERN                   enumerate matches, e.g. wins(X)
-//   --trace                            print the Table-I style trace (wfs)
+//   --trace                            print the Table-I style trace
+//                                      (--semantics=wfs --engine=afp)
 //   --json                             print the model as JSON
 //   --max-models=N                     cap stable-model enumeration
 //                                      (N is a whole decimal number;
@@ -90,10 +86,6 @@ struct Mutation {
 struct Options {
   std::string semantics = "wfs";
   std::string engine = "afp";
-  std::string sp = "delta";
-  bool sp_given = false;
-  std::string gus = "delta";
-  bool gus_given = false;
   std::string inner = "afp";
   bool inner_given = false;
   std::string compile = "hot";
@@ -190,14 +182,6 @@ int main(int argc, char** argv) {
     std::uint64_t number = 0;
     if (ParseFlag(arg, "semantics", &opts.semantics)) continue;
     if (ParseFlag(arg, "engine", &opts.engine)) continue;
-    if (ParseFlag(arg, "sp", &opts.sp)) {
-      opts.sp_given = true;
-      continue;
-    }
-    if (ParseFlag(arg, "gus", &opts.gus)) {
-      opts.gus_given = true;
-      continue;
-    }
     if (ParseFlag(arg, "inner", &opts.inner)) {
       opts.inner_given = true;
       continue;
@@ -268,31 +252,16 @@ int main(int argc, char** argv) {
       opts.semantics != "ifp") {
     return BadValue("semantics", opts.semantics);
   }
-  if (opts.engine != "afp" && opts.engine != "wp" &&
-      opts.engine != "residual" && opts.engine != "scc") {
+  if (opts.engine != "afp" && opts.engine != "wp" && opts.engine != "scc") {
     return BadValue("engine", opts.engine);
   }
-  if (opts.sp != "delta" && opts.sp != "scratch") {
-    std::cerr << "afp: unknown --sp mode '" << opts.sp << "'\n";
-    return 1;
-  }
-  if (opts.gus != "delta" && opts.gus != "scratch") {
-    std::cerr << "afp: unknown --gus mode '" << opts.gus << "'\n";
-    return 1;
-  }
   if (opts.inner != "afp" && opts.inner != "wp") {
-    std::cerr << "afp: unknown --inner engine '" << opts.inner << "'\n";
-    return 1;
+    return BadValue("inner", opts.inner);
   }
   if (opts.compile != "off" && opts.compile != "hot" &&
       opts.compile != "always") {
-    std::cerr << "afp: unknown --compile mode '" << opts.compile << "'\n";
-    return 1;
+    return BadValue("compile", opts.compile);
   }
-  const afp::SpMode sp_mode =
-      opts.sp == "scratch" ? afp::SpMode::kScratch : afp::SpMode::kDelta;
-  const afp::GusMode gus_mode =
-      opts.gus == "scratch" ? afp::GusMode::kScratch : afp::GusMode::kDelta;
   const afp::SccInnerEngine inner_engine = opts.inner == "wp"
                                                ? afp::SccInnerEngine::kWp
                                                : afp::SccInnerEngine::kAfp;
@@ -300,26 +269,12 @@ int main(int argc, char** argv) {
       opts.compile == "off"      ? afp::CompileMode::kOff
       : opts.compile == "always" ? afp::CompileMode::kAlways
                                  : afp::CompileMode::kHot;
-  // The S_P mode axis only exists where S_P is iterated: the wfs engines
-  // afp/residual/scc and the stable search. Warn instead of silently
-  // ignoring it elsewhere (e.g. an --engine=wp ablation would otherwise
-  // compare two identical runs). Same for the W_P-side axes: --gus drives
-  // the T_P/U_P witness counters (wp engine, or scc with --inner=wp) and
-  // --inner picks the scc per-component engine.
-  const bool sp_applies =
-      (opts.semantics == "wfs" && opts.engine != "wp" &&
-       !(opts.engine == "scc" && opts.inner == "wp")) ||
-      opts.semantics == "stable";
-  if (opts.sp_given && !sp_applies) {
-    std::cerr << "afp: note: --sp has no effect for --semantics="
-              << opts.semantics << " --engine=" << opts.engine << "\n";
-  }
-  const bool gus_applies =
-      opts.semantics == "wfs" &&
-      (opts.engine == "wp" ||
-       (opts.engine == "scc" && opts.inner == "wp"));
-  if (opts.gus_given && !gus_applies) {
-    std::cerr << "afp: note: --gus has no effect for --semantics="
+  // Flags that apply to only some semantics/engine combinations note the
+  // mismatch instead of being silently ignored: --inner picks the scc
+  // per-component engine, and only the monolithic alternating fixpoint
+  // records the Table-I trace.
+  if (opts.trace && !(opts.semantics == "wfs" && opts.engine == "afp")) {
+    std::cerr << "afp: note: --trace has no effect for --semantics="
               << opts.semantics << " --engine=" << opts.engine << "\n";
   }
   if (opts.inner_given && !(opts.semantics == "wfs" && opts.engine == "scc")) {
@@ -362,15 +317,11 @@ int main(int argc, char** argv) {
   afp::SolverOptions sopts;
   if (opts.engine == "wp") {
     sopts.engine = afp::SolverEngine::kWp;
-  } else if (opts.engine == "residual") {
-    sopts.engine = afp::SolverEngine::kResidual;
   } else if (opts.engine == "scc") {
     sopts.engine = afp::SolverEngine::kScc;
   } else {
     sopts.engine = afp::SolverEngine::kAfp;
   }
-  sopts.sp_mode = sp_mode;
-  sopts.gus_mode = gus_mode;
   sopts.inner = inner_engine;
   sopts.compile = compile_mode;
   sopts.record_trace = opts.trace;
@@ -429,9 +380,6 @@ int main(int argc, char** argv) {
           break;
         case afp::SolverEngine::kWp:
           std::cout << "% W_P iterations: " << st.iterations << "\n";
-          break;
-        case afp::SolverEngine::kResidual:
-          std::cout << "% rounds: " << st.iterations << "\n";
           break;
         case afp::SolverEngine::kScc:
           std::cout << "% components: " << st.num_components

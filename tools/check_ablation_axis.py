@@ -1,19 +1,8 @@
 #!/usr/bin/env python3
 """Regression gate over BENCH_ablation_axis.json (see docs/BENCHMARKS.md).
 
-The delta-driven evaluation paths (SpMode::kDelta for S_P enablement,
-GusMode::kDelta for the T_P / unfounded-set witness counters) exist to do
-strictly less rule-body rescanning than their from-scratch ablation
-baselines. This check fails CI if they, or any of the other recorded
-axes below, ever regress:
+This check fails CI if any of the recorded axes below ever regresses:
 
-  * every delta/scratch pair must have the delta side rescan FEWER rule
-    bodies than the scratch side (ratio scratch/delta > 1.0) — a delta mode
-    rescanning as much as scratch means the incremental machinery silently
-    stopped working;
-  * the flagship workloads — win-move at the largest benched size and the
-    Example 8.2 chain — must keep a ratio of at least MIN_FLAGSHIP_RATIO
-    (3x) on the GusMode axis, the headline number recorded in ROADMAP.md;
   * the incremental-update axis (a Solver session's single-fact
     AssertFacts/RetractFacts repair vs a full re-solve of the mutated
     program) must beat the full re-solve on every recorded workload
@@ -34,8 +23,12 @@ axes below, ever regress:
     SEARCH_PINNED exactly — model_hash (model set AND emission order),
     models, nodes and implied_atoms — and every pinned row must exist.
 
-The rescan gates and the search pins are counters, not wall-clock:
-deterministic for a fixed workload, so safe on noisy CI machines.
+The search pins are counters, not wall-clock: deterministic for a fixed
+workload, so safe on noisy CI machines. The delta-vs-scratch rescan gate
+(the delta evaluators must rescan fewer rule bodies than a from-scratch
+evaluation) is not here: it is the AblationCounters ctest in
+tests/eval_context_test.cc, which computes the scratch side with the
+reference loops of tests/reference/.
 
 Usage: check_ablation_axis.py [path/to/BENCH_ablation_axis.json]
 Exit status: 0 when every row passes, 1 otherwise.
@@ -45,12 +38,6 @@ import json
 import sys
 
 MIN_RATIO = 1.0
-MIN_FLAGSHIP_RATIO = 3.0
-# (axis, workload) rows that must meet MIN_FLAGSHIP_RATIO. WinMove/1024 and
-# WfNodes/256 are the two instances the ISSUE's acceptance criterion names;
-# keep this list in sync with the BENCHMARK(...)->Arg(...) registrations in
-# bench/bench_ablation.cc.
-FLAGSHIPS = {("gus", "WinMove/1024"), ("gus", "WfNodes/256")}
 # The incremental-update flagship: a single-fact update on win-move/4096
 # must re-solve at least 5x faster than the from-scratch baseline.
 INCREMENTAL_FLAGSHIP = "WinMove/4096"
@@ -106,16 +93,14 @@ def main() -> int:
         return 1
 
     failures = []
-    seen_flagships = set()
     seen_incremental_workloads = set()
     seen_compile_workloads = set()
     seen_search_workloads = set()
-    ratios = []
     search_lines = []
     incremental_lines = []
     compile_lines = []
     for row in rows:
-        axis = row.get("axis", "sp")
+        axis = row.get("axis", "?")
         workload = row.get("workload", "?")
         if axis == "search":
             seen_search_workloads.add(workload)
@@ -173,25 +158,7 @@ def main() -> int:
                 failures.append(
                     f"{label}: flagship ratio {ratio} < {MIN_COMPILE_RATIO}")
             continue
-        ratio = row.get("rescan_ratio_scratch_over_delta")
-        label = f"{axis}:{workload}"
-        if ratio is None:
-            # A pair missing its ratio would silently drop out of the gate;
-            # treat it as a failure so bench renames get noticed.
-            failures.append(f"{label}: no rescan ratio recorded")
-            continue
-        ratios.append((label, ratio))
-        if ratio <= MIN_RATIO:
-            failures.append(
-                f"{label}: delta rescans >= scratch "
-                f"(ratio {ratio} <= {MIN_RATIO})")
-        if (axis, workload) in FLAGSHIPS:
-            seen_flagships.add((axis, workload))
-            if ratio < MIN_FLAGSHIP_RATIO:
-                failures.append(
-                    f"{label}: flagship ratio {ratio} < {MIN_FLAGSHIP_RATIO}")
-    for missing in sorted(FLAGSHIPS - seen_flagships):
-        failures.append(f"{missing[0]}:{missing[1]}: flagship row missing")
+        failures.append(f"{axis}:{workload}: unknown axis")
     if INCREMENTAL_FLAGSHIP not in seen_incremental_workloads:
         failures.append(
             f"incremental:{INCREMENTAL_FLAGSHIP}: incremental row missing")
@@ -203,8 +170,6 @@ def main() -> int:
     for missing in sorted(set(SEARCH_PINNED) - seen_search_workloads):
         failures.append(f"search:{missing}: search row missing")
 
-    for label, ratio in sorted(ratios):
-        print(f"  {label}: scratch/delta rescan ratio {ratio}")
     for line in search_lines:
         print(line)
     for line in incremental_lines:
@@ -215,7 +180,7 @@ def main() -> int:
         for f_ in failures:
             print(f"FAIL {f_}", file=sys.stderr)
         return 1
-    print(f"check_ablation_axis: {len(ratios)} rescan rows + "
+    print(f"check_ablation_axis: "
           f"{len(seen_incremental_workloads)} incremental rows + "
           f"{len(seen_compile_workloads)} compile rows + "
           f"{len(seen_search_workloads)} search rows OK")

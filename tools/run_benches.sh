@@ -65,54 +65,18 @@ for bench in "${BENCHES[@]}"; do
     # Google Benchmark: native JSON report.
     "${bin}" --benchmark_out="${out_json}" --benchmark_out_format=json
     if [[ "${bench}" == "bench_ablation" ]]; then
-      # Distill the incremental-vs-scratch axes (delta-driven S_P vs full
-      # rescan, and delta-driven T_P/U_P witness counters vs full rescan,
-      # paired by workload/size) into one compact report. Schema documented
-      # in docs/BENCHMARKS.md; the threshold check
-      # (tools/check_ablation_axis.py) gates CI on it.
+      # Distill the paired axes (incremental repair vs full re-solve,
+      # compiled kernels vs interpreted lowering) into one compact report.
+      # Schema documented in docs/BENCHMARKS.md; the threshold check
+      # (tools/check_ablation_axis.py) gates CI on it. The delta-vs-scratch
+      # rescan counters are pinned by the AblationCounters ctest instead.
       python3 - "${out_json}" "${OUT_DIR}/BENCH_ablation_axis.json" \
         "${GIT_REV}" "${TIMESTAMP}" <<'PYEOF'
 import json, sys
 src, dst, git_rev, timestamp = sys.argv[1:5]
 with open(src) as f:
     report = json.load(f)
-COUNTERS = ("sp_calls", "gus_calls", "rules_rescanned",
-            "gus_rules_rescanned", "delta_atoms", "wp_iterations",
-            "peak_scratch_bytes")
-rows = {}
-for b in report.get("benchmarks", []):
-    name = b.get("name", "")
-    for axis in ("Sp", "Gus"):
-        for mode in ("Delta", "Scratch"):
-            prefix = "BM_" + axis + mode
-            if not name.startswith(prefix):
-                continue
-            key = (axis.lower(), name[len(prefix):])  # e.g. "WinMove/1024"
-            cell = {"real_time_ns": b.get("real_time")}
-            for c in COUNTERS:
-                if c in b:
-                    cell[c] = b[c]
-            rows.setdefault(key, {})[mode.lower()] = cell
-
-def total_rescans(cell):
-    # Rule-body (re)examinations across both polarity scans: the S_P /
-    # T_P side (rules_rescanned) plus the unfounded-set side
-    # (gus_rules_rescanned, absent on the Sp axis). None for a missing
-    # cell; 0 is a valid (ideal) delta result.
-    if not cell:
-        return None
-    return (cell.get("rules_rescanned", 0) +
-            cell.get("gus_rules_rescanned", 0))
-
 axis_rows = []
-for (axis, key) in sorted(rows):
-    entry = {"axis": axis, "workload": key}
-    entry.update(rows[(axis, key)])
-    d = total_rescans(rows[(axis, key)].get("delta", {}))
-    s = total_rescans(rows[(axis, key)].get("scratch", {}))
-    if d is not None and s:
-        entry["rescan_ratio_scratch_over_delta"] = round(s / max(d, 1), 2)
-    axis_rows.append(entry)
 
 # Incremental-update axis: BM_Incremental<Workload>/<size> (a Solver
 # session absorbing a single-fact retract+reassert round trip) paired
