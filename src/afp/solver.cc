@@ -44,7 +44,6 @@ Solver::Solver(std::unique_ptr<Program> program, GroundProgram ground,
       program_(std::move(program)),
       ground_(std::move(ground)),
       ctx_(std::make_unique<EvalContext>()),
-      registry_(std::make_unique<EvalContextRegistry>()),
       grounder_(std::move(grounder)) {
   stats_.engine = options_.engine;
   stats_.num_atoms = ground_.num_atoms();
@@ -163,30 +162,20 @@ const PartialModel& Solver::Solve() {
 
 StatusOr<TruthValue> Solver::Query(const std::string& atom_text) {
   if (solved_) return QueryAtom(ground_, model_, atom_text);
-  auto r = QueryWithRelevanceWithContext(*ctx_, ground_, atom_text);
-  if (!r.ok()) return r.status();
-  return r->value;
+  return std::move(
+      QueryWithRelevanceWithContext(*ctx_, ground_, {&atom_text, 1})
+          .values[0]);
 }
 
 std::vector<StatusOr<TruthValue>> Solver::QueryBatch(
     const std::vector<std::string>& atom_texts) {
+  if (!solved_) {
+    return QueryWithRelevanceWithContext(*ctx_, ground_, atom_texts).values;
+  }
   std::vector<StatusOr<TruthValue>> out;
   out.reserve(atom_texts.size());
-  if (solved_) {
-    for (const std::string& text : atom_texts) {
-      out.push_back(QueryAtom(ground_, model_, text));
-    }
-    return out;
-  }
-  QueryBatchOptions opts;
-  opts.num_threads = options_.num_threads;
-  opts.registry = registry_.get();
-  for (auto& r : QueryBatchWithRelevance(ground_, atom_texts, opts)) {
-    if (r.ok()) {
-      out.push_back(r->value);
-    } else {
-      out.push_back(r.status());
-    }
+  for (const std::string& text : atom_texts) {
+    out.push_back(QueryAtom(ground_, model_, text));
   }
   return out;
 }

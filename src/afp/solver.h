@@ -66,11 +66,6 @@ struct SolverOptions {
   /// Per-component engine for kScc — and for every incremental re-solve,
   /// which always runs component-wise regardless of `engine`.
   SccInnerEngine inner = SccInnerEngine::kAfp;
-  /// Worker threads for QueryBatch on an unsolved session (the
-  /// relevance-sliced point queries). Results are identical at every
-  /// value. Solves, incremental repairs and the stable-model search are
-  /// sequential.
-  int num_threads = 1;
   /// Compiled-kernel staging for component-wise evaluation (kScc solves
   /// and every incremental update, which always runs component-wise):
   /// kOff interprets everything, kHot (default) compiles a component once
@@ -175,9 +170,9 @@ struct RuleUpdateStats {
 };
 
 /// A long-lived solving session over one program: owns the parse → ground
-/// pipeline output, the pooled evaluation scratch (EvalContext +
-/// per-worker registry), the cached atom-dependency condensation, and the
-/// current well-founded model. Movable, not copyable; not thread-safe
+/// pipeline output, the pooled evaluation scratch (EvalContext), the
+/// cached atom-dependency condensation, and the current well-founded
+/// model. Movable, not copyable; not thread-safe
 /// (one session per thread, like an EvalContext).
 class Solver {
  public:
@@ -215,10 +210,10 @@ class Solver {
   /// base are false (closed world).
   StatusOr<TruthValue> Query(const std::string& atom_text);
 
-  /// As Query, for a batch. On an unsolved session the relevance-sliced
-  /// point queries are mutually independent and dispatch to the worker
-  /// pool when options.num_threads > 1; results are order-preserving and
-  /// thread-count independent.
+  /// As Query, for a batch; results are in input order, and a text that
+  /// does not parse fails only its own slot. On an unsolved session the
+  /// whole batch is answered by ONE relevance slice over the union of the
+  /// queried atoms, solved once.
   std::vector<StatusOr<TruthValue>> QueryBatch(
       const std::vector<std::string>& atom_texts);
 
@@ -439,7 +434,6 @@ class Solver {
   std::unique_ptr<Program> program_;
   GroundProgram ground_;
   std::unique_ptr<EvalContext> ctx_;
-  std::unique_ptr<EvalContextRegistry> registry_;
   std::unique_ptr<AtomDependencyGraph> graph_;
   RuleBuckets comp_rules_;
   /// Session cache of compiled rule kernels, alongside the condensation

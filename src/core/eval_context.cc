@@ -98,22 +98,6 @@ void EvalContext::NoteScratchBytes(std::ptrdiff_t outstanding_delta) {
                pool_bytes_ + static_cast<std::size_t>(outstanding_bytes_));
 }
 
-void EvalContextRegistry::EnsureSize(std::size_t n) {
-  while (contexts_.size() < n) {
-    contexts_.push_back(std::make_unique<EvalContext>());
-  }
-}
-
-EvalStats EvalContextRegistry::AggregateStats() const {
-  EvalStats total;
-  for (const auto& ctx : contexts_) total.Accumulate(ctx->stats());
-  return total;
-}
-
-void EvalContextRegistry::ResetStats() {
-  for (const auto& ctx : contexts_) ctx->ResetStats();
-}
-
 SpEvaluator::SpEvaluator(const HornSolver& solver, EvalContext& ctx)
     : solver_(&solver),
       ctx_(ctx),

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -87,25 +86,6 @@ struct EvalStats {
     d.peak_scratch_bytes = peak_scratch_bytes;
     return d;
   }
-
-  /// Folds another context's (or worker's) stats into this one: counters
-  /// add, peaks take the max (pools peak independently). The single place
-  /// that knows how to merge (EvalContextRegistry::AggregateStats goes
-  /// through here), so a counter added to this struct cannot be summed
-  /// in one place and silently dropped in another.
-  void Accumulate(const EvalStats& o) {
-    sp_calls += o.sp_calls;
-    rules_rescanned += o.rules_rescanned;
-    delta_atoms += o.delta_atoms;
-    gus_calls += o.gus_calls;
-    gus_rules_rescanned += o.gus_rules_rescanned;
-    kernel_components += o.kernel_components;
-    kernel_rounds += o.kernel_rounds;
-    kernel_compile_ns += o.kernel_compile_ns;
-    peak_scratch_bytes = peak_scratch_bytes > o.peak_scratch_bytes
-                             ? peak_scratch_bytes
-                             : o.peak_scratch_bytes;
-  }
 };
 
 /// Reusable evaluation scratch shared by all well-founded engines: pooled
@@ -160,45 +140,6 @@ class EvalContext {
   std::size_t pool_bytes_ = 0;
   std::ptrdiff_t outstanding_bytes_ = 0;
   EvalStats stats_;
-};
-
-/// A fixed roster of EvalContexts, one per worker thread of a parallel
-/// run (RunWorkPool's workers index straight into it). The
-/// registry is the ownership boundary that keeps the no-locks contract
-/// honest: every context is created up front on the calling thread, each
-/// worker touches exclusively its own slot while the pool runs, and the
-/// caller reads stats back only after the workers have joined.
-///
-/// A registry outlives any number of runs, so worker pools stay warm
-/// across repeated solves exactly like a single context does across
-/// repeated sequential solves. Not thread-safe itself (EnsureSize and
-/// the stats readers are caller-thread operations).
-class EvalContextRegistry {
- public:
-  EvalContextRegistry() = default;
-  EvalContextRegistry(const EvalContextRegistry&) = delete;
-  EvalContextRegistry& operator=(const EvalContextRegistry&) = delete;
-
-  /// Grows the roster to at least `n` contexts. Call before spawning the
-  /// workers that will index into the new slots; existing slots (and the
-  /// scratch they pooled) are retained.
-  void EnsureSize(std::size_t n);
-
-  std::size_t size() const { return contexts_.size(); }
-
-  /// Worker `i`'s private context. The reference is stable across
-  /// EnsureSize calls (slots are heap-allocated).
-  EvalContext& ForWorker(std::size_t i) { return *contexts_[i]; }
-
-  /// Sum of every slot's counters; peak_scratch_bytes is the max across
-  /// slots (each slot's pool peaks independently).
-  EvalStats AggregateStats() const;
-
-  /// Clears every slot's counters (the pools stay warm).
-  void ResetStats();
-
- private:
-  std::vector<std::unique_ptr<EvalContext>> contexts_;
 };
 
 /// Fills `offsets`/`entries` with the CSR occurrence index of

@@ -1,12 +1,9 @@
 #include "core/relevance.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "core/alternating.h"
-#include "exec/scheduler.h"
-#include "parser/parser.h"
 
 namespace afp {
 
@@ -53,76 +50,64 @@ RelevantSlice RelevantSubprogram(const RuleView& view,
   return slice;
 }
 
-StatusOr<RelevanceQueryResult> QueryWithRelevanceWithContext(
-    EvalContext& ctx, const GroundProgram& gp, const std::string& atom_text) {
-  RelevanceQueryResult result;
+RelevanceBatchResult QueryWithRelevanceWithContext(
+    EvalContext& ctx, const GroundProgram& gp,
+    std::span<const std::string> atom_texts) {
+  RelevanceBatchResult result;
   result.full_size = gp.TotalSize();
-
-  AFP_ASSIGN_OR_RETURN(AtomId target, ResolveAtom(gp, atom_text));
-  if (target == kInvalidAtom) {
-    result.value = TruthValue::kFalse;  // not in the base: unfounded
-    result.slice_size = 0;
+  result.values.reserve(atom_texts.size());
+  std::vector<AtomId> targets(atom_texts.size(), kInvalidAtom);
+  Bitset query = ctx.AcquireBitset(gp.num_atoms());
+  for (std::size_t i = 0; i < atom_texts.size(); ++i) {
+    StatusOr<AtomId> id = ResolveAtom(gp, atom_texts[i]);
+    if (!id.ok()) {
+      result.values.push_back(id.status());
+      continue;
+    }
+    // Not in the base: unfounded, and nothing to slice for it.
+    result.values.push_back(TruthValue::kFalse);
+    if (*id == kInvalidAtom) continue;
+    targets[i] = *id;
+    query.Set(*id);
+  }
+  if (query.None()) {
+    ctx.ReleaseBitset(std::move(query));
     return result;
   }
 
-  Bitset query = ctx.AcquireBitset(gp.num_atoms());
-  query.Set(target);
   RelevantSlice slice = RelevantSubprogram(gp.View(), query);
   ctx.ReleaseBitset(std::move(query));
   result.slice_size = slice.rules.pool.size() + slice.rules.rules.size();
 
-  {
-    HornSolver solver(slice.rules.View(), &ctx);
-    Bitset seed = ctx.AcquireBitset(gp.num_atoms());
-    AfpResult afp = AlternatingFixpointWithContext(ctx, solver, seed);
-    ctx.ReleaseBitset(std::move(seed));
-    result.value = afp.model.Value(target);
-    // The model's bitsets were escape-noted by the fixpoint; a point
-    // query keeps only the verdict, so hand them back to the pool.
-    ctx.NoteAdoptedBytes(afp.model.true_atoms().CapacityBytes() +
-                         afp.model.false_atoms().CapacityBytes());
-    ctx.ReleaseBitset(std::move(afp.model.true_atoms()));
-    ctx.ReleaseBitset(std::move(afp.model.false_atoms()));
+  HornSolver solver(slice.rules.View(), &ctx);
+  Bitset seed = ctx.AcquireBitset(gp.num_atoms());
+  AfpResult afp = AlternatingFixpointWithContext(ctx, solver, seed);
+  ctx.ReleaseBitset(std::move(seed));
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i] != kInvalidAtom) {
+      result.values[i] = afp.model.Value(targets[i]);
+    }
   }
+  // The model's bitsets were escape-noted by the fixpoint; a query batch
+  // keeps only the verdicts, so hand them back to the pool.
+  ctx.NoteAdoptedBytes(afp.model.true_atoms().CapacityBytes() +
+                       afp.model.false_atoms().CapacityBytes());
+  ctx.ReleaseBitset(std::move(afp.model.true_atoms()));
+  ctx.ReleaseBitset(std::move(afp.model.false_atoms()));
   return result;
 }
 
 StatusOr<RelevanceQueryResult> QueryWithRelevance(
     const GroundProgram& gp, const std::string& atom_text) {
   EvalContext ctx;
-  return QueryWithRelevanceWithContext(ctx, gp, atom_text);
-}
-
-std::vector<StatusOr<RelevanceQueryResult>> QueryBatchWithRelevance(
-    const GroundProgram& gp, const std::vector<std::string>& atom_texts,
-    const QueryBatchOptions& options) {
-  std::vector<StatusOr<RelevanceQueryResult>> results;
-  results.reserve(atom_texts.size());
-  for (std::size_t i = 0; i < atom_texts.size(); ++i) {
-    results.push_back(Status::FailedPrecondition("query not executed"));
-  }
-
-  EvalContextRegistry private_registry;
-  EvalContextRegistry& registry =
-      options.registry ? *options.registry : private_registry;
-  // No more workers than queries: an idle worker could only park.
-  int num_workers = std::clamp(options.num_threads, 1, kMaxPoolWorkers);
-  if (static_cast<std::size_t>(num_workers) > atom_texts.size()) {
-    num_workers = std::max(static_cast<int>(atom_texts.size()), 1);
-  }
-  registry.EnsureSize(static_cast<std::size_t>(num_workers));
-
-  // The queries are independent roots; no task submits more. The workers
-  // write disjoint results slots, and each reads only the immutable
-  // ground program plus its own registry context.
-  std::vector<std::uint64_t> roots(atom_texts.size());
-  for (std::size_t i = 0; i < roots.size(); ++i) roots[i] = i;
-  RunWorkPool(roots, num_workers,
-              [&](WorkPool&, std::uint64_t i, std::uint32_t worker) {
-                results[i] = QueryWithRelevanceWithContext(
-                    registry.ForWorker(worker), gp, atom_texts[i]);
-              });
-  return results;
+  RelevanceBatchResult batch =
+      QueryWithRelevanceWithContext(ctx, gp, {&atom_text, 1});
+  if (!batch.values[0].ok()) return batch.values[0].status();
+  RelevanceQueryResult result;
+  result.value = *batch.values[0];
+  result.slice_size = batch.slice_size;
+  result.full_size = batch.full_size;
+  return result;
 }
 
 }  // namespace afp

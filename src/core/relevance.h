@@ -1,6 +1,7 @@
 #ifndef AFP_CORE_RELEVANCE_H_
 #define AFP_CORE_RELEVANCE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,31 +47,26 @@ struct RelevanceQueryResult {
 StatusOr<RelevanceQueryResult> QueryWithRelevance(
     const GroundProgram& gp, const std::string& atom_text);
 
-/// As above, drawing the slice buffer, the solver indexes, and the
-/// fixpoint scratch from `ctx`, so a loop of point queries allocates
-/// like a single one.
-StatusOr<RelevanceQueryResult> QueryWithRelevanceWithContext(
-    EvalContext& ctx, const GroundProgram& gp, const std::string& atom_text);
-
-/// Options for a relevance-sliced query batch.
-struct QueryBatchOptions {
-  /// Worker threads. Point queries are mutually independent, so the batch
-  /// hands its query indices to RunWorkPool as roots (exec/scheduler.h),
-  /// each worker slicing and solving through its own registry context;
-  /// <= 1 answers every query on the calling thread through `registry`'s
-  /// slot 0. The pool never has more workers than queries.
-  int num_threads = 1;
-  /// Optional warm per-worker contexts (grown as needed); null means a
-  /// batch-private registry. Must not be used concurrently by two runs.
-  EvalContextRegistry* registry = nullptr;
+/// Result of a relevance-restricted query batch.
+struct RelevanceBatchResult {
+  /// One verdict per input text, in input order; a text that does not
+  /// parse as a ground atom holds its error in its own slot.
+  std::vector<StatusOr<TruthValue>> values;
+  /// Size of the one slice solved vs the full program.
+  std::size_t slice_size = 0;
+  std::size_t full_size = 0;
 };
 
-/// Answers a batch of point queries, one RelevanceQueryResult per input
-/// atom (same order). Results are identical at every thread count — each
-/// query reads only the immutable ground program.
-std::vector<StatusOr<RelevanceQueryResult>> QueryBatchWithRelevance(
-    const GroundProgram& gp, const std::vector<std::string>& atom_texts,
-    const QueryBatchOptions& options = {});
+/// Answers a batch of ground-atom queries with ONE slice: resolves every
+/// text, takes the subprogram relevant to the union of the resolved atoms
+/// (a union of dependency-closed atom sets is dependency-closed, so each
+/// verdict equals its single-query verdict) and runs the alternating
+/// fixpoint over it once, drawing the solver indexes and the fixpoint
+/// scratch from `ctx`. Atoms outside the grounded base are false without
+/// entering the slice; a batch of only such atoms solves nothing.
+RelevanceBatchResult QueryWithRelevanceWithContext(
+    EvalContext& ctx, const GroundProgram& gp,
+    std::span<const std::string> atom_texts);
 
 }  // namespace afp
 

@@ -15,10 +15,9 @@ KernelCache::KernelCache(
       comp_rules_(comp_rules),
       hot_threshold_(hot_threshold),
       expected_epoch_(initial_epoch),
-      buckets_(graph.num_components(), nullptr),
+      buckets_(graph.num_components()),
       heat_(graph.num_components(), 0),
-      local_id_(graph.num_atoms(), 0),
-      stamp_(graph.num_atoms(), 0) {}
+      local_id_(graph.num_atoms(), 0) {}
 
 void KernelCache::NoteInterpretedSolve(std::uint32_t c,
                                        std::uint32_t iterations) {
@@ -47,6 +46,7 @@ std::size_t KernelCache::CompileAllEligible() {
 }
 
 std::size_t KernelCache::CompilePending() {
+  invalidated_.clear();
   std::vector<std::uint32_t> drained;
   drained.swap(pending_);
   std::size_t compiled = 0;
@@ -79,13 +79,13 @@ std::size_t KernelCache::CompileInvalidated() {
 
 void KernelCache::InvalidateComponent(std::uint32_t c) {
   if (buckets_[c] != nullptr) --compiled_count_;
-  buckets_[c] = nullptr;
+  buckets_[c].reset();
   heat_[c] = 0;
   invalidated_.push_back(c);
 }
 
 void KernelCache::InvalidateAll() {
-  std::fill(buckets_.begin(), buckets_.end(), nullptr);
+  for (std::unique_ptr<CompiledBucket>& b : buckets_) b.reset();
   compiled_count_ = 0;
   invalidated_.clear();
   // The rule set changed in an unexplained way; eligibility (a pure
@@ -99,7 +99,7 @@ void KernelCache::GrowToComponents() {
   const std::size_t old_nc = buckets_.size();
   const std::size_t nc = graph_.num_components();
   if (nc > old_nc) {
-    buckets_.resize(nc, nullptr);
+    buckets_.resize(nc);
     heat_.resize(nc, 0);
     if (eligibility_valid_) {
       eligible_.resize(nc, 0);
@@ -112,7 +112,6 @@ void KernelCache::GrowToComponents() {
     }
   }
   local_id_.resize(graph_.num_atoms(), 0);
-  stamp_.resize(graph_.num_atoms(), 0);
 }
 
 void KernelCache::RecomputeEligibility(std::uint32_t c) {
@@ -132,6 +131,17 @@ bool KernelCache::SyncEpoch(std::uint64_t epoch) {
   InvalidateAll();
   expected_epoch_ = epoch;
   return true;
+}
+
+std::size_t KernelCache::kernel_bytes() const {
+  std::size_t bytes = 0;
+  for (const std::unique_ptr<CompiledBucket>& b : buckets_) {
+    if (b != nullptr) {
+      bytes += sizeof(CompiledBucket) +
+               b->storage.capacity() * sizeof(std::uint32_t);
+    }
+  }
+  return bytes;
 }
 
 bool KernelCache::Eligible(std::uint32_t c) const {
@@ -172,19 +182,16 @@ void KernelCache::EnsureEligibility() const {
   eligibility_valid_ = true;
 }
 
-const CompiledBucket* KernelCache::Compile(std::uint32_t c) {
+std::unique_ptr<CompiledBucket> KernelCache::Compile(std::uint32_t c) {
   const auto start = std::chrono::steady_clock::now();
   const std::span<const std::uint32_t> bucket = comp_rules_[c];
   const std::span<const AtomId> members = graph_.members(c);
   const std::uint32_t n = static_cast<std::uint32_t>(bucket.size());
   const std::uint32_t m = static_cast<std::uint32_t>(members.size());
 
-  ++compile_stamp_;
-  for (std::uint32_t i = 0; i < m; ++i) {
-    local_id_[members[i]] = i;
-    stamp_[members[i]] = compile_stamp_;
-  }
-  auto internal = [&](AtomId q) { return stamp_[q] == compile_stamp_; };
+  for (std::uint32_t i = 0; i < m; ++i) local_id_[members[i]] = i;
+  const std::vector<std::uint32_t>& component_of = graph_.component_of();
+  auto internal = [&](AtomId q) { return component_of[q] == c; };
 
   // Sizing pass: split every body literal by locality.
   std::uint32_t int_pos_total = 0, int_neg_total = 0;
@@ -199,21 +206,34 @@ const CompiledBucket* KernelCache::Compile(std::uint32_t c) {
     }
   }
 
-  CompiledBucket* b = arena_.AllocateArray<CompiledBucket>(1);
+  auto b = std::make_unique<CompiledBucket>();
   b->num_rules = n;
   b->num_members = m;
-  AtomId* own_members = arena_.AllocateArray<AtomId>(m);
+  // Members, heads, four offset arrays, the four literal arrays, and the
+  // occurrence CSR (zero-filled: its offsets are counted in place).
+  b->storage.assign(std::size_t{m} + n + 4 * (std::size_t{n} + 1) +
+                        std::size_t{int_pos_total} + int_neg_total +
+                        ext_pos_total + ext_neg_total +
+                        (std::size_t{m} + 2) + int_pos_total,
+                    0);
+  std::uint32_t* next = b->storage.data();
+  auto carve = [&next](std::size_t len) {
+    std::uint32_t* out = next;
+    next += len;
+    return out;
+  };
+  AtomId* own_members = carve(m);
   std::copy(members.begin(), members.end(), own_members);
   b->members = own_members;
-  std::uint32_t* head = arena_.AllocateArray<std::uint32_t>(n);
-  std::uint32_t* ipo = arena_.AllocateArray<std::uint32_t>(n + 1);
-  std::uint32_t* ip = arena_.AllocateArray<std::uint32_t>(int_pos_total);
-  std::uint32_t* ino = arena_.AllocateArray<std::uint32_t>(n + 1);
-  std::uint32_t* in = arena_.AllocateArray<std::uint32_t>(int_neg_total);
-  std::uint32_t* epo = arena_.AllocateArray<std::uint32_t>(n + 1);
-  AtomId* ep = arena_.AllocateArray<AtomId>(ext_pos_total);
-  std::uint32_t* eno = arena_.AllocateArray<std::uint32_t>(n + 1);
-  AtomId* en = arena_.AllocateArray<AtomId>(ext_neg_total);
+  std::uint32_t* head = carve(n);
+  std::uint32_t* ipo = carve(n + 1);
+  std::uint32_t* ip = carve(int_pos_total);
+  std::uint32_t* ino = carve(n + 1);
+  std::uint32_t* in = carve(int_neg_total);
+  std::uint32_t* epo = carve(n + 1);
+  AtomId* ep = carve(ext_pos_total);
+  std::uint32_t* eno = carve(n + 1);
+  AtomId* en = carve(ext_neg_total);
 
   std::uint32_t ipn = 0, inn = 0, epn = 0, enn = 0;
   for (std::uint32_t r = 0; r < n; ++r) {
@@ -245,8 +265,8 @@ const CompiledBucket* KernelCache::Compile(std::uint32_t c) {
 
   // Occurrence CSR of int_pos over the local universe (counting sort;
   // sentinel row m stays empty — its occurrences are bind-dynamic).
-  std::uint32_t* occ_off = arena_.AllocateArray<std::uint32_t>(m + 2);
-  std::uint32_t* occ = arena_.AllocateArray<std::uint32_t>(int_pos_total);
+  std::uint32_t* occ_off = carve(m + 2);
+  std::uint32_t* occ = carve(int_pos_total);
   for (std::uint32_t k = 0; k < int_pos_total; ++k) ++occ_off[ip[k] + 1];
   for (std::uint32_t a = 0; a < m + 1; ++a) occ_off[a + 1] += occ_off[a];
   {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "analysis/atom_graph.h"
@@ -10,7 +11,6 @@
 #include "core/interpretation.h"
 #include "core/scc_engine.h"
 #include "ground/ground_program.h"
-#include "util/arena.h"
 #include "util/bitset.h"
 
 namespace afp {
@@ -32,7 +32,7 @@ enum class CompileMode {
   kAlways,
 };
 
-/// One component's rule bucket lowered into flat arena-backed arrays — the
+/// One component's rule bucket lowered into flat arrays — the
 /// packed struct-of-arrays form of the interpreted per-solve lowering in
 /// ComponentSolver::Solve. Everything that does NOT depend on the global
 /// model is precomputed here, once, at compile time:
@@ -62,9 +62,15 @@ enum class CompileMode {
 /// stales it; only mutations that change this component's own rule set do
 /// (KernelCache's invalidation contract).
 struct CompiledBucket {
+  CompiledBucket() = default;
+  /// The arrays below point into `storage`; a copy would alias the
+  /// original's.
+  CompiledBucket(const CompiledBucket&) = delete;
+  CompiledBucket& operator=(const CompiledBucket&) = delete;
+
   std::uint32_t num_rules = 0;
   std::uint32_t num_members = 0;
-  /// The component's member atoms, copied into the cache's arena; local id
+  /// The component's member atoms, copied into `storage`; local id
   /// i is members[i], the same remap the interpreted lowering uses. A copy,
   /// not a view of the dependency graph's membership CSR: rule-level
   /// universe growth (AtomDependencyGraph::TryAppendDelta) appends to that
@@ -92,6 +98,9 @@ struct CompiledBucket {
   /// occurrence. The sentinel row (a == num_members) is empty.
   const std::uint32_t* pos_occ_offsets = nullptr;  // [num_members + 2]
   const std::uint32_t* pos_occ = nullptr;
+  /// The one allocation every array above lives in, freed with the bucket
+  /// when the cache invalidates or drops it.
+  std::vector<std::uint32_t> storage;
 };
 
 /// Session-lifetime cache of compiled buckets, owned by afp::Solver
@@ -113,10 +122,8 @@ struct CompiledBucket {
 /// GroundProgram::AddRule from ever being evaluated against a stale
 /// kernel (the rule-append staleness regression test pins this).
 ///
-/// Invalidated buckets leak their arena storage until the cache is
-/// destroyed (Arena has no per-object free); serving sessions invalidate
-/// a handful of fact components per update, each recompile a few hundred
-/// bytes, so the leak is bounded by update volume, not time.
+/// Each bucket owns its storage, so an invalidation frees what it drops
+/// and a long-lived session holds only its live kernels (kernel_bytes()).
 class KernelCache {
  public:
   /// All references must outlive the cache; `comp_rules` is the Solver's
@@ -131,7 +138,9 @@ class KernelCache {
   KernelCache& operator=(const KernelCache&) = delete;
 
   /// The compiled bucket for component c, or null if it runs interpreted.
-  const CompiledBucket* Get(std::uint32_t c) const { return buckets_[c]; }
+  const CompiledBucket* Get(std::uint32_t c) const {
+    return buckets_[c].get();
+  }
 
   /// Heat feedback from an interpreted general-path solve of component c
   /// that took `iterations` inner rounds. Charges iterations + 1 heat
@@ -146,6 +155,9 @@ class KernelCache {
 
   /// Drains the heat-crossing queue, compiling each still-eligible,
   /// still-uncompiled entry (CompileMode::kHot). Session thread only.
+  /// Also empties the CompileInvalidated queue: under staging an
+  /// invalidated component recompiles once it is hot again, and a queue
+  /// nobody drains would grow by one entry per fact update.
   /// Returns the number of buckets compiled.
   std::size_t CompilePending();
 
@@ -212,7 +224,8 @@ class KernelCache {
 
   std::size_t num_components() const { return buckets_.size(); }
   std::size_t num_compiled() const { return compiled_count_; }
-  std::size_t arena_bytes() const { return arena_.total_allocated(); }
+  /// Bytes held by the live compiled buckets.
+  std::size_t kernel_bytes() const;
 
   /// The program this cache borrows. A moved Solver session compares this
   /// against its own (relocated) GroundProgram member and rebuilds the
@@ -222,8 +235,8 @@ class KernelCache {
 
  private:
   /// Lowers component c's bucket (unconditionally; caller checks
-  /// eligibility) and returns the arena-allocated result.
-  const CompiledBucket* Compile(std::uint32_t c);
+  /// eligibility).
+  std::unique_ptr<CompiledBucket> Compile(std::uint32_t c);
 
   const GroundProgram& ground_;
   const AtomDependencyGraph& graph_;
@@ -236,8 +249,7 @@ class KernelCache {
   /// The uncached predicate behind the bitmap.
   bool ComputeEligible(std::uint32_t c) const;
 
-  Arena arena_;
-  std::vector<const CompiledBucket*> buckets_;
+  std::vector<std::unique_ptr<CompiledBucket>> buckets_;
   std::size_t compiled_count_ = 0;
   /// Components dropped by InvalidateComponent awaiting recompilation.
   std::vector<std::uint32_t> invalidated_;
@@ -251,11 +263,10 @@ class KernelCache {
   std::vector<std::uint32_t> pending_;
   std::uint64_t compile_ns_ = 0;
 
-  /// Compile-time scratch: AtomId -> local id, stamped per compile so the
-  /// map never needs clearing.
+  /// Compile-time scratch: AtomId -> local id. Only the compiled
+  /// component's members are read back (a body atom is internal iff its
+  /// component_of() is the component), so the map never needs clearing.
   std::vector<std::uint32_t> local_id_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t compile_stamp_ = 0;
 };
 
 /// The outcome of a kernel-served component solve — mirrors

@@ -14,7 +14,8 @@
 //    U_P and T_P call by call on arbitrary (non-monotone) interpretation
 //    sequences;
 //  * the rescan counters of the delta evaluators are pinned exactly on the
-//    ablation workloads, and beat the reference's from-scratch counts.
+//    ablation workloads, and beat the reference's from-scratch counts;
+//  * an unsolved query batch charges exactly one slice solve.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,8 @@
 #include "analysis/atom_graph.h"
 #include "core/alternating.h"
 #include "core/eval_context.h"
+#include "core/interpretation.h"
+#include "core/relevance.h"
 #include "core/scc_engine.h"
 #include "fol/general_program.h"
 #include "fol/simplify.h"
@@ -396,36 +399,50 @@ TEST(SealRules, GroundProgramWorksAfterSealing) {
   EXPECT_TRUE(before.model.true_atoms().IsSubsetOf(after.model.true_atoms()));
 }
 
-TEST(EvalContextRegistryUnit, SlotsAreIndependentAndStatsAggregate) {
-  EvalContextRegistry registry;
-  registry.EnsureSize(3);
-  ASSERT_EQ(registry.size(), 3u);
-  // Slots are distinct contexts; growing keeps existing slots (and their
-  // references) intact.
-  EvalContext* slot0 = &registry.ForWorker(0);
-  registry.EnsureSize(5);
-  EXPECT_EQ(registry.size(), 5u);
-  EXPECT_EQ(slot0, &registry.ForWorker(0));
-
-  Program p = workload::WinMove(graphs::Figure4b());
+// An unsolved query batch through the context-taking entry point charges
+// the S_P work of ONE alternating fixpoint over the slice relevant to the
+// union of its atoms; answering each query over its own slice charges one
+// run per query, which on this graph's overlapping slices is more.
+TEST(RelevanceCounters, QueryBatchChargesOneSliceSolve) {
+  Program p = workload::WinMove(graphs::ErdosRenyi(400, 800, 5));
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
-  PartialModel m0, m1;
-  {
-    HornSolver s0(ground->View(), &registry.ForWorker(0));
-    m0 = AlternatingFixpointWithContext(registry.ForWorker(0), s0, Bitset())
-             .model;
-    HornSolver s1(ground->View(), &registry.ForWorker(1));
-    m1 = AlternatingFixpointWithContext(registry.ForWorker(1), s1, Bitset())
-             .model;
+  std::vector<std::string> texts;
+  Bitset queried(ground->num_atoms());
+  for (int node = 0; node < 384; node += 6) {
+    texts.push_back("wins(" + workload::NodeName(node) + ")");
+    auto id = ResolveAtom(*ground, texts.back());
+    ASSERT_TRUE(id.ok());
+    if (*id != kInvalidAtom) queried.Set(*id);
   }
-  EXPECT_EQ(m0, m1);
-  const EvalStats agg = registry.AggregateStats();
-  EXPECT_EQ(agg.sp_calls, registry.ForWorker(0).stats().sp_calls +
-                              registry.ForWorker(1).stats().sp_calls);
-  EXPECT_GT(agg.sp_calls, 0u);
-  registry.ResetStats();
-  EXPECT_EQ(registry.AggregateStats().sp_calls, 0u);
+  ASSERT_EQ(texts.size(), 64u);
+
+  EvalContext batch_ctx;
+  RelevanceBatchResult batch =
+      QueryWithRelevanceWithContext(batch_ctx, *ground, texts);
+
+  EvalContext run_ctx;
+  RelevantSlice slice = RelevantSubprogram(ground->View(), queried);
+  HornSolver solver(slice.rules.View(), &run_ctx);
+  AfpResult one_run = AlternatingFixpointWithContext(
+      run_ctx, solver, Bitset(ground->num_atoms()));
+  ASSERT_GT(one_run.eval.sp_calls, 0u);
+  EXPECT_EQ(batch_ctx.stats().sp_calls, one_run.eval.sp_calls);
+  EXPECT_EQ(batch.slice_size,
+            slice.rules.pool.size() + slice.rules.rules.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_TRUE(batch.values[i].ok()) << texts[i];
+    EXPECT_EQ(*batch.values[i], *QueryAtom(*ground, one_run.model, texts[i]))
+        << texts[i];
+  }
+
+  std::size_t per_query_sp_calls = 0;
+  for (const std::string& text : texts) {
+    EvalContext ctx;
+    QueryWithRelevanceWithContext(ctx, *ground, {&text, 1});
+    per_query_sp_calls += ctx.stats().sp_calls;
+  }
+  EXPECT_GT(per_query_sp_calls, batch_ctx.stats().sp_calls);
 }
 
 TEST(EvalContextRegistryUnit, SpEvaluatorRebindMatchesFreshEvaluator) {

@@ -159,21 +159,20 @@ TEST(Relevance, ContextThreadedQueriesMatchAndPoolScratch) {
   std::size_t answered = 0;
   for (int node = 0; node < 25; ++node) {
     std::string atom = "wins(" + workload::NodeName(node) + ")";
-    auto pooled = QueryWithRelevanceWithContext(ctx, *ground, atom);
+    auto pooled = QueryWithRelevanceWithContext(ctx, *ground, {&atom, 1});
     auto fresh = QueryWithRelevance(*ground, atom);
-    ASSERT_TRUE(pooled.ok() && fresh.ok());
-    EXPECT_EQ(pooled->value, fresh->value) << atom;
-    EXPECT_EQ(pooled->slice_size, fresh->slice_size) << atom;
+    ASSERT_TRUE(pooled.values[0].ok() && fresh.ok());
+    EXPECT_EQ(*pooled.values[0], fresh->value) << atom;
+    EXPECT_EQ(pooled.slice_size, fresh->slice_size) << atom;
     ++answered;
   }
   EXPECT_GT(answered, 0u);
   EXPECT_GT(ctx.stats().sp_calls, 0u);
 }
 
-// "Parallel" in the name keeps this inside the TSan CI lane's filter
-// (-R '(Scheduler|Parallel|Serving)'): the batch's workers call the
-// atom/term tables' const Find concurrently through RunWorkPool.
-TEST(Relevance, ParallelBatchMatchesSingleQueriesAtEveryThreadCount) {
+TEST(Relevance, BatchMatchesSingleQueries) {
+  // One slice over the union of the batch's atoms answers every query as
+  // its own slice would; an unparsable text fails only its own slot.
   Program p = workload::WinMove(graphs::ErdosRenyi(40, 100, 5));
   auto ground = Grounder::Ground(p);
   ASSERT_TRUE(ground.ok());
@@ -182,26 +181,26 @@ TEST(Relevance, ParallelBatchMatchesSingleQueriesAtEveryThreadCount) {
     atoms.push_back("wins(" + workload::NodeName(node) + ")");
   }
   atoms.push_back("wins(nowhere)");  // closed world: false, not an error
+  const std::size_t bad = atoms.size();
+  atoms.push_back("wins(");
 
-  std::vector<TruthValue> expected;
-  for (const std::string& a : atoms) {
-    auto r = QueryWithRelevance(*ground, a);
-    ASSERT_TRUE(r.ok()) << a;
-    expected.push_back(r->value);
-  }
-
-  EvalContextRegistry registry;
-  for (int threads : {1, 2, 4}) {
-    QueryBatchOptions opts;
-    opts.num_threads = threads;
-    opts.registry = &registry;
-    auto results = QueryBatchWithRelevance(*ground, atoms, opts);
-    ASSERT_EQ(results.size(), atoms.size());
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << atoms[i];
-      EXPECT_EQ(results[i]->value, expected[i])
-          << atoms[i] << " at " << threads << " threads";
+  EvalContext ctx;
+  RelevanceBatchResult batch =
+      QueryWithRelevanceWithContext(ctx, *ground, atoms);
+  ASSERT_EQ(batch.values.size(), atoms.size());
+  EXPECT_LE(batch.slice_size, batch.full_size);
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    auto single = QueryWithRelevance(*ground, atoms[i]);
+    if (i == bad) {
+      ASSERT_FALSE(single.ok());
+      ASSERT_FALSE(batch.values[i].ok());
+      EXPECT_EQ(batch.values[i].status().code(), single.status().code());
+      continue;
     }
+    ASSERT_TRUE(single.ok()) << atoms[i];
+    ASSERT_TRUE(batch.values[i].ok()) << atoms[i];
+    EXPECT_EQ(*batch.values[i], single->value) << atoms[i];
+    EXPECT_LE(single->slice_size, batch.slice_size) << atoms[i];
   }
 }
 

@@ -351,7 +351,7 @@ TEST(KernelStaleness, BareAddRuleDropsTheCacheThroughTheEpochCheck) {
   ASSERT_GT(cache.CompileAllEligible(), 0u);
   const std::size_t compiled = cache.num_compiled();
   ASSERT_GT(compiled, 0u);
-  EXPECT_GT(cache.arena_bytes(), 0u);
+  EXPECT_GT(cache.kernel_bytes(), 0u);
   // A clean epoch is a no-op.
   EXPECT_FALSE(cache.SyncEpoch(gp.mutation_epoch()));
   EXPECT_EQ(cache.num_compiled(), compiled);
@@ -445,6 +445,43 @@ TEST(KernelCacheShape, OnlyGeneralPathComponentsAreEligible) {
   self_dep->Solve();
   EXPECT_EQ(self_dep->Stats().eval.kernel_components, 1u);
   EXPECT_EQ(*self_dep->Query("w"), TruthValue::kUndefined);
+}
+
+TEST(KernelCacheShape, RecompiledComponentHoldsItsFirstCompileBytes) {
+  // Invalidation frees the dropped bucket's storage, so a component that
+  // a long-lived session invalidates and recompiles over and over holds
+  // the bytes of one compile, not of every compile it ever had.
+  auto parsed =
+      ParseProgram("p :- not q. q :- not p. r :- p, not s. s :- not r.");
+  ASSERT_TRUE(parsed.ok());
+  Program program = std::move(parsed).value();
+  auto ground = Grounder::Ground(program);
+  ASSERT_TRUE(ground.ok());
+  GroundProgram gp = std::move(ground).value();
+
+  AtomDependencyGraph graph(gp.View());
+  RuleBuckets buckets(gp.View(), graph);
+  KernelCache cache(gp, graph, buckets, /*hot_threshold=*/1,
+                    gp.mutation_epoch());
+  ASSERT_EQ(cache.CompileAllEligible(), 2u);
+  const std::size_t bytes = cache.kernel_bytes();
+  ASSERT_GT(bytes, 0u);
+  const std::uint32_t c = graph.component_of()[*ResolveAtom(gp, "p")];
+  ASSERT_NE(cache.Get(c), nullptr);
+  for (int round = 0; round < 1000; ++round) {
+    cache.InvalidateComponent(c);
+    ASSERT_EQ(cache.Get(c), nullptr);
+    ASSERT_EQ(cache.CompileInvalidated(), 1u);
+  }
+  EXPECT_EQ(cache.kernel_bytes(), bytes);
+  EXPECT_EQ(cache.num_compiled(), 2u);
+
+  // Under heat staging the precise-recompile queue is dropped at every
+  // drain instead of growing by one entry per invalidation.
+  cache.InvalidateComponent(c);
+  EXPECT_EQ(cache.CompilePending(), 0u);
+  EXPECT_EQ(cache.CompileInvalidated(), 0u);
+  EXPECT_EQ(cache.Get(c), nullptr);
 }
 
 }  // namespace
