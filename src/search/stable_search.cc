@@ -1,5 +1,7 @@
 #include "search/stable_search.h"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "core/component_solver.h"
@@ -27,6 +29,18 @@ void ConditionOnAssumptions(const RuleView& base, const Bitset& assumed_true,
   });
 }
 
+/// Whether every body literal of `r` holds in the total model whose true
+/// atoms are `m`.
+bool BodyTrueIn(const RuleView& view, const GroundRule& r, const Bitset& m) {
+  for (AtomId a : view.pos(r)) {
+    if (!m.Test(a)) return false;
+  }
+  for (AtomId a : view.neg(r)) {
+    if (m.Test(a)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 StableSearch::StableSearch(const GroundProgram& gp,
@@ -34,8 +48,6 @@ StableSearch::StableSearch(const GroundProgram& gp,
     : gp_(gp),
       view_(gp.View()),
       options_(options),
-      base_solver_(view_, &ctx_),
-      base_sp_(base_solver_, ctx_),
       assumed_true_(gp.num_atoms()),
       assumed_false_(gp.num_atoms()),
       true_(gp.num_atoms()),
@@ -46,13 +58,20 @@ StableSearch::StableSearch(const GroundProgram& gp,
     solver_ = std::make_unique<ComponentSolver>(
         ctx_, SccOptions{}, view_, *graph_, comp_rules_,
         AssumptionPair{&assumed_true_, &assumed_false_});
+    std::vector<std::uint32_t> cursor = ctx_.AcquireU32();
+    BuildCsrIndex(
+        view_.num_atoms, view_.rules,
+        [](const GroundRule& r) { return std::span<const AtomId>(&r.head, 1); },
+        &head_offsets_, &head_rules_, &cursor);
+    ctx_.ReleaseU32(std::move(cursor));
   } else {
+    BaseSp();
     // Atoms not derivable even with every negative literal granted can
     // never belong to a stable model (S_P is monotonic); computed once.
     Bitset all(gp_.num_atoms());
     all.SetAll();
     statically_false_ =
-        Bitset::ComplementOf(base_solver_.EventualConsequences(all));
+        Bitset::ComplementOf(base_solver_->EventualConsequences(all));
   }
 }
 
@@ -140,6 +159,53 @@ bool StableSearch::PropagatePositive() {
   return true;
 }
 
+bool StableSearch::LeafIsStable(StableSearchStats* s) {
+  if (options_.wfs_propagation) {
+    // Only the branch atoms' components can break lfp(P^M) = M (see the
+    // header). Frames are read deepest first: a leaf that fails usually
+    // fails on its newest assumption, the last atom propagation left open.
+    const std::vector<std::uint32_t>& comp = graph_->component_of();
+    bool local = true;
+    for (auto f = frames_.rbegin(); f != frames_.rend(); ++f) {
+      const AtomId b = f->branch;
+      const std::uint32_t c = comp[b];
+      // fires: some rule of b has a body true in M; supported: one such
+      // rule waits on no positive body atom inside c.
+      bool fires = false;
+      bool supported = false;
+      for (std::uint32_t i = head_offsets_[b];
+           i < head_offsets_[b + 1] && !supported; ++i) {
+        const GroundRule& r = view_.rules[head_rules_[i]];
+        ++s->leaf_rules_checked;
+        if (!BodyTrueIn(view_, r, true_)) continue;
+        fires = true;
+        if (!f->true_child) break;
+        const std::span<const AtomId> pos = view_.pos(r);
+        supported = std::none_of(pos.begin(), pos.end(),
+                                 [&](AtomId a) { return comp[a] == c; });
+      }
+      // An assumed-false atom must stay underivable; an assumed-true one
+      // needs a rule with a body true in M (lfp(P^M) = M derives each
+      // atom of M through one).
+      if (f->true_child ? !fires : fires) return false;
+      local = local && (!f->true_child || supported);
+    }
+    // An assumed-true atom supported only through a positive loop inside
+    // its component falls through to the whole-program check.
+    if (local) return true;
+  }
+  s->leaf_rules_checked += view_.rules.size();
+  return IsStableModel(ctx_, BaseSp(), true_);
+}
+
+SpEvaluator& StableSearch::BaseSp() {
+  if (!base_sp_) {
+    base_solver_.emplace(view_, &ctx_);
+    base_sp_.emplace(*base_solver_, ctx_);
+  }
+  return *base_sp_;
+}
+
 StableResult StableSearch::Run(const StableSearchControl& control,
                                bool count_only) {
   StableResult result;
@@ -186,7 +252,7 @@ StableResult StableSearch::Run(const StableSearchControl& control,
         // Total leaf: verify stability against the *original* program.
         ++s.leaves;
         ++s.stable_checks;
-        if (IsStableModel(ctx_, base_sp_, true_)) {
+        if (LeafIsStable(&s)) {
           ++s.models;
           if (!count_only) result.models.push_back(true_);
           if (s.models >= control.max_models) break;

@@ -25,8 +25,31 @@
 /// the repair logs every write it makes on an undo trail, and
 /// backtracking pops the trail to the frame's mark and clears the
 /// assumption bit. Per node there is no model copy, no rule copy and no
-/// whole-program fixpoint.
+/// whole-program fixpoint, and a leaf runs one only when the path-local
+/// check below cannot decide it.
 ///
+/// Path-local leaf checks. A total leaf's M is the well-founded model of
+/// the program conditioned on the path's assumptions, and a total
+/// well-founded model is its program's unique stable model (§2.4): the
+/// least model of the conditioned program's reduct is M. A component of
+/// the base condensation without an assumed atom has the same rules in
+/// both programs, so, solving the reduct's least model bottom-up, it
+/// reproduces M there as long as the components below it do; the
+/// paper's condition lfp(P^M) = M (§4) can only fail in the components
+/// of the branch atoms. In such a component C (every component below it
+/// exact), "no rule of an assumed-false member has a body true in M"
+/// plus "every assumed-true member is in lfp(C^M)" is equivalent to
+/// lfp(C^M) = M ∩ C. So a leaf reads the rules of its branch atoms: an
+/// assumed-false atom fails it if one of its rules has a body true in M;
+/// an assumed-true atom fails it if none has (lfp(P^M) = M derives every
+/// atom of M through such a rule), and is in lfp(C^M) if one of them has
+/// no positive body atom in the atom's own component. The leaf passes
+/// when every assumed-true atom has such a rule; an assumed-true atom
+/// supported only through a positive loop inside its component leaves
+/// the leaf to the whole-program check, whose S_P the engine builds on
+/// first use. Verdicts are exact, and a leaf the path-local check decides
+/// costs the rules of its branch atoms instead of the whole program.
+
 /// Exactness. Conditioning only adds facts and drops rules, so
 /// dependency arcs only disappear, and the base condensation stays a
 /// valid bottom-up order for every conditioned program. Solving its
@@ -49,7 +72,10 @@
 ///
 /// The positive-closure ablation (wfs_propagation = false) is a different,
 /// weaker propagation: each node conditions the program on its
-/// assumptions and computes one S_P from scratch.
+/// assumptions and computes one S_P from scratch. Its total leaves are
+/// not well-founded models of the conditioned program, so the path-local
+/// argument above does not apply: each leaf is checked against the whole
+/// program by one delta S_P evaluation.
 
 #include <atomic>
 #include <chrono>
@@ -118,6 +144,11 @@ struct StableSearchStats {
   /// atom's component plus whatever its change frontier reached. 0 under
   /// wfs_propagation = false.
   std::size_t components_resolved = 0;
+  /// Rule bodies read by leaf stability checks, summed over leaves: under
+  /// wfs_propagation the rules of each leaf's branch atoms (plus every
+  /// rule of the program for a leaf left to the whole-program check);
+  /// under wfs_propagation = false every rule of the program per leaf.
+  std::size_t leaf_rules_checked = 0;
   /// Nodes cut without branching or a leaf check (positive-closure
   /// conflicts under wfs_propagation = false).
   std::size_t pruned_nodes = 0;
@@ -198,14 +229,23 @@ class StableSearch {
   /// scratch. Returns false when the node is cut (an assumed-false atom is
   /// derived).
   bool PropagatePositive();
+  /// Whether the total leaf true_ is a stable model of the original
+  /// program: the path-local check under wfs_propagation, and one
+  /// whole-program S_P for a leaf it cannot decide and for every
+  /// positive-closure leaf.
+  bool LeafIsStable(StableSearchStats* s);
+  /// The whole-program S_P of the full leaf check, built on first use.
+  SpEvaluator& BaseSp();
 
   const GroundProgram& gp_;
   const RuleView view_;
   const StableSearchOptions options_;
   EvalContext ctx_;
-  /// Leaf stability checks against the original program.
-  HornSolver base_solver_;
-  SpEvaluator base_sp_;
+  /// Whole-program leaf checks, built on first use (BaseSp): every
+  /// positive-closure leaf, and under wfs_propagation a leaf the
+  /// path-local check cannot decide.
+  std::optional<HornSolver> base_solver_;
+  std::optional<SpEvaluator> base_sp_;
 
   /// The current node's assumption pair and decided sets.
   Bitset assumed_true_;
@@ -221,6 +261,10 @@ class StableSearch {
   RuleBuckets comp_rules_;
   std::unique_ptr<ComponentSolver> solver_;
   SccUpdateScratch scratch_;
+
+  /// wfs_propagation leaf checks: every atom's rules (CSR by head).
+  std::vector<std::uint32_t> head_offsets_;
+  std::vector<std::uint32_t> head_rules_;
 
   /// Atoms underivable under any assumptions (positive-closure mode only).
   Bitset statically_false_;

@@ -7,7 +7,7 @@ namespace workload {
 
 std::string NodeName(int i) {
   if (i >= 0 && i < 26) return std::string(1, static_cast<char>('a' + i));
-  return "n" + std::to_string(i);
+  return std::string("n").append(std::to_string(i));
 }
 
 Program WinMove(const Digraph& g) {
@@ -66,8 +66,8 @@ Program Example31() {
 Program EvenNegativeCycles(int k) {
   Program p;
   for (int i = 0; i < k; ++i) {
-    std::string ai = "a" + std::to_string(i);
-    std::string bi = "b" + std::to_string(i);
+    std::string ai = std::string("a").append(std::to_string(i));
+    std::string bi = std::string("b").append(std::to_string(i));
     p.AddRule(p.MakeAtom(ai), {Program::Neg(p.MakeAtom(bi))});
     p.AddRule(p.MakeAtom(bi), {Program::Neg(p.MakeAtom(ai))});
   }
@@ -100,7 +100,9 @@ Program RandomPropositional(int num_atoms, int num_rules, int body_len,
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> atom(0, num_atoms - 1);
   std::uniform_int_distribution<int> percent(0, 99);
-  auto name = [](int i) { return "p" + std::to_string(i); };
+  auto name = [](int i) {
+    return std::string("p").append(std::to_string(i));
+  };
   for (int r = 0; r < num_rules; ++r) {
     Atom head = p.MakeAtom(name(atom(rng)));
     std::vector<Literal> body;
@@ -121,7 +123,9 @@ Program RandomStratified(int num_atoms, int num_rules, int body_len,
   std::uniform_int_distribution<int> percent(0, 99);
   if (num_layers < 1) num_layers = 1;
   auto layer_of = [&](int i) { return i % num_layers; };
-  auto name = [](int i) { return "p" + std::to_string(i); };
+  auto name = [](int i) {
+    return std::string("p").append(std::to_string(i));
+  };
 
   // A few base facts so lower layers are not empty.
   for (int i = 0; i < num_atoms; i += 7) p.AddFact(name(i), {});

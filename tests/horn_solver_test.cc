@@ -69,8 +69,9 @@ TEST(HornSolver, PositiveChainClosure) {
   Program p;
   p.AddFact("p9", {});
   for (int i = 0; i < 9; ++i) {
-    p.AddRule(p.MakeAtom("p" + std::to_string(i)),
-              {Program::Pos(p.MakeAtom("p" + std::to_string(i + 1)))});
+    p.AddRule(p.MakeAtom(std::string("p").append(std::to_string(i))),
+              {Program::Pos(p.MakeAtom(
+                  std::string("p").append(std::to_string(i + 1))))});
   }
   GroundProgram gp = MustGround(p);
   HornSolver solver(gp.View());

@@ -23,8 +23,10 @@
 
 #include "afp/solver.h"
 #include "ast/program.h"
+#include "core/horn_solver.h"
 #include "ground/grounder.h"
 #include "stable/enumerate.h"
+#include "stable/gl_transform.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
 
@@ -41,6 +43,12 @@ GroundProgram MustGround(Program& p) {
   auto g = Grounder::Ground(p, opts);
   EXPECT_TRUE(g.ok()) << g.status().ToString();
   return std::move(g).value();
+}
+
+Solver MustCreate(Program program, const SolverOptions& options = {}) {
+  auto s = Solver::FromProgram(std::move(program), options);
+  EXPECT_TRUE(s.ok()) << s.status().ToString();
+  return std::move(s).value();
 }
 
 std::vector<std::string> CorpusTexts() {
@@ -295,6 +303,105 @@ TEST(ParallelSearch, SeededRunResolvesOneComponentPerNode) {
   }
 }
 
+// The leaf-check receipt. Every leaf of EvenCycleClusters(4, L) is a model
+// whose four branch atoms each have one rule, so the path-local check
+// reads 16 leaves x 4 frames x 1 rule, whatever the chain length (a
+// whole-program check reads every rule at every leaf: 16 * |P|).
+TEST(ParallelSearch, SeededLeafChecksReadOnlyBranchAtomRules) {
+  for (int chain_len : {5, 50}) {
+    Program p = workload::EvenCycleClusters(/*k=*/4, chain_len);
+    GroundProgram gp = MustGround(p);
+    const AfpResult wfs = AlternatingFixpoint(gp);
+    StableSearch search(gp);
+    search.SeedRoot(wfs.model.true_atoms(), wfs.model.false_atoms());
+    const StableResult r = search.Enumerate();
+    ASSERT_EQ(r.search.leaves, 16u) << "chain_len=" << chain_len;
+    EXPECT_EQ(r.search.models, 16u) << "chain_len=" << chain_len;
+    EXPECT_EQ(r.search.leaf_rules_checked, 64u) << "chain_len=" << chain_len;
+  }
+}
+
+// The path-local leaf check against the whole-program Gelfond-Lifschitz
+// check on random programs, through sessions with an unseeded root
+// (unsolved) and a seeded one (solved): every emitted model is stable,
+// and the model set is that of the positive-closure search (whose leaves
+// run the whole-program check) and, on small universes, of brute force.
+TEST(ParallelSearch, LeafCheckMatchesWholeProgramCheck) {
+  SolverOptions options;
+  options.ground.mode = GroundMode::kFull;
+  std::size_t brute_forced = 0;
+  std::size_t models = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    const int num_atoms = 12 + static_cast<int>(seed % 9);
+    const int body_len = 1 + static_cast<int>((seed / 9) % 3);
+    const int num_rules = num_atoms + static_cast<int>(seed % 7);
+    const Program program = workload::RandomPropositional(
+        num_atoms, num_rules, body_len, /*neg_prob_percent=*/50, seed);
+    Program to_ground = program;
+    GroundProgram gp = MustGround(to_ground);
+    const auto expected =
+        NamedModels(gp, EnumerateWith(gp, /*wfs_propagation=*/false).models);
+    if (gp.num_atoms() <= 16) {
+      auto brute = EnumerateStableModelsBruteForce(gp);
+      ASSERT_TRUE(brute.ok());
+      EXPECT_EQ(NamedModels(gp, *brute), expected) << "seed " << seed;
+      ++brute_forced;
+    }
+    for (bool solved : {false, true}) {
+      Solver session = MustCreate(program, options);
+      if (solved) session.Solve();
+      const StableResult r = session.StableModels();
+      EXPECT_EQ(r.search.seeded, solved) << "seed " << seed;
+      const HornSolver whole(session.ground().View());
+      for (const Bitset& m : r.models) {
+        EXPECT_TRUE(IsStableModel(whole, m)) << "seed " << seed;
+      }
+      EXPECT_EQ(NamedModels(session.ground(), r.models), expected)
+          << "seed " << seed << " solved=" << solved;
+      models += r.models.size();
+    }
+  }
+  EXPECT_GE(brute_forced, 50u) << "brute-force coverage collapsed";
+  EXPECT_GE(models, 200u) << "model coverage collapsed";
+}
+
+// A positive loop: an assumed-true atom whose only firing rule waits on
+// its own component leaves the leaf to the whole-program check.
+TEST(ParallelSearch, LeafCheckFallbackOnPositiveLoops) {
+  struct Case {
+    const char* text;
+    std::vector<std::vector<std::string>> models;
+    /// Rule bodies the two leaves read (the branch atom is the first one).
+    std::size_t leaf_rules_checked;
+  };
+  const Case cases[] = {
+      // {c}: a assumed false, its one rule does not fire. {a, b}: a's
+      // firing rule `a :- b` waits on b, so the program's four rules are
+      // checked, and `b :- not c` derives b in its reduct: 1 + 1 + 4.
+      {"a :- b. b :- a. b :- not c. c :- not a.", {{"a", "b"}, {"c"}}, 6},
+      // Assumed false, p's rule `p :- not p` fires (2 rules read);
+      // assumed true, p and q only support each other, so the
+      // program's three rules derive nothing: 2 + 2 + 3.
+      {"p :- q. q :- p. p :- not p.", {}, 7},
+  };
+  for (const Case& c : cases) {
+    auto parsed = ParseProgram(c.text);
+    ASSERT_TRUE(parsed.ok()) << c.text;
+    Program p = std::move(parsed).value();
+    GroundProgram gp = MustGround(p);
+    const StableResult r = EnumerateWith(gp, /*wfs_propagation=*/true);
+    EXPECT_EQ(NamedModels(gp, r.models), c.models) << c.text;
+    EXPECT_EQ(NamedModels(gp, EnumerateWith(gp, false).models), c.models)
+        << c.text;
+    auto brute = EnumerateStableModelsBruteForce(gp);
+    ASSERT_TRUE(brute.ok());
+    EXPECT_EQ(NamedModels(gp, *brute), c.models) << c.text;
+    // Two leaves, one per value of the one branch atom.
+    EXPECT_EQ(r.search.leaves, 2u) << c.text;
+    EXPECT_EQ(r.search.leaf_rules_checked, c.leaf_rules_checked) << c.text;
+  }
+}
+
 // --- Golden enumeration fingerprints -------------------------------------
 //
 // The emitted model sequence and the shape of the branch tree are the
@@ -429,12 +536,6 @@ TEST(ParallelSearch, GoldenFingerprintsPinEnumeration) {
 }
 
 // --- Solver integration -------------------------------------------------
-
-Solver MustCreate(Program program, const SolverOptions& options = {}) {
-  auto s = Solver::FromProgram(std::move(program), options);
-  EXPECT_TRUE(s.ok()) << s.status().ToString();
-  return std::move(s).value();
-}
 
 TEST(ParallelSearchSolver, SolvedSessionSeedsTheRoot) {
   Solver cold = MustCreate(workload::EvenNegativeCycles(5));

@@ -72,8 +72,9 @@ TEST(AtomGraph, DeepChainDoesNotOverflow) {
   Program p;
   p.AddFact("p0", {});
   for (int i = 1; i < 60000; ++i) {
-    p.AddRule(p.MakeAtom("p" + std::to_string(i)),
-              {Program::Pos(p.MakeAtom("p" + std::to_string(i - 1)))});
+    p.AddRule(p.MakeAtom(std::string("p").append(std::to_string(i))),
+              {Program::Pos(p.MakeAtom(
+                  std::string("p").append(std::to_string(i - 1))))});
   }
   GroundProgram gp = MustGround(p);
   AtomDependencyGraph g(gp.View());

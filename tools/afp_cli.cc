@@ -48,8 +48,8 @@
 //   --ground                           print the ground program and exit
 //   --stats                            print sizes and iteration counts
 //
-// Exit status: 0 on success, 1 on input errors. Unknown flags and flag
-// values are rejected before any input is read.
+// Exit status: 0 on success, 1 on input errors. Unknown flags, flag
+// values and a second input path are rejected before any input is read.
 
 #include <charconv>
 #include <cstdint>
@@ -243,6 +243,10 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--", 0) == 0) {
       std::cerr << "afp: unknown option " << arg << "\n";
+      return 1;
+    }
+    if (!opts.file.empty()) {
+      std::cerr << "afp: more than one input file\n";
       return 1;
     }
     opts.file = arg;
@@ -463,6 +467,7 @@ int main(int argc, char** argv) {
                 << "  afp calls: " << r.search.afp_calls
                 << "  implied atoms: " << r.search.implied_atoms
                 << "  candidates checked: " << r.search.stable_checks
+                << "  leaf rules checked: " << r.search.leaf_rules_checked
                 << "\n";
       std::cout << "% components re-solved: "
                 << r.search.components_resolved
