@@ -144,7 +144,7 @@ struct UpdateStats {
 struct RuleUpdateStats {
   /// Source (non-ground) rules added or removed by this call.
   std::size_t source_rules_changed = 0;
-  /// Ground instances spliced in / out of the sealed program.
+  /// Ground instances spliced in / out of the ground program.
   std::size_t ground_rules_added = 0;
   std::size_t ground_rules_removed = 0;
   /// Universe growth (atom ids are append-only; removal never shrinks).
@@ -440,7 +440,7 @@ class Solver {
   /// it is indexed by (null when options_.compile == kOff).
   /// Invalidation: UpdateFactsById invalidates exactly the touched
   /// components and acknowledges the program's mutation epoch; any OTHER
-  /// post-seal mutation (a bare GroundProgram::AddRule) is caught by the
+  /// mutation (a bare GroundProgram::AddRule) is caught by the
   /// epoch check at every entry point and drops the whole cache rather
   /// than ever serving a stale kernel.
   std::unique_ptr<KernelCache> kernels_;

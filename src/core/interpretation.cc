@@ -4,7 +4,6 @@
 #include <set>
 
 #include "parser/parser.h"
-#include "util/json.h"
 
 namespace afp {
 
@@ -118,6 +117,15 @@ std::string ModelToString(const GroundProgram& gp, const PartialModel& m,
 
 std::string ModelToJson(const GroundProgram& gp, const PartialModel& m,
                         const ModelPrintOptions& opts) {
+  JsonWriter w;
+  w.BeginObject();
+  WriteModelJson(w, gp, m, opts);
+  w.EndObject();
+  return w.str();
+}
+
+void WriteModelJson(JsonWriter& w, const GroundProgram& gp,
+                    const PartialModel& m, const ModelPrintOptions& opts) {
   std::set<SymbolId> edb;
   if (!opts.include_edb) edb = gp.source().EdbPredicates();
 
@@ -141,8 +149,6 @@ std::string ModelToJson(const GroundProgram& gp, const PartialModel& m,
     listed.push_back(a);
   }
 
-  JsonWriter w;
-  w.BeginObject();
   w.Key("counts");
   w.BeginObject()
       .KeyValue("true", n_true)
@@ -157,8 +163,6 @@ std::string ModelToJson(const GroundProgram& gp, const PartialModel& m,
         .EndObject();
   }
   w.EndArray();
-  w.EndObject();
-  return w.str();
 }
 
 namespace {

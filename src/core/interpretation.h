@@ -6,6 +6,7 @@
 
 #include "ground/ground_program.h"
 #include "util/bitset.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace afp {
@@ -145,6 +146,11 @@ std::string AtomSetToString(const GroundProgram& gp, const Bitset& set,
 /// Atom order follows AtomId order; EDB atoms included per `opts`.
 std::string ModelToJson(const GroundProgram& gp, const PartialModel& m,
                         const ModelPrintOptions& opts = {});
+
+/// Writes ModelToJson's "counts" and "atoms" members into the object `w`
+/// has open, so a caller can put members of its own next to them.
+void WriteModelJson(JsonWriter& w, const GroundProgram& gp,
+                    const PartialModel& m, const ModelPrintOptions& opts = {});
 
 /// Resolves the textual form of a ground atom (e.g. "wins(a)") to its id in
 /// the grounded base, or kInvalidAtom if the atom is not materialized

@@ -108,7 +108,7 @@ struct CompiledBucket {
 /// roles: the staging profiler (per-component heat counters fed by
 /// interpreted solves, with threshold crossings queued for compilation)
 /// and the invalidation authority (epoch protocol against GroundProgram's
-/// post-seal mutation counter).
+/// mutation counter).
 ///
 /// Buckets are compiled and invalidated only between engine runs; during
 /// a run the engine reads Get() and feeds NoteInterpretedSolve().
@@ -118,7 +118,7 @@ struct CompiledBucket {
 /// through the cache-aware paths (Solver::UpdateFactsById) invalidates
 /// exactly the touched components and then AcknowledgeEpoch()s the new
 /// counter; SyncEpoch() at every entry point drops ALL buckets on any
-/// unexplained change — the safety net that keeps a bare post-seal
+/// unexplained change — the safety net that keeps a bare
 /// GroundProgram::AddRule from ever being evaluated against a stale
 /// kernel (the rule-append staleness regression test pins this).
 ///

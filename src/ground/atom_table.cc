@@ -47,11 +47,27 @@ AtomId AtomTable::Find(SymbolId pred, std::span<const TermId> args) const {
   return got == FlatIndex::kNotFound ? kInvalidAtom : got;
 }
 
-void AtomTable::Reserve(std::size_t n, std::size_t num_args) {
-  preds_.reserve(n);
-  arg_offsets_.reserve(n + 1);
-  args_pool_.reserve(num_args);
-  index_.Reserve(n);
+void AtomTable::Compact(std::span<const AtomId> remap, std::size_t kept) {
+  // Ranks never exceed old ids, so each kept atom moves down (or stays)
+  // over slots already read.
+  std::uint32_t begin = 0;
+  std::uint32_t w = 0;
+  for (AtomId a = 0; a < preds_.size(); ++a) {
+    const std::uint32_t end = arg_offsets_[a + 1];
+    const AtomId to = remap[a];
+    if (to != kInvalidAtom) {
+      preds_[to] = preds_[a];
+      for (std::uint32_t i = begin; i < end; ++i) {
+        args_pool_[w++] = args_pool_[i];
+      }
+      arg_offsets_[to + 1] = w;
+    }
+    begin = end;
+  }
+  preds_.resize(kept);
+  arg_offsets_.resize(kept + 1);
+  args_pool_.resize(w);
+  index_.Renumber(remap, kept);
 }
 
 std::string AtomTable::ToString(AtomId a, const Interner& symbols,

@@ -34,9 +34,11 @@ class AtomTable {
   /// Returns the id if interned, kInvalidAtom otherwise.
   AtomId Find(SymbolId pred, std::span<const TermId> args) const;
 
-  /// Pre-sizes pools and index for `n` atoms with `num_args` arguments in
-  /// total.
-  void Reserve(std::size_t n, std::size_t num_args);
+  /// Keeps the atoms `remap` gives a new id and drops those it maps to
+  /// kInvalidAtom, in place. The new ids must be the kept atoms' ranks
+  /// (0, 1, ... in old-id order), `kept` of them. The index is rebuilt
+  /// from its stored hashes.
+  void Compact(std::span<const AtomId> remap, std::size_t kept);
 
   std::size_t size() const { return preds_.size(); }
 

@@ -1,34 +1,11 @@
 #include "ground/ground_program.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace afp {
 
-bool SameAtomMultiset(std::span<const AtomId> a, std::span<const AtomId> b) {
-  if (a.size() != b.size()) return false;
-  if (std::equal(a.begin(), a.end(), b.begin())) return true;
-  std::vector<AtomId> sa(a.begin(), a.end()), sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  return sa == sb;
-}
-
-bool GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
-                            std::span<const AtomId> neg, bool dedupe) {
-  if (dedupe && !sealed_) {
-    // Dedupe is structural up to body reordering (simplification can
-    // collapse distinct emitted instances); candidates are compared with
-    // the resident rules in place.
-    const std::uint32_t next = static_cast<std::uint32_t>(rules_.size());
-    const std::uint32_t got = seen_.FindOrInsert(
-        HashGroundRule(head, pos, neg), next, [&](std::uint32_t id) {
-          const GroundRule& r = rules_[id];
-          return r.head == head && SameAtomMultiset(this->pos(r), pos) &&
-                 SameAtomMultiset(this->neg(r), neg);
-        });
-    if (got != next) return false;
-  }
+void GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
+                            std::span<const AtomId> neg) {
   GroundRule r;
   r.head = head;
   r.pos_offset = static_cast<std::uint32_t>(body_pool_.size());
@@ -41,14 +18,13 @@ bool GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
   // A lazily built fact index must track every fact rule appended after it
   // exists, whichever entry point appends it — AddRule with an empty body
   // IS AddFact's mutation, and leaving the index stale here made HasFact
-  // lie after a post-seal AddRule. emplace keeps the first rule id when a
-  // duplicate fact is force-appended, matching EnsureFactIndex's scan.
+  // lie after an AddRule. emplace keeps the first rule id when a duplicate
+  // fact is force-appended, matching EnsureFactIndex's scan.
   if (fact_index_built_ && pos.empty() && neg.empty()) {
     fact_index_.emplace(r.head,
                         static_cast<std::uint32_t>(rules_.size() - 1));
   }
-  if (sealed_) ++mutation_epoch_;
-  return true;
+  ++mutation_epoch_;
 }
 
 void GroundProgram::EnsureFactIndex() const {
@@ -66,15 +42,13 @@ bool GroundProgram::HasFact(AtomId atom) const {
 }
 
 bool GroundProgram::AddFact(AtomId atom) {
-  assert(sealed_ && "EDB mutation requires a sealed program");
   EnsureFactIndex();
   if (fact_index_.count(atom) > 0) return false;
-  AddRule(atom, {}, {}, /*dedupe=*/false);  // maintains the built index
+  AddRule(atom, {}, {});  // maintains the built index
   return true;
 }
 
 GroundProgram::FactRemoval GroundProgram::RemoveFact(AtomId atom) {
-  assert(sealed_ && "EDB mutation requires a sealed program");
   EnsureFactIndex();
   auto it = fact_index_.find(atom);
   if (it == fact_index_.end()) return FactRemoval{};
@@ -96,7 +70,6 @@ GroundProgram::FactRemoval GroundProgram::RemoveFact(AtomId atom) {
 }
 
 GroundProgram::FactRemoval GroundProgram::RemoveRuleAt(std::uint32_t rule) {
-  assert(sealed_ && "rule mutation requires a sealed program");
   assert(rule < rules_.size());
   FactRemoval out;
   out.removed = true;

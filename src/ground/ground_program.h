@@ -5,19 +5,19 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ast/program.h"
 #include "ground/atom_table.h"
 #include "util/flat_index.h"
-#include "util/span_hash.h"
 
 namespace afp {
 
 /// What grounding cost in memory terms: the receipt of the flat interning
-/// pipeline (AtomTable / TermTable / instance dedupe / rule dedupe),
-/// surfaced through Solver::Stats and the CLI's --stats, and recorded by
-/// bench_scale.
+/// pipeline (AtomTable / TermTable / instance dedupe / the assembly's
+/// probe for rules simplification made equal), surfaced through
+/// Solver::Stats and the CLI's --stats, and recorded by bench_scale.
 struct GroundStats {
   std::size_t atoms = 0;
   std::size_t rules = 0;
@@ -28,7 +28,7 @@ struct GroundStats {
   std::uint64_t intern_collisions = 0;
   /// Slot-array (re)allocations — the ONLY allocations the flat interning
   /// path performs. A lookup of a present key (every AtomTable::Find, every
-  /// re-intern, every duplicate-rule rejection) allocates nothing; this
+  /// re-intern, every duplicate-instance rejection) allocates nothing; this
   /// counter is the steady-state-zero-allocation regression guard.
   std::uint64_t intern_allocs = 0;
   /// Bytes handed out by the grounder's candidate-list arena: the
@@ -61,29 +61,6 @@ struct GroundRule {
   std::uint32_t neg_len;
 };
 
-/// Hash of the ground rule `head :- pos, not neg` that ignores body order:
-/// each body is hashed as a multiset (a sum of avalanched ids). Both rule
-/// dedupes — the grounder's emitted instances and GroundProgram's pre-seal
-/// rules — treat rules equal up to body reordering, pairing this hash with
-/// SameAtomMultiset.
-inline std::uint64_t HashGroundRule(AtomId head, std::span<const AtomId> pos,
-                                    std::span<const AtomId> neg) {
-  auto bag = [](std::span<const AtomId> body) {
-    std::uint64_t sum = 0;
-    for (AtomId a : body) sum += HashAvalanche(a + kSpanHashSeed);
-    return sum;
-  };
-  std::uint64_t h = HashMixWord(kSpanHashSeed, head);
-  h = HashMixWord(HashMixWord(h, bag(pos)), pos.size());
-  h = HashMixWord(HashMixWord(h, bag(neg)), neg.size());
-  return HashAvalanche(h);
-}
-
-/// True iff `a` and `b` hold the same atoms with the same multiplicities.
-/// Compares in order first (the common case); sorts copies only when that
-/// fails.
-bool SameAtomMultiset(std::span<const AtomId> a, std::span<const AtomId> b);
-
 /// A borrowed, index-free view of a set of ground rules over a fixed atom
 /// universe. GroundProgram and OwnedRules produce views; the solvers
 /// consume them.
@@ -103,13 +80,27 @@ struct RuleView {
 /// The Herbrand instantiation P_H of a program (Definition 3.4), restricted
 /// to its relevant ground rules: a pool of GroundRules over dense AtomIds.
 ///
-/// A GroundProgram borrows the Program it was grounded from (for symbol and
-/// term rendering); it must not outlive it.
+/// The grounder builds the tables and hands them over whole (its atom
+/// table and, for a one-shot grounding, its instance pool as the body
+/// pool); afterwards rules only change through the mutation calls below.
+/// A GroundProgram borrows the Program it was grounded from (for symbol
+/// and term rendering); it must not outlive it.
 class GroundProgram {
  public:
-  /// `source` provides the interner/term table used for rendering atom
-  /// names. Must outlive this object.
+  /// An empty program. `source` provides the interner/term table used for
+  /// rendering atom names. Must outlive this object.
   explicit GroundProgram(const Program* source) : source_(source) {}
+
+  /// Takes over the tables of a finished grounding: every rule's body
+  /// indexes `body_pool`, every atom id is one of `atoms`.
+  GroundProgram(const Program* source, AtomTable atoms,
+                std::vector<GroundRule> rules, std::vector<AtomId> body_pool,
+                const GroundStats& grounding_stats)
+      : source_(source),
+        atoms_(std::move(atoms)),
+        rules_(std::move(rules)),
+        body_pool_(std::move(body_pool)),
+        grounding_stats_(grounding_stats) {}
 
   AtomTable& atoms() { return atoms_; }
   const AtomTable& atoms() const { return atoms_; }
@@ -121,48 +112,25 @@ class GroundProgram {
   /// in the complexity discussions.
   std::size_t TotalSize() const { return body_pool_.size() + rules_.size(); }
 
-  /// Appends a ground rule. When `dedupe` is true, rules identical up to
-  /// body reordering are silently skipped. Returns true if the rule was added.
-  /// After SealRules(), duplicate suppression is no longer available.
-  /// Post-seal, an empty-body AddRule is an EDB fact append and keeps the
-  /// lazily built fact index (HasFact/RemoveFact) current, exactly as
-  /// AddFact does — but without AddFact's already-present short-circuit,
-  /// so prefer AddFact for fact mutation.
-  bool AddRule(AtomId head, std::span<const AtomId> pos,
-               std::span<const AtomId> neg, bool dedupe = true);
+  /// Appends the ground rule `head :- pos, not neg` as rule num_rules() - 1,
+  /// with no duplicate check. An empty body makes it an EDB fact append
+  /// that keeps the lazily built fact index (HasFact/RemoveFact) current,
+  /// exactly as AddFact does — but without AddFact's already-present
+  /// short-circuit, so prefer AddFact for fact mutation.
+  void AddRule(AtomId head, std::span<const AtomId> pos,
+               std::span<const AtomId> neg);
 
-  /// Pre-sizes the rule table, the body pool and the pre-seal dedupe index
-  /// for `rules` rules with `body_atoms` body literals in total.
-  void Reserve(std::size_t rules, std::size_t body_atoms) {
-    rules_.reserve(rules);
-    body_pool_.reserve(body_atoms);
-    seen_.Reserve(rules);
-  }
-
-  /// Releases the dedupe bookkeeping (the (hash, id) slot arrays, whose
-  /// probe counters are folded into the grounding receipt first) once
-  /// construction is complete. Called by the grounder before handing the
-  /// program out; rules added afterwards are appended without duplicate
-  /// checks.
-  void SealRules() {
-    grounding_stats_.Absorb(seen_.stats());
-    seen_.Release();
-    sealed_ = true;
-  }
-
-  /// The receipt of the grounding run that built this program
-  /// (counters of scratch structures the grounder destroys on completion;
-  /// the live atom/term table counters are read separately — see
-  /// Solver::Stats). Filled by the grounder; mutable access for it.
+  /// The receipt of the grounding run that built this program (counters
+  /// of the scratch structures the grounder destroys on completion; the
+  /// live atom/term table counters, the grounding's interning included,
+  /// are read separately — see Solver::Stats).
   const GroundStats& grounding_stats() const { return grounding_stats_; }
-  GroundStats& grounding_stats_mutable() { return grounding_stats_; }
 
-  /// --- Post-seal EDB mutation (Solver::AssertFacts / RetractFacts) ---
+  /// --- EDB mutation (Solver::AssertFacts / RetractFacts) ---
   ///
   /// A fact is a rule with an empty body; adding or removing one changes no
   /// dependency arcs and interns no atoms, so a cached AtomDependencyGraph
-  /// over this program stays valid across these calls. Only sealed programs
-  /// may be mutated (the dedupe bookkeeping cannot track removals).
+  /// over this program stays valid across these calls.
 
   /// True iff the fact rule `atom.` is present.
   bool HasFact(AtomId atom) const;
@@ -186,7 +154,7 @@ class GroundProgram {
   /// (rule ids are otherwise stable). No-op when the fact is absent.
   FactRemoval RemoveFact(AtomId atom);
 
-  /// --- Post-seal rule mutation (Solver::AddRule / RemoveRule) ---
+  /// --- Rule mutation (Solver::AddRule / RemoveRule) ---
   ///
   /// Removes the rule with id `rule` — fact or proper rule — by the same
   /// swap-remove discipline as RemoveFact; `erased_rule == rule` and
@@ -197,8 +165,8 @@ class GroundProgram {
   /// re-grounding, not in place.
   FactRemoval RemoveRuleAt(std::uint32_t rule);
 
-  /// Monotone counter bumped by every post-seal mutation of the rule set
-  /// (AddRule, AddFact, RemoveFact). Caches derived from the rule set —
+  /// Monotone counter bumped by every mutation of the rule set (AddRule,
+  /// AddFact, RemoveFact, RemoveRuleAt). Caches derived from the rule set —
   /// compiled rule kernels in particular (core/rule_kernel.h) — record the
   /// epoch they were built against and treat any unexplained change as a
   /// signal to invalidate: a rule appended through AddRule directly, with
@@ -236,10 +204,7 @@ class GroundProgram {
   AtomTable atoms_;
   std::vector<GroundRule> rules_;
   std::vector<AtomId> body_pool_;
-  /// Pre-seal rule dedupe: (hash, rule id) over rules_/body_pool_.
-  FlatIndex seen_;
   GroundStats grounding_stats_;
-  bool sealed_ = false;
   std::uint64_t mutation_epoch_ = 0;
   mutable bool fact_index_built_ = false;
   mutable std::unordered_map<AtomId, std::uint32_t> fact_index_;

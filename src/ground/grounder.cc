@@ -70,6 +70,36 @@ bool RuleEquiv(const TermTable& tt, const Rule& a, const Rule& b) {
   return true;
 }
 
+/// Hash of the ground rule `head :- pos, not neg` that ignores body order:
+/// each body is hashed as a multiset (a sum of avalanched ids). Both rule
+/// dedupes — of emitted instances, and of the rules simplification made
+/// equal at assembly — treat rules equal up to body reordering, pairing
+/// this hash with SameAtomMultiset.
+std::uint64_t HashGroundRule(AtomId head, std::span<const AtomId> pos,
+                             std::span<const AtomId> neg) {
+  auto bag = [](std::span<const AtomId> body) {
+    std::uint64_t sum = 0;
+    for (AtomId a : body) sum += HashAvalanche(a + kSpanHashSeed);
+    return sum;
+  };
+  std::uint64_t h = HashMixWord(kSpanHashSeed, head);
+  h = HashMixWord(HashMixWord(h, bag(pos)), pos.size());
+  h = HashMixWord(HashMixWord(h, bag(neg)), neg.size());
+  return HashAvalanche(h);
+}
+
+/// True iff `a` and `b` hold the same atoms with the same multiplicities.
+/// Compares in order first (the common case); sorts copies only when that
+/// fails.
+bool SameAtomMultiset(std::span<const AtomId> a, std::span<const AtomId> b) {
+  if (a.size() != b.size()) return false;
+  if (std::equal(a.begin(), a.end(), b.begin())) return true;
+  std::vector<AtomId> sa(a.begin(), a.end()), sb(b.begin(), b.end());
+  std::sort(sa.begin(), sa.end());
+  std::sort(sb.begin(), sb.end());
+  return sa == sb;
+}
+
 std::uint64_t PostingHash(SymbolId pred, std::uint32_t pos, TermId term) {
   return HashAvalanche(
       HashMixWord(HashMixWord(HashMixWord(kSpanHashSeed, pred), pos), term));
@@ -109,6 +139,7 @@ StatusOr<GroundProgram> Grounder::Ground(Program& program,
   if (!gp.ok()) {
     if (receipt != nullptr) {
       g->FillReceipt(*receipt);
+      receipt->Absorb(g->atoms_->index_stats());
       receipt->atoms = g->atoms_->size();
       receipt->rules = g->fact_atoms_.size() + g->instances_.size();
     }
@@ -138,9 +169,8 @@ StatusOr<GroundProgram> Grounder::Build(bool keep) {
   GroundStats receipt;
   FillReceipt(receipt);
   if (!keep) ReleaseJoinState();
-  AFP_ASSIGN_OR_RETURN(GroundProgram gp, Assemble(keep, receipt));
   atoms_ = nullptr;
-  return gp;
+  return Assemble(keep, receipt);
 }
 
 // --- atom bookkeeping -----------------------------------------------------
@@ -706,7 +736,7 @@ Status Grounder::EmitInstance(const RulePlan& plan, bool joined) {
   if (!derived_[head]) MarkDerived(head, current_round_);
   if (gp_ != nullptr) {
     // A rule op splices the newly live instance in right away.
-    gp_->AddRule(head, emit_pos_, emit_neg_, /*dedupe=*/false);
+    gp_->AddRule(head, emit_pos_, emit_neg_);
     const std::uint32_t rule =
         static_cast<std::uint32_t>(gp_->num_rules() - 1);
     if (got >= instance_rule_.size()) instance_rule_.resize(got + 1, kNoRule);
@@ -802,10 +832,10 @@ std::optional<std::size_t> Grounder::FindLiveRule(const Rule& r) const {
 
 // --- final assembly ---------------------------------------------------------
 
-/// The counters of the scratch structures: the scratch atom table, the
-/// instance-dedupe and posting indexes, the candidate arena and the join.
+/// The counters of the scratch structures: the instance-dedupe and posting
+/// indexes, the candidate arena and the join. The atom table is not among
+/// them: it lives on in the program, counters included.
 void Grounder::FillReceipt(GroundStats& gs) const {
-  gs.Absorb(atoms_->index_stats());
   gs.Absorb(instance_index_.stats());
   gs.Absorb(posting_index_.stats());
   gs.arena_bytes = cand_arena_.total_allocated();
@@ -831,79 +861,122 @@ void Grounder::ReleaseJoinState() {
   instance_index_.Release();
 }
 
-StatusOr<GroundProgram> Grounder::Assemble(bool keep,
-                                           const GroundStats& receipt) {
+GroundProgram Grounder::Assemble(bool keep, GroundStats receipt) {
+  // Simplification keeps only the derivable atoms: the others are
+  // certainly false, so negative literals on them are certainly true and
+  // are erased from the bodies below. A kept atom's id is its rank among
+  // the kept atoms; with nothing dropped the table is used as is.
   const bool simplify = opts_.simplify && opts_.mode != GroundMode::kFull;
-  GroundProgram gp(&program_);
+  const std::size_t num_scratch = scratch_atoms_.size();
+  std::vector<AtomId> remap(num_scratch);
+  AtomId kept = 0;
+  for (AtomId a = 0; a < num_scratch; ++a) {
+    remap[a] = !simplify || derived_[a] ? kept++ : kInvalidAtom;
+  }
+  if (kept < num_scratch) scratch_atoms_.Compact(remap, kept);
 
-  // The final sizes are known up front, so the program's tables are sized
-  // once instead of growing by doubling and rehashing: the kept atoms, one
-  // rule per fact and per instance, and at most the instances' literals.
-  std::size_t kept = 0;
-  std::size_t kept_args = 0;
-  for (AtomId a = 0; a < atoms_->size(); ++a) {
-    if (!simplify || derived_[a]) {
-      ++kept;
-      kept_args += atoms_->args(a).size();
+  // Emitted instances are distinct as body multisets and the remap is
+  // injective, so two rules can only become equal where simplification
+  // erased a literal: a fact and an instance left with no body, or two
+  // instances of one head, one of them simplified. Only those are probed.
+  enum : std::uint8_t {
+    kFact = 1,        // the fact rule on this atom is emitted
+    kInstance = 2,    // heads an instance
+    kInstances = 4,   // heads two or more
+    kSimplified = 8,  // heads an instance that lost a literal
+  };
+  constexpr std::uint8_t kProbed = kInstances | kSimplified;
+  std::vector<std::uint8_t> marks(kept, 0);
+  if (kept < num_scratch) {
+    for (const Instance& in : instances_) {
+      std::uint8_t& m = marks[remap[in.head]];
+      m |= (m & kInstance) ? kInstances : kInstance;
+      const AtomId* neg = instance_pool_.data() + in.pos_offset + in.pos_len;
+      if (std::any_of(neg, neg + in.neg_len,
+                      [&](AtomId a) { return remap[a] == kInvalidAtom; })) {
+        m |= kSimplified;
+      }
     }
   }
-  gp.atoms().Reserve(kept, kept_args);
-  gp.Reserve(fact_atoms_.size() + instances_.size(), instance_pool_.size());
 
-  // Compact the atom table: in simplify mode, only derivable atoms remain
-  // in the base (everything else is certainly false and gets erased from
-  // rule bodies below).
-  std::vector<AtomId> remap(atoms_->size(), kInvalidAtom);
-  for (AtomId a = 0; a < atoms_->size(); ++a) {
-    if (!simplify || derived_[a]) {
-      remap[a] = gp.atoms().Intern(atoms_->predicate(a), atoms_->args(a));
-    }
-  }
-
+  std::vector<GroundRule> rules;
+  rules.reserve(fact_atoms_.size() + instances_.size());
   for (AtomId f : fact_atoms_) {
-    gp.AddRule(remap[f], {}, {});
+    const AtomId head = remap[f];
+    if (marks[head] & kFact) continue;  // a repeated fact
+    marks[head] |= kFact;
+    rules.push_back({head, 0, 0, 0, 0});
   }
-  const std::uint32_t first_instance_rule =
-      static_cast<std::uint32_t>(gp.num_rules());
-  std::vector<AtomId> pos, neg;
-  for (const Instance& in : instances_) {
-    pos.clear();
-    neg.clear();
-    for (std::uint32_t i = 0; i < in.pos_len; ++i) {
-      pos.push_back(remap[instance_pool_[in.pos_offset + i]]);
-    }
-    for (std::uint32_t i = 0; i < in.neg_len; ++i) {
-      const AtomId a = instance_pool_[in.pos_offset + in.pos_len + i];
-      if (simplify && !derived_[a]) continue;  // certainly-true literal
-      neg.push_back(remap[a]);
-    }
-    gp.AddRule(remap[in.head], pos, neg);
-  }
+  const auto first_instance_rule = static_cast<std::uint32_t>(rules.size());
 
-  // The receipt holds the counters of the scratch structures; the live
-  // tables the program keeps (gp.atoms(), program_.terms()) are read
-  // separately by Solver::Stats so their counters keep accumulating.
-  GroundStats& gs = gp.grounding_stats_mutable();
-  gs = receipt;
-  gp.SealRules();
-  gs.atoms = gp.num_atoms();
-  gs.rules = gp.num_rules();
-
+  // A one-shot grounding hands its instance pool over as the body pool,
+  // remapped and compacted in place by one forward pass (a rule's body
+  // never moves up). A kept grounder still reads its pool, so the program
+  // gets a copy.
+  std::vector<AtomId> pool;
   if (keep) {
-    // Unsimplified: atom ids carried over unchanged, and no instance was
-    // dropped as a duplicate (their bodies are never empty, and the
-    // instance dedupe already merged reorderings), so instance i is rule
-    // first_instance_rule + i. From here on the program's own atom table
-    // is the one rule ops intern into.
-    assert(gp.num_rules() == first_instance_rule + instances_.size());
+    pool = instance_pool_;
+  } else {
+    pool.swap(instance_pool_);
+  }
+  FlatIndex probed;  // (hash, rule id) of the probed rules
+  std::uint32_t w = 0;
+  for (const Instance& in : instances_) {
+    GroundRule r;
+    r.head = remap[in.head];
+    std::uint32_t i = in.pos_offset;
+    r.pos_offset = w;
+    for (const std::uint32_t end = i + in.pos_len; i < end; ++i) {
+      pool[w++] = remap[pool[i]];
+    }
+    r.pos_len = w - r.pos_offset;
+    r.neg_offset = w;
+    for (const std::uint32_t end = i + in.neg_len; i < end; ++i) {
+      if (remap[pool[i]] != kInvalidAtom) pool[w++] = remap[pool[i]];
+    }
+    r.neg_len = w - r.neg_offset;
+    if (r.pos_len + r.neg_len == 0) {
+      if (marks[r.head] & kFact) continue;
+      marks[r.head] |= kFact;
+    } else if ((marks[r.head] & kProbed) == kProbed) {
+      const std::span<const AtomId> pos(pool.data() + r.pos_offset, r.pos_len);
+      const std::span<const AtomId> neg(pool.data() + r.neg_offset, r.neg_len);
+      const auto next = static_cast<std::uint32_t>(rules.size());
+      const std::uint32_t got = probed.FindOrInsert(
+          HashGroundRule(r.head, pos, neg), next, [&](std::uint32_t id) {
+            const GroundRule& o = rules[id];
+            return o.head == r.head &&
+                   SameAtomMultiset({pool.data() + o.pos_offset, o.pos_len},
+                                    pos) &&
+                   SameAtomMultiset({pool.data() + o.neg_offset, o.neg_len},
+                                    neg);
+          });
+      if (got != next) {
+        w = r.pos_offset;  // a duplicate: its body is overwritten
+        continue;
+      }
+    }
+    rules.push_back(r);
+  }
+  pool.resize(w);
+
+  receipt.Absorb(probed.stats());
+  receipt.atoms = kept;
+  receipt.rules = rules.size();
+  if (keep) {
+    // Unsimplified: atom ids are the scratch ids, and no instance was
+    // dropped (none lost a literal or has an empty body), so instance i is
+    // rule first_instance_rule + i. From here on the program's own atom
+    // table is the one rule ops intern into.
+    assert(rules.size() == first_instance_rule + instances_.size());
     instance_rule_.resize(instances_.size());
     for (std::uint32_t i = 0; i < instances_.size(); ++i) {
       instance_rule_[i] = first_instance_rule + i;
     }
-    scratch_atoms_ = AtomTable();
     std::vector<AtomId>().swap(fact_atoms_);
   }
-  return gp;
+  return GroundProgram(&program_, std::move(scratch_atoms_), std::move(rules),
+                       std::move(pool), receipt);
 }
 
 }  // namespace afp

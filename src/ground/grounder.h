@@ -343,13 +343,17 @@ class Grounder {
                       std::span<const AtomId> pos,
                       std::span<const AtomId> neg) const;
 
-  /// Folds the grounding structures' counters into `gs`.
+  /// Folds the scratch structures' counters into `gs`.
   void FillReceipt(GroundStats& gs) const;
   /// Frees what only joins use (derivation log and rounds, lists, plans,
   /// triggers, the instance dedupe) once a one-shot grounding is done
   /// joining, so the program is assembled without them alongside.
   void ReleaseJoinState();
-  StatusOr<GroundProgram> Assemble(bool keep, const GroundStats& receipt);
+  /// Hands the grounding over as a GroundProgram: the scratch atom table,
+  /// compacted to the kept atoms, and (one-shot) the instance pool as its
+  /// body pool. Only rules simplification can have made equal are probed
+  /// for duplicates.
+  GroundProgram Assemble(bool keep, GroundStats receipt);
 
   /// Binds the program a rule op patches for the duration of one call.
   class OpScope;
@@ -357,8 +361,9 @@ class Grounder {
   Program& program_;
   GroundOptions opts_;
 
-  /// Atom table the join interns into: scratch_atoms_ while building, the
-  /// patched program's own table during a rule op, null in between.
+  /// Atom table the join interns into: scratch_atoms_ while building (the
+  /// program takes it over), the patched program's own table during a
+  /// rule op, null in between.
   AtomTable* atoms_ = nullptr;
   AtomTable scratch_atoms_;
   /// The program and receipt of the rule op in progress (null otherwise).

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace afp {
@@ -44,8 +46,9 @@ struct FlatIndexStats {
 ///     probing clusters hard above ~0.7: at 7/8 the expected successful
 ///     chain is ~4.5 probes, at 2/3 it is ~2 — measured directly by
 ///     bench_scale's intern_probes/intern_collisions counters);
-///   * tombstone-free: entries are never removed (dense-id interning is
-///     append-only), so probe chains never degrade;
+///   * tombstone-free: entries are never removed one by one (dense-id
+///     interning is append-only), so probe chains never degrade; Renumber
+///     drops and renumbers entries wholesale into a fresh slot array;
 ///   * dense ids survive rehash: growth reinserts (hash, id) pairs from
 ///     the stored hashes — keys are not re-read, ids are not renumbered;
 ///   * Find is a pure read, so concurrent Finds are safe; FindOrInsert
@@ -62,9 +65,25 @@ class FlatIndex {
 
   /// Pre-sizes the slot array for `n` entries without intermediate growth.
   void Reserve(std::size_t n) {
-    std::size_t want = kMinCapacity;
-    while (want * 2 < n * 3) want <<= 1;  // keep load under 2/3
+    const std::size_t want = CapacityFor(n);
     if (want > hashes_.size()) Rehash(want);
+  }
+
+  /// Gives every entry the id `remap[id]`, dropping those mapped to
+  /// kNotFound, in a slot array sized for the `kept` survivors. Placement
+  /// reads only the stored hashes: no key is re-hashed or compared.
+  void Renumber(std::span<const std::uint32_t> remap, std::size_t kept) {
+    std::vector<std::uint64_t> old_hashes = std::move(hashes_);
+    std::vector<std::uint32_t> old_ids = std::move(ids_);
+    hashes_.assign(CapacityFor(kept), 0);
+    ids_.assign(hashes_.size(), kNotFound);
+    ++stats_.grow_allocs;
+    size_ = 0;
+    for (std::size_t i = 0; i < old_ids.size(); ++i) {
+      if (old_ids[i] == kNotFound || remap[old_ids[i]] == kNotFound) continue;
+      Place(old_hashes[i], remap[old_ids[i]]);
+      ++size_;
+    }
   }
 
   /// Returns the dense id of the entry whose stored hash equals `hash` and
@@ -108,8 +127,8 @@ class FlatIndex {
     }
   }
 
-  /// Releases the slot arrays entirely (seal paths: dedupe is over and the
-  /// index would otherwise idle at program-size footprint).
+  /// Releases the slot arrays entirely (once a one-shot grounding is done
+  /// with an index that would otherwise idle at program-size footprint).
   void Release() {
     std::vector<std::uint64_t>().swap(hashes_);
     std::vector<std::uint32_t>().swap(ids_);
@@ -125,6 +144,13 @@ class FlatIndex {
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
+
+  /// The smallest slot count that holds `n` entries under the 2/3 load cap.
+  static std::size_t CapacityFor(std::size_t n) {
+    std::size_t want = kMinCapacity;
+    while (want * 2 < n * 3) want <<= 1;
+    return want;
+  }
 
   std::size_t NextCapacity() const {
     return ids_.empty() ? kMinCapacity : ids_.size() * 2;

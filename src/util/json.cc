@@ -56,13 +56,9 @@ JsonWriter& JsonWriter::EndObject() {
 }
 
 JsonWriter& JsonWriter::BeginArray(const std::string& key) {
-  if (!key.empty()) {
-    Key(key);
-    out_ += '[';
-  } else {
-    MaybeComma();
-    out_ += '[';
-  }
+  if (!key.empty()) Key(key);
+  MaybeComma();  // after a key: no comma, but a later member needs one
+  out_ += '[';
   needs_comma_.push_back(false);
   return *this;
 }

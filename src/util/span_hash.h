@@ -7,9 +7,9 @@
 
 namespace afp {
 
-/// The one span-hash of the interning pipeline. AtomTable, TermTable, the
-/// grounder's instance-dedupe signature and GroundProgram's pre-seal rule
-/// dedupe all hash the same shape of data — a small header word plus one or
+/// The one span-hash of the interning pipeline. AtomTable, TermTable and
+/// the grounder's rule hashes (instance dedupe, assembly collision probe)
+/// all hash the same shape of data — a small header word plus one or
 /// more spans of dense 32-bit ids — and used to carry four copy-pasted
 /// `h = h * 1000003 + v` loops. Those polynomials have no avalanche step:
 /// their low bits are a near-linear function of the last few elements,

@@ -377,8 +377,8 @@ TEST(GusEvaluatorDifferential, MatchesScratchOnRandomSequences) {
   }
 }
 
-// The grounder seals the dedupe set; the program stays fully functional
-// (solving, rendering) and rules can still be appended afterwards.
+// A grounded program stays fully functional (solving, rendering) when
+// rules are appended afterwards, duplicates included.
 TEST(SealRules, GroundProgramWorksAfterSealing) {
   auto parsed = ParseProgram(
       "move(a,b). move(b,a). move(b,c). move(c,d).\n"
@@ -390,10 +390,10 @@ TEST(SealRules, GroundProgramWorksAfterSealing) {
   const std::size_t rules_before = ground->num_rules();
   AfpResult before = AlternatingFixpoint(*ground);
 
-  // Post-seal appends are accepted (without duplicate suppression).
+  // Appends are accepted without duplicate suppression.
   ASSERT_TRUE(ground->num_atoms() > 0);
-  EXPECT_TRUE(ground->AddRule(0, {}, {}));
-  EXPECT_TRUE(ground->AddRule(0, {}, {}));  // duplicate, no longer filtered
+  ground->AddRule(0, {}, {});
+  ground->AddRule(0, {}, {});  // duplicate, not filtered
   EXPECT_EQ(ground->num_rules(), rules_before + 2);
   AfpResult after = AlternatingFixpoint(*ground);
   EXPECT_TRUE(before.model.true_atoms().IsSubsetOf(after.model.true_atoms()));

@@ -81,6 +81,31 @@ TEST(FlatIndex, ReservePreventsIntermediateGrowth) {
       << "Reserve(n) must pre-size so n inserts trigger no rehash";
 }
 
+TEST(FlatIndex, RenumberKeepsSurvivorsUnderTheirNewIds) {
+  // Drop every third entry; the survivors take their ranks as ids. The
+  // keys are compacted the same way, so Find reads the renumbered pool.
+  Pool pool;
+  constexpr std::uint32_t kN = 3000;
+  for (std::uint32_t i = 0; i < kN; ++i) pool.Intern(i * 2654435761u);
+  const std::size_t bytes_before = pool.index.stats().capacity_bytes;
+  std::vector<std::uint32_t> remap(kN);
+  std::vector<std::uint64_t> kept_keys;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    remap[i] = i % 3 == 0 ? FlatIndex::kNotFound
+                          : static_cast<std::uint32_t>(kept_keys.size());
+    if (i % 3 != 0) kept_keys.push_back(pool.keys[i]);
+  }
+  pool.index.Renumber(remap, kept_keys.size());
+  pool.keys = kept_keys;
+  EXPECT_EQ(pool.index.size(), kept_keys.size());
+  EXPECT_LT(pool.index.stats().capacity_bytes, bytes_before);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(pool.Find(i * 2654435761u), remap[i]) << i;
+  }
+  // Interning continues densely after the survivors.
+  EXPECT_EQ(pool.Intern(1), kept_keys.size());
+}
+
 TEST(FlatIndex, SteadyStateLookupsNeverGrow) {
   Pool pool;
   for (std::uint32_t i = 0; i < 1000; ++i) pool.Intern(i * 2654435761u);

@@ -99,6 +99,65 @@ TEST(Grounder, DuplicateRuleInstancesAreDeduped) {
   EXPECT_EQ(gp.num_rules(), 2u);  // the fact + one p rule
 }
 
+TEST(Grounder, AssemblyCollisionsAndRebuiltAtomIndex) {
+  // Simplification can make rules equal: erasing a certainly-true `not q`
+  // turns an instance into a fact, or into another instance of its head.
+  // Each such pair must come out once; without simplification (and under
+  // kFull, which never simplifies) the rules stay distinct. Repeated facts
+  // come out once in every mode.
+  GroundOptions unsimplified;
+  unsimplified.simplify = false;
+  GroundOptions full;
+  full.mode = GroundMode::kFull;
+  struct Case {
+    const char* text;
+    const char* simplified;  // default GroundOptions
+    const char* kept;        // simplify = false, and kFull
+  };
+  const Case kCases[] = {
+      {"p. p :- not q.", "p.\n", "p.\np :- not q.\n"},
+      {"a. p :- a, not q. p :- a, not r.", "a.\np :- a.\n",
+       "a.\np :- a, not q.\np :- a, not r.\n"},
+      {"a. p :- a. p :- a, not q.", "a.\np :- a.\n",
+       "a.\np :- a.\np :- a, not q.\n"},
+      {"a. b. p :- a, b, not q. p :- b, a.", "a.\nb.\np :- a, b.\n",
+       "a.\nb.\np :- a, b, not q.\np :- b, a.\n"},
+      {"p. p.", "p.\n", "p.\n"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.text);
+    auto parsed = ParseProgram(c.text);
+    ASSERT_TRUE(parsed.ok());
+    Program p = std::move(parsed).value();
+    EXPECT_EQ(MustGround(p).ToString(), c.simplified);
+    EXPECT_EQ(MustGround(p, unsimplified).ToString(), c.kept);
+    EXPECT_EQ(MustGround(p, full).ToString(), c.kept);
+  }
+
+  // The program's atom index is the grounder's, rebuilt for the kept
+  // atoms: it finds each kept atom under its new id, and no dropped one.
+  Program tc =
+      workload::TransitiveClosureComplement(graphs::ErdosRenyi(24, 48, 3));
+  const GroundProgram gp = MustGround(tc);
+  const GroundProgram all = MustGround(tc, unsimplified);
+  ASSERT_LT(gp.num_atoms(), all.num_atoms());
+  const AtomTable& atoms = gp.atoms();
+  for (AtomId a = 0; a < gp.num_atoms(); ++a) {
+    ASSERT_EQ(atoms.Find(atoms.predicate(a), atoms.args(a)), a);
+  }
+  std::size_t dropped_tc = 0;
+  for (AtomId a = 0; a < all.num_atoms(); ++a) {
+    const AtomId found =
+        atoms.Find(all.atoms().predicate(a), all.atoms().args(a));
+    if (found == kInvalidAtom) {
+      dropped_tc += all.AtomName(a).rfind("tc(", 0) == 0;
+    } else {
+      EXPECT_EQ(gp.AtomName(found), all.AtomName(a));
+    }
+  }
+  EXPECT_GT(dropped_tc, 0u);
+}
+
 TEST(Grounder, FunctionSymbolsWithFiniteClosureTerminate) {
   // s(X) recursion bounded by the base predicate: finite.
   auto parsed = ParseProgram(R"(
@@ -436,10 +495,10 @@ TEST(Grounder, JoinCandidatesAreLinearInOutput) {
 }
 
 TEST(Grounder, PostSealAddRuleMaintainsFactIndex) {
-  // Regression: AddRule is public, and calling it on a sealed program with
-  // an empty body is an EDB fact append by another name. The lazily built
-  // fact index used to be maintained only by AddFact, so this sequence
-  // made HasFact report a fact the rule vector plainly contained.
+  // Regression: AddRule is public, and calling it on a grounded program
+  // with an empty body is an EDB fact append by another name. The lazily
+  // built fact index used to be maintained only by AddFact, so this
+  // sequence made HasFact report a fact the rule vector plainly contained.
   auto parsed = ParseProgram("p :- q. q.");
   ASSERT_TRUE(parsed.ok());
   Program p = std::move(parsed).value();
@@ -448,14 +507,14 @@ TEST(Grounder, PostSealAddRuleMaintainsFactIndex) {
   const AtomId pa = *ResolveAtom(gp, "p");
   ASSERT_TRUE(gp.HasFact(q));    // builds the index
   ASSERT_FALSE(gp.HasFact(pa));  // p is derived, not a fact — yet
-  ASSERT_TRUE(gp.AddRule(pa, {}, {}));
-  EXPECT_TRUE(gp.HasFact(pa)) << "post-seal AddRule left fact_index_ stale";
+  gp.AddRule(pa, {}, {});
+  EXPECT_TRUE(gp.HasFact(pa)) << "AddRule left fact_index_ stale";
   // The appended fact is fully wired in: RemoveFact finds and erases it.
   GroundProgram::FactRemoval rem = gp.RemoveFact(pa);
   EXPECT_TRUE(rem.removed);
   EXPECT_FALSE(gp.HasFact(pa));
-  // Non-fact post-seal rules leave the index alone.
-  ASSERT_TRUE(gp.AddRule(pa, std::vector<AtomId>{q}, {}));
+  // Non-fact rules leave the index alone.
+  gp.AddRule(pa, std::vector<AtomId>{q}, {});
   EXPECT_FALSE(gp.HasFact(pa));
 }
 

@@ -331,6 +331,21 @@ TEST(JsonWriter, EmptyContainers) {
   EXPECT_EQ(w.str(), "{\"empty\":[]}");
 }
 
+TEST(JsonWriter, MemberAfterKeyedArrayIsSeparated) {
+  // A keyed array used to leave its object expecting no comma, so the next
+  // member ran into it: {"a":[]"b":1}.
+  JsonWriter w;
+  w.BeginObject();
+  w.BeginArray("a");
+  w.EndArray();
+  w.KeyValue("b", static_cast<std::uint64_t>(1));
+  w.BeginArray("c");
+  w.Value("x");
+  w.EndArray();
+  w.EndObject();
+  EXPECT_EQ(w.str(), "{\"a\":[],\"b\":1,\"c\":[\"x\"]}");
+}
+
 TEST(JsonWriter, QuoteEscapesControlChars) {
   EXPECT_EQ(JsonWriter::Quote(std::string("\x01") + "a\\"),
             "\"\\u0001a\\\\\"");

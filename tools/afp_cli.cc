@@ -41,7 +41,9 @@
 //   --select=PATTERN                   enumerate matches, e.g. wins(X)
 //   --trace                            print the Table-I style trace
 //                                      (--semantics=wfs --engine=afp)
-//   --json                             print the model as JSON
+//   --json                             print the model as JSON (with the
+//                                      --query/--select answers in the
+//                                      same object)
 //   --max-models=N                     cap stable-model enumeration
 //                                      (N is a whole decimal number;
 //                                      anything else exits 1)
@@ -145,7 +147,47 @@ void PrintModel(const afp::GroundProgram& gp, const afp::PartialModel& model,
                 const Options& opts) {
   afp::ModelPrintOptions popts;
   if (opts.json) {
-    std::cout << afp::ModelToJson(gp, model, popts) << "\n";
+    // The --query and --select answers go into the model's object.
+    afp::JsonWriter w;
+    w.BeginObject();
+    afp::WriteModelJson(w, gp, model, popts);
+    if (!opts.queries.empty()) {
+      w.BeginArray("queries");
+      for (const std::string& q : opts.queries) {
+        w.BeginObject().KeyValue("atom", q);
+        auto v = afp::QueryAtom(gp, model, q);
+        if (!v.ok()) {
+          w.KeyValue("error", v.status().message());
+        } else {
+          w.KeyValue("value", afp::TruthValueName(*v));
+        }
+        w.EndObject();
+      }
+      w.EndArray();
+    }
+    if (!opts.selects.empty()) {
+      w.BeginArray("selects");
+      for (const std::string& pattern : opts.selects) {
+        w.BeginObject().KeyValue("pattern", pattern);
+        auto matches = afp::Select(gp, model, pattern, afp::QueryFilter::kAll);
+        if (!matches.ok()) {
+          w.KeyValue("error", matches.status().message());
+        } else {
+          w.BeginArray("matches");
+          for (const auto& m : *matches) {
+            w.BeginObject()
+                .KeyValue("atom", m.atom)
+                .KeyValue("value", afp::TruthValueName(m.value))
+                .EndObject();
+          }
+          w.EndArray();
+        }
+        w.EndObject();
+      }
+      w.EndArray();
+    }
+    w.EndObject();
+    std::cout << w.str() << "\n";
     return;
   }
   std::cout << afp::ModelToString(gp, model, popts);
@@ -280,6 +322,16 @@ int main(int argc, char** argv) {
   if (opts.trace && !(opts.semantics == "wfs" && opts.engine == "afp")) {
     std::cerr << "afp: note: --trace has no effect for --semantics="
               << opts.semantics << " --engine=" << opts.engine << "\n";
+  }
+  // The stable branch prints the models it enumerates and nothing else.
+  if (opts.semantics == "stable") {
+    auto note = [](const char* flag) {
+      std::cerr << "afp: note: " << flag
+                << " has no effect for --semantics=stable\n";
+    };
+    if (!opts.queries.empty()) note("--query");
+    if (!opts.selects.empty()) note("--select");
+    if (opts.json) note("--json");
   }
   if (opts.inner_given && !(opts.semantics == "wfs" && opts.engine == "scc")) {
     std::cerr << "afp: note: --inner has no effect for --semantics="

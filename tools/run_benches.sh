@@ -42,7 +42,9 @@ if [[ ${#BENCHES[@]} -eq 0 ]]; then
 fi
 
 mkdir -p "${OUT_DIR}"
-GIT_REV="$(git -C "${REPO_ROOT}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# A tree with uncommitted changes is stamped "<rev>-dirty": its numbers
+# belong to no commit.
+GIT_REV="$(git -C "${REPO_ROOT}" describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)"
 TIMESTAMP="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
 # JSON-escapes stdin into a single quoted string.
