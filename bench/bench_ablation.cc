@@ -224,9 +224,7 @@ afp::AtomId SmallClosureFactAtom(const afp::GroundProgram& gp) {
 }
 
 void RunIncrementalUpdate(benchmark::State& state, afp::Program program) {
-  afp::SolverOptions opts;
-  opts.engine = afp::SolverEngine::kScc;
-  auto solver = afp::Solver::FromProgram(std::move(program), opts);
+  auto solver = afp::Solver::FromProgram(std::move(program));
   if (!solver.ok()) {
     state.SkipWithError("solver construction failed");
     return;
@@ -414,7 +412,6 @@ std::string ProbeKernelVictim(afp::Solver& solver) {
 void RunKernelRepair(benchmark::State& state, afp::Program program,
                      afp::CompileMode mode) {
   afp::SolverOptions opts;
-  opts.engine = afp::SolverEngine::kScc;
   opts.compile = mode;
   auto solver = afp::Solver::FromProgram(std::move(program), opts);
   if (!solver.ok()) {
@@ -453,7 +450,6 @@ void RunKernelRepair(benchmark::State& state, afp::Program program,
 void RunKernelFullSolve(benchmark::State& state, afp::Program program,
                         afp::CompileMode mode) {
   afp::SolverOptions opts;
-  opts.engine = afp::SolverEngine::kScc;
   opts.compile = mode;
   auto solver = afp::Solver::FromProgram(std::move(program), opts);
   if (!solver.ok()) {

@@ -17,8 +17,10 @@
 //
 // After the solve, each row times the session's first repair: retracting
 // the ground program's first EDB fact through UpdateFactsById. It is what
-// a session's first update pays — building the dependency analysis the
-// solve never needed, then repairing the model downstream of the fact.
+// a session's first update pays. The component-wise solve already built
+// the dependency graph and the rule buckets (solve_ms includes them), so
+// the repair builds only the condensation it walks, then repairs the
+// model downstream of the fact.
 
 #include <unistd.h>
 

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
   std::cout << "ground atoms:  " << solver->ground().num_atoms() << "\n"
             << "ground rules:  " << solver->ground().num_rules() << "\n"
-            << "A_P rounds:    " << solver->Stats().iterations << "\n\n"
+            << "components:    " << solver->Stats().num_components << "\n\n"
             << "well-founded partial model (IDB):\n"
             << solver->ModelText() << "\n";
 

@@ -49,7 +49,7 @@ void Solve(const char* title, const afp::Digraph& graph) {
     }
   }
   std::cout << "won: " << won << "  lost: " << lost << "  drawn: " << drawn
-            << "  (A_P rounds: " << solver->Stats().iterations << ")\n";
+            << "  (components: " << solver->Stats().num_components << ")\n";
   if (graph.n <= 12) std::cout << solver->ModelText() << "\n";
 }
 

@@ -8,10 +8,10 @@
 /// from program text or a Program, then Solve(), Query(), Select(),
 /// StableModels(), Explain() — and update it in place with AssertFacts()
 /// / RetractFacts(), which re-solve incrementally instead of from
-/// scratch. One consolidated SolverOptions selects the engine
-/// ({kAfp, kScc, kWp}), the component-wise inner engine and the kernel
-/// staging; every engine evaluates its operators through the same
-/// delta-driven evaluators.
+/// scratch. A session always solves component by component; one
+/// consolidated SolverOptions selects the per-component engine and the
+/// kernel staging, and every engine evaluates its operators through the
+/// same delta-driven evaluators.
 ///
 /// The individual headers expose the full machinery underneath — the
 /// three well-founded engines as free functions, the evaluators, and the

@@ -7,21 +7,8 @@
 #include "core/relevance.h"
 #include "parser/parser.h"
 #include "util/rss.h"
-#include "wfs/wp_engine.h"
 
 namespace afp {
-
-const char* SolverEngineName(SolverEngine e) {
-  switch (e) {
-    case SolverEngine::kAfp:
-      return "afp";
-    case SolverEngine::kScc:
-      return "scc";
-    case SolverEngine::kWp:
-      return "wp";
-  }
-  return "?";
-}
 
 StatusOr<Solver> Solver::FromText(std::string_view program_text,
                                   SolverOptions options) {
@@ -45,7 +32,6 @@ Solver::Solver(std::unique_ptr<Program> program, GroundProgram ground,
       ground_(std::move(ground)),
       ctx_(std::make_unique<EvalContext>()),
       grounder_(std::move(grounder)) {
-  stats_.engine = options_.engine;
   stats_.num_atoms = ground_.num_atoms();
   stats_.num_rules = ground_.num_rules();
   stats_.ground_size = ground_.TotalSize();
@@ -97,64 +83,31 @@ SccOptions Solver::SccOptionsFromSession() {
 
 const PartialModel& Solver::Solve() {
   if (solved_) return model_;
-  const RuleView view = ground_.View();
-  trace_.clear();
-  component_iterations_.clear();
-  stats_.engine = options_.engine;
   stats_.num_rules = ground_.num_rules();
   stats_.ground_size = ground_.TotalSize();
   RefreshGroundStats();
-
-  switch (options_.engine) {
-    case SolverEngine::kAfp: {
-      HornSolver solver(view, ctx_.get());
-      AfpOptions a;
-      a.record_trace = options_.record_trace;
-      AfpResult r =
-          AlternatingFixpointWithContext(*ctx_, solver, Bitset(), a);
-      model_ = std::move(r.model);
-      trace_ = std::move(r.trace);
-      stats_.iterations = r.outer_iterations;
-      stats_.eval = r.eval;
-      break;
-    }
-    case SolverEngine::kWp: {
-      WpResult r = WellFoundedViaWpWithContext(*ctx_, ground_);
-      model_ = std::move(r.model);
-      stats_.iterations = r.iterations;
-      stats_.eval = r.eval;
-      break;
-    }
-    case SolverEngine::kScc: {
-      EnsureGraph();
-      if (kernels_) {
-        // Drop everything on an unexplained program mutation, then bring
-        // the cache to run-ready state: kAlways recompiles what the drop
-        // (or a precise invalidation) left uncompiled, kHot compiles the
-        // components whose heat crossed the threshold since last run.
-        kernels_->SyncEpoch(ground_.mutation_epoch());
-        if (options_.compile == CompileMode::kAlways) {
-          kernels_->CompileAllEligible();
-        } else {
-          kernels_->CompilePending();
-        }
-      }
-      SccWfsResult r = WellFoundedSccOnGraph(*ctx_, view, *graph_,
-                                             comp_rules_,
-                                             SccOptionsFromSession());
-      if (kernels_) {
-        r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
-      }
-      model_ = std::move(r.model);
-      component_iterations_ = std::move(r.component_iterations);
-      stats_.iterations = 0;
-      stats_.num_components = r.num_components;
-      stats_.total_local_size = r.total_local_size;
-      stats_.locally_stratified = r.locally_stratified;
-      stats_.eval = r.eval;
-      break;
+  EnsureGraph();
+  if (kernels_) {
+    // Drop everything on an unexplained program mutation, then bring the
+    // cache to run-ready state: kAlways recompiles what the drop (or a
+    // precise invalidation) left uncompiled, kHot compiles the components
+    // whose heat crossed the threshold since last run.
+    kernels_->SyncEpoch(ground_.mutation_epoch());
+    if (options_.compile == CompileMode::kAlways) {
+      kernels_->CompileAllEligible();
+    } else {
+      kernels_->CompilePending();
     }
   }
+  SccWfsResult r = WellFoundedSccOnGraph(*ctx_, ground_.View(), *graph_,
+                                         comp_rules_, SccOptionsFromSession());
+  if (kernels_) r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
+  model_ = std::move(r.model);
+  component_iterations_ = std::move(r.component_iterations);
+  stats_.num_components = r.num_components;
+  stats_.total_local_size = r.total_local_size;
+  stats_.locally_stratified = r.locally_stratified;
+  stats_.eval = r.eval;
   solved_ = true;
   ++stats_.full_solves;
   return model_;
@@ -162,15 +115,18 @@ const PartialModel& Solver::Solve() {
 
 StatusOr<TruthValue> Solver::Query(const std::string& atom_text) {
   if (solved_) return QueryAtom(ground_, model_, atom_text);
-  return std::move(
-      QueryWithRelevanceWithContext(*ctx_, ground_, {&atom_text, 1})
-          .values[0]);
+  return std::move(QueryWithRelevanceWithContext(*ctx_, ground_,
+                                                 {&atom_text, 1},
+                                                 options_.inner)
+                       .values[0]);
 }
 
 std::vector<StatusOr<TruthValue>> Solver::QueryBatch(
     const std::vector<std::string>& atom_texts) {
   if (!solved_) {
-    return QueryWithRelevanceWithContext(*ctx_, ground_, atom_texts).values;
+    return QueryWithRelevanceWithContext(*ctx_, ground_, atom_texts,
+                                         options_.inner)
+        .values;
   }
   std::vector<StatusOr<TruthValue>> out;
   out.reserve(atom_texts.size());
@@ -384,7 +340,6 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
 }
 
 SccUpdateStats Solver::RepairDownstream(std::span<const AtomId> touched) {
-  trace_.clear();
   std::vector<std::uint32_t>* iters =
       component_iterations_.empty() ? nullptr : &component_iterations_;
   const RuleView view = ground_.View();
@@ -690,7 +645,6 @@ Status Solver::AdoptModel(PartialModel model) {
   model_ = std::move(model);
   model_.num_true();  // warm the count cache (see SnapshotModel)
   solved_ = true;
-  trace_.clear();
   component_iterations_.clear();
   return Status::Ok();
 }

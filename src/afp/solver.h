@@ -8,10 +8,11 @@
 /// everything built on top of it here — delta-driven evaluators, pooled
 /// contexts, the cached condensation, compiled rule kernels — is
 /// session-shaped: compile (parse + ground + index) once, then solve,
-/// query, and UPDATE many times. afp::Solver is that session. The three
-/// well-founded engines remain available as free functions (the
-/// differential-testing surface); every user-facing entry point goes
-/// through the facade.
+/// query, and UPDATE many times. afp::Solver is that session: it solves
+/// component by component on one dependency analysis that its repairs
+/// keep patching. The three well-founded engines remain available as free
+/// functions (the differential-testing surface); every user-facing entry
+/// point goes through the facade.
 ///
 /// Lifecycle (see docs/API.md for the full contract):
 ///
@@ -32,7 +33,6 @@
 
 #include "analysis/atom_graph.h"
 #include "ast/program.h"
-#include "core/alternating.h"
 #include "core/eval_context.h"
 #include "core/explain.h"
 #include "core/interpretation.h"
@@ -46,56 +46,40 @@
 
 namespace afp {
 
-/// Which well-founded engine a Solve() runs. All three compute the same
-/// model (Theorem 7.8; pinned by the differential tests); the axis exists
-/// because their cost profiles differ per workload class — monolithic
-/// alternation (kAfp), component-wise evaluation (kScc), and the original
-/// Van Gelder–Ross–Schlipf iteration (kWp).
-enum class SolverEngine { kAfp, kScc, kWp };
-
-const char* SolverEngineName(SolverEngine e);
-
-/// The one options struct of the public API, standing in for the
-/// per-engine structs (AfpOptions / SccOptions) at the call boundary.
-/// Fields that do not apply to the selected engine are ignored (e.g.
-/// record_trace under kScc). Every engine evaluates its operators through
-/// the delta-driven evaluators (SpEvaluator for S_P, TpEvaluator and
-/// GusEvaluator for T_P and U_P); there is no evaluation-mode knob.
+/// The one options struct of the public API. Every Solve() runs the
+/// component-wise engine (core/scc_engine.h) over the session's one
+/// dependency analysis, which fact repairs and rule ops then patch and
+/// reuse; the alternating fixpoint (or W_P) runs per component. Every
+/// operator goes through the delta-driven evaluators (SpEvaluator for S_P,
+/// TpEvaluator and GusEvaluator for T_P and U_P); there is no
+/// evaluation-mode knob. The monolithic AlternatingFixpoint and
+/// WellFoundedViaWp stay as free functions, the differential oracles.
 struct SolverOptions {
-  SolverEngine engine = SolverEngine::kAfp;
-  /// Per-component engine for kScc — and for every incremental re-solve,
-  /// which always runs component-wise regardless of `engine`.
+  /// Per-component engine of every solve, repair and unsolved query.
   SccInnerEngine inner = SccInnerEngine::kAfp;
-  /// Compiled-kernel staging for component-wise evaluation (kScc solves
-  /// and every incremental update, which always runs component-wise):
-  /// kOff interprets everything, kHot (default) compiles a component once
-  /// its accumulated interpreted work crosses compile_hot_threshold,
-  /// kAlways compiles every eligible component up front. Models and
-  /// per-component trajectories are bit-identical in all three modes
-  /// (pinned by the differential tests).
+  /// Compiled-kernel staging for the session's component-wise evaluation
+  /// (solves and incremental repairs): kOff interprets everything, kHot
+  /// (default) compiles a component once its accumulated interpreted work
+  /// crosses compile_hot_threshold, kAlways compiles every eligible
+  /// component up front. Models and per-component trajectories are
+  /// bit-identical in all three modes (pinned by the differential tests).
   CompileMode compile = CompileMode::kHot;
   /// Heat units (inner iterations + 1 per interpreted general-path solve
   /// of a component) before CompileMode::kHot compiles that component.
   std::uint32_t compile_hot_threshold = 32;
   /// Grounding controls (instantiation mode, simplification, limits).
   GroundOptions ground;
-  /// Record the Table-I style trace on kAfp solves (costly; debugging).
-  bool record_trace = false;
 };
 
 /// What the current model cost to compute, plus program shape. Reported by
 /// Solver::Stats(); refreshed by every Solve() and incremental update.
 struct SolverStats {
-  /// Engine that produced the current model.
-  SolverEngine engine = SolverEngine::kAfp;
   std::size_t num_atoms = 0;
   std::size_t num_rules = 0;
   std::size_t ground_size = 0;
-  /// Outer iterations of the last full solve: A_P rounds (kAfp), W_P
-  /// rounds (kWp); 0 for kScc (see num_components / component_iterations
-  /// instead).
-  std::size_t iterations = 0;
-  /// kScc shape of the last full solve.
+  /// Shape of the last full solve: components solved and the summed size
+  /// of their local subprograms (see component_iterations for the
+  /// per-component rounds).
   std::size_t num_components = 0;
   std::size_t total_local_size = 0;
   bool locally_stratified = false;
@@ -191,9 +175,10 @@ class Solver {
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
-  /// Computes the well-founded model via the configured engine, or returns
-  /// the cached one (Solve after Solve is free; AssertFacts/RetractFacts
-  /// keep the cache current, so explicit re-solves are never needed).
+  /// Computes the well-founded model component by component (building the
+  /// dependency analysis that later repairs reuse), or returns the cached
+  /// one (Solve after Solve is free; AssertFacts/RetractFacts keep the
+  /// cache current, so explicit re-solves are never needed).
   const PartialModel& Solve();
 
   /// Whether a current model is cached.
@@ -205,9 +190,9 @@ class Solver {
   /// Truth value of a ground atom written as text, e.g. "wins(a)". On a
   /// solved session this is a model lookup; on an unsolved one the query
   /// is answered through the relevance machinery — only the subprogram the
-  /// atom depends on is solved, the paper's query-directed evaluation —
-  /// without materializing the full model. Atoms outside the grounded
-  /// base are false (closed world).
+  /// atom depends on is solved, component-wise over its own atoms, the
+  /// paper's query-directed evaluation — without materializing the full
+  /// model. Atoms outside the grounded base are false (closed world).
   StatusOr<TruthValue> Query(const std::string& atom_text);
 
   /// As Query, for a batch; results are in input order, and a text that
@@ -331,8 +316,9 @@ class Solver {
   /// does not satisfy the program's rules (Definition 3.5 — a necessary
   /// condition for being the well-founded model; restoring state saved
   /// from a different program typically fails here). On success the
-  /// session behaves as after Solve(); the trace and per-component
-  /// trajectories are cleared (unknown for an adopted model).
+  /// session behaves as after Solve(), except that it has no
+  /// per-component trajectories (unknown for an adopted model): later
+  /// repairs keep the model current without them.
   Status AdoptModel(PartialModel model);
 
   /// Drops the cached model: queries fall back to the relevance path and
@@ -341,7 +327,6 @@ class Solver {
   /// unsolved session) before adopting a saved model.
   void InvalidateModel() {
     solved_ = false;
-    trace_.clear();
     component_iterations_.clear();
   }
 
@@ -351,8 +336,8 @@ class Solver {
   /// splice in FinishRuleMutation).
   bool ValidateRuleBuckets();
 
-  /// Testing hook: the session's cached dependency analysis (null until a
-  /// kScc solve or the first incremental update builds it). The mutation
+  /// Testing hook: the session's cached dependency analysis (null until
+  /// the first Solve, incremental update or rule op builds it). The mutation
   /// differential tests map per-atom trajectories through its
   /// component_of() to compare against a from-scratch analysis.
   const AtomDependencyGraph* DependencyGraph() const { return graph_.get(); }
@@ -369,13 +354,9 @@ class Solver {
   std::string ModelText(const ModelPrintOptions& opts = {});
   std::string ModelJson(const ModelPrintOptions& opts = {});
 
-  /// Table-I style trace of the last kAfp solve (record_trace only);
-  /// cleared by incremental updates.
-  const std::vector<AfpTraceRow>& trace() const { return trace_; }
-
-  /// Per-component iteration trajectory of the current model. Maintained
-  /// by kScc solves and incremental updates (empty under the monolithic
-  /// engines, which have no component trajectory).
+  /// Per-component iteration trajectory of the current model, indexed by
+  /// DependencyGraph() component id. Set by Solve and maintained by every
+  /// incremental update; empty after AdoptModel.
   const std::vector<std::uint32_t>& component_iterations() const {
     return component_iterations_;
   }
@@ -384,8 +365,8 @@ class Solver {
   Solver(std::unique_ptr<Program> program, GroundProgram ground,
          std::unique_ptr<Grounder> grounder, SolverOptions options);
 
-  /// Lazily builds (and caches) the dependency graph + rule buckets the
-  /// kScc engine and every incremental update share.
+  /// Lazily builds (and caches) the dependency graph + rule buckets that
+  /// Solve and every incremental update share.
   void EnsureGraph();
 
   /// Creates (or, after a session move, recreates) the compiled-kernel
@@ -462,7 +443,6 @@ class Solver {
   bool solved_ = false;
   PartialModel model_;
   std::vector<std::uint32_t> component_iterations_;
-  std::vector<AfpTraceRow> trace_;
   SolverStats stats_;
 };
 

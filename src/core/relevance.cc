@@ -1,9 +1,10 @@
 #include "core/relevance.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "core/alternating.h"
+#include "analysis/atom_graph.h"
 
 namespace afp {
 
@@ -23,36 +24,37 @@ RelevantSlice RelevantSubprogram(const RuleView& view,
   }
 
   RelevantSlice slice;
-  slice.relevant = Bitset(n);
-  std::vector<AtomId> stack;
-  query_atoms.ForEach([&](std::size_t a) {
-    slice.relevant.Set(a);
-    stack.push_back(static_cast<AtomId>(a));
-  });
+  std::vector<AtomId> local(n, kInvalidAtom);
+  auto visit = [&](AtomId a) {
+    if (local[a] == kInvalidAtom) {
+      local[a] = static_cast<AtomId>(slice.atoms.size());
+      slice.atoms.push_back(a);
+    }
+    return local[a];
+  };
+  query_atoms.ForEach([&](std::size_t a) { visit(static_cast<AtomId>(a)); });
 
-  slice.rules.num_atoms = n;
-  while (!stack.empty()) {
-    AtomId a = stack.back();
-    stack.pop_back();
+  // slice.atoms doubles as the work queue: each atom's rules are copied,
+  // renumbered, once the closure reaches it.
+  std::vector<AtomId> pos, neg;
+  for (std::size_t i = 0; i < slice.atoms.size(); ++i) {
+    const AtomId a = slice.atoms[i];
     for (std::uint32_t k = offsets[a]; k < offsets[a + 1]; ++k) {
       const GroundRule& r = view.rules[by_head[k]];
-      slice.rules.Add(r.head, view.pos(r), view.neg(r));
-      auto visit = [&](AtomId q) {
-        if (!slice.relevant.Test(q)) {
-          slice.relevant.Set(q);
-          stack.push_back(q);
-        }
-      };
-      for (AtomId q : view.pos(r)) visit(q);
-      for (AtomId q : view.neg(r)) visit(q);
+      pos.clear();
+      neg.clear();
+      for (AtomId q : view.pos(r)) pos.push_back(visit(q));
+      for (AtomId q : view.neg(r)) neg.push_back(visit(q));
+      slice.rules.Add(static_cast<AtomId>(i), pos, neg);
     }
   }
+  slice.rules.num_atoms = slice.atoms.size();
   return slice;
 }
 
 RelevanceBatchResult QueryWithRelevanceWithContext(
     EvalContext& ctx, const GroundProgram& gp,
-    std::span<const std::string> atom_texts) {
+    std::span<const std::string> atom_texts, SccInnerEngine inner) {
   RelevanceBatchResult result;
   result.full_size = gp.TotalSize();
   result.values.reserve(atom_texts.size());
@@ -70,7 +72,8 @@ RelevanceBatchResult QueryWithRelevanceWithContext(
     targets[i] = *id;
     query.Set(*id);
   }
-  if (query.None()) {
+  const std::size_t num_queried = query.Count();
+  if (num_queried == 0) {
     ctx.ReleaseBitset(std::move(query));
     return result;
   }
@@ -79,21 +82,27 @@ RelevanceBatchResult QueryWithRelevanceWithContext(
   ctx.ReleaseBitset(std::move(query));
   result.slice_size = slice.rules.pool.size() + slice.rules.rules.size();
 
-  HornSolver solver(slice.rules.View(), &ctx);
-  Bitset seed = ctx.AcquireBitset(gp.num_atoms());
-  AfpResult afp = AlternatingFixpointWithContext(ctx, solver, seed);
-  ctx.ReleaseBitset(std::move(seed));
+  const RuleView view = slice.rules.View();
+  const AtomDependencyGraph graph(view);
+  SccOptions options;
+  options.inner = inner;
+  SccWfsResult solved = WellFoundedSccOnGraph(
+      ctx, view, graph, RuleBuckets(view, graph), options);
+  // The queried atoms are the slice's first local ids, in ascending order.
+  const auto first = slice.atoms.begin();
+  const auto last = first + static_cast<std::ptrdiff_t>(num_queried);
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (targets[i] != kInvalidAtom) {
-      result.values[i] = afp.model.Value(targets[i]);
-    }
+    if (targets[i] == kInvalidAtom) continue;
+    const AtomId local =
+        static_cast<AtomId>(std::lower_bound(first, last, targets[i]) - first);
+    result.values[i] = solved.model.Value(local);
   }
-  // The model's bitsets were escape-noted by the fixpoint; a query batch
+  // The model's bitsets were escape-noted by the solve; a query batch
   // keeps only the verdicts, so hand them back to the pool.
-  ctx.NoteAdoptedBytes(afp.model.true_atoms().CapacityBytes() +
-                       afp.model.false_atoms().CapacityBytes());
-  ctx.ReleaseBitset(std::move(afp.model.true_atoms()));
-  ctx.ReleaseBitset(std::move(afp.model.false_atoms()));
+  ctx.NoteAdoptedBytes(solved.model.true_atoms().CapacityBytes() +
+                       solved.model.false_atoms().CapacityBytes());
+  ctx.ReleaseBitset(std::move(solved.model.true_atoms()));
+  ctx.ReleaseBitset(std::move(solved.model.false_atoms()));
   return result;
 }
 

@@ -209,7 +209,6 @@ TEST(LpCorpus, MutationScriptsReplayAndAgreeWithFromScratch) {
         << "mutation script without %! after: verdicts in " << path;
 
     SolverOptions opts;
-    opts.engine = SolverEngine::kScc;
     // Rule ops need every source rule addressable in the ground program.
     opts.ground.simplify = false;
     auto session = Solver::FromText(text, opts);

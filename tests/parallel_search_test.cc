@@ -23,6 +23,7 @@
 
 #include "afp/solver.h"
 #include "ast/program.h"
+#include "core/alternating.h"
 #include "core/horn_solver.h"
 #include "ground/grounder.h"
 #include "stable/enumerate.h"

@@ -116,8 +116,12 @@ TEST(Relevance, SliceContainsOnlyReachableAtoms) {
   Bitset query(s->ground.num_atoms());
   query.Set(*id);
   RelevantSlice slice = RelevantSubprogram(s->ground.View(), query);
-  // x depends on y only; the a/b tangle is irrelevant.
-  EXPECT_EQ(slice.relevant.Count(), 2u);
+  // x depends on y only; the a/b tangle is irrelevant. The slice is
+  // renumbered: x (the query) is local atom 0, y local atom 1.
+  ASSERT_EQ(slice.atoms.size(), 2u);
+  EXPECT_EQ(slice.atoms[0], *id);
+  EXPECT_EQ(slice.atoms[1], *ResolveAtom(s->ground, "y"));
+  EXPECT_EQ(slice.rules.num_atoms, 2u);
   EXPECT_EQ(slice.rules.rules.size(), 2u);
 }
 

@@ -71,7 +71,6 @@ TEST(KernelDifferential, CorpusCompiledMatchesInterpretedBitForBit) {
     for (SccInnerEngine inner :
          {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
       SolverOptions off;
-      off.engine = SolverEngine::kScc;
       off.inner = inner;
       off.compile = CompileMode::kOff;
       SolverOptions on = off;
@@ -102,7 +101,6 @@ TEST(KernelDifferential, ModeMatrixOnRandomFamilies) {
     const PartialModel scratch = reference::ScratchWellFoundedViaWp(*gp).model;
     for (SccInnerEngine inner : {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
       SolverOptions off;
-      off.engine = SolverEngine::kScc;
       off.inner = inner;
       off.ground.mode = GroundMode::kFull;
       off.compile = CompileMode::kOff;
@@ -132,7 +130,6 @@ TEST(KernelIncremental, RandomMutationFuzzMatchesInterpretedTwin) {
     GroundProgram reference = std::move(ref).value();
 
     SolverOptions off;
-    off.engine = SolverEngine::kScc;
     off.ground.mode = GroundMode::kFull;
     off.compile = CompileMode::kOff;
     SolverOptions on = off;
@@ -197,7 +194,6 @@ TEST(KernelIncremental, ServingWriterFuzzWithCompilationOn) {
   ASSERT_GE(fact_names.size(), 8u);
 
   SolverOptions on;
-  on.engine = SolverEngine::kScc;
   on.compile = CompileMode::kHot;
   on.compile_hot_threshold = 1;
   ServingOptions manual;
@@ -250,7 +246,6 @@ TEST(KernelStaging, HotThresholdCompilesAfterHeatAndReusesAcrossRepairs) {
       "move(a,b). move(b,a). move(b,c). move(c,d).\n"
       "wins(X) :- move(X,Y), not wins(Y).\n";
   SolverOptions o;
-  o.engine = SolverEngine::kScc;
   o.compile = CompileMode::kHot;
   o.compile_hot_threshold = 2;
   auto solver = Solver::FromText(kText, o);
@@ -286,7 +281,6 @@ TEST(KernelStaging, HotThresholdCompilesAfterHeatAndReusesAcrossRepairs) {
 
 TEST(KernelStaging, OneShotSolveStaysInterpretedUnderHot) {
   SolverOptions o;
-  o.engine = SolverEngine::kScc;
   o.compile = CompileMode::kHot;  // default threshold: nothing heats up
   auto solver = Solver::FromText("p :- not q. q :- not p. r :- p.", o);
   ASSERT_TRUE(solver.ok());
@@ -302,7 +296,6 @@ TEST(KernelStaleness, AssertedFactIntoCompiledComponentIsNotServedStale) {
   // kernel would keep answering p/q undefined.
   constexpr const char* kText = "p :- not q. q :- not p. r :- p.";
   SolverOptions o;
-  o.engine = SolverEngine::kScc;
   o.compile = CompileMode::kAlways;
   auto solver = Solver::FromText(kText, o);
   ASSERT_TRUE(solver.ok());
@@ -377,7 +370,6 @@ TEST(KernelStaleness, SessionRoutedRuleEditsKeepUntouchedKernelsCompiled) {
   // kernel survives the edit — no epoch-triggered cache drop, no
   // recompilation of untouched buckets.
   SolverOptions o;
-  o.engine = SolverEngine::kScc;
   o.compile = CompileMode::kAlways;
   o.ground.simplify = false;
   auto solver = Solver::FromText(
@@ -431,7 +423,6 @@ TEST(KernelCacheShape, OnlyGeneralPathComponentsAreEligible) {
   // singleton decided by the fast path, so nothing is eligible and a
   // kAlways session still reports zero engagement.
   SolverOptions o;
-  o.engine = SolverEngine::kScc;
   o.compile = CompileMode::kAlways;
   auto acyclic = Solver::FromText(
       "move(a,b). move(b,c). wins(X) :- move(X,Y), not wins(Y).", o);

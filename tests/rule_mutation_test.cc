@@ -15,10 +15,10 @@
 //     false, which the closed-world Query of the fresh session enforces.
 //
 // The fuzz interleaves AddRule / RemoveRule / AssertFacts / RetractFacts
-// under every engine axis the session exposes: inner Sp vs Gus, compile
-// kOff vs kAlways. Fact ops stay on initially-derived
-// atoms (the deferred-extension contract is tested separately and in
-// isolation below).
+// under every axis the session exposes: inner Sp vs Gus, compile kOff vs
+// kAlways, and a session seeded with the monolithic fixpoint's model.
+// Fact ops stay on initially-derived atoms (the deferred-extension
+// contract is tested separately and in isolation below).
 
 #include <algorithm>
 #include <cstdint>
@@ -29,6 +29,7 @@
 
 #include "afp/solver.h"
 #include "analysis/atom_graph.h"
+#include "core/alternating.h"
 #include "core/eval_context.h"
 #include "core/scc_engine.h"
 #include "workload/graphs.h"
@@ -37,10 +38,8 @@
 namespace afp {
 namespace {
 
-SolverOptions MutableOptions(SolverEngine engine, SccInnerEngine inner,
-                             CompileMode compile) {
+SolverOptions MutableOptions(SccInnerEngine inner, CompileMode compile) {
   SolverOptions o;
-  o.engine = engine;
   o.inner = inner;
   o.compile = compile;
   o.ground.simplify = false;  // rule ops require unsimplified grounding
@@ -68,7 +67,7 @@ void ExpectFreshSccAgrees(Solver& solver, const SolverOptions& options,
       WellFoundedSccOnGraph(ctx, view, fresh_graph, fresh_buckets, so);
   ASSERT_EQ(fresh.model.true_atoms(), inc.true_atoms()) << where;
   ASSERT_EQ(fresh.model.false_atoms(), inc.false_atoms()) << where;
-  // Trajectories are only maintained by component-wise sessions.
+  // A session seeded through AdoptModel has no trajectory to maintain.
   const std::vector<std::uint32_t>& inc_iters = solver.component_iterations();
   if (inc_iters.empty()) return;
   ASSERT_NE(solver.DependencyGraph(), nullptr);
@@ -115,9 +114,10 @@ struct FuzzState {
 };
 
 /// Interleaved AddRule/RemoveRule/AssertFacts/RetractFacts, cross-checked
-/// after every step.
+/// after every step. With `adopt_afp_model` the session starts from the
+/// monolithic AlternatingFixpoint's model instead of its own Solve.
 void RunMutationFuzz(const SolverOptions& options, std::uint64_t seed,
-                     int steps) {
+                     int steps, bool adopt_afp_model = false) {
   // Base: an unstratified win-move-like core over a small cyclic graph,
   // with f/1 as an assertable side relation. All fact-op atoms (e/2, f/1)
   // are initially derived, so fact ops never defer grounding extension.
@@ -148,7 +148,13 @@ void RunMutationFuzz(const SolverOptions& options, std::uint64_t seed,
   std::string base_text = base_rules;
   for (const std::string& f : base_facts) base_text += f + "\n";
   Solver solver = MustSolver(base_text, options);
-  solver.Solve();
+  if (adopt_afp_model) {
+    ASSERT_TRUE(
+        solver.AdoptModel(AlternatingFixpoint(solver.ground()).model).ok());
+    ASSERT_TRUE(solver.component_iterations().empty());
+  } else {
+    solver.Solve();
+  }
 
   FuzzState rng{seed};
   std::vector<std::string> live;           // added pool rules, in order
@@ -205,45 +211,40 @@ void RunMutationFuzz(const SolverOptions& options, std::uint64_t seed,
   }
 }
 
-// --- The fuzz matrix: engine x inner x compile ---------------------------
+// --- The fuzz matrix: inner x compile -------------------------------------
 
 TEST(RuleMutationTest, FuzzSccSpInterpreted) {
-  RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                 CompileMode::kOff),
-                  1, 28);
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff), 1,
+                  28);
 }
 
 TEST(RuleMutationTest, FuzzSccSpCompiled) {
-  RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                 CompileMode::kAlways),
-                  2, 28);
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways), 2,
+                  28);
 }
 
 TEST(RuleMutationTest, FuzzSccGusInterpreted) {
-  RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kWp,
-                                 CompileMode::kOff),
-                  3, 28);
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kWp, CompileMode::kOff), 3,
+                  28);
 }
 
 TEST(RuleMutationTest, FuzzSccGusCompiled) {
-  RunMutationFuzz(MutableOptions(SolverEngine::kScc, SccInnerEngine::kWp,
-                                 CompileMode::kAlways),
-                  4, 28);
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kWp, CompileMode::kAlways), 4,
+                  28);
 }
 
 TEST(RuleMutationTest, FuzzMonolithicEngineSession) {
-  // A session solved by the monolithic kAfp engine still repairs rule
-  // edits component-wise (no trajectory to maintain).
-  RunMutationFuzz(MutableOptions(SolverEngine::kAfp, SccInnerEngine::kAfp,
-                                 CompileMode::kOff),
-                  5, 18);
+  // A session seeded with the monolithic alternating fixpoint's model
+  // (AdoptModel, so no trajectory to maintain) still repairs rule edits
+  // component-wise.
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff), 5,
+                  18, /*adopt_afp_model=*/true);
 }
 
 // --- Targeted unit tests ----------------------------------------------
 
 TEST(RuleMutationTest, AddRuleDerivesAndGrowsUniverse) {
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
   Solver s = MustSolver("e(a,b). e(b,c). p(X) :- e(X,Y).", o);
   s.Solve();
   const std::size_t atoms0 = s.ground().num_atoms();
@@ -265,8 +266,8 @@ TEST(RuleMutationTest, AddedRulesJoinThroughListsBuiltMidSession) {
   // derived so far, facts included.
   const std::string base = "p(X) :- e(X,Y), not p(Y).\n"
                            "e(a,b). e(b,c). e(c,a). f(a). f(c).\n";
-  const SolverOptions o = MutableOptions(
-      SolverEngine::kScc, SccInnerEngine::kAfp, CompileMode::kOff);
+  const SolverOptions o =
+      MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
   Solver s = MustSolver(base, o);
   s.Solve();
   const std::string added[] = {"x(Y) :- f(X), e(X,Y).", "y(X) :- e(X,c).",
@@ -285,8 +286,7 @@ TEST(RuleMutationTest, AddedRulesJoinThroughListsBuiltMidSession) {
 }
 
 TEST(RuleMutationTest, RemoveRuleLeavesDeadAtomsFalse) {
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
   Solver s = MustSolver("e(a,b). p(X) :- e(X,Y).", o);
   s.Solve();
   ASSERT_TRUE(s.AddRule("q(X) :- p(X).").ok());
@@ -300,8 +300,7 @@ TEST(RuleMutationTest, RemoveRuleLeavesDeadAtomsFalse) {
 }
 
 TEST(RuleMutationTest, SharedInstancesSurviveSingleRemoval) {
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
   Solver s = MustSolver("f(a). p(X) :- f(X).", o);
   s.Solve();
   // Two structurally distinct source rules emitting the same instance
@@ -320,8 +319,7 @@ TEST(RuleMutationTest, SharedInstancesSurviveSingleRemoval) {
 }
 
 TEST(RuleMutationTest, DeferredExtensionFoldsAssertsAtNextRuleOp) {
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
   // q/1 atoms exist in the universe (negative bodies) but are initially
   // underivable.
   Solver s = MustSolver("f(a). f(b). p(X) :- f(X), not q(X).", o);
@@ -344,8 +342,7 @@ TEST(RuleMutationTest, DeferredExtensionFoldsAssertsAtNextRuleOp) {
 }
 
 TEST(RuleMutationTest, RejectsFactsAndUnknownRules) {
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
   Solver s = MustSolver("f(a). p(X) :- f(X).", o);
   s.Solve();
   EXPECT_EQ(s.AddRule("g(b).").status().code(), StatusCode::kInvalidArgument);
@@ -362,8 +359,7 @@ TEST(RuleMutationTest, RuleOpsRequireSmartSemiNaiveGrounding) {
   // rule ops rely on (only the semi-naive kSmart join keeps it); the
   // session refuses before touching anything.
   const std::string text = "f(a). f(b). p(X) :- f(X), not q(X).";
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
   o.ground.mode = GroundMode::kFull;
   Solver s = MustSolver(text, o);
   s.Solve();
@@ -383,8 +379,7 @@ TEST(RuleMutationTest, RuleOpsRequireSmartSemiNaiveGrounding) {
 TEST(RuleMutationTest, RuleOpsSurviveSessionMove) {
   // The grounder holds no reference into the session, so rule ops keep
   // working after the session object moves (it used to crash here).
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
   const std::string base = "e(a,b). e(b,c). e(c,a). p(X) :- e(X,Y), not p(Y).";
   Solver first = MustSolver(base, o);
   first.Solve();
@@ -406,7 +401,6 @@ TEST(RuleMutationTest, RuleOpsSurviveSessionMove) {
 
 TEST(RuleMutationTest, SimplifiedSessionsRefuseRuleOps) {
   SolverOptions o;  // default: simplify = true
-  o.engine = SolverEngine::kScc;
   Solver s = MustSolver("f(a). p(X) :- f(X).", o);
   s.Solve();
   EXPECT_EQ(s.AddRule("q(X) :- f(X).").status().code(),
@@ -419,8 +413,7 @@ TEST(RuleMutationTest, SimplifiedSessionsRefuseRuleOps) {
 
 TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
   Digraph g = graphs::RandomFunctional(4096, 7);
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
   auto sv = Solver::FromProgram(workload::WinMove(g), o);
   ASSERT_TRUE(sv.ok()) << sv.status().ToString();
   Solver s = std::move(sv).value();
@@ -463,8 +456,7 @@ TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
 // --- Kernel staleness: rule edits never serve a stale CompiledBucket ---
 
 TEST(RuleMutationTest, RuleEditRecompilesExactlyTheTouchedKernels) {
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
   // Two independent 2-cycles: both components compile (multi-member).
   Solver s = MustSolver(
       "f(a). w(X) :- f(X), not w2(X). w2(X) :- f(X), not w(X).\n"
@@ -503,8 +495,7 @@ TEST(RuleMutationTest, RuleEditRecompilesExactlyTheTouchedKernels) {
 }
 
 TEST(RuleMutationTest, IntraComponentRemovalRebuildsAnalysis) {
-  SolverOptions o = MutableOptions(SolverEngine::kScc, SccInnerEngine::kAfp,
-                                   CompileMode::kAlways);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
   Solver s = MustSolver("f(a). w(X) :- f(X), not v(X).", o);
   s.Solve();
   // Close a 2-cycle, then cut it: the removed edge is intra-component,

@@ -300,7 +300,6 @@ TEST(ServingParallel, BackpressureBoundsTheQueue) {
 
 SolverOptions Mutable() {
   SolverOptions o;
-  o.engine = SolverEngine::kScc;
   o.ground.simplify = false;  // rule ops require unsimplified grounding
   return o;
 }

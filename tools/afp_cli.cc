@@ -4,11 +4,10 @@
 //   afp [options] [file.lp]            (stdin if no file)
 //
 // Options:
-//   --semantics=wfs|stable|fitting|stratified|ifp   (default wfs)
-//   --engine=afp|wp|scc                well-founded engine (default afp);
-//                                      selects afp::SolverOptions::engine —
-//                                      the whole wfs/stable path runs
-//                                      through one afp::Solver session
+//   --semantics=wfs|stable|fitting|stratified|ifp   (default wfs); the
+//                                      whole wfs/stable path runs through
+//                                      one afp::Solver session, which
+//                                      solves component by component
 //   --assert=ATOM / --retract=ATOM     EDB fact mutations applied AFTER the
 //                                      initial solve, each repaired by the
 //                                      Solver's incremental re-solve
@@ -25,12 +24,11 @@
 //                                      force simplification off so source
 //                                      rules stay addressable; --stats
 //                                      prints the RuleUpdateStats receipt
-//   --inner=afp|wp                     per-component engine for --engine=scc
-//                                      (default afp)
+//   --inner=afp|wp                     per-component engine (default afp)
 //   --compile=off|hot|always           compiled rule kernels for
-//                                      component-wise evaluation
-//                                      (--engine=scc solves and every
-//                                      incremental repair): off interprets
+//                                      component-wise evaluation (the
+//                                      solve and every incremental
+//                                      repair): off interprets
 //                                      everything, hot (default) compiles
 //                                      components whose interpreted work
 //                                      crosses the heat threshold, always
@@ -39,8 +37,9 @@
 //                                      all three modes
 //   --query=ATOM                       point query (repeatable via commas)
 //   --select=PATTERN                   enumerate matches, e.g. wins(X)
-//   --trace                            print the Table-I style trace
-//                                      (--semantics=wfs --engine=afp)
+//   --trace                            print the Table-I style trace of
+//                                      the monolithic alternating fixpoint
+//                                      (--semantics=wfs)
 //   --json                             print the model as JSON (with the
 //                                      --query/--select answers in the
 //                                      same object)
@@ -48,7 +47,7 @@
 //                                      (N is a whole decimal number;
 //                                      anything else exits 1)
 //   --ground                           print the ground program and exit
-//   --stats                            print sizes and iteration counts
+//   --stats                            print sizes and work counters
 //
 // Exit status: 0 on success, 1 on input errors. Unknown flags, flag
 // values and a second input path are rejected before any input is read.
@@ -87,7 +86,6 @@ struct Mutation {
 
 struct Options {
   std::string semantics = "wfs";
-  std::string engine = "afp";
   std::string inner = "afp";
   bool inner_given = false;
   std::string compile = "hot";
@@ -223,7 +221,6 @@ int main(int argc, char** argv) {
     std::string value;
     std::uint64_t number = 0;
     if (ParseFlag(arg, "semantics", &opts.semantics)) continue;
-    if (ParseFlag(arg, "engine", &opts.engine)) continue;
     if (ParseFlag(arg, "inner", &opts.inner)) {
       opts.inner_given = true;
       continue;
@@ -298,9 +295,6 @@ int main(int argc, char** argv) {
       opts.semantics != "ifp") {
     return BadValue("semantics", opts.semantics);
   }
-  if (opts.engine != "afp" && opts.engine != "wp" && opts.engine != "scc") {
-    return BadValue("engine", opts.engine);
-  }
   if (opts.inner != "afp" && opts.inner != "wp") {
     return BadValue("inner", opts.inner);
   }
@@ -315,13 +309,13 @@ int main(int argc, char** argv) {
       opts.compile == "off"      ? afp::CompileMode::kOff
       : opts.compile == "always" ? afp::CompileMode::kAlways
                                  : afp::CompileMode::kHot;
-  // Flags that apply to only some semantics/engine combinations note the
-  // mismatch instead of being silently ignored: --inner picks the scc
-  // per-component engine, and only the monolithic alternating fixpoint
-  // records the Table-I trace.
-  if (opts.trace && !(opts.semantics == "wfs" && opts.engine == "afp")) {
+  // Flags that apply to only some semantics note the mismatch instead of
+  // being silently ignored: the Table-I trace is a well-founded one, and
+  // --inner/--compile configure the session's component-wise solve, which
+  // only the wfs and stable branches run.
+  if (opts.trace && opts.semantics != "wfs") {
     std::cerr << "afp: note: --trace has no effect for --semantics="
-              << opts.semantics << " --engine=" << opts.engine << "\n";
+              << opts.semantics << "\n";
   }
   // The stable branch prints the models it enumerates and nothing else.
   if (opts.semantics == "stable") {
@@ -333,20 +327,15 @@ int main(int argc, char** argv) {
     if (!opts.selects.empty()) note("--select");
     if (opts.json) note("--json");
   }
-  if (opts.inner_given && !(opts.semantics == "wfs" && opts.engine == "scc")) {
+  const bool session_solves =
+      opts.semantics == "wfs" || opts.semantics == "stable";
+  if (opts.inner_given && !session_solves) {
     std::cerr << "afp: note: --inner has no effect for --semantics="
-              << opts.semantics << " --engine=" << opts.engine << "\n";
+              << opts.semantics << "\n";
   }
-  // Kernels serve component-wise evaluation: scc solves and the
-  // incremental repairs behind --assert/--retract (which run
-  // component-wise under every engine).
-  const bool compile_applies =
-      opts.semantics == "wfs" &&
-      (opts.engine == "scc" || !opts.mutations.empty());
-  if (opts.compile_given && !compile_applies) {
+  if (opts.compile_given && !session_solves) {
     std::cerr << "afp: note: --compile has no effect for --semantics="
-              << opts.semantics << " --engine=" << opts.engine
-              << " without --assert/--retract\n";
+              << opts.semantics << "\n";
   }
 
   std::string text;
@@ -371,16 +360,8 @@ int main(int argc, char** argv) {
   // One Solver session serves the whole wfs/stable surface; the remaining
   // semantics (Fitting, stratified, IFP) read its ground program.
   afp::SolverOptions sopts;
-  if (opts.engine == "wp") {
-    sopts.engine = afp::SolverEngine::kWp;
-  } else if (opts.engine == "scc") {
-    sopts.engine = afp::SolverEngine::kScc;
-  } else {
-    sopts.engine = afp::SolverEngine::kAfp;
-  }
   sopts.inner = inner_engine;
   sopts.compile = compile_mode;
-  sopts.record_trace = opts.trace;
   // Fitting/IFP need the rule instances whose positive bodies are
   // underivable (see GroundMode documentation).
   if (opts.semantics == "fitting" || opts.semantics == "ifp") {
@@ -418,30 +399,24 @@ int main(int argc, char** argv) {
   }
 
   if (opts.semantics == "wfs") {
-    solver.Solve();
-    const afp::SolverStats& st = solver.Stats();
-    if (opts.trace && sopts.engine == afp::SolverEngine::kAfp) {
+    if (opts.trace) {
+      // The trace is the paper's monolithic sequence, so it comes from the
+      // alternating fixpoint itself, not from the session's solve.
+      const afp::AfpResult traced =
+          afp::AlternatingFixpoint(gp, {.record_trace = true});
       afp::TablePrinter table({"k", "neg I_k", "S_P(I_k)"});
-      for (std::size_t k = 0; k < solver.trace().size(); ++k) {
+      for (std::size_t k = 0; k < traced.trace.size(); ++k) {
         table.AddRow({std::to_string(k),
-                      afp::AtomSetToString(gp, solver.trace()[k].neg_set),
-                      afp::AtomSetToString(gp, solver.trace()[k].sp_result)});
+                      afp::AtomSetToString(gp, traced.trace[k].neg_set),
+                      afp::AtomSetToString(gp, traced.trace[k].sp_result)});
       }
       table.Print(std::cout);
     }
+    solver.Solve();
     if (opts.stats) {
-      switch (sopts.engine) {
-        case afp::SolverEngine::kAfp:
-          std::cout << "% A_P rounds: " << st.iterations << "\n";
-          break;
-        case afp::SolverEngine::kWp:
-          std::cout << "% W_P iterations: " << st.iterations << "\n";
-          break;
-        case afp::SolverEngine::kScc:
-          std::cout << "% components: " << st.num_components
-                    << "  local size: " << st.total_local_size << "\n";
-          break;
-      }
+      const afp::SolverStats& st = solver.Stats();
+      std::cout << "% components: " << st.num_components
+                << "  local size: " << st.total_local_size << "\n";
     }
     // Session mutations in command-line order: fact edits repaired by the
     // incremental downstream re-solve, rule edits delta-grounded and
