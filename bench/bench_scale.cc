@@ -139,7 +139,7 @@ std::string RunConfig(const Config& cfg) {
       "\"total_ms\": %.2f, \"first_repair_ms\": %.2f, "
       "\"intern_probes\": %llu, "
       "\"intern_collisions\": %llu, \"intern_allocs\": %llu, "
-      "\"join_candidates\": %llu, "
+      "\"join_candidates\": %llu, \"instance_probes\": %llu, "
       "\"arena_bytes\": %llu, \"index_bytes\": %llu, "
       "\"peak_rss_bytes\": %llu, \"true_atoms\": %llu, "
       "\"undef_atoms\": %llu}",
@@ -150,6 +150,7 @@ std::string RunConfig(const Config& cfg) {
       static_cast<unsigned long long>(g.intern_collisions),
       static_cast<unsigned long long>(g.intern_allocs),
       static_cast<unsigned long long>(g.join_candidates),
+      static_cast<unsigned long long>(g.instance_probes),
       static_cast<unsigned long long>(g.arena_bytes),
       static_cast<unsigned long long>(g.index_bytes),
       static_cast<unsigned long long>(g.peak_rss_bytes),

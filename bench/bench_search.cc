@@ -12,9 +12,11 @@
 // so the second run does identical work on a warm engine).
 //
 // Every row carries the model and node counts, implied_atoms (the tree's
-// decisions), components_resolved (the per-node repair work) and an FNV-1a
-// hash of the full emission sequence (model set AND order), so a changed
-// tree or enumeration shows up before any wall time is compared.
+// decisions), components_resolved (the per-node repair work),
+// leaf_rules_checked (the rule bodies the leaves' stability checks read)
+// and an FNV-1a hash of the full emission sequence (model set AND order),
+// so a changed tree or enumeration shows up before any wall time is
+// compared.
 //
 // Workloads: EvenCycleClusters(k, chain_len) — k independent even negative
 // cycles (2^k stable models, a full depth-k branch tree), each next to a
@@ -118,11 +120,13 @@ std::string RunConfig(const Config& cfg) {
       buf, sizeof(buf),
       "{\"workload\": \"%s\", \"wall_ms\": %.2f, \"models\": %llu, "
       "\"nodes\": %llu, \"implied_atoms\": %llu, "
-      "\"components_resolved\": %llu, \"model_hash\": \"%016llx\"}",
+      "\"components_resolved\": %llu, \"leaf_rules_checked\": %llu, "
+      "\"model_hash\": \"%016llx\"}",
       cfg.workload, wall_ms, static_cast<unsigned long long>(s.models),
       static_cast<unsigned long long>(s.nodes),
       static_cast<unsigned long long>(s.implied_atoms),
       static_cast<unsigned long long>(s.components_resolved),
+      static_cast<unsigned long long>(s.leaf_rules_checked),
       static_cast<unsigned long long>(HashModels(result.models)));
   return buf;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -121,12 +122,15 @@ SccWfsResult WellFoundedScc(const GroundProgram& gp,
 }
 
 void SccUpdateScratch::Ensure(std::size_t nc) {
-  if (in_closure_.size() != nc) {
-    // One O(num_components) fill when the condensation (re)sizes; every
-    // later update resets nothing — epoch comparison does the clearing.
+  const bool wrap = epoch_ == std::numeric_limits<std::uint32_t>::max();
+  if (in_closure_.size() != nc || wrap) {
+    // One O(num_components) fill when the condensation (re)sizes or the
+    // epoch wraps; every other update resets nothing — epoch comparison
+    // does the clearing. A zeroed stamp reads as unset under every epoch
+    // from 1 on, so a resize keeps the epoch counting.
     in_closure_.assign(nc, 0);
     need_.assign(nc, 0);
-    epoch_ = 0;
+    if (wrap) epoch_ = 0;
   }
   ++epoch_;
   closure_.clear();
@@ -150,7 +154,7 @@ SccUpdateStats SccResolveDownstream(
   // All per-update bookkeeping lives in the caller's persistent scratch
   // (epoch-stamped, so nothing O(num_components) is cleared per update).
   s.Ensure(nc);
-  const std::uint64_t epoch = s.epoch_;
+  const std::uint32_t epoch = s.epoch_;
   std::vector<std::uint32_t>& closure = s.closure_;
 
   // Static downstream closure of the touched components. Every successor

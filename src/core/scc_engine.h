@@ -254,11 +254,16 @@ struct SccUpdateStats {
 /// and replaces the clears with a per-update epoch: an entry is "set for
 /// this update" iff its stamp equals the current epoch, so per-update
 /// cost is O(downstream closure), independent of num_components after the
-/// first use. One scratch serves one graph at a time; a Solver owns one
-/// for its cached condensation, a StableSearch one for its own.
+/// first use. Stamps are 32-bit (8 bytes per component for both arrays):
+/// when the epoch wraps, both arrays are zero-filled again and the epoch
+/// restarts at 1. One scratch serves one graph at a time; a Solver owns
+/// one for its cached condensation, a StableSearch one for its own.
 class SccUpdateScratch {
  public:
   SccUpdateScratch() = default;
+  /// Starts the epoch at `epoch` instead of 0, so a test can cross the
+  /// wrap without running 2^32 updates.
+  explicit SccUpdateScratch(std::uint32_t epoch) : epoch_(epoch) {}
   SccUpdateScratch(SccUpdateScratch&&) = default;
   SccUpdateScratch& operator=(SccUpdateScratch&&) = default;
   SccUpdateScratch(const SccUpdateScratch&) = delete;
@@ -270,16 +275,17 @@ class SccUpdateScratch {
       GlobalModel& gm, std::vector<std::uint32_t>* component_iterations,
       SccUpdateScratch& scratch);
 
-  /// (Re)sizes the stamp arrays to `nc` components; zero-fills only when
-  /// the component count changed (epoch 0 never matches a live epoch).
+  /// (Re)sizes the stamp arrays to `nc` components and starts the next
+  /// epoch; zero-fills only when the component count changed or the
+  /// epoch wraps (stamp 0 never matches a live epoch).
   void Ensure(std::size_t nc);
 
-  std::uint64_t epoch_ = 0;
+  std::uint32_t epoch_ = 0;
   /// stamp == epoch_ → component is in this update's downstream closure.
-  std::vector<std::uint64_t> in_closure_;
+  std::vector<std::uint32_t> in_closure_;
   /// stamp == epoch_ → the change frontier reaches this component (seeded
   /// by the touched components, advanced by changed predecessors).
-  std::vector<std::uint64_t> need_;
+  std::vector<std::uint32_t> need_;
   /// The O(closure)-sized downstream closure, pooled for capacity reuse.
   std::vector<std::uint32_t> closure_;
 };

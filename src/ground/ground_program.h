@@ -37,6 +37,11 @@ struct GroundStats {
   /// Candidate atoms the grounder's join tested, the receipt of join work:
   /// deterministic, and linear in the ground program on indexed joins.
   std::uint64_t join_candidates = 0;
+  /// Emitted instances the grounder looked up in its instance dedupe. A
+  /// kept grounder looks up every one; a one-shot kSmart grounding skips
+  /// the rules whose bindings cannot emit one instance twice, so this is
+  /// 0 on the TC-complement and win-move programs.
+  std::uint64_t instance_probes = 0;
   /// Flat-index slot-array footprint across the live tables.
   std::size_t index_bytes = 0;
   /// Process peak RSS when the receipt was filled (0 where unavailable).

@@ -74,7 +74,8 @@ bool RuleEquiv(const TermTable& tt, const Rule& a, const Rule& b) {
 /// each body is hashed as a multiset (a sum of avalanched ids). Both rule
 /// dedupes — of emitted instances, and of the rules simplification made
 /// equal at assembly — treat rules equal up to body reordering, pairing
-/// this hash with SameAtomMultiset.
+/// this hash with SameAtomMultiset. MarkEmitOnce hashes a plan's
+/// predicates the same way.
 std::uint64_t HashGroundRule(AtomId head, std::span<const AtomId> pos,
                              std::span<const AtomId> neg) {
   auto bag = [](std::span<const AtomId> body) {
@@ -162,7 +163,7 @@ StatusOr<GroundProgram> Grounder::Build(bool keep) {
   if (opts_.mode == GroundMode::kFull) {
     AFP_RETURN_IF_ERROR(FullInstantiation());
   } else {
-    AFP_RETURN_IF_ERROR(AddRules());
+    AFP_RETURN_IF_ERROR(AddRules(/*one_shot=*/!keep));
   }
   // Take the receipt before a one-shot grounding releases the structures
   // that assembling the program no longer needs.
@@ -384,6 +385,7 @@ Status Grounder::RegisterSourceRules() {
     AFP_ASSIGN_OR_RETURN(RulePlan plan, CompileRule(r));
     plan.rule = static_cast<std::uint32_t>(registered_rules_);
     plan.alive = true;
+    plan.emit_once = false;
     const auto plan_index = static_cast<std::uint32_t>(plans_.size());
     plans_.push_back(plan);
     slots_.resize(std::max<std::size_t>(slots_.size(), plan.num_slots));
@@ -423,9 +425,10 @@ Status Grounder::RegisterSourceRules() {
   return Status::Ok();
 }
 
-Status Grounder::AddRules() {
+Status Grounder::AddRules(bool one_shot) {
   const std::size_t first_plan = plans_.size();
   AFP_RETURN_IF_ERROR(RegisterSourceRules());
+  if (one_shot) MarkEmitOnce();
   // New rules join in trigger order — rules without a positive literal
   // first, then by the predicate of the first positive literal — which is
   // the order the cascade would fire them in if every derived atom were
@@ -450,6 +453,65 @@ Status Grounder::AddRules() {
     AFP_RETURN_IF_ERROR(Join(plans_[pi], 0, kFullJoin, current_round_));
   }
   return CascadeFrom(log_before);
+}
+
+void Grounder::MarkEmitOnce() {
+  // The join emits each binding of a plan once. Two bindings that differ
+  // in a slot emit different instances when the slot occurs in the head,
+  // or in a body literal whose predicate no other literal of its sign
+  // has: bodies compare as multisets, and that literal's atom is the only
+  // one of its predicate there. Per predicate: the plans heading it, and
+  // its literals of the current plan, positive at 2p and negative at
+  // 2p + 1 (undone before the next plan).
+  const std::size_t num_symbols = program_.symbols().size();
+  std::vector<std::uint32_t> heads(num_symbols, 0);
+  std::vector<std::uint32_t> uses(2 * num_symbols, 0);
+  std::vector<std::uint8_t> keyed(slots_.size(), 0);
+  auto uses_of = [&](const AtomPlan& a) -> std::uint32_t& {
+    return uses[2 * a.pred + (a.positive ? 0 : 1)];
+  };
+  for (RulePlan& plan : plans_) {
+    const AtomPlan* atoms = plan_atoms_.data() + plan.atoms_begin;
+    const std::uint32_t num_atoms = plan.atoms_end - plan.atoms_begin;
+    ++heads[atoms[0].pred];
+    for (std::uint32_t i = 1; i < num_atoms; ++i) ++uses_of(atoms[i]);
+    std::fill_n(keyed.begin(), plan.num_slots, 0);
+    std::uint32_t num_keyed = 0;
+    for (std::uint32_t i = 0; i < num_atoms; ++i) {
+      if (i > 0 && uses_of(atoms[i]) > 1) continue;
+      for (std::uint32_t k = atoms[i].ops_begin; k < atoms[i].ops_end; ++k) {
+        const TermOp& op = plan_ops_[k];
+        if (op.kind == TermOp::kSlot && !keyed[op.value]) {
+          keyed[op.value] = 1;
+          ++num_keyed;
+        }
+      }
+    }
+    for (std::uint32_t i = 1; i < num_atoms; ++i) --uses_of(atoms[i]);
+    plan.emit_once = num_keyed == plan.num_slots;
+  }
+  // Two plans can emit one instance only if they have the same head
+  // predicate and the same multisets of positive and of negative body
+  // predicates: the rule shape HashGroundRule hashes, over predicates
+  // instead of atoms (collected in the emission scratch, unused until
+  // the joins). Only plans sharing a head predicate are hashed, and equal
+  // hashes count as equal signatures: a collision costs only lookups.
+  FlatIndex signatures;
+  for (std::uint32_t pi = 0; pi < plans_.size(); ++pi) {
+    const AtomPlan* atoms = plan_atoms_.data() + plans_[pi].atoms_begin;
+    const std::uint32_t num_atoms =
+        plans_[pi].atoms_end - plans_[pi].atoms_begin;
+    if (heads[atoms[0].pred] < 2) continue;
+    emit_pos_.clear();
+    emit_neg_.clear();
+    for (std::uint32_t i = 1; i < num_atoms; ++i) {
+      (atoms[i].positive ? emit_pos_ : emit_neg_).push_back(atoms[i].pred);
+    }
+    const std::uint32_t got = signatures.FindOrInsert(
+        HashGroundRule(atoms[0].pred, emit_pos_, emit_neg_), pi,
+        [](std::uint32_t) { return true; });
+    if (got != pi) plans_[got].emit_once = plans_[pi].emit_once = false;
+  }
 }
 
 Status Grounder::FoldAsserted() {
@@ -706,13 +768,16 @@ Status Grounder::EmitInstance(const RulePlan& plan, bool joined) {
     (atoms[i].positive ? emit_pos_ : emit_neg_).push_back(id);
   }
 
-  const std::uint64_t h = HashGroundRule(head, emit_pos_, emit_neg_);
-  if (retiring_ != kNoRule) return RetireInstance(h, head);
   const std::uint32_t next = static_cast<std::uint32_t>(instances_.size());
-  const std::uint32_t got =
-      instance_index_.FindOrInsert(h, next, [&](std::uint32_t id) {
-        return InstanceEquals(id, head, emit_pos_, emit_neg_);
-      });
+  std::uint32_t got = next;
+  if (!plan.emit_once) {
+    const std::uint64_t h = HashGroundRule(head, emit_pos_, emit_neg_);
+    if (retiring_ != kNoRule) return RetireInstance(h, head);
+    ++instance_probes_;
+    got = instance_index_.FindOrInsert(h, next, [&](std::uint32_t id) {
+      return InstanceEquals(id, head, emit_pos_, emit_neg_);
+    });
+  }
   if (got == next) {
     if (instances_.size() >= opts_.max_rules) {
       return Status::ResourceExhausted(
@@ -797,7 +862,7 @@ Status Grounder::AddSourceRules(GroundProgram& gp, std::size_t first_rule,
   }
   OpScope scope(*this, gp, delta);
   AFP_RETURN_IF_ERROR(FoldAsserted());
-  return AddRules();
+  return AddRules(/*one_shot=*/false);
 }
 
 Status Grounder::RemoveSourceRule(GroundProgram& gp, std::size_t rule_index,
@@ -840,6 +905,7 @@ void Grounder::FillReceipt(GroundStats& gs) const {
   gs.Absorb(posting_index_.stats());
   gs.arena_bytes = cand_arena_.total_allocated();
   gs.join_candidates = join_candidates_;
+  gs.instance_probes = instance_probes_;
 }
 
 void Grounder::ReleaseJoinState() {

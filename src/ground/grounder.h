@@ -116,7 +116,8 @@ class Grounder {
 
   /// Rule ops need exact provenance: kSmart grounding emits every binding
   /// exactly once, and only unsimplified grounding keeps each instance's
-  /// body as emitted.
+  /// body as emitted. A kept grounder also looks up every instance it
+  /// emits, because a rule op finds the instances it retracts by content.
   static bool SupportsRuleOps(const GroundOptions& options) {
     return options.mode == GroundMode::kSmart && !options.simplify;
   }
@@ -221,6 +222,10 @@ class Grounder {
   struct RulePlan {
     std::uint32_t rule;  // index in program_.rules()
     bool alive;          // false once the rule is retracted
+    /// No other binding of this plan, and no other plan, can emit an
+    /// instance equal to one of its own, so EmitInstance skips the
+    /// instance dedupe (one-shot kSmart groundings only; MarkEmitOnce).
+    bool emit_once;
     std::uint32_t num_slots;
     std::uint32_t steps_begin, steps_end;  // steps_: positive literals
     std::uint32_t atoms_begin, atoms_end;  // plan_atoms_: head, then body
@@ -299,8 +304,13 @@ class Grounder {
   Status RegisterSourceRules();
   StatusOr<RulePlan> CompileRule(const Rule& r);
   /// Registers the program rules appended since the last call, full-joins
-  /// each new source rule over the derived set and cascades.
-  Status AddRules();
+  /// each new source rule over the derived set and cascades. A `one_shot`
+  /// grounding (no rule op follows) first marks its emit-once plans.
+  Status AddRules(bool one_shot);
+  /// Sets RulePlan::emit_once on every plan whose instances no other
+  /// binding or plan can emit, in O(plans + their literals) after zeroing
+  /// counters indexed by symbol.
+  void MarkEmitOnce();
   Status FoldAsserted();
   /// Runs semi-naive rounds until no new atoms are derived; the first
   /// round's delta is derived_log_[delta_begin..].
@@ -405,12 +415,18 @@ class Grounder {
   /// Candidate atoms the joins have tested (GroundStats::join_candidates).
   std::uint64_t join_candidates_ = 0;
 
-  /// Emitted instances, deduped by a FlatIndex over instance_pool_, and
-  /// (kept grounders only) each live instance's rule id in the program.
+  /// Emitted instances, and (kept grounders only) each live instance's
+  /// rule id in the program. The FlatIndex over instance_pool_ dedupes
+  /// them, and holds every instance of a kept grounder, where rule ops
+  /// find instances by content; a one-shot grounding looks up only the
+  /// instances of plans not marked emit_once.
   std::vector<Instance> instances_;
   std::vector<AtomId> instance_pool_;
   FlatIndex instance_index_;
   std::vector<std::uint32_t> instance_rule_;
+  /// Emitted instances looked up in instance_index_
+  /// (GroundStats::instance_probes).
+  std::uint64_t instance_probes_ = 0;
 
   // Join and emission scratch, reused by every join: the slots and the
   // candidate each step matched (sized when rules register), the

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -516,6 +518,250 @@ TEST(Grounder, PostSealAddRuleMaintainsFactIndex) {
   // Non-fact rules leave the index alone.
   gp.AddRule(pa, std::vector<AtomId>{q}, {});
   EXPECT_FALSE(gp.HasFact(pa));
+}
+
+// --- Emit-once grounding ---------------------------------------------------
+//
+// A one-shot kSmart grounding looks an emitted instance up in the instance
+// dedupe only if its rule can emit one instance twice: through two
+// bindings (a slot that only occurs in literals whose predicate repeats
+// within their sign) or through another rule with the same head predicate
+// and body predicates. Every other instance is appended unprobed.
+
+/// Grounds `text` with `opts` into `*gp` and returns the receipt.
+GroundStats GroundText(const std::string& text, const GroundOptions& opts,
+                       Program& program, GroundProgram* gp,
+                       std::unique_ptr<Grounder>* keep = nullptr) {
+  auto parsed = ParseProgram(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  program = std::move(parsed).value();
+  GroundStats receipt;
+  auto g = Grounder::Ground(program, opts, keep, &receipt);
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  if (g.ok()) *gp = std::move(g).value();
+  return receipt;
+}
+
+/// Rules of `gp` with a body, as (head, sorted pos, sorted neg) strings.
+std::vector<std::string> CanonicalRules(const GroundProgram& gp) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < gp.num_rules(); ++i) {
+    const GroundRule& r = gp.rule(i);
+    if (r.pos_len + r.neg_len == 0) continue;
+    std::vector<AtomId> pos(gp.pos(r).begin(), gp.pos(r).end());
+    std::vector<AtomId> neg(gp.neg(r).begin(), gp.neg(r).end());
+    std::sort(pos.begin(), pos.end());
+    std::sort(neg.begin(), neg.end());
+    std::string key = std::to_string(r.head) + ":";
+    for (AtomId a : pos) key += std::to_string(a) + ",";
+    key += ";";
+    for (AtomId a : neg) key += std::to_string(a) + ",";
+    out.push_back(key);
+  }
+  return out;
+}
+
+TEST(Grounder, InstanceDedupeRunsOnlyWhereBindingsCanCollide) {
+  Program program;
+  GroundProgram gp(&program);
+
+  // Two rules with one signature emit every instance twice. Were they
+  // marked emit-once, p(a) :- q(a) would come out twice per fact.
+  GroundStats g = GroundText("q(a). q(b). q(c). p(X) :- q(X). p(Y) :- q(Y).",
+                             {}, program, &gp);
+  EXPECT_EQ(gp.num_rules(), 3u + 3u)
+      << "an alpha-renamed duplicate rule emitted its instances again";
+  EXPECT_EQ(g.instance_probes, 6u)
+      << "rules sharing a signature must look up every instance";
+
+  // X and Y occur only in literals of the repeated predicate q, so the
+  // bindings (a,b) and (b,a) emit one body multiset. Skipping the dedupe
+  // would give 4 instances.
+  g = GroundText("q(a). q(b). r :- q(X), q(Y).", {}, program, &gp);
+  EXPECT_EQ(gp.num_rules(), 2u + 3u)
+      << "bindings that permute a repeated predicate's atoms are one rule";
+  EXPECT_EQ(g.instance_probes, 4u)
+      << "a slot outside the head and unique literals needs the dedupe";
+
+  // The head binds every slot, so distinct bindings give distinct heads:
+  // 4 instances, none looked up. A lookup here means the analysis missed
+  // that the head alone keys the instance.
+  g = GroundText("q(a). q(b). s(X,Y) :- q(X), q(Y), not t(X,Y).", {},
+                 program, &gp);
+  EXPECT_EQ(gp.num_rules(), 2u + 4u);
+  EXPECT_EQ(g.instance_probes, 0u)
+      << "a rule whose head binds every slot was looked up";
+}
+
+TEST(Grounder, InstanceProbesReceipt) {
+  // The TC-complement and win-move rules are all emit-once, so a
+  // one-shot grounding of either looks up nothing, simplified or not. A
+  // kept grounder looks up every instance: rule ops find the instances a
+  // retraction drops by content, so a kept grounder that skipped one
+  // could not retract it.
+  GroundOptions unsimplified;
+  unsimplified.simplify = false;
+  for (const GroundOptions& opts : {GroundOptions{}, unsimplified}) {
+    Program tc = workload::TransitiveClosureComplement(
+        graphs::ErdosRenyi(24, 48, 3));
+    Program wm = workload::WinMove(graphs::ErdosRenyi(64, 256, 7));
+    for (Program* p : {&tc, &wm}) {
+      GroundStats receipt;
+      auto g = Grounder::Ground(*p, opts, nullptr, &receipt);
+      ASSERT_TRUE(g.ok()) << g.status().ToString();
+      EXPECT_EQ(receipt.instance_probes, 0u)
+          << "an emit-once rule was looked up (simplify=" << opts.simplify
+          << ")";
+    }
+  }
+  Program tc =
+      workload::TransitiveClosureComplement(graphs::ErdosRenyi(24, 48, 3));
+  GroundStats receipt;
+  std::unique_ptr<Grounder> keep;
+  auto g = Grounder::Ground(tc, unsimplified, &keep, &receipt);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ASSERT_NE(keep, nullptr);
+  std::size_t instances = 0;
+  for (std::size_t i = 0; i < g->num_rules(); ++i) {
+    instances += g->rule(i).pos_len + g->rule(i).neg_len > 0;
+  }
+  EXPECT_GT(instances, 0u);
+  EXPECT_EQ(receipt.instance_probes, instances)
+      << "a kept grounder must look up every instance it emits";
+}
+
+/// A random function-free program over constants c0..c2: EDB facts on
+/// e/2 and f/1, and rules with heads p/1 or q/2 whose bodies draw
+/// predicates from e, f, p and q, repeating the previous literal's
+/// predicate half the time. About half the rules are followed by an
+/// alpha-renamed copy (variables permuted, body reversed).
+std::string RandomRepeatingProgram(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto below = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  struct Pred {
+    const char* name;
+    std::size_t arity;
+  };
+  const Pred kPreds[] = {{"e", 2}, {"f", 1}, {"p", 1}, {"q", 2}};
+  auto constant_name = [](std::size_t c) {
+    return std::string("c").append(std::to_string(c));
+  };
+  std::string text;
+  for (int i = 0; i < 5; ++i) {
+    text.append("e(").append(constant_name(below(3))).append(",");
+    text.append(constant_name(below(3))).append(").\n");
+  }
+  for (int i = 0; i < 2; ++i) {
+    text.append("f(").append(constant_name(below(3))).append(").\n");
+  }
+
+  // A literal argument is a variable index 0..3, or -1 - c for constant c.
+  struct Lit {
+    std::size_t pred;
+    bool positive;
+    std::vector<int> args;
+  };
+  auto render = [&](const Lit& l, const char* const* names) {
+    std::string out = l.positive ? "" : "not ";
+    out += kPreds[l.pred].name;
+    out += "(";
+    for (std::size_t i = 0; i < l.args.size(); ++i) {
+      if (i > 0) out += ",";
+      out += l.args[i] >= 0 ? std::string(names[l.args[i]])
+                            : constant_name(
+                                  static_cast<std::size_t>(-1 - l.args[i]));
+    }
+    return out + ")";
+  };
+  const char* const kNames[] = {"X", "Y", "Z", "W"};
+  const char* const kRenamed[] = {"B", "D", "A", "C"};
+
+  const std::size_t num_rules = 2 + below(4);
+  for (std::size_t r = 0; r < num_rules; ++r) {
+    std::vector<Lit> body;
+    std::vector<int> bound;  // variables the positive literals bind
+    const std::size_t num_pos = 1 + below(3);
+    for (std::size_t i = 0; i < num_pos; ++i) {
+      Lit l{i > 0 && below(2) == 0 ? body.back().pred : below(4), true, {}};
+      for (std::size_t k = 0; k < kPreds[l.pred].arity; ++k) {
+        const int v = below(6) == 0 ? -1 - static_cast<int>(below(3))
+                                    : static_cast<int>(below(4));
+        l.args.push_back(v);
+        if (v >= 0) bound.push_back(v);
+      }
+      body.push_back(l);
+    }
+    auto bound_term = [&] {
+      return bound.empty() || below(6) == 0
+                 ? -1 - static_cast<int>(below(3))
+                 : bound[below(bound.size())];
+    };
+    if (below(2) == 0) {
+      Lit l{below(4), false, {}};
+      for (std::size_t k = 0; k < kPreds[l.pred].arity; ++k) {
+        l.args.push_back(bound_term());
+      }
+      body.push_back(l);
+    }
+    Lit head{2 + below(2), true, {}};
+    for (std::size_t k = 0; k < kPreds[head.pred].arity; ++k) {
+      head.args.push_back(bound_term());
+    }
+    const int copies = below(2) == 0 ? 2 : 1;
+    for (int copy = 0; copy < copies; ++copy) {
+      const char* const* names = copy == 0 ? kNames : kRenamed;
+      text += render(head, names) + " :- ";
+      for (std::size_t i = 0; i < body.size(); ++i) {
+        const Lit& l = copy == 0 ? body[i] : body[body.size() - 1 - i];
+        text += (i > 0 ? ", " : "") + render(l, names);
+      }
+      text += ".\n";
+    }
+  }
+  return text;
+}
+
+TEST(Grounder, EmitOnceGroundingMatchesKeptGrounder) {
+  // Differential: the one-shot grounding skips the instance dedupe for
+  // the rules it marks emit-once, the kept grounder looks up everything.
+  // Unsimplified, they must produce the same program (atom ids, rule
+  // order, bodies). A rule wrongly marked emit-once emits a duplicate
+  // rule: the fingerprints differ, and the simplified one-shot grounding
+  // holds two rules with one head and body multisets.
+  GroundOptions unsimplified;
+  unsimplified.simplify = false;
+  std::size_t programs_skipping = 0;
+  std::size_t programs_probing = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const std::string text = RandomRepeatingProgram(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ":\n" + text);
+    Program one_shot_src, kept_src, simplified_src;
+    GroundProgram one_shot(&one_shot_src), kept(&kept_src),
+        simplified(&simplified_src);
+    std::unique_ptr<Grounder> keep;
+    const GroundStats one_shot_receipt =
+        GroundText(text, unsimplified, one_shot_src, &one_shot);
+    const GroundStats kept_receipt =
+        GroundText(text, unsimplified, kept_src, &kept, &keep);
+    ASSERT_NE(keep, nullptr);
+    ASSERT_EQ(Fingerprint(one_shot), Fingerprint(kept))
+        << "one-shot:\n" << one_shot.ToString() << "kept:\n"
+        << kept.ToString();
+
+    GroundText(text, {}, simplified_src, &simplified);
+    std::vector<std::string> rules = CanonicalRules(simplified);
+    std::sort(rules.begin(), rules.end());
+    ASSERT_EQ(std::adjacent_find(rules.begin(), rules.end()), rules.end())
+        << "the simplified grounding holds a duplicate rule:\n"
+        << simplified.ToString();
+
+    programs_skipping +=
+        one_shot_receipt.instance_probes < kept_receipt.instance_probes;
+    programs_probing += one_shot_receipt.instance_probes > 0;
+  }
+  // Both paths ran: some rules skipped the dedupe, some were looked up.
+  EXPECT_GT(programs_skipping, 100u);
+  EXPECT_GT(programs_probing, 100u);
 }
 
 }  // namespace

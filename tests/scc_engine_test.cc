@@ -5,6 +5,8 @@
 #include "core/scc_engine.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -407,6 +409,57 @@ TEST(SccEngine, UpdateScratchSharedAcrossUpdatesBitIdentical) {
           << "sequence " << sequence << " step " << step;
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+/// The stamps are 32-bit, and the stable search repairs at every node, so
+/// the epoch wraps on long-lived sessions. A scratch started just below
+/// the wrap must repair across it exactly like from-scratch solves.
+/// Without the reset at the wrap, the update at epoch 0 would read every
+/// never-stamped component as already in its closure and repair nothing.
+TEST(SccEngine, UpdateScratchEpochWrapMatchesFullSolves) {
+  Program p = workload::RandomPropositional(30, 60, 3, 50, 7);
+  GroundProgram gp = MustGround(p, GroundMode::kFull);
+  AtomDependencyGraph graph(gp.View());
+  RuleBuckets buckets(gp.View(), graph);
+  EvalContext ctx;
+  SccOptions opts;
+  SccWfsResult base =
+      WellFoundedSccOnGraph(ctx, gp.View(), graph, buckets, opts);
+  PartialModel model = base.model;
+  std::vector<std::uint32_t> iters = base.component_iterations;
+
+  // Asserting a fact on an atom that is not true changes the model, and
+  // retracting it again changes it back. Successors have larger component
+  // ids, so `first` (in the lowest component) is downstream of nothing
+  // `last` (in the highest) touches: the first update after the wrap
+  // starts from a component no earlier update stamped.
+  const auto& comp_of = graph.component_of();
+  AtomId first = kInvalidAtom, last = kInvalidAtom;
+  for (AtomId a = 0; a < gp.num_atoms(); ++a) {
+    if (gp.HasFact(a) || model.Value(a) == TruthValue::kTrue) continue;
+    if (first == kInvalidAtom || comp_of[a] < comp_of[first]) first = a;
+    if (last == kInvalidAtom || comp_of[a] > comp_of[last]) last = a;
+  }
+  ASSERT_NE(first, kInvalidAtom);
+  ASSERT_LT(comp_of[first], comp_of[last]);
+  const AtomId toggles[] = {last, last, last, first, first, last, first};
+
+  // Updates run at epochs max - 2, max - 1 and max, then 1, 2, ...
+  SccUpdateScratch scratch(std::numeric_limits<std::uint32_t>::max() - 3);
+  for (std::size_t step = 0; step < std::size(toggles); ++step) {
+    ToggleFactAndPatchBuckets(gp, graph, buckets, toggles[step]);
+    if (HasFatalFailure()) return;
+    const AtomId touched[] = {toggles[step]};
+    const SccUpdateStats st = Repair(ctx, gp, graph, buckets, opts, touched,
+                                     &model, &iters, scratch);
+    EXPECT_TRUE(st.model_changed)
+        << "step " << step << ": the toggle should change the model";
+    SccWfsResult fresh =
+        WellFoundedSccOnGraph(ctx, gp.View(), graph, buckets, opts);
+    ASSERT_EQ(model, fresh.model)
+        << "step " << step << ": a stale stamp skipped a component";
+    ASSERT_EQ(iters, fresh.component_iterations) << "step " << step;
   }
 }
 

@@ -391,7 +391,8 @@ int main(int argc, char** argv) {
     std::cout << "% arena bytes: " << g.arena_bytes
               << "  index bytes: " << g.index_bytes
               << "  peak rss bytes: " << g.peak_rss_bytes << "\n";
-    std::cout << "% join candidates: " << g.join_candidates << "\n";
+    std::cout << "% join candidates: " << g.join_candidates
+              << "  instance probes: " << g.instance_probes << "\n";
   }
   if (!opts.mutations.empty() && opts.semantics != "wfs") {
     std::cerr << "afp: note: --assert/--retract/--add-rule/--remove-rule "

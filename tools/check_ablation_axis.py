@@ -21,7 +21,9 @@ This check fails CI if any of the recorded axes below ever regresses:
   * the stable-model search axis (bench_search: one depth-first run per
     workload) must reproduce the pinned enumeration of every row in
     SEARCH_PINNED exactly — model_hash (model set AND emission order),
-    models, nodes and implied_atoms — and every pinned row must exist.
+    models, nodes, implied_atoms and leaf_rules_checked (the rule bodies
+    the leaves' stability checks read) — and every pinned row must
+    exist.
 
 The search pins are counters, not wall-clock: deterministic for a fixed
 workload, so safe on noisy CI machines. The delta-vs-scratch rescan gate
@@ -60,10 +62,12 @@ COMPILE_ZERO_ENGAGEMENT = "WfNodes/256"
 SEARCH_PINNED = {
     "EvenCycleClusters/12x24": {"model_hash": "7ff6fae4f6feac43",
                                 "models": 4096, "nodes": 8191,
-                                "implied_atoms": 2449122},
+                                "implied_atoms": 2449122,
+                                "leaf_rules_checked": 49152},
     "EvenCycleClusters/9x48": {"model_hash": "4b901dfea7181283",
                                "models": 512, "nodes": 1023,
-                               "implied_atoms": 450130},
+                               "implied_atoms": 450130,
+                               "leaf_rules_checked": 4608},
 }
 
 
