@@ -7,9 +7,7 @@
 //       update on a long-lived afp::Solver session (the incremental
 //       axis of BENCH_ablation_axis.json, gated by
 //       tools/check_ablation_axis.py);
-//   (5) compiled rule kernels vs the interpreted per-component lowering
-//       (the compile axis of the same report);
-//   (6) relevance-sliced point queries vs full solve + lookup.
+//   (5) relevance-sliced point queries vs full solve + lookup.
 // The delta-driven vs from-scratch operator axes (S_P enablement, T_P /
 // U_P witnesses) are pinned by counters, not timed: see the
 // AblationCounters test in tests/eval_context_test.cc.
@@ -315,202 +313,6 @@ void BM_FullUpdateClusteredWinMove(benchmark::State& state) {
                 MakeIncrementalClustered(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_FullUpdateClusteredWinMove)->Arg(4096);
-
-// (7) the compiled-kernel axis: component-wise evaluation with the rule
-// buckets lowered once into packed CSR kernels (SolverOptions::compile =
-// kAlways) vs the fully interpreted per-solve lowering (kOff). Two
-// regimes: the serving-repair shape (a long-lived session absorbing a
-// fact round trip whose downstream closure re-solves the multi-member
-// clusters — the staging pipeline's target) and the repeated-full-solve
-// shape. The Example 8.2 chain rides along as the zero-engagement
-// receipt: all its components are fast-path singletons, so the compiled
-// row must report kernel_components == 0 and the checker pins that
-// (kernels must never tax workloads they cannot serve). Distilled into
-// the "compile" axis of BENCH_ablation_axis.json;
-// tools/check_ablation_axis.py gates ratio > 1 on engaged rows and
-// >= 1.5x on the WinMove/4096 repair flagship.
-
-/// The kernel-axis flagship workload: win-move over a chain of n/64
-/// cycle clusters wired so one fact toggle re-solves every multi-member
-/// component in ~2 alternation rounds each. Each cluster is a 64-node
-/// directed cycle (one SCC, so one multi-member component) in which
-/// EVERY node also moves into the previous cluster's "feeder" — a
-/// singleton that moves into the cluster head, i.e. loses exactly when
-/// that cluster is determined. Cluster 0's exits aim at a gate node
-/// whose only move (the flagship toggle fact) reaches a terminal sink.
-/// Gate fact absent: the gate loses, so every cluster-0 node wins via
-/// its exit, the feeder loses, and all-win determinedness sweeps down
-/// the whole chain. Gate fact present: the gate wins, the exit rules
-/// die, and each cluster degrades to a pure even cycle — the classic
-/// well-founded draw — so undefinedness sweeps instead. Either
-/// direction converges in a couple of S_P rounds per cluster (every
-/// node is decided by its own exit edge; nothing inducts around the
-/// cycle), which makes the per-component cost lowering-dominated: the
-/// regime compiled kernels target. One toggle re-solves all n/64
-/// clusters, amortizing the repair's fixed bookkeeping (closure walk,
-/// bucket patch, publish) across n/64 kernel-served solves. The random
-/// ClusteredScc of the incremental axis is the opposite regime — its
-/// change frontier dies after ~4 components — and iteration-heavy SCCs
-/// belong to the delta evaluators, not to kernels.
-afp::Program MakeKernelChainWinMove(int n) {
-  const int kCluster = 64;
-  const int clusters = n / kCluster;
-  afp::Digraph g;
-  const int sink = clusters * kCluster;  // no moves: always loses
-  const int gate = sink + 1;             // wins iff the toggle fact is in
-  auto id = [&](int c, int j) { return c * kCluster + j; };
-  auto feeder = [&](int c) { return gate + 1 + c; };
-  g.n = gate + 1 + clusters;
-  // First edge == first EDB fact the victim probe scans: the toggle.
-  g.edges.push_back({gate, sink});
-  for (int c = 0; c < clusters; ++c) {
-    const int exit_target = c == 0 ? gate : feeder(c - 1);
-    for (int j = 0; j < kCluster; ++j) {
-      g.edges.push_back({id(c, j), id(c, (j + kCluster - 1) % kCluster)});
-      // Chords fatten the bucket (more rules to lower per solve)
-      // without changing the outcome: the exit edge still decides every
-      // node, so convergence stays at a couple of rounds.
-      g.edges.push_back({id(c, j), id(c, (j + kCluster - 3) % kCluster)});
-      g.edges.push_back({id(c, j), id(c, (j + kCluster - 7) % kCluster)});
-      g.edges.push_back({id(c, j), exit_target});
-    }
-    g.edges.push_back({feeder(c), id(c, 0)});
-  }
-  return afp::workload::WinMove(g);
-}
-
-/// The update victim for the kernel axis, chosen empirically: probe the
-/// first 64 EDB facts with one untimed retract+assert round trip each
-/// and keep the one whose repair re-solves the most components. A
-/// structural pick (largest condensation-downstream closure) over-
-/// estimates: incremental repair prunes downstream components whose
-/// input did not actually change, so the largest closure can still be a
-/// four-component repair. The probe runs identically under both modes,
-/// so the interpreted and compiled rows mutate the same atom.
-std::string ProbeKernelVictim(afp::Solver& solver) {
-  const afp::GroundProgram& gp = solver.ground();
-  std::string best;
-  std::size_t best_resolved = 0;
-  std::uint32_t candidate = 0;
-  for (afp::AtomId a = 0; a < gp.num_atoms() && candidate < 64; ++a) {
-    if (!gp.HasFact(a)) continue;
-    ++candidate;
-    const std::string atom = gp.AtomName(a);
-    auto out = solver.RetractFact(atom);
-    auto back = solver.AssertFact(atom);
-    if (!out.ok() || !back.ok()) continue;
-    const std::size_t resolved =
-        out->components_resolved + back->components_resolved;
-    if (best.empty() || resolved > best_resolved) {
-      best_resolved = resolved;
-      best = atom;
-    }
-  }
-  return best;
-}
-
-void RunKernelRepair(benchmark::State& state, afp::Program program,
-                     afp::CompileMode mode) {
-  afp::SolverOptions opts;
-  opts.compile = mode;
-  auto solver = afp::Solver::FromProgram(std::move(program), opts);
-  if (!solver.ok()) {
-    state.SkipWithError("solver construction failed");
-    return;
-  }
-  solver->Solve();  // compiles every eligible bucket under kAlways
-  const std::uint64_t compile_ns =
-      solver->Stats().eval.kernel_compile_ns;
-  const std::string atom = ProbeKernelVictim(*solver);
-  if (atom.empty()) {
-    state.SkipWithError("workload has no EDB fact to mutate");
-    return;
-  }
-  std::size_t kernel_components = 0, kernel_rounds = 0, resolved = 0;
-  for (auto _ : state) {
-    auto out = solver->RetractFact(atom);
-    auto back = solver->AssertFact(atom);
-    if (!out.ok() || !back.ok()) {
-      state.SkipWithError("fact mutation failed");
-      return;
-    }
-    benchmark::DoNotOptimize(solver->model());
-    kernel_components =
-        out->eval.kernel_components + back->eval.kernel_components;
-    kernel_rounds = out->eval.kernel_rounds + back->eval.kernel_rounds;
-    resolved = out->components_resolved + back->components_resolved;
-  }
-  state.counters["kernel_components"] =
-      static_cast<double>(kernel_components);
-  state.counters["kernel_rounds"] = static_cast<double>(kernel_rounds);
-  state.counters["kernel_compile_ns"] = static_cast<double>(compile_ns);
-  state.counters["components_resolved"] = static_cast<double>(resolved);
-}
-
-void RunKernelFullSolve(benchmark::State& state, afp::Program program,
-                        afp::CompileMode mode) {
-  afp::SolverOptions opts;
-  opts.compile = mode;
-  auto solver = afp::Solver::FromProgram(std::move(program), opts);
-  if (!solver.ok()) {
-    state.SkipWithError("solver construction failed");
-    return;
-  }
-  solver->Solve();  // warm pools + compile outside the timed loop
-  const std::uint64_t compile_ns =
-      solver->Stats().eval.kernel_compile_ns;
-  std::size_t kernel_components = 0;
-  for (auto _ : state) {
-    solver->InvalidateModel();
-    benchmark::DoNotOptimize(solver->Solve());
-    kernel_components = solver->Stats().eval.kernel_components;
-  }
-  state.counters["kernel_components"] =
-      static_cast<double>(kernel_components);
-  state.counters["kernel_compile_ns"] = static_cast<double>(compile_ns);
-}
-
-void BM_KernelInterpretedWinMove(benchmark::State& state) {
-  RunKernelRepair(state,
-                  MakeKernelChainWinMove(static_cast<int>(state.range(0))),
-                  afp::CompileMode::kOff);
-}
-BENCHMARK(BM_KernelInterpretedWinMove)->Arg(4096);
-
-void BM_KernelCompiledWinMove(benchmark::State& state) {
-  RunKernelRepair(state,
-                  MakeKernelChainWinMove(static_cast<int>(state.range(0))),
-                  afp::CompileMode::kAlways);
-}
-BENCHMARK(BM_KernelCompiledWinMove)->Arg(4096);
-
-void BM_KernelInterpretedWinMoveFull(benchmark::State& state) {
-  RunKernelFullSolve(
-      state, MakeKernelChainWinMove(static_cast<int>(state.range(0))),
-      afp::CompileMode::kOff);
-}
-BENCHMARK(BM_KernelInterpretedWinMoveFull)->Arg(1024);
-
-void BM_KernelCompiledWinMoveFull(benchmark::State& state) {
-  RunKernelFullSolve(
-      state, MakeKernelChainWinMove(static_cast<int>(state.range(0))),
-      afp::CompileMode::kAlways);
-}
-BENCHMARK(BM_KernelCompiledWinMoveFull)->Arg(1024);
-
-void BM_KernelInterpretedWfNodes(benchmark::State& state) {
-  RunKernelFullSolve(state,
-                     MakeWfNodesProgram(static_cast<int>(state.range(0))),
-                     afp::CompileMode::kOff);
-}
-BENCHMARK(BM_KernelInterpretedWfNodes)->Arg(256);
-
-void BM_KernelCompiledWfNodes(benchmark::State& state) {
-  RunKernelFullSolve(state,
-                     MakeWfNodesProgram(static_cast<int>(state.range(0))),
-                     afp::CompileMode::kAlways);
-}
-BENCHMARK(BM_KernelCompiledWfNodes)->Arg(256);
 
 // Point-query ablation: full solve + lookup vs relevance-sliced solve.
 void BM_PointQueryFullSolve(benchmark::State& state) {

@@ -20,13 +20,17 @@
 // a session's first update pays. The component-wise solve already built
 // the dependency graph and the rule buckets (solve_ms includes them), so
 // the repair builds only the condensation it walks, then repairs the
-// model downstream of the fact.
+// model downstream of the fact. `steady_repair_us` is the median of the 21
+// single-fact toggles of that fact (assert, retract, ...) that follow: what
+// a warm session pays per update. `bucket_bytes` is what the session keeps
+// of its general-path components' compiled buckets after the solve.
 
 #include <unistd.h>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -118,8 +122,10 @@ std::string RunConfig(const Config& cfg) {
   const afp::GroundStats g = solver->Stats().ground;
   const std::size_t true_atoms = model.num_true();
   const std::size_t undef_atoms = g.atoms - true_atoms - model.num_false();
+  const std::size_t bucket_bytes = solver->Stats().bucket_bytes;
 
   double first_repair_ms = 0;
+  double steady_repair_us = 0;
   const afp::GroundProgram& gp = solver->ground();
   for (std::size_t ri = 0; ri < gp.num_rules(); ++ri) {
     const afp::GroundRule& r = gp.rule(ri);
@@ -128,6 +134,20 @@ std::string RunConfig(const Config& cfg) {
     const auto t3 = Clock::now();
     solver->UpdateFactsById({}, fact);
     first_repair_ms = Ms(t3, Clock::now());
+    constexpr int kToggles = 21;
+    std::vector<double> toggle_us;
+    for (int i = 0; i < kToggles; ++i) {
+      const auto t4 = Clock::now();
+      if (i % 2 == 0) {
+        solver->UpdateFactsById(fact, {});
+      } else {
+        solver->UpdateFactsById({}, fact);
+      }
+      toggle_us.push_back(1000.0 * Ms(t4, Clock::now()));
+    }
+    std::nth_element(toggle_us.begin(), toggle_us.begin() + kToggles / 2,
+                     toggle_us.end());
+    steady_repair_us = toggle_us[kToggles / 2];
     break;
   }
 
@@ -137,6 +157,7 @@ std::string RunConfig(const Config& cfg) {
       "{\"workload\": \"%s\", \"atoms\": %llu, "
       "\"ground_rules\": %llu, \"ground_ms\": %.2f, \"solve_ms\": %.2f, "
       "\"total_ms\": %.2f, \"first_repair_ms\": %.2f, "
+      "\"steady_repair_us\": %.1f, \"bucket_bytes\": %llu, "
       "\"intern_probes\": %llu, "
       "\"intern_collisions\": %llu, \"intern_allocs\": %llu, "
       "\"join_candidates\": %llu, \"instance_probes\": %llu, "
@@ -145,7 +166,8 @@ std::string RunConfig(const Config& cfg) {
       "\"undef_atoms\": %llu}",
       cfg.workload, static_cast<unsigned long long>(g.atoms),
       static_cast<unsigned long long>(g.rules), Ms(t0, t1), Ms(t1, t2),
-      Ms(t0, t2), first_repair_ms,
+      Ms(t0, t2), first_repair_ms, steady_repair_us,
+      static_cast<unsigned long long>(bucket_bytes),
       static_cast<unsigned long long>(g.intern_probes),
       static_cast<unsigned long long>(g.intern_collisions),
       static_cast<unsigned long long>(g.intern_allocs),

@@ -8,8 +8,9 @@
 // Like bench_scale this binary is self-timed and prints a native JSON
 // report on stdout. Each workload runs in a forked child so allocator
 // state never leaks between timings; within the child the same engine is
-// run twice and the faster run is reported (enumeration is deterministic,
-// so the second run does identical work on a warm engine).
+// run 9 times and the median run is reported (enumeration is
+// deterministic, so every run does identical work; the median keeps one
+// slow or cold run from moving the figure).
 //
 // Every row carries the model and node counts, implied_atoms (the tree's
 // decisions), components_resolved (the per-node repair work),
@@ -30,6 +31,7 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -99,20 +101,18 @@ std::string RunConfig(const Config& cfg) {
 
   afp::StableSearch engine(gp);
 
-  // Two runs on the same engine; keep the faster (the enumeration is
-  // deterministic, so both runs do identical work).
-  double wall_ms = 0;
+  // Nine runs on the same engine; report the median (the enumeration is
+  // deterministic, so every run does identical work).
+  constexpr int kRuns = 9;
+  std::vector<double> run_ms;
   afp::StableResult result;
-  for (int run = 0; run < 2; ++run) {
+  for (int run = 0; run < kRuns; ++run) {
     const auto t0 = Clock::now();
-    afp::StableResult r = engine.Enumerate();
-    const auto t1 = Clock::now();
-    const double ms = Ms(t0, t1);
-    if (run == 0 || ms < wall_ms) {
-      wall_ms = ms;
-      result = std::move(r);
-    }
+    result = engine.Enumerate();
+    run_ms.push_back(Ms(t0, Clock::now()));
   }
+  std::nth_element(run_ms.begin(), run_ms.begin() + kRuns / 2, run_ms.end());
+  const double wall_ms = run_ms[kRuns / 2];
 
   const afp::StableSearchStats& s = result.search;
   char buf[512];

@@ -57,27 +57,16 @@ void Solver::EnsureGraph() {
     graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
     comp_rules_ = RuleBuckets(ground_.View(), *graph_);
   }
-  EnsureKernels();
-}
-
-void Solver::EnsureKernels() {
-  if (options_.compile == CompileMode::kOff) return;
-  // The cache borrows ground_ and comp_rules_, which are value members: a
-  // moved session leaves an existing cache pointing at the old object, so
-  // detect the relocation and rebuild (it is a cache — heat re-warms).
-  if (kernels_ && &kernels_->ground() == &ground_) return;
-  kernels_ = std::make_unique<KernelCache>(
-      ground_, *graph_, comp_rules_, options_.compile_hot_threshold,
-      ground_.mutation_epoch());
-  if (options_.compile == CompileMode::kAlways) {
-    kernels_->CompileAllEligible();
-  }
+  // Any mutation epoch this session did not itself produce means someone
+  // appended rules behind the buckets' back — drop them all before
+  // solving or touching the program further.
+  buckets_.SyncEpoch(ground_.mutation_epoch());
 }
 
 SccOptions Solver::SccOptionsFromSession() {
   SccOptions o;
   o.inner = options_.inner;
-  o.kernels = kernels_.get();
+  o.buckets = &buckets_;
   return o;
 }
 
@@ -87,26 +76,15 @@ const PartialModel& Solver::Solve() {
   stats_.ground_size = ground_.TotalSize();
   RefreshGroundStats();
   EnsureGraph();
-  if (kernels_) {
-    // Drop everything on an unexplained program mutation, then bring the
-    // cache to run-ready state: kAlways recompiles what the drop (or a
-    // precise invalidation) left uncompiled, kHot compiles the components
-    // whose heat crossed the threshold since last run.
-    kernels_->SyncEpoch(ground_.mutation_epoch());
-    if (options_.compile == CompileMode::kAlways) {
-      kernels_->CompileAllEligible();
-    } else {
-      kernels_->CompilePending();
-    }
-  }
   SccWfsResult r = WellFoundedSccOnGraph(*ctx_, ground_.View(), *graph_,
                                          comp_rules_, SccOptionsFromSession());
-  if (kernels_) r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
   model_ = std::move(r.model);
   component_iterations_ = std::move(r.component_iterations);
   stats_.num_components = r.num_components;
   stats_.total_local_size = r.total_local_size;
   stats_.locally_stratified = r.locally_stratified;
+  stats_.buckets = buckets_.num_buckets();
+  stats_.bucket_bytes = buckets_.bytes();
   stats_.eval = r.eval;
   solved_ = true;
   ++stats_.full_solves;
@@ -264,10 +242,6 @@ StatusOr<UpdateStats> Solver::UpdateFacts(
 UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
                                     std::span<const AtomId> retracts) {
   EnsureGraph();
-  // Any mutation epoch this session did not itself produce means someone
-  // appended rules behind the cache's back — drop it all before touching
-  // the program further.
-  if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
   const std::vector<std::uint32_t>& comp_of = graph_->component_of();
   UpdateStats up;
   std::vector<AtomId> touched;
@@ -280,10 +254,10 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
     if (grounder_ && rem.moved_rule != rem.erased_rule) {
       grounder_->NoteRuleMoved(ground_, rem.erased_rule);
     }
-    // The touched component's compiled bucket snapshots a rule set that
-    // just changed. The moved rule's component needs nothing: buckets
-    // snapshot rule content, not ids, and its content is untouched.
-    if (kernels_) kernels_->InvalidateComponent(comp_of[id]);
+    // The touched component's bucket copies a rule set that just changed.
+    // The moved rule's component needs nothing: buckets copy rule
+    // content, not ids, and its content is untouched.
+    buckets_.Invalidate(comp_of[id]);
     // Erase the fact rule's id, and move the swapped-in (previously
     // last) rule's id down to its new slot.
     comp_rules_.Erase(comp_of[id], rem.erased_rule);
@@ -301,24 +275,12 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
     if (grounder_) grounder_->NoteFactAsserted(id);
     comp_rules_.Append(comp_of[id],
                        static_cast<std::uint32_t>(ground_.num_rules() - 1));
-    if (kernels_) kernels_->InvalidateComponent(comp_of[id]);
+    buckets_.Invalidate(comp_of[id]);
     touched.push_back(id);
   }
-  if (kernels_) {
-    // Every epoch bump above is now explained (touched components were
-    // invalidated precisely), and the cache is brought run-ready BEFORE
-    // the repair so the downstream re-solve itself runs on kernels — the
-    // serving path's steady state.
-    kernels_->AcknowledgeEpoch(ground_.mutation_epoch());
-    if (options_.compile == CompileMode::kAlways) {
-      // Only the precisely-invalidated components need recompiling: a
-      // repair touches a handful, and rescanning every component here
-      // would put an O(num_components) floor under each update.
-      kernels_->CompileInvalidated();
-    } else {
-      kernels_->CompilePending();
-    }
-  }
+  // Every epoch bump above is explained: the touched components were
+  // invalidated precisely, and the repair rebuilds their buckets.
+  buckets_.AcknowledgeEpoch(ground_.mutation_epoch());
   up.facts_changed = touched.size();
   stats_.num_rules = ground_.num_rules();
   stats_.ground_size = ground_.TotalSize();
@@ -348,9 +310,6 @@ SccUpdateStats Solver::RepairDownstream(std::span<const AtomId> touched) {
   GlobalModel gm{&model_.true_atoms(), &model_.false_atoms()};
   SccUpdateStats r =
       SccResolveDownstream(solver, touched, gm, iters, update_scratch_);
-  if (kernels_) {
-    r.eval.kernel_compile_ns += kernels_->TakeCompileNs();
-  }
   stats_.eval = r.eval;
   ++stats_.incremental_updates;
   return r;
@@ -373,8 +332,8 @@ Status Solver::PoisonRuleMutation(Status st) {
   grounder_.reset();
   graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
   comp_rules_ = RuleBuckets(ground_.View(), *graph_);
-  kernels_.reset();
-  EnsureKernels();
+  buckets_.Clear();
+  buckets_.AcknowledgeEpoch(ground_.mutation_epoch());
   InvalidateModel();
   return st;
 }
@@ -403,7 +362,6 @@ StatusOr<RuleUpdateStats> Solver::AddRule(std::string_view rule_text) {
   // The graph must describe the PRE-mutation program: the splice patches
   // it in place, and the append fast path needs the old adjacency intact.
   EnsureGraph();
-  if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
   Grounder::Delta delta;
   Status st = grounder_->AddSourceRules(ground_, first, &delta);
   if (!st.ok()) return PoisonRuleMutation(std::move(st));
@@ -446,7 +404,6 @@ StatusOr<RuleUpdateStats> Solver::RemoveRule(std::string_view rule_text) {
   program_->TruncateRules(first);
   AFP_RETURN_IF_ERROR(find_st);
   EnsureGraph();
-  if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
   Grounder::Delta delta;
   for (std::size_t t : targets) {
     Status st = grounder_->RemoveSourceRule(ground_, t, &delta);
@@ -469,10 +426,10 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
   stats_.ground_size = ground_.TotalSize();
   RefreshGroundStats();
 
-  if (delta.added_rules.empty() && delta.removals.empty()) {
-    if (kernels_) kernels_->AcknowledgeEpoch(ground_.mutation_epoch());
-    return out;
-  }
+  // Every epoch bump of the delta is explained below: the touched
+  // components' buckets are dropped, or all of them with the analysis.
+  buckets_.AcknowledgeEpoch(ground_.mutation_epoch());
+  if (delta.added_rules.empty() && delta.removals.empty()) return out;
 
   // --- Patch (or rebuild) the cached analysis --------------------------
   //
@@ -532,17 +489,8 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
     out.components_added = nc - first_new_comp;
     std::sort(dirty.begin(), dirty.end());
     dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    if (kernels_) {
-      kernels_->GrowToComponents();
-      for (std::uint32_t c : dirty) {
-        kernels_->InvalidateComponent(c);
-        kernels_->RecomputeEligibility(c);
-      }
-      out.kernels_invalidated = dirty.size();
-      kernels_->AcknowledgeEpoch(ground_.mutation_epoch());
-      out.kernels_recompiled = options_.compile == CompileMode::kAlways
-                                   ? kernels_->CompileInvalidated()
-                                   : kernels_->CompilePending();
+    for (std::uint32_t c : dirty) {
+      if (buckets_.Invalidate(c)) ++out.buckets_invalidated;
     }
   } else {
     out.graph_rebuilt = true;
@@ -552,16 +500,8 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
     component_iterations_.clear();
     graph_ = std::make_unique<AtomDependencyGraph>(ground_.View());
     comp_rules_ = RuleBuckets(ground_.View(), *graph_);
-    if (kernels_) {
-      kernels_.reset();
-      kernels_ = std::make_unique<KernelCache>(
-          ground_, *graph_, comp_rules_, options_.compile_hot_threshold,
-          ground_.mutation_epoch());
-      out.kernels_invalidated = old_nc;
-      if (options_.compile == CompileMode::kAlways) {
-        out.kernels_recompiled = kernels_->CompileAllEligible();
-      }
-    }
+    out.buckets_invalidated = buckets_.num_buckets();
+    buckets_.Clear();
     const std::vector<std::uint32_t>& comp_of = graph_->component_of();
     const std::size_t nc = graph_->num_components();
     out.components_added = nc > old_nc ? nc - old_nc : 0;
@@ -650,11 +590,10 @@ Status Solver::AdoptModel(PartialModel model) {
 }
 
 bool Solver::ValidateRuleBuckets() {
+  // EnsureGraph doubles as a bucket-cache sync point: a caller poking the
+  // ground program directly (tests, tools) can re-validate and thereby
+  // guarantee no stale bucket survives the poke.
   EnsureGraph();
-  // The validation hook doubles as a kernel-cache sync point: a caller
-  // poking the ground program directly (tests, tools) can re-validate and
-  // thereby guarantee no stale kernel survives the poke.
-  if (kernels_) kernels_->SyncEpoch(ground_.mutation_epoch());
   return comp_rules_ == RuleBuckets(ground_.View(), *graph_);
 }
 

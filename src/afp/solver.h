@@ -6,7 +6,7 @@
 ///
 /// The paper presents the alternating fixpoint as a one-shot computation;
 /// everything built on top of it here — delta-driven evaluators, pooled
-/// contexts, the cached condensation, compiled rule kernels — is
+/// contexts, the cached condensation, compiled component buckets — is
 /// session-shaped: compile (parse + ground + index) once, then solve,
 /// query, and UPDATE many times. afp::Solver is that session: it solves
 /// component by component on one dependency analysis that its repairs
@@ -57,16 +57,6 @@ namespace afp {
 struct SolverOptions {
   /// Per-component engine of every solve, repair and unsolved query.
   SccInnerEngine inner = SccInnerEngine::kAfp;
-  /// Compiled-kernel staging for the session's component-wise evaluation
-  /// (solves and incremental repairs): kOff interprets everything, kHot
-  /// (default) compiles a component once its accumulated interpreted work
-  /// crosses compile_hot_threshold, kAlways compiles every eligible
-  /// component up front. Models and per-component trajectories are
-  /// bit-identical in all three modes (pinned by the differential tests).
-  CompileMode compile = CompileMode::kHot;
-  /// Heat units (inner iterations + 1 per interpreted general-path solve
-  /// of a component) before CompileMode::kHot compiles that component.
-  std::uint32_t compile_hot_threshold = 32;
   /// Grounding controls (instantiation mode, simplification, limits).
   GroundOptions ground;
 };
@@ -83,6 +73,10 @@ struct SolverStats {
   std::size_t num_components = 0;
   std::size_t total_local_size = 0;
   bool locally_stratified = false;
+  /// The compiled buckets the session keeps (one per general-path
+  /// component solved since its rules last changed) and their bytes.
+  std::size_t buckets = 0;
+  std::size_t bucket_bytes = 0;
   /// Work counters of the last full solve or incremental update.
   EvalStats eval;
   /// Session counters.
@@ -120,9 +114,9 @@ struct UpdateStats {
 };
 
 /// What one AddRule / RemoveRule call did: the delta-maintenance receipt.
-/// `rules_reground` plus the kernel counters are the O(touched) evidence —
+/// `rules_reground` plus the bucket counters are the O(touched) evidence —
 /// a periphery edit re-runs a handful of source-rule instantiation joins
-/// and recompiles only the components whose rule buckets changed,
+/// and drops only the buckets of the components whose rules changed,
 /// independent of program size (pinned by the rule-mutation tests), from
 /// the session's first rule op on.
 struct RuleUpdateStats {
@@ -141,9 +135,9 @@ struct RuleUpdateStats {
   /// (verdicts are still repaired incrementally from the delta's heads).
   bool graph_rebuilt = false;
   std::size_t components_added = 0;
-  /// Compiled-kernel cache maintenance (0 when compilation is off).
-  std::size_t kernels_invalidated = 0;
-  std::size_t kernels_recompiled = 0;
+  /// Compiled buckets dropped because their component's rules changed,
+  /// and buckets built by the repair that followed (eval.buckets_built).
+  std::size_t buckets_invalidated = 0;
   /// Incremental repair receipt (same semantics as UpdateStats).
   std::size_t components_downstream = 0;
   std::size_t components_resolved = 0;
@@ -279,8 +273,8 @@ class Solver {
   /// new rules are instantiated — against the session's derived-atom set,
   /// cascading semi-naively where new heads feed other rules — and the
   /// universe grows by exactly the atoms those instances mention. The
-  /// cached dependency condensation, rule buckets and compiled-kernel
-  /// cache are patched in place when the delta appends cleanly (new atoms
+  /// cached dependency condensation, rule buckets and compiled buckets
+  /// are patched in place when the delta appends cleanly (new atoms
   /// form their own trailing components); otherwise the analysis is
   /// rebuilt. Either way the model is repaired by the same
   /// downstream-only re-solve as fact updates, seeded by the touched
@@ -366,12 +360,9 @@ class Solver {
          std::unique_ptr<Grounder> grounder, SolverOptions options);
 
   /// Lazily builds (and caches) the dependency graph + rule buckets that
-  /// Solve and every incremental update share.
+  /// Solve and every incremental update share, and drops the compiled
+  /// buckets on a program mutation the session did not make itself.
   void EnsureGraph();
-
-  /// Creates (or, after a session move, recreates) the compiled-kernel
-  /// cache when the session's options call for one. EnsureGraph tail.
-  void EnsureKernels();
 
   /// Recomputes stats_.ground: grounding receipt + live table counters +
   /// peak RSS. Called wherever the sibling shape counters refresh.
@@ -389,7 +380,7 @@ class Solver {
   /// Rule-op precondition: the session kept its grounder.
   Status RuleOpsAvailable() const;
 
-  /// Rule-op back half: patches graph/buckets/kernels from the delta
+  /// Rule-op back half: patches the analysis from the delta
   /// (fast path or rebuild), repairs the model, fills the receipt.
   RuleUpdateStats FinishRuleMutation(const Grounder::Delta& delta,
                                      std::size_t atoms_before,
@@ -417,14 +408,13 @@ class Solver {
   std::unique_ptr<EvalContext> ctx_;
   std::unique_ptr<AtomDependencyGraph> graph_;
   RuleBuckets comp_rules_;
-  /// Session cache of compiled rule kernels, alongside the condensation
-  /// it is indexed by (null when options_.compile == kOff).
-  /// Invalidation: UpdateFactsById invalidates exactly the touched
-  /// components and acknowledges the program's mutation epoch; any OTHER
-  /// mutation (a bare GroundProgram::AddRule) is caught by the
-  /// epoch check at every entry point and drops the whole cache rather
-  /// than ever serving a stale kernel.
-  std::unique_ptr<KernelCache> kernels_;
+  /// The compiled buckets of the condensation above, kept across solves,
+  /// repairs and rule ops. Invalidation: fact repairs and rule ops drop
+  /// exactly the touched components and acknowledge the program's
+  /// mutation epoch; any OTHER mutation (a bare GroundProgram::AddRule) is
+  /// caught by the epoch check at every entry point and drops the whole
+  /// cache rather than ever solving on a stale bucket.
+  BucketCache buckets_;
   /// Persistent per-update scratch for SccResolveDownstream: keeps every
   /// incremental repair O(downstream closure) instead of paying an
   /// O(num_components) zero-fill floor per update (see SccUpdateScratch).

@@ -16,27 +16,9 @@ ComponentSolver::ComponentSolver(
       graph_(graph),
       comp_rules_(comp_rules),
       assumptions_(assumptions),
-      local_(ctx.AcquireRules()),
-      local_id_(ctx.AcquireU32()),
-      stamp_(ctx.AcquireU32()) {
-  local_id_.assign(view.num_atoms, 0);
-  // UINT32_MAX never collides with a component id, so unstamped atoms are
-  // recognized across every component this solver handles.
-  stamp_.assign(view.num_atoms, UINT32_MAX);
-}
+      buckets_(options.buckets != nullptr ? *options.buckets : own_buckets_) {}
 
-ComponentSolver::~ComponentSolver() {
-  // Evaluators release their pooled buffers first (they borrow from ctx_
-  // and their destructors run before the members below are released).
-  even_.reset();
-  odd_.reset();
-  tp_.reset();
-  gus_.reset();
-  kernel_.reset();
-  ctx_.ReleaseRules(std::move(local_));
-  ctx_.ReleaseU32(std::move(local_id_));
-  ctx_.ReleaseU32(std::move(stamp_));
-}
+ComponentSolver::~ComponentSolver() = default;
 
 bool ComponentSolver::SolveSingleton(std::uint32_t c, GlobalModel& gm,
                                      Outcome* out) {
@@ -94,112 +76,42 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
     Outcome fast;
     if (SolveSingleton(c, gm, &fast)) return fast;
   }
-  // Compiled components skip the whole interpreted pipeline below (remap,
-  // lowering, HornSolver CSR build, evaluator Rebind) — the bucket was
-  // lowered once at compile time and only its external literals are bound
-  // against the global model here. Bit-identical by contract
-  // (core/rule_kernel.h); pinned by the differential tests.
-  if (options_.kernels != nullptr) {
-    if (const CompiledBucket* bucket = options_.kernels->Get(c)) {
-      if (!kernel_) kernel_.emplace(ctx_, options_.inner);
-      const KernelOutcome k = kernel_->Solve(*bucket, gm);
-      Outcome out;
-      out.iterations = k.iterations;
-      out.local_size = k.local_size;
-      return out;
-    }
-  }
-  for (std::uint32_t i = 0; i < members.size(); ++i) {
-    local_id_[members[i]] = i;
-    stamp_[members[i]] = c;
-  }
-  const AtomId sentinel = static_cast<AtomId>(members.size());
-  bool sentinel_used = false;
-
-  local_.rules.clear();
-  local_.pool.clear();
-  local_.num_atoms = members.size() + 1;
-  for (std::uint32_t ri : comp_rules_[c]) {
-    const GroundRule& r = view_.rules[ri];
-    if (AssumedFalse(r.head)) continue;
-    pos_buf_.clear();
-    neg_buf_.clear();
-    bool dead = false;
-    for (AtomId q : view_.pos(r)) {
-      if (stamp_[q] == c) {
-        pos_buf_.push_back(local_id_[q]);
-      } else if (gm.IsTrue(q)) {
-        // erased: satisfied
-      } else if (gm.IsFalse(q)) {
-        dead = true;
-        break;
-      } else {
-        pos_buf_.push_back(sentinel);  // undefined external
-        sentinel_used = true;
-      }
-    }
-    if (!dead) {
-      for (AtomId q : view_.neg(r)) {
-        if (stamp_[q] == c) {
-          neg_buf_.push_back(local_id_[q]);
-        } else if (gm.IsFalse(q)) {
-          // erased: not q holds
-        } else if (gm.IsTrue(q)) {
-          dead = true;
-          break;
-        } else {
-          pos_buf_.push_back(sentinel);  // undefined external caps body
-          sentinel_used = true;
-        }
-      }
-    }
-    if (!dead) local_.Add(local_id_[r.head], pos_buf_, neg_buf_);
-  }
-  if (assumptions_.true_atoms != nullptr) {
-    for (AtomId m : members) {
-      if (AssumedTrue(m)) local_.Add(local_id_[m], {}, {});
-    }
-  }
-  if (sentinel_used) {
-    // u :- not u — permanently undefined.
-    AtomId s = sentinel;
-    local_.Add(s, {}, std::span<const AtomId>(&s, 1));
-  }
-
+  if (buckets_.Find(c) == nullptr) ++ctx_.stats().buckets_built;
+  ++ctx_.stats().bucket_solves;
+  const CompiledBucket& bucket = buckets_.Get(c, view_, graph_, comp_rules_);
   Outcome out;
-  out.local_size = local_.pool.size() + local_.rules.size();
+  const RuleBinding binding = bucket.Bind(gm, assumptions_, &state_, &live_,
+                                          &facts_, &out.local_size);
+  const HornSolver& program = bucket.program();
+  const std::size_t n = program.view().num_atoms;
 
-  HornSolver solver(local_.View(), &ctx_);
   PartialModel local_model;
   if (options_.inner == SccInnerEngine::kWp) {
-    if (tp_) {
-      tp_->Rebind(solver);
-      gus_->Rebind(solver);
-    } else {
-      tp_.emplace(solver, ctx_);
-      gus_.emplace(solver, ctx_);
+    if (!tp_) {
+      tp_.emplace(program, ctx_);
+      gus_.emplace(program, ctx_);
     }
-    WpResult r =
-        WellFoundedViaWpOnEvaluators(ctx_, *tp_, *gus_, local_.num_atoms);
+    tp_->Rebind(program, &binding);
+    gus_->Rebind(program, &binding);
+    WpResult r = WellFoundedViaWpOnEvaluators(ctx_, *tp_, *gus_, n);
     out.iterations = static_cast<std::uint32_t>(r.iterations);
     local_model = std::move(r.model);
   } else {
-    if (even_) {
-      even_->Rebind(solver);
-      odd_->Rebind(solver);
-    } else {
-      even_.emplace(solver, ctx_);
-      odd_.emplace(solver, ctx_);
+    if (!even_) {
+      even_.emplace(program, ctx_);
+      odd_.emplace(program, ctx_);
     }
-    Bitset local_seed = ctx_.AcquireBitset(local_.num_atoms);
-    AfpResult r = AlternatingFixpointOnEvaluators(
-        ctx_, *even_, *odd_, local_.num_atoms, local_seed);
+    even_->Rebind(program, &binding);
+    odd_->Rebind(program, &binding);
+    Bitset local_seed = ctx_.AcquireBitset(n);
+    AfpResult r = AlternatingFixpointOnEvaluators(ctx_, *even_, *odd_, n,
+                                                  local_seed);
     ctx_.ReleaseBitset(std::move(local_seed));
     out.iterations = static_cast<std::uint32_t>(r.outer_iterations);
     local_model = std::move(r.model);
   }
 
-  gm.Publish(members, local_model);
+  gm.Publish(bucket.members(), local_model);
 
   // Recycle the local model's bitsets for the next component (reversing
   // the inner fixpoint's escape note — they re-enter the pool cycle
@@ -208,11 +120,6 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
                         local_model.false_atoms().CapacityBytes());
   ctx_.ReleaseBitset(std::move(local_model.true_atoms()));
   ctx_.ReleaseBitset(std::move(local_model.false_atoms()));
-  // Feed the staging profiler: this component went through the full
-  // interpreted pipeline; enough of these and the session compiles it.
-  if (options_.kernels != nullptr) {
-    options_.kernels->NoteInterpretedSolve(c, out.iterations);
-  }
   return out;
 }
 

@@ -117,12 +117,15 @@ void SpEvaluator::Eval(const Bitset& assumed_false, Bitset* out) {
   assert(assumed_false.universe_size() == solver_->view().num_atoms);
   assert(out != &assumed_false);
   ++ctx_.stats().sp_calls;
-  if (!primed_) {
-    Prime(assumed_false);
+  const bool prime = !primed_;
+  if (prime) {
+    PrimeScratch();
   } else {
     ApplyDelta(assumed_false);
   }
-  Propagate(out);
+  last_false_ = assumed_false;
+  primed_ = true;
+  Propagate(assumed_false, prime, out);
 }
 
 Bitset SpEvaluator::Eval(const Bitset& assumed_false) {
@@ -131,28 +134,16 @@ Bitset SpEvaluator::Eval(const Bitset& assumed_false) {
   return out;
 }
 
-void SpEvaluator::Prime(const Bitset& assumed_false) {
-  const RuleView& view = solver_->view();
-  if (assumed_false.None()) {
-    // Ĩ = ∅ satisfies no negative literal: every counter is the rule's
-    // full negative-body length, with no body scan at all. This is the
-    // common first call of every engine (Ĩ_0 = ∅), so priming there is
-    // free and the rescan counters start at zero.
-    neg_missing_.resize(view.rules.size());
-    for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
-      neg_missing_[ri] = view.rules[ri].neg_len;
-    }
+void SpEvaluator::PrimeScratch() {
+  const std::size_t nrules = solver_->view().rules.size();
+  neg_missing_.resize(nrules);
+  // Only the live rules are visited from here on; a dead rule stays
+  // disabled for the whole solve.
+  if (binding_ != nullptr) {
+    remaining_.assign(nrules, UINT32_MAX);
   } else {
-    neg_missing_.assign(view.rules.size(), 0);
-    for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
-      for (AtomId a : view.neg(view.rules[ri])) {
-        if (!assumed_false.Test(a)) ++neg_missing_[ri];
-      }
-    }
-    ctx_.stats().rules_rescanned += view.rules.size();
+    remaining_.resize(nrules);
   }
-  last_false_ = assumed_false;
-  primed_ = true;
 }
 
 void SpEvaluator::ApplyDelta(const Bitset& assumed_false) {
@@ -174,27 +165,61 @@ void SpEvaluator::ApplyDelta(const Bitset& assumed_false) {
       });
   ctx_.stats().delta_atoms += flipped;
   ctx_.stats().rules_rescanned += touched;
-  last_false_ = assumed_false;
 }
 
-void SpEvaluator::Propagate(Bitset* out) {
+void SpEvaluator::Propagate(const Bitset& assumed_false, bool prime,
+                            Bitset* out) {
   const RuleView& view = solver_->view();
   out->Resize(view.num_atoms);
-  remaining_.resize(view.rules.size());
   queue_.clear();
+  auto derive = [&](AtomId h) {
+    if (!out->Test(h)) {
+      out->Set(h);
+      queue_.push_back(h);
+    }
+  };
 
-  for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
+  // Priming counts each visited rule's negative literals outside Ĩ; on
+  // Ĩ = ∅ (every engine's first call) that is the body length, with no
+  // scan and no rescan charge.
+  const bool scan = prime && !assumed_false.None();
+  // A bound sentinel s is derived iff `s :- not s` is enabled, i.e. iff s
+  // is assumed false; its copies in capped bodies then hold from the
+  // start, and otherwise they disable their rules.
+  const AtomId s = static_cast<AtomId>(view.num_atoms - 1);
+  const bool s_derived =
+      binding_ != nullptr && binding_->sentinel && assumed_false.Test(s);
+  std::size_t visited = 0;
+  auto visit = [&](std::uint32_t ri) {
     const GroundRule& r = view.rules[ri];
-    if (neg_missing_[ri] != 0) {
+    if (prime) {
+      std::uint32_t missing = r.neg_len;
+      if (scan) {
+        missing = 0;
+        for (AtomId a : view.neg(r)) {
+          if (!assumed_false.Test(a)) ++missing;
+        }
+      }
+      neg_missing_[ri] = missing;
+    }
+    if (neg_missing_[ri] != 0 ||
+        (!s_derived && binding_ != nullptr && binding_->capped(ri))) {
       remaining_[ri] = UINT32_MAX;
-      continue;
+      return;
     }
     remaining_[ri] = r.pos_len;
-    if (r.pos_len == 0 && !out->Test(r.head)) {
-      out->Set(r.head);
-      queue_.push_back(r.head);
-    }
+    if (r.pos_len == 0) derive(r.head);
+  };
+  if (binding_ != nullptr) {
+    for (std::uint32_t ri : binding_->live) visit(ri);
+    visited = binding_->live.size();
+    if (s_derived) derive(s);
+    for (AtomId f : binding_->facts) derive(f);
+  } else {
+    for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) visit(ri);
+    visited = view.rules.size();
   }
+  if (scan) ctx_.stats().rules_rescanned += visited;
 
   const std::vector<std::uint32_t>& off = solver_->pos_occ_offsets();
   const std::vector<std::uint32_t>& occ = solver_->pos_occ_rules();
@@ -204,13 +229,7 @@ void SpEvaluator::Propagate(Bitset* out) {
     for (std::uint32_t k = off[a]; k < off[a + 1]; ++k) {
       std::uint32_t ri = occ[k];
       if (remaining_[ri] == UINT32_MAX) continue;
-      if (--remaining_[ri] == 0) {
-        AtomId h = view.rules[ri].head;
-        if (!out->Test(h)) {
-          out->Set(h);
-          queue_.push_back(h);
-        }
-      }
+      if (--remaining_[ri] == 0) derive(view.rules[ri].head);
     }
   }
 }

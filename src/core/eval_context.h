@@ -53,17 +53,13 @@ struct EvalStats {
   /// W_P run, so the delta total is bounded by program size while a
   /// rescan pays rounds × rules).
   std::size_t gus_rules_rescanned = 0;
-  /// Component solves served by a compiled rule kernel (KernelEvaluator
-  /// over a CompiledBucket, core/rule_kernel.h) instead of the interpreted
-  /// per-component lowering. Zero on uncompiled runs.
-  std::size_t kernel_components = 0;
-  /// Inner fixpoint rounds (A_P applications or W_P rounds) run inside
-  /// compiled kernels — the kernel-side counterpart of sp_calls/gus_calls.
-  std::size_t kernel_rounds = 0;
-  /// Nanoseconds spent lowering rule buckets into compiled kernels.
-  /// Charged by the Solver session on the caller thread at compile time
-  /// (compilation never runs inside an engine's measured window).
-  std::size_t kernel_compile_ns = 0;
+  /// Component solves that took the general path: a CompiledBucket
+  /// (core/rule_kernel.h) bound and evaluated, instead of the singleton
+  /// fast path.
+  std::size_t bucket_solves = 0;
+  /// Buckets lowered (a component's first general-path solve, or its first
+  /// after its rules changed); the rest of bucket_solves reused one.
+  std::size_t buckets_built = 0;
   /// High-water mark of scratch bytes owned by the context — pooled plus
   /// checked-out, observed at every acquire/release. Slightly approximate:
   /// growth of a buffer while checked out is seen only once it returns,
@@ -80,9 +76,8 @@ struct EvalStats {
     d.delta_atoms = delta_atoms - start.delta_atoms;
     d.gus_calls = gus_calls - start.gus_calls;
     d.gus_rules_rescanned = gus_rules_rescanned - start.gus_rules_rescanned;
-    d.kernel_components = kernel_components - start.kernel_components;
-    d.kernel_rounds = kernel_rounds - start.kernel_rounds;
-    d.kernel_compile_ns = kernel_compile_ns - start.kernel_compile_ns;
+    d.bucket_solves = bucket_solves - start.bucket_solves;
+    d.buckets_built = buckets_built - start.buckets_built;
     d.peak_scratch_bytes = peak_scratch_bytes;
     return d;
   }
@@ -110,8 +105,8 @@ class EvalContext {
   void ReleaseU32(std::vector<std::uint32_t>&& v);
 
   /// Returns an empty rewritable rule buffer (capacity retained across
-  /// uses — the SCC engine's local subprograms and the relevance slices
-  /// cycle through these).
+  /// uses — the stable search's conditioned programs cycle through
+  /// these).
   OwnedRules AcquireRules();
   void ReleaseRules(OwnedRules&& r);
 
@@ -172,6 +167,43 @@ void BuildCsrIndex(std::size_t num_atoms, std::span<const GroundRule> rules,
   }
 }
 
+/// The per-solve state a component bucket's Bind (core/rule_kernel.h)
+/// lays over the bucket's local program, so the evaluators run on rules
+/// lowered once instead of on a program re-lowered per solve. With a
+/// binding the program an evaluator evaluates is:
+///
+///   * every rule whose state is not kDead, and a kCapped rule's positive
+///     body also holds the sentinel atom s, the last atom of the universe;
+///   * `s :- not s` when `sentinel` is set, which keeps s undefined, so a
+///     capped rule is never true and never unfounded for want of its
+///     undefined externals;
+///   * a body-free rule for every atom of `facts`.
+///
+/// The sentinel has no entries in the solver's occurrence indexes: the
+/// evaluators read its value straight off their interpretation argument.
+/// SpEvaluator does so on every call; TpEvaluator and GusEvaluator read it
+/// when they prime and prime again if it flips (the W_P iteration never
+/// flips it: s is undefined throughout).
+struct RuleBinding {
+  static constexpr std::uint8_t kLive = 0;
+  static constexpr std::uint8_t kCapped = 1;
+  static constexpr std::uint8_t kDead = 2;
+  /// Added to a dead rule's counters when TpEvaluator or GusEvaluator
+  /// primes, so they never reach zero whatever the later deltas do
+  /// (SpEvaluator visits only `live`).
+  static constexpr std::uint32_t kDeadBias = 1u << 30;
+
+  /// One entry per rule of the solver's view.
+  std::span<const std::uint8_t> state;
+  /// The rules that are not dead, ascending.
+  std::span<const std::uint32_t> live;
+  std::span<const AtomId> facts;
+  bool sentinel = false;
+
+  bool dead(std::uint32_t r) const { return state[r] == kDead; }
+  bool capped(std::uint32_t r) const { return state[r] == kCapped; }
+};
+
 /// Incremental S_P evaluator binding one HornSolver to one EvalContext.
 ///
 /// Construction borrows scratch from the context (cheap once the context is
@@ -193,13 +225,14 @@ class SpEvaluator {
   SpEvaluator(const SpEvaluator&) = delete;
   SpEvaluator& operator=(const SpEvaluator&) = delete;
 
-  /// Re-targets the evaluator at a different solver, keeping the pooled
-  /// buffers (the next Eval re-primes into them). This is how the SCC
-  /// engine's ComponentSolver runs one evaluator pair across thousands of
-  /// per-component solvers without a single pool round-trip per
-  /// component. The new solver must share this evaluator's context.
-  void Rebind(const HornSolver& solver) {
+  /// Re-targets the evaluator at a different solver, and at the binding
+  /// that solver's rules carry for this solve (null: none), keeping the
+  /// pooled buffers (the next Eval re-primes into them). This is how the
+  /// SCC engine's ComponentSolver runs one evaluator pair across every
+  /// component bucket without a pool round-trip per component.
+  void Rebind(const HornSolver& solver, const RuleBinding* binding = nullptr) {
     solver_ = &solver;
+    binding_ = binding;
     primed_ = false;
   }
 
@@ -215,18 +248,25 @@ class SpEvaluator {
   Bitset Eval(const Bitset& assumed_false);
 
  private:
-  void Prime(const Bitset& assumed_false);
+  /// Sizes the per-rule arrays for a fresh prime; the counters themselves
+  /// are set by the priming Propagate.
+  void PrimeScratch();
   void ApplyDelta(const Bitset& assumed_false);
-  void Propagate(Bitset* out);
+  /// One pass over the (live) rules: primes their counters when `prime`,
+  /// seeds the enabled body-free ones, then counts positive bodies down.
+  void Propagate(const Bitset& assumed_false, bool prime, Bitset* out);
 
   const HornSolver* solver_;
+  const RuleBinding* binding_ = nullptr;
   EvalContext& ctx_;
   bool primed_ = false;
   /// neg_missing_[r]: negative body literals of rule r not satisfied by the
-  /// last assumed_false seen. Rule enabled iff 0. Persistent across calls.
+  /// last assumed_false seen (unread for a dead rule). Rule enabled iff 0.
+  /// Persistent across calls.
   std::vector<std::uint32_t> neg_missing_;
   Bitset last_false_;
-  /// Per-call scratch: positive-body countdown and propagation queue.
+  /// Per-call scratch: positive-body countdown (UINT32_MAX: disabled, for
+  /// a dead rule the whole solve) and propagation queue.
   std::vector<std::uint32_t> remaining_;
   std::vector<std::uint32_t> queue_;
 };

@@ -6,9 +6,9 @@
 
 namespace afp {
 
-// Both occurrence indexes come from the shared CSR builder in
-// core/eval_context.h (also used for GusEvaluator's head index), so every
-// index of the evaluation core has one construction path.
+// Every index (positive and negative occurrences, heads) comes from
+// BuildCsrIndex in core/eval_context.h, so every index of the evaluation
+// core has one construction path.
 
 HornSolver::HornSolver(RuleView view, EvalContext* ctx)
     : view_(view), ctx_(ctx) {
@@ -39,6 +39,29 @@ void HornSolver::EnsureNegIndex() const {
   neg_index_built_ = true;
 }
 
+void HornSolver::EnsureHeadIndex() const {
+  if (head_index_built_) return;
+  std::vector<std::uint32_t> cursor;
+  if (ctx_ != nullptr) {
+    head_offsets_ = ctx_->AcquireU32();
+    head_rules_ = ctx_->AcquireU32();
+    cursor = ctx_->AcquireU32();
+  }
+  BuildCsrIndex(
+      view_.num_atoms, view_.rules,
+      [](const GroundRule& r) { return std::span<const AtomId>(&r.head, 1); },
+      &head_offsets_, &head_rules_, &cursor);
+  if (ctx_ != nullptr) ctx_->ReleaseU32(std::move(cursor));
+  head_index_built_ = true;
+}
+
+std::size_t HornSolver::IndexBytes() const {
+  return (pos_occ_offsets_.capacity() + pos_occ_rules_.capacity() +
+          neg_occ_offsets_.capacity() + neg_occ_rules_.capacity() +
+          head_offsets_.capacity() + head_rules_.capacity()) *
+         sizeof(std::uint32_t);
+}
+
 HornSolver::~HornSolver() { ReleaseIndexes(); }
 
 HornSolver::HornSolver(HornSolver&& o) noexcept
@@ -49,7 +72,10 @@ HornSolver::HornSolver(HornSolver&& o) noexcept
       pos_occ_rules_(std::move(o.pos_occ_rules_)),
       neg_index_built_(std::exchange(o.neg_index_built_, false)),
       neg_occ_offsets_(std::move(o.neg_occ_offsets_)),
-      neg_occ_rules_(std::move(o.neg_occ_rules_)) {}
+      neg_occ_rules_(std::move(o.neg_occ_rules_)),
+      head_index_built_(std::exchange(o.head_index_built_, false)),
+      head_offsets_(std::move(o.head_offsets_)),
+      head_rules_(std::move(o.head_rules_)) {}
 
 HornSolver& HornSolver::operator=(HornSolver&& o) noexcept {
   if (this != &o) {
@@ -62,6 +88,9 @@ HornSolver& HornSolver::operator=(HornSolver&& o) noexcept {
     neg_index_built_ = std::exchange(o.neg_index_built_, false);
     neg_occ_offsets_ = std::move(o.neg_occ_offsets_);
     neg_occ_rules_ = std::move(o.neg_occ_rules_);
+    head_index_built_ = std::exchange(o.head_index_built_, false);
+    head_offsets_ = std::move(o.head_offsets_);
+    head_rules_ = std::move(o.head_rules_);
   }
   return *this;
 }
@@ -73,6 +102,10 @@ void HornSolver::ReleaseIndexes() {
   if (neg_index_built_) {
     ctx_->ReleaseU32(std::move(neg_occ_offsets_));
     ctx_->ReleaseU32(std::move(neg_occ_rules_));
+  }
+  if (head_index_built_) {
+    ctx_->ReleaseU32(std::move(head_offsets_));
+    ctx_->ReleaseU32(std::move(head_rules_));
   }
   ctx_ = nullptr;
 }

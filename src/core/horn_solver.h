@@ -80,10 +80,26 @@ class HornSolver {
     return neg_occ_rules_;
   }
 
+  /// For each atom, the rules with that head (CSR layout); drives
+  /// GusEvaluator's re-derivation probes. Built lazily on first access,
+  /// like the negative index, and kept with the solver, so a component
+  /// bucket (core/rule_kernel.h) builds it once for all its solves.
+  const std::vector<std::uint32_t>& head_offsets() const {
+    EnsureHeadIndex();
+    return head_offsets_;
+  }
+  const std::vector<std::uint32_t>& head_rules() const {
+    EnsureHeadIndex();
+    return head_rules_;
+  }
+
+  /// Capacity of the index arrays built so far.
+  std::size_t IndexBytes() const;
+
  private:
   void EnsureNegIndex() const;
+  void EnsureHeadIndex() const;
   void ReleaseIndexes();
-
 
   RuleView view_;
   EvalContext* ctx_ = nullptr;
@@ -96,6 +112,9 @@ class HornSolver {
   mutable bool neg_index_built_ = false;
   mutable std::vector<std::uint32_t> neg_occ_offsets_;  // num_atoms + 1
   mutable std::vector<std::uint32_t> neg_occ_rules_;
+  mutable bool head_index_built_ = false;
+  mutable std::vector<std::uint32_t> head_offsets_;  // num_atoms + 1
+  mutable std::vector<std::uint32_t> head_rules_;
 };
 
 }  // namespace afp

@@ -71,26 +71,17 @@ StatusOr<PartialModel> ExtendToTotalModel(const GroundProgram& gp,
 
 namespace {
 
-/// Sorted names of the atoms in `set`, optionally excluding EDB predicates.
-std::vector<std::string> SortedNames(const GroundProgram& gp,
-                                     const Bitset& set, bool include_edb) {
-  std::set<SymbolId> edb;
-  if (!include_edb) edb = gp.source().EdbPredicates();
+/// `{a, b, ...}`: the sorted names of the atoms in `set`, leaving out
+/// those whose predicate is in `edb` (null: none is left out).
+std::string NameSet(const GroundProgram& gp, const Bitset& set,
+                    const std::set<SymbolId>* edb) {
   std::vector<std::string> names;
   set.ForEach([&](std::size_t a) {
     AtomId id = static_cast<AtomId>(a);
-    if (!include_edb && edb.count(gp.atoms().predicate(id))) return;
+    if (edb != nullptr && edb->count(gp.atoms().predicate(id))) return;
     names.push_back(gp.AtomName(id));
   });
   std::sort(names.begin(), names.end());
-  return names;
-}
-
-}  // namespace
-
-std::string AtomSetToString(const GroundProgram& gp, const Bitset& set,
-                            bool include_edb) {
-  std::vector<std::string> names = SortedNames(gp, set, include_edb);
   std::string out = "{";
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (i > 0) out += ", ";
@@ -100,18 +91,29 @@ std::string AtomSetToString(const GroundProgram& gp, const Bitset& set,
   return out;
 }
 
+}  // namespace
+
+std::string AtomSetToString(const GroundProgram& gp, const Bitset& set,
+                            bool include_edb) {
+  if (include_edb) return NameSet(gp, set, nullptr);
+  const std::set<SymbolId> edb = gp.source().EdbPredicates();
+  return NameSet(gp, set, &edb);
+}
+
 std::string ModelToString(const GroundProgram& gp, const PartialModel& m,
                           const ModelPrintOptions& opts) {
   Bitset undef = Bitset::ComplementOf(m.true_atoms());
   undef.Subtract(m.false_atoms());
+  // The EDB predicates are computed once per render, not once per set.
+  std::set<SymbolId> edb_set;
+  if (!opts.include_edb) edb_set = gp.source().EdbPredicates();
+  const std::set<SymbolId>* edb = opts.include_edb ? nullptr : &edb_set;
   std::string out;
-  out += "true:  " + AtomSetToString(gp, m.true_atoms(), opts.include_edb) +
-         "\n";
+  out += "true:  " + NameSet(gp, m.true_atoms(), edb) + "\n";
   if (opts.include_false) {
-    out += "false: " +
-           AtomSetToString(gp, m.false_atoms(), opts.include_edb) + "\n";
+    out += "false: " + NameSet(gp, m.false_atoms(), edb) + "\n";
   }
-  out += "undef: " + AtomSetToString(gp, undef, opts.include_edb) + "\n";
+  out += "undef: " + NameSet(gp, undef, edb) + "\n";
   return out;
 }
 

@@ -15,7 +15,7 @@
 namespace afp {
 
 class ComponentSolver;  // core/component_solver.h
-class KernelCache;      // core/rule_kernel.h
+class BucketCache;      // core/rule_kernel.h
 
 /// Which engine solves each component's local subprogram. By Theorem 7.8
 /// both compute the same local (well-founded) model; the axis exists so the
@@ -32,14 +32,11 @@ enum class SccInnerEngine {
 /// Options for the component-wise well-founded computation.
 struct SccOptions {
   SccInnerEngine inner = SccInnerEngine::kAfp;
-  /// Optional compiled-kernel cache (core/rule_kernel.h). Null keeps every
-  /// component interpreted. When set, ComponentSolver serves components
-  /// with a compiled bucket through the packed KernelEvaluator and reports
-  /// interpreted general-path solves back as heat; the cache's buckets are
-  /// read-only during a run (all compilation happens between runs).
-  /// Results are bit-identical with and without a cache (models AND
-  /// per-component trajectories; pinned by the differential tests).
-  KernelCache* kernels = nullptr;
+  /// Where the general-path components' buckets (core/rule_kernel.h) are
+  /// kept: a caller that solves the same analysis again (the Solver
+  /// session) passes its cache so buckets outlive the run; null keeps them
+  /// for the run only. Results do not depend on the cache's contents.
+  BucketCache* buckets = nullptr;
 };
 
 /// Result of the component-wise well-founded computation.
@@ -60,7 +57,7 @@ struct SccWfsResult {
   /// Per-component inner-solve iteration counts (A_P rounds under kAfp,
   /// W_P rounds under kWp), indexed by component id — the trajectory the
   /// differential tests compare (incremental repair vs a from-scratch
-  /// solve, compiled vs interpreted components).
+  /// solve, and the reference per-component loop of tests/reference/).
   std::vector<std::uint32_t> component_iterations;
 };
 
@@ -77,8 +74,7 @@ struct TrailEntry {
 /// condensation, so a component's externals are always decided by the
 /// time it runs). ComponentSolver reads decided externals through
 /// IsTrue / IsFalse and publishes each component's verdicts once, through
-/// Publish (general path and compiled kernels) or PublishOne (the
-/// singleton fast path). Publishing OVERWRITES the members' previous bits
+/// Publish (the general path) or PublishOne (the singleton fast path). Publishing OVERWRITES the members' previous bits
 /// — a full solve starts from empty sets, an incremental repair from the
 /// previous model — and records in `changed` whether the component just
 /// published changed any verdict: the signal that advances the repair's
@@ -155,7 +151,9 @@ struct GlobalModel {
 ///     the three-valued semantics inside the component;
 ///   * each component is then solved on its (usually tiny) local
 ///     subprogram by the alternating fixpoint or, under
-///     SccInnerEngine::kWp, by the W_P iteration.
+///     SccInnerEngine::kWp, by the W_P iteration; the local subprogram is
+///     the component's bucket, lowered once, bound per solve
+///     (core/rule_kernel.h).
 ///
 /// On (ground-)locally-stratified programs every component is negation-free
 /// internally, so each local fixpoint is a plain Horn solve and the result

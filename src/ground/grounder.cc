@@ -138,9 +138,11 @@ StatusOr<GroundProgram> Grounder::Ground(Program& program,
   std::unique_ptr<Grounder> g(new Grounder(program, options));
   StatusOr<GroundProgram> gp = g->Build(kept);
   if (!gp.ok()) {
+    // The same tables as a completed run's receipt: the scratch
+    // structures, not the atom table (which a completed run hands on to
+    // the program, counters included).
     if (receipt != nullptr) {
       g->FillReceipt(*receipt);
-      receipt->Absorb(g->atoms_->index_stats());
       receipt->atoms = g->atoms_->size();
       receipt->rules = g->fact_atoms_.size() + g->instances_.size();
     }

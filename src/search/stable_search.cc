@@ -55,8 +55,10 @@ StableSearch::StableSearch(const GroundProgram& gp,
   if (options_.wfs_propagation) {
     graph_.emplace(view_);
     comp_rules_ = RuleBuckets(view_, *graph_);
+    SccOptions so;
+    so.buckets = &buckets_;
     solver_ = std::make_unique<ComponentSolver>(
-        ctx_, SccOptions{}, view_, *graph_, comp_rules_,
+        ctx_, so, view_, *graph_, comp_rules_,
         AssumptionPair{&assumed_true_, &assumed_false_});
     std::vector<std::uint32_t> cursor = ctx_.AcquireU32();
     BuildCsrIndex(
@@ -114,8 +116,10 @@ bool StableSearch::Propagate(bool use_seed, StableSearchStats* s) {
     false_ = seed_false_;
     return true;
   } else {
+    SccOptions so;
+    so.buckets = &buckets_;
     SccWfsResult r =
-        WellFoundedSccOnGraph(ctx_, view_, *graph_, comp_rules_);
+        WellFoundedSccOnGraph(ctx_, view_, *graph_, comp_rules_, so);
     true_ = std::move(r.model.true_atoms());
     false_ = std::move(r.model.false_atoms());
     s->components_resolved += r.num_components;

@@ -21,7 +21,9 @@
 /// b — so its model is the parent's with b's component, and whatever that
 /// component's change frontier reaches, re-solved by SccResolveDownstream
 /// (the walk session fact repairs use) through one ComponentSolver that
-/// reads the engine's assumption pair. The search keeps a single model;
+/// reads the engine's assumption pair. A general-path component is
+/// lowered into its bucket once, at its first solve, and every later node
+/// only binds it again (core/rule_kernel.h). The search keeps a single model;
 /// the repair logs every write it makes on an undo trail, and
 /// backtracking pops the trail to the frame's mark and clears the
 /// assumption bit. Per node there is no model copy, no rule copy and no
@@ -88,6 +90,7 @@
 #include "analysis/atom_graph.h"
 #include "core/eval_context.h"
 #include "core/horn_solver.h"
+#include "core/rule_kernel.h"
 #include "core/scc_engine.h"
 #include "ground/ground_program.h"
 #include "util/bitset.h"
@@ -256,9 +259,11 @@ class StableSearch {
   std::vector<Frame> frames_;
 
   /// wfs_propagation: the base program's condensation, its rule buckets,
-  /// and the one assumption-reading solver every repair drives.
+  /// their compiled buckets (kept across nodes and runs), and the one
+  /// assumption-reading solver every repair drives.
   std::optional<AtomDependencyGraph> graph_;
   RuleBuckets comp_rules_;
+  BucketCache buckets_;
   std::unique_ptr<ComponentSolver> solver_;
   SccUpdateScratch scratch_;
 

@@ -14,8 +14,6 @@ GusEvaluator::GusEvaluator(const HornSolver& solver, EvalContext& ctx)
       x_(ctx.AcquireBitset(0)),
       last_true_(ctx.AcquireBitset(0)),
       last_false_(ctx.AcquireBitset(0)),
-      head_offsets_(ctx.AcquireU32()),
-      head_rules_(ctx.AcquireU32()),
       rule_stamp_(ctx.AcquireU32()),
       queue_(ctx.AcquireU32()),
       touched_(ctx.AcquireU32()),
@@ -27,8 +25,6 @@ GusEvaluator::~GusEvaluator() {
   ctx_.ReleaseBitset(std::move(x_));
   ctx_.ReleaseBitset(std::move(last_true_));
   ctx_.ReleaseBitset(std::move(last_false_));
-  ctx_.ReleaseU32(std::move(head_offsets_));
-  ctx_.ReleaseU32(std::move(head_rules_));
   ctx_.ReleaseU32(std::move(rule_stamp_));
   ctx_.ReleaseU32(std::move(queue_));
   ctx_.ReleaseU32(std::move(touched_));
@@ -40,10 +36,17 @@ void GusEvaluator::Eval(const PartialModel& I, Bitset* out) {
 }
 
 const Bitset& GusEvaluator::EvalSupported(const PartialModel& I) {
-  assert(I.true_atoms().universe_size() == solver_->view().num_atoms);
-  assert(I.false_atoms().universe_size() == solver_->view().num_atoms);
+  const std::size_t n = solver_->view().num_atoms;
+  assert(I.true_atoms().universe_size() == n);
+  assert(I.false_atoms().universe_size() == n);
   ++ctx_.stats().gus_calls;
-  if (!primed_) {
+  // A bound sentinel has no occurrence entries: when its value moves, the
+  // counters it feeds are recounted (the W_P iteration never moves it).
+  const bool sentinel_moved =
+      primed_ && binding_ != nullptr && binding_->sentinel &&
+      (I.true_atoms().Test(n - 1) != last_true_.Test(n - 1) ||
+       I.false_atoms().Test(n - 1) != last_false_.Test(n - 1));
+  if (!primed_ || sentinel_moved) {
     Prime(I);
   } else {
     ApplyDelta(I);
@@ -69,6 +72,15 @@ void GusEvaluator::Prime(const PartialModel& I) {
   }
   // The all-undefined interpretation — every engine's first call — leaves
   // every witness counter at zero without touching a single body literal.
+  if (binding_ != nullptr) {
+    // A capped body's sentinel copy is a witness iff s is false.
+    const AtomId s = static_cast<AtomId>(view.num_atoms - 1);
+    const std::uint32_t copy = I.false_atoms().Test(s) ? 1 : 0;
+    for (std::uint32_t ri = 0; ri < nrules; ++ri) {
+      if (binding_->dead(ri)) witness_[ri] += RuleBinding::kDeadBias;
+      if (binding_->capped(ri)) witness_[ri] += copy;
+    }
+  }
 
   rule_stamp_.assign(nrules, 0);
   epoch_ = 0;
@@ -83,16 +95,34 @@ void GusEvaluator::FullSolve() {
   x_.Resize(view.num_atoms);
   missing_.resize(view.rules.size());
   queue_.clear();
+  auto support = [&](AtomId h) {
+    if (!x_.Test(h)) {
+      x_.Set(h);
+      queue_.push_back(h);
+    }
+  };
+  // A bound sentinel is supported iff `s :- not s` is usable (s not true);
+  // its copies in capped bodies are then in X from the start. Facts are
+  // always supported, and nothing ever removes them: their atoms' own
+  // rules are dead.
+  std::uint32_t copy = 0;
+  if (binding_ != nullptr) {
+    const AtomId s = static_cast<AtomId>(view.num_atoms - 1);
+    if (binding_->sentinel && !last_true_.Test(s)) {
+      support(s);
+    } else {
+      copy = 1;
+    }
+    for (AtomId f : binding_->facts) support(f);
+  }
   for (std::uint32_t ri = 0; ri < view.rules.size(); ++ri) {
     const GroundRule& r = view.rules[ri];
     // `missing_` counts down for every rule — usable or not — so a rule
     // re-enabled by a later delta resumes with an accurate positive-body
     // countdown.
     missing_[ri] = r.pos_len;
-    if (witness_[ri] == 0 && r.pos_len == 0 && !x_.Test(r.head)) {
-      x_.Set(r.head);
-      queue_.push_back(r.head);
-    }
+    if (binding_ != nullptr && binding_->capped(ri)) missing_[ri] += copy;
+    if (witness_[ri] == 0 && missing_[ri] == 0) support(r.head);
   }
   const auto& off = solver_->pos_occ_offsets();
   const auto& occ = solver_->pos_occ_rules();
@@ -101,36 +131,13 @@ void GusEvaluator::FullSolve() {
     queue_.pop_back();
     for (std::uint32_t k = off[a]; k < off[a + 1]; ++k) {
       std::uint32_t ri = occ[k];
-      if (--missing_[ri] == 0 && witness_[ri] == 0) {
-        AtomId h = view.rules[ri].head;
-        if (!x_.Test(h)) {
-          x_.Set(h);
-          queue_.push_back(h);
-        }
-      }
+      if (--missing_[ri] == 0 && witness_[ri] == 0) support(view.rules[ri].head);
     }
   }
 }
 
-void GusEvaluator::EnsureHeadIndex() {
-  // Built on the first delta application rather than at priming: the
-  // index only serves ApplyDelta's re-derivation probes, and evaluators
-  // that never get past their first Eval (trivial SCC components, one-shot
-  // uses) should not pay the counting sort.
-  if (head_index_built_) return;
-  const RuleView& view = solver_->view();
-  std::vector<std::uint32_t> cursor = ctx_.AcquireU32();
-  BuildCsrIndex(
-      view.num_atoms, view.rules,
-      [](const GroundRule& r) { return std::span<const AtomId>(&r.head, 1); },
-      &head_offsets_, &head_rules_, &cursor);
-  ctx_.ReleaseU32(std::move(cursor));
-  head_index_built_ = true;
-}
-
 void GusEvaluator::ApplyDelta(const PartialModel& I) {
   const RuleView& view = solver_->view();
-  EnsureHeadIndex();
   if (epoch_ == UINT32_MAX) {  // stamp wrap: restart the epoch space
     rule_stamp_.assign(view.rules.size(), 0);
     epoch_ = 0;
@@ -234,11 +241,13 @@ void GusEvaluator::ApplyDelta(const PartialModel& I) {
       add_atom(view.rules[ri].head);  // newly usable and fully supported
     }
   }
+  const auto& hoff = solver_->head_offsets();
+  const auto& hrules = solver_->head_rules();
   for (AtomId a : removed_) {
     if (x_.Test(a)) continue;  // already re-derived
-    for (std::uint32_t k = head_offsets_[a]; k < head_offsets_[a + 1]; ++k) {
+    for (std::uint32_t k = hoff[a]; k < hoff[a + 1]; ++k) {
       ++scans;
-      std::uint32_t ri = head_rules_[k];
+      std::uint32_t ri = hrules[k];
       if (witness_[ri] == 0 && missing_[ri] == 0) {
         add_atom(a);
         break;

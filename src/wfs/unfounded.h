@@ -37,9 +37,8 @@ namespace afp {
 ///      positive-occurrence index, DRed-style: any counted support that
 ///      passed through an invalidated rule is tentatively retracted);
 ///   3. re-derives over-deleted atoms that still have a firing rule, found
-///      through a head index (rules grouped by head atom, built once per
-///      evaluator from pooled storage), and propagates additions from
-///      newly-enabled rules.
+///      through the solver's head index (rules grouped by head atom), and
+///      propagates additions from newly-enabled rules.
 ///
 /// Under the monotone W_P iteration every atom flips at most once per
 /// polarity, so the total witness-update work across a whole run is bounded
@@ -60,15 +59,13 @@ class GusEvaluator {
   GusEvaluator(const GusEvaluator&) = delete;
   GusEvaluator& operator=(const GusEvaluator&) = delete;
 
-  /// Re-targets the evaluator at a different solver (sharing this
-  /// evaluator's context), keeping the pooled buffers and the head-index
-  /// storage; the next Eval re-primes and the head index is rebuilt —
-  /// into the retained capacity — only if a delta application needs it.
-  /// See SpEvaluator::Rebind.
-  void Rebind(const HornSolver& solver) {
+  /// Re-targets the evaluator at a different solver and binding (sharing
+  /// this evaluator's context), keeping the pooled buffers; the next Eval
+  /// re-primes. See SpEvaluator::Rebind.
+  void Rebind(const HornSolver& solver, const RuleBinding* binding = nullptr) {
     solver_ = &solver;
+    binding_ = binding;
     primed_ = false;
-    head_index_built_ = false;
   }
 
   /// Computes U_P(I) into `*out` (resized and overwritten here). Charges
@@ -90,15 +87,16 @@ class GusEvaluator {
  private:
   void Prime(const PartialModel& I);
   void FullSolve();
-  void EnsureHeadIndex();
   void ApplyDelta(const PartialModel& I);
 
   const HornSolver* solver_;
+  const RuleBinding* binding_ = nullptr;
   EvalContext& ctx_;
   bool primed_ = false;
   /// witness_[r]: number of unusability witnesses rule r has in the last I
   /// seen — positive body literals false in I plus negative body literals
-  /// true in I. Rule usable iff 0. Persistent across calls.
+  /// true in I (plus RuleBinding::kDeadBias for a dead rule). Rule usable
+  /// iff 0. Persistent across calls.
   std::vector<std::uint32_t> witness_;
   /// missing_[r]: positive body atoms of rule r not (yet) in x_ —
   /// maintained for every rule regardless of usability, so rules re-enabled
@@ -109,12 +107,6 @@ class GusEvaluator {
   Bitset x_;
   Bitset last_true_;
   Bitset last_false_;
-  /// Head index (CSR): rules grouped by head atom; drives re-derivation.
-  /// Built lazily on the first delta application — only ApplyDelta's
-  /// probe loop reads it.
-  bool head_index_built_ = false;
-  std::vector<std::uint32_t> head_offsets_;
-  std::vector<std::uint32_t> head_rules_;
   /// Deduplicates touched rules within one delta application.
   std::vector<std::uint32_t> rule_stamp_;
   std::uint32_t epoch_ = 0;

@@ -26,9 +26,16 @@ TpEvaluator::~TpEvaluator() {
 }
 
 void TpEvaluator::Eval(const PartialModel& I, Bitset* out) {
-  assert(I.true_atoms().universe_size() == solver_->view().num_atoms);
-  assert(I.false_atoms().universe_size() == solver_->view().num_atoms);
-  if (!primed_) {
+  const std::size_t n = solver_->view().num_atoms;
+  assert(I.true_atoms().universe_size() == n);
+  assert(I.false_atoms().universe_size() == n);
+  // A bound sentinel has no occurrence entries: when its value moves, the
+  // counters it feeds are recounted (the W_P iteration never moves it).
+  const bool sentinel_moved =
+      primed_ && binding_ != nullptr && binding_->sentinel &&
+      (I.true_atoms().Test(n - 1) != last_true_.Test(n - 1) ||
+       I.false_atoms().Test(n - 1) != last_false_.Test(n - 1));
+  if (!primed_ || sentinel_moved) {
     Prime(I);
   } else {
     ApplyDelta(I);
@@ -64,11 +71,23 @@ void TpEvaluator::Prime(const PartialModel& I) {
   }
   support_.assign(view.num_atoms, 0);
   heads_.Resize(view.num_atoms);
-  for (std::uint32_t ri = 0; ri < nrules; ++ri) {
-    if (unsat_[ri] == 0) {
-      AtomId h = view.rules[ri].head;
-      if (++support_[h] == 1) heads_.Set(h);
+  auto support = [&](AtomId h) {
+    if (++support_[h] == 1) heads_.Set(h);
+  };
+  if (binding_ != nullptr) {
+    // The sentinel copy of a capped body is true only if s is; `s :- not
+    // s` fires iff s is false; facts always fire.
+    const AtomId s = static_cast<AtomId>(view.num_atoms - 1);
+    const std::uint32_t copy = I.true_atoms().Test(s) ? 0 : 1;
+    for (std::uint32_t ri = 0; ri < nrules; ++ri) {
+      if (binding_->dead(ri)) unsat_[ri] += RuleBinding::kDeadBias;
+      if (binding_->capped(ri)) unsat_[ri] += copy;
     }
+    if (binding_->sentinel && I.false_atoms().Test(s)) support(s);
+    for (AtomId f : binding_->facts) support(f);
+  }
+  for (std::uint32_t ri = 0; ri < nrules; ++ri) {
+    if (unsat_[ri] == 0) support(view.rules[ri].head);
   }
   last_true_ = I.true_atoms();
   last_false_ = I.false_atoms();

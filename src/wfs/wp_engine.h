@@ -54,11 +54,12 @@ class TpEvaluator {
   TpEvaluator(const TpEvaluator&) = delete;
   TpEvaluator& operator=(const TpEvaluator&) = delete;
 
-  /// Re-targets the evaluator at a different solver (sharing this
-  /// evaluator's context), keeping the pooled buffers; the next Eval
+  /// Re-targets the evaluator at a different solver and binding (sharing
+  /// this evaluator's context), keeping the pooled buffers; the next Eval
   /// re-primes. See SpEvaluator::Rebind.
-  void Rebind(const HornSolver& solver) {
+  void Rebind(const HornSolver& solver, const RuleBinding* binding = nullptr) {
     solver_ = &solver;
+    binding_ = binding;
     primed_ = false;
   }
 
@@ -72,10 +73,12 @@ class TpEvaluator {
   void ApplyDelta(const PartialModel& I);
 
   const HornSolver* solver_;
+  const RuleBinding* binding_ = nullptr;
   EvalContext& ctx_;
   bool primed_ = false;
-  /// unsat_[r]: body literals of rule r not (yet) true in the last I seen.
-  /// Rule contributes its head to T_P(I) iff 0. Persistent across calls.
+  /// unsat_[r]: body literals of rule r not (yet) true in the last I seen
+  /// (plus RuleBinding::kDeadBias for a dead rule). Rule contributes its
+  /// head to T_P(I) iff 0. Persistent across calls.
   std::vector<std::uint32_t> unsat_;
   /// support_[a]: number of fully-satisfied rules with head a; heads_ keeps
   /// the atoms with support_ > 0, i.e. exactly T_P(I).

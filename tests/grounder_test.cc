@@ -496,6 +496,26 @@ TEST(Grounder, JoinCandidatesAreLinearInOutput) {
   }
 }
 
+TEST(Grounder, ReceiptCoversTheSameTablesOnSuccessAndFailure) {
+  // A run stopped at max_atoms did a prefix of the complete run's work on
+  // the same scratch tables, so its receipt can read no bigger. The atom
+  // table is in neither receipt: a completed run hands it on to the
+  // program, counters included.
+  Program tc = workload::TransitiveClosureComplement(
+      graphs::ErdosRenyi(72, 216, 5));
+  const GroundStats whole = GroundReceipt(tc, GroundOptions{}, StatusCode::kOk);
+  GroundOptions capped;
+  capped.max_atoms = 2000;
+  const GroundStats partial =
+      GroundReceipt(tc, capped, StatusCode::kResourceExhausted);
+  EXPECT_GT(whole.atoms, capped.max_atoms);
+  EXPECT_GT(partial.index_bytes, 0u);
+  EXPECT_LE(partial.index_bytes, whole.index_bytes);
+  EXPECT_LE(partial.intern_probes, whole.intern_probes);
+  EXPECT_LE(partial.intern_allocs, whole.intern_allocs);
+  EXPECT_LE(partial.join_candidates, whole.join_candidates);
+}
+
 TEST(Grounder, PostSealAddRuleMaintainsFactIndex) {
   // Regression: AddRule is public, and calling it on a grounded program
   // with an empty body is an EDB fact append by another name. The lazily

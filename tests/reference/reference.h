@@ -13,8 +13,12 @@
 /// are small enough to check by eye, which is what makes them useful as
 /// oracles. This library is linked into the test executables only.
 
+#include <cstdint>
+#include <vector>
+
 #include "core/alternating.h"
 #include "core/interpretation.h"
+#include "core/scc_engine.h"
 #include "ground/ground_program.h"
 #include "util/bitset.h"
 #include "wfs/wp_engine.h"
@@ -54,15 +58,45 @@ bool IsUnfoundedSet(const RuleView& view, const PartialModel& I,
 /// as a from-scratch evaluation pays: one sp_call and |rules|
 /// rules_rescanned per S_P call, except that a call on Ĩ = ∅ satisfies no
 /// negative literal and so rescans nothing.
-AfpResult ScratchAlternatingFixpoint(const GroundProgram& gp,
+AfpResult ScratchAlternatingFixpoint(const RuleView& view,
                                      const AfpOptions& options = {});
+inline AfpResult ScratchAlternatingFixpoint(const GroundProgram& gp,
+                                            const AfpOptions& options = {}) {
+  return ScratchAlternatingFixpoint(gp.View(), options);
+}
 
 /// The W_P iteration (§6) with T_P and U_P re-evaluated from scratch every
 /// round. Same loop and termination test as WellFoundedViaWpOnEvaluators,
 /// so the model and the round count must match the library's. `eval` is
 /// charged |rules| rules_rescanned per T_P call, and one gus_call plus
 /// |rules| gus_rules_rescanned per U_P call.
-WpResult ScratchWellFoundedViaWp(const GroundProgram& gp);
+WpResult ScratchWellFoundedViaWp(const RuleView& view);
+inline WpResult ScratchWellFoundedViaWp(const GroundProgram& gp) {
+  return ScratchWellFoundedViaWp(gp.View());
+}
+
+/// The model and per-component trajectory of ScratchWellFoundedScc.
+struct SccReference {
+  PartialModel model;
+  /// Inner rounds per component of AtomDependencyGraph(gp.View()).
+  std::vector<std::uint32_t> component_iterations;
+};
+
+/// The component-wise well-founded computation written plainly, one fresh
+/// local program per component (what WellFoundedScc computes through its
+/// compiled buckets). Components run in id order. A singleton that does
+/// not depend on itself takes its value from its bodies, evaluated
+/// three-valued over the decided externals (1 round). Every other
+/// component is lowered: its members are renumbered 0..m-1; a body
+/// literal on a decided external is erased if it holds and deletes the
+/// rule if it fails (the scan of that body stops there); an undefined
+/// external becomes a positive literal on the sentinel atom u = m, which
+/// `u :- not u` keeps undefined (added if any undefined external was
+/// scanned). The local program is solved by ScratchAlternatingFixpoint
+/// (kAfp) or ScratchWellFoundedViaWp (kWp), whose rounds are the
+/// component's trajectory entry.
+SccReference ScratchWellFoundedScc(const GroundProgram& gp,
+                                   SccInnerEngine inner);
 
 }  // namespace afp::reference
 

@@ -14,9 +14,13 @@
 //     behind, like RetractFacts); every incremental-only atom must be
 //     false, which the closed-world Query of the fresh session enforces.
 //
+//   Check C — the reference per-component loop of tests/reference/ over
+//     the session's ground program (a fresh local program lowered per
+//     component and solved from scratch): same model and trajectories.
+//
 // The fuzz interleaves AddRule / RemoveRule / AssertFacts / RetractFacts
-// under every axis the session exposes: inner Sp vs Gus, compile kOff vs
-// kAlways, and a session seeded with the monolithic fixpoint's model.
+// under every axis the session exposes: inner Sp vs Gus, and a session
+// seeded with the monolithic fixpoint's model.
 // Fact ops stay on initially-derived atoms (the deferred-extension
 // contract is tested separately and in isolation below).
 
@@ -32,16 +36,16 @@
 #include "core/alternating.h"
 #include "core/eval_context.h"
 #include "core/scc_engine.h"
+#include "reference/reference.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
 
 namespace afp {
 namespace {
 
-SolverOptions MutableOptions(SccInnerEngine inner, CompileMode compile) {
+SolverOptions MutableOptions(SccInnerEngine inner) {
   SolverOptions o;
   o.inner = inner;
-  o.compile = compile;
   o.ground.simplify = false;  // rule ops require unsimplified grounding
   return o;
 }
@@ -77,6 +81,26 @@ void ExpectFreshSccAgrees(Solver& solver, const SolverOptions& options,
     ASSERT_EQ(fresh.component_iterations[fresh_comp[a]],
               inc_iters[inc_comp[a]])
         << where << ": trajectory mismatch at atom "
+        << solver.ground().AtomName(a);
+  }
+}
+
+/// Check C: the reference per-component loop over the session's ground
+/// program; model and per-atom trajectory must match bit-identically.
+void ExpectReferenceSccAgrees(Solver& solver, const SolverOptions& options,
+                              const std::string& where) {
+  const PartialModel& inc = solver.Solve();
+  const reference::SccReference ref =
+      reference::ScratchWellFoundedScc(solver.ground(), options.inner);
+  ASSERT_EQ(ref.model, inc) << where;
+  const std::vector<std::uint32_t>& inc_iters = solver.component_iterations();
+  if (inc_iters.empty()) return;
+  const AtomDependencyGraph ref_graph(solver.ground().View());
+  const auto& inc_comp = solver.DependencyGraph()->component_of();
+  for (AtomId a = 0; a < solver.ground().num_atoms(); ++a) {
+    ASSERT_EQ(ref.component_iterations[ref_graph.component_of()[a]],
+              inc_iters[inc_comp[a]])
+        << where << ": reference trajectory mismatch at atom "
         << solver.ground().AtomName(a);
   }
 }
@@ -207,29 +231,34 @@ void RunMutationFuzz(const SolverOptions& options, std::uint64_t seed,
     }
     ASSERT_TRUE(solver.ValidateRuleBuckets()) << where;
     ExpectFreshSccAgrees(solver, options, where);
+    ExpectReferenceSccAgrees(solver, options, where);
     ExpectFreshTextAgrees(solver, accumulated_text(), options, where);
   }
 }
 
-// --- The fuzz matrix: inner x compile -------------------------------------
+// --- The fuzz matrix: inner x seed ----------------------------------------
+//
+// The Interpreted/Compiled pairs ran the two sides of the retired compile
+// axis; every general-path component now runs on its bucket, so each pair
+// is the one configuration on two seeds.
 
 TEST(RuleMutationTest, FuzzSccSpInterpreted) {
-  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff), 1,
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp), 1,
                   28);
 }
 
 TEST(RuleMutationTest, FuzzSccSpCompiled) {
-  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways), 2,
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp), 2,
                   28);
 }
 
 TEST(RuleMutationTest, FuzzSccGusInterpreted) {
-  RunMutationFuzz(MutableOptions(SccInnerEngine::kWp, CompileMode::kOff), 3,
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kWp), 3,
                   28);
 }
 
 TEST(RuleMutationTest, FuzzSccGusCompiled) {
-  RunMutationFuzz(MutableOptions(SccInnerEngine::kWp, CompileMode::kAlways), 4,
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kWp), 4,
                   28);
 }
 
@@ -237,14 +266,14 @@ TEST(RuleMutationTest, FuzzMonolithicEngineSession) {
   // A session seeded with the monolithic alternating fixpoint's model
   // (AdoptModel, so no trajectory to maintain) still repairs rule edits
   // component-wise.
-  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff), 5,
+  RunMutationFuzz(MutableOptions(SccInnerEngine::kAfp), 5,
                   18, /*adopt_afp_model=*/true);
 }
 
 // --- Targeted unit tests ----------------------------------------------
 
 TEST(RuleMutationTest, AddRuleDerivesAndGrowsUniverse) {
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   Solver s = MustSolver("e(a,b). e(b,c). p(X) :- e(X,Y).", o);
   s.Solve();
   const std::size_t atoms0 = s.ground().num_atoms();
@@ -267,7 +296,7 @@ TEST(RuleMutationTest, AddedRulesJoinThroughListsBuiltMidSession) {
   const std::string base = "p(X) :- e(X,Y), not p(Y).\n"
                            "e(a,b). e(b,c). e(c,a). f(a). f(c).\n";
   const SolverOptions o =
-      MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
+      MutableOptions(SccInnerEngine::kAfp);
   Solver s = MustSolver(base, o);
   s.Solve();
   const std::string added[] = {"x(Y) :- f(X), e(X,Y).", "y(X) :- e(X,c).",
@@ -286,7 +315,7 @@ TEST(RuleMutationTest, AddedRulesJoinThroughListsBuiltMidSession) {
 }
 
 TEST(RuleMutationTest, RemoveRuleLeavesDeadAtomsFalse) {
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   Solver s = MustSolver("e(a,b). p(X) :- e(X,Y).", o);
   s.Solve();
   ASSERT_TRUE(s.AddRule("q(X) :- p(X).").ok());
@@ -300,7 +329,7 @@ TEST(RuleMutationTest, RemoveRuleLeavesDeadAtomsFalse) {
 }
 
 TEST(RuleMutationTest, SharedInstancesSurviveSingleRemoval) {
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   Solver s = MustSolver("f(a). p(X) :- f(X).", o);
   s.Solve();
   // Two structurally distinct source rules emitting the same instance
@@ -319,7 +348,7 @@ TEST(RuleMutationTest, SharedInstancesSurviveSingleRemoval) {
 }
 
 TEST(RuleMutationTest, DeferredExtensionFoldsAssertsAtNextRuleOp) {
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   // q/1 atoms exist in the universe (negative bodies) but are initially
   // underivable.
   Solver s = MustSolver("f(a). f(b). p(X) :- f(X), not q(X).", o);
@@ -342,7 +371,7 @@ TEST(RuleMutationTest, DeferredExtensionFoldsAssertsAtNextRuleOp) {
 }
 
 TEST(RuleMutationTest, RejectsFactsAndUnknownRules) {
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   Solver s = MustSolver("f(a). p(X) :- f(X).", o);
   s.Solve();
   EXPECT_EQ(s.AddRule("g(b).").status().code(), StatusCode::kInvalidArgument);
@@ -359,7 +388,7 @@ TEST(RuleMutationTest, RuleOpsRequireSmartSemiNaiveGrounding) {
   // rule ops rely on (only the semi-naive kSmart join keeps it); the
   // session refuses before touching anything.
   const std::string text = "f(a). f(b). p(X) :- f(X), not q(X).";
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kOff);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   o.ground.mode = GroundMode::kFull;
   Solver s = MustSolver(text, o);
   s.Solve();
@@ -379,7 +408,7 @@ TEST(RuleMutationTest, RuleOpsRequireSmartSemiNaiveGrounding) {
 TEST(RuleMutationTest, RuleOpsSurviveSessionMove) {
   // The grounder holds no reference into the session, so rule ops keep
   // working after the session object moves (it used to crash here).
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   const std::string base = "e(a,b). e(b,c). e(c,a). p(X) :- e(X,Y), not p(Y).";
   Solver first = MustSolver(base, o);
   first.Solve();
@@ -413,7 +442,7 @@ TEST(RuleMutationTest, SimplifiedSessionsRefuseRuleOps) {
 
 TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
   Digraph g = graphs::RandomFunctional(4096, 7);
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   auto sv = Solver::FromProgram(workload::WinMove(g), o);
   ASSERT_TRUE(sv.ok()) << sv.status().ToString();
   Solver s = std::move(sv).value();
@@ -433,12 +462,11 @@ TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
   EXPECT_FALSE(r->graph_rebuilt);
   // O(touched), not O(program): the delta receipt stays constant-sized
   // against a 4096-node program.
-  EXPECT_LE(r->kernels_invalidated, 2u);
+  EXPECT_LE(r->buckets_invalidated, 2u);
   EXPECT_LE(r->components_downstream, 4u);
-  // No untouched component recompiled: the probe's singleton component
-  // has no self-dependent rule, so nothing compiles at all.
-  EXPECT_EQ(r->kernels_recompiled, 0u);
-  EXPECT_EQ(r->eval.kernel_compile_ns, 0u);
+  // No bucket rebuilt: the probe's singleton component has no
+  // self-dependent rule, so it takes the fast path.
+  EXPECT_EQ(r->eval.buckets_built, 0u);
 
   // Removal receipt: same locality on the way out.
   auto rr = s.RemoveRule("probe :- wins(b).");
@@ -446,33 +474,33 @@ TEST(RuleMutationTest, PeripheryEditReceiptIsOTouchedOnWinMove4096) {
   EXPECT_EQ(rr->rules_reground, 1u);
   EXPECT_EQ(rr->ground_rules_removed, 1u);
   EXPECT_FALSE(rr->graph_rebuilt);
-  EXPECT_LE(rr->kernels_invalidated, 1u);
-  EXPECT_EQ(rr->eval.kernel_compile_ns, 0u);
+  EXPECT_LE(rr->buckets_invalidated, 1u);
+  EXPECT_EQ(rr->eval.buckets_built, 0u);
 
   ASSERT_TRUE(s.ValidateRuleBuckets());
   ExpectFreshSccAgrees(s, o, "PeripheryEditReceipt");
 }
 
-// --- Kernel staleness: rule edits never serve a stale CompiledBucket ---
+// --- Bucket staleness: rule edits never solve on a stale CompiledBucket -
 
 TEST(RuleMutationTest, RuleEditRecompilesExactlyTheTouchedKernels) {
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
-  // Two independent 2-cycles: both components compile (multi-member).
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
+  // Two independent 2-cycles: both components get buckets (multi-member).
   Solver s = MustSolver(
       "f(a). w(X) :- f(X), not w2(X). w2(X) :- f(X), not w(X).\n"
       "g(b). y(X) :- g(X), not y2(X). y2(X) :- g(X), not y(X).",
       o);
   s.Solve();
 
-  // Touch only the w-cycle: its kernel recompiles, the y-cycle's doesn't.
+  // Touch only the w-cycle: its bucket is rebuilt, the y-cycle's isn't.
   // The instance w(a) :- f(a) appends an old-head dependency on a
   // lower-id component — append-feasible, no rebuild.
   auto r = s.AddRule("w(X) :- f(X).");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r->graph_rebuilt);
-  EXPECT_EQ(r->kernels_invalidated, 1u);
-  EXPECT_EQ(r->kernels_recompiled, 1u);
-  // The recompiled kernel must serve the NEW rule set: w(a) is now
+  EXPECT_EQ(r->buckets_invalidated, 1u);
+  EXPECT_EQ(r->eval.buckets_built, 1u);
+  // The rebuilt bucket must hold the NEW rule set: w(a) is now
   // unconditionally derivable, which flips w2(a) to false...
   EXPECT_EQ(*s.Query("w(a)"), TruthValue::kTrue);
   EXPECT_EQ(*s.Query("w2(a)"), TruthValue::kFalse);
@@ -483,19 +511,19 @@ TEST(RuleMutationTest, RuleEditRecompilesExactlyTheTouchedKernels) {
 
   // Round trip: the removal is fast-path too (the dropped f -> w edge is
   // cross-component), invalidates exactly the w-cycle again, and the
-  // recompiled kernel restores the undefined 2-cycle verdicts.
+  // rebuilt bucket restores the undefined 2-cycle verdicts.
   auto rr = s.RemoveRule("w(X) :- f(X).");
   ASSERT_TRUE(rr.ok()) << rr.status().ToString();
   ASSERT_FALSE(rr->graph_rebuilt);
-  EXPECT_EQ(rr->kernels_invalidated, 1u);
-  EXPECT_EQ(rr->kernels_recompiled, 1u);
+  EXPECT_EQ(rr->buckets_invalidated, 1u);
+  EXPECT_EQ(rr->eval.buckets_built, 1u);
   EXPECT_EQ(*s.Query("w(a)"), TruthValue::kUndefined);
   EXPECT_EQ(*s.Query("w2(a)"), TruthValue::kUndefined);
   ExpectFreshSccAgrees(s, o, "RuleEditRecompiles/after-remove");
 }
 
 TEST(RuleMutationTest, IntraComponentRemovalRebuildsAnalysis) {
-  SolverOptions o = MutableOptions(SccInnerEngine::kAfp, CompileMode::kAlways);
+  SolverOptions o = MutableOptions(SccInnerEngine::kAfp);
   Solver s = MustSolver("f(a). w(X) :- f(X), not v(X).", o);
   s.Solve();
   // Close a 2-cycle, then cut it: the removed edge is intra-component,

@@ -76,8 +76,9 @@ struct Rng {
 
 /// Checks the session's model against all three well-founded engines
 /// called directly on the same ground program and against the
-/// from-scratch reference loop of tests/reference/, and its per-component
-/// trajectory against the direct component-wise solve.
+/// from-scratch reference loops of tests/reference/, and its per-component
+/// trajectory against the direct component-wise solve and the reference
+/// per-component loop.
 void ExpectMatchesDirectEngines(Solver& solver, const std::string& label) {
   const GroundProgram& gp = solver.ground();
   SccOptions s;
@@ -89,6 +90,11 @@ void ExpectMatchesDirectEngines(Solver& solver, const std::string& label) {
   EXPECT_EQ(m, scc.model) << label;
   EXPECT_EQ(m, reference::ScratchAlternatingFixpoint(gp).model) << label;
   EXPECT_EQ(solver.component_iterations(), scc.component_iterations)
+      << label;
+  const reference::SccReference ref =
+      reference::ScratchWellFoundedScc(gp, solver.options().inner);
+  EXPECT_EQ(m, ref.model) << label;
+  EXPECT_EQ(solver.component_iterations(), ref.component_iterations)
       << label;
   EXPECT_EQ(solver.Stats().num_components, scc.num_components) << label;
   EXPECT_EQ(solver.Stats().full_solves, 1u) << label;
@@ -105,19 +111,14 @@ TEST(Solver, MatchesDirectEnginesOnCorpus) {
 TEST(Solver, MatchesDirectEnginesAcrossModesOnRandomFamilies) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     for (SccInnerEngine inner : {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
-      for (CompileMode compile : {CompileMode::kOff, CompileMode::kAlways}) {
-        SolverOptions o;
-        o.inner = inner;
-        o.compile = compile;
-        o.ground.mode = GroundMode::kFull;
-        Solver solver = MustCreate(
-            workload::RandomPropositional(24, 48, 3, 50, seed), o);
-        ExpectMatchesDirectEngines(
-            solver, "seed " + std::to_string(seed) + " inner " +
-                        std::to_string(static_cast<int>(inner)) +
-                        " compile " +
-                        std::to_string(static_cast<int>(compile)));
-      }
+      SolverOptions o;
+      o.inner = inner;
+      o.ground.mode = GroundMode::kFull;
+      Solver solver =
+          MustCreate(workload::RandomPropositional(24, 48, 3, 50, seed), o);
+      ExpectMatchesDirectEngines(
+          solver, "seed " + std::to_string(seed) + " inner " +
+                      std::to_string(static_cast<int>(inner)));
     }
   }
 }
@@ -156,6 +157,30 @@ TEST(Solver, NegationChainSolvesOneComponentPerAtom) {
     ASSERT_EQ(m.Value(a), i % 2 == 0 ? TruthValue::kTrue : TruthValue::kFalse)
         << ChainAtom(i);
   }
+}
+
+TEST(Solver, FactRepairTouchesNoAtomSizedScratch) {
+  // A repair pays for what it re-solves, not for the program: toggling an
+  // isolated fact re-solves one singleton component, and the session's
+  // scratch high-water mark stays far below one byte per atom.
+  constexpr int kRules = 20000;
+  const std::string text = NegationChain(kRules) + "z.\nzz :- z.\n";
+  auto solved = Solver::FromText(text);
+  auto adopted = Solver::FromText(text);
+  ASSERT_TRUE(solved.ok() && adopted.ok());
+  // The adopted session never solves, so its context's scratch history is
+  // the repair's alone.
+  ASSERT_TRUE(adopted->AdoptModel(solved->Solve()).ok());
+  auto up = adopted->RetractFact("z");
+  ASSERT_TRUE(up.ok()) << up.status().ToString();
+  EXPECT_EQ(up->components_resolved, 2u);
+  EXPECT_LT(up->eval.peak_scratch_bytes,
+            adopted->ground().num_atoms() / 8);
+  auto back = adopted->AssertFact("z");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_LT(back->eval.peak_scratch_bytes,
+            adopted->ground().num_atoms() / 8);
+  EXPECT_EQ(adopted->model(), solved->model());
 }
 
 TEST(Solver, UnsolvedQueriesOnNegationChainAgreeWithSolve) {

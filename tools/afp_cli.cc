@@ -25,16 +25,6 @@
 //                                      rules stay addressable; --stats
 //                                      prints the RuleUpdateStats receipt
 //   --inner=afp|wp                     per-component engine (default afp)
-//   --compile=off|hot|always           compiled rule kernels for
-//                                      component-wise evaluation (the
-//                                      solve and every incremental
-//                                      repair): off interprets
-//                                      everything, hot (default) compiles
-//                                      components whose interpreted work
-//                                      crosses the heat threshold, always
-//                                      compiles every eligible component
-//                                      up front; models are identical in
-//                                      all three modes
 //   --query=ATOM                       point query (repeatable via commas)
 //   --select=PATTERN                   enumerate matches, e.g. wins(X)
 //   --trace                            print the Table-I style trace of
@@ -88,8 +78,6 @@ struct Options {
   std::string semantics = "wfs";
   std::string inner = "afp";
   bool inner_given = false;
-  std::string compile = "hot";
-  bool compile_given = false;
   std::vector<std::string> queries;
   std::vector<std::string> selects;
   /// Session mutations (facts and rules) in command-line order.
@@ -225,10 +213,6 @@ int main(int argc, char** argv) {
       opts.inner_given = true;
       continue;
     }
-    if (ParseFlag(arg, "compile", &opts.compile)) {
-      opts.compile_given = true;
-      continue;
-    }
     if (ParseFlag(arg, "query", &value)) {
       SplitCommas(value, &opts.queries);
       continue;
@@ -298,20 +282,12 @@ int main(int argc, char** argv) {
   if (opts.inner != "afp" && opts.inner != "wp") {
     return BadValue("inner", opts.inner);
   }
-  if (opts.compile != "off" && opts.compile != "hot" &&
-      opts.compile != "always") {
-    return BadValue("compile", opts.compile);
-  }
   const afp::SccInnerEngine inner_engine = opts.inner == "wp"
                                                ? afp::SccInnerEngine::kWp
                                                : afp::SccInnerEngine::kAfp;
-  const afp::CompileMode compile_mode =
-      opts.compile == "off"      ? afp::CompileMode::kOff
-      : opts.compile == "always" ? afp::CompileMode::kAlways
-                                 : afp::CompileMode::kHot;
   // Flags that apply to only some semantics note the mismatch instead of
   // being silently ignored: the Table-I trace is a well-founded one, and
-  // --inner/--compile configure the session's component-wise solve, which
+  // --inner configures the session's component-wise solve, which
   // only the wfs and stable branches run.
   if (opts.trace && opts.semantics != "wfs") {
     std::cerr << "afp: note: --trace has no effect for --semantics="
@@ -331,10 +307,6 @@ int main(int argc, char** argv) {
       opts.semantics == "wfs" || opts.semantics == "stable";
   if (opts.inner_given && !session_solves) {
     std::cerr << "afp: note: --inner has no effect for --semantics="
-              << opts.semantics << "\n";
-  }
-  if (opts.compile_given && !session_solves) {
-    std::cerr << "afp: note: --compile has no effect for --semantics="
               << opts.semantics << "\n";
   }
 
@@ -361,7 +333,6 @@ int main(int argc, char** argv) {
   // semantics (Fitting, stratified, IFP) read its ground program.
   afp::SolverOptions sopts;
   sopts.inner = inner_engine;
-  sopts.compile = compile_mode;
   // Fitting/IFP need the rule instances whose positive bodies are
   // underivable (see GroundMode documentation).
   if (opts.semantics == "fitting" || opts.semantics == "ifp") {
@@ -436,9 +407,9 @@ int main(int argc, char** argv) {
                     << up->atoms_added << "  reground " << up->rules_reground
                     << (up->graph_rebuilt ? "  (graph rebuilt)" : "")
                     << "\n";
-          std::cout << "%   kernels invalidated "
-                    << up->kernels_invalidated << "  recompiled "
-                    << up->kernels_recompiled << "  downstream "
+          std::cout << "%   buckets invalidated "
+                    << up->buckets_invalidated << "  built "
+                    << up->eval.buckets_built << "  downstream "
                     << up->components_downstream << "  re-solved "
                     << up->components_resolved << "  skipped "
                     << up->components_skipped << "  reused "
@@ -471,10 +442,8 @@ int main(int argc, char** argv) {
       std::cout << "% GUS calls: " << eval.gus_calls
                 << "  GUS rules rescanned: " << eval.gus_rules_rescanned
                 << "\n";
-      std::cout << "% kernel components: " << eval.kernel_components
-                << "  kernel rounds: " << eval.kernel_rounds
-                << "  kernel compile ns: " << eval.kernel_compile_ns
-                << "\n";
+      std::cout << "% bucket solves: " << eval.bucket_solves
+                << "  buckets built: " << eval.buckets_built << "\n";
     }
     PrintModel(gp, solver.model(), opts);
     return 0;

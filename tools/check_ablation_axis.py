@@ -10,14 +10,6 @@ This check fails CI if any of the recorded axes below ever regresses:
     flagship INCREMENTAL_FLAGSHIP row. These ratios are wall-clock but
     single-threaded with two-orders-of-magnitude margins, so they are
     safe on noisy or small CI machines;
-  * the compiled-kernel axis (packed CSR rule kernels,
-    SolverOptions::compile = kAlways, vs the interpreted per-solve
-    lowering) must beat interpretation on every row where kernels
-    actually served components (ratio > 1x, kernel_components > 0) and
-    by MIN_COMPILE_RATIO (1.5x) on the clustered-repair
-    COMPILE_FLAGSHIP; the COMPILE_ZERO_ENGAGEMENT chain row must exist
-    and report kernel_components == 0 — fast-path singleton workloads
-    are never routed through (or taxed by) the kernel machinery;
   * the stable-model search axis (bench_search: one depth-first run per
     workload) must reproduce the pinned enumeration of every row in
     SEARCH_PINNED exactly — model_hash (model set AND emission order),
@@ -44,17 +36,6 @@ MIN_RATIO = 1.0
 # must re-solve at least 5x faster than the from-scratch baseline.
 INCREMENTAL_FLAGSHIP = "WinMove/4096"
 MIN_INCREMENTAL_RATIO = 5.0
-# The compiled-kernel axis: on every row where the compiled side actually
-# served components (kernel_components > 0), the packed kernels must beat
-# the interpreted lowering (ratio > 1x), and by MIN_COMPILE_RATIO (1.5x)
-# on the clustered-repair flagship. Rows with kernel_components == 0 are
-# the zero-engagement receipt (fast-path singleton workloads kernels must
-# never tax) — exempt from the speedup gate, but COMPILE_ZERO_ENGAGEMENT
-# must exist AND report zero, so kernels silently creeping into (or
-# vanishing from) either regime fails CI.
-COMPILE_FLAGSHIP = "WinMove/4096"
-MIN_COMPILE_RATIO = 1.5
-COMPILE_ZERO_ENGAGEMENT = "WfNodes/256"
 # The stable-model search rows (bench_search): the depth-first
 # enumeration of each workload, pinned exactly. model_hash covers the full
 # emission sequence (model set AND order); nodes and implied_atoms pin the
@@ -98,11 +79,9 @@ def main() -> int:
 
     failures = []
     seen_incremental_workloads = set()
-    seen_compile_workloads = set()
     seen_search_workloads = set()
     search_lines = []
     incremental_lines = []
-    compile_lines = []
     for row in rows:
         axis = row.get("axis", "?")
         workload = row.get("workload", "?")
@@ -131,46 +110,10 @@ def main() -> int:
                     f"{label}: flagship ratio {ratio} < "
                     f"{MIN_INCREMENTAL_RATIO}")
             continue
-        if axis == "compile":
-            seen_compile_workloads.add(workload)
-            label = f"compile:{workload}"
-            ratio = row.get("wall_ratio_interpreted_over_compiled")
-            engaged = row.get("compiled", {}).get("kernel_components")
-            if ratio is None:
-                failures.append(f"{label}: no wall ratio recorded")
-                continue
-            compile_lines.append(
-                f"  {label}: interpreted/compiled wall ratio {ratio}x"
-                f" (kernel components served: {engaged})")
-            if workload == COMPILE_ZERO_ENGAGEMENT:
-                if engaged != 0:
-                    failures.append(
-                        f"{label}: zero-engagement receipt broken — "
-                        f"fast-path singletons reported kernel_components "
-                        f"{engaged} != 0")
-                continue
-            if not engaged:
-                failures.append(
-                    f"{label}: compiled side served no components "
-                    f"(kernel_components {engaged}) — staging broke")
-                continue
-            if ratio <= MIN_RATIO:
-                failures.append(
-                    f"{label}: kernels no faster than interpreted "
-                    f"(ratio {ratio} <= {MIN_RATIO})")
-            if workload == COMPILE_FLAGSHIP and ratio < MIN_COMPILE_RATIO:
-                failures.append(
-                    f"{label}: flagship ratio {ratio} < {MIN_COMPILE_RATIO}")
-            continue
         failures.append(f"{axis}:{workload}: unknown axis")
     if INCREMENTAL_FLAGSHIP not in seen_incremental_workloads:
         failures.append(
             f"incremental:{INCREMENTAL_FLAGSHIP}: incremental row missing")
-    if COMPILE_FLAGSHIP not in seen_compile_workloads:
-        failures.append(f"compile:{COMPILE_FLAGSHIP}: compile row missing")
-    if COMPILE_ZERO_ENGAGEMENT not in seen_compile_workloads:
-        failures.append(
-            f"compile:{COMPILE_ZERO_ENGAGEMENT}: zero-engagement row missing")
     for missing in sorted(set(SEARCH_PINNED) - seen_search_workloads):
         failures.append(f"search:{missing}: search row missing")
 
@@ -178,15 +121,12 @@ def main() -> int:
         print(line)
     for line in incremental_lines:
         print(line)
-    for line in compile_lines:
-        print(line)
     if failures:
         for f_ in failures:
             print(f"FAIL {f_}", file=sys.stderr)
         return 1
     print(f"check_ablation_axis: "
           f"{len(seen_incremental_workloads)} incremental rows + "
-          f"{len(seen_compile_workloads)} compile rows + "
           f"{len(seen_search_workloads)} search rows OK")
     return 0
 

@@ -67,8 +67,8 @@ for bench in "${BENCHES[@]}"; do
     # Google Benchmark: native JSON report.
     "${bin}" --benchmark_out="${out_json}" --benchmark_out_format=json
     if [[ "${bench}" == "bench_ablation" ]]; then
-      # Distill the paired axes (incremental repair vs full re-solve,
-      # compiled kernels vs interpreted lowering) into one compact report.
+      # Distill the paired axis (incremental repair vs full re-solve) into
+      # one compact report.
       # Schema documented in docs/BENCHMARKS.md; the threshold check
       # (tools/check_ablation_axis.py) gates CI on it. The delta-vs-scratch
       # rescan counters are pinned by the AblationCounters ctest instead.
@@ -109,40 +109,6 @@ for workload in sorted(incr_rows):
     full = per.get("full", {}).get("real_time_ns")
     if inc and full:
         entry["wall_ratio_full_over_incremental"] = round(full / inc, 2)
-    axis_rows.append(entry)
-
-# Compiled-kernel axis: BM_KernelCompiled<Workload> (packed CSR rule
-# kernels, SolverOptions::compile = kAlways) paired with
-# BM_KernelInterpreted<Workload> (the per-solve interpreted lowering,
-# compile = kOff), identical work otherwise. The wall ratio is the
-# headline; kernel_components / kernel_rounds record how much of the
-# run the kernels actually served (a row with kernel_components == 0 —
-# the fast-path-singleton chain — is the zero-engagement receipt and is
-# exempt from the speedup gate but still must exist).
-compile_rows = {}
-for b in report.get("benchmarks", []):
-    name = b.get("name", "")
-    for prefix, side in (("BM_KernelInterpreted", "interpreted"),
-                         ("BM_KernelCompiled", "compiled")):
-        if not name.startswith(prefix):
-            continue
-        cell = {"real_time_ns": b.get("real_time")}
-        for c in ("kernel_components", "kernel_rounds",
-                  "kernel_compile_ns", "components_resolved"):
-            if c in b:
-                cell[c] = b[c]
-        compile_rows.setdefault(name[len(prefix):], {})[side] = cell
-        break
-
-for workload in sorted(compile_rows):
-    per = compile_rows[workload]
-    entry = {"axis": "compile", "workload": workload}
-    entry.update(per)
-    interp = per.get("interpreted", {}).get("real_time_ns")
-    comp = per.get("compiled", {}).get("real_time_ns")
-    if interp and comp:
-        entry["wall_ratio_interpreted_over_compiled"] = round(
-            interp / comp, 2)
     axis_rows.append(entry)
 
 with open(dst, "w") as f:
