@@ -7,7 +7,9 @@
 //       update on a long-lived afp::Solver session (the incremental
 //       axis of BENCH_ablation_axis.json, gated by
 //       tools/check_ablation_axis.py);
-//   (5) relevance-sliced point queries vs full solve + lookup.
+//   (5) unsolved point queries on a session: the first one on a fresh
+//       session (which builds the dependency analysis) vs the steady
+//       state (each call solves only the query's cone).
 // The delta-driven vs from-scratch operator axes (S_P enablement, T_P /
 // U_P witnesses) are pinned by counters, not timed: see the
 // AblationCounters test in tests/eval_context_test.cc.
@@ -18,7 +20,6 @@
 
 #include "afp/solver.h"
 #include "core/alternating.h"
-#include "core/relevance.h"
 #include "core/scc_engine.h"
 #include "wfs/unfounded.h"
 #include "wfs/wp_engine.h"
@@ -314,23 +315,38 @@ void BM_FullUpdateClusteredWinMove(benchmark::State& state) {
 }
 BENCHMARK(BM_FullUpdateClusteredWinMove)->Arg(4096);
 
-// Point-query ablation: full solve + lookup vs relevance-sliced solve.
-void BM_PointQueryFullSolve(benchmark::State& state) {
-  const auto& gp = WinMoveInstance(1024);
-  for (auto _ : state) {
-    afp::AfpResult r = afp::AlternatingFixpoint(gp);
-    benchmark::DoNotOptimize(afp::QueryAtom(gp, r.model, "wins(a)"));
-  }
+// Point-query ablation on unsolved sessions of WinMove(ErdosRenyi(1024,
+// 4096, 17)): the first query of a fresh session pays for the dependency
+// analysis (grounding is not timed); later queries pay for their cone.
+afp::Solver PointQuerySession() {
+  auto s = afp::Solver::FromProgram(
+      afp::workload::WinMove(afp::graphs::ErdosRenyi(1024, 4096, 17)));
+  return std::move(s).value();
 }
-BENCHMARK(BM_PointQueryFullSolve);
 
-void BM_PointQueryRelevanceSliced(benchmark::State& state) {
-  const auto& gp = WinMoveInstance(1024);
+void BM_PointQueryFirstOnFreshSession(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(afp::QueryWithRelevance(gp, "wins(a)"));
+    state.PauseTiming();
+    afp::Solver solver = PointQuerySession();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(solver.Query("wins(a)"));
+    state.PauseTiming();
+    {
+      afp::Solver discard = std::move(solver);  // destroyed untimed
+    }
+    state.ResumeTiming();
   }
 }
-BENCHMARK(BM_PointQueryRelevanceSliced);
+BENCHMARK(BM_PointQueryFirstOnFreshSession);
+
+void BM_PointQuerySteadyState(benchmark::State& state) {
+  afp::Solver solver = PointQuerySession();
+  solver.Query("wins(a)");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.Query("wins(a)"));
+  }
+}
+BENCHMARK(BM_PointQuerySteadyState);
 
 }  // namespace
 

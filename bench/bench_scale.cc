@@ -24,6 +24,12 @@
 // single-fact toggles of that fact (assert, retract, ...) that follow: what
 // a warm session pays per update. `bucket_bytes` is what the session keeps
 // of its general-path components' compiled buckets after the solve.
+//
+// Then a fresh, unsolved session of the same program answers a query of
+// the same fact. `first_query_ms` is its first unsolved Query, which
+// builds the dependency analysis a later Solve() would reuse;
+// `steady_query_us` is the median of the 21 Query calls that follow, each
+// solving only the fact's cone.
 
 #include <unistd.h>
 
@@ -32,6 +38,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -101,55 +108,104 @@ double Ms(Clock::time_point a, Clock::time_point b) {
       .count();
 }
 
+constexpr int kSteadyCalls = 21;
+
+/// The median of `us` (reordered; kSteadyCalls entries).
+double Median(std::vector<double>& us) {
+  std::nth_element(us.begin(), us.begin() + kSteadyCalls / 2, us.end());
+  return us[kSteadyCalls / 2];
+}
+
+/// The first rule of `gp` with an empty body (an EDB fact), or -1.
+std::ptrdiff_t FirstFact(const afp::GroundProgram& gp) {
+  for (std::size_t ri = 0; ri < gp.num_rules(); ++ri) {
+    const afp::GroundRule& r = gp.rule(ri);
+    if (r.pos_len == 0 && r.neg_len == 0) {
+      return static_cast<std::ptrdiff_t>(ri);
+    }
+  }
+  return -1;
+}
+
+/// Times unsolved queries of the program's first EDB fact on a fresh
+/// session: the first call and the median of the kSteadyCalls after it.
+void TimeUnsolvedQueries(const Config& cfg, double* first_query_ms,
+                         double* steady_query_us) {
+  auto solver = afp::Solver::FromProgram(cfg.make());
+  if (!solver.ok()) return;
+  const std::ptrdiff_t fact = FirstFact(solver->ground());
+  if (fact < 0) return;
+  const std::string text =
+      solver->ground().AtomName(solver->ground().rule(fact).head);
+  const auto t0 = Clock::now();
+  solver->Query(text);
+  *first_query_ms = Ms(t0, Clock::now());
+  std::vector<double> query_us;
+  for (int i = 0; i < kSteadyCalls; ++i) {
+    const auto t1 = Clock::now();
+    solver->Query(text);
+    query_us.push_back(1000.0 * Ms(t1, Clock::now()));
+  }
+  *steady_query_us = Median(query_us);
+}
+
 /// Runs one workload and returns its JSON row. Called in a forked child;
 /// must not touch the parent's report state.
 std::string RunConfig(const Config& cfg) {
-  afp::Program program = cfg.make();
-
-  const auto t0 = Clock::now();
-  auto solver = afp::Solver::FromProgram(std::move(program));
-  const auto t1 = Clock::now();
-  if (!solver.ok()) {
-    std::fprintf(stderr, "bench_scale: %s: %s\n", cfg.workload,
-                 std::string(solver.status().message()).c_str());
-    return {};
-  }
-  const afp::PartialModel& model = solver->Solve();
-  const auto t2 = Clock::now();
-
-  // The receipts of the solve, read before the repair below changes the
-  // model and raises the peak RSS.
-  const afp::GroundStats g = solver->Stats().ground;
-  const std::size_t true_atoms = model.num_true();
-  const std::size_t undef_atoms = g.atoms - true_atoms - model.num_false();
-  const std::size_t bucket_bytes = solver->Stats().bucket_bytes;
-
+  afp::GroundStats g;
+  std::size_t true_atoms = 0;
+  std::size_t undef_atoms = 0;
+  std::size_t bucket_bytes = 0;
+  double ground_ms = 0;
+  double solve_ms = 0;
   double first_repair_ms = 0;
   double steady_repair_us = 0;
-  const afp::GroundProgram& gp = solver->ground();
-  for (std::size_t ri = 0; ri < gp.num_rules(); ++ri) {
-    const afp::GroundRule& r = gp.rule(ri);
-    if (r.pos_len != 0 || r.neg_len != 0) continue;
-    const afp::AtomId fact[] = {r.head};
-    const auto t3 = Clock::now();
-    solver->UpdateFactsById({}, fact);
-    first_repair_ms = Ms(t3, Clock::now());
-    constexpr int kToggles = 21;
-    std::vector<double> toggle_us;
-    for (int i = 0; i < kToggles; ++i) {
-      const auto t4 = Clock::now();
-      if (i % 2 == 0) {
-        solver->UpdateFactsById(fact, {});
-      } else {
-        solver->UpdateFactsById({}, fact);
-      }
-      toggle_us.push_back(1000.0 * Ms(t4, Clock::now()));
+  {
+    afp::Program program = cfg.make();
+    const auto t0 = Clock::now();
+    auto solver = afp::Solver::FromProgram(std::move(program));
+    const auto t1 = Clock::now();
+    if (!solver.ok()) {
+      std::fprintf(stderr, "bench_scale: %s: %s\n", cfg.workload,
+                   std::string(solver.status().message()).c_str());
+      return {};
     }
-    std::nth_element(toggle_us.begin(), toggle_us.begin() + kToggles / 2,
-                     toggle_us.end());
-    steady_repair_us = toggle_us[kToggles / 2];
-    break;
+    const afp::PartialModel& model = solver->Solve();
+    const auto t2 = Clock::now();
+    ground_ms = Ms(t0, t1);
+    solve_ms = Ms(t1, t2);
+
+    // The receipts of the solve, read before the repair below changes the
+    // model and raises the peak RSS.
+    g = solver->Stats().ground;
+    true_atoms = model.num_true();
+    undef_atoms = g.atoms - true_atoms - model.num_false();
+    bucket_bytes = solver->Stats().bucket_bytes;
+
+    const std::ptrdiff_t ri = FirstFact(solver->ground());
+    if (ri >= 0) {
+      const afp::AtomId fact[] = {solver->ground().rule(ri).head};
+      const auto t3 = Clock::now();
+      solver->UpdateFactsById({}, fact);
+      first_repair_ms = Ms(t3, Clock::now());
+      std::vector<double> toggle_us;
+      for (int i = 0; i < kSteadyCalls; ++i) {
+        const auto t4 = Clock::now();
+        if (i % 2 == 0) {
+          solver->UpdateFactsById(fact, {});
+        } else {
+          solver->UpdateFactsById({}, fact);
+        }
+        toggle_us.push_back(1000.0 * Ms(t4, Clock::now()));
+      }
+      steady_repair_us = Median(toggle_us);
+    }
   }
+
+  // The solved session is gone; the peak RSS above is the solve's.
+  double first_query_ms = 0;
+  double steady_query_us = 0;
+  TimeUnsolvedQueries(cfg, &first_query_ms, &steady_query_us);
 
   char buf[1024];
   std::snprintf(
@@ -157,7 +213,8 @@ std::string RunConfig(const Config& cfg) {
       "{\"workload\": \"%s\", \"atoms\": %llu, "
       "\"ground_rules\": %llu, \"ground_ms\": %.2f, \"solve_ms\": %.2f, "
       "\"total_ms\": %.2f, \"first_repair_ms\": %.2f, "
-      "\"steady_repair_us\": %.1f, \"bucket_bytes\": %llu, "
+      "\"steady_repair_us\": %.1f, \"first_query_ms\": %.2f, "
+      "\"steady_query_us\": %.1f, \"bucket_bytes\": %llu, "
       "\"intern_probes\": %llu, "
       "\"intern_collisions\": %llu, \"intern_allocs\": %llu, "
       "\"join_candidates\": %llu, \"instance_probes\": %llu, "
@@ -165,8 +222,9 @@ std::string RunConfig(const Config& cfg) {
       "\"peak_rss_bytes\": %llu, \"true_atoms\": %llu, "
       "\"undef_atoms\": %llu}",
       cfg.workload, static_cast<unsigned long long>(g.atoms),
-      static_cast<unsigned long long>(g.rules), Ms(t0, t1), Ms(t1, t2),
-      Ms(t0, t2), first_repair_ms, steady_repair_us,
+      static_cast<unsigned long long>(g.rules), ground_ms, solve_ms,
+      ground_ms + solve_ms, first_repair_ms, steady_repair_us,
+      first_query_ms, steady_query_us,
       static_cast<unsigned long long>(bucket_bytes),
       static_cast<unsigned long long>(g.intern_probes),
       static_cast<unsigned long long>(g.intern_collisions),

@@ -46,9 +46,9 @@ void Analyze(const char* title, const Framework& fw) {
   }
   std::cout << "=== " << title << " ===\n";
   afp::TablePrinter table({"argument", "grounded status"});
-  // Deliberately no Solve(): point queries on an unsolved session are
-  // answered through the relevance slicer — only the subprogram each
-  // argument depends on is evaluated.
+  // Deliberately no Solve(): a point query on an unsolved session solves
+  // only the queried atom's upstream cone — the components the argument
+  // depends on — on the session's own dependency analysis.
   for (const auto& a : fw.args) {
     auto accepted = solver->Query("accepted(" + a + ")");
     auto defeated = solver->Query("defeated(" + a + ")");

@@ -28,7 +28,7 @@ void Solve(const char* title, const afp::Digraph& graph) {
 
   std::cout << "=== " << title << " (" << graph.n << " nodes, "
             << graph.edges.size() << " edges) ===\n";
-  // One relevance-capable batch instead of n point lookups.
+  // One batch of model lookups instead of n single queries.
   std::vector<std::string> atoms;
   for (int i = 0; i < graph.n; ++i) {
     atoms.push_back("wins(" + afp::workload::NodeName(i) + ")");

@@ -10,8 +10,8 @@
 /// / RetractFacts(), which re-solve incrementally instead of from
 /// scratch. A session always solves component by component; one
 /// consolidated SolverOptions selects the per-component engine and the
-/// kernel staging, and every engine evaluates its operators through the
-/// same delta-driven evaluators.
+/// grounding controls, and every engine evaluates its operators through
+/// the same delta-driven evaluators.
 ///
 /// The individual headers expose the full machinery underneath — the
 /// three well-founded engines as free functions, the evaluators, and the
@@ -35,7 +35,6 @@
 #include "core/horn_solver.h"
 #include "core/interpretation.h"
 #include "core/query.h"
-#include "core/relevance.h"
 #include "core/scc_engine.h"
 #include "fitting/fitting.h"
 #include "fol/formula.h"

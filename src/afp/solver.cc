@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/component_solver.h"
-#include "core/relevance.h"
 #include "parser/parser.h"
 #include "util/rss.h"
 
@@ -83,8 +82,7 @@ const PartialModel& Solver::Solve() {
   stats_.num_components = r.num_components;
   stats_.total_local_size = r.total_local_size;
   stats_.locally_stratified = r.locally_stratified;
-  stats_.buckets = buckets_.num_buckets();
-  stats_.bucket_bytes = buckets_.bytes();
+  RefreshBucketStats();
   stats_.eval = r.eval;
   solved_ = true;
   ++stats_.full_solves;
@@ -92,25 +90,53 @@ const PartialModel& Solver::Solve() {
 }
 
 StatusOr<TruthValue> Solver::Query(const std::string& atom_text) {
-  if (solved_) return QueryAtom(ground_, model_, atom_text);
-  return std::move(QueryWithRelevanceWithContext(*ctx_, ground_,
-                                                 {&atom_text, 1},
-                                                 options_.inner)
-                       .values[0]);
+  return std::move(QueryBatch({&atom_text, 1})[0]);
 }
 
 std::vector<StatusOr<TruthValue>> Solver::QueryBatch(
-    const std::vector<std::string>& atom_texts) {
-  if (!solved_) {
-    return QueryWithRelevanceWithContext(*ctx_, ground_, atom_texts,
-                                         options_.inner)
-        .values;
-  }
+    std::span<const std::string> atom_texts) {
   std::vector<StatusOr<TruthValue>> out;
   out.reserve(atom_texts.size());
-  for (const std::string& text : atom_texts) {
-    out.push_back(QueryAtom(ground_, model_, text));
+  if (solved_) {
+    for (const std::string& text : atom_texts) {
+      out.push_back(QueryAtom(ground_, model_, text));
+    }
+    return out;
   }
+  // Resolve every text; an atom outside the base is false and joins no
+  // cone, a text that does not parse fails only its own slot.
+  std::vector<AtomId> atoms;
+  std::vector<std::size_t> slots;
+  for (const std::string& text : atom_texts) {
+    StatusOr<AtomId> id = ResolveAtom(ground_, text);
+    if (!id.ok()) {
+      out.push_back(id.status());
+      continue;
+    }
+    if (*id != kInvalidAtom) {
+      atoms.push_back(*id);
+      slots.push_back(out.size());
+    }
+    out.push_back(TruthValue::kFalse);
+  }
+  SccConeStats r;
+  if (!atoms.empty()) {
+    EnsureGraph();
+    cone_true_.GrowTo(ground_.num_atoms());
+    cone_false_.GrowTo(ground_.num_atoms());
+    const RuleView view = ground_.View();
+    ComponentSolver solver(*ctx_, SccOptionsFromSession(), view, *graph_,
+                           comp_rules_);
+    GlobalModel gm{&cone_true_, &cone_false_};
+    r = SccSolveUpstream(solver, atoms, gm, update_scratch_);
+    for (std::size_t k = 0; k < atoms.size(); ++k) {
+      out[slots[k]] = gm.Value(atoms[k]);
+    }
+  }
+  stats_.cone_components = r.components;
+  stats_.cone_local_size = r.local_size;
+  stats_.eval = r.eval;
+  RefreshBucketStats();
   return out;
 }
 
@@ -285,6 +311,7 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
   stats_.num_rules = ground_.num_rules();
   stats_.ground_size = ground_.TotalSize();
   RefreshGroundStats();
+  RefreshBucketStats();
   if (touched.empty() || !solved_) {
     // Nothing changed, or no model exists yet (the first Solve() will be
     // full and sees the mutated program).
@@ -312,6 +339,7 @@ SccUpdateStats Solver::RepairDownstream(std::span<const AtomId> touched) {
       SccResolveDownstream(solver, touched, gm, iters, update_scratch_);
   stats_.eval = r.eval;
   ++stats_.incremental_updates;
+  RefreshBucketStats();
   return r;
 }
 
@@ -334,6 +362,7 @@ Status Solver::PoisonRuleMutation(Status st) {
   comp_rules_ = RuleBuckets(ground_.View(), *graph_);
   buckets_.Clear();
   buckets_.AcknowledgeEpoch(ground_.mutation_epoch());
+  RefreshBucketStats();
   InvalidateModel();
   return st;
 }
@@ -429,6 +458,7 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
   // Every epoch bump of the delta is explained below: the touched
   // components' buckets are dropped, or all of them with the analysis.
   buckets_.AcknowledgeEpoch(ground_.mutation_epoch());
+  RefreshBucketStats();
   if (delta.added_rules.empty() && delta.removals.empty()) return out;
 
   // --- Patch (or rebuild) the cached analysis --------------------------
@@ -538,6 +568,7 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
   }
 
   // --- Repair the model ------------------------------------------------
+  RefreshBucketStats();
   if (!solved_ || dirty.empty()) return out;
   model_.true_atoms().GrowTo(ground_.num_atoms());
   model_.false_atoms().GrowTo(ground_.num_atoms());
@@ -594,6 +625,7 @@ bool Solver::ValidateRuleBuckets() {
   // ground program directly (tests, tools) can re-validate and thereby
   // guarantee no stale bucket survives the poke.
   EnsureGraph();
+  RefreshBucketStats();
   return comp_rules_ == RuleBuckets(ground_.View(), *graph_);
 }
 

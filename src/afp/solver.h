@@ -17,6 +17,7 @@
 /// Lifecycle (see docs/API.md for the full contract):
 ///
 ///   auto solver = afp::Solver::FromText("p :- not q. q.");
+///   solver->Query("p");                     // solves p's cone only
 ///   solver->Solve();                        // well-founded model
 ///   solver->Query("p");                     // O(1) against the model
 ///   solver->AssertFacts({"r"});             // EDB mutation + incremental
@@ -42,6 +43,7 @@
 #include "ground/ground_program.h"
 #include "ground/grounder.h"
 #include "search/stable_search.h"
+#include "util/bitset.h"
 #include "util/status.h"
 
 namespace afp {
@@ -61,8 +63,9 @@ struct SolverOptions {
   GroundOptions ground;
 };
 
-/// What the current model cost to compute, plus program shape. Reported by
-/// Solver::Stats(); refreshed by every Solve() and incremental update.
+/// What the current model (or the last unsolved query) cost to compute,
+/// plus program shape. Reported by Solver::Stats(); refreshed by every
+/// Solve(), incremental update, rule op and unsolved QueryBatch.
 struct SolverStats {
   std::size_t num_atoms = 0;
   std::size_t num_rules = 0;
@@ -74,10 +77,18 @@ struct SolverStats {
   std::size_t total_local_size = 0;
   bool locally_stratified = false;
   /// The compiled buckets the session keeps (one per general-path
-  /// component solved since its rules last changed) and their bytes.
+  /// component solved since its rules last changed) and their bytes, as
+  /// of the end of the session's last solve, repair, rule op or unsolved
+  /// query.
   std::size_t buckets = 0;
   std::size_t bucket_bytes = 0;
-  /// Work counters of the last full solve or incremental update.
+  /// Shape of the last unsolved QueryBatch (or Query): the components of
+  /// the queried atoms' upstream cone, all of them solved, and the summed
+  /// size of their local subprograms.
+  std::size_t cone_components = 0;
+  std::size_t cone_local_size = 0;
+  /// Work counters of the last full solve, incremental update or
+  /// unsolved query.
   EvalStats eval;
   /// Session counters.
   std::size_t full_solves = 0;
@@ -181,20 +192,21 @@ class Solver {
   /// The current well-founded model (solves on demand).
   const PartialModel& model() { return Solve(); }
 
-  /// Truth value of a ground atom written as text, e.g. "wins(a)". On a
-  /// solved session this is a model lookup; on an unsolved one the query
-  /// is answered through the relevance machinery — only the subprogram the
-  /// atom depends on is solved, component-wise over its own atoms, the
-  /// paper's query-directed evaluation — without materializing the full
-  /// model. Atoms outside the grounded base are false (closed world).
+  /// Truth value of a ground atom written as text, e.g. "wins(a)": the
+  /// one-text QueryBatch. Atoms outside the grounded base are false
+  /// (closed world).
   StatusOr<TruthValue> Query(const std::string& atom_text);
 
-  /// As Query, for a batch; results are in input order, and a text that
-  /// does not parse fails only its own slot. On an unsolved session the
-  /// whole batch is answered by ONE relevance slice over the union of the
-  /// queried atoms, solved once.
+  /// Truth values of a batch of ground atoms; results are in input order,
+  /// and a text that does not parse fails only its own slot. On a solved
+  /// session each is a model lookup. On an unsolved one the batch solves
+  /// the upstream cone of the queried atoms once (SccSolveUpstream) — the
+  /// paper's query-directed evaluation — on the session's own dependency
+  /// analysis and compiled buckets, which the first such call builds and
+  /// Solve() later reuses; the session stays unsolved and Stats() carries
+  /// the cone's receipt.
   std::vector<StatusOr<TruthValue>> QueryBatch(
-      const std::vector<std::string>& atom_texts);
+      std::span<const std::string> atom_texts);
 
   /// Pattern enumeration against the model, e.g. "wins(X)" (solves on
   /// demand). See Select() in core/query.h.
@@ -315,8 +327,8 @@ class Solver {
   /// repairs keep the model current without them.
   Status AdoptModel(PartialModel model);
 
-  /// Drops the cached model: queries fall back to the relevance path and
-  /// the next Solve() is full. Warm restart uses this to sync the EDB
+  /// Drops the cached model: queries fall back to cone solves and the
+  /// next Solve() is full. Warm restart uses this to sync the EDB
   /// fact set (UpdateFactsById applies without an interim repair on an
   /// unsolved session) before adopting a saved model.
   void InvalidateModel() {
@@ -331,10 +343,15 @@ class Solver {
   bool ValidateRuleBuckets();
 
   /// Testing hook: the session's cached dependency analysis (null until
-  /// the first Solve, incremental update or rule op builds it). The mutation
-  /// differential tests map per-atom trajectories through its
-  /// component_of() to compare against a from-scratch analysis.
+  /// the first Solve, incremental update, rule op or unsolved query
+  /// builds it). The mutation differential tests map per-atom
+  /// trajectories through its component_of() to compare against a
+  /// from-scratch analysis.
   const AtomDependencyGraph* DependencyGraph() const { return graph_.get(); }
+
+  /// Testing hook: the session's compiled buckets, indexed by
+  /// DependencyGraph() component id.
+  const BucketCache& Buckets() const { return buckets_; }
 
   /// --- Introspection ------------------------------------------------
 
@@ -367,6 +384,13 @@ class Solver {
   /// Recomputes stats_.ground: grounding receipt + live table counters +
   /// peak RSS. Called wherever the sibling shape counters refresh.
   void RefreshGroundStats();
+
+  /// Copies the bucket cache's count and running byte total into stats_
+  /// (O(1)); called at the end of every call that can change the cache.
+  void RefreshBucketStats() {
+    stats_.buckets = buckets_.num_buckets();
+    stats_.bucket_bytes = buckets_.bytes();
+  }
 
   /// Applies one batch of fact mutations and repairs the model.
   StatusOr<UpdateStats> MutateFacts(const std::vector<std::string>& atoms,
@@ -409,15 +433,17 @@ class Solver {
   std::unique_ptr<AtomDependencyGraph> graph_;
   RuleBuckets comp_rules_;
   /// The compiled buckets of the condensation above, kept across solves,
-  /// repairs and rule ops. Invalidation: fact repairs and rule ops drop
-  /// exactly the touched components and acknowledge the program's
-  /// mutation epoch; any OTHER mutation (a bare GroundProgram::AddRule) is
-  /// caught by the epoch check at every entry point and drops the whole
-  /// cache rather than ever solving on a stale bucket.
+  /// repairs, rule ops and unsolved queries. Invalidation: fact repairs
+  /// and rule ops drop exactly the touched components and acknowledge the
+  /// program's mutation epoch; any OTHER mutation (a bare
+  /// GroundProgram::AddRule) is caught by the epoch check at every entry
+  /// point and drops the whole cache rather than ever solving on a stale
+  /// bucket.
   BucketCache buckets_;
-  /// Persistent per-update scratch for SccResolveDownstream: keeps every
-  /// incremental repair O(downstream closure) instead of paying an
-  /// O(num_components) zero-fill floor per update (see SccUpdateScratch).
+  /// Persistent scratch for SccResolveDownstream and SccSolveUpstream:
+  /// keeps every incremental repair O(downstream closure) and every
+  /// unsolved query O(cone) instead of paying an O(num_components)
+  /// zero-fill floor per call (see SccUpdateScratch).
   SccUpdateScratch update_scratch_;
   /// The grounder that built ground_, kept with its instance provenance
   /// for AddRule/RemoveRule (null unless Grounder::SupportsRuleOps holds
@@ -432,6 +458,11 @@ class Solver {
   std::uint64_t search_epoch_ = 0;
   bool solved_ = false;
   PartialModel model_;
+  /// Where unsolved queries solve their cones. Never cleared: a cone
+  /// solve overwrites its members and reads only earlier cone members
+  /// (SccSolveUpstream), so bits left by earlier cones are never read.
+  Bitset cone_true_;
+  Bitset cone_false_;
   std::vector<std::uint32_t> component_iterations_;
   SolverStats stats_;
 };

@@ -57,8 +57,8 @@ AfpResult AlternatingFixpoint(const GroundProgram& gp,
                               const AfpOptions& options = {});
 
 /// The full-control entry point: alternating fixpoint on an existing solver
-/// drawing all scratch from `ctx`. Callers that solve many programs (the
-/// relevance-sliced point queries, a Solver session) pass one context
+/// drawing all scratch from `ctx`. Callers that solve many programs (a
+/// Solver session's components, the stable search) pass one context
 /// through every call, reducing the steady-state allocation rate to zero;
 /// the context's counters accumulate and the result carries this call's
 /// share.

@@ -83,6 +83,7 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
   const RuleBinding binding = bucket.Bind(gm, assumptions_, &state_, &live_,
                                           &facts_, &out.local_size);
   const HornSolver& program = bucket.program();
+  const std::size_t index_bytes = program.IndexBytes();
   const std::size_t n = program.view().num_atoms;
 
   PartialModel local_model;
@@ -112,6 +113,8 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
   }
 
   gm.Publish(bucket.members(), local_model);
+  // The evaluators may have built one of the bucket's lazy indexes.
+  buckets_.NoteGrowth(program.IndexBytes() - index_bytes);
 
   // Recycle the local model's bitsets for the next component (reversing
   // the inner fixpoint's escape note — they re-enter the pool cycle

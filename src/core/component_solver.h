@@ -55,7 +55,9 @@ class ComponentSolver {
   ComponentSolver& operator=(const ComponentSolver&) = delete;
 
   EvalContext& ctx() { return ctx_; }
+  const RuleView& view() const { return view_; }
   const AtomDependencyGraph& graph() const { return graph_; }
+  const RuleBuckets& comp_rules() const { return comp_rules_; }
 
   struct Outcome {
     /// Inner fixpoint rounds (A_P applications under kAfp, W_P rounds

@@ -10,6 +10,15 @@ namespace afp {
 // BuildCsrIndex in core/eval_context.h, so every index of the evaluation
 // core has one construction path.
 
+namespace {
+
+std::size_t CsrBytes(const std::vector<std::uint32_t>& offsets,
+                     const std::vector<std::uint32_t>& entries) {
+  return (offsets.capacity() + entries.capacity()) * sizeof(std::uint32_t);
+}
+
+}  // namespace
+
 HornSolver::HornSolver(RuleView view, EvalContext* ctx)
     : view_(view), ctx_(ctx) {
   std::vector<std::uint32_t> cursor;
@@ -22,6 +31,7 @@ HornSolver::HornSolver(RuleView view, EvalContext* ctx)
                 [&](const GroundRule& r) { return view_.pos(r); },
                 &pos_occ_offsets_, &pos_occ_rules_, &cursor);
   if (ctx_ != nullptr) ctx_->ReleaseU32(std::move(cursor));
+  index_bytes_ = CsrBytes(pos_occ_offsets_, pos_occ_rules_);
 }
 
 void HornSolver::EnsureNegIndex() const {
@@ -36,6 +46,7 @@ void HornSolver::EnsureNegIndex() const {
                 [&](const GroundRule& r) { return view_.neg(r); },
                 &neg_occ_offsets_, &neg_occ_rules_, &cursor);
   if (ctx_ != nullptr) ctx_->ReleaseU32(std::move(cursor));
+  index_bytes_ += CsrBytes(neg_occ_offsets_, neg_occ_rules_);
   neg_index_built_ = true;
 }
 
@@ -52,14 +63,8 @@ void HornSolver::EnsureHeadIndex() const {
       [](const GroundRule& r) { return std::span<const AtomId>(&r.head, 1); },
       &head_offsets_, &head_rules_, &cursor);
   if (ctx_ != nullptr) ctx_->ReleaseU32(std::move(cursor));
+  index_bytes_ += CsrBytes(head_offsets_, head_rules_);
   head_index_built_ = true;
-}
-
-std::size_t HornSolver::IndexBytes() const {
-  return (pos_occ_offsets_.capacity() + pos_occ_rules_.capacity() +
-          neg_occ_offsets_.capacity() + neg_occ_rules_.capacity() +
-          head_offsets_.capacity() + head_rules_.capacity()) *
-         sizeof(std::uint32_t);
 }
 
 HornSolver::~HornSolver() { ReleaseIndexes(); }
@@ -75,7 +80,8 @@ HornSolver::HornSolver(HornSolver&& o) noexcept
       neg_occ_rules_(std::move(o.neg_occ_rules_)),
       head_index_built_(std::exchange(o.head_index_built_, false)),
       head_offsets_(std::move(o.head_offsets_)),
-      head_rules_(std::move(o.head_rules_)) {}
+      head_rules_(std::move(o.head_rules_)),
+      index_bytes_(std::exchange(o.index_bytes_, 0)) {}
 
 HornSolver& HornSolver::operator=(HornSolver&& o) noexcept {
   if (this != &o) {
@@ -91,6 +97,7 @@ HornSolver& HornSolver::operator=(HornSolver&& o) noexcept {
     head_index_built_ = std::exchange(o.head_index_built_, false);
     head_offsets_ = std::move(o.head_offsets_);
     head_rules_ = std::move(o.head_rules_);
+    index_bytes_ = std::exchange(o.index_bytes_, 0);
   }
   return *this;
 }

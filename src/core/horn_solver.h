@@ -93,8 +93,10 @@ class HornSolver {
     return head_rules_;
   }
 
-  /// Capacity of the index arrays built so far.
-  std::size_t IndexBytes() const;
+  /// Capacity of the index arrays built so far, counted as each is built
+  /// (a load: a solve can compare it before and after to see what the
+  /// lazy indexes grew by).
+  std::size_t IndexBytes() const { return index_bytes_; }
 
  private:
   void EnsureNegIndex() const;
@@ -115,6 +117,7 @@ class HornSolver {
   mutable bool head_index_built_ = false;
   mutable std::vector<std::uint32_t> head_offsets_;  // num_atoms + 1
   mutable std::vector<std::uint32_t> head_rules_;
+  mutable std::size_t index_bytes_ = 0;
 };
 
 }  // namespace afp

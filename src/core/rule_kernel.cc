@@ -148,12 +148,14 @@ const CompiledBucket& BucketCache::Get(std::uint32_t c, const RuleView& view,
     b = std::make_unique<CompiledBucket>(view, graph, c, comp_rules[c],
                                          local_id_.data());
     ++num_buckets_;
+    bytes_ += b->bytes();
   }
   return *b;
 }
 
 bool BucketCache::Invalidate(std::uint32_t c) {
   if (c >= buckets_.size() || buckets_[c] == nullptr) return false;
+  bytes_ -= buckets_[c]->bytes();
   buckets_[c].reset();
   --num_buckets_;
   return true;
@@ -162,6 +164,7 @@ bool BucketCache::Invalidate(std::uint32_t c) {
 void BucketCache::Clear() {
   buckets_.clear();
   num_buckets_ = 0;
+  bytes_ = 0;
 }
 
 bool BucketCache::SyncEpoch(std::uint64_t epoch) {
@@ -169,14 +172,6 @@ bool BucketCache::SyncEpoch(std::uint64_t epoch) {
   Clear();
   expected_epoch_ = epoch;
   return true;
-}
-
-std::size_t BucketCache::bytes() const {
-  std::size_t total = 0;
-  for (const std::unique_ptr<CompiledBucket>& b : buckets_) {
-    if (b != nullptr) total += b->bytes();
-  }
-  return total;
 }
 
 }  // namespace afp

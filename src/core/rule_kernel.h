@@ -101,10 +101,10 @@ class CompiledBucket {
 
 /// The compiled buckets of one dependency analysis, by component id, kept
 /// by whoever keeps the analysis: the Solver session across solves,
-/// repairs and rule ops, the stable search across nodes, and a run-local
-/// cache for WellFoundedScc and the unsolved-query slices. A bucket is
-/// built at its component's first general-path solve (Get) and lives
-/// until its component's rules change.
+/// repairs, rule ops and unsolved queries, the stable search across
+/// nodes, and a run-local cache for WellFoundedScc. A bucket is built at
+/// its component's first general-path solve (Get) and lives until its
+/// component's rules change.
 ///
 /// Epoch protocol: the cache records the GroundProgram::mutation_epoch()
 /// its buckets describe. A caller that mutates the program through the
@@ -131,6 +131,10 @@ class BucketCache {
                             const AtomDependencyGraph& graph,
                             const RuleBuckets& comp_rules);
 
+  /// Adds `bytes` that a solve grew a cached bucket by (a lazily built
+  /// index of its HornSolver) to the running total.
+  void NoteGrowth(std::size_t bytes) { bytes_ += bytes; }
+
   /// Drops component c's bucket (its rules changed); returns whether one
   /// was built.
   bool Invalidate(std::uint32_t c);
@@ -146,13 +150,15 @@ class BucketCache {
   /// have invalidated their touched components).
   void AcknowledgeEpoch(std::uint64_t epoch) { expected_epoch_ = epoch; }
 
-  /// Live buckets, and the bytes they hold (a scan over every component).
+  /// Live buckets, and the bytes they hold: a running total, added at
+  /// each build and NoteGrowth, subtracted at each drop.
   std::size_t num_buckets() const { return num_buckets_; }
-  std::size_t bytes() const;
+  std::size_t bytes() const { return bytes_; }
 
  private:
   std::vector<std::unique_ptr<CompiledBucket>> buckets_;
   std::size_t num_buckets_ = 0;
+  std::size_t bytes_ = 0;
   std::uint64_t expected_epoch_;
   /// Build scratch: atom -> local id (see the CompiledBucket constructor),
   /// sized to the graph's atoms at the first build.

@@ -204,4 +204,45 @@ SccUpdateStats SccResolveDownstream(
   return out;
 }
 
+SccConeStats SccSolveUpstream(ComponentSolver& solver,
+                              std::span<const AtomId> atoms, GlobalModel& gm,
+                              SccUpdateScratch& s) {
+  SccConeStats out;
+  if (atoms.empty()) return out;
+  EvalContext& ctx = solver.ctx();
+  const EvalStats start = ctx.stats();
+  const RuleView& view = solver.view();
+  const RuleBuckets& comp_rules = solver.comp_rules();
+  const std::vector<std::uint32_t>& comp_of = solver.graph().component_of();
+
+  s.Ensure(solver.graph().num_components());
+  const std::uint32_t epoch = s.epoch_;
+  std::vector<std::uint32_t>& closure = s.closure_;
+  auto visit = [&](AtomId a) {
+    const std::uint32_t c = comp_of[a];
+    if (s.in_closure_[c] != epoch) {
+      s.in_closure_[c] = epoch;
+      closure.push_back(c);
+    }
+  };
+  // Upstream closure: a component's rules read only atoms of itself and
+  // of components before it, so the closure is everything the queried
+  // atoms reach, and its ascending id order is a topological order.
+  for (AtomId a : atoms) visit(a);
+  for (std::size_t i = 0; i < closure.size(); ++i) {
+    for (std::uint32_t ri : comp_rules[closure[i]]) {
+      const GroundRule& r = view.rules[ri];
+      for (AtomId q : view.pos(r)) visit(q);
+      for (AtomId q : view.neg(r)) visit(q);
+    }
+  }
+  std::sort(closure.begin(), closure.end());
+  out.components = closure.size();
+  for (std::uint32_t c : closure) {
+    out.local_size += solver.Solve(c, gm).local_size;
+  }
+  out.eval = ctx.stats().Since(start);
+  return out;
+}
+
 }  // namespace afp

@@ -74,13 +74,15 @@ struct TrailEntry {
 /// condensation, so a component's externals are always decided by the
 /// time it runs). ComponentSolver reads decided externals through
 /// IsTrue / IsFalse and publishes each component's verdicts once, through
-/// Publish (the general path) or PublishOne (the singleton fast path). Publishing OVERWRITES the members' previous bits
-/// — a full solve starts from empty sets, an incremental repair from the
-/// previous model — and records in `changed` whether the component just
-/// published changed any verdict: the signal that advances the repair's
-/// change frontier. With a `trail`, every overwrite first logs the
-/// verdict it replaces, and UndoTo rolls the model back to a trail mark
-/// (the stable search backtracks this way; session repairs log nothing).
+/// Publish (the general path) or PublishOne (the singleton fast path).
+/// Publishing OVERWRITES the members' previous bits — a full solve starts
+/// from empty sets, an incremental repair from the previous model, a cone
+/// solve from whatever earlier cones left — and records in `changed`
+/// whether the component just published changed any verdict: the signal
+/// that advances the repair's change frontier. With a `trail`, every
+/// overwrite first logs the verdict it replaces, and UndoTo rolls the
+/// model back to a trail mark (the stable search backtracks this way;
+/// session repairs log nothing).
 struct GlobalModel {
   Bitset* true_atoms;
   Bitset* false_atoms;
@@ -89,19 +91,24 @@ struct GlobalModel {
 
   bool IsTrue(AtomId a) const { return true_atoms->Test(a); }
   bool IsFalse(AtomId a) const { return false_atoms->Test(a); }
+  TruthValue Value(AtomId a) const {
+    if (IsTrue(a)) return TruthValue::kTrue;
+    if (IsFalse(a)) return TruthValue::kFalse;
+    return TruthValue::kUndefined;
+  }
 
   void Publish(std::span<const AtomId> members, const PartialModel& local) {
     changed = false;
     for (std::uint32_t i = 0; i < members.size(); ++i) {
       const TruthValue now = local.Value(i);
-      if (Old(members[i]) == now) continue;
+      if (Value(members[i]) == now) continue;
       changed = true;
       Write(members[i], now);
     }
   }
 
   void PublishOne(AtomId a, TruthValue v) {
-    changed = Old(a) != v;
+    changed = Value(a) != v;
     if (changed) Write(a, v);
   }
 
@@ -116,14 +123,8 @@ struct GlobalModel {
   }
 
  private:
-  TruthValue Old(AtomId a) const {
-    if (true_atoms->Test(a)) return TruthValue::kTrue;
-    if (false_atoms->Test(a)) return TruthValue::kFalse;
-    return TruthValue::kUndefined;
-  }
-
   void Write(AtomId a, TruthValue v) {
-    if (trail != nullptr) trail->push_back({a, Old(a)});
+    if (trail != nullptr) trail->push_back({a, Value(a)});
     Assign(a, v);
   }
 
@@ -244,18 +245,31 @@ struct SccUpdateStats {
   EvalStats eval;
 };
 
-/// Caller-owned persistent scratch for SccResolveDownstream. Without it,
-/// every update would allocate and zero-fill its O(num_components)
-/// working arrays (closure membership, change-frontier flags) — a memset
-/// floor that dominates small updates once the condensation reaches
-/// ~100k components. The scratch keeps those arrays alive across updates
-/// and replaces the clears with a per-update epoch: an entry is "set for
-/// this update" iff its stamp equals the current epoch, so per-update
-/// cost is O(downstream closure), independent of num_components after the
-/// first use. Stamps are 32-bit (8 bytes per component for both arrays):
-/// when the epoch wraps, both arrays are zero-filled again and the epoch
-/// restarts at 1. One scratch serves one graph at a time; a Solver owns
-/// one for its cached condensation, a StableSearch one for its own.
+/// Outcome of a cone solve (SccSolveUpstream).
+struct SccConeStats {
+  /// Components in the upstream cone of the queried atoms; every one of
+  /// them was solved.
+  std::size_t components = 0;
+  /// Sum of their local subprogram sizes (same accounting as
+  /// SccWfsResult::total_local_size).
+  std::size_t local_size = 0;
+  /// Work counters for the cone solve.
+  EvalStats eval;
+};
+
+/// Caller-owned persistent scratch for SccResolveDownstream and
+/// SccSolveUpstream. Without it, every update or cone solve would
+/// allocate and zero-fill its O(num_components) working arrays (closure
+/// membership, change-frontier flags) — a memset floor that dominates
+/// small calls once the condensation reaches ~100k components. The
+/// scratch keeps those arrays alive across calls and replaces the clears
+/// with a per-call epoch: an entry is "set for this call" iff its stamp
+/// equals the current epoch, so per-call cost is O(closure), independent
+/// of num_components after the first use. Stamps are 32-bit (8 bytes per
+/// component for both arrays): when the epoch wraps, both arrays are
+/// zero-filled again and the epoch restarts at 1. One scratch serves one
+/// graph at a time; a Solver owns one for its cached condensation, a
+/// StableSearch one for its own.
 class SccUpdateScratch {
  public:
   SccUpdateScratch() = default;
@@ -272,6 +286,10 @@ class SccUpdateScratch {
       ComponentSolver& solver, std::span<const AtomId> touched_atoms,
       GlobalModel& gm, std::vector<std::uint32_t>* component_iterations,
       SccUpdateScratch& scratch);
+  friend SccConeStats SccSolveUpstream(ComponentSolver& solver,
+                                       std::span<const AtomId> atoms,
+                                       GlobalModel& gm,
+                                       SccUpdateScratch& scratch);
 
   /// (Re)sizes the stamp arrays to `nc` components and starts the next
   /// epoch; zero-fills only when the component count changed or the
@@ -279,12 +297,13 @@ class SccUpdateScratch {
   void Ensure(std::size_t nc);
 
   std::uint32_t epoch_ = 0;
-  /// stamp == epoch_ → component is in this update's downstream closure.
+  /// stamp == epoch_ → component is in this call's closure (downstream
+  /// for a repair, upstream for a cone solve).
   std::vector<std::uint32_t> in_closure_;
   /// stamp == epoch_ → the change frontier reaches this component (seeded
   /// by the touched components, advanced by changed predecessors).
   std::vector<std::uint32_t> need_;
-  /// The O(closure)-sized downstream closure, pooled for capacity reuse.
+  /// The O(closure)-sized closure, pooled for capacity reuse.
   std::vector<std::uint32_t> closure_;
 };
 
@@ -321,6 +340,27 @@ SccUpdateStats SccResolveDownstream(
     ComponentSolver& solver, std::span<const AtomId> touched_atoms,
     GlobalModel& gm, std::vector<std::uint32_t>* component_iterations,
     SccUpdateScratch& scratch);
+
+/// Solves the upstream cone of `atoms` — the query-directed evaluation
+/// the paper's conclusion calls for, on an analysis the caller already
+/// keeps: the closure of their components under "component → components
+/// of its rules' body atoms" (read off the solver's rule buckets), each
+/// solved by `solver` in ascending (topological) id order. An atom's
+/// well-founded value depends only on the atoms it reaches, so on return
+/// `gm` holds, for every atom of the cone, exactly its value in the
+/// program's well-founded model.
+///
+/// The solver's graph and rule buckets must describe the program as it
+/// stands (a session patches them at every fact repair and rule op).
+/// `gm` may hold anything on entry: each solve overwrites its members'
+/// bits and reads only members of cone components solved before it, so
+/// stale bits outside the cone are never read and the caller never clears
+/// the bitsets. Costs O(cone rules and body literals) plus the cone's
+/// solves; `scratch` is the repair's (SccResolveDownstream), dedicated to
+/// the same graph.
+SccConeStats SccSolveUpstream(ComponentSolver& solver,
+                              std::span<const AtomId> atoms, GlobalModel& gm,
+                              SccUpdateScratch& scratch);
 
 }  // namespace afp
 

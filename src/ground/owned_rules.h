@@ -8,9 +8,9 @@
 namespace afp {
 
 /// An owned, rewritable rule set over an existing atom universe. Used
-/// wherever a transformed program (a component's local subprogram, a
-/// relevance slice, conditioning on assumptions) must be solved without
-/// mutating the source GroundProgram.
+/// wherever a transformed program (a component's local subprogram,
+/// conditioning on assumptions) must be solved without mutating the
+/// source GroundProgram.
 struct OwnedRules {
   std::vector<GroundRule> rules;
   std::vector<AtomId> pool;

@@ -15,7 +15,7 @@
 //    sequences;
 //  * the rescan counters of the delta evaluators are pinned exactly on the
 //    ablation workloads, and beat the reference's from-scratch counts;
-//  * an unsolved query batch charges exactly one slice solve.
+//  * an unsolved query batch charges exactly one solve of its cone.
 
 #include <gtest/gtest.h>
 
@@ -26,15 +26,16 @@
 #include <string>
 #include <vector>
 
+#include "afp/solver.h"
 #include "analysis/atom_graph.h"
 #include "core/alternating.h"
 #include "core/eval_context.h"
 #include "core/interpretation.h"
-#include "core/relevance.h"
 #include "core/scc_engine.h"
 #include "fol/general_program.h"
 #include "fol/simplify.h"
 #include "ground/grounder.h"
+#include "ground/owned_rules.h"
 #include "reference/reference.h"
 #include "search/stable_search.h"
 #include "stable/enumerate.h"
@@ -399,60 +400,88 @@ TEST(SealRules, GroundProgramWorksAfterSealing) {
   EXPECT_TRUE(before.model.true_atoms().IsSubsetOf(after.model.true_atoms()));
 }
 
-// An unsolved query batch through the context-taking entry point charges
-// the S_P work of ONE component-wise solve of the slice relevant to the
-// union of its atoms; answering each query over its own slice charges one
-// solve per query, which on this graph's overlapping slices is more.
+// An unsolved query batch on a session charges the S_P work of ONE
+// component-wise solve of the upstream cone of the union of its atoms;
+// answering each query on a fresh session charges one cone solve per
+// query, which on this graph's overlapping cones is more. The reference
+// cone solve runs on the rules of every atom the queried atoms reach (ids
+// kept: every other atom has no rule, so the fast path decides it false
+// without an S_P call and adds nothing to the local size).
 TEST(RelevanceCounters, QueryBatchChargesOneSliceSolve) {
-  Program p = workload::WinMove(graphs::ErdosRenyi(400, 800, 5));
-  auto ground = Grounder::Ground(p);
-  ASSERT_TRUE(ground.ok());
+  const Program p = workload::WinMove(graphs::ErdosRenyi(400, 800, 5));
+  auto session = Solver::FromProgram(p);
+  ASSERT_TRUE(session.ok());
+  const GroundProgram& gp = session->ground();
   std::vector<std::string> texts;
-  Bitset queried(ground->num_atoms());
+  std::vector<AtomId> reached;
+  std::vector<bool> in_cone(gp.num_atoms(), false);
   for (int node = 0; node < 384; node += 6) {
     texts.push_back("wins(" + workload::NodeName(node) + ")");
-    auto id = ResolveAtom(*ground, texts.back());
+    auto id = ResolveAtom(gp, texts.back());
     ASSERT_TRUE(id.ok());
-    if (*id != kInvalidAtom) queried.Set(*id);
+    if (*id != kInvalidAtom && !in_cone[*id]) {
+      in_cone[*id] = true;
+      reached.push_back(*id);
+    }
   }
   ASSERT_EQ(texts.size(), 64u);
+  const std::vector<StatusOr<TruthValue>> batch = session->QueryBatch(texts);
+  const SolverStats stats = session->Stats();
 
-  EvalContext batch_ctx;
-  RelevanceBatchResult batch =
-      QueryWithRelevanceWithContext(batch_ctx, *ground, texts);
-
+  const RuleView view = gp.View();
+  std::vector<std::vector<std::uint32_t>> by_head(gp.num_atoms());
+  for (std::uint32_t ri = 0; ri < gp.num_rules(); ++ri) {
+    by_head[gp.rule(ri).head].push_back(ri);
+  }
+  auto reach = [&](AtomId q) {
+    if (!in_cone[q]) {
+      in_cone[q] = true;
+      reached.push_back(q);
+    }
+  };
+  for (std::size_t i = 0; i < reached.size(); ++i) {
+    for (std::uint32_t ri : by_head[reached[i]]) {
+      for (AtomId q : view.pos(gp.rule(ri))) reach(q);
+      for (AtomId q : view.neg(gp.rule(ri))) reach(q);
+    }
+  }
+  OwnedRules cone;
+  cone.num_atoms = gp.num_atoms();
+  for (std::uint32_t ri = 0; ri < gp.num_rules(); ++ri) {
+    const GroundRule& r = gp.rule(ri);
+    if (in_cone[r.head]) cone.Add(r.head, view.pos(r), view.neg(r));
+  }
+  const RuleView cone_view = cone.View();
+  AtomDependencyGraph graph(cone_view);
   EvalContext run_ctx;
-  RelevantSlice slice = RelevantSubprogram(ground->View(), queried);
-  const RuleView view = slice.rules.View();
-  AtomDependencyGraph graph(view);
-  SccWfsResult one_run =
-      WellFoundedSccOnGraph(run_ctx, view, graph, RuleBuckets(view, graph));
+  SccWfsResult one_run = WellFoundedSccOnGraph(run_ctx, cone_view, graph,
+                                               RuleBuckets(cone_view, graph));
+  std::size_t cone_components = 0;
+  for (std::uint32_t c = 0; c < graph.num_components(); ++c) {
+    if (in_cone[graph.members(c)[0]]) ++cone_components;
+  }
   ASSERT_GT(one_run.eval.sp_calls, 0u);
-  EXPECT_EQ(batch_ctx.stats().sp_calls, one_run.eval.sp_calls);
-  EXPECT_EQ(batch.slice_size,
-            slice.rules.pool.size() + slice.rules.rules.size());
+  EXPECT_EQ(stats.eval.sp_calls, one_run.eval.sp_calls);
+  EXPECT_EQ(stats.cone_components, cone_components);
+  EXPECT_EQ(stats.cone_local_size, one_run.total_local_size);
   for (std::size_t i = 0; i < texts.size(); ++i) {
-    ASSERT_TRUE(batch.values[i].ok()) << texts[i];
-    const AtomId id = *ResolveAtom(*ground, texts[i]);
+    ASSERT_TRUE(batch[i].ok()) << texts[i];
+    const AtomId id = *ResolveAtom(gp, texts[i]);
     if (id == kInvalidAtom) {
-      EXPECT_EQ(*batch.values[i], TruthValue::kFalse) << texts[i];
+      EXPECT_EQ(*batch[i], TruthValue::kFalse) << texts[i];
       continue;
     }
-    const auto local = std::find(slice.atoms.begin(), slice.atoms.end(), id);
-    ASSERT_NE(local, slice.atoms.end()) << texts[i];
-    EXPECT_EQ(*batch.values[i],
-              one_run.model.Value(
-                  static_cast<AtomId>(local - slice.atoms.begin())))
-        << texts[i];
+    EXPECT_EQ(*batch[i], one_run.model.Value(id)) << texts[i];
   }
 
   std::size_t per_query_sp_calls = 0;
   for (const std::string& text : texts) {
-    EvalContext ctx;
-    QueryWithRelevanceWithContext(ctx, *ground, {&text, 1});
-    per_query_sp_calls += ctx.stats().sp_calls;
+    auto fresh = Solver::FromProgram(p);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(fresh->Query(text).ok());
+    per_query_sp_calls += fresh->Stats().eval.sp_calls;
   }
-  EXPECT_GT(per_query_sp_calls, batch_ctx.stats().sp_calls);
+  EXPECT_GT(per_query_sp_calls, stats.eval.sp_calls);
 }
 
 TEST(EvalContextRegistryUnit, SpEvaluatorRebindMatchesFreshEvaluator) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/eval_context.h"
 #include "core/interpretation.h"
 #include "ground/grounder.h"
 #include "reference/reference.h"
@@ -145,6 +146,35 @@ TEST(HornSolver, ReuseAcrossManyCalls) {
   Bitset first = solver.EventualConsequences(none);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(solver.EventualConsequences(none), first);
+  }
+}
+
+TEST(HornSolver, IndexBytesCountsEachIndexAsItIsBuilt) {
+  // IndexBytes() is kept as the indexes are built, not rescanned: it must
+  // equal the capacity of every index array built so far, with and
+  // without a pooling context, and follow a move.
+  Program p = workload::EvenNegativeCycles(5);
+  GroundProgram gp = MustGround(p);
+  EvalContext ctx;
+  for (EvalContext* pool : {static_cast<EvalContext*>(nullptr), &ctx}) {
+    HornSolver solver(gp.View(), pool);
+    auto bytes = [](const std::vector<std::uint32_t>& offsets,
+                    const std::vector<std::uint32_t>& entries) {
+      return (offsets.capacity() + entries.capacity()) *
+             sizeof(std::uint32_t);
+    };
+    const std::size_t pos =
+        bytes(solver.pos_occ_offsets(), solver.pos_occ_rules());
+    EXPECT_EQ(solver.IndexBytes(), pos);
+    const std::size_t neg =
+        bytes(solver.neg_occ_offsets(), solver.neg_occ_rules());
+    EXPECT_GT(neg, 0u);
+    EXPECT_EQ(solver.IndexBytes(), pos + neg);
+    const std::size_t head = bytes(solver.head_offsets(), solver.head_rules());
+    EXPECT_GT(head, 0u);
+    EXPECT_EQ(solver.IndexBytes(), pos + neg + head);
+    const HornSolver moved(std::move(solver));
+    EXPECT_EQ(moved.IndexBytes(), pos + neg + head);
   }
 }
 

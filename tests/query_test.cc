@@ -1,5 +1,5 @@
 // Query layer tests: Select pattern matching with bindings, filters, and
-// relevance-restricted point queries.
+// the point queries an unsolved session answers from their cones.
 
 #include "core/query.h"
 
@@ -7,8 +7,8 @@
 
 #include <memory>
 
+#include "afp/solver.h"
 #include "core/alternating.h"
-#include "core/relevance.h"
 #include "ground/grounder.h"
 #include "workload/graphs.h"
 #include "workload/programs.h"
@@ -106,80 +106,88 @@ TEST(Select, MalformedPatternErrors) {
   EXPECT_FALSE(Select(s->ground, s->model, "").ok());
 }
 
+// Relevance: an unsolved session answers a point query by solving only
+// the upstream cone of the queried atom, on its own dependency analysis.
+
 TEST(Relevance, SliceContainsOnlyReachableAtoms) {
-  std::unique_ptr<Solved> s(Solve(R"(
+  auto s = Solver::FromText(R"(
     a :- not b. b :- not a.
     x :- y. y.
-  )"));
-  auto id = ResolveAtom(s->ground, "x");
-  ASSERT_TRUE(id.ok());
-  Bitset query(s->ground.num_atoms());
-  query.Set(*id);
-  RelevantSlice slice = RelevantSubprogram(s->ground.View(), query);
-  // x depends on y only; the a/b tangle is irrelevant. The slice is
-  // renumbered: x (the query) is local atom 0, y local atom 1.
-  ASSERT_EQ(slice.atoms.size(), 2u);
-  EXPECT_EQ(slice.atoms[0], *id);
-  EXPECT_EQ(slice.atoms[1], *ResolveAtom(s->ground, "y"));
-  EXPECT_EQ(slice.rules.num_atoms, 2u);
-  EXPECT_EQ(slice.rules.rules.size(), 2u);
+  )");
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(*s->Query("x"), TruthValue::kTrue);
+  // x depends on y only; the a/b tangle is irrelevant. The cone is x's and
+  // y's singleton components: `x :- y.` (2) and `y.` (1).
+  EXPECT_EQ(s->Stats().cone_components, 2u);
+  EXPECT_EQ(s->Stats().cone_local_size, 3u);
+  EXPECT_EQ(s->Stats().buckets, 0u) << "the a/b component was solved";
+  EXPECT_FALSE(s->solved());
 }
 
 TEST(Relevance, PointQueryMatchesFullSolve) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
-    Program p = workload::WinMove(graphs::ErdosRenyi(30, 70, seed));
-    auto ground = Grounder::Ground(p);
-    ASSERT_TRUE(ground.ok());
-    GroundProgram gp = std::move(ground).value();
-    PartialModel full = AlternatingFixpoint(gp).model;
+    auto s = Solver::FromProgram(
+        workload::WinMove(graphs::ErdosRenyi(30, 70, seed)));
+    ASSERT_TRUE(s.ok());
+    const PartialModel full = AlternatingFixpoint(s->ground()).model;
     for (int node = 0; node < 30; node += 7) {
       std::string atom = "wins(" + workload::NodeName(node) + ")";
-      auto sliced = QueryWithRelevance(gp, atom);
-      ASSERT_TRUE(sliced.ok());
-      auto direct = QueryAtom(gp, full, atom);
+      auto coned = s->Query(atom);
+      ASSERT_TRUE(coned.ok());
+      auto direct = QueryAtom(s->ground(), full, atom);
       ASSERT_TRUE(direct.ok());
-      EXPECT_EQ(sliced->value, *direct) << atom << " seed " << seed;
-      EXPECT_LE(sliced->slice_size, sliced->full_size);
+      EXPECT_EQ(*coned, *direct) << atom << " seed " << seed;
+      EXPECT_LE(s->Stats().cone_local_size, s->Stats().ground_size);
     }
+    EXPECT_FALSE(s->solved());
   }
 }
 
 TEST(Relevance, UnmaterializedAtomIsFalse) {
-  std::unique_ptr<Solved> s(Solve("p."));
-  auto r = QueryWithRelevance(s->ground, "q");
+  auto s = Solver::FromText("p.");
+  ASSERT_TRUE(s.ok());
+  auto r = s->Query("q");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->value, TruthValue::kFalse);
-  EXPECT_EQ(r->slice_size, 0u);
+  EXPECT_EQ(*r, TruthValue::kFalse);
+  EXPECT_EQ(s->Stats().cone_components, 0u);
+  EXPECT_EQ(s->Stats().cone_local_size, 0u);
+  EXPECT_EQ(s->DependencyGraph(), nullptr) << "nothing to solve, nothing built";
 }
 
 TEST(Relevance, ContextThreadedQueriesMatchAndPoolScratch) {
-  // One context across a loop of point queries (the PR 2 follow-up):
-  // answers match the fresh-context entry point, and the shared context
-  // accumulates the batch's S_P work.
-  Program p = workload::WinMove(graphs::ErdosRenyi(25, 60, 11));
-  auto ground = Grounder::Ground(p);
-  ASSERT_TRUE(ground.ok());
-  EvalContext ctx;
-  std::size_t answered = 0;
+  // One session across a loop of point queries: each answer and cone
+  // receipt matches a fresh session's, and the session's one context
+  // carries the loop's S_P work.
+  const Program p = workload::WinMove(graphs::ErdosRenyi(25, 60, 11));
+  auto shared = Solver::FromProgram(p);
+  ASSERT_TRUE(shared.ok());
+  std::size_t sp_calls = 0;
   for (int node = 0; node < 25; ++node) {
     std::string atom = "wins(" + workload::NodeName(node) + ")";
-    auto pooled = QueryWithRelevanceWithContext(ctx, *ground, {&atom, 1});
-    auto fresh = QueryWithRelevance(*ground, atom);
-    ASSERT_TRUE(pooled.values[0].ok() && fresh.ok());
-    EXPECT_EQ(*pooled.values[0], fresh->value) << atom;
-    EXPECT_EQ(pooled.slice_size, fresh->slice_size) << atom;
-    ++answered;
+    auto pooled = shared->Query(atom);
+    auto fresh_session = Solver::FromProgram(p);
+    ASSERT_TRUE(fresh_session.ok());
+    auto fresh = fresh_session->Query(atom);
+    ASSERT_TRUE(pooled.ok() && fresh.ok());
+    EXPECT_EQ(*pooled, *fresh) << atom;
+    EXPECT_EQ(shared->Stats().cone_components,
+              fresh_session->Stats().cone_components)
+        << atom;
+    EXPECT_EQ(shared->Stats().cone_local_size,
+              fresh_session->Stats().cone_local_size)
+        << atom;
+    EXPECT_EQ(shared->Stats().eval.sp_calls,
+              fresh_session->Stats().eval.sp_calls)
+        << atom;
+    sp_calls += shared->Stats().eval.sp_calls;
   }
-  EXPECT_GT(answered, 0u);
-  EXPECT_GT(ctx.stats().sp_calls, 0u);
+  EXPECT_GT(sp_calls, 0u);
 }
 
 TEST(Relevance, BatchMatchesSingleQueries) {
-  // One slice over the union of the batch's atoms answers every query as
-  // its own slice would; an unparsable text fails only its own slot.
-  Program p = workload::WinMove(graphs::ErdosRenyi(40, 100, 5));
-  auto ground = Grounder::Ground(p);
-  ASSERT_TRUE(ground.ok());
+  // One cone over the union of the batch's atoms answers every query as
+  // its own cone would; an unparsable text fails only its own slot.
+  const Program p = workload::WinMove(graphs::ErdosRenyi(40, 100, 5));
   std::vector<std::string> atoms;
   for (int node = 0; node < 40; node += 3) {
     atoms.push_back("wins(" + workload::NodeName(node) + ")");
@@ -188,23 +196,31 @@ TEST(Relevance, BatchMatchesSingleQueries) {
   const std::size_t bad = atoms.size();
   atoms.push_back("wins(");
 
-  EvalContext ctx;
-  RelevanceBatchResult batch =
-      QueryWithRelevanceWithContext(ctx, *ground, atoms);
-  ASSERT_EQ(batch.values.size(), atoms.size());
-  EXPECT_LE(batch.slice_size, batch.full_size);
+  auto session = Solver::FromProgram(p);
+  ASSERT_TRUE(session.ok());
+  const std::vector<StatusOr<TruthValue>> batch = session->QueryBatch(atoms);
+  const SolverStats batch_stats = session->Stats();
+  ASSERT_EQ(batch.size(), atoms.size());
+  EXPECT_LE(batch_stats.cone_local_size, batch_stats.ground_size);
   for (std::size_t i = 0; i < atoms.size(); ++i) {
-    auto single = QueryWithRelevance(*ground, atoms[i]);
+    auto single_session = Solver::FromProgram(p);
+    ASSERT_TRUE(single_session.ok());
+    auto single = single_session->Query(atoms[i]);
     if (i == bad) {
       ASSERT_FALSE(single.ok());
-      ASSERT_FALSE(batch.values[i].ok());
-      EXPECT_EQ(batch.values[i].status().code(), single.status().code());
+      ASSERT_FALSE(batch[i].ok());
+      EXPECT_EQ(batch[i].status().code(), single.status().code());
       continue;
     }
     ASSERT_TRUE(single.ok()) << atoms[i];
-    ASSERT_TRUE(batch.values[i].ok()) << atoms[i];
-    EXPECT_EQ(*batch.values[i], single->value) << atoms[i];
-    EXPECT_LE(single->slice_size, batch.slice_size) << atoms[i];
+    ASSERT_TRUE(batch[i].ok()) << atoms[i];
+    EXPECT_EQ(*batch[i], *single) << atoms[i];
+    EXPECT_LE(single_session->Stats().cone_components,
+              batch_stats.cone_components)
+        << atoms[i];
+    EXPECT_LE(single_session->Stats().cone_local_size,
+              batch_stats.cone_local_size)
+        << atoms[i];
   }
 }
 
@@ -225,11 +241,11 @@ TEST(Relevance, SliceCanBeMuchSmallerThanProgram) {
   p.AddRule(head,
             {Program::Pos(p.MakeAtom("move", {p.Var("X"), p.Var("Y")})),
              Program::Neg(p.MakeAtom("wins", {p.Var("Y")}))});
-  auto ground = Grounder::Ground(p);
-  ASSERT_TRUE(ground.ok());
-  auto r = QueryWithRelevance(*ground, "wins(a)");
+  auto s = Solver::FromProgram(std::move(p));
+  ASSERT_TRUE(s.ok());
+  auto r = s->Query("wins(a)");
   ASSERT_TRUE(r.ok());
-  EXPECT_LT(r->slice_size, r->full_size / 2);
+  EXPECT_LT(s->Stats().cone_local_size, s->Stats().ground_size / 2);
 }
 
 }  // namespace

@@ -381,6 +381,78 @@ TEST(KernelCacheShape, OnlyGeneralPathComponentsAreEligible) {
   EXPECT_EQ(*self_dep->Query("w"), TruthValue::kUndefined);
 }
 
+/// Checks the session's bucket receipt against a scan of its cache.
+void ExpectReceiptMatchesCache(const Solver& s, const std::string& label) {
+  std::size_t buckets = 0, bytes = 0;
+  const AtomDependencyGraph* graph = s.DependencyGraph();
+  const std::size_t nc = graph == nullptr ? 0 : graph->num_components();
+  for (std::uint32_t c = 0; c < nc; ++c) {
+    if (const CompiledBucket* b = s.Buckets().Find(c)) {
+      ++buckets;
+      bytes += b->bytes();
+    }
+  }
+  EXPECT_EQ(s.Stats().buckets, buckets) << label;
+  EXPECT_EQ(s.Stats().bucket_bytes, bytes) << label;
+}
+
+TEST(KernelCacheShape, ReceiptMatchesTheCacheAfterEveryCall) {
+  // The receipt is current after every call that can build, grow or drop
+  // a bucket: unsolved queries, solves, fact repairs and rule ops. Under
+  // both inner engines, since their evaluators build different lazy
+  // indexes of the bucket during a solve.
+  for (SccInnerEngine inner : {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
+    SolverOptions o;
+    o.inner = inner;
+    o.ground.simplify = false;
+    auto s = Solver::FromText(
+        "f(a). f(b). w(X) :- f(X), not w2(X). w2(X) :- f(X), not w(X).\n"
+        "g(b). y(X) :- g(X), not y2(X). y2(X) :- g(X), not y(X).\n"
+        "z :- w(a), not z2. z2 :- not z.",
+        o);
+    ASSERT_TRUE(s.ok()) << s.status().ToString();
+    const std::string label = std::to_string(static_cast<int>(inner));
+    ExpectReceiptMatchesCache(*s, label + " fresh");
+    EXPECT_EQ(*s->Query("w(a)"), TruthValue::kUndefined);
+    EXPECT_EQ(s->Stats().buckets, 1u);
+    ExpectReceiptMatchesCache(*s, label + " unsolved query");
+    s->Solve();
+    EXPECT_EQ(s->Stats().buckets, 4u);
+    ExpectReceiptMatchesCache(*s, label + " solve");
+    ASSERT_TRUE(s->RetractFacts({"f(a)"}).ok());
+    ExpectReceiptMatchesCache(*s, label + " retract");
+    ASSERT_TRUE(s->AssertFacts({"f(a)"}).ok());
+    ExpectReceiptMatchesCache(*s, label + " assert");
+    ASSERT_TRUE(
+        s->AddRule("v(X) :- g(X), not v2(X). v2(X) :- g(X), not v(X).").ok());
+    ExpectReceiptMatchesCache(*s, label + " add rule");
+    ASSERT_TRUE(s->RemoveRule("y(X) :- g(X), not y2(X).").ok());
+    ExpectReceiptMatchesCache(*s, label + " remove rule");
+    s->InvalidateModel();
+    ASSERT_TRUE(s->RetractFacts({"g(b)"}).ok());
+    ExpectReceiptMatchesCache(*s, label + " unsolved retract");
+    // The rebuild above dropped every bucket; these cones build w(a)'s and
+    // w(b)'s again, and the fact and the rule below each drop one.
+    EXPECT_EQ(*s->Query("w(a)"), TruthValue::kUndefined);
+    EXPECT_EQ(*s->Query("w(b)"), TruthValue::kUndefined);
+    ExpectReceiptMatchesCache(*s, label + " unsolved queries");
+    const std::size_t built = s->Stats().buckets;
+    ASSERT_TRUE(s->AssertFacts({"w(a)"}).ok());
+    EXPECT_EQ(s->Stats().buckets, built - 1) << label;
+    ExpectReceiptMatchesCache(*s, label + " unsolved assert");
+    const StatusOr<RuleUpdateStats> grown = s->AddRule("w(X) :- f(X).");
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    EXPECT_GT(grown->buckets_invalidated, 0u) << label;
+    ExpectReceiptMatchesCache(*s, label + " unsolved add rule");
+    const std::vector<std::string> texts = {"v(b)", "z", "y2(b)"};
+    for (const StatusOr<TruthValue>& v : s->QueryBatch(texts)) {
+      ASSERT_TRUE(v.ok());
+    }
+    ExpectReceiptMatchesCache(*s, label + " unsolved batch");
+    EXPECT_GT(s->Stats().bucket_bytes, 0u) << label;
+  }
+}
+
 TEST(KernelCacheShape, RecompiledComponentHoldsItsFirstCompileBytes) {
   // Invalidation frees the dropped bucket's storage, so a component that
   // a long-lived session invalidates and rebuilds over and over holds the

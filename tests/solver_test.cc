@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/alternating.h"
-#include "core/relevance.h"
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
 #include "parser/parser.h"
@@ -140,6 +139,16 @@ std::string NegationChain(int n) {
   return text;
 }
 
+/// The EDB facts of `gp` (rules with an empty body), in rule order.
+std::vector<std::string> FactNames(const GroundProgram& gp) {
+  std::vector<std::string> facts;
+  for (std::size_t ri = 0; ri < gp.num_rules(); ++ri) {
+    const GroundRule& r = gp.rule(ri);
+    if (r.pos_len == 0 && r.neg_len == 0) facts.push_back(gp.AtomName(r.head));
+  }
+  return facts;
+}
+
 TEST(Solver, NegationChainSolvesOneComponentPerAtom) {
   // The counters are the receipt that the solve is linear: one singleton
   // component per atom, and local subprograms that sum to the program.
@@ -204,17 +213,140 @@ TEST(Solver, UnsolvedQueriesOnNegationChainAgreeWithSolve) {
   const StatusOr<TruthValue> last = unsolved->Query(atoms.front());
   ASSERT_TRUE(last.ok());
   EXPECT_EQ(*last, *solved->Query(atoms.front()));
-  EXPECT_FALSE(unsolved->solved()) << "relevance queries must not solve";
-  // The counter receipt of a linear slice solve: the slice of the last
-  // atom is the whole chain, and every link is a singleton component
-  // decided without a single S_P evaluation.
-  EvalContext ctx;
-  const RelevanceBatchResult direct =
-      QueryWithRelevanceWithContext(ctx, unsolved->ground(), {&atoms[0], 1});
-  ASSERT_TRUE(direct.values[0].ok());
-  EXPECT_EQ(*direct.values[0], *last);
-  EXPECT_EQ(direct.slice_size, direct.full_size);
-  EXPECT_EQ(ctx.stats().sp_calls, 0u);
+  EXPECT_FALSE(unsolved->solved()) << "unsolved queries must not solve";
+  // The receipt of a linear cone solve: the cone of the last atom is the
+  // whole chain, and every link is a singleton component decided without
+  // a single S_P evaluation.
+  const SolverStats& cone = unsolved->Stats();
+  EXPECT_EQ(cone.cone_components,
+            unsolved->DependencyGraph()->num_components());
+  EXPECT_EQ(cone.cone_local_size, unsolved->ground().TotalSize());
+  EXPECT_EQ(cone.eval.sp_calls, 0u);
+}
+
+TEST(Solver, UnsolvedQueryCostsItsCone) {
+  // An EDB fact's cone is its own singleton component, whatever the
+  // program around it: two win-move programs 16x apart give the same
+  // receipt, from the call that builds the analysis on, and no call takes
+  // atom-sized scratch from the session's context.
+  std::vector<SolverStats> receipts;
+  for (int n : {4096, 65536}) {
+    Solver s = MustCreate(
+        workload::WinMove(graphs::ErdosRenyi(n, 3 * n, 17)));
+    const std::string fact = FactNames(s.ground()).at(0);
+    for (int call = 0; call < 3; ++call) {
+      EXPECT_EQ(*s.Query(fact), TruthValue::kTrue) << fact;
+      const SolverStats& st = s.Stats();
+      EXPECT_EQ(st.cone_components, 1u) << n << " call " << call;
+      EXPECT_EQ(st.cone_local_size, 1u) << n << " call " << call;
+      EXPECT_EQ(st.eval.bucket_solves, 0u) << n << " call " << call;
+      EXPECT_LT(st.eval.peak_scratch_bytes, s.ground().num_atoms() / 8)
+          << n << " call " << call;
+    }
+    EXPECT_FALSE(s.solved());
+    receipts.push_back(s.Stats());
+  }
+  EXPECT_GT(receipts[1].ground_size, 15 * receipts[0].ground_size);
+  EXPECT_EQ(receipts[1].eval.sp_calls, receipts[0].eval.sp_calls);
+  EXPECT_EQ(receipts[1].eval.peak_scratch_bytes,
+            receipts[0].eval.peak_scratch_bytes);
+}
+
+/// Queries every atom of `s`'s ground program on the unsolved session —
+/// one at a time, so each cone solve runs over bits left by the others,
+/// and then as one batch — and checks each answer against a fresh solve of
+/// the program as it stands.
+void ExpectConeAnswersMatchFreshSolve(Solver& s, const std::string& label) {
+  ASSERT_FALSE(s.solved()) << label;
+  const PartialModel fresh = AlternatingFixpoint(s.ground()).model;
+  std::vector<std::string> atoms;
+  for (AtomId a = 0; a < s.ground().num_atoms(); ++a) {
+    atoms.push_back(s.ground().AtomName(a));
+  }
+  for (AtomId a = static_cast<AtomId>(atoms.size()); a-- > 0;) {
+    const StatusOr<TruthValue> one = s.Query(atoms[a]);
+    ASSERT_TRUE(one.ok()) << label << " " << atoms[a];
+    EXPECT_EQ(*one, fresh.Value(a)) << label << " " << atoms[a];
+  }
+  const std::vector<StatusOr<TruthValue>> batch = s.QueryBatch(atoms);
+  for (AtomId a = 0; a < atoms.size(); ++a) {
+    ASSERT_TRUE(batch[a].ok()) << label << " " << atoms[a];
+    EXPECT_EQ(*batch[a], fresh.Value(a)) << label << " " << atoms[a];
+  }
+  EXPECT_FALSE(s.solved()) << label;
+}
+
+TEST(Solver, UnsolvedQueriesFollowFactAndRuleOps) {
+  // Fact repairs and rule ops patch the analysis and the bucket cache of
+  // an unsolved session; its cone solves read both, so every answer
+  // between the ops must be the mutated program's. The even/odd pair and
+  // the lost rule append new components, the two-cycle rule appends rules
+  // to existing ones (dropping the buckets the earlier cones built), and
+  // removing either of the last two drops only cross-component edges: all
+  // of these patch the analysis in place. The reversed win rule merges
+  // existing components, and removing it splits them again (the analysis
+  // is rebuilt).
+  constexpr const char* kEvenOdd =
+      "even(X) :- move(X,Y), not odd(Y). odd(X) :- move(X,Y), not even(Y).";
+  constexpr const char* kLost = "lost(X) :- move(X,Y), not wins(X).";
+  constexpr const char* kTwoCycle = "wins(X) :- move(X,Y), move(Y,X).";
+  std::size_t buckets_dropped_in_place = 0;
+  constexpr const char* kReversed = "wins(X) :- move(Y,X), not wins(Y).";
+  for (SccInnerEngine inner : {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      SolverOptions o;
+      o.inner = inner;
+      o.ground.simplify = false;
+      Solver s =
+          MustCreate(workload::WinMove(graphs::ErdosRenyi(20, 50, seed)), o);
+      const std::string label = "inner " +
+                                std::to_string(static_cast<int>(inner)) +
+                                " seed " + std::to_string(seed);
+      const std::vector<std::string> facts = FactNames(s.ground());
+      ASSERT_GE(facts.size(), 3u);
+      ExpectConeAnswersMatchFreshSolve(s, label + " initial");
+      ASSERT_TRUE(s.RetractFacts({facts[0], facts[1]}).ok());
+      ExpectConeAnswersMatchFreshSolve(s, label + " retract");
+      const StatusOr<RuleUpdateStats> appended = s.AddRule(kEvenOdd);
+      ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+      EXPECT_FALSE(appended->graph_rebuilt) << label;
+      ExpectConeAnswersMatchFreshSolve(s, label + " add even/odd");
+      ASSERT_TRUE(s.AssertFacts({facts[0]}).ok());
+      ExpectConeAnswersMatchFreshSolve(s, label + " assert");
+      const StatusOr<RuleUpdateStats> lost = s.AddRule(kLost);
+      ASSERT_TRUE(lost.ok()) << lost.status().ToString();
+      EXPECT_FALSE(lost->graph_rebuilt) << label;
+      ExpectConeAnswersMatchFreshSolve(s, label + " add lost");
+      const StatusOr<RuleUpdateStats> unlost = s.RemoveRule(kLost);
+      ASSERT_TRUE(unlost.ok()) << unlost.status().ToString();
+      EXPECT_FALSE(unlost->graph_rebuilt) << label;
+      ExpectConeAnswersMatchFreshSolve(s, label + " remove lost");
+      const StatusOr<RuleUpdateStats> cycle = s.AddRule(kTwoCycle);
+      ASSERT_TRUE(cycle.ok()) << cycle.status().ToString();
+      EXPECT_FALSE(cycle->graph_rebuilt) << label;
+      buckets_dropped_in_place += cycle->buckets_invalidated;
+      ExpectConeAnswersMatchFreshSolve(s, label + " add two-cycle");
+      const StatusOr<RuleUpdateStats> uncycle = s.RemoveRule(kTwoCycle);
+      ASSERT_TRUE(uncycle.ok()) << uncycle.status().ToString();
+      EXPECT_FALSE(uncycle->graph_rebuilt) << label;
+      buckets_dropped_in_place += uncycle->buckets_invalidated;
+      ExpectConeAnswersMatchFreshSolve(s, label + " remove two-cycle");
+      const StatusOr<RuleUpdateStats> added = s.AddRule(kReversed);
+      ASSERT_TRUE(added.ok()) << added.status().ToString();
+      EXPECT_TRUE(added->graph_rebuilt) << label;
+      ExpectConeAnswersMatchFreshSolve(s, label + " add reversed");
+      ASSERT_TRUE(s.RetractFacts({facts[2]}).ok());
+      ExpectConeAnswersMatchFreshSolve(s, label + " retract again");
+      const StatusOr<RuleUpdateStats> unreversed = s.RemoveRule(kReversed);
+      ASSERT_TRUE(unreversed.ok()) << unreversed.status().ToString();
+      EXPECT_TRUE(unreversed->graph_rebuilt) << label;
+      ExpectConeAnswersMatchFreshSolve(s, label + " remove reversed");
+      ASSERT_TRUE(s.RemoveRule(
+          "odd(X) :- move(X,Y), not even(Y).").ok());
+      ExpectConeAnswersMatchFreshSolve(s, label + " remove odd");
+    }
+  }
+  EXPECT_GT(buckets_dropped_in_place, 0u);
 }
 
 TEST(Solver, SolveBuildsTheAnalysisTheFirstRepairReuses) {
@@ -232,7 +364,7 @@ TEST(Solver, SolveBuildsTheAnalysisTheFirstRepairReuses) {
 }
 
 TEST(Solver, QueryBeforeSolveUsesRelevanceAndAgreesWithModel) {
-  // The unsolved slice runs the session's per-component engine: both.
+  // The unsolved cone runs the session's per-component engine: both.
   SolverOptions wp;
   wp.inner = SccInnerEngine::kWp;
   for (const SolverOptions& o : {SolverOptions{}, wp}) {
@@ -246,19 +378,19 @@ TEST(Solver, QueryBeforeSolveUsesRelevanceAndAgreesWithModel) {
       for (AtomId a = 0; a < solved->ground().num_atoms(); ++a) {
         atoms.push_back(solved->ground().AtomName(a));
       }
-      // Single queries (relevance-sliced) and a batch, against the model.
+      // Single queries (each its own cone) and a batch, against the model.
       auto batch = unsolved->QueryBatch(atoms);
       ASSERT_EQ(batch.size(), atoms.size());
       for (std::size_t i = 0; i < atoms.size(); ++i) {
         auto direct = solved->Query(atoms[i]);
         ASSERT_TRUE(direct.ok()) << atoms[i];
-        auto sliced = unsolved->Query(atoms[i]);
-        ASSERT_TRUE(sliced.ok()) << atoms[i];
-        EXPECT_EQ(*sliced, *direct) << atoms[i];
+        auto coned = unsolved->Query(atoms[i]);
+        ASSERT_TRUE(coned.ok()) << atoms[i];
+        EXPECT_EQ(*coned, *direct) << atoms[i];
         ASSERT_TRUE(batch[i].ok()) << atoms[i];
         EXPECT_EQ(*batch[i], *direct) << atoms[i];
       }
-      EXPECT_FALSE(unsolved->solved()) << "relevance queries must not solve";
+      EXPECT_FALSE(unsolved->solved()) << "unsolved queries must not solve";
     }
   }
 }
