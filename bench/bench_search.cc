@@ -14,10 +14,12 @@
 //
 // Every row carries the model and node counts, implied_atoms (the tree's
 // decisions), components_resolved (the per-node repair work),
-// leaf_rules_checked (the rule bodies the leaves' stability checks read)
-// and an FNV-1a hash of the full emission sequence (model set AND order),
-// so a changed tree or enumeration shows up before any wall time is
-// compared.
+// bucket_solves and sp_calls (the general-path component solves and the
+// S_P evaluations of the timed enumeration), leaf_rules_checked (the rule
+// bodies the leaves' stability checks read) and an FNV-1a hash of the full
+// emission sequence (model set AND order), so a changed tree or
+// enumeration shows up before any wall time is compared, and a change in
+// how much evaluation work it takes shows up apart from its speed.
 //
 // Workloads: EvenCycleClusters(k, chain_len) — k independent even negative
 // cycles (2^k stable models, a full depth-k branch tree), each next to a
@@ -115,17 +117,20 @@ std::string RunConfig(const Config& cfg) {
   const double wall_ms = run_ms[kRuns / 2];
 
   const afp::StableSearchStats& s = result.search;
-  char buf[512];
+  char buf[640];
   std::snprintf(
       buf, sizeof(buf),
       "{\"workload\": \"%s\", \"wall_ms\": %.2f, \"models\": %llu, "
       "\"nodes\": %llu, \"implied_atoms\": %llu, "
-      "\"components_resolved\": %llu, \"leaf_rules_checked\": %llu, "
+      "\"components_resolved\": %llu, \"bucket_solves\": %llu, "
+      "\"sp_calls\": %llu, \"leaf_rules_checked\": %llu, "
       "\"model_hash\": \"%016llx\"}",
       cfg.workload, wall_ms, static_cast<unsigned long long>(s.models),
       static_cast<unsigned long long>(s.nodes),
       static_cast<unsigned long long>(s.implied_atoms),
       static_cast<unsigned long long>(s.components_resolved),
+      static_cast<unsigned long long>(result.eval.bucket_solves),
+      static_cast<unsigned long long>(result.eval.sp_calls),
       static_cast<unsigned long long>(s.leaf_rules_checked),
       static_cast<unsigned long long>(HashModels(result.models)));
   return buf;

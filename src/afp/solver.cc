@@ -120,6 +120,7 @@ std::vector<StatusOr<TruthValue>> Solver::QueryBatch(
     out.push_back(TruthValue::kFalse);
   }
   SccConeStats r;
+  EvalStats eval;
   if (!atoms.empty()) {
     EnsureGraph();
     cone_true_.GrowTo(ground_.num_atoms());
@@ -128,14 +129,16 @@ std::vector<StatusOr<TruthValue>> Solver::QueryBatch(
     ComponentSolver solver(*ctx_, SccOptionsFromSession(), view, *graph_,
                            comp_rules_);
     GlobalModel gm{&cone_true_, &cone_false_};
+    const EvalStats start = ctx_->stats();
     r = SccSolveUpstream(solver, atoms, gm, update_scratch_);
+    eval = ctx_->stats().Since(start);
     for (std::size_t k = 0; k < atoms.size(); ++k) {
       out[slots[k]] = gm.Value(atoms[k]);
     }
   }
   stats_.cone_components = r.components;
   stats_.cone_local_size = r.local_size;
-  stats_.eval = r.eval;
+  stats_.eval = eval;
   RefreshBucketStats();
   return out;
 }
@@ -324,7 +327,7 @@ UpdateStats Solver::UpdateFactsById(std::span<const AtomId> asserts,
   up.components_skipped = r.components_skipped;
   up.components_reused = graph_->num_components() - r.components_downstream;
   up.model_changed = r.model_changed;
-  up.eval = r.eval;
+  up.eval = stats_.eval;
   return up;
 }
 
@@ -335,9 +338,10 @@ SccUpdateStats Solver::RepairDownstream(std::span<const AtomId> touched) {
   ComponentSolver solver(*ctx_, SccOptionsFromSession(), view, *graph_,
                          comp_rules_);
   GlobalModel gm{&model_.true_atoms(), &model_.false_atoms()};
+  const EvalStats start = ctx_->stats();
   SccUpdateStats r =
       SccResolveDownstream(solver, touched, gm, iters, update_scratch_);
-  stats_.eval = r.eval;
+  stats_.eval = ctx_->stats().Since(start);
   ++stats_.incremental_updates;
   RefreshBucketStats();
   return r;
@@ -586,7 +590,7 @@ RuleUpdateStats Solver::FinishRuleMutation(const Grounder::Delta& delta,
   out.components_skipped = r.components_skipped;
   out.components_reused = graph_->num_components() - r.components_downstream;
   out.model_changed = r.model_changed;
-  out.eval = r.eval;
+  out.eval = stats_.eval;
   return out;
 }
 

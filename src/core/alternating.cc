@@ -5,85 +5,51 @@
 
 namespace afp {
 
-AfpResult AlternatingFixpointOnEvaluators(EvalContext& ctx,
-                                          SpEvaluator& even, SpEvaluator& odd,
-                                          std::size_t n,
-                                          const Bitset& seed_negatives,
-                                          const AfpOptions& options) {
-  AfpResult result;
-  // A default-constructed seed (universe 0) means "no seed": substitute a
-  // properly sized empty set once, so the iteration below stays one code
-  // path for the seeded and unseeded cases alike.
-  Bitset sized_empty_seed;
-  const Bitset* seed = &seed_negatives;
-  if (seed_negatives.universe_size() == 0 && n != 0) {
-    sized_empty_seed = Bitset(n);
-    seed = &sized_empty_seed;
-  }
-  assert(seed->universe_size() == n);
-  const EvalStats start = ctx.stats();
+std::size_t AlternatingFixpointOnEvaluators(
+    SpEvaluator& even, SpEvaluator& odd, std::size_t n, const Bitset* seed,
+    AfpBuffers& b, std::vector<AfpTraceRow>* trace) {
+  assert(seed == nullptr || seed->universe_size() == n);
+  b.under_neg.Resize(n);  // Ĩ_0 (⊆ final Ã)
+  if (seed != nullptr) b.under_neg |= *seed;
 
-  Bitset under_neg = ctx.AcquireBitset(n);  // Ĩ_0 (⊆ final Ã)
-  under_neg |= *seed;
-  Bitset under_pos = ctx.AcquireBitset(n);
-  Bitset over_neg = ctx.AcquireBitset(n);
-  Bitset over_pos = ctx.AcquireBitset(n);
-  Bitset next_under_neg = ctx.AcquireBitset(n);
-
+  std::size_t rounds = 0;
   while (true) {
-    ++result.outer_iterations;
+    ++rounds;
 
     // First half-step: overestimate. S_P(under_neg) is an underestimate of
     // the positives, so its conjugate Ĩ_{2k+1} overestimates the negatives.
-    even.Eval(under_neg, &under_pos);
-    if (options.record_trace) {
-      result.trace.push_back(AfpTraceRow{under_neg, under_pos});
-    }
-    over_neg = under_pos;
-    over_neg.Complement();
+    even.Eval(b.under_neg, &b.under_pos);
+    if (trace != nullptr) trace->push_back({b.under_neg, b.under_pos});
+    b.over_neg.AssignComplementOf(b.under_pos);
 
     // Second half-step: S_P(over_neg) overestimates the positives; its
     // conjugate Ĩ_{2k+2} = A_P(Ĩ_{2k}) underestimates the negatives again.
-    odd.Eval(over_neg, &over_pos);
-    if (options.record_trace) {
-      result.trace.push_back(AfpTraceRow{over_neg, over_pos});
-    }
-    next_under_neg = over_pos;
-    next_under_neg.Complement();
-    next_under_neg |= *seed;
+    odd.Eval(b.over_neg, &b.over_pos);
+    if (trace != nullptr) trace->push_back({b.over_neg, b.over_pos});
+    b.next_under_neg.AssignComplementOf(b.over_pos);
+    if (seed != nullptr) b.next_under_neg |= *seed;
 
-    if (next_under_neg == over_neg) {
+    if (b.next_under_neg == b.over_neg) {
       // The under- and over-sequences met: Ĩ is a fixpoint of S̃_P itself
       // (the paper's Example 5.2(a)/(c) termination), hence the least
       // fixpoint of A_P, and the model is total.
-      if (options.record_trace) {
-        result.trace.push_back(AfpTraceRow{next_under_neg, over_pos});
+      if (trace != nullptr) {
+        trace->push_back({b.next_under_neg, b.over_pos});
       }
-      std::swap(under_neg, next_under_neg);
-      std::swap(under_pos, over_pos);
+      std::swap(b.under_neg, b.next_under_neg);
+      std::swap(b.under_pos, b.over_pos);
       break;
     }
-    if (next_under_neg == under_neg) {
+    if (b.next_under_neg == b.under_neg) {
       // Record the confirming half-step (the paper's Table I prints the row
       // at which the even subsequence repeats, e.g. Ĩ_4 = Ĩ_2).
-      if (options.record_trace) {
-        result.trace.push_back(AfpTraceRow{under_neg, under_pos});
-      }
+      if (trace != nullptr) trace->push_back({b.under_neg, b.under_pos});
       break;
     }
-    std::swap(under_neg, next_under_neg);
+    std::swap(b.under_neg, b.next_under_neg);
   }
-
-  // A+ = S_P(Ã). At the fixpoint the last under_pos already equals S_P(Ã).
-  ctx.NoteEscapedBytes(under_pos.CapacityBytes() + under_neg.CapacityBytes());
-  result.model = PartialModel(std::move(under_pos), std::move(under_neg));
-  ctx.ReleaseBitset(std::move(over_neg));
-  ctx.ReleaseBitset(std::move(over_pos));
-  ctx.ReleaseBitset(std::move(next_under_neg));
-
-  result.eval = ctx.stats().Since(start);
-  result.sp_calls = result.eval.sp_calls;
-  return result;
+  // A+ = S_P(Ã): at the fixpoint the last under_pos already equals it.
+  return rounds;
 }
 
 AfpResult AlternatingFixpointWithContext(EvalContext& ctx,
@@ -99,17 +65,33 @@ AfpResult AlternatingFixpointWithContext(EvalContext& ctx,
   // index families side by side.)
   SpEvaluator even(solver, ctx);
   SpEvaluator odd(solver, ctx);
-  return AlternatingFixpointOnEvaluators(ctx, even, odd,
-                                         solver.view().num_atoms,
-                                         seed_negatives, options);
+  const std::size_t n = solver.view().num_atoms;
+  const EvalStats start = ctx.stats();
+  AfpBuffers b{ctx.AcquireBitset(n), ctx.AcquireBitset(n),
+               ctx.AcquireBitset(n), ctx.AcquireBitset(n),
+               ctx.AcquireBitset(n)};
+  AfpResult result;
+  result.outer_iterations = AlternatingFixpointOnEvaluators(
+      even, odd, n,
+      seed_negatives.universe_size() == 0 ? nullptr : &seed_negatives, b,
+      options.record_trace ? &result.trace : nullptr);
+
+  ctx.NoteEscapedBytes(b.under_pos.CapacityBytes() +
+                       b.under_neg.CapacityBytes());
+  result.model = PartialModel(std::move(b.under_pos), std::move(b.under_neg));
+  ctx.ReleaseBitset(std::move(b.over_neg));
+  ctx.ReleaseBitset(std::move(b.over_pos));
+  ctx.ReleaseBitset(std::move(b.next_under_neg));
+  result.eval = ctx.stats().Since(start);
+  result.sp_calls = result.eval.sp_calls;
+  return result;
 }
 
 AfpResult AlternatingFixpoint(const GroundProgram& gp,
                               const AfpOptions& options) {
   EvalContext ctx;
   HornSolver solver(gp.View(), &ctx);
-  return AlternatingFixpointWithContext(ctx, solver,
-                                        Bitset(gp.num_atoms()), options);
+  return AlternatingFixpointWithContext(ctx, solver, Bitset(), options);
 }
 
 }  // namespace afp

@@ -56,38 +56,66 @@ struct AfpResult {
 AfpResult AlternatingFixpoint(const GroundProgram& gp,
                               const AfpOptions& options = {});
 
+/// The five round buffers of the alternating fixpoint's loop: the even
+/// argument Ĩ_{2k} and its image S_P(Ĩ_{2k}), the odd argument Ĩ_{2k+1}
+/// and its image S_P(Ĩ_{2k+1}), and the next even argument. Whoever runs
+/// the loop owns them: AlternatingFixpointWithContext checks a set out of
+/// its context per call, and a ComponentSolver checks one out once, at
+/// its first general-path solve, and keeps it until it is destroyed.
+/// What the buffers hold on entry does not matter (the loop sizes and
+/// overwrites every one of them); on return `under_pos` holds S_P(Ã), the
+/// true atoms, and `under_neg` holds Ã, the false atoms.
+///
+/// In EvalStats::peak_scratch_bytes the buffers count as the owner's
+/// checkouts do: per call at the size they are checked out with (and the
+/// two that leave in the result stop counting at the hand-off); for a
+/// ComponentSolver with the capacity the pool handed over, and at their
+/// full size once the solver returns them.
+struct AfpBuffers {
+  Bitset under_neg;
+  Bitset under_pos;
+  Bitset over_neg;
+  Bitset over_pos;
+  Bitset next_under_neg;
+};
+
 /// The full-control entry point: alternating fixpoint on an existing solver
-/// drawing all scratch from `ctx`. Callers that solve many programs (a
-/// Solver session's components, the stable search) pass one context
-/// through every call, reducing the steady-state allocation rate to zero;
-/// the context's counters accumulate and the result carries this call's
-/// share.
+/// drawing all scratch from `ctx`. Callers that solve many programs pass
+/// one context through every call, reducing the steady-state allocation
+/// rate to zero; the context's counters accumulate and the result carries
+/// this call's share. The oracles, AlternatingFixpoint and CLI `--trace`
+/// come through here.
 ///
 /// `seed_negatives` seeds the iteration with Ĩ_0 = seed (a set of atoms
 /// assumed false over the solver's atom universe), computing the least
 /// fixpoint of X ↦ A_P(X ∪ seed). For any stable model M whose negative
 /// part contains the seed, the result under-approximates M (this need not
 /// hold for inconsistent seeds). A default-constructed (universe-0) bitset
-/// is accepted as "no seed"; the seeded and unseeded iterations are one
-/// code path.
+/// is accepted as "no seed". The call runs AlternatingFixpointOnEvaluators
+/// on two fresh evaluators and five buffers checked out of `ctx`; the two
+/// that hold the model move into the result and are escape-noted
+/// (EvalContext::NoteEscapedBytes), the other three return to the pool.
 AfpResult AlternatingFixpointWithContext(EvalContext& ctx,
                                          const HornSolver& solver,
                                          const Bitset& seed_negatives,
                                          const AfpOptions& options = {});
 
-/// The innermost loop on caller-owned evaluators: `even` and `odd` must
-/// both be bound (or Rebind-ed) to the same solver over `n` atoms,
-/// sharing `ctx`, and fresh (not yet primed) for this run — the two
-/// monotone subsequences each need their own delta stream. The SCC
-/// engine's ComponentSolver keeps one even/odd pair alive across all
-/// components and re-enters here per component, paying zero evaluator
-/// construction and zero pool round-trips per component. Semantics and
-/// escape-noting as AlternatingFixpointWithContext (which is now this
-/// plus evaluator construction).
-AfpResult AlternatingFixpointOnEvaluators(EvalContext& ctx, SpEvaluator& even,
-                                          SpEvaluator& odd, std::size_t n,
-                                          const Bitset& seed_negatives,
-                                          const AfpOptions& options = {});
+/// The alternating fixpoint's one loop, on caller-owned evaluators and
+/// buffers: `even` and `odd` must both be bound (or Rebind-ed) to the same
+/// solver over `n` atoms and fresh (not yet primed) for this run — the
+/// two monotone subsequences each need their own delta stream. `seed`
+/// is null for no seed, or a set over `n` atoms (see
+/// AlternatingFixpointWithContext). Appends every half-step to `trace`
+/// when it is non-null. Returns the number of A_P applications, the
+/// confirming one included; the model is left in `buffers` (see
+/// AfpBuffers). The loop itself touches no pool and no counter: the
+/// evaluators charge their S_P calls to their context. The SCC engine's
+/// ComponentSolver keeps one evaluator pair and one set of buffers alive
+/// across all components and re-enters here per component, so a
+/// component's solve constructs nothing and checks nothing out.
+std::size_t AlternatingFixpointOnEvaluators(
+    SpEvaluator& even, SpEvaluator& odd, std::size_t n, const Bitset* seed,
+    AfpBuffers& buffers, std::vector<AfpTraceRow>* trace = nullptr);
 
 }  // namespace afp
 

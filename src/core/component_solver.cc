@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "core/alternating.h"
-
 namespace afp {
 
 ComponentSolver::ComponentSolver(
@@ -18,7 +16,20 @@ ComponentSolver::ComponentSolver(
       assumptions_(assumptions),
       buckets_(options.buckets != nullptr ? *options.buckets : own_buckets_) {}
 
-ComponentSolver::~ComponentSolver() = default;
+ComponentSolver::~ComponentSolver() {
+  if (even_) {
+    for (Bitset* b : {&afp_.under_neg, &afp_.under_pos, &afp_.over_neg,
+                      &afp_.over_pos, &afp_.next_under_neg}) {
+      ctx_.ReleaseBitset(std::move(*b));
+    }
+  }
+  if (tp_) {
+    for (Bitset* b : {&wp_.interp.true_atoms(), &wp_.interp.false_atoms(),
+                      &wp_.new_true}) {
+      ctx_.ReleaseBitset(std::move(*b));
+    }
+  }
+}
 
 bool ComponentSolver::SolveSingleton(std::uint32_t c, GlobalModel& gm,
                                      Outcome* out) {
@@ -86,43 +97,38 @@ ComponentSolver::Outcome ComponentSolver::Solve(std::uint32_t c,
   const std::size_t index_bytes = program.IndexBytes();
   const std::size_t n = program.view().num_atoms;
 
-  PartialModel local_model;
   if (options_.inner == SccInnerEngine::kWp) {
     if (!tp_) {
       tp_.emplace(program, ctx_);
       gus_.emplace(program, ctx_);
+      wp_ = {PartialModel(ctx_.AcquireBitset(0), ctx_.AcquireBitset(0)),
+             ctx_.AcquireBitset(0)};
     }
     tp_->Rebind(program, &binding);
     gus_->Rebind(program, &binding);
-    WpResult r = WellFoundedViaWpOnEvaluators(ctx_, *tp_, *gus_, n);
-    out.iterations = static_cast<std::uint32_t>(r.iterations);
-    local_model = std::move(r.model);
+    const std::size_t rounds =
+        WellFoundedViaWpOnEvaluators(*tp_, *gus_, n, wp_);
+    out.iterations = static_cast<std::uint32_t>(rounds);
+    gm.Publish(bucket.members(), wp_.interp.true_atoms(),
+               wp_.interp.false_atoms());
   } else {
     if (!even_) {
       even_.emplace(program, ctx_);
       odd_.emplace(program, ctx_);
+      afp_ = {ctx_.AcquireBitset(0), ctx_.AcquireBitset(0),
+              ctx_.AcquireBitset(0), ctx_.AcquireBitset(0),
+              ctx_.AcquireBitset(0)};
     }
     even_->Rebind(program, &binding);
     odd_->Rebind(program, &binding);
-    Bitset local_seed = ctx_.AcquireBitset(n);
-    AfpResult r = AlternatingFixpointOnEvaluators(ctx_, *even_, *odd_, n,
-                                                  local_seed);
-    ctx_.ReleaseBitset(std::move(local_seed));
-    out.iterations = static_cast<std::uint32_t>(r.outer_iterations);
-    local_model = std::move(r.model);
+    // The component path never seeds.
+    const std::size_t rounds = AlternatingFixpointOnEvaluators(
+        *even_, *odd_, n, /*seed=*/nullptr, afp_);
+    out.iterations = static_cast<std::uint32_t>(rounds);
+    gm.Publish(bucket.members(), afp_.under_pos, afp_.under_neg);
   }
-
-  gm.Publish(bucket.members(), local_model);
   // The evaluators may have built one of the bucket's lazy indexes.
   buckets_.NoteGrowth(program.IndexBytes() - index_bytes);
-
-  // Recycle the local model's bitsets for the next component (reversing
-  // the inner fixpoint's escape note — they re-enter the pool cycle
-  // here).
-  ctx_.NoteAdoptedBytes(local_model.true_atoms().CapacityBytes() +
-                        local_model.false_atoms().CapacityBytes());
-  ctx_.ReleaseBitset(std::move(local_model.true_atoms()));
-  ctx_.ReleaseBitset(std::move(local_model.false_atoms()));
   return out;
 }
 

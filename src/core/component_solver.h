@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/atom_graph.h"
+#include "core/alternating.h"
 #include "core/eval_context.h"
 #include "core/interpretation.h"
 #include "core/rule_kernel.h"
@@ -20,8 +21,21 @@ namespace afp {
 /// The per-component half of the SCC engine, shared by the full solve and
 /// the incremental repair (core/scc_engine.cc). A ComponentSolver keeps
 /// ONE evaluator pair per inner engine, Rebind-ed to every component it
-/// solves, so per-component solves pay no evaluator construction and no
-/// pool round-trips.
+/// solves, and the round buffers of that engine's fixpoint loop (five
+/// bitsets under kAfp, AfpBuffers; three under kWp, WpBuffers). The
+/// evaluators and the buffers are checked out of the context at the
+/// solver's first general-path solve and returned when it is destroyed,
+/// so a component's solve constructs no evaluator, makes no pool
+/// round-trip and notes no escape: the loop runs in the kept buffers and
+/// the verdicts are published from them.
+///
+/// Scratch accounting: like the evaluators' own buffers, the round
+/// buffers count toward EvalStats::peak_scratch_bytes with the capacity
+/// they had when checked out, and at their full size once they return at
+/// the solver's destruction (a checked-out buffer's growth is seen at its
+/// release). A receipt taken while the solver lives — a repair's, a cone
+/// solve's, a search run's — does not include that growth; one taken after
+/// it — WellFoundedSccOnGraph's — does.
 ///
 /// `Solve(c, gm)` decides component c against the global model `gm`
 /// (exact for every component solved before c; never consulted for other
@@ -105,10 +119,14 @@ class ComponentSolver {
   std::vector<std::uint32_t> live_;
   std::vector<AtomId> facts_;
   /// The persistent evaluator pairs (constructed on first use, Rebind-ed
-  /// each component). kAfp uses even_/odd_, kWp uses tp_/gus_.
+  /// each component) and the round buffers of their loop (checked out
+  /// with them, returned by the destructor). kAfp uses even_/odd_/afp_,
+  /// kWp uses tp_/gus_/wp_.
   std::optional<SpEvaluator> even_, odd_;
+  AfpBuffers afp_;
   std::optional<TpEvaluator> tp_;
   std::optional<GusEvaluator> gus_;
+  WpBuffers wp_;
 };
 
 }  // namespace afp

@@ -84,10 +84,6 @@ void EvalContext::NoteEscapedBytes(std::size_t bytes) {
   NoteScratchBytes(-static_cast<std::ptrdiff_t>(bytes));
 }
 
-void EvalContext::NoteAdoptedBytes(std::size_t bytes) {
-  NoteScratchBytes(static_cast<std::ptrdiff_t>(bytes));
-}
-
 void EvalContext::NoteScratchBytes(std::ptrdiff_t outstanding_delta) {
   outstanding_bytes_ += outstanding_delta;
   // A buffer that grew while checked out (or escaped into a result) makes

@@ -62,9 +62,12 @@ struct EvalStats {
   std::size_t buckets_built = 0;
   /// High-water mark of scratch bytes owned by the context — pooled plus
   /// checked-out, observed at every acquire/release. Slightly approximate:
-  /// growth of a buffer while checked out is seen only once it returns,
-  /// and buffers that escape into results are deducted via
-  /// EvalContext::NoteEscapedBytes at the hand-off.
+  /// growth of a buffer while checked out is seen only once it returns
+  /// (so buffers held for their holder's life — an evaluator's counters,
+  /// a ComponentSolver's fixpoint round buffers — count at their full
+  /// size only once the holder is destroyed), and buffers that escape
+  /// into results are deducted via EvalContext::NoteEscapedBytes at the
+  /// hand-off.
   std::size_t peak_scratch_bytes = 0;
 
   /// Counter difference (for snapshotting around an engine run); the peak
@@ -113,12 +116,8 @@ class EvalContext {
   /// Records that an acquired buffer permanently left the pool cycle
   /// (moved into a result the caller keeps): its bytes stop counting
   /// toward the scratch high-water mark, which otherwise would grow with
-  /// every returned model. An engine that instead recycles a result it
-  /// received from a `*WithContext` call must first reverse the callee's
-  /// escape note with NoteAdoptedBytes, keeping each buffer counted
-  /// exactly once.
+  /// every returned model.
   void NoteEscapedBytes(std::size_t bytes);
-  void NoteAdoptedBytes(std::size_t bytes);
 
   const EvalStats& stats() const { return stats_; }
   EvalStats& stats() { return stats_; }

@@ -141,9 +141,7 @@ SccUpdateStats SccResolveDownstream(
     GlobalModel& gm, std::vector<std::uint32_t>* component_iterations,
     SccUpdateScratch& s) {
   SccUpdateStats out;
-  EvalContext& ctx = solver.ctx();
   const AtomDependencyGraph& graph = solver.graph();
-  const EvalStats start = ctx.stats();
   const std::size_t nc = graph.num_components();
   if (nc == 0 || touched_atoms.empty()) return out;
 
@@ -180,7 +178,8 @@ SccUpdateStats SccResolveDownstream(
       }
     }
   }
-  std::sort(closure.begin(), closure.end());
+  // A search node's closure is often its branch atom's component alone.
+  if (closure.size() > 1) std::sort(closure.begin(), closure.end());
   out.components_downstream = closure.size();
 
   // Closure components in ascending (topological) id order: every
@@ -200,7 +199,6 @@ SccUpdateStats SccResolveDownstream(
       }
     }
   }
-  out.eval = ctx.stats().Since(start);
   return out;
 }
 
@@ -209,8 +207,6 @@ SccConeStats SccSolveUpstream(ComponentSolver& solver,
                               SccUpdateScratch& s) {
   SccConeStats out;
   if (atoms.empty()) return out;
-  EvalContext& ctx = solver.ctx();
-  const EvalStats start = ctx.stats();
   const RuleView& view = solver.view();
   const RuleBuckets& comp_rules = solver.comp_rules();
   const std::vector<std::uint32_t>& comp_of = solver.graph().component_of();
@@ -241,7 +237,6 @@ SccConeStats SccSolveUpstream(ComponentSolver& solver,
   for (std::uint32_t c : closure) {
     out.local_size += solver.Solve(c, gm).local_size;
   }
-  out.eval = ctx.stats().Since(start);
   return out;
 }
 

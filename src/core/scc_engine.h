@@ -97,10 +97,15 @@ struct GlobalModel {
     return TruthValue::kUndefined;
   }
 
-  void Publish(std::span<const AtomId> members, const PartialModel& local) {
+  /// Publishes member i's verdict from local atom i of the two sets (true
+  /// if in `local_true`, else false if in `local_false`, else undefined).
+  void Publish(std::span<const AtomId> members, const Bitset& local_true,
+               const Bitset& local_false) {
     changed = false;
     for (std::uint32_t i = 0; i < members.size(); ++i) {
-      const TruthValue now = local.Value(i);
+      const TruthValue now = local_true.Test(i)    ? TruthValue::kTrue
+                             : local_false.Test(i) ? TruthValue::kFalse
+                                                   : TruthValue::kUndefined;
       if (Value(members[i]) == now) continue;
       changed = true;
       Write(members[i], now);
@@ -228,7 +233,12 @@ SccWfsResult WellFoundedSccOnGraph(EvalContext& ctx, const RuleView& view,
                                    const RuleBuckets& comp_rules,
                                    const SccOptions& options = {});
 
-/// Outcome of an incremental downstream re-solve (SccResolveDownstream).
+/// Outcome of an incremental downstream re-solve (SccResolveDownstream):
+/// what the walk visited. Its evaluation work is charged to the solver's
+/// context, and a caller that wants it as a receipt snapshots the
+/// context's EvalStats around the call (the Solver session does; the
+/// stable search, which repairs at every node, reads the context once per
+/// run instead).
 struct SccUpdateStats {
   /// Components in the static downstream closure of the touched atoms
   /// (the candidates; everything else keeps its verdict untouched).
@@ -241,11 +251,10 @@ struct SccUpdateStats {
   std::size_t components_skipped = 0;
   /// Whether any atom's verdict changed at all.
   bool model_changed = false;
-  /// Work counters for the re-solve (same accounting as SccWfsResult).
-  EvalStats eval;
 };
 
-/// Outcome of a cone solve (SccSolveUpstream).
+/// Outcome of a cone solve (SccSolveUpstream); its evaluation work is
+/// charged to the solver's context, as for SccUpdateStats.
 struct SccConeStats {
   /// Components in the upstream cone of the queried atoms; every one of
   /// them was solved.
@@ -253,8 +262,6 @@ struct SccConeStats {
   /// Sum of their local subprogram sizes (same accounting as
   /// SccWfsResult::total_local_size).
   std::size_t local_size = 0;
-  /// Work counters for the cone solve.
-  EvalStats eval;
 };
 
 /// Caller-owned persistent scratch for SccResolveDownstream and

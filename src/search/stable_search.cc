@@ -104,16 +104,25 @@ bool StableSearch::Propagate(bool use_seed, StableSearchStats* s) {
   if (!frames_.empty()) {
     // A child: repair the parent's model after the assumption on the
     // innermost frame's branch atom, logging every write on the trail.
-    const AtomId touched[] = {frames_.back().branch};
+    const Frame& f = frames_.back();
+    const AtomId touched[] = {f.branch};
     GlobalModel gm{&true_, &false_, &trail_};
     s->components_resolved +=
         SccResolveDownstream(*solver_, touched, gm, nullptr, scratch_)
             .components_resolved;
+    // The repair solves each component at most once, so it wrote each
+    // atom at most once, logging the verdict it replaced.
+    for (std::size_t i = f.mark; i < trail_.size(); ++i) {
+      const TrailEntry& e = trail_[i];
+      decided_ += gm.Value(e.atom) != TruthValue::kUndefined;
+      decided_ -= e.old != TruthValue::kUndefined;
+    }
   } else if (use_seed) {
     // The session already derived the well-founded model — which IS the
     // root's propagation result under empty assumptions.
     true_ = seed_true_;
     false_ = seed_false_;
+    decided_ = true_.Count() + false_.Count();
     return true;
   } else {
     SccOptions so;
@@ -122,6 +131,7 @@ bool StableSearch::Propagate(bool use_seed, StableSearchStats* s) {
         WellFoundedSccOnGraph(ctx_, view_, *graph_, comp_rules_, so);
     true_ = std::move(r.model.true_atoms());
     false_ = std::move(r.model.false_atoms());
+    decided_ = true_.Count() + false_.Count();
     s->components_resolved += r.num_components;
   }
   ++s->afp_calls;
@@ -133,6 +143,7 @@ bool StableSearch::NextSibling() {
   while (!frames_.empty()) {
     Frame& f = frames_.back();
     gm.UndoTo(f.mark);
+    decided_ = f.decided;
     if (!f.true_child) {
       f.true_child = true;
       assumed_false_.Reset(f.branch);
@@ -160,6 +171,7 @@ bool StableSearch::PropagatePositive() {
   if (!true_.IsDisjointWith(assumed_false_)) return false;
   false_ = assumed_false_;
   false_ |= statically_false_;
+  decided_ = true_.Count() + false_.Count();
   return true;
 }
 
@@ -250,7 +262,7 @@ StableResult StableSearch::Run(const StableSearchControl& control,
     ++s.nodes;
     std::size_t branch = n;
     if (alive) {
-      s.implied_atoms += true_.Count() + false_.Count() - frames_.size();
+      s.implied_atoms += decided_ - frames_.size();
       branch = Bitset::FirstZeroOfUnion(true_, false_);
       if (branch == n) {
         // Total leaf: verify stability against the *original* program.
@@ -268,7 +280,7 @@ StableResult StableSearch::Run(const StableSearchControl& control,
     if (branch < n) {
       // Interior node: descend into the assume-false child.
       frames_.push_back({static_cast<AtomId>(branch), trail_.size(),
-                         /*true_child=*/false});
+                         decided_, /*true_child=*/false});
       assumed_false_.Set(branch);
     } else if (!NextSibling()) {
       break;  // the whole tree is resolved

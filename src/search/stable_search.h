@@ -209,11 +209,12 @@ class StableSearch {
 
  private:
   /// One interior node on the depth-first path: its branch atom, the
-  /// trail length before its children's repairs, and which child is being
-  /// explored (false child first).
+  /// trail length and decided-atom count before its children's repairs,
+  /// and which child is being explored (false child first).
   struct Frame {
     AtomId branch;
     std::size_t mark;
+    std::size_t decided;
     bool true_child;
   };
 
@@ -257,6 +258,11 @@ class StableSearch {
   Bitset false_;
   std::vector<TrailEntry> trail_;
   std::vector<Frame> frames_;
+  /// |true_| + |false_|: counted after a whole-model propagation, moved
+  /// by each repair's trail entries, restored from the frame on
+  /// backtracking — so a node's implied_atoms costs its repair's writes,
+  /// not a pass over the model.
+  std::size_t decided_ = 0;
 
   /// wfs_propagation: the base program's condensation, its rule buckets,
   /// their compiled buckets (kept across nodes and runs), and the one

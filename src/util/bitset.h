@@ -135,8 +135,15 @@ class Bitset {
   std::uint64_t word(std::size_t wi) const { return words_[wi]; }
   void set_word(std::size_t wi, std::uint64_t w) { words_[wi] = w; }
 
+  /// A word loop rather than the vectors' ==, which calls memcmp: the
+  /// component solves compare bitsets of a word or two several times per
+  /// fixpoint round, where the call costs more than the comparison.
   bool operator==(const Bitset& o) const {
-    return size_ == o.size_ && words_ == o.words_;
+    if (size_ != o.size_) return false;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      if (words_[i] != o.words_[i]) return false;
+    }
+    return true;
   }
   bool operator!=(const Bitset& o) const { return !(*this == o); }
 
@@ -213,8 +220,15 @@ class Bitset {
   static std::size_t Popcount(std::uint64_t w) {
 #ifdef _MSC_VER
     return static_cast<std::size_t>(__popcnt64(w));
-#else
+#elif defined(__POPCNT__)
     return static_cast<std::size_t>(__builtin_popcountll(w));
+#else
+    // Without the POPCNT instruction the builtin is a libgcc call; the
+    // inline bit-parallel count is cheaper.
+    w -= (w >> 1) & 0x5555555555555555ULL;
+    w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+    w = (w + (w >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<std::size_t>((w * 0x0101010101010101ULL) >> 56);
 #endif
   }
   static std::size_t CountTrailingZeros(std::uint64_t w) {

@@ -145,34 +145,26 @@ void TpEvaluator::ApplyDelta(const PartialModel& I) {
   ctx_.stats().rules_rescanned += scans;
 }
 
-WpResult WellFoundedViaWpOnEvaluators(EvalContext& ctx, TpEvaluator& tp,
-                                      GusEvaluator& gus, std::size_t n) {
-  WpResult result;
-  const EvalStats start = ctx.stats();
-  // The three round buffers come from the pool; the two that leave inside
-  // the result model are escape-noted below, keeping the pool balanced
-  // when a caller (the SCC engine) runs thousands of these per context.
-  PartialModel I(ctx.AcquireBitset(n), ctx.AcquireBitset(n));
-  Bitset new_true = ctx.AcquireBitset(n);
+std::size_t WellFoundedViaWpOnEvaluators(TpEvaluator& tp, GusEvaluator& gus,
+                                         std::size_t n, WpBuffers& b) {
+  PartialModel& I = b.interp;
+  I.true_atoms().Resize(n);  // I_0 = ∅: every atom undefined
+  I.false_atoms().Resize(n);
+  std::size_t rounds = 0;
   while (true) {
-    ++result.iterations;
-    tp.Eval(I, &new_true);
+    ++rounds;
+    tp.Eval(I, &b.new_true);
     // Borrowed view of the supported set X = H − U_P(I): the new false
     // set is ¬X, consumed here by complement-compare / complement-assign
     // instead of materializing U_P into a fourth buffer each round.
     const Bitset& x = gus.EvalSupported(I);
-    if (new_true == I.true_atoms() && x.IsComplementOf(I.false_atoms())) {
+    if (b.new_true == I.true_atoms() && x.IsComplementOf(I.false_atoms())) {
       break;
     }
-    std::swap(I.true_atoms(), new_true);
+    std::swap(I.true_atoms(), b.new_true);
     I.false_atoms().AssignComplementOf(x);
   }
-  ctx.ReleaseBitset(std::move(new_true));
-  ctx.NoteEscapedBytes(I.true_atoms().CapacityBytes() +
-                       I.false_atoms().CapacityBytes());
-  result.model = std::move(I);
-  result.eval = ctx.stats().Since(start);
-  return result;
+  return rounds;
 }
 
 WpResult WellFoundedViaWpWithContext(EvalContext& ctx,
@@ -184,7 +176,18 @@ WpResult WellFoundedViaWpWithContext(EvalContext& ctx,
   HornSolver solver(gp.View(), &ctx);
   TpEvaluator tp(solver, ctx);
   GusEvaluator gus(solver, ctx);
-  return WellFoundedViaWpOnEvaluators(ctx, tp, gus, solver.view().num_atoms);
+  const std::size_t n = solver.view().num_atoms;
+  const EvalStats start = ctx.stats();
+  WpBuffers b{PartialModel(ctx.AcquireBitset(n), ctx.AcquireBitset(n)),
+              ctx.AcquireBitset(n)};
+  WpResult result;
+  result.iterations = WellFoundedViaWpOnEvaluators(tp, gus, n, b);
+  ctx.ReleaseBitset(std::move(b.new_true));
+  ctx.NoteEscapedBytes(b.interp.true_atoms().CapacityBytes() +
+                       b.interp.false_atoms().CapacityBytes());
+  result.model = std::move(b.interp);
+  result.eval = ctx.stats().Since(start);
+  return result;
 }
 
 WpResult WellFoundedViaWp(const GroundProgram& gp) {

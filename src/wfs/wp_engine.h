@@ -97,20 +97,36 @@ class TpEvaluator {
 WpResult WellFoundedViaWp(const GroundProgram& gp);
 
 /// As above, drawing the occurrence indexes and all per-iteration scratch
-/// from `ctx`. The result model's bitsets are escape-noted; a caller that
-/// recycles them back into the pool must reverse the note with
-/// NoteAdoptedBytes first.
+/// from `ctx`: WellFoundedViaWpOnEvaluators on two fresh evaluators and
+/// three buffers checked out of `ctx`. The two that hold the model move
+/// into the result and are escape-noted (EvalContext::NoteEscapedBytes);
+/// the third returns to the pool.
 WpResult WellFoundedViaWpWithContext(EvalContext& ctx,
                                      const GroundProgram& gp);
 
-/// The innermost loop on caller-owned evaluators (both already bound —
-/// or Rebind-ed — to the same solver over `n` atoms, sharing `ctx`). The
-/// SCC engine's ComponentSolver keeps one Tp/Gus pair alive across all
-/// components (SccInnerEngine::kWp) and re-enters here per component, so
-/// per-component solves cost zero evaluator construction and zero pool
-/// round-trips. Escape-noting as above.
-WpResult WellFoundedViaWpOnEvaluators(EvalContext& ctx, TpEvaluator& tp,
-                                      GusEvaluator& gus, std::size_t n);
+/// The W_P iteration's round buffers: the interpretation I and the next
+/// T_P(I). Whoever runs the loop owns them: WellFoundedViaWpWithContext
+/// checks a set out of its context per call, and a ComponentSolver
+/// (SccInnerEngine::kWp) checks one out once, at its first general-path
+/// solve, and keeps it until it is destroyed. What they hold on entry does
+/// not matter; on return `interp` is the well-founded partial model. They
+/// count toward EvalStats::peak_scratch_bytes as AfpBuffers do.
+struct WpBuffers {
+  PartialModel interp;
+  Bitset new_true;
+};
+
+/// The W_P iteration's one loop, on caller-owned evaluators (both already
+/// bound — or Rebind-ed — to the same solver over `n` atoms) and buffers,
+/// from the empty interpretation. Returns the number of W_P applications,
+/// the confirming one included; the model is left in `buffers.interp`.
+/// The loop itself touches no pool and no counter: the evaluators charge
+/// their work to their context. The SCC engine's ComponentSolver keeps one
+/// Tp/Gus pair and one set of buffers alive across all components and
+/// re-enters here per component, so a component's solve constructs
+/// nothing and checks nothing out.
+std::size_t WellFoundedViaWpOnEvaluators(TpEvaluator& tp, GusEvaluator& gus,
+                                         std::size_t n, WpBuffers& buffers);
 
 }  // namespace afp
 

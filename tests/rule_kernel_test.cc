@@ -3,8 +3,10 @@
 // bucket, must match the reference per-component loop of tests/reference/
 // (a fresh local program lowered per component and solved from scratch)
 // bit for bit — same models AND same per-component iteration trajectories
-// — across the corpus, both inner engines and fact repairs; buckets must
-// be reused across repairs; and every rule append must invalidate the
+// — across the corpus, both inner engines and fact repairs; one
+// ComponentSolver, whose evaluators and round buffers outlive every solve,
+// must solve components of any size as a fresh one would; buckets must be
+// reused across repairs; and every rule append must invalidate the
 // affected buckets (the stale-bucket regressions).
 
 #include "core/rule_kernel.h"
@@ -21,6 +23,7 @@
 
 #include "afp/solver.h"
 #include "analysis/atom_graph.h"
+#include "core/component_solver.h"
 #include "core/scc_engine.h"
 #include "ground/grounder.h"
 #include "parser/parser.h"
@@ -114,6 +117,157 @@ TEST(KernelDifferential, ModeMatrixOnRandomFamilies) {
       EXPECT_EQ(s.Solve(), scratch)
           << "seed " << seed << " inner " << static_cast<int>(inner);
     }
+  }
+}
+
+/// The program of the scratch-reuse test below: a 140-atom ring
+/// l0 <- l1 <- ... <- l139 <- l0 with a fact inside (l100) and an even
+/// cycle m0/m1 hooked into it, so one component with true, false and
+/// undefined members that takes dozens of rounds and three words per local
+/// bitset; an even cycle p/q; and a self-loop singleton s. With `p_true`
+/// or `p_false` it is the program conditioned on that assumption (p gets a
+/// fact, or loses its rules), the program the reference solves.
+Program ReuseProgram(bool p_true, bool p_false) {
+  constexpr int kRing = 140;
+  std::ostringstream t;
+  for (int i = 0; i + 1 < kRing; ++i) {
+    t << "l" << i << " :- not l" << i + 1 << ".\n";
+  }
+  t << "l" << kRing - 1 << " :- l0.\nl100.\n";
+  t << "m0 :- not m1, l10.\nm1 :- not m0.\nl20 :- m1.\n";
+  if (!p_false) t << "p :- not q.\n";
+  t << "q :- not p.\n";
+  if (p_true) t << "p.\n";
+  t << "s :- not s.\n";
+  auto parsed = ParseProgram(t.str());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return std::move(parsed).value();
+}
+
+/// Grounds `p` unsimplified; the result reads `p`'s symbols, so `p` must
+/// outlive it.
+GroundProgram GroundFull(Program& p) {
+  GroundOptions gopts;
+  gopts.mode = GroundMode::kFull;
+  auto gp = Grounder::Ground(p, gopts);
+  EXPECT_TRUE(gp.ok()) << gp.status().ToString();
+  return std::move(gp).value();
+}
+
+// A ComponentSolver keeps its evaluators and its fixpoint's round buffers
+// across every solve, whatever the component's size. One solver runs a
+// large component, a 2-atom cycle under a true and then a false
+// assumption, a self-loop singleton and the large component again. Each
+// solve must match (a) the same solve on a fresh context, cache and solver
+// — verdicts, rounds, local size and every work counter — and (b) the
+// reference loop on the conditioned program: verdicts always, and where
+// conditioning keeps the component whole its rounds and the S_P / U_P
+// calls its loop charges for them (two S_P per A_P round, one U_P per W_P
+// round). A bit left over from a larger universe in a kept buffer would
+// show here first.
+TEST(KernelScratchReuse, OneSolverAcrossSizesMatchesFreshSolvesAndReference) {
+  Program program = ReuseProgram(false, false);
+  const GroundProgram gp = GroundFull(program);
+  const RuleView view = gp.View();
+  const AtomDependencyGraph graph(view);
+  const RuleBuckets buckets(view, graph);
+  const std::size_t n = gp.num_atoms();
+  auto component = [&](const char* atom) {
+    return graph.component_of()[*ResolveAtom(gp, atom)];
+  };
+  const std::uint32_t ring = component("l0");
+  const std::uint32_t cycle = component("p");
+  const std::uint32_t self = component("s");
+  ASSERT_GT(graph.members(ring).size(), 128u);
+  ASSERT_EQ(graph.members(cycle).size(), 2u);
+  ASSERT_EQ(graph.members(self).size(), 1u);
+  const AtomId p = *ResolveAtom(gp, "p");
+
+  struct Step {
+    std::uint32_t c;
+    int assume_p;  // +1: p true, -1: p false, 0: none
+  };
+  const Step steps[] = {
+      {ring, 0}, {cycle, +1}, {cycle, -1}, {self, 0}, {ring, 0}};
+  for (SccInnerEngine inner : {SccInnerEngine::kAfp, SccInnerEngine::kWp}) {
+    SccOptions opts;
+    opts.inner = inner;
+    Bitset assumed_true(n);
+    Bitset assumed_false(n);
+    const AssumptionPair pair{&assumed_true, &assumed_false};
+    EvalContext ctx;
+    ComponentSolver reused(ctx, opts, view, graph, buckets, pair);
+    Bitset model_true(n);
+    Bitset model_false(n);
+    GlobalModel gm{&model_true, &model_false};
+    for (std::size_t k = 0; k < std::size(steps); ++k) {
+      const Step& step = steps[k];
+      const std::string label = "inner " +
+                                std::to_string(static_cast<int>(inner)) +
+                                " step " + std::to_string(k);
+      assumed_true.Clear();
+      assumed_false.Clear();
+      if (step.assume_p > 0) assumed_true.Set(p);
+      if (step.assume_p < 0) assumed_false.Set(p);
+      const std::span<const AtomId> members = graph.members(step.c);
+
+      const EvalStats before = ctx.stats();
+      const ComponentSolver::Outcome got = reused.Solve(step.c, gm);
+      const EvalStats work = ctx.stats().Since(before);
+
+      EvalContext fresh_ctx;
+      Bitset fresh_true(n);
+      Bitset fresh_false(n);
+      GlobalModel fresh_gm{&fresh_true, &fresh_false};
+      ComponentSolver fresh(fresh_ctx, opts, view, graph, buckets, pair);
+      const ComponentSolver::Outcome want = fresh.Solve(step.c, fresh_gm);
+      const EvalStats& fresh_work = fresh_ctx.stats();
+      EXPECT_EQ(got.iterations, want.iterations) << label;
+      EXPECT_EQ(got.local_size, want.local_size) << label;
+      EXPECT_EQ(work.bucket_solves, 1u) << label;
+      EXPECT_EQ(work.sp_calls, fresh_work.sp_calls) << label;
+      EXPECT_EQ(work.rules_rescanned, fresh_work.rules_rescanned) << label;
+      EXPECT_EQ(work.delta_atoms, fresh_work.delta_atoms) << label;
+      EXPECT_EQ(work.gus_calls, fresh_work.gus_calls) << label;
+      EXPECT_EQ(work.gus_rules_rescanned, fresh_work.gus_rules_rescanned)
+          << label;
+      for (AtomId a : members) {
+        EXPECT_EQ(gm.Value(a), fresh_gm.Value(a))
+            << label << " " << gp.AtomName(a);
+      }
+
+      Program conditioned_program =
+          ReuseProgram(step.assume_p > 0, step.assume_p < 0);
+      const GroundProgram conditioned = GroundFull(conditioned_program);
+      const reference::SccReference ref =
+          reference::ScratchWellFoundedScc(conditioned, inner);
+      for (AtomId a : members) {
+        const StatusOr<AtomId> id = ResolveAtom(conditioned, gp.AtomName(a));
+        ASSERT_TRUE(id.ok()) << label;
+        const TruthValue expected = *id == kInvalidAtom
+                                        ? TruthValue::kFalse
+                                        : ref.model.Value(*id);
+        EXPECT_EQ(gm.Value(a), expected) << label << " " << gp.AtomName(a);
+      }
+      const AtomDependencyGraph cgraph(conditioned.View());
+      const std::uint32_t cc =
+          cgraph.component_of()[*ResolveAtom(conditioned,
+                                             gp.AtomName(members[0]))];
+      if (cgraph.members(cc).size() != members.size()) {
+        EXPECT_LT(step.assume_p, 0) << label;  // only p false splits p/q
+        continue;
+      }
+      const std::uint32_t ref_rounds = ref.component_iterations[cc];
+      EXPECT_EQ(got.iterations, ref_rounds) << label;
+      if (inner == SccInnerEngine::kAfp) {
+        EXPECT_EQ(work.sp_calls, 2u * ref_rounds) << label;
+      } else {
+        EXPECT_EQ(work.gus_calls, ref_rounds) << label;
+      }
+    }
+    // The ring's second solve (a bucket reused after three smaller
+    // universes) must have been a real multi-round solve.
+    EXPECT_GT(reused.Solve(ring, gm).iterations, 10u);
   }
 }
 

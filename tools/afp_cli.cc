@@ -475,6 +475,8 @@ int main(int argc, char** argv) {
                 << "  rules rescanned: " << r.eval.rules_rescanned
                 << "  peak scratch bytes: " << r.eval.peak_scratch_bytes
                 << "\n";
+      std::cout << "% bucket solves: " << r.eval.bucket_solves
+                << "  buckets built: " << r.eval.buckets_built << "\n";
     }
     return 0;
   }

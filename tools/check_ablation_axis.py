@@ -13,9 +13,10 @@ This check fails CI if any of the recorded axes below ever regresses:
   * the stable-model search axis (bench_search: one depth-first run per
     workload) must reproduce the pinned enumeration of every row in
     SEARCH_PINNED exactly — model_hash (model set AND emission order),
-    models, nodes, implied_atoms and leaf_rules_checked (the rule bodies
-    the leaves' stability checks read) — and every pinned row must
-    exist.
+    models, nodes, implied_atoms, bucket_solves and sp_calls (the
+    general-path component solves and S_P evaluations the enumeration
+    takes) and leaf_rules_checked (the rule bodies the leaves' stability
+    checks read) — and every pinned row must exist.
 
 The search pins are counters, not wall-clock: deterministic for a fixed
 workload, so safe on noisy CI machines. The delta-vs-scratch rescan gate
@@ -39,15 +40,18 @@ MIN_INCREMENTAL_RATIO = 5.0
 # The stable-model search rows (bench_search): the depth-first
 # enumeration of each workload, pinned exactly. model_hash covers the full
 # emission sequence (model set AND order); nodes and implied_atoms pin the
-# branch tree and every node's decided sets.
+# branch tree and every node's decided sets; bucket_solves and sp_calls pin
+# the evaluation work, so a faster search shows it did the same work.
 SEARCH_PINNED = {
     "EvenCycleClusters/12x24": {"model_hash": "7ff6fae4f6feac43",
                                 "models": 4096, "nodes": 8191,
                                 "implied_atoms": 2449122,
+                                "bucket_solves": 8202, "sp_calls": 24618,
                                 "leaf_rules_checked": 49152},
     "EvenCycleClusters/9x48": {"model_hash": "4b901dfea7181283",
                                "models": 512, "nodes": 1023,
                                "implied_atoms": 450130,
+                               "bucket_solves": 1031, "sp_calls": 3102,
                                "leaf_rules_checked": 4608},
 }
 

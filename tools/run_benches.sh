@@ -153,7 +153,8 @@ with open(src) as f:
 hc = report.get("hardware_concurrency")
 
 # One row per workload: wall time plus the enumeration receipt (models,
-# nodes, implied_atoms, components_resolved, model_hash).
+# nodes, implied_atoms, components_resolved, bucket_solves, sp_calls,
+# leaf_rules_checked, model_hash).
 search_rows = []
 for row in sorted(report.get("rows", []), key=lambda r: r["workload"]):
     entry = {"axis": "search", **row}
